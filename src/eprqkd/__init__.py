@@ -5,122 +5,15 @@ two key bits; the two halves travel separately, with an eavesdropping check
 after each transmission. The package simulates the honest protocol, the
 three analyzed attacks on it, and the information-theoretic metrics used to
 compare it against BB84-style schemes.
+
+The top level re-exports what a single run needs; everything else is
+imported from its module (``eprqkd.runner.run``, ``eprqkd.analysis``, ...).
 """
-from .adversary import (
-    AdversaryChannel,
-    AttackKind,
-    AttackStrategy,
-    EveState,
-    eve_information,
-    interpose,
-)
-from .analysis import (
-    BB84_ACCOUNTING,
-    EPR_ACCOUNTING,
-    TWO_STEP_ACCOUNTING,
-    EfficiencyInputs,
-    JointDistribution,
-    conditional_entropy,
-    efficiency,
-    mutual_information,
-    qber,
-    reference_bb84,
-    shannon_entropy,
-)
+from .adversary import AttackKind, AttackStrategy
 from .config import RunConfig
-from .errors import ConfigurationError, ProtocolOrderError
-from .ledger import CheckReport, Disposition, KeyMaterial, PairLedger, PairRecord, Transcript
-from .protocol import (
-    MultipartyOutcome,
-    ProtocolOutcome,
-    alice_prepare,
-    bob_decode,
-    extract_key,
-    first_check,
-    prepare_from_labels,
-    run_multiparty,
-    run_protocol,
-    second_check,
-    sender_key_material,
-    transmit_first_sequence,
-    transmit_second_sequence,
-)
-from .quantum import (
-    BELL_LABELS,
-    BellState,
-    TwoQubitState,
-    basis_state,
-    bell_overlap_probabilities,
-    make_bell_state,
-    measure_bell_basis,
-    measure_qubit,
-    measure_qubit_x,
-    measure_qubit_z,
-    qubit_z_probabilities,
-)
+from .protocol import run_protocol
 from .rng import RandomSource
-from .runner import RunReport, aggregate_rows, run
-from .report import emit_report, render_structured, render_tabular, verify_report
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdversaryChannel",
-    "AttackKind",
-    "AttackStrategy",
-    "BB84_ACCOUNTING",
-    "BELL_LABELS",
-    "BellState",
-    "CheckReport",
-    "ConfigurationError",
-    "Disposition",
-    "EPR_ACCOUNTING",
-    "EfficiencyInputs",
-    "EveState",
-    "JointDistribution",
-    "KeyMaterial",
-    "MultipartyOutcome",
-    "PairLedger",
-    "PairRecord",
-    "ProtocolOrderError",
-    "ProtocolOutcome",
-    "RandomSource",
-    "RunConfig",
-    "RunReport",
-    "TWO_STEP_ACCOUNTING",
-    "Transcript",
-    "TwoQubitState",
-    "aggregate_rows",
-    "alice_prepare",
-    "basis_state",
-    "bell_overlap_probabilities",
-    "bob_decode",
-    "conditional_entropy",
-    "efficiency",
-    "emit_report",
-    "eve_information",
-    "extract_key",
-    "first_check",
-    "interpose",
-    "make_bell_state",
-    "measure_bell_basis",
-    "measure_qubit",
-    "measure_qubit_x",
-    "measure_qubit_z",
-    "mutual_information",
-    "prepare_from_labels",
-    "qber",
-    "qubit_z_probabilities",
-    "reference_bb84",
-    "render_structured",
-    "render_tabular",
-    "run",
-    "run_multiparty",
-    "run_protocol",
-    "second_check",
-    "sender_key_material",
-    "shannon_entropy",
-    "transmit_first_sequence",
-    "transmit_second_sequence",
-    "verify_report",
-]
+__all__ = ["AttackKind", "AttackStrategy", "RandomSource", "RunConfig", "run_protocol"]

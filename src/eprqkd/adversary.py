@@ -26,11 +26,10 @@ Strategies:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
-from .analysis import JointDistribution
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_type
 from .ledger import DESTROYED, Disposition, PairLedger
 from .quantum import (
     BELL_LABELS,
@@ -66,6 +65,8 @@ class AttackStrategy:
     measure_second_sequence: bool = False
 
     def __post_init__(self):
+        require_type("destroy_probability", self.destroy_probability, float)
+        require_type("measure_second_sequence", self.measure_second_sequence, bool)
         if not 0.0 <= self.destroy_probability <= 1.0:
             raise ConfigurationError(
                 f"destroy_probability must be in [0, 1], got {self.destroy_probability}"
@@ -81,124 +82,87 @@ class AttackStrategy:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AttackStrategy":
-        fake = data.get("fake_label", "psi1")
+        """Parse the ``to_dict`` form; absent keys take their defaults."""
+        if not isinstance(data, dict):
+            raise ConfigurationError(f"attack must be a mapping, got {data!r}")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigurationError(f"unknown attack key {unknown[0]!r}")
+        kinds = {kind.value: kind for kind in AttackKind}
+        labels = {"uniform": None, **{label.name.lower(): label for label in BELL_LABELS}}
+        kind, fake = data.get("kind", "none"), data.get("fake_label", "psi1")
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ConfigurationError(f"attack.kind must be one of {sorted(kinds)}, got {kind!r}")
+        if not isinstance(fake, str) or fake not in labels:
+            raise ConfigurationError(
+                f"attack.fake_label must be one of {sorted(labels)}, got {fake!r}"
+            )
         return cls(
-            kind=AttackKind(data.get("kind", "none")),
-            fake_label=None if fake == "uniform" else BellState[fake.upper()],
+            kind=kinds[kind],
+            fake_label=labels[fake],
             destroy_probability=data.get("destroy_probability", 0.0),
             measure_second_sequence=data.get("measure_second_sequence", False),
         )
 
 
 @dataclass
-class EveMeasurement:
-    pair_index: int
-    basis: str  # "z" or "bell"
-    half: int | None  # 1, 2, or None for a joint measurement
-    outcome: str  # "0"/"1" for z, a 2-bit code for bell
-
-
-@dataclass
 class EveState:
-    """Everything the adversary holds or has learned."""
+    """Everything the adversary has learned: the pair states her Bell
+    measurements found, and her Z bits as {pair index: {half: bit}}."""
 
-    captured_halves: list[tuple[int, int]] = field(default_factory=list)
-    measurement_log: list[EveMeasurement] = field(default_factory=list)
     inferred_key: dict[int, BellState] = field(default_factory=dict)
-
-    def z_outcomes(self) -> dict[int, dict[int, int]]:
-        """Z measurement bits grouped as {pair index: {half: bit}}."""
-        grouped: dict[int, dict[int, int]] = {}
-        for m in self.measurement_log:
-            if m.basis == "z":
-                grouped.setdefault(m.pair_index, {})[m.half] = int(m.outcome)
-        return grouped
+    z_bits: dict[int, dict[int, int]] = field(default_factory=dict)
 
 
-def interpose(
-    strategy: AttackStrategy,
-    transmission: int,
-    ledger: PairLedger,
-    eve: EveState,
-    rng: RandomSource,
-) -> dict | None:
-    """Apply the strategy to the particles currently in flight.
+# One function per attack kind. Each acts on the records in flight for the
+# given transmission and returns its transcript payload, or None when it
+# left the particles alone.
 
-    Mutates the ledger (carriers, custody, dispositions) and the adversary
-    state in place. Returns a transcript payload describing what was done,
-    or None for the identity channel.
-    """
-    if transmission not in (1, 2):
-        raise ConfigurationError(f"transmission must be 1 or 2, got {transmission}")
-    in_flight = (
-        Disposition.IN_FLIGHT_1 if transmission == 1 else Disposition.IN_FLIGHT_2
-    )
-    records = [r for r in ledger.records if r.disposition is in_flight]
 
-    if strategy.kind is AttackKind.NONE:
+def _identity(channel, transmission, records, ledger):
+    return None
+
+
+def _measure_resend(channel, transmission, records, ledger):
+    if transmission == 2 and not channel.strategy.measure_second_sequence:
         return None
+    half = 2 if transmission == 1 else 1
+    which = "second" if transmission == 1 else "first"
+    bits = []
+    for rec in records:
+        bit, rec.carrier = measure_qubit_z(rec.carrier, which, channel.rng)
+        channel.eve.z_bits.setdefault(rec.index, {})[half] = bit
+        bits.append(str(bit))
+    return {"measured": len(records), "outcomes": "".join(bits)}
 
-    if strategy.kind is AttackKind.MEASURE_RESEND:
-        if transmission == 2 and not strategy.measure_second_sequence:
-            return None
-        half = 2 if transmission == 1 else 1
-        which = "second" if transmission == 1 else "first"
-        bits = []
+
+def _fake_epr(channel, transmission, records, ledger):
+    if transmission == 1:
+        planted = []
         for rec in records:
-            bit, post = measure_qubit_z(rec.carrier, which, rng)
-            rec.carrier = post
-            eve.measurement_log.append(
-                EveMeasurement(rec.index, "z", half, str(bit))
-            )
-            bits.append(str(bit))
-        return {
-            "strategy": strategy.kind.value,
-            "sequence": transmission,
-            "measured": len(records),
-            "outcomes": "".join(bits),
-        }
+            label = channel.strategy.fake_label
+            if label is None:
+                label = BELL_LABELS[channel.rng.uniform_index(4)]
+            rec.fake_carrier = make_bell_state(label)
+            rec.fake_custody = ("eve", ledger.receiver)
+            rec.custody = (rec.custody[0], "eve")
+            planted.append(label.code)
+        return {"captured": len(records), "planted": len(records), "fake_codes": "".join(planted)}
+    inferred = []
+    for rec in records:
+        rec.custody = ("eve", "eve")
+        label, rec.carrier = measure_bell_basis(rec.carrier, channel.rng)
+        channel.eve.inferred_key[rec.index] = label
+        inferred.append(label.code)
+        if rec.fake_custody is not None:
+            rec.fake_custody = (ledger.receiver, rec.fake_custody[1])
+    return {"captured": len(records), "inferred_codes": "".join(inferred)}
 
-    if strategy.kind is AttackKind.FAKE_EPR:
-        if transmission == 1:
-            planted = []
-            for rec in records:
-                label = strategy.fake_label
-                if label is None:
-                    label = BELL_LABELS[rng.uniform_index(4)]
-                rec.fake_carrier = make_bell_state(label)
-                rec.fake_custody = ("eve", ledger.receiver)
-                rec.custody = (rec.custody[0], "eve")
-                eve.captured_halves.append((rec.index, 2))
-                planted.append(label.code)
-            return {
-                "strategy": strategy.kind.value,
-                "sequence": 1,
-                "captured": len(records),
-                "planted": len(records),
-                "fake_codes": "".join(planted),
-            }
-        inferred = []
-        for rec in records:
-            eve.captured_halves.append((rec.index, 1))
-            rec.custody = ("eve", "eve")
-            label, post = measure_bell_basis(rec.carrier, rng)
-            rec.carrier = post
-            eve.measurement_log.append(EveMeasurement(rec.index, "bell", None, label.code))
-            eve.inferred_key[rec.index] = label
-            inferred.append(label.code)
-            if rec.fake_custody is not None:
-                rec.fake_custody = (ledger.receiver, rec.fake_custody[1])
-        return {
-            "strategy": strategy.kind.value,
-            "sequence": 2,
-            "captured": len(records),
-            "inferred_codes": "".join(inferred),
-        }
 
-    # Opaque: destroy with probability p, forward the rest untouched.
+def _opaque(channel, transmission, records, ledger):
     destroyed = []
     for rec in records:
-        if rng.bernoulli(strategy.destroy_probability):
+        if channel.rng.bernoulli(channel.strategy.destroy_probability):
             if transmission == 1:
                 rec.custody = (rec.custody[0], DESTROYED)
             else:
@@ -206,12 +170,18 @@ def interpose(
             rec.disposition = Disposition.DROPPED
             destroyed.append(rec.index)
     return {
-        "strategy": strategy.kind.value,
-        "sequence": transmission,
         "destroyed": len(destroyed),
         "forwarded": len(records) - len(destroyed),
         "destroyed_indices": destroyed,
     }
+
+
+_ATTACKS = {
+    AttackKind.NONE: _identity,
+    AttackKind.MEASURE_RESEND: _measure_resend,
+    AttackKind.FAKE_EPR: _fake_epr,
+    AttackKind.OPAQUE: _opaque,
+}
 
 
 class AdversaryChannel:
@@ -223,7 +193,20 @@ class AdversaryChannel:
         self.rng = rng
 
     def interpose(self, transmission: int, ledger: PairLedger) -> dict | None:
-        return interpose(self.strategy, transmission, ledger, self.eve, self.rng)
+        """Apply the strategy to the particles currently in flight.
+
+        Mutates the ledger (carriers, custody, dispositions) and the adversary
+        state in place. Returns a transcript payload describing what was done,
+        or None when the particles passed untouched.
+        """
+        if transmission not in (1, 2):
+            raise ConfigurationError(f"transmission must be 1 or 2, got {transmission}")
+        in_flight = Disposition.IN_FLIGHT_1 if transmission == 1 else Disposition.IN_FLIGHT_2
+        records = ledger.with_disposition(in_flight)
+        payload = _ATTACKS[self.strategy.kind](self, transmission, records, ledger)
+        if payload is None:
+            return None
+        return {"strategy": self.strategy.kind.value, "sequence": transmission, **payload}
 
 
 def eve_guess_counts(eve: EveState, ledger: PairLedger) -> dict[str, dict[str, int]]:
@@ -231,42 +214,19 @@ def eve_guess_counts(eve: EveState, ledger: PairLedger) -> dict[str, dict[str, i
 
     The guess alphabet depends on what the attack produced: full 2-bit codes
     for fake-EPR Bell measurements, the concatenated Z bits otherwise. The
-    ledger supplies only the true codes being guessed at.
+    ledger supplies only the true codes being guessed at; the attack never
+    saw them. An empty result means Eve recorded nothing.
     """
-    counts: dict[str, dict[str, int]] = {}
-
-    def bump(truth: str, guess: str):
-        counts.setdefault(truth, {})
-        counts[truth][guess] = counts[truth].get(guess, 0) + 1
-
     if eve.inferred_key:
-        for index, label in sorted(eve.inferred_key.items()):
-            bump(ledger.records[index].prepared.code, label.code)
-        return counts
-
-    outcomes = eve.z_outcomes()
-    complete = {i: h for i, h in outcomes.items() if 1 in h and 2 in h}
-    if complete:
+        guesses = {i: label.code for i, label in eve.inferred_key.items()}
+    else:
         # Pairs measured on both halves are her real guesses; partially
         # measured ones carry strictly less and are not scored alongside.
-        for index, halves in sorted(complete.items()):
-            bump(ledger.records[index].prepared.code, f"{halves[1]}{halves[2]}")
-        return counts
-    for index, halves in sorted(outcomes.items()):
-        bump(ledger.records[index].prepared.code, str(halves.get(2, halves.get(1))))
+        guesses = {i: f"{h[1]}{h[2]}" for i, h in eve.z_bits.items() if 1 in h and 2 in h}
+        if not guesses:
+            guesses = {i: str(h.get(2, h.get(1))) for i, h in eve.z_bits.items()}
+    counts: dict[str, dict[str, int]] = {}
+    for index, guess in sorted(guesses.items()):
+        row = counts.setdefault(ledger.records[index].prepared.code, {})
+        row[guess] = row.get(guess, 0) + 1
     return counts
-
-
-def eve_information(eve: EveState, ledger: PairLedger) -> JointDistribution:
-    """Empirical joint distribution of (sender's code, Eve's guess).
-
-    The truth column is used only for scoring; the attack never saw it.
-    When Eve recorded nothing (identity or opaque channel) the joint is the
-    exact independent uniform one, whose mutual information is zero.
-    """
-    counts = eve_guess_counts(eve, ledger)
-    codes = tuple(label.code for label in BELL_LABELS)
-    if not counts:
-        uniform = {x: {y: 1 for y in codes} for x in codes}
-        return JointDistribution.from_counts(uniform)
-    return JointDistribution.from_counts(counts)

@@ -149,41 +149,3 @@ TWO_STEP_ACCOUNTING = EfficiencyInputs(secret_bits=2, qubits_used=2, classical_b
 def efficiency(inputs: EfficiencyInputs) -> float:
     """Secret bits per transmitted qubit-plus-classical-bit."""
     return inputs.secret_bits / (inputs.qubits_used + inputs.classical_bits)
-
-
-@dataclass(frozen=True)
-class ErrorRateSummary:
-    samples: int
-    mismatches: int
-    rate: float
-    stderr: float
-
-
-def _summarize(mismatches: int, samples: int) -> ErrorRateSummary:
-    rate = mismatches / samples
-    stderr = math.sqrt(rate * (1.0 - rate) / samples)
-    return ErrorRateSummary(samples, mismatches, rate, stderr)
-
-
-def qber(check_reports) -> dict[str, ErrorRateSummary]:
-    """Aggregate check mismatches into per-check and overall error rates.
-
-    Accepts any iterable of check reports (objects with check_id,
-    mismatches, and sample_size). Raises ValueError when there is nothing
-    to aggregate.
-    """
-    mismatches: dict[str, int] = {}
-    samples: dict[str, int] = {}
-    for report in check_reports:
-        mismatches[report.check_id] = mismatches.get(report.check_id, 0) + report.mismatches
-        samples[report.check_id] = samples.get(report.check_id, 0) + report.sample_size
-    total_samples = sum(samples.values())
-    if total_samples == 0:
-        raise ValueError("no check samples to aggregate")
-    summary = {
-        check_id: _summarize(mismatches[check_id], samples[check_id])
-        for check_id in sorted(samples)
-        if samples[check_id] > 0
-    }
-    summary["overall"] = _summarize(sum(mismatches.values()), total_samples)
-    return summary

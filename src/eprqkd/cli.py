@@ -15,7 +15,6 @@ from pathlib import Path
 from .adversary import AttackKind, AttackStrategy
 from .config import RunConfig
 from .errors import ConfigurationError
-from .quantum import BellState
 from .report import emit_report, emit_transcripts, verify_report
 from .runner import RunReport, run
 
@@ -103,12 +102,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    fake = None if args.fake_label == "uniform" else BellState[args.fake_label.upper()]
-    attack = AttackStrategy(
-        kind=AttackKind(args.attack),
-        fake_label=fake,
-        destroy_probability=args.destroy_prob,
-        measure_second_sequence=args.eve_measures_second,
+    attack = AttackStrategy.from_dict(
+        {
+            "kind": args.attack,
+            "fake_label": args.fake_label,
+            "destroy_probability": args.destroy_prob,
+            "measure_second_sequence": args.eve_measures_second,
+        }
     )
     return RunConfig(
         pairs=args.pairs,
@@ -172,10 +172,7 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
         config = _config_from_args(args)
     except ConfigurationError as exc:
         parser.error(str(exc))
-    try:
-        report = run(config, collect_transcripts=args.transcript)
-    except ConfigurationError as exc:
-        parser.error(str(exc))
+    report = run(config, collect_transcripts=args.transcript)
     _print_summary(report)
     if args.out is not None:
         try:
@@ -196,7 +193,11 @@ def _verify_command(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: could not read report: {exc}", file=sys.stderr)
         return 1
-    problems = verify_report(document)
+    try:
+        problems = verify_report(document)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if problems:
         for problem in problems:
             print(f"MISMATCH {problem}")

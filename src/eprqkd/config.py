@@ -5,10 +5,10 @@ back in, together with its seed, reproduces the run bit-for-bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .adversary import AttackStrategy
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_type
 from .rng import MAX_SEED
 
 
@@ -37,6 +37,8 @@ class RunConfig:
     randomize_check_basis: bool = False
 
     def __post_init__(self):
+        for name, kind in _FIELD_TYPES.items():
+            require_type(name, getattr(self, name), kind)
         if self.pairs < 1:
             raise ConfigurationError(f"pairs must be >= 1, got {self.pairs}")
         if self.trials < 1:
@@ -81,7 +83,21 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        """Parse the ``to_dict`` form; absent keys take their defaults."""
+        if not isinstance(data, dict):
+            raise ConfigurationError(f"config must be a mapping, got {data!r}")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigurationError(f"unknown config key {unknown[0]!r}")
         known = dict(data)
-        attack = known.pop("attack", None)
-        strategy = AttackStrategy.from_dict(attack) if attack else AttackStrategy()
-        return cls(attack=strategy, **known)
+        return cls(attack=AttackStrategy.from_dict(known.pop("attack", {})), **known)
+
+
+_FIELD_TYPES = {
+    **dict.fromkeys(("pairs", "trials", "seed", "parties", "min_check_size"), int),
+    **dict.fromkeys(
+        ("check_fraction_1", "check_fraction_2", "threshold_1", "threshold_2", "loss_tolerance"),
+        float,
+    ),
+    **dict.fromkeys(("continuation_mode", "randomize_check_basis"), bool),
+}

@@ -56,7 +56,6 @@ class PairRecord:
     disposition: Disposition = Disposition.PREPARED
     fake_carrier: TwoQubitState | None = None
     fake_custody: tuple[str, str] | None = None
-    check_bits: tuple[int, int] | None = None  # (sender bit, receiver bit)
     outcome: BellState | None = None  # receiver's Bell-basis decode result
 
     def received_by(self, receiver: str) -> bool:
@@ -116,9 +115,7 @@ class CheckReport:
     check_id: str  # "first" or "second"
     sample_indices: tuple[int, ...]
     mismatches: int
-    error_rate: float
     threshold: float
-    passed: bool
     # Published comparison values, one symbol per sampled pair, in
     # sample_indices order: bits for the first check, 2-bit codes for the
     # second. Kept for transcripts and diagnostics.
@@ -130,6 +127,24 @@ class CheckReport:
     @property
     def sample_size(self) -> int:
         return len(self.sample_indices)
+
+    @property
+    def error_rate(self) -> float:
+        return self.mismatches / self.sample_size
+
+    @property
+    def passed(self) -> bool:
+        return self.error_rate <= self.threshold
+
+    def to_dict(self) -> dict:
+        """The published summary, as report rows and transcripts carry it."""
+        return {
+            "sample_size": self.sample_size,
+            "mismatches": self.mismatches,
+            "error_rate": self.error_rate,
+            "threshold": self.threshold,
+            "passed": self.passed,
+        }
 
 
 @dataclass(frozen=True)

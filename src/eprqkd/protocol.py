@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .adversary import AdversaryChannel, AttackStrategy, EveState
 from .config import RunConfig
-from .errors import ConfigurationError, ProtocolOrderError
+from .errors import ConfigurationError, InsufficientPairsError, ProtocolOrderError
 from .ledger import (
     CheckReport,
     Disposition,
@@ -130,10 +130,30 @@ def transmit_first_sequence(
     return ledger
 
 
-def _check_sample_size(available: int, fraction: float, min_size: int) -> int:
-    if available < 1:
-        raise ConfigurationError("no pairs available to check")
-    return min(available, max(min_size, math.ceil(fraction * available)))
+def _draw_sample(
+    candidates: list[PairRecord], fraction: float, min_size: int, rng: RandomSource
+) -> list[PairRecord]:
+    """A check's random sample, in pair order: a ``fraction`` of the
+    candidates, and at least ``min_size`` of them when that many exist."""
+    if not candidates:
+        raise InsufficientPairsError("no pairs available to check")
+    size = min(len(candidates), max(min_size, math.ceil(fraction * len(candidates))))
+    return sorted(rng.sample_without_replacement(candidates, size), key=lambda rec: rec.index)
+
+
+def _publish_check(
+    report: CheckReport,
+    sample: list[PairRecord],
+    disposition: Disposition,
+    step: int,
+    transcript: Transcript | None,
+) -> CheckReport:
+    """Consume the sampled pairs and publish the check's summary."""
+    for rec in sample:
+        rec.disposition = disposition
+    if transcript:
+        transcript.log(step, "public", "check", {"check": report.check_id, **report.to_dict()})
+    return report
 
 
 def first_check(
@@ -166,10 +186,7 @@ def first_check(
         for rec in ledger.records
         if rec.disposition is Disposition.IN_FLIGHT_1 and rec.received_by(ledger.receiver)
     ]
-    size = _check_sample_size(len(available), fraction, min_size)
-    sample = sorted(
-        rng.sample_without_replacement(available, size), key=lambda rec: rec.index
-    )
+    sample = _draw_sample(available, fraction, min_size, rng)
 
     bases = []
     receiver_bits = []
@@ -215,41 +232,22 @@ def first_check(
             {"indices": indices, "bits": "".join(map(str, sender_bits))},
         )
 
-    mismatches = 0
-    for rec, basis, s_bit, r_bit in zip(sample, bases, sender_bits, receiver_bits):
-        if (s_bit == r_bit) != rec.prepared.correlated_in(basis):
-            mismatches += 1
-        rec.disposition = Disposition.CHECKED_1
-        rec.check_bits = (s_bit, r_bit)
-
-    error_rate = mismatches / size
+    mismatches = sum(
+        (s_bit == r_bit) != rec.prepared.correlated_in(basis)
+        for rec, basis, s_bit, r_bit in zip(sample, bases, sender_bits, receiver_bits)
+    )
     report = CheckReport(
         check_id="first",
         sample_indices=tuple(indices),
         mismatches=mismatches,
-        error_rate=error_rate,
         threshold=threshold,
-        passed=error_rate <= threshold,
         sender_values=tuple(str(b) for b in sender_bits),
         receiver_values=tuple(str(b) for b in receiver_bits),
         bases=tuple(bases),
     )
     ledger.check1 = report
     ledger.phase = Phase.CHECKED_1
-    if transcript:
-        transcript.log(4, "public", "check", _check_payload(report))
-    return report
-
-
-def _check_payload(report: CheckReport) -> dict:
-    return {
-        "check": report.check_id,
-        "sample_size": report.sample_size,
-        "mismatches": report.mismatches,
-        "error_rate": report.error_rate,
-        "threshold": report.threshold,
-        "passed": report.passed,
-    }
+    return _publish_check(report, sample, Disposition.CHECKED_1, 4, transcript)
 
 
 def transmit_second_sequence(
@@ -338,32 +336,18 @@ def second_check(
     choices (step 7). Compared pairs are excluded from the key."""
     if ledger.phase is not Phase.DECODED:
         raise ProtocolOrderError(f"second check in phase {ledger.phase.name}")
-    decoded = ledger.with_disposition(Disposition.DECODED)
-    size = _check_sample_size(len(decoded), fraction, min_size)
-    sample = sorted(
-        rng.sample_without_replacement(decoded, size), key=lambda rec: rec.index
-    )
-    mismatches = 0
-    for rec in sample:
-        if rec.outcome is not rec.prepared:
-            mismatches += 1
-        rec.disposition = Disposition.CHECKED_2
-    error_rate = mismatches / size
+    sample = _draw_sample(ledger.with_disposition(Disposition.DECODED), fraction, min_size, rng)
     report = CheckReport(
         check_id="second",
         sample_indices=tuple(rec.index for rec in sample),
-        mismatches=mismatches,
-        error_rate=error_rate,
+        mismatches=sum(rec.outcome is not rec.prepared for rec in sample),
         threshold=threshold,
-        passed=error_rate <= threshold,
         sender_values=tuple(rec.prepared.code for rec in sample),
         receiver_values=tuple(rec.outcome.code for rec in sample),
     )
     ledger.check2 = report
     ledger.phase = Phase.CHECKED_2
-    if transcript:
-        transcript.log(7, "public", "check", _check_payload(report))
-    return report
+    return _publish_check(report, sample, Disposition.CHECKED_2, 7, transcript)
 
 
 def extract_key(ledger: PairLedger, transcript: Transcript | None = None) -> KeyMaterial:
@@ -398,15 +382,19 @@ class ProtocolOutcome:
     """Everything a single run produced, including the final ledger."""
 
     ledger: PairLedger
-    check1: CheckReport | None
-    check2: CheckReport | None
     abort_reason: str | None
-    receipt_1: float | None
-    receipt_2: float | None
     receiver_key: KeyMaterial | None
     sender_key: KeyMaterial | None
     eve: EveState
     transcript: Transcript
+
+    @property
+    def check1(self) -> CheckReport | None:
+        return self.ledger.check1
+
+    @property
+    def check2(self) -> CheckReport | None:
+        return self.ledger.check2
 
     @property
     def completed(self) -> bool:
@@ -450,10 +438,11 @@ def run_protocol(
     """Execute steps 1-7 for one run and report what happened.
 
     Every failure mode is an abort with a reason, never an exception:
-    a failed check, or a transmission whose delivered fraction fell below
-    1 - loss_tolerance. With ``continuation_mode`` the run keeps going past
-    a failed first check (for studying the attack's downstream statistics)
-    but still aborts at the end and emits no key.
+    a failed check, a transmission whose delivered fraction fell below
+    1 - loss_tolerance, or no pairs left for a check or for the key
+    (``insufficient_pairs``). With ``continuation_mode`` the run keeps
+    going past a failed first check (for studying the attack's downstream
+    statistics) but still aborts at the end and emits no key.
     """
     strategy = config.attack if strategy is None else strategy
     sender_rng = rng.substream(sender)
@@ -467,47 +456,56 @@ def run_protocol(
         ledger = prepare_from_labels(prepared_labels, sender, receiver, transcript)
 
     abort: str | None = None
-    check1 = check2 = None
+    check1 = None
     receiver_key = sender_key = None
 
     transmit_first_sequence(ledger, channel, transcript)
     if ledger.receipt_1 < 1.0 - config.loss_tolerance:
         abort = "stall_transmission_1"
         transcript.log(2, "public", "abort", {"reason": abort})
+    else:
+        try:
+            check1 = first_check(
+                ledger,
+                config.check_fraction_1,
+                config.threshold_1,
+                receiver_rng,
+                min_size=config.min_check_size,
+                basis_mode="random" if config.randomize_check_basis else "z",
+                transcript=transcript,
+            )
+        except InsufficientPairsError:
+            abort = "insufficient_pairs"
+            transcript.log(3, "public", "abort", {"reason": abort})
+        else:
+            if not check1.passed:
+                abort = "check1_failed"
+                if not config.continuation_mode:
+                    transcript.log(4, "public", "abort", {"reason": abort})
 
-    if abort is None:
-        check1 = first_check(
-            ledger,
-            config.check_fraction_1,
-            config.threshold_1,
-            receiver_rng,
-            min_size=config.min_check_size,
-            basis_mode="random" if config.randomize_check_basis else "z",
-            transcript=transcript,
-        )
-        if not check1.passed:
-            abort = "check1_failed"
-            if not config.continuation_mode:
-                transcript.log(4, "public", "abort", {"reason": abort})
-
-    past_check1 = check1 is not None and (check1.passed or config.continuation_mode)
-    if past_check1:
+    if check1 is not None and (check1.passed or config.continuation_mode):
         transmit_second_sequence(ledger, channel, config.continuation_mode, transcript)
         if ledger.receipt_2 < 1.0 - config.loss_tolerance:
             abort = abort or "stall_transmission_2"
             transcript.log(5, "public", "abort", {"reason": abort})
         else:
             bob_decode(ledger, receiver_rng, transcript)
-            check2 = second_check(
-                ledger,
-                config.check_fraction_2,
-                config.threshold_2,
-                receiver_rng,
-                min_size=config.min_check_size,
-                transcript=transcript,
-            )
-            if not check2.passed:
-                abort = abort or "check2_failed"
+            try:
+                check2 = second_check(
+                    ledger,
+                    config.check_fraction_2,
+                    config.threshold_2,
+                    receiver_rng,
+                    min_size=config.min_check_size,
+                    transcript=transcript,
+                )
+            except InsufficientPairsError:
+                abort = abort or "insufficient_pairs"
+            else:
+                if not check2.passed:
+                    abort = abort or "check2_failed"
+                elif not ledger.with_disposition(Disposition.DECODED):
+                    abort = abort or "insufficient_pairs"  # no pair left for the key
             if abort is None:
                 receiver_key = extract_key(ledger, transcript)
                 sender_key = sender_key_material(ledger, receiver_key.source_indices)
@@ -519,11 +517,7 @@ def run_protocol(
 
     return ProtocolOutcome(
         ledger=ledger,
-        check1=check1,
-        check2=check2,
         abort_reason=abort,
-        receipt_1=ledger.receipt_1,
-        receipt_2=ledger.receipt_2,
         receiver_key=receiver_key,
         sender_key=sender_key,
         eve=channel.eve,

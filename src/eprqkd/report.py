@@ -109,8 +109,12 @@ def verify_report(document: dict) -> list[str]:
     """Recompute the aggregate block from the trial rows and diff it.
 
     Returns a list of human-readable discrepancies; an empty list means the
-    embedded aggregate matches its own rows exactly.
+    embedded aggregate matches its own rows exactly. Raises ValueError
+    ("malformed report: ...") when the document is not shaped like a report.
     """
+    if not isinstance(document, dict):
+        kind = type(document).__name__
+        raise ValueError(f"malformed report: top level is a {kind}, not an object")
     problems = []
     version = document.get("schema_version")
     if version != SCHEMA_VERSION:
@@ -119,7 +123,14 @@ def verify_report(document: dict) -> list[str]:
     if not isinstance(rows, list) or not rows:
         return problems + ["trials: missing or empty"]
     embedded = document.get("aggregate") or {}
-    recomputed = aggregate_rows(rows)
+    if not isinstance(embedded, dict):
+        kind = type(embedded).__name__
+        raise ValueError(f"malformed report: aggregate is a {kind}, not an object")
+    try:
+        recomputed = aggregate_rows(rows)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        reason = f"{type(exc).__name__}: {exc}"
+        raise ValueError(f"malformed report: rows do not fit {SCHEMA_VERSION} ({reason})") from None
     for key in sorted(set(embedded) | set(recomputed)):
         if embedded.get(key) != recomputed.get(key):
             problems.append(

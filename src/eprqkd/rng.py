@@ -80,9 +80,6 @@ class RandomSource:
             pool[j] = pool[remaining - 1]
         return picked
 
-    def shuffled(self, population: list) -> list:
-        return self.sample_without_replacement(population, len(population))
-
 
 def three_sigma(p: float, n: int) -> float:
     """Three binomial standard deviations of a frequency estimate."""

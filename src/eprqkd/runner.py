@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from . import analysis
 from .adversary import eve_guess_counts
 from .config import RunConfig
-from .ledger import CheckReport
 from .protocol import MultipartyOutcome, ProtocolOutcome, run_multiparty, run_protocol
 from .rng import RandomSource
 
@@ -22,25 +21,14 @@ SCHEMA_VERSION = "eprqkd-report/1"
 _DETECTION_REASONS = ("check1_failed", "check2_failed")
 
 
-def _check_row(report: CheckReport | None) -> dict | None:
-    if report is None:
-        return None
-    return {
-        "sample_size": report.sample_size,
-        "mismatches": report.mismatches,
-        "error_rate": report.error_rate,
-        "threshold": report.threshold,
-        "passed": report.passed,
-    }
-
-
 def _hop_row(outcome: ProtocolOutcome) -> dict:
+    ledger = outcome.ledger
     return {
         "abort_reason": outcome.abort_reason,
-        "receipt_fraction_1": outcome.receipt_1,
-        "receipt_fraction_2": outcome.receipt_2,
-        "check1": _check_row(outcome.check1),
-        "check2": _check_row(outcome.check2),
+        "receipt_fraction_1": ledger.receipt_1,
+        "receipt_fraction_2": ledger.receipt_2,
+        "check1": ledger.check1.to_dict() if ledger.check1 else None,
+        "check2": ledger.check2.to_dict() if ledger.check2 else None,
     }
 
 

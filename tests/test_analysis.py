@@ -13,11 +13,11 @@ from eprqkd.analysis import (
     conditional_entropy,
     efficiency,
     mutual_information,
-    qber,
     reference_bb84,
     shannon_entropy,
 )
 from eprqkd.ledger import CheckReport
+from eprqkd.runner import aggregate_rows
 
 
 class TestShannonEntropy:
@@ -174,38 +174,46 @@ class TestEfficiency:
             EfficiencyInputs(-1, 1, 0)
 
 
-def _report(check_id, mismatches, size):
-    return CheckReport(
-        check_id=check_id,
-        sample_indices=tuple(range(size)),
-        mismatches=mismatches,
-        error_rate=mismatches / size,
-        threshold=0.02,
-        passed=mismatches / size <= 0.02,
-    )
+def _check(mismatches, size):
+    return CheckReport("first", tuple(range(size)), mismatches, 0.02).to_dict()
+
+
+def _row(check1=None, check2=None):
+    """A synthetic report row carrying only check results."""
+    return {
+        "abort_reason": None,
+        "keys_agree": True,
+        "key_length": 2,
+        "receipt_fraction_1": 1.0,
+        "receipt_fraction_2": 1.0,
+        "check1": check1,
+        "check2": check2,
+        "ab_counts": {},
+        "ae_counts": {},
+    }
 
 
 class TestQber:
+    """Check error rates pool per check across trial rows, in aggregate_rows."""
+
     def test_pools_by_check(self):
-        summary = qber([_report("first", 0, 100), _report("second", 50, 100)])
-        assert summary["first"].rate == 0.0
-        assert summary["first"].stderr == 0.0
-        assert summary["second"].rate == 0.5
-        assert summary["overall"].samples == 200
-        assert summary["overall"].mismatches == 50
+        agg = aggregate_rows([_row(_check(0, 100), _check(50, 100))])
+        assert agg["check1"]["error_rate"] == 0.0
+        assert agg["check1"]["stderr"] == 0.0
+        assert agg["check2"]["error_rate"] == 0.5
+        assert agg["check2"]["samples"] == 100
+        assert agg["check2"]["mismatches"] == 50
 
     def test_stderr_at_half(self):
-        summary = qber([_report("second", 5000, 10_000)])
-        assert summary["second"].stderr == pytest.approx(0.005, abs=1e-12)
+        agg = aggregate_rows([_row(check2=_check(5000, 10_000))])
+        assert agg["check2"]["stderr"] == pytest.approx(0.005, abs=1e-12)
 
     def test_multiple_reports_pool(self):
-        summary = qber([_report("first", 1, 10), _report("first", 3, 10)])
-        assert summary["first"].mismatches == 4
-        assert summary["first"].samples == 20
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            qber([])
+        agg = aggregate_rows([_row(_check(1, 10)), _row(_check(3, 10))])
+        assert agg["check1"]["mismatches"] == 4
+        assert agg["check1"]["samples"] == 20
+        assert agg["check1"]["error_rate"] == 0.2
+        assert agg["check2"] is None
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eprqkd.adversary import AdversaryChannel, AttackKind, AttackStrategy
 from eprqkd.config import RunConfig
@@ -89,7 +90,8 @@ class TestTransmissions:
     def test_second_transmission_refuses_failed_check(self):
         ledger = alice_prepare(10, RandomSource(4))
         transmit_first_sequence(ledger, clean_channel())
-        ledger.check1 = CheckReport("first", (0,), 1, 1.0, 0.02, False)
+        ledger.check1 = CheckReport("first", (0,), 1, 0.02)
+        assert ledger.check1.error_rate == 1.0 and not ledger.check1.passed
         ledger.phase = Phase.CHECKED_1
         ledger.records[0].disposition = Disposition.CHECKED_1
         with pytest.raises(ProtocolOrderError):
@@ -223,8 +225,8 @@ class TestExtractKey:
             rec.outcome = rec.prepared
             rec.disposition = Disposition.DECODED
         ledger.phase = Phase.CHECKED_2
-        ledger.check1 = CheckReport("first", (), 0, 0.0, 0.02, True)
-        ledger.check2 = CheckReport("second", (), 0, 0.0, 0.02, True)
+        ledger.check1 = CheckReport("first", (0,), 0, 0.02)
+        ledger.check2 = CheckReport("second", (0,), 0, 0.02)
         return ledger
 
     def test_key_is_code_concatenation_in_order(self):
@@ -242,7 +244,7 @@ class TestExtractKey:
 
     def test_refuses_failed_checks(self):
         ledger = self.synthetic_decoded_ledger([BellState.PSI1])
-        ledger.check2 = CheckReport("second", (), 1, 0.5, 0.02, False)
+        ledger.check2 = CheckReport("second", (0, 1), 1, 0.02)
         with pytest.raises(ProtocolOrderError):
             extract_key(ledger)
 
@@ -330,7 +332,7 @@ class TestRunProtocol:
         outcome = run_protocol(cfg, RandomSource(29))
         assert outcome.abort_reason == "stall_transmission_1"
         assert outcome.check1 is None
-        assert outcome.receipt_1 < 1.0
+        assert outcome.ledger.receipt_1 < 1.0
         counts = outcome.ledger.disposition_counts()
         assert counts["dropped"] == 300
 
@@ -351,11 +353,25 @@ class TestRunProtocol:
         for rec in dropped:
             assert rec.custody[0] == "destroyed"
 
-    def test_checks_exhausting_every_pair_is_a_configuration_error(self):
+    def test_checks_exhausting_every_pair_abort_the_trial(self):
         # With 16 pairs the minimum-size first check consumes all of them,
         # so the second check has nothing to sample.
-        with pytest.raises(ConfigurationError):
-            run_protocol(RunConfig(pairs=16, seed=61), RandomSource(61))
+        outcome = run_protocol(RunConfig(pairs=16, seed=61), RandomSource(61))
+        assert outcome.abort_reason == "insufficient_pairs"
+        assert outcome.check1.passed and outcome.check2 is None
+        # With 20 the second check takes the last 4 and no key is left.
+        outcome = run_protocol(RunConfig(pairs=20, seed=61), RandomSource(61))
+        assert outcome.abort_reason == "insufficient_pairs"
+        assert outcome.check2.passed and outcome.receiver_key is None
+        # Nothing delivered, and nothing missed either at full loss tolerance.
+        cfg = config(
+            attack=AttackStrategy(kind=AttackKind.OPAQUE, destroy_probability=1.0),
+            loss_tolerance=1.0,
+        )
+        outcome = run_protocol(cfg, RandomSource(62))
+        assert outcome.abort_reason == "insufficient_pairs"
+        assert outcome.check1 is None
+        assert outcome.ledger.disposition_counts()["dropped"] == 400
 
     def test_opaque_completes_with_loss_tolerance(self):
         cfg = config(
@@ -367,7 +383,7 @@ class TestRunProtocol:
         outcome = run_protocol(cfg, RandomSource(30))
         assert outcome.completed
         assert outcome.keys_agree
-        assert abs(outcome.receipt_1 - 0.7) < three_sigma(0.7, 2000)
+        assert abs(outcome.ledger.receipt_1 - 0.7) < three_sigma(0.7, 2000)
         counts = outcome.ledger.disposition_counts()
         total = sum(
             counts[k] for k in ("checked-1", "checked-2", "key", "dropped")
@@ -466,6 +482,14 @@ class TestMultiparty:
         assert outcome.abort_reason == "check2_failed"
         assert outcome.hop2 is None
 
+    def test_second_hop_shortfall_is_prefixed(self):
+        # 40 pairs leave 8 key pairs to relay; the relay's first check
+        # consumes all 8.
+        outcome = run_multiparty(RunConfig(pairs=40, seed=37, parties=3), RandomSource(37))
+        assert outcome.hop1.completed
+        assert outcome.abort_reason == "hop2_insufficient_pairs"
+        assert outcome.clare_key is None
+
     def test_transcript_tags_hops(self):
         cfg = config(pairs=200, seed=36, parties=3)
         outcome = run_multiparty(cfg, RandomSource(36))
@@ -473,3 +497,33 @@ class TestMultiparty:
         assert hops == {1, 2}
         actors = {event["actor"] for event in outcome.transcript.events}
         assert {"alice", "bob", "clare", "public"} <= actors
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    kind=st.sampled_from(list(AttackKind)),
+    fake_label=st.sampled_from([None, *BELL_LABELS]),
+    destroy_probability=st.floats(0.0, 1.0),
+    measure_second_sequence=st.booleans(),
+    pairs=st.integers(1, 200),
+    check_fraction_1=st.floats(0.01, 0.99),
+    check_fraction_2=st.floats(0.01, 0.99),
+    min_check_size=st.integers(1, 64),
+    loss_tolerance=st.floats(0.0, 1.0),
+    continuation_mode=st.booleans(),
+    randomize_check_basis=st.booleans(),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_every_valid_two_party_config_finishes_every_trial(
+    kind, fake_label, destroy_probability, measure_second_sequence, seed, **fields
+):
+    attack = AttackStrategy(kind, fake_label, destroy_probability, measure_second_sequence)
+    cfg = RunConfig(seed=seed, attack=attack, **fields)
+    outcome = run_protocol(cfg, RandomSource(seed))
+    counts = outcome.ledger.disposition_counts()
+    spent = counts["checked-1"] + counts["checked-2"] + counts["dropped"]
+    assert spent + counts["key"] == cfg.pairs  # every pair ends terminal
+    key_length = len(outcome.receiver_key.bits) if outcome.receiver_key else 0
+    assert key_length == 2 * (cfg.pairs - spent)
+    assert (outcome.abort_reason is None) == (outcome.receiver_key is not None)
+    assert (outcome.abort_reason is None) == (key_length > 0)

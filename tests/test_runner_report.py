@@ -201,6 +201,39 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             RunConfig(attack_hop="3")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("pairs", True),
+            ("pairs", 10.0),
+            ("trials", "3"),
+            ("seed", None),
+            ("loss_tolerance", False),
+            ("check_fraction_1", "0.25"),
+            ("continuation_mode", 1),
+        ],
+    )
+    def test_wrong_types_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            RunConfig(**{field: value})
+        with pytest.raises(ConfigurationError, match="destroy_probability"):
+            AttackStrategy(kind=AttackKind.OPAQUE, destroy_probability=True)
+
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"bogus": 1}, "bogus"),
+            ({"pairs": "10"}, "pairs"),
+            ({"attack": {"kind": "nope"}}, "attack.kind"),
+            ({"attack": {"fake_label": "psi9"}}, "attack.fake_label"),
+            ({"attack": {"sneaky": True}}, "sneaky"),
+            ({"attack": "opaque"}, "attack"),
+        ],
+    )
+    def test_from_dict_names_the_offending_key(self, data, key):
+        with pytest.raises(ConfigurationError, match=key):
+            RunConfig.from_dict(data)
+
     def test_round_trip(self):
         config = RunConfig(
             pairs=123,
@@ -248,6 +281,28 @@ class TestCli:
     def test_verify_missing_file(self, tmp_path):
         assert main(["verify", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda doc: doc["trials"][0].pop("abort_reason"),
+            lambda doc: doc.update(trials=[1, 2]),
+            lambda doc: [doc],
+        ],
+        ids=["row-missing-abort-reason", "trials-not-rows", "top-level-list"],
+    )
+    def test_verify_malformed_report_is_one_line_error(self, tmp_path, capsys, mangle):
+        out = tmp_path / "report.json"
+        main(["run", "--pairs", "80", "--seed", "3", "--out", str(out)])
+        doc = json.loads(out.read_text())
+        mangled = mangle(doc)
+        out.write_text(json.dumps(mangled if isinstance(mangled, list) else doc))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: malformed report")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.out + captured.err
+
     def test_transcript_flag(self, tmp_path):
         out = tmp_path / "r.json"
         assert main(
@@ -265,11 +320,30 @@ class TestCli:
             main(["run", "--pairs", "0"])
         assert exc.value.code == 2
 
-    def test_unworkable_config_is_usage_error(self):
-        # 16 pairs all get eaten by the minimum-size first check.
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--pairs", "16"])
-        assert exc.value.code == 2
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["--pairs", "1"], "insufficient_pairs"),
+            (["--pairs", "16"], "insufficient_pairs"),
+            (["--pairs", "20"], "insufficient_pairs"),
+            (["--parties", "3", "--pairs", "40"], "hop2_insufficient_pairs"),
+            (
+                ["--attack", "opaque", "--destroy-prob", "0.9", "--loss-tolerance", "1.0",
+                 "--pairs", "100"],
+                "insufficient_pairs",
+            ),
+        ],
+        ids=["pairs-1", "pairs-16", "pairs-20", "three-party-40", "opaque-total-loss"],
+    )
+    def test_unworkable_trial_aborts_and_exits_zero(self, tmp_path, argv, reason):
+        # The checks leave nothing to check or to keep: each trial aborts,
+        # the batch finishes, and a shortfall is not a detection.
+        out = tmp_path / "r.json"
+        assert main(["run", "--trials", "3", *argv, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert [row["abort_reason"] for row in doc["trials"]] == [reason] * 3
+        assert doc["aggregate"]["detection_rate"] == 0.0
+        assert main(["verify", str(out)]) == 0
 
     def test_unknown_attack_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
