@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .adversary import AttackKind, AttackStrategy
@@ -20,6 +21,10 @@ from .runner import RunReport, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Option defaults come from the config dataclasses; each option's dest is
+    # the config field it sets, so ``_config_from_args`` can collect them.
+    defaults = RunConfig()
+    attack = defaults.attack.to_dict()
     parser = argparse.ArgumentParser(
         prog="eprqkd",
         description="Simulate a two-step entangled-pair key distribution protocol.",
@@ -27,63 +32,68 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     runp = sub.add_parser("run", help="execute trials and write a report")
-    runp.add_argument("--pairs", type=int, default=1000, help="pairs per trial")
-    runp.add_argument("--trials", type=int, default=1, help="independent trials")
-    runp.add_argument("--seed", type=int, default=0, help="64-bit root seed")
+    runp.add_argument("--pairs", type=int, default=defaults.pairs, help="pairs per trial")
+    runp.add_argument("--trials", type=int, default=defaults.trials, help="independent trials")
+    runp.add_argument("--seed", type=int, default=defaults.seed, help="64-bit root seed")
     runp.add_argument(
         "--attack",
+        dest="kind",
         choices=[kind.value for kind in AttackKind],
-        default="none",
+        default=attack["kind"],
         help="adversary strategy on the quantum channel",
     )
     runp.add_argument(
         "--destroy-prob",
+        dest="destroy_probability",
+        metavar="DESTROY_PROB",
         type=float,
-        default=0.0,
+        default=attack["destroy_probability"],
         help="per-particle destruction probability (opaque attack)",
     )
     runp.add_argument(
         "--fake-label",
         choices=["psi1", "psi2", "psi3", "psi4", "uniform"],
-        default="psi1",
+        default=attack["fake_label"],
         help="pair state the fake-EPR attack plants",
     )
     runp.add_argument(
         "--eve-measures-second",
+        dest="measure_second_sequence",
         action="store_true",
+        default=attack["measure_second_sequence"],
         help="measure-resend variant: also measure the second sequence",
     )
-    runp.add_argument("--check-fraction-1", type=float, default=0.25)
-    runp.add_argument("--check-fraction-2", type=float, default=0.25)
-    runp.add_argument("--threshold-1", type=float, default=0.02)
-    runp.add_argument("--threshold-2", type=float, default=0.02)
+    for name in ("check_fraction_1", "check_fraction_2", "threshold_1", "threshold_2"):
+        runp.add_argument("--" + name.replace("_", "-"), type=float, default=getattr(defaults, name))
     runp.add_argument(
         "--loss-tolerance",
         type=float,
-        default=0.0,
+        default=defaults.loss_tolerance,
         help="tolerated fraction of undelivered particles before aborting",
     )
-    runp.add_argument("--parties", type=int, choices=[2, 3], default=2)
+    runp.add_argument("--parties", type=int, choices=[2, 3], default=defaults.parties)
     runp.add_argument(
         "--attack-hop",
         choices=["1", "2", "both"],
-        default="both",
+        default=defaults.attack_hop,
         help="which hop the adversary attacks in a 3-party chain",
     )
     runp.add_argument(
         "--min-check-size",
         type=int,
-        default=16,
+        default=defaults.min_check_size,
         help="minimum pairs consumed per eavesdropping check",
     )
     runp.add_argument(
         "--continuation-mode",
         action="store_true",
+        default=defaults.continuation_mode,
         help="study mode: keep running past a failed first check",
     )
     runp.add_argument(
         "--randomize-check-basis",
         action="store_true",
+        default=defaults.randomize_check_basis,
         help="extension: draw Z or X per pair in the first check",
     )
     runp.add_argument("--out", type=Path, default=None, help="report output path")
@@ -102,30 +112,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    attack = AttackStrategy.from_dict(
-        {
-            "kind": args.attack,
-            "fake_label": args.fake_label,
-            "destroy_probability": args.destroy_prob,
-            "measure_second_sequence": args.eve_measures_second,
-        }
-    )
-    return RunConfig(
-        pairs=args.pairs,
-        trials=args.trials,
-        seed=args.seed,
-        attack=attack,
-        check_fraction_1=args.check_fraction_1,
-        check_fraction_2=args.check_fraction_2,
-        threshold_1=args.threshold_1,
-        threshold_2=args.threshold_2,
-        loss_tolerance=args.loss_tolerance,
-        parties=args.parties,
-        continuation_mode=args.continuation_mode,
-        min_check_size=args.min_check_size,
-        attack_hop=args.attack_hop,
-        randomize_check_basis=args.randomize_check_basis,
-    )
+    data = {f.name: getattr(args, f.name) for f in fields(RunConfig) if f.name != "attack"}
+    data["attack"] = {f.name: getattr(args, f.name) for f in fields(AttackStrategy)}
+    return RunConfig.from_dict(data)
 
 
 def _fmt(value, pattern="{:.4f}") -> str:

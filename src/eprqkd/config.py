@@ -64,22 +64,9 @@ class RunConfig:
         return self.attack_hop == "both" or self.attack_hop == str(hop)
 
     def to_dict(self) -> dict:
-        return {
-            "pairs": self.pairs,
-            "trials": self.trials,
-            "seed": self.seed,
-            "attack": self.attack.to_dict(),
-            "check_fraction_1": self.check_fraction_1,
-            "check_fraction_2": self.check_fraction_2,
-            "threshold_1": self.threshold_1,
-            "threshold_2": self.threshold_2,
-            "loss_tolerance": self.loss_tolerance,
-            "parties": self.parties,
-            "continuation_mode": self.continuation_mode,
-            "min_check_size": self.min_check_size,
-            "attack_hop": self.attack_hop,
-            "randomize_check_basis": self.randomize_check_basis,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["attack"] = self.attack.to_dict()
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

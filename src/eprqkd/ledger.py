@@ -3,9 +3,11 @@
 A run is described by a ledger of pair records. Each record tracks one
 entangled pair from preparation to its final disposition: consumed by a
 check, contributing to the key, or lost in transit. The carrier field holds
-the genuine pair's joint state; when the adversary substitutes particles of
-her own, the planted pair lives in ``fake_carrier`` so that measurements can
-be routed to whatever particle each party actually holds.
+the genuine pair's joint state as a ``quantum.PairState`` value (a pair-state
+label, or a product of Z/X eigenstates once a half was measured); when the
+adversary substitutes particles of her own, the planted pair lives in
+``fake_carrier`` so that measurements can be routed to whatever particle
+each party actually holds.
 
 Custody is tracked per half. Half 1 is the first qubit (kept by the sender
 until the second transmission), half 2 the second qubit (sent first).
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConfigurationError
-from .quantum import BellState, TwoQubitState
+from .quantum import BellState, PairState
 
 DESTROYED = "destroyed"
 
@@ -51,10 +53,10 @@ class Phase(Enum):
 class PairRecord:
     index: int
     prepared: BellState
-    carrier: TwoQubitState
+    carrier: PairState
     custody: tuple[str, str]
     disposition: Disposition = Disposition.PREPARED
-    fake_carrier: TwoQubitState | None = None
+    fake_carrier: PairState | None = None
     fake_custody: tuple[str, str] | None = None
     outcome: BellState | None = None  # receiver's Bell-basis decode result
 

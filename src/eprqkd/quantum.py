@@ -1,10 +1,9 @@
-"""Exact two-qubit state vectors and projective measurements.
+"""Pair states and their projective measurements, in closed form.
 
 Conventions fixed here and relied on everywhere else:
 
-* Amplitudes are stored in computational-basis order |00>, |01>, |10>, |11>,
-  indexed 0..3, where the left bit is the first qubit (the half the preparer
-  keeps) and the right bit is the second qubit (the half sent first).
+* A pair has a first qubit (the half the preparer keeps) and a second qubit
+  (the half sent first).
 * The four maximally entangled pair states and their key codes are
 
       PSI1 = (|00> + |11>)/sqrt(2)   code 00
@@ -12,25 +11,31 @@ Conventions fixed here and relied on everywhere else:
       PSI3 = (|10> + |01>)/sqrt(2)   code 10
       PSI4 = (|10> - |01>)/sqrt(2)   code 11
 
-  PSI1/PSI2 have equal single-qubit Z outcomes, PSI3/PSI4 opposite ones.
-* States are immutable values. Measurement returns (outcome, post_state);
-  it never mutates its input, which is what makes replay and independent
-  trials trivial.
+  PSI1/PSI2 have equal single-qubit Z outcomes, PSI3/PSI4 opposite ones;
+  PSI1/PSI3 have equal X outcomes, PSI2/PSI4 opposite ones.
+* A pair state is an immutable value of one of two kinds: a ``BellState``
+  label, or a ``Product`` ``((basis, bit), (basis, bit))`` of single-qubit
+  Z or X eigenstates (bit 0 for |0> or |+>, 1 for |1> or |->), first qubit
+  first. Measurement returns (outcome, post_state); it never mutates its
+  input, which is what makes replay and independent trials trivial.
 
-Everything is exact: outcome distributions are computed from the amplitudes,
-and only the final sampling step consumes randomness.
+These twenty states are all the protocol can reach, because the set is
+closed under every measurement it makes (they are stabilizer states).
+Measuring one qubit of a pair state in Z or X leaves a product of that
+basis's eigenstates; measuring one qubit of a product changes only that
+qubit; and a pair-state measurement leaves the measured pair state. So
+every outcome distribution below is exact and takes one of the values
+0, 1/4, 1/2 or 1, and only the final sampling step consumes randomness:
+exactly one draw per measurement, even when the outcome is certain.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .rng import RandomSource
 
-NORM_TOL = 1e-12
-
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
+_BASES = ("z", "x")
+_HALVES = {"first": 0, "second": 1}
 
 
 class BellState(Enum):
@@ -74,164 +79,97 @@ BELL_LABELS: tuple[BellState, ...] = (
     BellState.PSI4,
 )
 
-
-@dataclass(frozen=True, slots=True)
-class TwoQubitState:
-    """Normalized 4-amplitude state vector over |00>, |01>, |10>, |11>."""
-
-    amplitudes: tuple[complex, complex, complex, complex]
-
-    def __post_init__(self):
-        if len(self.amplitudes) != 4:
-            raise ValueError("a two-qubit state needs exactly 4 amplitudes")
-        if abs(self.norm_squared() - 1.0) > NORM_TOL:
-            raise ValueError(
-                f"state is not normalized: |a|^2 sums to {self.norm_squared()!r}"
-            )
-
-    def norm_squared(self) -> float:
-        return sum(abs(a) ** 2 for a in self.amplitudes)
-
-    def inner_product(self, other: "TwoQubitState") -> complex:
-        """<self | other>."""
-        return sum(a.conjugate() * b for a, b in zip(self.amplitudes, other.amplitudes))
+Qubit = tuple[str, int]  # (basis, bit): an eigenstate of Z or X
+Product = tuple[Qubit, Qubit]
+PairState = BellState | Product
 
 
-def basis_state(bits: str) -> TwoQubitState:
+def basis_state(bits: str) -> Product:
     """Computational basis state |b1 b2>, e.g. basis_state('01')."""
-    index = int(bits, 2)
-    if len(bits) != 2 or not 0 <= index <= 3:
+    if len(bits) != 2 or any(c not in "01" for c in bits):
         raise ValueError(f"expected two bits, got {bits!r}")
-    amps = [0j, 0j, 0j, 0j]
-    amps[index] = 1.0 + 0j
-    return TwoQubitState(tuple(amps))
+    return (("z", int(bits[0])), ("z", int(bits[1])))
 
 
-_BELL_AMPLITUDES: dict[BellState, tuple[complex, complex, complex, complex]] = {
-    BellState.PSI1: (_SQRT_HALF + 0j, 0j, 0j, _SQRT_HALF + 0j),
-    BellState.PSI2: (_SQRT_HALF + 0j, 0j, 0j, -_SQRT_HALF + 0j),
-    BellState.PSI3: (0j, _SQRT_HALF + 0j, _SQRT_HALF + 0j, 0j),
-    BellState.PSI4: (0j, -_SQRT_HALF + 0j, _SQRT_HALF + 0j, 0j),
-}
-
-_BELL_STATES: dict[BellState, TwoQubitState] = {
-    label: TwoQubitState(amps) for label, amps in _BELL_AMPLITUDES.items()
-}
+def make_bell_state(label: BellState) -> PairState:
+    """The state of a freshly prepared pair: the label itself."""
+    return label
 
 
-def make_bell_state(label: BellState) -> TwoQubitState:
-    """Canonical state vector for a pair label (shared immutable instance)."""
-    return _BELL_STATES[label]
-
-
-def qubit_z_probabilities(state: TwoQubitState, which: str) -> tuple[float, float]:
-    """Exact (P(0), P(1)) of a Z measurement on the chosen qubit.
+def qubit_probabilities(state: PairState, which: str, basis: str) -> tuple[float, float]:
+    """Exact (P(0), P(1)) of a "z" or "x" measurement on the chosen qubit.
 
     ``which`` is "first" or "second"; see the module docstring for which
-    half of a pair each one is.
+    half of a pair each one is. A pair state's halves are each uniform; a
+    product qubit is certain in its own basis and uniform in the other.
     """
-    a = state.amplitudes
-    if which == "first":
-        p0 = abs(a[0]) ** 2 + abs(a[1]) ** 2
-    elif which == "second":
-        p0 = abs(a[0]) ** 2 + abs(a[2]) ** 2
-    else:
+    if basis not in _BASES:
+        raise ValueError(f"basis must be 'z' or 'x', got {basis!r}")
+    if which not in _HALVES:
         raise ValueError(f"which must be 'first' or 'second', got {which!r}")
-    return p0, 1.0 - p0
+    half = _HALVES[which]
+    if isinstance(state, BellState) or state[half][0] != basis:
+        return 0.5, 0.5
+    return (1.0, 0.0) if state[half][1] == 0 else (0.0, 1.0)
 
 
-def measure_qubit_z(
-    state: TwoQubitState, which: str, rng: RandomSource
-) -> tuple[int, TwoQubitState]:
-    """Z-measure one qubit; returns (outcome bit, collapsed joint state).
-
-    The outcome is drawn from the exact marginal; the post state is the
-    renormalized projection onto that outcome.
-    """
-    p0, _ = qubit_z_probabilities(state, which)
-    outcome = 0 if rng.random() < p0 else 1
-    a = state.amplitudes
-    if which == "first":
-        kept = (a[0], a[1], 0j, 0j) if outcome == 0 else (0j, 0j, a[2], a[3])
-    else:
-        kept = (a[0], 0j, a[2], 0j) if outcome == 0 else (0j, a[1], 0j, a[3])
-    norm_sq = sum(abs(c) ** 2 for c in kept)
-    if norm_sq <= NORM_TOL:
-        raise RuntimeError(
-            "measurement collapsed onto a zero-norm branch; "
-            "this indicates an internal sampling bug"
-        )
-    scale = 1.0 / math.sqrt(norm_sq)
-    post = TwoQubitState(tuple(c * scale for c in kept))
-    return outcome, post
-
-
-def _hadamard(state: TwoQubitState, which: str) -> TwoQubitState:
-    """Hadamard on one qubit; maps the X basis onto the Z basis and back."""
-    a = state.amplitudes
-    if which == "first":
-        rotated = (
-            (a[0] + a[2]) * _SQRT_HALF,
-            (a[1] + a[3]) * _SQRT_HALF,
-            (a[0] - a[2]) * _SQRT_HALF,
-            (a[1] - a[3]) * _SQRT_HALF,
-        )
-    elif which == "second":
-        rotated = (
-            (a[0] + a[1]) * _SQRT_HALF,
-            (a[0] - a[1]) * _SQRT_HALF,
-            (a[2] + a[3]) * _SQRT_HALF,
-            (a[2] - a[3]) * _SQRT_HALF,
-        )
-    else:
-        raise ValueError(f"which must be 'first' or 'second', got {which!r}")
-    return TwoQubitState(rotated)
-
-
-def measure_qubit_x(
-    state: TwoQubitState, which: str, rng: RandomSource
-) -> tuple[int, TwoQubitState]:
-    """X-measure one qubit (outcome 0 for +, 1 for -), with collapse.
-
-    Implemented by rotating the qubit into the computational basis,
-    Z-measuring, and rotating back; exact because the rotation is unitary.
-    """
-    outcome, rotated_post = measure_qubit_z(_hadamard(state, which), which, rng)
-    return outcome, _hadamard(rotated_post, which)
+def qubit_z_probabilities(state: PairState, which: str) -> tuple[float, float]:
+    """Exact (P(0), P(1)) of a Z measurement on the chosen qubit."""
+    return qubit_probabilities(state, which, "z")
 
 
 def measure_qubit(
-    state: TwoQubitState, which: str, basis: str, rng: RandomSource
-) -> tuple[int, TwoQubitState]:
-    """Single-qubit measurement in the named basis ("z" or "x")."""
-    if basis == "z":
-        return measure_qubit_z(state, which, rng)
-    if basis == "x":
-        return measure_qubit_x(state, which, rng)
-    raise ValueError(f"basis must be 'z' or 'x', got {basis!r}")
+    state: PairState, which: str, basis: str, rng: RandomSource
+) -> tuple[int, Product]:
+    """Measure one qubit in "z" or "x"; returns (outcome bit, post state).
+
+    A pair state leaves the partner in the bit its label correlates with;
+    a product keeps its other qubit unchanged.
+    """
+    p0, _ = qubit_probabilities(state, which, basis)
+    outcome = 0 if rng.random() < p0 else 1
+    half = _HALVES[which]
+    if isinstance(state, BellState):
+        other = (basis, outcome if state.correlated_in(basis) else 1 - outcome)
+    else:
+        other = state[1 - half]
+    mine = (basis, outcome)
+    return outcome, (mine, other) if half == 0 else (other, mine)
 
 
-def bell_overlap_probabilities(state: TwoQubitState) -> dict[BellState, float]:
+def measure_qubit_z(
+    state: PairState, which: str, rng: RandomSource
+) -> tuple[int, Product]:
+    """Z-measure one qubit; returns (outcome bit, collapsed joint state)."""
+    return measure_qubit(state, which, "z", rng)
+
+
+def bell_overlap_probabilities(state: PairState) -> dict[BellState, float]:
     """Exact |<psi_L|state>|^2 for each pair label L; the values sum to 1.
 
-    This is the closed-form outcome distribution of ``measure_bell_basis``
-    and serves as the oracle the sampled path is tested against.
+    A pair state overlaps only itself. A Z or X product splits evenly over
+    the two labels whose correlation in that basis matches its bits' parity;
+    a product of one Z and one X eigenstate overlaps all four equally.
     """
+    if isinstance(state, BellState):
+        return {label: 1.0 if label is state else 0.0 for label in BELL_LABELS}
+    (basis, first), (other_basis, second) = state
+    if basis != other_basis:
+        return dict.fromkeys(BELL_LABELS, 0.25)
+    agree = first == second
     return {
-        label: abs(_BELL_STATES[label].inner_product(state)) ** 2
+        label: 0.5 if label.correlated_in(basis) == agree else 0.0
         for label in BELL_LABELS
     }
 
 
 def measure_bell_basis(
-    state: TwoQubitState, rng: RandomSource
-) -> tuple[BellState, TwoQubitState]:
+    state: PairState, rng: RandomSource
+) -> tuple[BellState, BellState]:
     """Joint measurement onto the four pair states.
 
-    Returns the sampled label and the post state, which is exactly the
-    canonical state of that label.
+    Returns the sampled label and the post state, which is that label.
     """
     probs = bell_overlap_probabilities(state)
-    index = rng.categorical([probs[label] for label in BELL_LABELS])
-    outcome = BELL_LABELS[index]
-    return outcome, _BELL_STATES[outcome]
+    outcome = BELL_LABELS[rng.categorical([probs[label] for label in BELL_LABELS])]
+    return outcome, outcome

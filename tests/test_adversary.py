@@ -15,6 +15,7 @@ from eprqkd.protocol import alice_prepare, run_protocol, transmit_first_sequence
 from eprqkd.quantum import (
     BELL_LABELS,
     BellState,
+    basis_state,
     bell_overlap_probabilities,
     make_bell_state,
     qubit_z_probabilities,
@@ -59,9 +60,8 @@ class TestIdentityChannel:
     def test_nothing_changes(self):
         chan = channel()
         ledger = alice_prepare(5, RandomSource(3, "alice"))
-        before = [rec.carrier.amplitudes for rec in ledger.records]
         transmit_first_sequence(ledger, chan)
-        assert [rec.carrier.amplitudes for rec in ledger.records] == before
+        assert all(rec.carrier == make_bell_state(rec.prepared) for rec in ledger.records)
         assert all(rec.custody == ("alice", "bob") for rec in ledger.records)
         assert all(rec.fake_carrier is None for rec in ledger.records)
         assert chan.eve == EveState()
@@ -72,12 +72,12 @@ class TestMeasureResend:
         chan = channel(AttackKind.MEASURE_RESEND, seed=1)
         ledger = sent_ledger(500, seed=1, chan=chan)
         products = {
-            True: {(1, 0, 0, 0), (0, 0, 0, 1)},  # |00>, |11>
-            False: {(0, 1, 0, 0), (0, 0, 1, 0)},  # |01>, |10>
+            True: {basis_state("00"), basis_state("11")},
+            False: {basis_state("01"), basis_state("10")},
         }
         for rec in ledger.records:
-            key = tuple(int(abs(a) ** 2 + 0.5) for a in rec.carrier.amplitudes)
-            assert key in products[rec.prepared.correlated]
+            assert rec.carrier in products[rec.prepared.correlated]
+            assert rec.carrier[1] == ("z", chan.eve.z_bits[rec.index][2])
         assert sorted(chan.eve.z_bits) == list(range(500))
         bits = [halves[2] for halves in chan.eve.z_bits.values()]
         assert abs(sum(bits) / 500 - 0.5) < three_sigma(0.5, 500)
@@ -115,7 +115,8 @@ class TestFakeEpr:
         for rec in ledger.records:
             assert rec.custody == ("alice", "eve")
             assert rec.fake_custody == ("eve", "bob")
-            assert rec.fake_carrier.amplitudes == make_bell_state(BellState.PSI1).amplitudes
+            assert rec.fake_carrier == make_bell_state(BellState.PSI1)
+            assert rec.carrier == make_bell_state(rec.prepared)
         assert chan.eve == EveState()  # nothing learned until the second sequence
         assert ledger.receipt_1 == 1.0  # the receiver cannot tell yet
 
@@ -182,11 +183,10 @@ class TestOpaque:
     def test_survivors_untouched(self):
         chan = channel(AttackKind.OPAQUE, seed=8, destroy_probability=0.5)
         ledger = alice_prepare(200, RandomSource(8, "alice"))
-        before = {rec.index: rec.carrier.amplitudes for rec in ledger.records}
         transmit_first_sequence(ledger, chan)
-        for rec in ledger.records:
-            if rec.disposition is not Disposition.DROPPED:
-                assert rec.carrier.amplitudes == before[rec.index]
+        survivors = [r for r in ledger.records if r.disposition is not Disposition.DROPPED]
+        assert survivors
+        assert all(rec.carrier == make_bell_state(rec.prepared) for rec in survivors)
 
 
 class TestEveInformation:

@@ -38,8 +38,8 @@ class TestPrepare:
         for rec in ledger.records:
             assert rec.custody == ("alice", "alice")
             assert rec.disposition is Disposition.PREPARED
-            assert abs(rec.carrier.norm_squared() - 1.0) < 1e-12
-            assert rec.carrier.amplitudes == make_bell_state(rec.prepared).amplitudes
+            assert rec.carrier == make_bell_state(rec.prepared)
+            assert rec.fake_carrier is None
 
     def test_single_pair(self):
         ledger = alice_prepare(1, RandomSource(2))
@@ -68,10 +68,9 @@ class TestPrepare:
 class TestTransmissions:
     def test_first_transmission_moves_custody(self):
         ledger = alice_prepare(10, RandomSource(4, "alice"))
-        before = [rec.carrier.amplitudes for rec in ledger.records]
         transmit_first_sequence(ledger, clean_channel())
         assert all(rec.custody == ("alice", "bob") for rec in ledger.records)
-        assert [rec.carrier.amplitudes for rec in ledger.records] == before
+        assert all(rec.carrier == make_bell_state(rec.prepared) for rec in ledger.records)
         assert ledger.receipt_1 == 1.0
         assert ledger.phase is Phase.SENT_1
 
@@ -499,6 +498,18 @@ class TestMultiparty:
         assert {"alice", "bob", "clare", "public"} <= actors
 
 
+def assert_hop_finished(hop):
+    """Every pair terminal; two key bits per unchecked, undropped pair; an
+    abort reason exactly when there is no key."""
+    counts = hop.ledger.disposition_counts()
+    spent = counts["checked-1"] + counts["checked-2"] + counts["dropped"]
+    assert spent + counts["key"] == hop.ledger.n_total
+    key_length = len(hop.receiver_key.bits) if hop.receiver_key else 0
+    assert key_length == 2 * (hop.ledger.n_total - spent)
+    assert (hop.abort_reason is None) == (hop.receiver_key is not None)
+    assert (hop.abort_reason is None) == (key_length > 0)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     kind=st.sampled_from(list(AttackKind)),
@@ -512,18 +523,23 @@ class TestMultiparty:
     loss_tolerance=st.floats(0.0, 1.0),
     continuation_mode=st.booleans(),
     randomize_check_basis=st.booleans(),
+    parties=st.sampled_from([2, 3]),
+    attack_hop=st.sampled_from(["1", "2", "both"]),
     seed=st.integers(0, 2**64 - 1),
 )
-def test_every_valid_two_party_config_finishes_every_trial(
+def test_every_valid_config_finishes_every_trial(
     kind, fake_label, destroy_probability, measure_second_sequence, seed, **fields
 ):
     attack = AttackStrategy(kind, fake_label, destroy_probability, measure_second_sequence)
     cfg = RunConfig(seed=seed, attack=attack, **fields)
-    outcome = run_protocol(cfg, RandomSource(seed))
-    counts = outcome.ledger.disposition_counts()
-    spent = counts["checked-1"] + counts["checked-2"] + counts["dropped"]
-    assert spent + counts["key"] == cfg.pairs  # every pair ends terminal
-    key_length = len(outcome.receiver_key.bits) if outcome.receiver_key else 0
-    assert key_length == 2 * (cfg.pairs - spent)
-    assert (outcome.abort_reason is None) == (outcome.receiver_key is not None)
-    assert (outcome.abort_reason is None) == (key_length > 0)
+    if cfg.parties == 2:
+        outcome = run_protocol(cfg, RandomSource(seed))
+        assert outcome.ledger.n_total == cfg.pairs
+        assert_hop_finished(outcome)
+        return
+    outcome = run_multiparty(cfg, RandomSource(seed))
+    assert outcome.hop1.ledger.n_total == cfg.pairs
+    assert_hop_finished(outcome.hop1)
+    if outcome.hop2 is not None:
+        assert_hop_finished(outcome.hop2)
+    assert (outcome.abort_reason is None) == (outcome.clare_key is not None)

@@ -1,35 +1,29 @@
-import cmath
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+import amplitude_oracle as oracle
+from amplitude_oracle import ORACLE_BELL, S, TwoQubitState, amplitudes_of
 from eprqkd.quantum import (
     BELL_LABELS,
     BellState,
-    TwoQubitState,
     basis_state,
     bell_overlap_probabilities,
     make_bell_state,
     measure_bell_basis,
     measure_qubit,
-    measure_qubit_x,
     measure_qubit_z,
+    qubit_probabilities,
     qubit_z_probabilities,
 )
 from eprqkd.rng import RandomSource, three_sigma
 
-S = 1.0 / math.sqrt(2.0)
-
-# Independent oracle: the four pair states written out by hand, in the
-# |00>, |01>, |10>, |11> amplitude order. Deliberately not imported from
-# the implementation.
-ORACLE_BELL = {
-    BellState.PSI1: (S, 0.0, 0.0, S),
-    BellState.PSI2: (S, 0.0, 0.0, -S),
-    BellState.PSI3: (0.0, S, S, 0.0),
-    BellState.PSI4: (0.0, -S, S, 0.0),
-}
+PRODUCTS = [((b1, a), (b2, b)) for b1 in "zx" for a in (0, 1) for b2 in "zx" for b in (0, 1)]
+# Every state the protocol can reach: the four pair states and the 16
+# products of single-qubit Z/X eigenstates.
+REACHABLE = [*BELL_LABELS, *PRODUCTS]
+OPERATIONS = [("first", "z"), ("first", "x"), ("second", "z"), ("second", "x"), "bell"]
 
 
 def oracle_overlaps(amplitudes):
@@ -41,31 +35,61 @@ def oracle_overlaps(amplitudes):
     return result
 
 
+def combine(*terms):
+    """Sum of (coefficient, closed-form state) terms as an amplitude tuple."""
+    return tuple(
+        sum(c * amplitudes_of(state).amplitudes[i] for c, state in terms) for i in range(4)
+    )
+
+
+class ScriptedSource(RandomSource):
+    """A RandomSource whose every draw returns ``r``; counts the draws."""
+
+    def __init__(self, r: float):
+        super().__init__(0, "scripted")
+        self.r, self.draws = r, 0
+        self._rng = self  # the base class's samplers all draw through random()
+
+    def random(self) -> float:
+        self.draws += 1
+        return self.r
+
+
 class TestBellStates:
     def test_psi1_amplitudes(self):
-        amps = make_bell_state(BellState.PSI1).amplitudes
-        assert amps == pytest.approx((S, 0, 0, S), abs=1e-15)
+        expected = combine((S, basis_state("00")), (S, basis_state("11")))
+        amps = amplitudes_of(make_bell_state(BellState.PSI1)).amplitudes
+        assert amps == pytest.approx(expected, abs=1e-15)
 
     def test_psi4_amplitudes(self):
         # The minus sign sits on |01>: the state is (|10> - |01>)/sqrt(2).
-        amps = make_bell_state(BellState.PSI4).amplitudes
+        expected = combine((S, basis_state("10")), (-S, basis_state("01")))
+        amps = amplitudes_of(make_bell_state(BellState.PSI4)).amplitudes
+        assert amps == pytest.approx(expected, abs=1e-15)
         assert amps == pytest.approx((0, -S, S, 0), abs=1e-15)
 
     def test_matches_hand_written_table(self):
+        # The closed form's correlation rules, read off the table: equal Z
+        # bits means no weight on |01>, |10>; equal X bits means the same
+        # after a Hadamard on each qubit.
         for label in BELL_LABELS:
-            assert make_bell_state(label).amplitudes == pytest.approx(
-                ORACLE_BELL[label], abs=1e-15
-            )
+            amps = TwoQubitState(tuple(complex(a) for a in ORACLE_BELL[label]))
+            assert make_bell_state(label) is label
+            for basis in ("z", "x"):
+                if basis == "x":
+                    amps = oracle._hadamard(oracle._hadamard(amps, "first"), "second")
+                unequal = abs(amps.amplitudes[1]) ** 2 + abs(amps.amplitudes[2]) ** 2
+                assert label.correlated_in(basis) == (unequal < 1e-12)
 
     def test_normalized(self):
         for label in BELL_LABELS:
-            state = make_bell_state(label)
+            state = amplitudes_of(make_bell_state(label))
             assert abs(state.inner_product(state) - 1.0) < 1e-12
 
     def test_orthonormal(self):
         for a in BELL_LABELS:
             for b in BELL_LABELS:
-                ip = make_bell_state(a).inner_product(make_bell_state(b))
+                ip = amplitudes_of(a).inner_product(amplitudes_of(b))
                 assert abs(ip - (1.0 if a is b else 0.0)) < 1e-12
 
     def test_code_encoding(self):
@@ -88,6 +112,7 @@ class TestBellStates:
 
 
 class TestStateValidation:
+    # The amplitude oracle rejects vectors that are not states.
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             TwoQubitState((1.0 + 0j, 1.0 + 0j, 0j, 0j))
@@ -97,9 +122,11 @@ class TestStateValidation:
             TwoQubitState((1.0 + 0j, 0j, 0j))
 
     def test_basis_state(self):
-        assert basis_state("10").amplitudes == (0j, 0j, 1.0 + 0j, 0j)
-        with pytest.raises(ValueError):
-            basis_state("2x")
+        assert basis_state("10") == (("z", 1), ("z", 0))
+        assert amplitudes_of(basis_state("10")).amplitudes == (0j, 0j, 1.0 + 0j, 0j)
+        for bad in ("2x", "0", "011", " 1"):
+            with pytest.raises(ValueError):
+                basis_state(bad)
 
 
 class TestZMeasurement:
@@ -107,24 +134,22 @@ class TestZMeasurement:
         for label in BELL_LABELS:
             state = make_bell_state(label)
             for which in ("first", "second"):
-                p0, p1 = qubit_z_probabilities(state, which)
-                assert p0 == pytest.approx(0.5, abs=1e-12)
-                assert p1 == pytest.approx(0.5, abs=1e-12)
+                assert qubit_z_probabilities(state, which) == (0.5, 0.5)
+                assert qubit_probabilities(state, which, "x") == (0.5, 0.5)
 
     def test_basis_state_is_deterministic(self):
         rng = RandomSource(1)
         for _ in range(20):
             bit, post = measure_qubit_z(basis_state("00"), "first", rng)
             assert bit == 0
-            assert post.amplitudes == basis_state("00").amplitudes
+            assert post == basis_state("00")
 
     def test_psi1_collapses_to_00_or_11(self):
         rng = RandomSource(2)
         seen = set()
         for _ in range(200):
             bit, post = measure_qubit_z(make_bell_state(BellState.PSI1), "first", rng)
-            expected = basis_state("00") if bit == 0 else basis_state("11")
-            assert post.amplitudes == pytest.approx(expected.amplitudes, abs=1e-12)
+            assert post == (basis_state("00") if bit == 0 else basis_state("11"))
             seen.add(bit)
         assert seen == {0, 1}
 
@@ -133,9 +158,7 @@ class TestZMeasurement:
         for _ in range(100):
             bit, post = measure_qubit_z(make_bell_state(BellState.PSI3), "first", rng)
             if bit == 0:
-                assert post.amplitudes == pytest.approx(
-                    basis_state("01").amplitudes, abs=1e-12
-                )
+                assert post == basis_state("01")
 
     @pytest.mark.parametrize("label", BELL_LABELS)
     def test_sequential_parity_is_deterministic(self, label):
@@ -152,11 +175,16 @@ class TestZMeasurement:
         for label in BELL_LABELS:
             _, post = measure_qubit_z(make_bell_state(label), "first", rng)
             p0, p1 = qubit_z_probabilities(post, "second")
-            assert max(p0, p1) == pytest.approx(1.0, abs=1e-12)
+            assert max(p0, p1) == 1.0
 
     def test_invalid_qubit_name_rejected(self):
+        state = make_bell_state(BellState.PSI1)
         with pytest.raises(ValueError):
-            qubit_z_probabilities(make_bell_state(BellState.PSI1), "third")
+            qubit_z_probabilities(state, "third")
+        rng = ScriptedSource(0.5)
+        with pytest.raises(ValueError):
+            measure_qubit(state, "third", "x", rng)
+        assert rng.draws == 0
 
     def test_sampled_marginal_matches_exact(self):
         rng = RandomSource(6)
@@ -171,21 +199,19 @@ class TestZMeasurement:
 class TestXMeasurement:
     def test_plus_plus_is_an_eigenstate(self):
         rng = RandomSource(40)
-        plus_plus = TwoQubitState((0.5 + 0j, 0.5 + 0j, 0.5 + 0j, 0.5 + 0j))
+        plus_plus = (("x", 0), ("x", 0))
+        assert amplitudes_of(plus_plus).amplitudes == pytest.approx((0.5,) * 4, abs=1e-15)
         for which in ("first", "second"):
-            bit, post = measure_qubit_x(plus_plus, which, rng)
+            bit, post = measure_qubit(plus_plus, which, "x", rng)
             assert bit == 0
-            assert post.amplitudes == pytest.approx(plus_plus.amplitudes, abs=1e-12)
+            assert post == plus_plus
 
     def test_psi1_collapses_to_matching_x_products(self):
         rng = RandomSource(41)
-        plus_plus = (0.5, 0.5, 0.5, 0.5)
-        minus_minus = (0.5, -0.5, -0.5, 0.5)
         seen = set()
         for _ in range(100):
-            bit, post = measure_qubit_x(make_bell_state(BellState.PSI1), "first", rng)
-            expected = plus_plus if bit == 0 else minus_minus
-            assert post.amplitudes == pytest.approx(expected, abs=1e-12)
+            bit, post = measure_qubit(make_bell_state(BellState.PSI1), "first", "x", rng)
+            assert post == (("x", bit), ("x", bit))
             seen.add(bit)
         assert seen == {0, 1}
 
@@ -194,8 +220,8 @@ class TestXMeasurement:
         # PSI1 and PSI3 agree in X, PSI2 and PSI4 disagree.
         rng = RandomSource(42)
         for _ in range(100):
-            first, post = measure_qubit_x(make_bell_state(label), "first", rng)
-            second, _ = measure_qubit_x(post, "second", rng)
+            first, post = measure_qubit(make_bell_state(label), "first", "x", rng)
+            second, _ = measure_qubit(post, "second", "x", rng)
             assert (first == second) == label.correlated_in("x")
 
     def test_correlated_in_matches_z_property(self):
@@ -220,7 +246,7 @@ class TestBellMeasurement:
             for _ in range(10):
                 outcome, post = measure_bell_basis(make_bell_state(label), rng)
                 assert outcome is label
-                assert post.amplitudes == make_bell_state(label).amplitudes
+                assert post == make_bell_state(label)
 
     def test_overlaps_of_psi1(self):
         probs = bell_overlap_probabilities(make_bell_state(BellState.PSI1))
@@ -240,7 +266,7 @@ class TestBellMeasurement:
         # Oracle value: |01> lives entirely in the anticorrelated class,
         # half PSI3 and half PSI4.
         state = basis_state("01")
-        expected = oracle_overlaps(state.amplitudes)
+        expected = oracle_overlaps(amplitudes_of(state).amplitudes)
         assert expected[BellState.PSI3] == pytest.approx(0.5, abs=1e-12)
         assert expected[BellState.PSI4] == pytest.approx(0.5, abs=1e-12)
         probs = bell_overlap_probabilities(state)
@@ -248,11 +274,14 @@ class TestBellMeasurement:
             assert probs[label] == pytest.approx(expected[label], abs=1e-12)
 
     def test_overlaps_of_00_plus_01_superposition(self):
-        # Oracle value: (|00> + |01>)/sqrt(2) overlaps all four equally.
+        # Oracle value: (|00> + |01>)/sqrt(2), the product |0>|+>, overlaps
+        # all four equally.
         amps = (S + 0j, S + 0j, 0j, 0j)
         expected = oracle_overlaps(amps)
         assert all(p == pytest.approx(0.25, abs=1e-12) for p in expected.values())
-        probs = bell_overlap_probabilities(TwoQubitState(amps))
+        zero_plus = (("z", 0), ("x", 0))
+        assert amplitudes_of(zero_plus).amplitudes == pytest.approx(amps, abs=1e-15)
+        probs = bell_overlap_probabilities(zero_plus)
         for label in BELL_LABELS:
             assert probs[label] == pytest.approx(0.25, abs=1e-12)
 
@@ -285,6 +314,54 @@ class TestBellMeasurement:
         assert sequence() == sequence()
 
 
+def _closed_form(state, operation, rng):
+    if operation == "bell":
+        return bell_overlap_probabilities(state), *measure_bell_basis(state, rng)
+    which, basis = operation
+    p0, p1 = qubit_probabilities(state, which, basis)
+    return {0: p0, 1: p1}, *measure_qubit(state, which, basis, rng)
+
+
+def _reference(state, operation, rng):
+    amps = amplitudes_of(state)
+    if operation == "bell":
+        return oracle.bell_overlaps(amps), *oracle.measure_bell_basis(amps, rng)
+    which, basis = operation
+    p0, p1 = oracle.qubit_probabilities(amps, which, basis)
+    return {0: p0, 1: p1}, *oracle.measure_qubit(amps, which, basis, rng)
+
+
+def _id(value):
+    """BellState.PSI1 -> PSI1, ("first", "x") -> first-x, (("z", 0), ("x", 1)) -> z0x1."""
+    if isinstance(value, (BellState, str)):
+        return getattr(value, "name", value)
+    if isinstance(value[0], str):
+        return "-".join(value)
+    return "".join(f"{basis}{bit}" for basis, bit in value)
+
+
+@pytest.mark.parametrize("operation", OPERATIONS, ids=_id)
+@pytest.mark.parametrize("state", REACHABLE, ids=_id)
+def test_closed_form_matches_amplitude_oracle(state, operation):
+    # Every outcome probability takes a value in {0, 1/4, 1/2, 1}, so draws
+    # at the midpoints of eighths reach every outcome of nonzero weight.
+    for k in range(8):
+        rng, ref_rng = ScriptedSource((k + 0.5) / 8), ScriptedSource((k + 0.5) / 8)
+        probs, outcome, post = _closed_form(state, operation, rng)
+        ref_probs, ref_outcome, ref_post = _reference(state, operation, ref_rng)
+        assert rng.draws == 1 and ref_rng.draws == 1
+        assert probs.keys() == ref_probs.keys()
+        for key in probs:
+            assert abs(probs[key] - ref_probs[key]) < 1e-12
+        assert outcome == ref_outcome
+        assert post in REACHABLE
+        assert abs(oracle.fidelity(amplitudes_of(post), ref_post) - 1.0) < 1e-12
+
+
+# Arbitrary superpositions lie outside the reachable set; these properties
+# test the amplitude oracle itself.
+
+
 def normalized_states(draw):
     parts = draw(
         st.lists(
@@ -306,13 +383,13 @@ states = st.composite(normalized_states)()
 
 @given(states)
 def test_overlap_probabilities_sum_to_one(state):
-    assert abs(sum(bell_overlap_probabilities(state).values()) - 1.0) < 1e-12
+    assert abs(sum(oracle.bell_overlaps(state).values()) - 1.0) < 1e-12
 
 
 @given(states)
 def test_overlaps_agree_with_oracle(state):
     expected = oracle_overlaps(state.amplitudes)
-    actual = bell_overlap_probabilities(state)
+    actual = oracle.bell_overlaps(state)
     for label in BELL_LABELS:
         assert actual[label] == pytest.approx(expected[label], abs=1e-12)
 
@@ -320,20 +397,20 @@ def test_overlaps_agree_with_oracle(state):
 @given(states, st.sampled_from(["first", "second"]), st.integers(0, 2**32))
 def test_z_measurement_collapse_is_consistent(state, which, seed):
     rng = RandomSource(seed, "hypothesis")
-    p0, p1 = qubit_z_probabilities(state, which)
+    p0, p1 = oracle.qubit_probabilities(state, which, "z")
     assert abs(p0 + p1 - 1.0) < 1e-12
-    bit, post = measure_qubit_z(state, which, rng)
+    bit, post = oracle.measure_qubit(state, which, "z", rng)
     assert bit in (0, 1)
     assert abs(post.norm_squared() - 1.0) < 1e-12
     # The measured qubit is now definite: repeating the measurement gives
     # the same bit with certainty.
-    again = qubit_z_probabilities(post, which)
+    again = oracle.qubit_probabilities(post, which, "z")
     assert again[bit] == pytest.approx(1.0, abs=1e-12)
 
 
 @given(states, st.integers(0, 2**32))
 def test_bell_measurement_projects_onto_outcome(state, seed):
     rng = RandomSource(seed, "hypothesis-bell")
-    outcome, post = measure_bell_basis(state, rng)
-    assert post.amplitudes == make_bell_state(outcome).amplitudes
-    assert bell_overlap_probabilities(post)[outcome] == pytest.approx(1.0, abs=1e-12)
+    outcome, post = oracle.measure_bell_basis(state, rng)
+    assert post == amplitudes_of(outcome)
+    assert oracle.bell_overlaps(post)[outcome] == pytest.approx(1.0, abs=1e-12)

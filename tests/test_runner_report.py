@@ -265,6 +265,11 @@ class TestCli:
         stdout = capsys.readouterr().out
         assert "detection rate 1.0000" in stdout
 
+    def test_default_run_echoes_the_default_config(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["run", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"] == RunConfig().to_dict()
+
     def test_run_then_verify(self, tmp_path):
         out = tmp_path / "report.json"
         assert main(["run", "--pairs", "80", "--seed", "3", "--out", str(out)]) == 0
