@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from .errors import ConfigurationError, require_type
-from .ledger import DESTROYED, Disposition, PairLedger
+from .ledger import Disposition, PairLedger
 from .quantum import (
     BELL_LABELS,
     BellState,
@@ -46,6 +46,14 @@ class AttackKind(Enum):
     MEASURE_RESEND = "measure-resend"
     FAKE_EPR = "fake-epr"
     OPAQUE = "opaque"
+
+
+# The spellings of ``AttackStrategy.fake_label``: a pair-state name, or
+# "uniform" for a fresh uniform label per pair.
+FAKE_LABELS: dict[str, BellState | None] = {
+    **{label.name.lower(): label for label in BELL_LABELS},
+    "uniform": None,
+}
 
 
 @dataclass(frozen=True)
@@ -89,17 +97,16 @@ class AttackStrategy:
         if unknown:
             raise ConfigurationError(f"unknown attack key {unknown[0]!r}")
         kinds = {kind.value: kind for kind in AttackKind}
-        labels = {"uniform": None, **{label.name.lower(): label for label in BELL_LABELS}}
         kind, fake = data.get("kind", "none"), data.get("fake_label", "psi1")
         if not isinstance(kind, str) or kind not in kinds:
             raise ConfigurationError(f"attack.kind must be one of {sorted(kinds)}, got {kind!r}")
-        if not isinstance(fake, str) or fake not in labels:
+        if not isinstance(fake, str) or fake not in FAKE_LABELS:
             raise ConfigurationError(
-                f"attack.fake_label must be one of {sorted(labels)}, got {fake!r}"
+                f"attack.fake_label must be one of {sorted(FAKE_LABELS)}, got {fake!r}"
             )
         return cls(
             kind=kinds[kind],
-            fake_label=labels[fake],
+            fake_label=FAKE_LABELS[fake],
             destroy_probability=data.get("destroy_probability", 0.0),
             measure_second_sequence=data.get("measure_second_sequence", False),
         )
@@ -119,11 +126,11 @@ class EveState:
 # left the particles alone.
 
 
-def _identity(channel, transmission, records, ledger):
+def _identity(channel, transmission, records):
     return None
 
 
-def _measure_resend(channel, transmission, records, ledger):
+def _measure_resend(channel, transmission, records):
     if transmission == 2 and not channel.strategy.measure_second_sequence:
         return None
     half = 2 if transmission == 1 else 1
@@ -136,7 +143,7 @@ def _measure_resend(channel, transmission, records, ledger):
     return {"measured": len(records), "outcomes": "".join(bits)}
 
 
-def _fake_epr(channel, transmission, records, ledger):
+def _fake_epr(channel, transmission, records):
     if transmission == 1:
         planted = []
         for rec in records:
@@ -144,29 +151,20 @@ def _fake_epr(channel, transmission, records, ledger):
             if label is None:
                 label = BELL_LABELS[channel.rng.uniform_index(4)]
             rec.fake_carrier = make_bell_state(label)
-            rec.fake_custody = ("eve", ledger.receiver)
-            rec.custody = (rec.custody[0], "eve")
             planted.append(label.code)
         return {"captured": len(records), "planted": len(records), "fake_codes": "".join(planted)}
     inferred = []
     for rec in records:
-        rec.custody = ("eve", "eve")
         label, rec.carrier = measure_bell_basis(rec.carrier, channel.rng)
         channel.eve.inferred_key[rec.index] = label
         inferred.append(label.code)
-        if rec.fake_custody is not None:
-            rec.fake_custody = (ledger.receiver, rec.fake_custody[1])
     return {"captured": len(records), "inferred_codes": "".join(inferred)}
 
 
-def _opaque(channel, transmission, records, ledger):
+def _opaque(channel, transmission, records):
     destroyed = []
     for rec in records:
         if channel.rng.bernoulli(channel.strategy.destroy_probability):
-            if transmission == 1:
-                rec.custody = (rec.custody[0], DESTROYED)
-            else:
-                rec.custody = (DESTROYED, rec.custody[1])
             rec.disposition = Disposition.DROPPED
             destroyed.append(rec.index)
     return {
@@ -195,7 +193,7 @@ class AdversaryChannel:
     def interpose(self, transmission: int, ledger: PairLedger) -> dict | None:
         """Apply the strategy to the particles currently in flight.
 
-        Mutates the ledger (carriers, custody, dispositions) and the adversary
+        Mutates the ledger (carriers, dispositions) and the adversary
         state in place. Returns a transcript payload describing what was done,
         or None when the particles passed untouched.
         """
@@ -203,7 +201,7 @@ class AdversaryChannel:
             raise ConfigurationError(f"transmission must be 1 or 2, got {transmission}")
         in_flight = Disposition.IN_FLIGHT_1 if transmission == 1 else Disposition.IN_FLIGHT_2
         records = ledger.with_disposition(in_flight)
-        payload = _ATTACKS[self.strategy.kind](self, transmission, records, ledger)
+        payload = _ATTACKS[self.strategy.kind](self, transmission, records)
         if payload is None:
             return None
         return {"strategy": self.strategy.kind.value, "sequence": transmission, **payload}

@@ -13,7 +13,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .adversary import AttackKind, AttackStrategy
+from .adversary import FAKE_LABELS, AttackKind, AttackStrategy
 from .config import RunConfig
 from .errors import ConfigurationError
 from .report import emit_report, emit_transcripts, verify_report
@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     runp.add_argument(
         "--fake-label",
-        choices=["psi1", "psi2", "psi3", "psi4", "uniform"],
+        choices=list(FAKE_LABELS),
         default=attack["fake_label"],
         help="pair state the fake-EPR attack plants",
     )

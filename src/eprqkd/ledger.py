@@ -4,24 +4,26 @@ A run is described by a ledger of pair records. Each record tracks one
 entangled pair from preparation to its final disposition: consumed by a
 check, contributing to the key, or lost in transit. The carrier field holds
 the genuine pair's joint state as a ``quantum.PairState`` value (a pair-state
-label, or a product of Z/X eigenstates once a half was measured); when the
-adversary substitutes particles of her own, the planted pair lives in
-``fake_carrier`` so that measurements can be routed to whatever particle
-each party actually holds.
+label, or a product of Z/X eigenstates once a half was measured).
 
-Custody is tracked per half. Half 1 is the first qubit (kept by the sender
-until the second transmission), half 2 the second qubit (sent first).
+``fake_carrier`` is the pair the fake-EPR adversary planted in place of the
+genuine one; when it is set, the receiver's measurements act on it rather
+than on ``carrier``. Who holds which particle follows from the disposition:
+the receiver holds a pair's second half from the first transmission on
+unless the pair was ``DROPPED``, and holds the whole pair (planted or
+genuine) once it is ``IN_FLIGHT_2``.
+
+The ledger also owns the run's :class:`Transcript`; every protocol step logs
+its public events there.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ConfigurationError
 from .quantum import BellState, PairState
-
-DESTROYED = "destroyed"
 
 
 class Disposition(Enum):
@@ -49,30 +51,50 @@ class Phase(Enum):
     DONE = 6
 
 
+class Transcript:
+    """Ordered event log of a run.
+
+    Serializes as one JSON object per line with the fixed field set
+    {trial, step, actor, event, payload}. Two runs with the same
+    configuration and seed produce byte-identical transcripts.
+    """
+
+    def __init__(self, trial: int = 0, extra: dict | None = None):
+        self.trial = trial
+        self.extra = extra or {}
+        self.events: list[dict] = []
+
+    def log(self, step: int, actor: str, event: str, payload: dict | None = None):
+        merged = dict(self.extra)
+        merged.update(payload or {})
+        self.events.append(
+            {
+                "trial": self.trial,
+                "step": step,
+                "actor": actor,
+                "event": event,
+                "payload": merged,
+            }
+        )
+
+    def extend(self, other: "Transcript"):
+        self.events.extend(other.events)
+
+    def to_jsonl(self) -> str:
+        return "".join(
+            json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
+            for event in self.events
+        )
+
+
 @dataclass
 class PairRecord:
     index: int
     prepared: BellState
     carrier: PairState
-    custody: tuple[str, str]
     disposition: Disposition = Disposition.PREPARED
     fake_carrier: PairState | None = None
-    fake_custody: tuple[str, str] | None = None
     outcome: BellState | None = None  # receiver's Bell-basis decode result
-
-    def received_by(self, receiver: str) -> bool:
-        """True when the receiver holds a sequence-1 particle for this pair,
-        genuine or planted."""
-        if self.fake_custody is not None:
-            return self.fake_custody[1] == receiver
-        return self.custody[1] == receiver
-
-    def holds_pair(self, receiver: str) -> bool:
-        """True when the receiver holds both halves of the pair it believes
-        it has (the planted pair when one was substituted)."""
-        if self.fake_custody is not None:
-            return self.fake_custody == (receiver, receiver)
-        return self.custody == (receiver, receiver)
 
 
 @dataclass
@@ -89,6 +111,7 @@ class PairLedger:
     # transmission; None until that transmission happened.
     receipt_1: float | None = None
     receipt_2: float | None = None
+    transcript: Transcript = field(default_factory=Transcript)
 
     @property
     def n_total(self) -> int:
@@ -118,11 +141,6 @@ class CheckReport:
     sample_indices: tuple[int, ...]
     mismatches: int
     threshold: float
-    # Published comparison values, one symbol per sampled pair, in
-    # sample_indices order: bits for the first check, 2-bit codes for the
-    # second. Kept for transcripts and diagnostics.
-    sender_values: tuple[str, ...] = ()
-    receiver_values: tuple[str, ...] = ()
     # Announced measurement basis per sampled pair (first check only).
     bases: tuple[str, ...] = ()
 
@@ -164,39 +182,3 @@ class KeyMaterial:
             )
         if any(c not in "01" for c in self.bits):
             raise ValueError("key bits must be 0/1 characters")
-
-
-class Transcript:
-    """Ordered event log of a run.
-
-    Serializes as one JSON object per line with the fixed field set
-    {trial, step, actor, event, payload}. Two runs with the same
-    configuration and seed produce byte-identical transcripts.
-    """
-
-    def __init__(self, trial: int = 0, extra: dict | None = None):
-        self.trial = trial
-        self.extra = extra or {}
-        self.events: list[dict] = []
-
-    def log(self, step: int, actor: str, event: str, payload: dict | None = None):
-        merged = dict(self.extra)
-        merged.update(payload or {})
-        self.events.append(
-            {
-                "trial": self.trial,
-                "step": step,
-                "actor": actor,
-                "event": event,
-                "payload": merged,
-            }
-        )
-
-    def extend(self, other: "Transcript"):
-        self.events.extend(other.events)
-
-    def to_jsonl(self) -> str:
-        return "".join(
-            json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
-            for event in self.events
-        )

@@ -19,8 +19,8 @@ One run proceeds in strict order:
 A transmission whose delivered fraction falls below 1 - loss_tolerance
 aborts the run, which is what defeats an adversary who selectively destroys
 particles. Each operation below enforces its place in the order and raises
-ProtocolOrderError when called early, late, or on particles the acting
-party does not hold.
+ProtocolOrderError when called early or late. Every operation logs its
+public events to the ledger's transcript.
 """
 from __future__ import annotations
 
@@ -76,56 +76,50 @@ def prepare_from_labels(
     receiver: str = "bob",
     transcript: Transcript | None = None,
 ) -> PairLedger:
-    """Prepare pairs in the given states, in order (re-encoding path)."""
+    """Prepare pairs in the given states, in order (re-encoding path).
+
+    The ledger logs to ``transcript`` when one is given, else to a fresh one.
+    """
     if not labels:
         raise ConfigurationError("cannot prepare an empty pair sequence")
     records = [
-        PairRecord(
-            index=i,
-            prepared=label,
-            carrier=make_bell_state(label),
-            custody=(sender, sender),
-        )
+        PairRecord(index=i, prepared=label, carrier=make_bell_state(label))
         for i, label in enumerate(labels)
     ]
-    ledger = PairLedger(records, sender=sender, receiver=receiver)
-    if transcript:
-        transcript.log(
-            1,
-            sender,
-            "prepare",
-            {"pairs": len(records), "codes": "".join(label.code for label in labels)},
-        )
+    ledger = PairLedger(
+        records, sender=sender, receiver=receiver, transcript=transcript or Transcript()
+    )
+    ledger.transcript.log(
+        1,
+        sender,
+        "prepare",
+        {"pairs": len(records), "codes": "".join(label.code for label in labels)},
+    )
     return ledger
 
 
-def transmit_first_sequence(
-    ledger: PairLedger,
-    channel: AdversaryChannel,
-    transcript: Transcript | None = None,
-) -> PairLedger:
-    """Send every pair's second half through the channel (step 2)."""
+def transmit_first_sequence(ledger: PairLedger, channel: AdversaryChannel) -> PairLedger:
+    """Send every pair's second half through the channel (step 2).
+
+    The receiver gets a particle, genuine or planted, for every pair the
+    channel did not drop.
+    """
     if ledger.phase is not Phase.CREATED:
         raise ProtocolOrderError(f"first transmission in phase {ledger.phase.name}")
     for rec in ledger.records:
         rec.disposition = Disposition.IN_FLIGHT_1
-    if transcript:
-        transcript.log(2, ledger.sender, "send", {"sequence": 1, "count": ledger.n_total})
+    ledger.transcript.log(2, ledger.sender, "send", {"sequence": 1, "count": ledger.n_total})
     interference = channel.interpose(1, ledger)
-    if transcript and interference:
-        transcript.log(2, "eve", "interpose", interference)
-    for rec in ledger.records:
-        if rec.disposition is Disposition.IN_FLIGHT_1 and rec.custody[1] == ledger.sender:
-            rec.custody = (rec.custody[0], ledger.receiver)
-    received = sum(1 for rec in ledger.records if rec.received_by(ledger.receiver))
+    if interference:
+        ledger.transcript.log(2, "eve", "interpose", interference)
+    received = len(ledger.with_disposition(Disposition.IN_FLIGHT_1))
     ledger.receipt_1 = received / ledger.n_total
-    if transcript:
-        transcript.log(
-            2,
-            ledger.receiver,
-            "receive",
-            {"sequence": 1, "received": received, "expected": ledger.n_total},
-        )
+    ledger.transcript.log(
+        2,
+        ledger.receiver,
+        "receive",
+        {"sequence": 1, "received": received, "expected": ledger.n_total},
+    )
     ledger.phase = Phase.SENT_1
     return ledger
 
@@ -142,17 +136,16 @@ def _draw_sample(
 
 
 def _publish_check(
+    ledger: PairLedger,
     report: CheckReport,
     sample: list[PairRecord],
     disposition: Disposition,
     step: int,
-    transcript: Transcript | None,
 ) -> CheckReport:
     """Consume the sampled pairs and publish the check's summary."""
     for rec in sample:
         rec.disposition = disposition
-    if transcript:
-        transcript.log(step, "public", "check", {"check": report.check_id, **report.to_dict()})
+    ledger.transcript.log(step, "public", "check", {"check": report.check_id, **report.to_dict()})
     return report
 
 
@@ -162,8 +155,7 @@ def first_check(
     threshold: float,
     rng: RandomSource,
     min_size: int = 16,
-    basis_mode: str = "z",
-    transcript: Transcript | None = None,
+    randomize_basis: bool = False,
 ) -> CheckReport:
     """Correlation test on a random subset of delivered pairs (steps 3-4).
 
@@ -173,25 +165,19 @@ def first_check(
     equal/opposite relation contradicts the prepared state's. Sampled pairs
     are consumed and never reach the second transmission.
 
-    ``basis_mode`` is "z" (the default single-basis check) or "random",
-    an extension where the receiver draws Z or X per pair; the honest
-    correlation is deterministic either way.
+    With ``randomize_basis`` (an extension) the receiver draws Z or X per
+    pair instead of always measuring Z; the honest correlation is
+    deterministic either way.
     """
-    if basis_mode not in ("z", "random"):
-        raise ConfigurationError(f"basis_mode must be 'z' or 'random', got {basis_mode!r}")
     if ledger.phase is not Phase.SENT_1:
         raise ProtocolOrderError(f"first check in phase {ledger.phase.name}")
-    available = [
-        rec
-        for rec in ledger.records
-        if rec.disposition is Disposition.IN_FLIGHT_1 and rec.received_by(ledger.receiver)
-    ]
+    available = ledger.with_disposition(Disposition.IN_FLIGHT_1)
     sample = _draw_sample(available, fraction, min_size, rng)
 
     bases = []
     receiver_bits = []
     for rec in sample:
-        basis = "z" if basis_mode == "z" else ("z", "x")[rng.uniform_index(2)]
+        basis = ("z", "x")[rng.uniform_index(2)] if randomize_basis else "z"
         bases.append(basis)
         if rec.fake_carrier is not None:
             bit, post = measure_qubit(rec.fake_carrier, "second", basis, rng)
@@ -201,36 +187,34 @@ def first_check(
             rec.carrier = post
         receiver_bits.append(bit)
     indices = [rec.index for rec in sample]
-    if transcript:
-        transcript.log(
-            3,
-            ledger.receiver,
-            "measure_check_sample",
-            {
-                "indices": indices,
-                "bases": "".join(bases),
-                "bits": "".join(map(str, receiver_bits)),
-            },
-        )
-        transcript.log(
-            4,
-            ledger.receiver,
-            "notify",
-            {"message": "sequence-1-received", "check_indices": indices},
-        )
+    ledger.transcript.log(
+        3,
+        ledger.receiver,
+        "measure_check_sample",
+        {
+            "indices": indices,
+            "bases": "".join(bases),
+            "bits": "".join(map(str, receiver_bits)),
+        },
+    )
+    ledger.transcript.log(
+        4,
+        ledger.receiver,
+        "notify",
+        {"message": "sequence-1-received", "check_indices": indices},
+    )
 
     sender_bits = []
     for rec, basis in zip(sample, bases):
         bit, post = measure_qubit(rec.carrier, "first", basis, rng)
         rec.carrier = post
         sender_bits.append(bit)
-    if transcript:
-        transcript.log(
-            4,
-            ledger.sender,
-            "measure_partner_sample",
-            {"indices": indices, "bits": "".join(map(str, sender_bits))},
-        )
+    ledger.transcript.log(
+        4,
+        ledger.sender,
+        "measure_partner_sample",
+        {"indices": indices, "bits": "".join(map(str, sender_bits))},
+    )
 
     mismatches = sum(
         (s_bit == r_bit) != rec.prepared.correlated_in(basis)
@@ -241,25 +225,24 @@ def first_check(
         sample_indices=tuple(indices),
         mismatches=mismatches,
         threshold=threshold,
-        sender_values=tuple(str(b) for b in sender_bits),
-        receiver_values=tuple(str(b) for b in receiver_bits),
         bases=tuple(bases),
     )
     ledger.check1 = report
     ledger.phase = Phase.CHECKED_1
-    return _publish_check(report, sample, Disposition.CHECKED_1, 4, transcript)
+    return _publish_check(ledger, report, sample, Disposition.CHECKED_1, 4)
 
 
 def transmit_second_sequence(
     ledger: PairLedger,
     channel: AdversaryChannel,
     continuation: bool = False,
-    transcript: Transcript | None = None,
 ) -> PairLedger:
     """Send the surviving pairs' first halves through the channel (step 5).
 
-    Refuses to run after a failed first check unless ``continuation`` is
-    set (a study mode that lets the doomed run be observed to the end).
+    The receiver then holds every pair still in flight whole: the genuine
+    pair, or the planted one where the adversary substituted it. Refuses
+    to run after a failed first check unless ``continuation`` is set (a
+    study mode that lets the doomed run be observed to the end).
     """
     if ledger.phase is not Phase.CHECKED_1:
         raise ProtocolOrderError(f"second transmission in phase {ledger.phase.name}")
@@ -268,45 +251,28 @@ def transmit_second_sequence(
     survivors = ledger.with_disposition(Disposition.IN_FLIGHT_1)
     for rec in survivors:
         rec.disposition = Disposition.IN_FLIGHT_2
-    if transcript:
-        transcript.log(5, ledger.sender, "send", {"sequence": 2, "count": len(survivors)})
+    ledger.transcript.log(5, ledger.sender, "send", {"sequence": 2, "count": len(survivors)})
     interference = channel.interpose(2, ledger)
-    if transcript and interference:
-        transcript.log(5, "eve", "interpose", interference)
-    for rec in ledger.records:
-        if rec.disposition is Disposition.IN_FLIGHT_2 and rec.custody[0] == ledger.sender:
-            rec.custody = (ledger.receiver, rec.custody[1])
-    received = sum(
-        1
-        for rec in ledger.records
-        if rec.disposition is Disposition.IN_FLIGHT_2 and rec.holds_pair(ledger.receiver)
-    )
+    if interference:
+        ledger.transcript.log(5, "eve", "interpose", interference)
+    received = len(ledger.with_disposition(Disposition.IN_FLIGHT_2))
     ledger.receipt_2 = received / len(survivors) if survivors else 1.0
-    if transcript:
-        transcript.log(
-            5,
-            ledger.receiver,
-            "receive",
-            {"sequence": 2, "received": received, "expected": len(survivors)},
-        )
+    ledger.transcript.log(
+        5,
+        ledger.receiver,
+        "receive",
+        {"sequence": 2, "received": received, "expected": len(survivors)},
+    )
     ledger.phase = Phase.SENT_2
     return ledger
 
 
-def bob_decode(
-    ledger: PairLedger,
-    rng: RandomSource,
-    transcript: Transcript | None = None,
-) -> PairLedger:
+def bob_decode(ledger: PairLedger, rng: RandomSource) -> PairLedger:
     """Pair-state measurement of every surviving pair, in order (step 6)."""
     if ledger.phase is not Phase.SENT_2:
         raise ProtocolOrderError(f"decode in phase {ledger.phase.name}")
     codes = []
     for rec in ledger.with_disposition(Disposition.IN_FLIGHT_2):
-        if not rec.holds_pair(ledger.receiver):
-            raise ProtocolOrderError(
-                f"{ledger.receiver} does not hold both halves of pair {rec.index}"
-            )
         if rec.fake_carrier is not None:
             outcome, post = measure_bell_basis(rec.fake_carrier, rng)
             rec.fake_carrier = post
@@ -316,10 +282,9 @@ def bob_decode(
         rec.outcome = outcome
         rec.disposition = Disposition.DECODED
         codes.append(outcome.code)
-    if transcript:
-        transcript.log(
-            6, ledger.receiver, "decode", {"pairs": len(codes), "codes": "".join(codes)}
-        )
+    ledger.transcript.log(
+        6, ledger.receiver, "decode", {"pairs": len(codes), "codes": "".join(codes)}
+    )
     ledger.phase = Phase.DECODED
     return ledger
 
@@ -330,7 +295,6 @@ def second_check(
     threshold: float,
     rng: RandomSource,
     min_size: int = 16,
-    transcript: Transcript | None = None,
 ) -> CheckReport:
     """Compare a random subset of decode results against the preparation
     choices (step 7). Compared pairs are excluded from the key."""
@@ -342,15 +306,13 @@ def second_check(
         sample_indices=tuple(rec.index for rec in sample),
         mismatches=sum(rec.outcome is not rec.prepared for rec in sample),
         threshold=threshold,
-        sender_values=tuple(rec.prepared.code for rec in sample),
-        receiver_values=tuple(rec.outcome.code for rec in sample),
     )
     ledger.check2 = report
     ledger.phase = Phase.CHECKED_2
-    return _publish_check(report, sample, Disposition.CHECKED_2, 7, transcript)
+    return _publish_check(ledger, report, sample, Disposition.CHECKED_2, 7)
 
 
-def extract_key(ledger: PairLedger, transcript: Transcript | None = None) -> KeyMaterial:
+def extract_key(ledger: PairLedger) -> KeyMaterial:
     """Take the unchecked decode results as the receiver's raw key (step 7)."""
     if ledger.phase is not Phase.CHECKED_2:
         raise ProtocolOrderError(f"key extraction in phase {ledger.phase.name}")
@@ -364,8 +326,7 @@ def extract_key(ledger: PairLedger, transcript: Transcript | None = None) -> Key
         source_indices=tuple(rec.index for rec in kept),
     )
     ledger.phase = Phase.DONE
-    if transcript:
-        transcript.log(7, "public", "commit", {"key_bits": len(key.bits)})
+    ledger.transcript.log(7, "public", "commit", {"key_bits": len(key.bits)})
     return key
 
 
@@ -386,7 +347,10 @@ class ProtocolOutcome:
     receiver_key: KeyMaterial | None
     sender_key: KeyMaterial | None
     eve: EveState
-    transcript: Transcript
+
+    @property
+    def transcript(self) -> Transcript:
+        return self.ledger.transcript
 
     @property
     def check1(self) -> CheckReport | None:
@@ -459,7 +423,7 @@ def run_protocol(
     check1 = None
     receiver_key = sender_key = None
 
-    transmit_first_sequence(ledger, channel, transcript)
+    transmit_first_sequence(ledger, channel)
     if ledger.receipt_1 < 1.0 - config.loss_tolerance:
         abort = "stall_transmission_1"
         transcript.log(2, "public", "abort", {"reason": abort})
@@ -471,8 +435,7 @@ def run_protocol(
                 config.threshold_1,
                 receiver_rng,
                 min_size=config.min_check_size,
-                basis_mode="random" if config.randomize_check_basis else "z",
-                transcript=transcript,
+                randomize_basis=config.randomize_check_basis,
             )
         except InsufficientPairsError:
             abort = "insufficient_pairs"
@@ -484,12 +447,12 @@ def run_protocol(
                     transcript.log(4, "public", "abort", {"reason": abort})
 
     if check1 is not None and (check1.passed or config.continuation_mode):
-        transmit_second_sequence(ledger, channel, config.continuation_mode, transcript)
+        transmit_second_sequence(ledger, channel, config.continuation_mode)
         if ledger.receipt_2 < 1.0 - config.loss_tolerance:
             abort = abort or "stall_transmission_2"
             transcript.log(5, "public", "abort", {"reason": abort})
         else:
-            bob_decode(ledger, receiver_rng, transcript)
+            bob_decode(ledger, receiver_rng)
             try:
                 check2 = second_check(
                     ledger,
@@ -497,7 +460,6 @@ def run_protocol(
                     config.threshold_2,
                     receiver_rng,
                     min_size=config.min_check_size,
-                    transcript=transcript,
                 )
             except InsufficientPairsError:
                 abort = abort or "insufficient_pairs"
@@ -507,7 +469,7 @@ def run_protocol(
                 elif not ledger.with_disposition(Disposition.DECODED):
                     abort = abort or "insufficient_pairs"  # no pair left for the key
             if abort is None:
-                receiver_key = extract_key(ledger, transcript)
+                receiver_key = extract_key(ledger)
                 sender_key = sender_key_material(ledger, receiver_key.source_indices)
             else:
                 transcript.log(7, "public", "abort", {"reason": abort})
@@ -521,7 +483,6 @@ def run_protocol(
         receiver_key=receiver_key,
         sender_key=sender_key,
         eve=channel.eve,
-        transcript=transcript,
     )
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from eprqkd.adversary import AttackKind, AttackStrategy
+from eprqkd.adversary import FAKE_LABELS, AttackKind, AttackStrategy
 from eprqkd.cli import main
 from eprqkd.config import RunConfig
 from eprqkd.errors import ConfigurationError
@@ -248,7 +248,8 @@ class TestConfig:
 
 
 class TestCli:
-    def test_run_writes_report_and_exits_zero(self, tmp_path, capsys):
+    @pytest.mark.parametrize("fake_label", list(FAKE_LABELS))
+    def test_run_writes_report_and_exits_zero(self, tmp_path, capsys, fake_label):
         out = tmp_path / "report.json"
         code = main(
             [
@@ -257,11 +258,12 @@ class TestCli:
                 "--trials", "2",
                 "--seed", "7",
                 "--attack", "measure-resend",
+                "--fake-label", fake_label,
                 "--out", str(out),
             ]
         )
         assert code == 0  # detection is a result, not a failure
-        assert out.exists()
+        assert json.loads(out.read_text())["config"]["attack"]["fake_label"] == fake_label
         stdout = capsys.readouterr().out
         assert "detection rate 1.0000" in stdout
 
