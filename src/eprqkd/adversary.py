@@ -30,15 +30,11 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from .errors import ConfigurationError, require_type
-from .ledger import Disposition, PairLedger
-from .quantum import (
-    BELL_LABELS,
-    BellState,
-    make_bell_state,
-    measure_bell_basis,
-    measure_qubit_z,
-)
+from .ledger import Disposition, PairLedger, joint_counts
+from .quantum import BELL_LABELS, CODES, BellState, measure_bell_basis, measure_qubit_z
 from .rng import RandomSource
+
+_BITS = ("0", "1")
 
 
 class AttackKind(Enum):
@@ -83,7 +79,7 @@ class AttackStrategy:
     def to_dict(self) -> dict:
         return {
             "kind": self.kind.value,
-            "fake_label": self.fake_label.name.lower() if self.fake_label else "uniform",
+            "fake_label": "uniform" if self.fake_label is None else self.fake_label.name.lower(),
             "destroy_probability": self.destroy_probability,
             "measure_second_sequence": self.measure_second_sequence,
         }
@@ -114,62 +110,69 @@ class AttackStrategy:
 
 @dataclass
 class EveState:
-    """Everything the adversary has learned: the pair states her Bell
-    measurements found, and her Z bits as {pair index: {half: bit}}."""
+    """Everything the adversary has learned, as columns by pair index with
+    None where she learned nothing: the pair-state code each of her Bell
+    measurements found, and her Z bit on each half. A column stays empty
+    until she first records into it."""
 
-    inferred_key: dict[int, BellState] = field(default_factory=dict)
-    z_bits: dict[int, dict[int, int]] = field(default_factory=dict)
-
-
-# One function per attack kind. Each acts on the records in flight for the
-# given transmission and returns its transcript payload, or None when it
-# left the particles alone.
+    inferred_key: list[int | None] = field(default_factory=list)
+    z_first: list[int | None] = field(default_factory=list)
+    z_second: list[int | None] = field(default_factory=list)
 
 
-def _identity(channel, transmission, records):
+# One function per attack kind. Each acts on the ledger's live pairs, which
+# are the ones in flight for the given transmission, and returns its
+# transcript payload, or None when it left the particles alone.
+
+
+def _identity(channel, transmission, ledger):
     return None
 
 
-def _measure_resend(channel, transmission, records):
+def _measure_resend(channel, transmission, ledger):
     if transmission == 2 and not channel.strategy.measure_second_sequence:
         return None
-    half = 2 if transmission == 1 else 1
-    which = "second" if transmission == 1 else "first"
-    bits = []
-    for rec in records:
-        bit, rec.carrier = measure_qubit_z(rec.carrier, which, channel.rng)
-        channel.eve.z_bits.setdefault(rec.index, {})[half] = bit
-        bits.append(str(bit))
-    return {"measured": len(records), "outcomes": "".join(bits)}
-
-
-def _fake_epr(channel, transmission, records):
+    bits = [None] * ledger.n_total
     if transmission == 1:
-        planted = []
-        for rec in records:
-            label = channel.strategy.fake_label
-            if label is None:
-                label = BELL_LABELS[channel.rng.uniform_index(4)]
-            rec.fake_carrier = make_bell_state(label)
-            planted.append(label.code)
-        return {"captured": len(records), "planted": len(records), "fake_codes": "".join(planted)}
-    inferred = []
-    for rec in records:
-        label, rec.carrier = measure_bell_basis(rec.carrier, channel.rng)
-        channel.eve.inferred_key[rec.index] = label
-        inferred.append(label.code)
-    return {"captured": len(records), "inferred_codes": "".join(inferred)}
+        which, channel.eve.z_second = "second", bits
+    else:
+        which, channel.eve.z_first = "first", bits
+    state, rng = ledger.state, channel.rng
+    outcomes = []
+    for i in ledger.live:
+        bit, state[i] = measure_qubit_z(state[i], which, rng)
+        bits[i] = bit
+        outcomes.append(_BITS[bit])
+    return {"measured": len(outcomes), "outcomes": "".join(outcomes)}
 
 
-def _opaque(channel, transmission, records):
-    destroyed = []
-    for rec in records:
-        if channel.rng.bernoulli(channel.strategy.destroy_probability):
-            rec.disposition = Disposition.DROPPED
-            destroyed.append(rec.index)
+def _fake_epr(channel, transmission, ledger):
+    live, rng = ledger.live, channel.rng
+    if transmission == 1:
+        label = channel.strategy.fake_label
+        fixed = None if label is None else int(label)
+        planted = ledger.planted = [None] * ledger.n_total
+        for i in live:
+            planted[i] = rng.uniform_index(4) if fixed is None else fixed
+        codes = "".join([CODES[planted[i]] for i in live])
+        return {"captured": len(live), "planted": len(live), "fake_codes": codes}
+    state = ledger.state
+    inferred = channel.eve.inferred_key = [None] * ledger.n_total
+    for i in live:
+        _, state[i] = measure_bell_basis(state[i], rng)
+        inferred[i] = state[i]
+    codes = "".join([CODES[state[i]] for i in live])
+    return {"captured": len(live), "inferred_codes": codes}
+
+
+def _opaque(channel, transmission, ledger):
+    rng, p = channel.rng, channel.strategy.destroy_probability
+    in_flight = len(ledger.live)
+    destroyed = [i for i in ledger.live if rng.bernoulli(p)]
+    ledger.settle(destroyed, Disposition.DROPPED)
     return {
         "destroyed": len(destroyed),
-        "forwarded": len(records) - len(destroyed),
+        "forwarded": in_flight - len(destroyed),
         "destroyed_indices": destroyed,
     }
 
@@ -193,15 +196,13 @@ class AdversaryChannel:
     def interpose(self, transmission: int, ledger: PairLedger) -> dict | None:
         """Apply the strategy to the particles currently in flight.
 
-        Mutates the ledger (carriers, dispositions) and the adversary
-        state in place. Returns a transcript payload describing what was done,
-        or None when the particles passed untouched.
+        Mutates the ledger (states, planted pairs, dispositions) and the
+        adversary state in place. Returns a transcript payload describing
+        what was done, or None when the particles passed untouched.
         """
         if transmission not in (1, 2):
             raise ConfigurationError(f"transmission must be 1 or 2, got {transmission}")
-        in_flight = Disposition.IN_FLIGHT_1 if transmission == 1 else Disposition.IN_FLIGHT_2
-        records = ledger.with_disposition(in_flight)
-        payload = _ATTACKS[self.strategy.kind](self, transmission, records)
+        payload = _ATTACKS[self.strategy.kind](self, transmission, ledger)
         if payload is None:
             return None
         return {"strategy": self.strategy.kind.value, "sequence": transmission, **payload}
@@ -215,16 +216,15 @@ def eve_guess_counts(eve: EveState, ledger: PairLedger) -> dict[str, dict[str, i
     ledger supplies only the true codes being guessed at; the attack never
     saw them. An empty result means Eve recorded nothing.
     """
+    prepared, first, second = ledger.prepared, eve.z_first, eve.z_second
     if eve.inferred_key:
-        guesses = {i: label.code for i, label in eve.inferred_key.items()}
-    else:
-        # Pairs measured on both halves are her real guesses; partially
-        # measured ones carry strictly less and are not scored alongside.
-        guesses = {i: f"{h[1]}{h[2]}" for i, h in eve.z_bits.items() if 1 in h and 2 in h}
-        if not guesses:
-            guesses = {i: str(h.get(2, h.get(1))) for i, h in eve.z_bits.items()}
-    counts: dict[str, dict[str, int]] = {}
-    for index, guess in sorted(guesses.items()):
-        row = counts.setdefault(ledger.records[index].prepared.code, {})
-        row[guess] = row.get(guess, 0) + 1
-    return counts
+        return joint_counts(prepared, eve.inferred_key)
+    if not first or not second:
+        return joint_counts(prepared, first or second, _BITS)
+    # Pairs measured on both halves are her real guesses, named by the two
+    # bits like a key code; partially measured ones carry strictly less and
+    # are not scored alongside.
+    both = [None if a is None or b is None else 2 * a + b for a, b in zip(first, second)]
+    if any(guess is not None for guess in both):
+        return joint_counts(prepared, both)
+    return joint_counts(prepared, [a if b is None else b for a, b in zip(first, second)], _BITS)

@@ -179,7 +179,7 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
 def _verify_command(args) -> int:
     try:
         document = json.loads(args.report.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: could not read report: {exc}", file=sys.stderr)
         return 1
     try:

@@ -1,17 +1,21 @@
 """Bookkeeping types for a protocol run.
 
-A run is described by a ledger of pair records. Each record tracks one
-entangled pair from preparation to its final disposition: consumed by a
-check, contributing to the key, or lost in transit. The carrier field holds
-the genuine pair's joint state as a ``quantum.PairState`` value (a pair-state
-label, or a product of Z/X eigenstates once a half was measured).
+A trial is described by a ledger of columns, one entry per entangled pair,
+indexed by pair ordinal: the preparation code, the genuine pair's state code
+(``quantum``'s int codes: a pair-state label, or a product of Z/X
+eigenstates once a half was measured), the planted pair's code, the decode
+result and the disposition (consumed by a check, contributing to the key,
+or lost in transit). Protocol steps and the adversary loop over index lists
+(the ledger's ``live`` pairs, or a check's sample) and never build an object
+per pair; ``PairLedger.records`` assembles read-only ``PairRecord`` views
+only when something reads it.
 
-``fake_carrier`` is the pair the fake-EPR adversary planted in place of the
-genuine one; when it is set, the receiver's measurements act on it rather
-than on ``carrier``. Who holds which particle follows from the disposition:
-the receiver holds a pair's second half from the first transmission on
-unless the pair was ``DROPPED``, and holds the whole pair (planted or
-genuine) once it is ``IN_FLIGHT_2``.
+The planted column holds the pairs the fake-EPR adversary planted in place
+of the genuine ones; when it is set, the receiver's measurements act on it
+rather than on ``state``. Who holds which particle follows from the
+disposition: the receiver holds a pair's second half from the first
+transmission on unless the pair was ``DROPPED``, and holds the whole pair
+(planted or genuine) once it is ``IN_FLIGHT_2``.
 
 The ledger also owns the run's :class:`Transcript`; every protocol step logs
 its public events there.
@@ -19,11 +23,12 @@ its public events there.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .errors import ConfigurationError
-from .quantum import BellState, PairState
+from .quantum import BELL_LABELS, CODES, BellState
 
 
 class Disposition(Enum):
@@ -87,50 +92,110 @@ class Transcript:
         )
 
 
-@dataclass
-class PairRecord:
+class PairRecord(NamedTuple):
+    """A read-only snapshot of one pair, assembled from the ledger's columns."""
+
     index: int
     prepared: BellState
-    carrier: PairState
-    disposition: Disposition = Disposition.PREPARED
-    fake_carrier: PairState | None = None
-    outcome: BellState | None = None  # receiver's Bell-basis decode result
+    disposition: Disposition
+    carrier: int
+    fake_carrier: int | None
+    outcome: BellState | None
 
 
-@dataclass
 class PairLedger:
-    """Ordered collection of pair records plus run-level state."""
+    """One trial's pairs as columns indexed by pair ordinal, plus run-level
+    state.
 
-    records: list[PairRecord]
-    sender: str = "alice"
-    receiver: str = "bob"
-    phase: Phase = Phase.CREATED
-    check1: "CheckReport | None" = None
-    check2: "CheckReport | None" = None
-    # Fraction of transmitted particles the receiver actually got, per
-    # transmission; None until that transmission happened.
-    receipt_1: float | None = None
-    receipt_2: float | None = None
-    transcript: Transcript = field(default_factory=Transcript)
+    ``prepared`` holds the preparation codes, ``state`` the genuine pairs'
+    codes, ``planted`` the planted pairs' codes (None until the fake-EPR
+    adversary plants any), ``outcome`` the receiver's decode results and
+    ``disposition`` where each pair stands. ``live`` lists, in order, the
+    pairs with no terminal disposition yet; every one of them has the
+    disposition of the current phase.
+    """
+
+    def __init__(
+        self,
+        prepared: list[int],
+        sender: str = "alice",
+        receiver: str = "bob",
+        transcript: Transcript | None = None,
+    ):
+        n = len(prepared)
+        self.prepared = prepared
+        self.state = list(prepared)
+        self.planted: list[int | None] | None = None
+        self.outcome: list[int | None] = [None] * n
+        self.disposition = [Disposition.PREPARED] * n
+        self.live = list(range(n))
+        self.sender = sender
+        self.receiver = receiver
+        self.transcript = transcript if transcript is not None else Transcript()
+        self.phase = Phase.CREATED
+        self.check1: CheckReport | None = None
+        self.check2: CheckReport | None = None
+        # Fraction of transmitted particles the receiver actually got, per
+        # transmission; None until that transmission happened.
+        self.receipt_1: float | None = None
+        self.receipt_2: float | None = None
 
     @property
     def n_total(self) -> int:
-        return len(self.records)
+        return len(self.prepared)
 
-    def __post_init__(self):
-        indices = [r.index for r in self.records]
-        if indices != list(range(len(indices))):
-            raise ConfigurationError("pair indices must be exactly 0..N-1 in order")
+    @property
+    def receiver_state(self) -> list[int | None]:
+        """The column the receiver's measurements act on: the planted pairs
+        once the adversary substituted them, else the genuine ones."""
+        return self.state if self.planted is None else self.planted
 
-    def with_disposition(self, *dispositions: Disposition) -> list[PairRecord]:
-        wanted = set(dispositions)
-        return [r for r in self.records if r.disposition in wanted]
+    @property
+    def records(self) -> tuple[PairRecord, ...]:
+        """Every pair as a ``PairRecord``, built afresh on each read."""
+        planted = self.planted or [None] * self.n_total
+        return tuple(
+            PairRecord(
+                i,
+                BELL_LABELS[self.prepared[i]],
+                self.disposition[i],
+                self.state[i],
+                planted[i],
+                None if self.outcome[i] is None else BELL_LABELS[self.outcome[i]],
+            )
+            for i in range(self.n_total)
+        )
+
+    def advance(self, disposition: Disposition):
+        """Move every live pair on to the given (non-terminal) disposition."""
+        column = self.disposition
+        for i in self.live:
+            column[i] = disposition
+
+    def settle(self, indices: list[int], disposition: Disposition):
+        """Give the listed live pairs a terminal disposition."""
+        column = self.disposition
+        for i in indices:
+            column[i] = disposition
+        if indices:
+            gone = set(indices)
+            self.live = [i for i in self.live if i not in gone]
 
     def disposition_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {d.value: 0 for d in Disposition}
-        for r in self.records:
-            counts[r.disposition.value] += 1
-        return counts
+        return {d.value: self.disposition.count(d) for d in Disposition}
+
+
+def joint_counts(prepared: list[int], ys: list, y_names=CODES) -> dict[str, dict[str, int]]:
+    """Nested counts {key code of prepared[i]: {y_names[ys[i]]: n}} over the
+    pairs whose ys entry is not None, in order of first appearance."""
+    width = len(y_names)
+    keys = [width * x + y for x, y in zip(prepared, ys) if y is not None]
+    counts: dict[str, dict[str, int]] = {}
+    if keys:
+        for key, n in Counter(keys).items():
+            x, y = divmod(key, width)
+            counts.setdefault(CODES[x], {})[y_names[y]] = n
+    return counts
 
 
 @dataclass(frozen=True)

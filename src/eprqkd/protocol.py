@@ -35,25 +35,16 @@ from .ledger import (
     Disposition,
     KeyMaterial,
     PairLedger,
-    PairRecord,
     Phase,
     Transcript,
+    joint_counts,
 )
-from .quantum import (
-    BELL_LABELS,
-    BellState,
-    make_bell_state,
-    measure_bell_basis,
-    measure_qubit,
-)
+from .quantum import BELL_LABELS, CODES, BellState, measure_bell_basis, measure_qubit
 from .rng import RandomSource
 
-_TERMINAL = {
-    Disposition.CHECKED_1,
-    Disposition.CHECKED_2,
-    Disposition.KEY,
-    Disposition.DROPPED,
-}
+_BASES = ("z", "x")
+# Whether each pair-state code's halves agree in each single-qubit basis.
+_AGREE = {basis: tuple(label.correlated_in(basis) for label in BELL_LABELS) for basis in _BASES}
 
 
 def alice_prepare(
@@ -66,34 +57,31 @@ def alice_prepare(
     """Prepare N pairs with uniformly random state choices (step 1)."""
     if n < 1:
         raise ConfigurationError(f"cannot prepare {n} pairs")
-    labels = [BELL_LABELS[rng.uniform_index(4)] for _ in range(n)]
-    return prepare_from_labels(labels, sender, receiver, transcript)
+    return prepare_from_labels(
+        [rng.uniform_index(4) for _ in range(n)], sender, receiver, transcript
+    )
 
 
 def prepare_from_labels(
-    labels: list[BellState],
+    labels: list[BellState | int],
     sender: str = "alice",
     receiver: str = "bob",
     transcript: Transcript | None = None,
 ) -> PairLedger:
-    """Prepare pairs in the given states, in order (re-encoding path).
+    """Prepare pairs in the given states (labels or their codes), in order
+    (re-encoding path).
 
     The ledger logs to ``transcript`` when one is given, else to a fresh one.
     """
     if not labels:
         raise ConfigurationError("cannot prepare an empty pair sequence")
-    records = [
-        PairRecord(index=i, prepared=label, carrier=make_bell_state(label))
-        for i, label in enumerate(labels)
-    ]
-    ledger = PairLedger(
-        records, sender=sender, receiver=receiver, transcript=transcript or Transcript()
-    )
+    codes = list(map(int, labels))
+    ledger = PairLedger(codes, sender=sender, receiver=receiver, transcript=transcript)
     ledger.transcript.log(
         1,
         sender,
         "prepare",
-        {"pairs": len(records), "codes": "".join(label.code for label in labels)},
+        {"pairs": len(codes), "codes": "".join([CODES[c] for c in codes])},
     )
     return ledger
 
@@ -106,13 +94,12 @@ def transmit_first_sequence(ledger: PairLedger, channel: AdversaryChannel) -> Pa
     """
     if ledger.phase is not Phase.CREATED:
         raise ProtocolOrderError(f"first transmission in phase {ledger.phase.name}")
-    for rec in ledger.records:
-        rec.disposition = Disposition.IN_FLIGHT_1
+    ledger.advance(Disposition.IN_FLIGHT_1)
     ledger.transcript.log(2, ledger.sender, "send", {"sequence": 1, "count": ledger.n_total})
     interference = channel.interpose(1, ledger)
     if interference:
         ledger.transcript.log(2, "eve", "interpose", interference)
-    received = len(ledger.with_disposition(Disposition.IN_FLIGHT_1))
+    received = len(ledger.live)
     ledger.receipt_1 = received / ledger.n_total
     ledger.transcript.log(
         2,
@@ -125,26 +112,26 @@ def transmit_first_sequence(ledger: PairLedger, channel: AdversaryChannel) -> Pa
 
 
 def _draw_sample(
-    candidates: list[PairRecord], fraction: float, min_size: int, rng: RandomSource
-) -> list[PairRecord]:
-    """A check's random sample, in pair order: a ``fraction`` of the
-    candidates, and at least ``min_size`` of them when that many exist."""
+    candidates: list[int], fraction: float, min_size: int, rng: RandomSource
+) -> list[int]:
+    """A check's random sample of pair indices, in pair order: a ``fraction``
+    of the candidates, and at least ``min_size`` of them when that many
+    exist."""
     if not candidates:
         raise InsufficientPairsError("no pairs available to check")
     size = min(len(candidates), max(min_size, math.ceil(fraction * len(candidates))))
-    return sorted(rng.sample_without_replacement(candidates, size), key=lambda rec: rec.index)
+    return sorted(rng.sample_without_replacement(candidates, size))
 
 
 def _publish_check(
     ledger: PairLedger,
     report: CheckReport,
-    sample: list[PairRecord],
+    sample: list[int],
     disposition: Disposition,
     step: int,
 ) -> CheckReport:
     """Consume the sampled pairs and publish the check's summary."""
-    for rec in sample:
-        rec.disposition = disposition
+    ledger.settle(sample, disposition)
     ledger.transcript.log(step, "public", "check", {"check": report.check_id, **report.to_dict()})
     return report
 
@@ -171,28 +158,22 @@ def first_check(
     """
     if ledger.phase is not Phase.SENT_1:
         raise ProtocolOrderError(f"first check in phase {ledger.phase.name}")
-    available = ledger.with_disposition(Disposition.IN_FLIGHT_1)
-    sample = _draw_sample(available, fraction, min_size, rng)
+    sample = _draw_sample(ledger.live, fraction, min_size, rng)
 
+    state, held = ledger.state, ledger.receiver_state
     bases = []
     receiver_bits = []
-    for rec in sample:
-        basis = ("z", "x")[rng.uniform_index(2)] if randomize_basis else "z"
+    for i in sample:
+        basis = _BASES[rng.uniform_index(2)] if randomize_basis else "z"
         bases.append(basis)
-        if rec.fake_carrier is not None:
-            bit, post = measure_qubit(rec.fake_carrier, "second", basis, rng)
-            rec.fake_carrier = post
-        else:
-            bit, post = measure_qubit(rec.carrier, "second", basis, rng)
-            rec.carrier = post
+        bit, held[i] = measure_qubit(held[i], "second", basis, rng)
         receiver_bits.append(bit)
-    indices = [rec.index for rec in sample]
     ledger.transcript.log(
         3,
         ledger.receiver,
         "measure_check_sample",
         {
-            "indices": indices,
+            "indices": sample,
             "bases": "".join(bases),
             "bits": "".join(map(str, receiver_bits)),
         },
@@ -201,28 +182,28 @@ def first_check(
         4,
         ledger.receiver,
         "notify",
-        {"message": "sequence-1-received", "check_indices": indices},
+        {"message": "sequence-1-received", "check_indices": sample},
     )
 
     sender_bits = []
-    for rec, basis in zip(sample, bases):
-        bit, post = measure_qubit(rec.carrier, "first", basis, rng)
-        rec.carrier = post
+    for i, basis in zip(sample, bases):
+        bit, state[i] = measure_qubit(state[i], "first", basis, rng)
         sender_bits.append(bit)
     ledger.transcript.log(
         4,
         ledger.sender,
         "measure_partner_sample",
-        {"indices": indices, "bits": "".join(map(str, sender_bits))},
+        {"indices": sample, "bits": "".join(map(str, sender_bits))},
     )
 
+    prepared = ledger.prepared
     mismatches = sum(
-        (s_bit == r_bit) != rec.prepared.correlated_in(basis)
-        for rec, basis, s_bit, r_bit in zip(sample, bases, sender_bits, receiver_bits)
+        (s_bit == r_bit) != _AGREE[basis][prepared[i]]
+        for i, basis, s_bit, r_bit in zip(sample, bases, sender_bits, receiver_bits)
     )
     report = CheckReport(
         check_id="first",
-        sample_indices=tuple(indices),
+        sample_indices=tuple(sample),
         mismatches=mismatches,
         threshold=threshold,
         bases=tuple(bases),
@@ -248,20 +229,19 @@ def transmit_second_sequence(
         raise ProtocolOrderError(f"second transmission in phase {ledger.phase.name}")
     if ledger.check1 is not None and not ledger.check1.passed and not continuation:
         raise ProtocolOrderError("second transmission after a failed first check")
-    survivors = ledger.with_disposition(Disposition.IN_FLIGHT_1)
-    for rec in survivors:
-        rec.disposition = Disposition.IN_FLIGHT_2
-    ledger.transcript.log(5, ledger.sender, "send", {"sequence": 2, "count": len(survivors)})
+    survivors = len(ledger.live)
+    ledger.advance(Disposition.IN_FLIGHT_2)
+    ledger.transcript.log(5, ledger.sender, "send", {"sequence": 2, "count": survivors})
     interference = channel.interpose(2, ledger)
     if interference:
         ledger.transcript.log(5, "eve", "interpose", interference)
-    received = len(ledger.with_disposition(Disposition.IN_FLIGHT_2))
-    ledger.receipt_2 = received / len(survivors) if survivors else 1.0
+    received = len(ledger.live)
+    ledger.receipt_2 = received / survivors if survivors else 1.0
     ledger.transcript.log(
         5,
         ledger.receiver,
         "receive",
-        {"sequence": 2, "received": received, "expected": len(survivors)},
+        {"sequence": 2, "received": received, "expected": survivors},
     )
     ledger.phase = Phase.SENT_2
     return ledger
@@ -271,19 +251,14 @@ def bob_decode(ledger: PairLedger, rng: RandomSource) -> PairLedger:
     """Pair-state measurement of every surviving pair, in order (step 6)."""
     if ledger.phase is not Phase.SENT_2:
         raise ProtocolOrderError(f"decode in phase {ledger.phase.name}")
-    codes = []
-    for rec in ledger.with_disposition(Disposition.IN_FLIGHT_2):
-        if rec.fake_carrier is not None:
-            outcome, post = measure_bell_basis(rec.fake_carrier, rng)
-            rec.fake_carrier = post
-        else:
-            outcome, post = measure_bell_basis(rec.carrier, rng)
-            rec.carrier = post
-        rec.outcome = outcome
-        rec.disposition = Disposition.DECODED
-        codes.append(outcome.code)
+    held, outcome = ledger.receiver_state, ledger.outcome
+    for i in ledger.live:
+        _, held[i] = measure_bell_basis(held[i], rng)
+        outcome[i] = held[i]
+    ledger.advance(Disposition.DECODED)
+    codes = "".join([CODES[outcome[i]] for i in ledger.live])
     ledger.transcript.log(
-        6, ledger.receiver, "decode", {"pairs": len(codes), "codes": "".join(codes)}
+        6, ledger.receiver, "decode", {"pairs": len(ledger.live), "codes": codes}
     )
     ledger.phase = Phase.DECODED
     return ledger
@@ -300,11 +275,12 @@ def second_check(
     choices (step 7). Compared pairs are excluded from the key."""
     if ledger.phase is not Phase.DECODED:
         raise ProtocolOrderError(f"second check in phase {ledger.phase.name}")
-    sample = _draw_sample(ledger.with_disposition(Disposition.DECODED), fraction, min_size, rng)
+    sample = _draw_sample(ledger.live, fraction, min_size, rng)
+    outcome, prepared = ledger.outcome, ledger.prepared
     report = CheckReport(
         check_id="second",
-        sample_indices=tuple(rec.index for rec in sample),
-        mismatches=sum(rec.outcome is not rec.prepared for rec in sample),
+        sample_indices=tuple(sample),
+        mismatches=sum(outcome[i] != prepared[i] for i in sample),
         threshold=threshold,
     )
     ledger.check2 = report
@@ -318,13 +294,11 @@ def extract_key(ledger: PairLedger) -> KeyMaterial:
         raise ProtocolOrderError(f"key extraction in phase {ledger.phase.name}")
     if not (ledger.check1 and ledger.check1.passed and ledger.check2 and ledger.check2.passed):
         raise ProtocolOrderError("key extraction after a failed check")
-    kept = ledger.with_disposition(Disposition.DECODED)
-    for rec in kept:
-        rec.disposition = Disposition.KEY
+    kept, outcome = ledger.live, ledger.outcome
     key = KeyMaterial(
-        bits="".join(rec.outcome.code for rec in kept),
-        source_indices=tuple(rec.index for rec in kept),
+        bits="".join([CODES[outcome[i]] for i in kept]), source_indices=tuple(kept)
     )
+    ledger.settle(kept, Disposition.KEY)
     ledger.phase = Phase.DONE
     ledger.transcript.log(7, "public", "commit", {"key_bits": len(key.bits)})
     return key
@@ -332,8 +306,9 @@ def extract_key(ledger: PairLedger) -> KeyMaterial:
 
 def sender_key_material(ledger: PairLedger, source_indices) -> KeyMaterial:
     """The sender's key: her preparation codes at the kept pair ordinals."""
+    prepared = ledger.prepared
     return KeyMaterial(
-        bits="".join(ledger.records[i].prepared.code for i in source_indices),
+        bits="".join([CODES[prepared[i]] for i in source_indices]),
         source_indices=tuple(source_indices),
     )
 
@@ -372,21 +347,7 @@ class ProtocolOutcome:
 
     def decode_joint_counts(self) -> dict[str, dict[str, int]]:
         """Counts of (prepared code, decoded code) over pairs with outcomes."""
-        counts: dict[str, dict[str, int]] = {}
-        for rec in self.ledger.records:
-            if rec.outcome is None:
-                continue
-            row = counts.setdefault(rec.prepared.code, {})
-            row[rec.outcome.code] = row.get(rec.outcome.code, 0) + 1
-        return counts
-
-
-def _drop_unfinished(ledger: PairLedger):
-    # An aborted run discards whatever had no terminal fate yet, so that
-    # every pair ends as checked, key, or dropped.
-    for rec in ledger.records:
-        if rec.disposition not in _TERMINAL:
-            rec.disposition = Disposition.DROPPED
+        return joint_counts(self.ledger.prepared, self.ledger.outcome)
 
 
 def run_protocol(
@@ -395,7 +356,7 @@ def run_protocol(
     sender: str = "alice",
     receiver: str = "bob",
     trial: int = 0,
-    prepared_labels: list[BellState] | None = None,
+    prepared_labels: list[BellState | int] | None = None,
     strategy: AttackStrategy | None = None,
     transcript_extra: dict | None = None,
 ) -> ProtocolOutcome:
@@ -466,7 +427,7 @@ def run_protocol(
             else:
                 if not check2.passed:
                     abort = abort or "check2_failed"
-                elif not ledger.with_disposition(Disposition.DECODED):
+                elif not ledger.live:
                     abort = abort or "insufficient_pairs"  # no pair left for the key
             if abort is None:
                 receiver_key = extract_key(ledger)
@@ -475,7 +436,9 @@ def run_protocol(
                 transcript.log(7, "public", "abort", {"reason": abort})
 
     if abort is not None:
-        _drop_unfinished(ledger)
+        # Whatever had no terminal fate yet is discarded, so that every pair
+        # ends as checked, key, or dropped.
+        ledger.settle(ledger.live, Disposition.DROPPED)
 
     return ProtocolOutcome(
         ledger=ledger,
@@ -539,11 +502,8 @@ def run_multiparty(config: RunConfig, rng: RandomSource, trial: int = 0) -> Mult
             hop1, None, hop1.abort_reason, None, None, None, transcript
         )
 
-    relay_bits = hop1.receiver_key.bits
-    relay_labels = [
-        BellState.from_code(relay_bits[2 * i : 2 * i + 2])
-        for i in range(len(relay_bits) // 2)
-    ]
+    # The relay's raw key is his decode results at the kept pairs.
+    relay_labels = [hop1.ledger.outcome[i] for i in hop1.receiver_key.source_indices]
     hop2 = run_protocol(
         config,
         rng.substream("hop2"),

@@ -1,4 +1,4 @@
-"""Pair states and their projective measurements, in closed form.
+"""Pair states as integer codes, and their measurements as table lookups.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -13,24 +13,43 @@ Conventions fixed here and relied on everywhere else:
 
   PSI1/PSI2 have equal single-qubit Z outcomes, PSI3/PSI4 opposite ones;
   PSI1/PSI3 have equal X outcomes, PSI2/PSI4 opposite ones.
-* A pair state is an immutable value of one of two kinds: a ``BellState``
-  label, or a ``Product`` ``((basis, bit), (basis, bit))`` of single-qubit
-  Z or X eigenstates (bit 0 for |0> or |+>, 1 for |1> or |->), first qubit
-  first. Measurement returns (outcome, post_state); it never mutates its
-  input, which is what makes replay and independent trials trivial.
+* A pair state is an int code 0-19. Codes 0-3 are the four pair states in
+  ``BELL_LABELS`` order (``BellState`` is an ``IntEnum``, so a label is its
+  own code). Code ``4 + i`` is the product ``PRODUCTS[i]``, written
+  ``((basis, bit), (basis, bit))`` with the first qubit first: a Z or X
+  eigenstate per qubit, bit 0 for |0> or |+>, 1 for |1> or |->.
 
 These twenty states are all the protocol can reach, because the set is
-closed under every measurement it makes (they are stabilizer states).
-Measuring one qubit of a pair state in Z or X leaves a product of that
-basis's eigenstates; measuring one qubit of a product changes only that
-qubit; and a pair-state measurement leaves the measured pair state. So
-every outcome distribution below is exact and takes one of the values
-0, 1/4, 1/2 or 1, and only the final sampling step consumes randomness:
-exactly one draw per measurement, even when the outcome is certain.
+closed under every measurement it makes (they are stabilizer states; see
+Aaronson & Gottesman, quant-ph/0406196). Measuring one qubit of a pair state
+in Z or X leaves a product of that basis's eigenstates; measuring one qubit
+of a product changes only that qubit; and a pair-state measurement leaves
+the measured pair state. So every outcome distribution is exact and takes
+one of the values 0, 1/4, 1/2 or 1. The closed-form rules below are
+evaluated once, at import, into three tables:
+
+* ``P0[s][op]``, the probability of outcome 0 of single-qubit operation
+  ``op`` (0-3: Z or X on the first half, then Z or X on the second);
+* ``POST[s][op][outcome]``, the code the pair is left in (None for an
+  outcome of probability zero);
+* ``CUM[s]``, the running sums of the pair-basis probabilities in
+  ``BELL_LABELS`` order. Every entry is a dyadic rational, so the sums are
+  exact and ``r < CUM[s][i]`` picks the index ``RandomSource.categorical``
+  would pick from the same draw.
+
+The scalar kernels (``measure_qubit``, ``measure_qubit_z``,
+``measure_bell_basis`` and the probability queries) are one lookup each and
+consume exactly one draw per measurement, even when the outcome is certain;
+a measurement returns (outcome, post state). They stay per call rather than
+per batch: every draw then goes through ``RandomSource`` in the order the
+protocol makes it, the benchmark's traced run (``bench/workloads.py``) can
+still count measurements and draws at these bindings, and a prototype that
+batched the draws and inlined the lookups ran only about 15% faster.
 """
 from __future__ import annotations
 
-from enum import Enum
+from enum import Enum, IntEnum
+from itertools import accumulate
 
 from .rng import RandomSource
 
@@ -38,18 +57,22 @@ _BASES = ("z", "x")
 _HALVES = {"first": 0, "second": 1}
 
 
-class BellState(Enum):
-    """The four pair states, each carrying a fixed 2-bit key code."""
+class BellState(IntEnum):
+    """The four pair states; each is its own state code and carries a
+    fixed 2-bit key code."""
 
     PSI1 = 0
     PSI2 = 1
     PSI3 = 2
     PSI4 = 3
 
+    # Printed by name (BellState.PSI1), as a plain Enum member is.
+    __str__ = Enum.__str__
+
     @property
     def code(self) -> str:
         """2-bit key code: PSI1..PSI4 -> 00, 01, 10, 11."""
-        return format(self.value, "02b")
+        return CODES[self]
 
     @classmethod
     def from_code(cls, code: str) -> "BellState":
@@ -72,104 +95,139 @@ class BellState(Enum):
         raise ValueError(f"basis must be 'z' or 'x', got {basis!r}")
 
 
-BELL_LABELS: tuple[BellState, ...] = (
-    BellState.PSI1,
-    BellState.PSI2,
-    BellState.PSI3,
-    BellState.PSI4,
+BELL_LABELS: tuple[BellState, ...] = tuple(BellState)
+# Key code of each pair-state code.
+CODES = ("00", "01", "10", "11")
+PRODUCTS = tuple(
+    ((first, a), (second, b)) for first in _BASES for a in (0, 1) for second in _BASES for b in (0, 1)
 )
+N_STATES = len(BELL_LABELS) + len(PRODUCTS)
+# Single-qubit operation index by qubit and basis.
+_OPS = {"first": {"z": 0, "x": 1}, "second": {"z": 2, "x": 3}}
 
-Qubit = tuple[str, int]  # (basis, bit): an eigenstate of Z or X
-Product = tuple[Qubit, Qubit]
-PairState = BellState | Product
+
+def product_state(first: tuple[str, int], second: tuple[str, int]) -> int:
+    """Code of the product of two (basis, bit) eigenstates, first qubit first."""
+    return len(BELL_LABELS) + PRODUCTS.index((first, second))
 
 
-def basis_state(bits: str) -> Product:
-    """Computational basis state |b1 b2>, e.g. basis_state('01')."""
+def basis_state(bits: str) -> int:
+    """Code of the computational basis state |b1 b2>, e.g. basis_state('01')."""
     if len(bits) != 2 or any(c not in "01" for c in bits):
         raise ValueError(f"expected two bits, got {bits!r}")
-    return (("z", int(bits[0])), ("z", int(bits[1])))
+    return product_state(("z", int(bits[0])), ("z", int(bits[1])))
 
 
-def make_bell_state(label: BellState) -> PairState:
-    """The state of a freshly prepared pair: the label itself."""
-    return label
+# -- closed-form rules, evaluated once into the tables --------------------------
 
 
-def qubit_probabilities(state: PairState, which: str, basis: str) -> tuple[float, float]:
+def _closed_p0(code: int, half: int, basis: str) -> float:
+    """A pair state's halves are each uniform; a product qubit is certain
+    in its own basis and uniform in the other."""
+    if code < len(BELL_LABELS):
+        return 0.5
+    own_basis, bit = PRODUCTS[code - len(BELL_LABELS)][half]
+    return 0.5 if own_basis != basis else 1.0 - bit
+
+
+def _closed_post(code: int, half: int, basis: str, outcome: int) -> int:
+    """A pair state leaves the partner in the bit its label correlates
+    with; a product keeps its other qubit unchanged."""
+    if code < len(BELL_LABELS):
+        agree = BELL_LABELS[code].correlated_in(basis)
+        other = (basis, outcome if agree else 1 - outcome)
+    else:
+        other = PRODUCTS[code - len(BELL_LABELS)][1 - half]
+    mine = (basis, outcome)
+    return product_state(mine, other) if half == 0 else product_state(other, mine)
+
+
+def _closed_overlaps(code: int) -> tuple[float, ...]:
+    """A pair state overlaps only itself. A Z or X product splits evenly over
+    the two labels whose correlation in that basis matches its bits' parity;
+    a product of one Z and one X eigenstate overlaps all four equally."""
+    if code < len(BELL_LABELS):
+        return tuple(1.0 if label == code else 0.0 for label in BELL_LABELS)
+    (basis, first), (other_basis, second) = PRODUCTS[code - len(BELL_LABELS)]
+    if basis != other_basis:
+        return (0.25,) * 4
+    agree = first == second
+    return tuple(0.5 if label.correlated_in(basis) == agree else 0.0 for label in BELL_LABELS)
+
+
+_OP_ARGS = [(_HALVES[which], basis) for which, ops in _OPS.items() for basis in ops]
+P0 = tuple(tuple(_closed_p0(s, *args) for args in _OP_ARGS) for s in range(N_STATES))
+# An outcome of probability zero has no post state: its entry is None.
+POST = tuple(
+    tuple(
+        tuple(
+            _closed_post(s, *args, outcome) if p > 0.0 else None
+            for outcome, p in enumerate((p0, 1.0 - p0))
+        )
+        for args, p0 in zip(_OP_ARGS, P0[s])
+    )
+    for s in range(N_STATES)
+)
+_BELL_PROBS = tuple(_closed_overlaps(s) for s in range(N_STATES))
+CUM = tuple(tuple(accumulate(probs)) for probs in _BELL_PROBS)
+
+
+# -- kernels -------------------------------------------------------------------
+
+
+def _op(which: str, basis: str) -> int:
+    try:
+        return _OPS[which][basis]
+    except (KeyError, TypeError):
+        raise ValueError(
+            f"expected a 'z' or 'x' measurement of the 'first' or 'second' qubit,"
+            f" got {basis!r} on {which!r}"
+        ) from None
+
+
+def make_bell_state(label: BellState) -> int:
+    """The code of a freshly prepared pair: the label's own."""
+    return int(label)
+
+
+def qubit_probabilities(state: int, which: str, basis: str) -> tuple[float, float]:
     """Exact (P(0), P(1)) of a "z" or "x" measurement on the chosen qubit.
 
     ``which`` is "first" or "second"; see the module docstring for which
-    half of a pair each one is. A pair state's halves are each uniform; a
-    product qubit is certain in its own basis and uniform in the other.
+    half of a pair each one is.
     """
-    if basis not in _BASES:
-        raise ValueError(f"basis must be 'z' or 'x', got {basis!r}")
-    if which not in _HALVES:
-        raise ValueError(f"which must be 'first' or 'second', got {which!r}")
-    half = _HALVES[which]
-    if isinstance(state, BellState) or state[half][0] != basis:
-        return 0.5, 0.5
-    return (1.0, 0.0) if state[half][1] == 0 else (0.0, 1.0)
+    p0 = P0[state][_op(which, basis)]
+    return p0, 1.0 - p0
 
 
-def qubit_z_probabilities(state: PairState, which: str) -> tuple[float, float]:
+def qubit_z_probabilities(state: int, which: str) -> tuple[float, float]:
     """Exact (P(0), P(1)) of a Z measurement on the chosen qubit."""
     return qubit_probabilities(state, which, "z")
 
 
-def measure_qubit(
-    state: PairState, which: str, basis: str, rng: RandomSource
-) -> tuple[int, Product]:
-    """Measure one qubit in "z" or "x"; returns (outcome bit, post state).
-
-    A pair state leaves the partner in the bit its label correlates with;
-    a product keeps its other qubit unchanged.
-    """
-    p0, _ = qubit_probabilities(state, which, basis)
-    outcome = 0 if rng.random() < p0 else 1
-    half = _HALVES[which]
-    if isinstance(state, BellState):
-        other = (basis, outcome if state.correlated_in(basis) else 1 - outcome)
-    else:
-        other = state[1 - half]
-    mine = (basis, outcome)
-    return outcome, (mine, other) if half == 0 else (other, mine)
+def measure_qubit(state: int, which: str, basis: str, rng: RandomSource) -> tuple[int, int]:
+    """Measure one qubit in "z" or "x"; returns (outcome bit, post state)."""
+    op = _op(which, basis)
+    outcome = 0 if rng.random() < P0[state][op] else 1
+    return outcome, POST[state][op][outcome]
 
 
-def measure_qubit_z(
-    state: PairState, which: str, rng: RandomSource
-) -> tuple[int, Product]:
+def measure_qubit_z(state: int, which: str, rng: RandomSource) -> tuple[int, int]:
     """Z-measure one qubit; returns (outcome bit, collapsed joint state)."""
     return measure_qubit(state, which, "z", rng)
 
 
-def bell_overlap_probabilities(state: PairState) -> dict[BellState, float]:
-    """Exact |<psi_L|state>|^2 for each pair label L; the values sum to 1.
-
-    A pair state overlaps only itself. A Z or X product splits evenly over
-    the two labels whose correlation in that basis matches its bits' parity;
-    a product of one Z and one X eigenstate overlaps all four equally.
-    """
-    if isinstance(state, BellState):
-        return {label: 1.0 if label is state else 0.0 for label in BELL_LABELS}
-    (basis, first), (other_basis, second) = state
-    if basis != other_basis:
-        return dict.fromkeys(BELL_LABELS, 0.25)
-    agree = first == second
-    return {
-        label: 0.5 if label.correlated_in(basis) == agree else 0.0
-        for label in BELL_LABELS
-    }
+def bell_overlap_probabilities(state: int) -> dict[BellState, float]:
+    """Exact |<psi_L|state>|^2 for each pair label L; the values sum to 1."""
+    return dict(zip(BELL_LABELS, _BELL_PROBS[state]))
 
 
-def measure_bell_basis(
-    state: PairState, rng: RandomSource
-) -> tuple[BellState, BellState]:
+def measure_bell_basis(state: int, rng: RandomSource) -> tuple[BellState, int]:
     """Joint measurement onto the four pair states.
 
-    Returns the sampled label and the post state, which is that label.
+    Returns the sampled label and the post state, which is that label's code.
     """
-    probs = bell_overlap_probabilities(state)
-    outcome = BELL_LABELS[rng.categorical([probs[label] for label in BELL_LABELS])]
-    return outcome, outcome
+    r = rng.random()
+    cum = CUM[state]
+    outcome = 0 if r < cum[0] else 1 if r < cum[1] else 2 if r < cum[2] else 3
+    return BELL_LABELS[outcome], outcome

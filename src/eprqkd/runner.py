@@ -1,8 +1,13 @@
 """Monte-Carlo orchestration: many independent runs, one report.
 
-Trial t draws from the root seed XOR t, so trials are independent and any
-trial can be reproduced alone. Aggregation is a deterministic fold in trial
-order, which makes reports byte-stable however trials might be scheduled.
+Trial t draws from the root seed XOR t. Within one batch the trials are
+independent and any trial can be reproduced alone, but the streams collide
+across root seeds: seed 0's trial 1 is seed 1's trial 0, and in general
+(seed a, trial t) equals (seed b, trial u) whenever a ^ t == b ^ u. Report
+schema 2 is to seed each trial from its own named substream instead; that
+changes every draw, so it waits for the schema bump. Aggregation is a
+deterministic fold in trial order, which makes reports byte-stable however
+trials might be scheduled.
 """
 from __future__ import annotations
 

@@ -1,5 +1,5 @@
-"""Exact 4-amplitude model of two-qubit states: the reference the closed-form
-pair algebra in ``eprqkd.quantum`` is checked against.
+"""Exact 4-amplitude model of two-qubit states: the reference the pair-state
+tables in ``eprqkd.quantum`` are checked against.
 
 Amplitudes are stored in computational-basis order |00>, |01>, |10>, |11>,
 where the left bit is the first qubit. The pair states come from the
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from eprqkd.quantum import BELL_LABELS, BellState
+from eprqkd.quantum import BELL_LABELS, PRODUCTS, BellState
 
 NORM_TOL = 1e-12
 
@@ -53,11 +53,13 @@ class TwoQubitState:
         return sum(a.conjugate() * b for a, b in zip(self.amplitudes, other.amplitudes))
 
 
-def amplitudes_of(state) -> TwoQubitState:
-    """The state vector of a closed-form pair state (label or product)."""
-    if isinstance(state, BellState):
-        return TwoQubitState(tuple(complex(a) for a in ORACLE_BELL[state]))
-    (a0, a1), (b0, b1) = _EIGENSTATES[state[0]], _EIGENSTATES[state[1]]
+def amplitudes_of(code: int) -> TwoQubitState:
+    """The state vector of a pair-state code: a label's table entry, or the
+    product of the two eigenstates ``PRODUCTS`` names."""
+    if code < len(BELL_LABELS):
+        return TwoQubitState(tuple(complex(a) for a in ORACLE_BELL[BELL_LABELS[code]]))
+    first, second = PRODUCTS[code - len(BELL_LABELS)]
+    (a0, a1), (b0, b1) = _EIGENSTATES[first], _EIGENSTATES[second]
     return TwoQubitState((complex(a0 * b0), complex(a0 * b1), complex(a1 * b0), complex(a1 * b1)))
 
 

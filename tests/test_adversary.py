@@ -14,6 +14,7 @@ from eprqkd.ledger import Disposition
 from eprqkd.protocol import alice_prepare, run_protocol, transmit_first_sequence
 from eprqkd.quantum import (
     BELL_LABELS,
+    PRODUCTS,
     BellState,
     basis_state,
     bell_overlap_probabilities,
@@ -26,6 +27,10 @@ from eprqkd.runner import run
 
 def channel(kind=AttackKind.NONE, seed=0, **kwargs):
     return AdversaryChannel(AttackStrategy(kind=kind, **kwargs), RandomSource(seed, "eve"))
+
+
+def with_disposition(ledger, disposition):
+    return [rec for rec in ledger.records if rec.disposition is disposition]
 
 
 def sent_ledger(n, seed=0, chan=None):
@@ -78,9 +83,10 @@ class TestMeasureResend:
         }
         for rec in ledger.records:
             assert rec.carrier in products[rec.prepared.correlated]
-            assert rec.carrier[1] == ("z", chan.eve.z_bits[rec.index][2])
-        assert sorted(chan.eve.z_bits) == list(range(500))
-        bits = [halves[2] for halves in chan.eve.z_bits.values()]
+            assert PRODUCTS[rec.carrier - len(BELL_LABELS)][1] == ("z", chan.eve.z_second[rec.index])
+        assert None not in chan.eve.z_second and len(chan.eve.z_second) == 500
+        assert chan.eve.z_first == []
+        bits = chan.eve.z_second
         assert abs(sum(bits) / 500 - 0.5) < three_sigma(0.5, 500)
 
     def test_parity_class_exactly_preserved(self):
@@ -165,9 +171,10 @@ class TestFakeEpr:
         eve = outcome.eve
         decoded = [rec for rec in outcome.ledger.records if rec.outcome is not None]
         assert len(decoded) > 0
-        assert sorted(eve.inferred_key) == [rec.index for rec in decoded]
+        inferred = [i for i, code in enumerate(eve.inferred_key) if code is not None]
+        assert inferred == [rec.index for rec in decoded]
         for rec in decoded:
-            assert eve.inferred_key[rec.index] is rec.prepared
+            assert eve.inferred_key[rec.index] == rec.prepared
 
 
 class TestOpaque:
@@ -177,8 +184,8 @@ class TestOpaque:
         assert abs(ledger.receipt_1 - 0.7) < three_sigma(0.7, 10_000)
         # Every pair is either destroyed or delivered, and the receipt
         # counts exactly the delivered ones.
-        dropped = ledger.with_disposition(Disposition.DROPPED)
-        delivered = ledger.with_disposition(Disposition.IN_FLIGHT_1)
+        dropped = with_disposition(ledger, Disposition.DROPPED)
+        delivered = with_disposition(ledger, Disposition.IN_FLIGHT_1)
         assert len(dropped) + len(delivered) == 10_000
         assert ledger.receipt_1 == len(delivered) / 10_000
 
@@ -186,7 +193,7 @@ class TestOpaque:
         chan = channel(AttackKind.OPAQUE, seed=7, destroy_probability=1.0)
         ledger = sent_ledger(100, seed=7, chan=chan)
         assert ledger.receipt_1 == 0.0
-        assert len(ledger.with_disposition(Disposition.DROPPED)) == 100
+        assert len(with_disposition(ledger, Disposition.DROPPED)) == 100
 
     def test_survivors_untouched(self):
         chan = channel(AttackKind.OPAQUE, seed=8, destroy_probability=0.5)
@@ -236,7 +243,7 @@ class TestEveInformation:
         outcome = self.run_with(AttackKind.FAKE_EPR, pairs=400)
         counts = eve_guess_counts(outcome.eve, outcome.ledger)
         total = sum(n for row in counts.values() for n in row.values())
-        assert total == len(outcome.eve.inferred_key)
+        assert total == len(outcome.eve.inferred_key) - outcome.eve.inferred_key.count(None)
 
 
 class TestReplay:

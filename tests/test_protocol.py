@@ -30,6 +30,10 @@ def config(**kwargs):
     return RunConfig(**{"pairs": 400, "seed": 0, **kwargs})
 
 
+def with_disposition(ledger, disposition):
+    return [rec for rec in ledger.records if rec.disposition is disposition]
+
+
 class TestPrepare:
     def test_structure(self):
         ledger = alice_prepare(4, RandomSource(1, "alice"))
@@ -92,7 +96,7 @@ class TestTransmissions:
         ledger.check1 = CheckReport("first", (0,), 1, 0.02)
         assert ledger.check1.error_rate == 1.0 and not ledger.check1.passed
         ledger.phase = Phase.CHECKED_1
-        ledger.records[0].disposition = Disposition.CHECKED_1
+        ledger.settle([0], Disposition.CHECKED_1)
         with pytest.raises(ProtocolOrderError):
             transmit_second_sequence(ledger, clean_channel())
         # Study mode is allowed through.
@@ -104,7 +108,7 @@ class TestTransmissions:
         transmit_first_sequence(ledger, clean_channel())
         report = first_check(ledger, 0.25, 0.02, RandomSource(5, "bob"), min_size=4)
         transmit_second_sequence(ledger, clean_channel())
-        in_flight = ledger.with_disposition(Disposition.IN_FLIGHT_2)
+        in_flight = with_disposition(ledger, Disposition.IN_FLIGHT_2)
         assert len(in_flight) == 20 - report.sample_size
         assert ledger.receipt_2 == 1.0
         for rec in in_flight:
@@ -138,10 +142,10 @@ class TestFirstCheck:
         ledger = alice_prepare(40, RandomSource(7, "alice"))
         transmit_first_sequence(ledger, clean_channel())
         report = first_check(ledger, 0.5, 0.02, RandomSource(7, "bob"), min_size=4)
-        checked = {rec.index for rec in ledger.with_disposition(Disposition.CHECKED_1)}
+        checked = {rec.index for rec in with_disposition(ledger, Disposition.CHECKED_1)}
         assert checked == set(report.sample_indices)
         transmit_second_sequence(ledger, clean_channel())
-        in_flight = {rec.index for rec in ledger.with_disposition(Disposition.IN_FLIGHT_2)}
+        in_flight = {rec.index for rec in with_disposition(ledger, Disposition.IN_FLIGHT_2)}
         assert in_flight.isdisjoint(checked)
 
     def test_no_available_pairs_is_a_configuration_error(self):
@@ -177,7 +181,7 @@ class TestDecodeAndSecondCheck:
 
     def test_clean_decode_reproduces_preparation(self):
         ledger = self.run_to_decode()
-        for rec in ledger.with_disposition(Disposition.DECODED):
+        for rec in with_disposition(ledger, Disposition.DECODED):
             assert rec.outcome is rec.prepared
 
     def test_second_check_clean(self):
@@ -213,9 +217,8 @@ class TestDecodeAndSecondCheck:
 class TestExtractKey:
     def synthetic_decoded_ledger(self, labels):
         ledger = prepare_from_labels(labels)
-        for rec in ledger.records:
-            rec.outcome = rec.prepared
-            rec.disposition = Disposition.DECODED
+        ledger.outcome = list(ledger.prepared)
+        ledger.advance(Disposition.DECODED)
         ledger.phase = Phase.CHECKED_2
         ledger.check1 = CheckReport("first", (0,), 0, 0.02)
         ledger.check2 = CheckReport("second", (0,), 0, 0.02)
@@ -368,9 +371,9 @@ class TestRunProtocol:
         )
         transmit_second_sequence(ledger, destroyer)
         assert ledger.receipt_2 == 0.0
-        dropped = ledger.with_disposition(Disposition.DROPPED)
+        dropped = with_disposition(ledger, Disposition.DROPPED)
         assert len(dropped) == 30 - report.sample_size
-        assert not ledger.with_disposition(Disposition.IN_FLIGHT_2)
+        assert not with_disposition(ledger, Disposition.IN_FLIGHT_2)
 
     def test_checks_exhausting_every_pair_abort_the_trial(self):
         # With 16 pairs the minimum-size first check consumes all of them,

@@ -1,4 +1,5 @@
 import math
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +8,11 @@ import amplitude_oracle as oracle
 from amplitude_oracle import ORACLE_BELL, S, TwoQubitState, amplitudes_of
 from eprqkd.quantum import (
     BELL_LABELS,
+    CUM,
+    N_STATES,
+    P0,
+    POST,
+    PRODUCTS,
     BellState,
     basis_state,
     bell_overlap_probabilities,
@@ -14,15 +20,15 @@ from eprqkd.quantum import (
     measure_bell_basis,
     measure_qubit,
     measure_qubit_z,
+    product_state,
     qubit_probabilities,
     qubit_z_probabilities,
 )
 from eprqkd.rng import RandomSource, three_sigma
 
-PRODUCTS = [((b1, a), (b2, b)) for b1 in "zx" for a in (0, 1) for b2 in "zx" for b in (0, 1)]
-# Every state the protocol can reach: the four pair states and the 16
-# products of single-qubit Z/X eigenstates.
-REACHABLE = [*BELL_LABELS, *PRODUCTS]
+# Every state the protocol can reach, by code: the four pair states and the
+# 16 products of single-qubit Z/X eigenstates.
+REACHABLE = list(range(N_STATES))
 OPERATIONS = [("first", "z"), ("first", "x"), ("second", "z"), ("second", "x"), "bell"]
 
 
@@ -74,7 +80,7 @@ class TestBellStates:
         # after a Hadamard on each qubit.
         for label in BELL_LABELS:
             amps = TwoQubitState(tuple(complex(a) for a in ORACLE_BELL[label]))
-            assert make_bell_state(label) is label
+            assert make_bell_state(label) == label
             for basis in ("z", "x"):
                 if basis == "x":
                     amps = oracle._hadamard(oracle._hadamard(amps, "first"), "second")
@@ -122,7 +128,8 @@ class TestStateValidation:
             TwoQubitState((1.0 + 0j, 0j, 0j))
 
     def test_basis_state(self):
-        assert basis_state("10") == (("z", 1), ("z", 0))
+        assert PRODUCTS[basis_state("10") - len(BELL_LABELS)] == (("z", 1), ("z", 0))
+        assert basis_state("10") == product_state(("z", 1), ("z", 0))
         assert amplitudes_of(basis_state("10")).amplitudes == (0j, 0j, 1.0 + 0j, 0j)
         for bad in ("2x", "0", "011", " 1"):
             with pytest.raises(ValueError):
@@ -199,7 +206,7 @@ class TestZMeasurement:
 class TestXMeasurement:
     def test_plus_plus_is_an_eigenstate(self):
         rng = RandomSource(40)
-        plus_plus = (("x", 0), ("x", 0))
+        plus_plus = product_state(("x", 0), ("x", 0))
         assert amplitudes_of(plus_plus).amplitudes == pytest.approx((0.5,) * 4, abs=1e-15)
         for which in ("first", "second"):
             bit, post = measure_qubit(plus_plus, which, "x", rng)
@@ -211,7 +218,7 @@ class TestXMeasurement:
         seen = set()
         for _ in range(100):
             bit, post = measure_qubit(make_bell_state(BellState.PSI1), "first", "x", rng)
-            assert post == (("x", bit), ("x", bit))
+            assert post == product_state(("x", bit), ("x", bit))
             seen.add(bit)
         assert seen == {0, 1}
 
@@ -279,7 +286,7 @@ class TestBellMeasurement:
         amps = (S + 0j, S + 0j, 0j, 0j)
         expected = oracle_overlaps(amps)
         assert all(p == pytest.approx(0.25, abs=1e-12) for p in expected.values())
-        zero_plus = (("z", 0), ("x", 0))
+        zero_plus = product_state(("z", 0), ("x", 0))
         assert amplitudes_of(zero_plus).amplitudes == pytest.approx(amps, abs=1e-15)
         probs = bell_overlap_probabilities(zero_plus)
         for label in BELL_LABELS:
@@ -332,17 +339,33 @@ def _reference(state, operation, rng):
 
 
 def _id(value):
-    """BellState.PSI1 -> PSI1, ("first", "x") -> first-x, (("z", 0), ("x", 1)) -> z0x1."""
-    if isinstance(value, (BellState, str)):
-        return getattr(value, "name", value)
-    if isinstance(value[0], str):
+    """0 -> PSI1, 5 -> z0z1, ("first", "x") -> first-x, "bell" -> bell."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
         return "-".join(value)
-    return "".join(f"{basis}{bit}" for basis, bit in value)
+    if value < len(BELL_LABELS):
+        return BELL_LABELS[value].name
+    return "".join(f"{basis}{bit}" for basis, bit in PRODUCTS[value - len(BELL_LABELS)])
 
 
 @pytest.mark.parametrize("operation", OPERATIONS, ids=_id)
 @pytest.mark.parametrize("state", REACHABLE, ids=_id)
 def test_closed_form_matches_amplitude_oracle(state, operation):
+    # The table entries for this (state, operation) against the oracle's
+    # exact distribution; together the 100 cases pin every entry of P0,
+    # POST (None exactly where an outcome is impossible) and CUM.
+    amps = amplitudes_of(state)
+    if operation == "bell":
+        overlaps = oracle.bell_overlaps(amps)
+        expected = list(accumulate(overlaps[label] for label in BELL_LABELS))
+        assert CUM[state] == pytest.approx(expected, abs=1e-12)
+    else:
+        op = OPERATIONS.index(operation)
+        p0, p1 = oracle.qubit_probabilities(amps, *operation)
+        assert abs(P0[state][op] - p0) < 1e-12
+        for outcome, p in enumerate((p0, p1)):
+            assert (POST[state][op][outcome] is None) == (p < 1e-12)
     # Every outcome probability takes a value in {0, 1/4, 1/2, 1}, so draws
     # at the midpoints of eighths reach every outcome of nonzero weight.
     for k in range(8):

@@ -310,6 +310,15 @@ class TestCli:
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.out + captured.err
 
+    def test_verify_undecodable_file_is_one_line_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe")
+        assert main(["verify", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: could not read report:")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.out + captured.err
+
     def test_transcript_flag(self, tmp_path):
         out = tmp_path / "r.json"
         assert main(
