@@ -4,53 +4,82 @@ All entropies are in bits (base-2 logarithms) and zero-probability outcomes
 contribute nothing. Empirical joints use plain frequency (plug-in)
 estimation; callers choose sample sizes large enough for the bias to be
 negligible at their tolerance.
+
+The arithmetic is plain floats and ``math.log2``, in a fixed order: a cell
+is ``count / total``; a row marginal adds the row's cells left to right
+starting from 0.0; a column marginal adds the rows in order; an entropy is
+``-(sum of p * log2 p)`` over the ``p > 0`` in order; H(X|Y) accumulates
+``p_y * H(column / p_y)`` column by column. Reports carry these floats, so
+the order is part of the report bytes. It is kept because it is the order
+the package has always used for tables of up to 4 × 4, so existing reports
+still verify; and since ``math.log2`` is libm's, the floats do not depend on
+which SIMD kernels an array library dispatches to on the host CPU.
+``_total`` spells the sum out because ``builtins.sum`` rounds floats
+differently from Python 3.12 on.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 PROB_TOL = 1e-9
 
 
-def _validate_probabilities(p: np.ndarray):
-    if np.any(p < -1e-12):
-        raise ValueError(f"probabilities must be nonnegative, got min {p.min()!r}")
-    total = float(p.sum())
+def _total(values) -> float:
+    acc = 0.0
+    for value in values:
+        acc += value
+    return acc
+
+
+def _entropy(p) -> float:
+    acc = 0.0
+    for value in p:
+        if value > 0.0:
+            acc += value * math.log2(value)
+    return -acc
+
+
+def _validate_probabilities(p: tuple[float, ...]):
+    if not all(math.isfinite(value) and value >= -1e-12 for value in p):
+        raise ValueError(f"probabilities must be finite and nonnegative, got {p!r}")
+    total = _total(p)
     if abs(total - 1.0) > PROB_TOL:
         raise ValueError(f"probabilities must sum to 1, got {total!r}")
 
 
 def shannon_entropy(probabilities) -> float:
     """H(p) = -sum p_i log2 p_i, in bits, over the outcomes with p_i > 0."""
-    p = np.asarray(probabilities, dtype=float).ravel()
+    p = tuple(map(float, probabilities))
     _validate_probabilities(p)
-    positive = p[p > 0.0]
-    return float(-np.sum(positive * np.log2(positive)))
+    return _entropy(p)
 
 
 @dataclass(frozen=True)
 class JointDistribution:
     """Joint probabilities of two finite-alphabet variables.
 
-    ``p[i, j]`` is P(X = outcomes_x[i], Y = outcomes_y[j]).
+    ``p[i][j]`` is P(X = outcomes_x[i], Y = outcomes_y[j]); ``p`` is a tuple
+    of row tuples.
     """
 
     outcomes_x: tuple[str, ...]
     outcomes_y: tuple[str, ...]
-    p: np.ndarray
+    p: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        matrix = np.asarray(self.p, dtype=float)
-        if matrix.shape != (len(self.outcomes_x), len(self.outcomes_y)):
+        try:
+            rows = tuple(tuple(map(float, row)) for row in self.p)
+        except TypeError:
+            raise ValueError(f"p must be a sequence of rows, got {self.p!r}") from None
+        shape = tuple(len(row) for row in rows)
+        if shape != (len(self.outcomes_y),) * len(self.outcomes_x):
             raise ValueError(
-                f"matrix shape {matrix.shape} does not match outcome sets "
+                f"matrix row lengths {shape} do not match outcome sets "
                 f"({len(self.outcomes_x)}, {len(self.outcomes_y)})"
             )
-        _validate_probabilities(matrix.ravel())
-        object.__setattr__(self, "p", matrix)
+        _validate_probabilities(tuple(value for row in rows for value in row))
+        object.__setattr__(self, "p", rows)
 
     @classmethod
     def from_counts(cls, counts: dict[str, dict[str, int]]) -> "JointDistribution":
@@ -59,34 +88,30 @@ class JointDistribution:
         ys = tuple(sorted({y for row in counts.values() for y in row}))
         if not xs or not ys:
             raise ValueError("cannot build a joint distribution from empty counts")
-        matrix = np.zeros((len(xs), len(ys)))
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                matrix[i, j] = counts[x].get(y, 0)
-        total = matrix.sum()
+        cells = [[counts[x].get(y, 0) for y in ys] for x in xs]
+        if any(type(n) is not int or n < 0 for row in cells for n in row):
+            raise ValueError(f"counts must be nonnegative ints, got {cells!r}")
+        total = sum(map(sum, cells))
         if total <= 0:
             raise ValueError("counts sum to zero")
-        return cls(xs, ys, matrix / total)
+        return cls(xs, ys, tuple(tuple(n / total for n in row) for row in cells))
 
-    def marginal_x(self) -> np.ndarray:
-        return self.p.sum(axis=1)
+    def marginal_x(self) -> tuple[float, ...]:
+        return tuple(_total(row) for row in self.p)
 
-    def marginal_y(self) -> np.ndarray:
-        return self.p.sum(axis=0)
+    def marginal_y(self) -> tuple[float, ...]:
+        return tuple(_total(column) for column in zip(*self.p))
 
     def transposed(self) -> "JointDistribution":
-        return JointDistribution(self.outcomes_y, self.outcomes_x, self.p.T)
+        return JointDistribution(self.outcomes_y, self.outcomes_x, tuple(zip(*self.p)))
 
 
 def conditional_entropy(joint: JointDistribution) -> float:
     """H(X|Y): expected entropy of X once Y is known, in bits."""
     h = 0.0
-    for j, p_y in enumerate(joint.marginal_y()):
-        if p_y <= 0.0:
-            continue
-        column = joint.p[:, j] / p_y
-        positive = column[column > 0.0]
-        h += float(p_y) * float(-np.sum(positive * np.log2(positive)))
+    for p_y, column in zip(joint.marginal_y(), zip(*joint.p)):
+        if p_y > 0.0:
+            h += p_y * _entropy([value / p_y for value in column])
     return h
 
 

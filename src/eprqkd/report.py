@@ -1,8 +1,11 @@
 """Report serialization: structured JSON, flat CSV, and self-verification.
 
 Both renderings are byte-stable: the same report content always produces
-the same bytes, regardless of platform or scheduling. Field names are fixed
-by the schema version embedded in every report.
+the same bytes, regardless of platform or scheduling. The floats in them are
+plain Python arithmetic, and the mutual-information values come from
+``math.log2`` in a fixed order (see ``analysis``), so they do not depend on
+the SIMD kernels an array library picks for the host CPU. Field names are
+fixed by the schema version embedded in every report.
 """
 from __future__ import annotations
 

@@ -49,7 +49,8 @@ class RandomSource:
         """Uniform integer in [0, n)."""
         if n <= 0:
             raise ConfigurationError(f"uniform_index needs n >= 1, got {n}")
-        return min(int(self._rng.random() * n), n - 1)
+        i = int(self._rng.random() * n)
+        return i if i < n else n - 1
 
     def categorical(self, probabilities) -> int:
         """Index sampled according to a probability vector summing to 1."""
@@ -75,7 +76,8 @@ class RandomSource:
         pool = list(population)
         picked = []
         for remaining in range(len(pool), len(pool) - k, -1):
-            j = min(int(self._rng.random() * remaining), remaining - 1)
+            j = int(self._rng.random() * remaining)
+            j = j if j < remaining else remaining - 1
             picked.append(pool[j])
             pool[j] = pool[remaining - 1]
         return picked

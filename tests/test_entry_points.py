@@ -1,7 +1,9 @@
 """Smoke tests of the documented entry points: the README's library snippet,
 the experiment scripts, and the package's top-level exports."""
+import os
 import re
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -39,3 +41,17 @@ def test_every_exported_name_resolves():
     assert eprqkd.__all__
     for name in eprqkd.__all__:
         assert getattr(eprqkd, name) is not None, name
+
+
+def test_cli_import_loads_only_the_stdlib():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    probe = (
+        "import sys; before = set(sys.modules); import eprqkd.cli; "
+        "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}; "
+        "print(sorted(loaded - set(sys.stdlib_module_names) - {'eprqkd'}))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"

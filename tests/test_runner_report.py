@@ -294,8 +294,9 @@ class TestCli:
             lambda doc: doc["trials"][0].pop("abort_reason"),
             lambda doc: doc.update(trials=[1, 2]),
             lambda doc: [doc],
+            lambda doc: doc["trials"][0].update(ab_counts={"00": {"00": float("nan")}}),
         ],
-        ids=["row-missing-abort-reason", "trials-not-rows", "top-level-list"],
+        ids=["row-missing-abort-reason", "trials-not-rows", "top-level-list", "nan-count"],
     )
     def test_verify_malformed_report_is_one_line_error(self, tmp_path, capsys, mangle):
         out = tmp_path / "report.json"
