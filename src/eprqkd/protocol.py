@@ -39,7 +39,9 @@ from .ledger import (
     Transcript,
     joint_counts,
 )
-from .quantum import BELL_LABELS, CODES, BellState, measure_bell_basis, measure_qubit
+from .quantum import BELL_LABELS, CODES, BellState, measure_bell_column, measure_column
+# The benchmark's traced run (bench/workloads.py) wraps these two bindings.
+from .quantum import measure_bell_basis, measure_qubit  # noqa: F401
 from .rng import RandomSource
 
 _BASES = ("z", "x")
@@ -57,9 +59,9 @@ def alice_prepare(
     """Prepare N pairs with uniformly random state choices (step 1)."""
     if n < 1:
         raise ConfigurationError(f"cannot prepare {n} pairs")
-    return prepare_from_labels(
-        [rng.uniform_index(4) for _ in range(n)], sender, receiver, transcript
-    )
+    # rng.uniform_index(4), one draw per pair.
+    rand = rng._rng.random
+    return prepare_from_labels([int(rand() * 4) for _ in range(n)], sender, receiver, transcript)
 
 
 def prepare_from_labels(
@@ -161,13 +163,17 @@ def first_check(
     sample = _draw_sample(ledger.live, fraction, min_size, rng)
 
     state, held = ledger.state, ledger.receiver_state
-    bases = []
-    receiver_bits = []
-    for i in sample:
-        basis = _BASES[rng.uniform_index(2)] if randomize_basis else "z"
-        bases.append(basis)
-        bit, held[i] = measure_qubit(held[i], "second", basis, rng)
-        receiver_bits.append(bit)
+    if randomize_basis:
+        # Each pair's basis draw precedes its measurement draw.
+        bases, receiver_bits = [], []
+        for i in sample:
+            basis = _BASES[rng.uniform_index(2)]
+            bases.append(basis)
+            bit, held[i] = measure_qubit(held[i], "second", basis, rng)
+            receiver_bits.append(bit)
+    else:
+        bases = ["z"] * len(sample)
+        receiver_bits = measure_column(held, sample, "second", "z", rng)
     ledger.transcript.log(
         3,
         ledger.receiver,
@@ -185,10 +191,13 @@ def first_check(
         {"message": "sequence-1-received", "check_indices": sample},
     )
 
-    sender_bits = []
-    for i, basis in zip(sample, bases):
-        bit, state[i] = measure_qubit(state[i], "first", basis, rng)
-        sender_bits.append(bit)
+    if randomize_basis:
+        sender_bits = []
+        for i, basis in zip(sample, bases):
+            bit, state[i] = measure_qubit(state[i], "first", basis, rng)
+            sender_bits.append(bit)
+    else:
+        sender_bits = measure_column(state, sample, "first", "z", rng)
     ledger.transcript.log(
         4,
         ledger.sender,
@@ -251,15 +260,13 @@ def bob_decode(ledger: PairLedger, rng: RandomSource) -> PairLedger:
     """Pair-state measurement of every surviving pair, in order (step 6)."""
     if ledger.phase is not Phase.SENT_2:
         raise ProtocolOrderError(f"decode in phase {ledger.phase.name}")
-    held, outcome = ledger.receiver_state, ledger.outcome
-    for i in ledger.live:
-        _, held[i] = measure_bell_basis(held[i], rng)
-        outcome[i] = held[i]
+    live, outcome = ledger.live, ledger.outcome
+    decoded = measure_bell_column(ledger.receiver_state, live, rng)
+    for i, code in zip(live, decoded):
+        outcome[i] = code
     ledger.advance(Disposition.DECODED)
-    codes = "".join([CODES[outcome[i]] for i in ledger.live])
-    ledger.transcript.log(
-        6, ledger.receiver, "decode", {"pairs": len(ledger.live), "codes": codes}
-    )
+    codes = "".join([CODES[code] for code in decoded])
+    ledger.transcript.log(6, ledger.receiver, "decode", {"pairs": len(live), "codes": codes})
     ledger.phase = Phase.DECODED
     return ledger
 

@@ -37,14 +37,16 @@ evaluated once, at import, into three tables:
   exact and ``r < CUM[s][i]`` picks the index ``RandomSource.categorical``
   would pick from the same draw.
 
-The scalar kernels (``measure_qubit``, ``measure_qubit_z``,
-``measure_bell_basis`` and the probability queries) are one lookup each and
-consume exactly one draw per measurement, even when the outcome is certain;
-a measurement returns (outcome, post state). They stay per call rather than
-per batch: every draw then goes through ``RandomSource`` in the order the
-protocol makes it, the benchmark's traced run (``bench/workloads.py``) can
-still count measurements and draws at these bindings, and a prototype that
-batched the draws and inlined the lookups ran only about 15% faster.
+The column kernels (``measure_column``, ``measure_bell_column``) measure a
+list of pairs in one loop: they update a column of state codes in place at
+the given indices, in index order, and return the outcomes. Each reads the
+per-operation rows of the tables and takes one draw per measurement straight
+from the stream's generator, so a step makes exactly the draws, in exactly
+the order, that one call per pair would. A measurement takes its draw even
+when the outcome is certain. The scalar kernels (``measure_qubit``,
+``measure_qubit_z``, ``measure_bell_basis``) are one-element calls of the
+column kernels and return (outcome, post state); the probability queries
+are one lookup each.
 """
 from __future__ import annotations
 
@@ -170,6 +172,9 @@ POST = tuple(
 )
 _BELL_PROBS = tuple(_closed_overlaps(s) for s in range(N_STATES))
 CUM = tuple(tuple(accumulate(probs)) for probs in _BELL_PROBS)
+# The column kernels' rows: P0 and POST of one operation, by state code.
+_P0_BY_OP = tuple(zip(*P0))
+_POST_BY_OP = tuple(zip(*POST))
 
 
 # -- kernels -------------------------------------------------------------------
@@ -205,11 +210,50 @@ def qubit_z_probabilities(state: int, which: str) -> tuple[float, float]:
     return qubit_probabilities(state, which, "z")
 
 
+def measure_column(
+    column: list[int], indices, which: str, basis: str, rng: RandomSource
+) -> list[int]:
+    """Measure one qubit of each listed pair in "z" or "x", in index order.
+
+    Updates ``column`` in place to the post states and returns the outcome
+    bits, one draw per pair.
+    """
+    op = _op(which, basis)
+    p0, post = _P0_BY_OP[op], _POST_BY_OP[op]
+    rand = rng._rng.random
+    bits = []
+    append = bits.append
+    for i in indices:
+        state = column[i]
+        bit = 0 if rand() < p0[state] else 1
+        column[i] = post[state][bit]
+        append(bit)
+    return bits
+
+
+def measure_bell_column(column: list[int], indices, rng: RandomSource) -> list[int]:
+    """Measure each listed pair onto the four pair states, in index order.
+
+    Updates ``column`` in place to the outcomes, which are the measured
+    labels' codes, and returns them, one draw per pair.
+    """
+    rand = rng._rng.random
+    outcomes = []
+    append = outcomes.append
+    for i in indices:
+        r = rand()
+        c0, c1, c2, _ = CUM[column[i]]
+        outcome = 0 if r < c0 else 1 if r < c1 else 2 if r < c2 else 3
+        column[i] = outcome
+        append(outcome)
+    return outcomes
+
+
 def measure_qubit(state: int, which: str, basis: str, rng: RandomSource) -> tuple[int, int]:
     """Measure one qubit in "z" or "x"; returns (outcome bit, post state)."""
-    op = _op(which, basis)
-    outcome = 0 if rng.random() < P0[state][op] else 1
-    return outcome, POST[state][op][outcome]
+    column = [state]
+    (outcome,) = measure_column(column, (0,), which, basis, rng)
+    return outcome, column[0]
 
 
 def measure_qubit_z(state: int, which: str, rng: RandomSource) -> tuple[int, int]:
@@ -227,7 +271,5 @@ def measure_bell_basis(state: int, rng: RandomSource) -> tuple[BellState, int]:
 
     Returns the sampled label and the post state, which is that label's code.
     """
-    r = rng.random()
-    cum = CUM[state]
-    outcome = 0 if r < cum[0] else 1 if r < cum[1] else 2 if r < cum[2] else 3
+    (outcome,) = measure_bell_column([state], (0,), rng)
     return BELL_LABELS[outcome], outcome

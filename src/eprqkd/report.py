@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 from .runner import RunReport, SCHEMA_VERSION, aggregate_rows
@@ -108,6 +109,18 @@ def emit_transcripts(report: RunReport, path: str | Path) -> Path:
     return path
 
 
+def _has_non_finite(block: dict) -> bool:
+    """Whether a dict of numbers, None and nested such dicts (an aggregate
+    block) holds a NaN or an infinity."""
+    for value in block.values():
+        if isinstance(value, dict):
+            if _has_non_finite(value):
+                return True
+        elif isinstance(value, float) and not math.isfinite(value):
+            return True
+    return False
+
+
 def verify_report(document: dict) -> list[str]:
     """Recompute the aggregate block from the trial rows and diff it.
 
@@ -134,6 +147,12 @@ def verify_report(document: dict) -> list[str]:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         reason = f"{type(exc).__name__}: {exc}"
         raise ValueError(f"malformed report: rows do not fit {SCHEMA_VERSION} ({reason})") from None
+    # A NaN or an infinity in a row would print as a MISMATCH (NaN never
+    # equals itself). Every row number the aggregate reads reaches one of its
+    # sums, which keep it non-finite, so checking the small recomputed block
+    # finds it without walking every row.
+    if _has_non_finite(recomputed):
+        raise ValueError("malformed report: the rows hold a non-finite number")
     for key in sorted(set(embedded) | set(recomputed)):
         if embedded.get(key) != recomputed.get(key):
             problems.append(

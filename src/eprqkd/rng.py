@@ -5,11 +5,20 @@ replays bit-for-bit: the same pair always yields the same draw sequence.
 Parties, the adversary, and individual trials each own a substream, which
 keeps their draws independent of one another and makes trials safe to run
 in any order.
+
+A stream is seeded on its first draw, not when it is created: a root that
+only hands out substreams, or an adversary stream on a clean channel, never
+pays for seeding a generator. Seeding later changes no draw, because a
+stream's generator depends only on its (seed, stream) name. Hot loops (the
+column kernels in ``quantum``, preparation, the attacks) bind
+``rng._rng.random`` once and call it per pair; that is the same draw
+``random()`` makes.
 """
 from __future__ import annotations
 
 import math
 import random
+from functools import cached_property
 
 from .errors import ConfigurationError
 
@@ -28,9 +37,13 @@ class RandomSource:
             raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {seed}")
         self.seed = seed
         self.stream = stream
-        # str seeding hashes the text with sha512 (seed version 2), which is
-        # stable across processes and platforms, unlike built-in hash().
-        self._rng = random.Random(f"{seed}:{stream}")
+
+    @cached_property
+    def _rng(self) -> random.Random:
+        """The generator, built on first use. str seeding hashes the text
+        with sha512 (seed version 2), which is stable across processes and
+        platforms, unlike built-in hash()."""
+        return random.Random(f"{self.seed}:{self.stream}")
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, stream={self.stream!r})"
@@ -73,10 +86,11 @@ class RandomSource:
             raise ConfigurationError(
                 f"cannot sample {k} items from a population of {len(population)}"
             )
+        rand = self._rng.random
         pool = list(population)
         picked = []
         for remaining in range(len(pool), len(pool) - k, -1):
-            j = int(self._rng.random() * remaining)
+            j = int(rand() * remaining)
             j = j if j < remaining else remaining - 1
             picked.append(pool[j])
             pool[j] = pool[remaining - 1]

@@ -18,6 +18,8 @@ from eprqkd.quantum import (
     bell_overlap_probabilities,
     make_bell_state,
     measure_bell_basis,
+    measure_bell_column,
+    measure_column,
     measure_qubit,
     measure_qubit_z,
     product_state,
@@ -379,6 +381,58 @@ def test_closed_form_matches_amplitude_oracle(state, operation):
         assert outcome == ref_outcome
         assert post in REACHABLE
         assert abs(oracle.fidelity(amplitudes_of(post), ref_post) - 1.0) < 1e-12
+
+
+# A column kernel over an index list makes the same draws, in the same order,
+# as one scalar call per index: same post states, same outcomes, and the
+# generator left in the same state. Indices may repeat; a repeat measures the
+# already updated state, as the next scalar call would.
+
+columns_and_indices = st.lists(st.integers(0, N_STATES - 1), min_size=1, max_size=30).flatmap(
+    lambda column: st.tuples(
+        st.just(column), st.lists(st.integers(0, len(column) - 1), max_size=40)
+    )
+)
+
+
+def _one_draw_each(seed, stream, n):
+    """A stream's generator state after n draws through ``random()``."""
+    rng = RandomSource(seed, stream)
+    for _ in range(n):
+        rng.random()
+    return rng._rng.getstate()
+
+
+@given(columns_and_indices, st.sampled_from(OPERATIONS[:4]), st.integers(0, 2**32))
+def test_measure_column_matches_scalar_loop(column_and_indices, operation, seed):
+    (column, indices), (which, basis) = column_and_indices, operation
+    rng, ref_rng = RandomSource(seed, "column"), RandomSource(seed, "column")
+    measured = list(column)
+    bits = measure_column(measured, indices, which, basis, rng)
+    expected, expected_bits = list(column), []
+    for i in indices:
+        bit, expected[i] = measure_qubit(expected[i], which, basis, ref_rng)
+        expected_bits.append(bit)
+    assert measured == expected
+    assert bits == expected_bits
+    assert rng._rng.getstate() == ref_rng._rng.getstate()
+    assert rng._rng.getstate() == _one_draw_each(seed, "column", len(indices))
+
+
+@given(columns_and_indices, st.integers(0, 2**32))
+def test_measure_bell_column_matches_scalar_loop(column_and_indices, seed):
+    column, indices = column_and_indices
+    rng, ref_rng = RandomSource(seed, "bell-column"), RandomSource(seed, "bell-column")
+    measured = list(column)
+    outcomes = measure_bell_column(measured, indices, rng)
+    expected, expected_outcomes = list(column), []
+    for i in indices:
+        label, expected[i] = measure_bell_basis(expected[i], ref_rng)
+        expected_outcomes.append(label)
+    assert measured == expected
+    assert outcomes == expected_outcomes
+    assert rng._rng.getstate() == ref_rng._rng.getstate()
+    assert rng._rng.getstate() == _one_draw_each(seed, "bell-column", len(indices))
 
 
 # Arbitrary superpositions lie outside the reachable set; these properties

@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
 from eprqkd.errors import ConfigurationError
+from eprqkd.quantum import measure_column
 from eprqkd.rng import MAX_SEED, RandomSource, three_sigma
+from test_quantum import ScriptedSource
 
 
 def test_same_seed_and_stream_replays_identically():
@@ -100,3 +104,49 @@ def test_sample_without_replacement_is_unbiased_enough():
     expected = reps * k / n
     for c in counts:
         assert abs(c - expected) < 3 * (reps * (k / n) * (1 - k / n)) ** 0.5 + 1
+
+
+class TestLazySeeding:
+    @pytest.fixture
+    def seeded(self, monkeypatch):
+        """The (seed, stream) names of every generator built during a test."""
+        names = []
+
+        class Recording(random.Random):
+            def __init__(self, name):
+                names.append(name)
+                super().__init__(name)
+
+        monkeypatch.setattr(random, "Random", Recording)
+        return names
+
+    def test_construction_seeds_nothing(self, seeded):
+        root = RandomSource(7)
+        child = root.substream("trial").substream("eve")
+        assert seeded == []
+        assert "_rng" not in vars(root) and "_rng" not in vars(child)
+
+    def test_first_draw_seeds_once(self, seeded):
+        rng = RandomSource(7, "x")
+        rng.random()
+        rng.uniform_index(4)
+        rng.sample_without_replacement(list(range(10)), 3)
+        assert seeded == ["7:x"]
+
+    def test_draws_equal_a_generator_seeded_by_name(self):
+        rng, ref = RandomSource(123, "root/alice"), random.Random("123:root/alice")
+        assert [rng.random() for _ in range(5)] == [ref.random() for _ in range(5)]
+        assert rng.bernoulli(0.5) == (ref.random() < 0.5)
+        assert rng.uniform_index(7) == int(ref.random() * 7)
+        assert rng._rng.getstate() == ref.getstate()
+
+    def test_scripted_override_still_draws_through_random(self):
+        # ScriptedSource sets _rng = self, so every sampler and the column
+        # kernels draw through its own random() instead of a generator.
+        scripted = ScriptedSource(0.25)
+        assert scripted.uniform_index(4) == 1
+        assert scripted.bernoulli(0.5)
+        assert scripted.sample_without_replacement([10, 11, 12, 13], 2) == [11, 10]
+        assert measure_column([0, 0, 0], [0, 2], "first", "z", scripted) == [0, 0]
+        assert scripted.draws == 6
+        assert vars(scripted)["_rng"] is scripted

@@ -295,8 +295,19 @@ class TestCli:
             lambda doc: doc.update(trials=[1, 2]),
             lambda doc: [doc],
             lambda doc: doc["trials"][0].update(ab_counts={"00": {"00": float("nan")}}),
+            lambda doc: doc["trials"][0].update(receipt_fraction_1=float("nan")),
+            lambda doc: doc["trials"][0]["check1"].update(mismatches=float("nan")),
+            lambda doc: doc["trials"][0].update(key_length=float("inf")),
         ],
-        ids=["row-missing-abort-reason", "trials-not-rows", "top-level-list", "nan-count"],
+        ids=[
+            "row-missing-abort-reason",
+            "trials-not-rows",
+            "top-level-list",
+            "nan-count",
+            "nan-receipt-fraction",
+            "nan-check-mismatches",
+            "infinite-key-length",
+        ],
     )
     def test_verify_malformed_report_is_one_line_error(self, tmp_path, capsys, mangle):
         out = tmp_path / "report.json"
