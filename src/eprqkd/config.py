@@ -29,7 +29,7 @@ class RunConfig:
     # (when that many are available); 16 bounds the miss probability of the
     # fake-EPR attack at 2^-16 per run.
     min_check_size: int = 16
-    # Which hop the adversary sits on in a 3-party chain.
+    # Which hop the adversary sits on: "2" needs a 3-party chain.
     attack_hop: str = "both"  # "1", "2", or "both"
     # Extension, off by default: the first check draws Z or X per pair
     # instead of always Z. The single Z basis already exposes every attack
@@ -59,6 +59,8 @@ class RunConfig:
             raise ConfigurationError(f"min_check_size must be >= 1, got {self.min_check_size}")
         if self.attack_hop not in ("1", "2", "both"):
             raise ConfigurationError(f"attack_hop must be '1', '2', or 'both', got {self.attack_hop}")
+        if self.attack_hop == "2" and self.parties == 2:
+            raise ConfigurationError("attack_hop '2' needs a 3-party chain; 2 parties have one hop")
 
     def attacks_hop(self, hop: int) -> bool:
         return self.attack_hop == "both" or self.attack_hop == str(hop)

@@ -82,9 +82,6 @@ class Transcript:
             }
         )
 
-    def extend(self, other: "Transcript"):
-        self.events.extend(other.events)
-
     def to_jsonl(self) -> str:
         return "".join(
             json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"

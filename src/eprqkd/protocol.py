@@ -21,6 +21,10 @@ aborts the run, which is what defeats an adversary who selectively destroys
 particles. Each operation below enforces its place in the order and raises
 ProtocolOrderError when called early or late. Every operation logs its
 public events to the ledger's transcript.
+
+``run_protocol`` is one such run, a hop. ``run_multiparty`` runs a trial as
+a chain of hops, alice -> bob for two parties and on to clare for three,
+where the relay re-encodes his raw key into the next hop's pairs.
 """
 from __future__ import annotations
 
@@ -374,7 +378,8 @@ def run_protocol(
     1 - loss_tolerance, or no pairs left for a check or for the key
     (``insufficient_pairs``). With ``continuation_mode`` the run keeps
     going past a failed first check (for studying the attack's downstream
-    statistics) but still aborts at the end and emits no key.
+    statistics) but still aborts at the end with that reason and emits no
+    key.
     """
     strategy = config.attack if strategy is None else strategy
     sender_rng = rng.substream(sender)
@@ -387,86 +392,62 @@ def run_protocol(
     else:
         ledger = prepare_from_labels(prepared_labels, sender, receiver, transcript)
 
-    abort: str | None = None
-    check1 = None
-    receiver_key = sender_key = None
+    def abort(reason: str, step: int) -> ProtocolOutcome:
+        # Whatever had no terminal fate yet is discarded, so that every pair
+        # ends as checked, key, or dropped.
+        transcript.log(step, "public", "abort", {"reason": reason})
+        ledger.settle(ledger.live, Disposition.DROPPED)
+        return ProtocolOutcome(ledger, reason, None, None, channel.eve)
 
     transmit_first_sequence(ledger, channel)
     if ledger.receipt_1 < 1.0 - config.loss_tolerance:
-        abort = "stall_transmission_1"
-        transcript.log(2, "public", "abort", {"reason": abort})
-    else:
-        try:
-            check1 = first_check(
-                ledger,
-                config.check_fraction_1,
-                config.threshold_1,
-                receiver_rng,
-                min_size=config.min_check_size,
-                randomize_basis=config.randomize_check_basis,
-            )
-        except InsufficientPairsError:
-            abort = "insufficient_pairs"
-            transcript.log(3, "public", "abort", {"reason": abort})
-        else:
-            if not check1.passed:
-                abort = "check1_failed"
-                if not config.continuation_mode:
-                    transcript.log(4, "public", "abort", {"reason": abort})
+        return abort("stall_transmission_1", 2)
+    try:
+        check1 = first_check(
+            ledger,
+            config.check_fraction_1,
+            config.threshold_1,
+            receiver_rng,
+            min_size=config.min_check_size,
+            randomize_basis=config.randomize_check_basis,
+        )
+    except InsufficientPairsError:
+        return abort("insufficient_pairs", 3)
+    failed = None if check1.passed else "check1_failed"
+    if failed and not config.continuation_mode:
+        return abort(failed, 4)
 
-    if check1 is not None and (check1.passed or config.continuation_mode):
-        transmit_second_sequence(ledger, channel, config.continuation_mode)
-        if ledger.receipt_2 < 1.0 - config.loss_tolerance:
-            abort = abort or "stall_transmission_2"
-            transcript.log(5, "public", "abort", {"reason": abort})
-        else:
-            bob_decode(ledger, receiver_rng)
-            try:
-                check2 = second_check(
-                    ledger,
-                    config.check_fraction_2,
-                    config.threshold_2,
-                    receiver_rng,
-                    min_size=config.min_check_size,
-                )
-            except InsufficientPairsError:
-                abort = abort or "insufficient_pairs"
-            else:
-                if not check2.passed:
-                    abort = abort or "check2_failed"
-                elif not ledger.live:
-                    abort = abort or "insufficient_pairs"  # no pair left for the key
-            if abort is None:
-                receiver_key = extract_key(ledger)
-                sender_key = sender_key_material(ledger, receiver_key.source_indices)
-            else:
-                transcript.log(7, "public", "abort", {"reason": abort})
-
-    if abort is not None:
-        # Whatever had no terminal fate yet is discarded, so that every pair
-        # ends as checked, key, or dropped.
-        ledger.settle(ledger.live, Disposition.DROPPED)
-
-    return ProtocolOutcome(
-        ledger=ledger,
-        abort_reason=abort,
-        receiver_key=receiver_key,
-        sender_key=sender_key,
-        eve=channel.eve,
-    )
+    transmit_second_sequence(ledger, channel, config.continuation_mode)
+    if ledger.receipt_2 < 1.0 - config.loss_tolerance:
+        return abort(failed or "stall_transmission_2", 5)
+    bob_decode(ledger, receiver_rng)
+    try:
+        check2 = second_check(
+            ledger,
+            config.check_fraction_2,
+            config.threshold_2,
+            receiver_rng,
+            min_size=config.min_check_size,
+        )
+    except InsufficientPairsError:
+        return abort(failed or "insufficient_pairs", 7)
+    if not check2.passed:
+        return abort(failed or "check2_failed", 7)
+    if failed or not ledger.live:  # no pair left for the key
+        return abort(failed or "insufficient_pairs", 7)
+    receiver_key = extract_key(ledger)
+    sender_key = sender_key_material(ledger, receiver_key.source_indices)
+    return ProtocolOutcome(ledger, None, receiver_key, sender_key, channel.eve)
 
 
 @dataclass
-class MultipartyOutcome:
-    """A two-hop chain run: sender -> relay -> third party."""
+class TrialOutcome:
+    """One trial: the hops of the chain that ran, in order, and every
+    party's key (sender first) when the last hop completed."""
 
-    hop1: ProtocolOutcome
-    hop2: ProtocolOutcome | None
+    hops: list[ProtocolOutcome]
     abort_reason: str | None
-    alice_key: KeyMaterial | None
-    bob_key: KeyMaterial | None
-    clare_key: KeyMaterial | None
-    transcript: Transcript
+    keys: list[KeyMaterial] | None
 
     @property
     def completed(self) -> bool:
@@ -474,66 +455,47 @@ class MultipartyOutcome:
 
     @property
     def keys_agree(self) -> bool | None:
-        if self.alice_key is None:
+        if self.keys is None:
             return None
-        return self.alice_key.bits == self.bob_key.bits == self.clare_key.bits
+        return all(key.bits == self.keys[0].bits for key in self.keys)
 
 
-def run_multiparty(config: RunConfig, rng: RandomSource, trial: int = 0) -> MultipartyOutcome:
-    """Distribute one common key along the chain alice -> bob -> clare.
+def run_multiparty(config: RunConfig, rng: RandomSource, trial: int = 0) -> TrialOutcome:
+    """Distribute one common key along the chain alice -> bob (-> clare).
 
-    The first hop runs the full protocol; the relay then re-encodes his raw
-    key into fresh pairs and runs the full protocol to the third party.
-    The common key is whatever survives the second hop's checks, identified
-    across parties by pair ordinals announced on the classical channel.
+    Each hop runs the full protocol. A relay re-encodes his raw key (his
+    decode results at the kept pairs) into fresh pairs and runs the next
+    hop with it. The common key is whatever survives the last hop's checks,
+    identified across parties by first-hop pair ordinals announced on the
+    classical channel. In a three-party chain hop k draws from the
+    ``hop<k>`` substream, tags its events ``{"hop": k}``, and a later hop's
+    abort reason is prefixed ``hop<k>_``.
     """
-    if config.parties != 3:
-        raise ConfigurationError("run_multiparty needs a 3-party configuration")
-
-    def hop_strategy(hop: int) -> AttackStrategy:
-        return config.attack if config.attacks_hop(hop) else AttackStrategy()
-
-    transcript = Transcript(trial)
-    hop1 = run_protocol(
-        config,
-        rng.substream("hop1"),
-        sender="alice",
-        receiver="bob",
-        trial=trial,
-        strategy=hop_strategy(1),
-        transcript_extra={"hop": 1},
-    )
-    transcript.extend(hop1.transcript)
-    if not hop1.completed:
-        return MultipartyOutcome(
-            hop1, None, hop1.abort_reason, None, None, None, transcript
+    names = ("alice", "bob", "clare")[: config.parties]
+    chain = config.parties > 2
+    hops: list[ProtocolOutcome] = []
+    labels = positions = None
+    for k, (sender, receiver) in enumerate(zip(names, names[1:]), 1):
+        hop = run_protocol(
+            config,
+            rng.substream(f"hop{k}") if chain else rng,
+            sender=sender,
+            receiver=receiver,
+            trial=trial,
+            prepared_labels=labels,
+            strategy=config.attack if config.attacks_hop(k) else AttackStrategy(),
+            transcript_extra={"hop": k} if chain else None,
         )
+        hops.append(hop)
+        if not hop.completed:
+            reason = hop.abort_reason if k == 1 else f"hop{k}_{hop.abort_reason}"
+            return TrialOutcome(hops, reason, None)
+        kept = hop.receiver_key.source_indices
+        labels = [hop.ledger.outcome[i] for i in kept]
+        # The kept ordinals, mapped back to first-hop pairs.
+        positions = kept if positions is None else tuple(positions[j] for j in kept)
 
-    # The relay's raw key is his decode results at the kept pairs.
-    relay_labels = [hop1.ledger.outcome[i] for i in hop1.receiver_key.source_indices]
-    hop2 = run_protocol(
-        config,
-        rng.substream("hop2"),
-        sender="bob",
-        receiver="clare",
-        trial=trial,
-        prepared_labels=relay_labels,
-        strategy=hop_strategy(2),
-        transcript_extra={"hop": 2},
-    )
-    transcript.extend(hop2.transcript)
-    if not hop2.completed:
-        return MultipartyOutcome(
-            hop1, hop2, f"hop2_{hop2.abort_reason}", None, None, None, transcript
-        )
-
-    # Map the second hop's surviving ordinals back to first-hop pairs.
-    hop1_positions = [
-        hop1.receiver_key.source_indices[j] for j in hop2.receiver_key.source_indices
-    ]
-    clare_key = hop2.receiver_key
-    bob_key = KeyMaterial(hop2.sender_key.bits, tuple(hop1_positions))
-    alice_key = sender_key_material(hop1.ledger, hop1_positions)
-    return MultipartyOutcome(
-        hop1, hop2, None, alice_key, bob_key, clare_key, transcript
-    )
+    keys = [sender_key_material(hops[0].ledger, positions)]
+    keys += [KeyMaterial(hop.sender_key.bits, positions) for hop in hops[1:]]
+    keys.append(hops[-1].receiver_key)
+    return TrialOutcome(hops, None, keys)

@@ -1,5 +1,8 @@
 """Monte-Carlo orchestration: many independent runs, one report.
 
+Every trial, two-party or three-party, is one ``run_multiparty`` chain of
+hops; its row reads the first hop and, when it ran, the second.
+
 Trial t draws from the root seed XOR t. Within one batch the trials are
 independent and any trial can be reproduced alone, but the streams collide
 across root seeds: seed 0's trial 1 is seed 1's trial 0, and in general
@@ -18,7 +21,9 @@ from dataclasses import dataclass
 from . import analysis
 from .adversary import eve_guess_counts
 from .config import RunConfig
-from .protocol import MultipartyOutcome, ProtocolOutcome, run_multiparty, run_protocol
+from .protocol import ProtocolOutcome, TrialOutcome, run_multiparty
+# The benchmark's traced run (bench/workloads.py) wraps this binding.
+from .protocol import run_protocol  # noqa: F401
 from .rng import RandomSource
 
 SCHEMA_VERSION = "eprqkd-report/1"
@@ -37,29 +42,18 @@ def _hop_row(outcome: ProtocolOutcome) -> dict:
     }
 
 
-def trial_row(trial: int, outcome: ProtocolOutcome | MultipartyOutcome) -> dict:
+def trial_row(trial: int, outcome: TrialOutcome) -> dict:
     """Flatten one trial's outcome into the serializable report row."""
-    if isinstance(outcome, MultipartyOutcome):
-        primary = outcome.hop1
-        hop2 = _hop_row(outcome.hop2) if outcome.hop2 is not None else None
-        key = outcome.clare_key
-        abort_reason = outcome.abort_reason
-        keys_agree = outcome.keys_agree
-    else:
-        primary = outcome
-        hop2 = None
-        key = outcome.receiver_key
-        abort_reason = outcome.abort_reason
-        keys_agree = outcome.keys_agree
-    row = {"trial": trial, "keys_agree": keys_agree}
-    row.update(_hop_row(primary))
+    first = outcome.hops[0]
+    row = {"trial": trial, "keys_agree": outcome.keys_agree}
+    row.update(_hop_row(first))
     # The overall reason (hop-prefixed when the second hop failed), not the
     # first hop's view of it.
-    row["abort_reason"] = abort_reason
-    row["key_length"] = len(key.bits) if key is not None else 0
-    row["ab_counts"] = primary.decode_joint_counts()
-    row["ae_counts"] = eve_guess_counts(primary.eve, primary.ledger)
-    row["hop2"] = hop2
+    row["abort_reason"] = outcome.abort_reason
+    row["key_length"] = len(outcome.keys[-1].bits) if outcome.keys else 0
+    row["ab_counts"] = first.decode_joint_counts()
+    row["ae_counts"] = eve_guess_counts(first.eve, first.ledger)
+    row["hop2"] = _hop_row(outcome.hops[1]) if len(outcome.hops) > 1 else None
     return row
 
 
@@ -116,7 +110,11 @@ def aggregate_rows(rows: list[dict]) -> dict:
         if ae_pool
         else 0.0
     )
-    agreeing = [r for r in completed if r["keys_agree"]]
+    agreeing = 0
+    for r in completed:
+        if type(r["keys_agree"]) is not bool:  # a completed trial's keys agree or not
+            raise TypeError(f"keys_agree is {r['keys_agree']!r}, not a bool")
+        agreeing += r["keys_agree"]
     return {
         "trials": len(rows),
         "completed": len(completed),
@@ -125,7 +123,7 @@ def aggregate_rows(rows: list[dict]) -> dict:
         "check1": _pooled_rate(rows, "check1"),
         "check2": _pooled_rate(rows, "check2"),
         "mean_key_length": _mean([float(r["key_length"]) for r in completed]),
-        "key_agreement_rate": len(agreeing) / len(completed) if completed else None,
+        "key_agreement_rate": agreeing / len(completed) if completed else None,
         "mutual_information_ab": i_ab,
         "mutual_information_ae": i_ae,
         "efficiency": analysis.efficiency(analysis.TWO_STEP_ACCOUNTING),
@@ -169,14 +167,10 @@ def run(config: RunConfig, collect_transcripts: bool = False) -> RunReport:
     rows = []
     transcripts: list[str] | None = [] if collect_transcripts else None
     for trial in range(config.trials):
-        trial_rng = RandomSource(config.seed ^ trial)
-        if config.parties == 3:
-            outcome = run_multiparty(config, trial_rng, trial=trial)
-        else:
-            outcome = run_protocol(config, trial_rng, trial=trial)
+        outcome = run_multiparty(config, RandomSource(config.seed ^ trial), trial=trial)
         rows.append(trial_row(trial, outcome))
         if transcripts is not None:
-            transcripts.append(outcome.transcript.to_jsonl())
+            transcripts.append("".join([hop.transcript.to_jsonl() for hop in outcome.hops]))
     return RunReport(
         config=config,
         rows=rows,

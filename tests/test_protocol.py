@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from eprqkd.adversary import AdversaryChannel, AttackKind, AttackStrategy
 from eprqkd.config import RunConfig
@@ -451,33 +451,41 @@ class TestRandomizedCheckBasis:
 
 
 class TestMultiparty:
-    def test_requires_three_parties(self):
-        with pytest.raises(ConfigurationError):
-            run_multiparty(config(parties=2), RandomSource(0))
+    def test_two_parties_run_one_hop_of_run_protocol(self):
+        cases = ((AttackStrategy(), None), (AttackStrategy(AttackKind.FAKE_EPR), "check1_failed"))
+        for attack, reason in cases:
+            cfg = config(pairs=200, seed=30, attack=attack)
+            single = run_protocol(cfg, RandomSource(30), trial=2)
+            outcome = run_multiparty(cfg, RandomSource(30), trial=2)
+            (hop,) = outcome.hops
+            assert hop.transcript.events == single.transcript.events
+            assert outcome.abort_reason == single.abort_reason == reason
+            keys = [single.sender_key, single.receiver_key] if reason is None else None
+            assert outcome.keys == keys
 
     def test_clean_chain_shares_one_key(self):
         cfg = config(pairs=300, seed=31, parties=3)
         outcome = run_multiparty(cfg, RandomSource(31))
         assert outcome.completed
         assert outcome.keys_agree
-        assert outcome.alice_key.bits == outcome.bob_key.bits == outcome.clare_key.bits
-        assert len(outcome.alice_key.bits) > 0
+        assert outcome.keys[0].bits == outcome.keys[1].bits == outcome.keys[-1].bits
+        assert len(outcome.keys[0].bits) > 0
 
     def test_key_accounting_against_ledgers(self):
         cfg = RunConfig(pairs=100, seed=32, parties=3)
         outcome = run_multiparty(cfg, RandomSource(32))
-        hop2_key_pairs = len(outcome.hop2.receiver_key.source_indices)
-        assert len(outcome.clare_key.bits) == 2 * hop2_key_pairs
+        hop2_key_pairs = len(outcome.hops[1].receiver_key.source_indices)
+        assert len(outcome.keys[-1].bits) == 2 * hop2_key_pairs
         # Alice's and Bob's positions refer to first-hop ordinals.
-        assert outcome.alice_key.source_indices == outcome.bob_key.source_indices
-        hop1_key = set(outcome.hop1.receiver_key.source_indices)
-        assert set(outcome.alice_key.source_indices) <= hop1_key
+        assert outcome.keys[0].source_indices == outcome.keys[1].source_indices
+        hop1_key = set(outcome.hops[0].receiver_key.source_indices)
+        assert set(outcome.keys[0].source_indices) <= hop1_key
 
     def test_relay_prepares_its_own_key_bits(self):
         cfg = config(pairs=300, seed=33, parties=3)
         outcome = run_multiparty(cfg, RandomSource(33))
-        relayed = "".join(rec.prepared.code for rec in outcome.hop2.ledger.records)
-        assert relayed == outcome.hop1.receiver_key.bits
+        relayed = "".join(rec.prepared.code for rec in outcome.hops[1].ledger.records)
+        assert relayed == outcome.hops[0].receiver_key.bits
 
     def test_attack_on_second_hop_is_detected_there(self):
         cfg = config(
@@ -488,9 +496,9 @@ class TestMultiparty:
             attack_hop="2",
         )
         outcome = run_multiparty(cfg, RandomSource(34))
-        assert outcome.hop1.completed
+        assert outcome.hops[0].completed
         assert outcome.abort_reason == "hop2_check2_failed"
-        assert outcome.alice_key is None and outcome.clare_key is None
+        assert outcome.keys is None
 
     def test_attack_on_first_hop_only(self):
         cfg = config(
@@ -502,22 +510,23 @@ class TestMultiparty:
         )
         outcome = run_multiparty(cfg, RandomSource(35))
         assert outcome.abort_reason == "check2_failed"
-        assert outcome.hop2 is None
+        assert len(outcome.hops) == 1
 
     def test_second_hop_shortfall_is_prefixed(self):
         # 40 pairs leave 8 key pairs to relay; the relay's first check
         # consumes all 8.
         outcome = run_multiparty(RunConfig(pairs=40, seed=37, parties=3), RandomSource(37))
-        assert outcome.hop1.completed
+        assert outcome.hops[0].completed
         assert outcome.abort_reason == "hop2_insufficient_pairs"
-        assert outcome.clare_key is None
+        assert outcome.keys is None
 
     def test_transcript_tags_hops(self):
         cfg = config(pairs=200, seed=36, parties=3)
         outcome = run_multiparty(cfg, RandomSource(36))
-        hops = {event["payload"].get("hop") for event in outcome.transcript.events}
+        events = [event for hop in outcome.hops for event in hop.transcript.events]
+        hops = {event["payload"].get("hop") for event in events}
         assert hops == {1, 2}
-        actors = {event["actor"] for event in outcome.transcript.events}
+        actors = {event["actor"] for event in events}
         assert {"alice", "bob", "clare", "public"} <= actors
 
 
@@ -553,16 +562,18 @@ def assert_hop_finished(hop):
 def test_every_valid_config_finishes_every_trial(
     kind, fake_label, destroy_probability, measure_second_sequence, seed, **fields
 ):
+    # A two-party run has no second hop to attack; RunConfig rejects it.
+    assume(not (fields["parties"] == 2 and fields["attack_hop"] == "2"))
     attack = AttackStrategy(kind, fake_label, destroy_probability, measure_second_sequence)
     cfg = RunConfig(seed=seed, attack=attack, **fields)
-    if cfg.parties == 2:
-        outcome = run_protocol(cfg, RandomSource(seed))
-        assert outcome.ledger.n_total == cfg.pairs
-        assert_hop_finished(outcome)
-        return
     outcome = run_multiparty(cfg, RandomSource(seed))
-    assert outcome.hop1.ledger.n_total == cfg.pairs
-    assert_hop_finished(outcome.hop1)
-    if outcome.hop2 is not None:
-        assert_hop_finished(outcome.hop2)
-    assert (outcome.abort_reason is None) == (outcome.clare_key is not None)
+    assert 1 <= len(outcome.hops) <= cfg.parties - 1
+    assert outcome.hops[0].ledger.n_total == cfg.pairs
+    for k, hop in enumerate(outcome.hops):
+        assert_hop_finished(hop)
+        # A later hop runs only after the one before it completed.
+        assert k == 0 or outcome.hops[k - 1].completed
+    assert (outcome.abort_reason is None) == (outcome.keys is not None)
+    if outcome.keys is not None:
+        assert len(outcome.hops) == len(outcome.keys) - 1 == cfg.parties - 1
+        assert len({key.bits for key in outcome.keys}) == 1

@@ -200,6 +200,8 @@ class TestConfig:
             RunConfig(seed=2**64)
         with pytest.raises(ConfigurationError):
             RunConfig(attack_hop="3")
+        with pytest.raises(ConfigurationError, match="attack_hop"):
+            RunConfig(parties=2, attack_hop="2")
 
     @pytest.mark.parametrize(
         "field, value",
@@ -298,6 +300,8 @@ class TestCli:
             lambda doc: doc["trials"][0].update(receipt_fraction_1=float("nan")),
             lambda doc: doc["trials"][0]["check1"].update(mismatches=float("nan")),
             lambda doc: doc["trials"][0].update(key_length=float("inf")),
+            lambda doc: doc["trials"][0].update(keys_agree=float("nan")),
+            lambda doc: doc["trials"][0].update(keys_agree="no"),
         ],
         ids=[
             "row-missing-abort-reason",
@@ -307,6 +311,8 @@ class TestCli:
             "nan-receipt-fraction",
             "nan-check-mismatches",
             "infinite-key-length",
+            "nan-keys-agree",
+            "string-keys-agree",
         ],
     )
     def test_verify_malformed_report_is_one_line_error(self, tmp_path, capsys, mangle):
