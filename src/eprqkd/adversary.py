@@ -124,7 +124,8 @@ class EveState:
 
 # One function per attack kind. Each acts on the ledger's live pairs, which
 # are the ones in flight for the given transmission, and returns its
-# transcript payload, or None when it left the particles alone.
+# transcript payload, or None when it left the particles alone or the ledger
+# records no transcript.
 
 
 def _identity(channel, transmission, ledger):
@@ -143,6 +144,8 @@ def _measure_resend(channel, transmission, ledger):
     measured = measure_column(ledger.state, live, which, "z", channel.rng)
     for i, bit in zip(live, measured):
         bits[i] = bit
+    if ledger.transcript is None:
+        return None
     return {"measured": len(measured), "outcomes": "".join([_BITS[bit] for bit in measured])}
 
 
@@ -158,12 +161,16 @@ def _fake_epr(channel, transmission, ledger):
         planted = ledger.planted = [None] * ledger.n_total
         for i, code in zip(live, fakes):
             planted[i] = code
+        if ledger.transcript is None:
+            return None
         codes = "".join([CODES[code] for code in fakes])
         return {"captured": len(live), "planted": len(live), "fake_codes": codes}
     inferred = channel.eve.inferred_key = [None] * ledger.n_total
     found = measure_bell_column(ledger.state, live, rng)
     for i, code in zip(live, found):
         inferred[i] = code
+    if ledger.transcript is None:
+        return None
     codes = "".join([CODES[code] for code in found])
     return {"captured": len(live), "inferred_codes": codes}
 
@@ -173,6 +180,8 @@ def _opaque(channel, transmission, ledger):
     in_flight = len(ledger.live)
     destroyed = [i for i in ledger.live if rand() < p]  # rng.bernoulli(p) per pair
     ledger.settle(destroyed, Disposition.DROPPED)
+    if ledger.transcript is None:
+        return None
     return {
         "destroyed": len(destroyed),
         "forwarded": in_flight - len(destroyed),
@@ -201,7 +210,8 @@ class AdversaryChannel:
 
         Mutates the ledger (states, planted pairs, dispositions) and the
         adversary state in place. Returns a transcript payload describing
-        what was done, or None when the particles passed untouched.
+        what was done, or None when the particles passed untouched or the
+        ledger records no transcript.
         """
         if transmission not in (1, 2):
             raise ConfigurationError(f"transmission must be 1 or 2, got {transmission}")

@@ -20,7 +20,9 @@ from .report import emit_report, emit_transcripts, verify_report
 from .runner import RunReport, run
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The top-level parser and its ``run`` subparser, which reports the
+    errors of a ``run`` command under its own usage line."""
     # Option defaults come from the config dataclasses; each option's dest is
     # the config field it sets, so ``_config_from_args`` can collect them.
     defaults = RunConfig()
@@ -108,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", help="check a structured report's aggregate against its rows"
     )
     verifyp.add_argument("report", type=Path, help="structured report file")
-    return parser
+    return parser, runp
 
 
 def _config_from_args(args) -> RunConfig:
@@ -196,10 +198,10 @@ def _verify_command(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, run_parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "run":
-        return _run_command(args, parser)
+        return _run_command(args, run_parser)
     return _verify_command(args)
 
 

@@ -10,6 +10,10 @@ or lost in transit). Protocol steps and the adversary loop over index lists
 per pair; ``PairLedger.records`` assembles read-only ``PairRecord`` views
 only when something reads it.
 
+The pairs still live all stand at the same stage of the protocol, so their
+shared disposition is one ledger field, ``stage``: moving them on is one
+assignment, and the disposition column holds only the terminal fates.
+
 The planted column holds the pairs the fake-EPR adversary planted in place
 of the genuine ones; when it is set, the receiver's measurements act on it
 rather than on ``state``. Who holds which particle follows from the
@@ -18,7 +22,8 @@ transmission on unless the pair was ``DROPPED``, and holds the whole pair
 (planted or genuine) once it is ``IN_FLIGHT_2``.
 
 The ledger also owns the run's :class:`Transcript`; every protocol step logs
-its public events there.
+its public events there. A ledger whose ``transcript`` is None records
+nothing, and the steps then build no event payloads either.
 """
 from __future__ import annotations
 
@@ -106,10 +111,11 @@ class PairLedger:
 
     ``prepared`` holds the preparation codes, ``state`` the genuine pairs'
     codes, ``planted`` the planted pairs' codes (None until the fake-EPR
-    adversary plants any), ``outcome`` the receiver's decode results and
-    ``disposition`` where each pair stands. ``live`` lists, in order, the
-    pairs with no terminal disposition yet; every one of them has the
-    disposition of the current phase.
+    adversary plants any) and ``outcome`` the receiver's decode results.
+    ``live`` lists, in order, the pairs with no terminal disposition yet;
+    every one of them has the disposition ``stage``. ``disposition`` holds
+    each settled pair's terminal disposition, and None for a live pair.
+    ``transcript`` is the event log, or None when the run records none.
     """
 
     def __init__(
@@ -124,11 +130,12 @@ class PairLedger:
         self.state = list(prepared)
         self.planted: list[int | None] | None = None
         self.outcome: list[int | None] = [None] * n
-        self.disposition = [Disposition.PREPARED] * n
+        self.disposition: list[Disposition | None] = [None] * n
+        self.stage = Disposition.PREPARED
         self.live = list(range(n))
         self.sender = sender
         self.receiver = receiver
-        self.transcript = transcript if transcript is not None else Transcript()
+        self.transcript = transcript
         self.phase = Phase.CREATED
         self.check1: CheckReport | None = None
         self.check2: CheckReport | None = None
@@ -151,11 +158,12 @@ class PairLedger:
     def records(self) -> tuple[PairRecord, ...]:
         """Every pair as a ``PairRecord``, built afresh on each read."""
         planted = self.planted or [None] * self.n_total
+        stage = self.stage
         return tuple(
             PairRecord(
                 i,
                 BELL_LABELS[self.prepared[i]],
-                self.disposition[i],
+                stage if self.disposition[i] is None else self.disposition[i],
                 self.state[i],
                 planted[i],
                 None if self.outcome[i] is None else BELL_LABELS[self.outcome[i]],
@@ -165,21 +173,24 @@ class PairLedger:
 
     def advance(self, disposition: Disposition):
         """Move every live pair on to the given (non-terminal) disposition."""
-        column = self.disposition
-        for i in self.live:
-            column[i] = disposition
+        self.stage = disposition
 
     def settle(self, indices: list[int], disposition: Disposition):
-        """Give the listed live pairs a terminal disposition."""
+        """Give the listed live pairs, each at most once, a terminal
+        disposition."""
         column = self.disposition
         for i in indices:
             column[i] = disposition
-        if indices:
+        if len(indices) == len(self.live):  # every live pair settled
+            self.live = []
+        elif indices:
             gone = set(indices)
             self.live = [i for i in self.live if i not in gone]
 
     def disposition_counts(self) -> dict[str, int]:
-        return {d.value: self.disposition.count(d) for d in Disposition}
+        counts = {d.value: self.disposition.count(d) for d in Disposition}
+        counts[self.stage.value] += len(self.live)
+        return counts
 
 
 def joint_counts(prepared: list[int], ys: list, y_names=CODES) -> dict[str, dict[str, int]]:

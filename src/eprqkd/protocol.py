@@ -20,11 +20,14 @@ A transmission whose delivered fraction falls below 1 - loss_tolerance
 aborts the run, which is what defeats an adversary who selectively destroys
 particles. Each operation below enforces its place in the order and raises
 ProtocolOrderError when called early or late. Every operation logs its
-public events to the ledger's transcript.
+public events to the ledger's transcript, and logs nothing, building no
+payload, when the ledger keeps none (``ledger.transcript is None``).
 
 ``run_protocol`` is one such run, a hop. ``run_multiparty`` runs a trial as
 a chain of hops, alice -> bob for two parties and on to clare for three,
-where the relay re-encodes his raw key into the next hop's pairs.
+where the relay re-encodes his raw key into the next hop's pairs. Both
+record a transcript unless told not to; ``runner.run`` records one only
+when its caller collects transcripts.
 """
 from __future__ import annotations
 
@@ -51,6 +54,8 @@ from .rng import RandomSource
 _BASES = ("z", "x")
 # Whether each pair-state code's halves agree in each single-qubit basis.
 _AGREE = {basis: tuple(label.correlated_in(basis) for label in BELL_LABELS) for basis in _BASES}
+# The preparation steps' default ``transcript``: log to a fresh one.
+_FRESH = object()
 
 
 def alice_prepare(
@@ -58,37 +63,45 @@ def alice_prepare(
     rng: RandomSource,
     sender: str = "alice",
     receiver: str = "bob",
-    transcript: Transcript | None = None,
+    transcript: Transcript | None = _FRESH,
 ) -> PairLedger:
     """Prepare N pairs with uniformly random state choices (step 1)."""
     if n < 1:
         raise ConfigurationError(f"cannot prepare {n} pairs")
-    # rng.uniform_index(4), one draw per pair.
+    # rng.uniform_index(4), one draw per pair: r * 4 is exact, so each
+    # comparison picks what int(r * 4) would.
     rand = rng._rng.random
-    return prepare_from_labels([int(rand() * 4) for _ in range(n)], sender, receiver, transcript)
+    codes = [
+        0 if (r := rand()) < 0.25 else 1 if r < 0.5 else 2 if r < 0.75 else 3 for _ in range(n)
+    ]
+    return prepare_from_labels(codes, sender, receiver, transcript)
 
 
 def prepare_from_labels(
     labels: list[BellState | int],
     sender: str = "alice",
     receiver: str = "bob",
-    transcript: Transcript | None = None,
+    transcript: Transcript | None = _FRESH,
 ) -> PairLedger:
     """Prepare pairs in the given states (labels or their codes), in order
     (re-encoding path).
 
-    The ledger logs to ``transcript`` when one is given, else to a fresh one.
+    The ledger logs to ``transcript``, to a fresh one when none is given,
+    and nowhere when it is None.
     """
     if not labels:
         raise ConfigurationError("cannot prepare an empty pair sequence")
     codes = list(map(int, labels))
+    if transcript is _FRESH:
+        transcript = Transcript()
     ledger = PairLedger(codes, sender=sender, receiver=receiver, transcript=transcript)
-    ledger.transcript.log(
-        1,
-        sender,
-        "prepare",
-        {"pairs": len(codes), "codes": "".join([CODES[c] for c in codes])},
-    )
+    if transcript is not None:
+        transcript.log(
+            1,
+            sender,
+            "prepare",
+            {"pairs": len(codes), "codes": "".join([CODES[c] for c in codes])},
+        )
     return ledger
 
 
@@ -101,20 +114,36 @@ def transmit_first_sequence(ledger: PairLedger, channel: AdversaryChannel) -> Pa
     if ledger.phase is not Phase.CREATED:
         raise ProtocolOrderError(f"first transmission in phase {ledger.phase.name}")
     ledger.advance(Disposition.IN_FLIGHT_1)
-    ledger.transcript.log(2, ledger.sender, "send", {"sequence": 1, "count": ledger.n_total})
     interference = channel.interpose(1, ledger)
-    if interference:
-        ledger.transcript.log(2, "eve", "interpose", interference)
     received = len(ledger.live)
     ledger.receipt_1 = received / ledger.n_total
-    ledger.transcript.log(
-        2,
-        ledger.receiver,
-        "receive",
-        {"sequence": 1, "received": received, "expected": ledger.n_total},
-    )
+    _log_transmission(ledger, 2, 1, ledger.n_total, interference, received)
     ledger.phase = Phase.SENT_1
     return ledger
+
+
+def _log_transmission(
+    ledger: PairLedger,
+    step: int,
+    sequence: int,
+    sent: int,
+    interference: dict | None,
+    received: int,
+):
+    """Log a transmission's events: the send, the adversary's interference
+    if any, and the receipt."""
+    transcript = ledger.transcript
+    if transcript is None:
+        return
+    transcript.log(step, ledger.sender, "send", {"sequence": sequence, "count": sent})
+    if interference:
+        transcript.log(step, "eve", "interpose", interference)
+    transcript.log(
+        step,
+        ledger.receiver,
+        "receive",
+        {"sequence": sequence, "received": received, "expected": sent},
+    )
 
 
 def _draw_sample(
@@ -138,7 +167,10 @@ def _publish_check(
 ) -> CheckReport:
     """Consume the sampled pairs and publish the check's summary."""
     ledger.settle(sample, disposition)
-    ledger.transcript.log(step, "public", "check", {"check": report.check_id, **report.to_dict()})
+    if ledger.transcript is not None:
+        ledger.transcript.log(
+            step, "public", "check", {"check": report.check_id, **report.to_dict()}
+        )
     return report
 
 
@@ -178,23 +210,6 @@ def first_check(
     else:
         bases = ["z"] * len(sample)
         receiver_bits = measure_column(held, sample, "second", "z", rng)
-    ledger.transcript.log(
-        3,
-        ledger.receiver,
-        "measure_check_sample",
-        {
-            "indices": sample,
-            "bases": "".join(bases),
-            "bits": "".join(map(str, receiver_bits)),
-        },
-    )
-    ledger.transcript.log(
-        4,
-        ledger.receiver,
-        "notify",
-        {"message": "sequence-1-received", "check_indices": sample},
-    )
-
     if randomize_basis:
         sender_bits = []
         for i, basis in zip(sample, bases):
@@ -202,12 +217,30 @@ def first_check(
             sender_bits.append(bit)
     else:
         sender_bits = measure_column(state, sample, "first", "z", rng)
-    ledger.transcript.log(
-        4,
-        ledger.sender,
-        "measure_partner_sample",
-        {"indices": sample, "bits": "".join(map(str, sender_bits))},
-    )
+    transcript = ledger.transcript
+    if transcript is not None:
+        transcript.log(
+            3,
+            ledger.receiver,
+            "measure_check_sample",
+            {
+                "indices": sample,
+                "bases": "".join(bases),
+                "bits": "".join(map(str, receiver_bits)),
+            },
+        )
+        transcript.log(
+            4,
+            ledger.receiver,
+            "notify",
+            {"message": "sequence-1-received", "check_indices": sample},
+        )
+        transcript.log(
+            4,
+            ledger.sender,
+            "measure_partner_sample",
+            {"indices": sample, "bits": "".join(map(str, sender_bits))},
+        )
 
     prepared = ledger.prepared
     mismatches = sum(
@@ -244,18 +277,10 @@ def transmit_second_sequence(
         raise ProtocolOrderError("second transmission after a failed first check")
     survivors = len(ledger.live)
     ledger.advance(Disposition.IN_FLIGHT_2)
-    ledger.transcript.log(5, ledger.sender, "send", {"sequence": 2, "count": survivors})
     interference = channel.interpose(2, ledger)
-    if interference:
-        ledger.transcript.log(5, "eve", "interpose", interference)
     received = len(ledger.live)
     ledger.receipt_2 = received / survivors if survivors else 1.0
-    ledger.transcript.log(
-        5,
-        ledger.receiver,
-        "receive",
-        {"sequence": 2, "received": received, "expected": survivors},
-    )
+    _log_transmission(ledger, 5, 2, survivors, interference, received)
     ledger.phase = Phase.SENT_2
     return ledger
 
@@ -269,8 +294,9 @@ def bob_decode(ledger: PairLedger, rng: RandomSource) -> PairLedger:
     for i, code in zip(live, decoded):
         outcome[i] = code
     ledger.advance(Disposition.DECODED)
-    codes = "".join([CODES[code] for code in decoded])
-    ledger.transcript.log(6, ledger.receiver, "decode", {"pairs": len(live), "codes": codes})
+    if ledger.transcript is not None:
+        codes = "".join([CODES[code] for code in decoded])
+        ledger.transcript.log(6, ledger.receiver, "decode", {"pairs": len(live), "codes": codes})
     ledger.phase = Phase.DECODED
     return ledger
 
@@ -311,7 +337,8 @@ def extract_key(ledger: PairLedger) -> KeyMaterial:
     )
     ledger.settle(kept, Disposition.KEY)
     ledger.phase = Phase.DONE
-    ledger.transcript.log(7, "public", "commit", {"key_bits": len(key.bits)})
+    if ledger.transcript is not None:
+        ledger.transcript.log(7, "public", "commit", {"key_bits": len(key.bits)})
     return key
 
 
@@ -335,7 +362,7 @@ class ProtocolOutcome:
     eve: EveState
 
     @property
-    def transcript(self) -> Transcript:
+    def transcript(self) -> Transcript | None:
         return self.ledger.transcript
 
     @property
@@ -370,6 +397,7 @@ def run_protocol(
     prepared_labels: list[BellState | int] | None = None,
     strategy: AttackStrategy | None = None,
     transcript_extra: dict | None = None,
+    record_transcript: bool = True,
 ) -> ProtocolOutcome:
     """Execute steps 1-7 for one run and report what happened.
 
@@ -380,11 +408,15 @@ def run_protocol(
     going past a failed first check (for studying the attack's downstream
     statistics) but still aborts at the end with that reason and emits no
     key.
+
+    The run logs its events to ``outcome.transcript`` unless
+    ``record_transcript`` is off; then it records none (the transcript is
+    None) and makes exactly the same draws.
     """
     strategy = config.attack if strategy is None else strategy
     sender_rng = rng.substream(sender)
     receiver_rng = rng.substream(receiver)
-    transcript = Transcript(trial, extra=transcript_extra)
+    transcript = Transcript(trial, extra=transcript_extra) if record_transcript else None
     channel = AdversaryChannel(strategy, rng.substream("eve"))
 
     if prepared_labels is None:
@@ -395,7 +427,8 @@ def run_protocol(
     def abort(reason: str, step: int) -> ProtocolOutcome:
         # Whatever had no terminal fate yet is discarded, so that every pair
         # ends as checked, key, or dropped.
-        transcript.log(step, "public", "abort", {"reason": reason})
+        if transcript is not None:
+            transcript.log(step, "public", "abort", {"reason": reason})
         ledger.settle(ledger.live, Disposition.DROPPED)
         return ProtocolOutcome(ledger, reason, None, None, channel.eve)
 
@@ -460,7 +493,9 @@ class TrialOutcome:
         return all(key.bits == self.keys[0].bits for key in self.keys)
 
 
-def run_multiparty(config: RunConfig, rng: RandomSource, trial: int = 0) -> TrialOutcome:
+def run_multiparty(
+    config: RunConfig, rng: RandomSource, trial: int = 0, record_transcript: bool = True
+) -> TrialOutcome:
     """Distribute one common key along the chain alice -> bob (-> clare).
 
     Each hop runs the full protocol. A relay re-encodes his raw key (his
@@ -469,7 +504,8 @@ def run_multiparty(config: RunConfig, rng: RandomSource, trial: int = 0) -> Tria
     identified across parties by first-hop pair ordinals announced on the
     classical channel. In a three-party chain hop k draws from the
     ``hop<k>`` substream, tags its events ``{"hop": k}``, and a later hop's
-    abort reason is prefixed ``hop<k>_``.
+    abort reason is prefixed ``hop<k>_``. Each hop records its transcript
+    unless ``record_transcript`` is off.
     """
     names = ("alice", "bob", "clare")[: config.parties]
     chain = config.parties > 2
@@ -485,6 +521,7 @@ def run_multiparty(config: RunConfig, rng: RandomSource, trial: int = 0) -> Tria
             prepared_labels=labels,
             strategy=config.attack if config.attacks_hop(k) else AttackStrategy(),
             transcript_extra={"hop": k} if chain else None,
+            record_transcript=record_transcript,
         )
         hops.append(hop)
         if not hop.completed:

@@ -44,9 +44,9 @@ per-operation rows of the tables and takes one draw per measurement straight
 from the stream's generator, so a step makes exactly the draws, in exactly
 the order, that one call per pair would. A measurement takes its draw even
 when the outcome is certain. The scalar kernels (``measure_qubit``,
-``measure_qubit_z``, ``measure_bell_basis``) are one-element calls of the
-column kernels and return (outcome, post state); the probability queries
-are one lookup each.
+``measure_qubit_z``, ``measure_bell_basis``) read the same rows for one pair,
+take one draw the same way and return (outcome, post state); the
+probability queries are one lookup each.
 """
 from __future__ import annotations
 
@@ -251,9 +251,9 @@ def measure_bell_column(column: list[int], indices, rng: RandomSource) -> list[i
 
 def measure_qubit(state: int, which: str, basis: str, rng: RandomSource) -> tuple[int, int]:
     """Measure one qubit in "z" or "x"; returns (outcome bit, post state)."""
-    column = [state]
-    (outcome,) = measure_column(column, (0,), which, basis, rng)
-    return outcome, column[0]
+    op = _op(which, basis)
+    outcome = 0 if rng._rng.random() < _P0_BY_OP[op][state] else 1
+    return outcome, _POST_BY_OP[op][state][outcome]
 
 
 def measure_qubit_z(state: int, which: str, rng: RandomSource) -> tuple[int, int]:
@@ -271,5 +271,7 @@ def measure_bell_basis(state: int, rng: RandomSource) -> tuple[BellState, int]:
 
     Returns the sampled label and the post state, which is that label's code.
     """
-    (outcome,) = measure_bell_column([state], (0,), rng)
+    r = rng._rng.random()
+    c0, c1, c2, _ = CUM[state]
+    outcome = 0 if r < c0 else 1 if r < c1 else 2 if r < c2 else 3
     return BELL_LABELS[outcome], outcome

@@ -1,7 +1,9 @@
 """Monte-Carlo orchestration: many independent runs, one report.
 
 Every trial, two-party or three-party, is one ``run_multiparty`` chain of
-hops; its row reads the first hop and, when it ran, the second.
+hops; its row reads the first hop and, when it ran, the second. A trial
+records its transcript only when the caller collects transcripts; the rows
+are the same either way, since recording makes no draw.
 
 Trial t draws from the root seed XOR t. Within one batch the trials are
 independent and any trial can be reproduced alone, but the streams collide
@@ -162,12 +164,21 @@ class RunReport:
 
 
 def run(config: RunConfig, collect_transcripts: bool = False) -> RunReport:
-    """Execute config.trials independent runs and aggregate them."""
+    """Execute config.trials independent runs and aggregate them.
+
+    With ``collect_transcripts`` the report also carries each trial's
+    transcript; without it no trial records one, and the rows are the same.
+    """
     started = time.perf_counter()
     rows = []
     transcripts: list[str] | None = [] if collect_transcripts else None
     for trial in range(config.trials):
-        outcome = run_multiparty(config, RandomSource(config.seed ^ trial), trial=trial)
+        outcome = run_multiparty(
+            config,
+            RandomSource(config.seed ^ trial),
+            trial=trial,
+            record_transcript=collect_transcripts,
+        )
         rows.append(trial_row(trial, outcome))
         if transcripts is not None:
             transcripts.append("".join([hop.transcript.to_jsonl() for hop in outcome.hops]))

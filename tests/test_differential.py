@@ -12,6 +12,7 @@ import json
 
 from hypothesis import assume, given, settings, strategies as st
 
+import eprqkd.adversary
 import eprqkd.ledger
 import object_engine
 from eprqkd.adversary import AttackKind, AttackStrategy
@@ -54,6 +55,53 @@ def test_every_attack_variant_matches_the_object_engine():
                             randomize_check_basis=randomize_check_basis,
                         )
                     )
+
+
+def engine_grid():
+    """The configs of the engine test above: every attack variant, for 2 and
+    3 parties, with continuation and the randomized check basis off and on."""
+    for attack in ATTACKS:
+        for parties in (2, 3):
+            for continuation_mode in (False, True):
+                for randomize_check_basis in (False, True):
+                    yield RunConfig(
+                        pairs=64,
+                        trials=2,
+                        seed=5,
+                        attack=attack,
+                        parties=parties,
+                        min_check_size=4,
+                        loss_tolerance=0.5,
+                        continuation_mode=continuation_mode,
+                        randomize_check_basis=randomize_check_basis,
+                    )
+
+
+def test_rows_do_not_depend_on_collecting_transcripts():
+    # Recording a transcript makes no draw, so a run that records none gives
+    # the same rows.
+    for config in engine_grid():
+        plain = run(config)
+        assert plain.transcripts is None
+        assert plain.rows == run(config, collect_transcripts=True).rows
+
+
+def test_run_without_transcripts_logs_no_event(monkeypatch):
+    # Without collection no step or attack logs an event or builds a payload.
+    def refuse(*args):
+        raise AssertionError("an event was logged on a run that collects no transcripts")
+
+    interpose = eprqkd.adversary.AdversaryChannel.interpose
+
+    def interpose_without_payload(self, transmission, ledger):
+        payload = interpose(self, transmission, ledger)
+        assert payload is None, "an attack built a payload nothing reads"
+        return payload
+
+    monkeypatch.setattr(eprqkd.ledger.Transcript, "log", refuse)
+    monkeypatch.setattr(eprqkd.adversary.AdversaryChannel, "interpose", interpose_without_payload)
+    for config in engine_grid():
+        run(config)
 
 
 def test_run_path_builds_no_pair_records(monkeypatch):

@@ -270,6 +270,37 @@ class TestRunProtocol:
         assert key_indices.isdisjoint(outcome.check1.sample_indices)
         assert key_indices.isdisjoint(outcome.check2.sample_indices)
 
+    def test_disposition_counts_match_the_records_at_every_step(self):
+        # Live pairs share one stage disposition; the counts must still
+        # agree pair by pair with the records, between steps too.
+        def assert_counts_match(ledger):
+            expected = {d.value: 0 for d in Disposition}
+            for rec in ledger.records:
+                expected[rec.disposition.value] += 1
+            assert ledger.disposition_counts() == expected
+
+        cfg = config(pairs=200, seed=38)
+        rng = RandomSource(38)
+        bob = rng.substream("bob")
+        chan = AdversaryChannel(
+            AttackStrategy(kind=AttackKind.OPAQUE, destroy_probability=0.1), rng.substream("eve")
+        )
+        ledger = alice_prepare(cfg.pairs, rng.substream("alice"))
+        assert_counts_match(ledger)
+        transmit_first_sequence(ledger, chan)
+        assert_counts_match(ledger)
+        first_check(ledger, cfg.check_fraction_1, cfg.threshold_1, bob)
+        assert_counts_match(ledger)
+        transmit_second_sequence(ledger, chan)
+        assert_counts_match(ledger)
+        bob_decode(ledger, bob)
+        assert_counts_match(ledger)
+        second_check(ledger, cfg.check_fraction_2, cfg.threshold_2, bob)
+        assert_counts_match(ledger)
+        extract_key(ledger)
+        assert_counts_match(ledger)
+        assert ledger.disposition_counts()["dropped"] > 0
+
     def test_key_indices_are_increasing_and_shared(self):
         outcome = run_protocol(config(pairs=300, seed=22), RandomSource(22))
         indices = list(outcome.receiver_key.source_indices)

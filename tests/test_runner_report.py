@@ -349,10 +349,13 @@ class TestCli:
             main(["run", "--pairs", "60", "--transcript"])
         assert exc.value.code == 2
 
-    def test_invalid_config_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--pairs", "0"])
-        assert exc.value.code == 2
+    def test_invalid_config_is_usage_error(self, capsys):
+        # Reported under the run subcommand's usage line, not the top-level one.
+        for argv in (["--pairs", "0"], ["--parties", "2", "--attack-hop", "2"], ["--transcript"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", *argv])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.startswith("usage: eprqkd run")
 
     @pytest.mark.parametrize(
         "argv, reason",
