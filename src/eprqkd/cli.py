@@ -4,6 +4,9 @@
 ``eprqkd verify`` re-derives a structured report's aggregate block from its
 own trial rows. Attack detection is a simulation result, not a failure:
 ``run`` exits 0 whenever the simulation itself completed.
+
+The parsers are built once per process, on the first command, and every
+later ``main`` call reuses them; parsing a command leaves no state in them.
 """
 from __future__ import annotations
 
@@ -11,6 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields
+from functools import cache
 from pathlib import Path
 
 from .adversary import FAKE_LABELS, AttackKind, AttackStrategy
@@ -20,6 +24,7 @@ from .report import emit_report, emit_transcripts, verify_report
 from .runner import RunReport, run
 
 
+@cache
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     """The top-level parser and its ``run`` subparser, which reports the
     errors of a ``run`` command under its own usage line."""
@@ -181,7 +186,9 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
 def _verify_command(args) -> int:
     try:
         document = json.loads(args.report.read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError covers undecodable bytes, bad JSON and over-long integers;
+    # RecursionError covers over-deep nesting.
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: could not read report: {exc}", file=sys.stderr)
         return 1
     try:

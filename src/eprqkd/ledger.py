@@ -23,7 +23,8 @@ transmission on unless the pair was ``DROPPED``, and holds the whole pair
 
 The ledger also owns the run's :class:`Transcript`; every protocol step logs
 its public events there. A ledger whose ``transcript`` is None records
-nothing, and the steps then build no event payloads either.
+nothing, and the steps then build no event payloads either. Transcripts
+encode every event through one shared JSON encoder.
 """
 from __future__ import annotations
 
@@ -34,6 +35,10 @@ from enum import Enum
 from typing import NamedTuple
 
 from .quantum import BELL_LABELS, CODES, BellState
+
+# What json.dumps(event, sort_keys=True, separators=(",", ":")) would build
+# anew for every event.
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 class Disposition(Enum):
@@ -88,10 +93,8 @@ class Transcript:
         )
 
     def to_jsonl(self) -> str:
-        return "".join(
-            json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
-            for event in self.events
-        )
+        encode = _JSONL_ENCODER.encode
+        return "".join(encode(event) + "\n" for event in self.events)
 
 
 class PairRecord(NamedTuple):
@@ -253,5 +256,5 @@ class KeyMaterial:
                 f"key of {len(self.bits)} bits does not match "
                 f"{len(self.source_indices)} source pairs"
             )
-        if any(c not in "01" for c in self.bits):
+        if self.bits.count("0") + self.bits.count("1") != len(self.bits):
             raise ValueError("key bits must be 0/1 characters")

@@ -1,10 +1,12 @@
+import json
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from eprqkd.adversary import AdversaryChannel, AttackKind, AttackStrategy
 from eprqkd.config import RunConfig
 from eprqkd.errors import ConfigurationError, ProtocolOrderError
-from eprqkd.ledger import CheckReport, Disposition, PairLedger, Phase
+from eprqkd.ledger import CheckReport, Disposition, KeyMaterial, PairLedger, Phase, Transcript
 from eprqkd.protocol import (
     alice_prepare,
     bob_decode,
@@ -249,6 +251,33 @@ class TestExtractKey:
             extract_key(ledger)
 
 
+def assert_key_bits_checked_as_per_character(text):
+    """KeyMaterial accepts ``text`` (doubled, to give it whole pairs) exactly
+    when every character is "0" or "1"."""
+    bits = text * 2
+    if any(c not in "01" for c in bits):
+        with pytest.raises(ValueError, match="key bits must be 0/1 characters"):
+            KeyMaterial(bits, tuple(range(len(text))))
+    else:
+        assert KeyMaterial(bits, tuple(range(len(text)))).bits == bits
+
+
+class TestKeyMaterial:
+    @pytest.mark.parametrize(
+        "text", ["", "0", "10", "0 1", "01\n", "012", "\u0660\u0661", "\uff10\uff11"]
+    )
+    def test_accepts_only_binary_digits(self, text):
+        assert_key_bits_checked_as_per_character(text)
+
+    @given(st.text() | st.text(alphabet="01"))
+    def test_check_matches_the_per_character_predicate(self, text):
+        assert_key_bits_checked_as_per_character(text)
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="does not match"):
+            KeyMaterial("010", (0,))
+
+
 class TestRunProtocol:
     def test_clean_run(self):
         outcome = run_protocol(config(pairs=400, seed=20), RandomSource(20))
@@ -348,6 +377,19 @@ class TestRunProtocol:
         assert a == b
         c = run_protocol(cfg, RandomSource(25)).transcript.to_jsonl()
         assert a != c
+
+    def test_jsonl_matches_per_event_dumps(self):
+        transcript = Transcript(trial=3, extra={"hop": 2, "relay": "b\u00f6b"})
+        transcript.log(1, "alice", "prepare", {"note": "caf\u00e9 \u03c8\u207a \u9375"})
+        transcript.log(2, "bob", "check", {"rate": 0.1 + 0.2, "tiny": 5e-324, "big": 1e300})
+        transcript.log(3, "eve", "guess", {"missing": None, "inf": float("inf")})
+        transcript.log(4, "clare", "nest", {"z": {"b": [1, 2.5, None], "a": {"\u00e9": -0.0}}})
+        transcript.log(5, "alice", "done")
+        expected = "".join(
+            json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
+            for event in transcript.events
+        )
+        assert transcript.to_jsonl() == expected
 
     def test_measure_resend_aborts_at_second_check(self):
         cfg = config(pairs=400, seed=26, attack=AttackStrategy(kind=AttackKind.MEASURE_RESEND))

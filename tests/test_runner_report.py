@@ -3,7 +3,7 @@ import json
 import pytest
 
 from eprqkd.adversary import FAKE_LABELS, AttackKind, AttackStrategy
-from eprqkd.cli import main
+from eprqkd.cli import _build_parser, main
 from eprqkd.config import RunConfig
 from eprqkd.errors import ConfigurationError
 from eprqkd.report import (
@@ -336,6 +336,39 @@ class TestCli:
         assert captured.err.startswith("error: could not read report:")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000, '{"trials": [' + "9" * 5_000 + "]}"],
+        ids=["over-deep-nesting", "over-long-integer"],
+    )
+    def test_verify_unparsable_json_is_one_line_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["verify", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: could not read report:")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_parsers_are_built_once(self):
+        first, second = _build_parser(), _build_parser()
+        assert first[0] is second[0] and first[1] is second[1]
+
+    def test_commands_carry_no_state_across_calls(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["run", "--continuation-mode", "--out", str(a)]) == 0
+        assert main(["run", "--out", str(b)]) == 0
+        assert json.loads(a.read_text())["config"]["continuation_mode"] is True
+        assert json.loads(b.read_text())["config"] == RunConfig().to_dict()
+
+    def test_bad_config_after_a_run_is_usage_error(self, tmp_path, capsys):
+        assert main(["run", "--pairs", "80", "--out", str(tmp_path / "r.json")]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--pairs", "0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: eprqkd run")
 
     def test_transcript_flag(self, tmp_path):
         out = tmp_path / "r.json"
