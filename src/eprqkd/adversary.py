@@ -26,10 +26,10 @@ Strategies:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import ConfigurationError, require_type
+from .errors import ConfigurationError, require_field_types, require_known_keys
 from .ledger import Disposition, PairLedger, joint_counts
 from .quantum import BELL_LABELS, CODES, BellState, measure_bell_column, measure_column
 # Unused here; the benchmark's traced run (bench/workloads.py) wraps these bindings.
@@ -71,8 +71,7 @@ class AttackStrategy:
     measure_second_sequence: bool = False
 
     def __post_init__(self):
-        require_type("destroy_probability", self.destroy_probability, float)
-        require_type("measure_second_sequence", self.measure_second_sequence, bool)
+        require_field_types(self)
         if not 0.0 <= self.destroy_probability <= 1.0:
             raise ConfigurationError(
                 f"destroy_probability must be in [0, 1], got {self.destroy_probability}"
@@ -89,11 +88,7 @@ class AttackStrategy:
     @classmethod
     def from_dict(cls, data: dict) -> "AttackStrategy":
         """Parse the ``to_dict`` form; absent keys take their defaults."""
-        if not isinstance(data, dict):
-            raise ConfigurationError(f"attack must be a mapping, got {data!r}")
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ConfigurationError(f"unknown attack key {unknown[0]!r}")
+        require_known_keys("attack", data, cls)
         kinds = {kind.value: kind for kind in AttackKind}
         kind, fake = data.get("kind", "none"), data.get("fake_label", "psi1")
         if not isinstance(kind, str) or kind not in kinds:

@@ -18,7 +18,7 @@ from functools import cache
 from pathlib import Path
 
 from .adversary import FAKE_LABELS, AttackKind, AttackStrategy
-from .config import RunConfig
+from .config import ATTACK_HOPS, PARTIES, RunConfig
 from .errors import ConfigurationError
 from .report import emit_report, emit_transcripts, verify_report
 from .runner import RunReport, run
@@ -78,10 +78,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
         default=defaults.loss_tolerance,
         help="tolerated fraction of undelivered particles before aborting",
     )
-    runp.add_argument("--parties", type=int, choices=[2, 3], default=defaults.parties)
+    runp.add_argument("--parties", type=int, choices=PARTIES, default=defaults.parties)
     runp.add_argument(
         "--attack-hop",
-        choices=["1", "2", "both"],
+        choices=ATTACK_HOPS,
         default=defaults.attack_hop,
         help="which hop the adversary attacks in a 3-party chain",
     )

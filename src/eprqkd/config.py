@@ -8,8 +8,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 from .adversary import AttackStrategy
-from .errors import ConfigurationError, require_type
+from .errors import ConfigurationError, require_field_types, require_known_keys
 from .rng import MAX_SEED
+
+PARTIES = (2, 3)
+ATTACK_HOPS = ("1", "2", "both")
 
 
 @dataclass(frozen=True)
@@ -37,8 +40,7 @@ class RunConfig:
     randomize_check_basis: bool = False
 
     def __post_init__(self):
-        for name, kind in _FIELD_TYPES.items():
-            require_type(name, getattr(self, name), kind)
+        require_field_types(self)
         if self.pairs < 1:
             raise ConfigurationError(f"pairs must be >= 1, got {self.pairs}")
         if self.trials < 1:
@@ -53,11 +55,11 @@ class RunConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(f"{name} must be in [0, 1], got {value}")
-        if self.parties not in (2, 3):
+        if self.parties not in PARTIES:
             raise ConfigurationError(f"parties must be 2 or 3, got {self.parties}")
         if self.min_check_size < 1:
             raise ConfigurationError(f"min_check_size must be >= 1, got {self.min_check_size}")
-        if self.attack_hop not in ("1", "2", "both"):
+        if self.attack_hop not in ATTACK_HOPS:
             raise ConfigurationError(f"attack_hop must be '1', '2', or 'both', got {self.attack_hop}")
         if self.attack_hop == "2" and self.parties == 2:
             raise ConfigurationError("attack_hop '2' needs a 3-party chain; 2 parties have one hop")
@@ -73,20 +75,7 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         """Parse the ``to_dict`` form; absent keys take their defaults."""
-        if not isinstance(data, dict):
-            raise ConfigurationError(f"config must be a mapping, got {data!r}")
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ConfigurationError(f"unknown config key {unknown[0]!r}")
+        require_known_keys("config", data, cls)
         known = dict(data)
         return cls(attack=AttackStrategy.from_dict(known.pop("attack", {})), **known)
 
-
-_FIELD_TYPES = {
-    **dict.fromkeys(("pairs", "trials", "seed", "parties", "min_check_size"), int),
-    **dict.fromkeys(
-        ("check_fraction_1", "check_fraction_2", "threshold_1", "threshold_2", "loss_tolerance"),
-        float,
-    ),
-    **dict.fromkeys(("continuation_mode", "randomize_check_basis"), bool),
-}

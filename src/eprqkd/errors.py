@@ -1,4 +1,5 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and the config type checks."""
+from dataclasses import fields
 
 
 class ConfigurationError(ValueError):
@@ -15,10 +16,25 @@ class ProtocolOrderError(RuntimeError):
     acting party does not hold."""
 
 
-def require_type(name: str, value, kind: type):
-    """Raise ConfigurationError naming ``name`` unless ``value`` is a
-    ``kind``: bool, int, or float (which admits ints too). A bool is never
-    taken for a number."""
-    allowed = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
-        raise ConfigurationError(f"{name} must be {kind.__name__}, got {value!r}")
+# Field annotations are strings under ``from __future__ import annotations``.
+_KINDS = {"bool": bool, "int": int, "float": float}
+
+
+def require_field_types(obj):
+    """Raise ConfigurationError naming the first field of the dataclass
+    instance ``obj`` annotated bool, int or float whose value is not one. A
+    float field admits ints too; a bool is never taken for a number."""
+    for f in fields(obj):
+        kind, value = _KINDS.get(f.type), getattr(obj, f.name)
+        allowed = (int, float) if kind is float else kind
+        if kind and (isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed)):
+            raise ConfigurationError(f"{f.name} must be {kind.__name__}, got {value!r}")
+
+
+def require_known_keys(name: str, data, cls: type):
+    """Raise ConfigurationError unless the ``name`` mapping ``data`` has only ``cls`` fields."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{name} must be a mapping, got {data!r}")
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigurationError(f"unknown {name} key {unknown[0]!r}")

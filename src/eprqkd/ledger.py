@@ -10,9 +10,9 @@ or lost in transit). Protocol steps and the adversary loop over index lists
 per pair; ``PairLedger.records`` assembles read-only ``PairRecord`` views
 only when something reads it.
 
-The pairs still live all stand at the same stage of the protocol, so their
-shared disposition is one ledger field, ``stage``: moving them on is one
-assignment, and the disposition column holds only the terminal fates.
+The run's progress is one ledger field, ``phase``. The pairs still live all
+stand at the same stage, so their shared disposition, ``stage``, follows
+from the phase, and the disposition column holds only the terminal fates.
 
 The planted column holds the pairs the fake-EPR adversary planted in place
 of the genuine ones; when it is set, the receiver's measurements act on it
@@ -66,6 +66,19 @@ class Phase(Enum):
     DONE = 6
 
 
+# The disposition every live pair shares in each phase. A transmission's phase
+# is set before the channel acts on the pairs; none is live once DONE.
+_STAGES = {
+    Phase.CREATED: Disposition.PREPARED,
+    Phase.SENT_1: Disposition.IN_FLIGHT_1,
+    Phase.CHECKED_1: Disposition.IN_FLIGHT_1,
+    Phase.SENT_2: Disposition.IN_FLIGHT_2,
+    Phase.DECODED: Disposition.DECODED,
+    Phase.CHECKED_2: Disposition.DECODED,
+    Phase.DONE: Disposition.KEY,
+}
+
+
 class Transcript:
     """Ordered event log of a run.
 
@@ -116,7 +129,7 @@ class PairLedger:
     codes, ``planted`` the planted pairs' codes (None until the fake-EPR
     adversary plants any) and ``outcome`` the receiver's decode results.
     ``live`` lists, in order, the pairs with no terminal disposition yet;
-    every one of them has the disposition ``stage``. ``disposition`` holds
+    each has the disposition ``stage``, set by ``phase``. ``disposition`` holds
     each settled pair's terminal disposition, and None for a live pair.
     ``transcript`` is the event log, or None when the run records none.
     """
@@ -134,7 +147,6 @@ class PairLedger:
         self.planted: list[int | None] | None = None
         self.outcome: list[int | None] = [None] * n
         self.disposition: list[Disposition | None] = [None] * n
-        self.stage = Disposition.PREPARED
         self.live = list(range(n))
         self.sender = sender
         self.receiver = receiver
@@ -150,6 +162,11 @@ class PairLedger:
     @property
     def n_total(self) -> int:
         return len(self.prepared)
+
+    @property
+    def stage(self) -> Disposition:
+        """The disposition every live pair has: the one its phase implies."""
+        return _STAGES[self.phase]
 
     @property
     def receiver_state(self) -> list[int | None]:
@@ -173,10 +190,6 @@ class PairLedger:
             )
             for i in range(self.n_total)
         )
-
-    def advance(self, disposition: Disposition):
-        """Move every live pair on to the given (non-terminal) disposition."""
-        self.stage = disposition
 
     def settle(self, indices: list[int], disposition: Disposition):
         """Give the listed live pairs, each at most once, a terminal

@@ -23,11 +23,11 @@ ProtocolOrderError when called early or late. Every operation logs its
 public events to the ledger's transcript, and logs nothing, building no
 payload, when the ledger keeps none (``ledger.transcript is None``).
 
-``run_protocol`` is one such run, a hop. ``run_multiparty`` runs a trial as
-a chain of hops, alice -> bob for two parties and on to clare for three,
-where the relay re-encodes his raw key into the next hop's pairs. Both
-record a transcript unless told not to; ``runner.run`` records one only
-when its caller collects transcripts.
+``run_protocol`` is one such run, a hop, logging to the transcript it is
+handed. ``run_multiparty`` runs a trial as a chain of hops, alice -> bob
+for two parties and on to clare for three, where the relay re-encodes his
+raw key into the next hop's pairs; it hands each hop its own transcript,
+or none when ``runner.run``'s caller collects no transcripts.
 """
 from __future__ import annotations
 
@@ -37,15 +37,7 @@ from dataclasses import dataclass
 from .adversary import AdversaryChannel, AttackStrategy, EveState
 from .config import RunConfig
 from .errors import ConfigurationError, InsufficientPairsError, ProtocolOrderError
-from .ledger import (
-    CheckReport,
-    Disposition,
-    KeyMaterial,
-    PairLedger,
-    Phase,
-    Transcript,
-    joint_counts,
-)
+from .ledger import CheckReport, Disposition, KeyMaterial, PairLedger, Phase, Transcript
 from .quantum import BELL_LABELS, CODES, BellState, measure_bell_column, measure_column
 # The benchmark's traced run (bench/workloads.py) wraps these two bindings.
 from .quantum import measure_bell_basis, measure_qubit  # noqa: F401
@@ -54,7 +46,7 @@ from .rng import RandomSource
 _BASES = ("z", "x")
 # Whether each pair-state code's halves agree in each single-qubit basis.
 _AGREE = {basis: tuple(label.correlated_in(basis) for label in BELL_LABELS) for basis in _BASES}
-# The preparation steps' default ``transcript``: log to a fresh one.
+# The default ``transcript`` of preparation and run_protocol: log to a fresh one.
 _FRESH = object()
 
 
@@ -113,37 +105,26 @@ def transmit_first_sequence(ledger: PairLedger, channel: AdversaryChannel) -> Pa
     """
     if ledger.phase is not Phase.CREATED:
         raise ProtocolOrderError(f"first transmission in phase {ledger.phase.name}")
-    ledger.advance(Disposition.IN_FLIGHT_1)
-    interference = channel.interpose(1, ledger)
-    received = len(ledger.live)
-    ledger.receipt_1 = received / ledger.n_total
-    _log_transmission(ledger, 2, 1, ledger.n_total, interference, received)
     ledger.phase = Phase.SENT_1
+    ledger.receipt_1 = _transmit(ledger, channel, 1, 2)
     return ledger
 
 
-def _log_transmission(
-    ledger: PairLedger,
-    step: int,
-    sequence: int,
-    sent: int,
-    interference: dict | None,
-    received: int,
-):
-    """Log a transmission's events: the send, the adversary's interference
-    if any, and the receipt."""
+def _transmit(ledger: PairLedger, channel: AdversaryChannel, sequence: int, step: int) -> float:
+    """Pass the live pairs' particles of ``sequence`` through the channel,
+    log the send, the adversary's interference if any, and the receipt, and
+    return the fraction received (1.0 when nothing was sent)."""
+    sent = len(ledger.live)
+    interference = channel.interpose(sequence, ledger)
+    received = len(ledger.live)
     transcript = ledger.transcript
-    if transcript is None:
-        return
-    transcript.log(step, ledger.sender, "send", {"sequence": sequence, "count": sent})
-    if interference:
-        transcript.log(step, "eve", "interpose", interference)
-    transcript.log(
-        step,
-        ledger.receiver,
-        "receive",
-        {"sequence": sequence, "received": received, "expected": sent},
-    )
+    if transcript is not None:
+        transcript.log(step, ledger.sender, "send", {"sequence": sequence, "count": sent})
+        if interference:
+            transcript.log(step, "eve", "interpose", interference)
+        receipt = {"sequence": sequence, "received": received, "expected": sent}
+        transcript.log(step, ledger.receiver, "receive", receipt)
+    return received / sent if sent else 1.0
 
 
 def _draw_sample(
@@ -199,23 +180,21 @@ def first_check(
     sample = _draw_sample(ledger.live, fraction, min_size, rng)
 
     state, held = ledger.state, ledger.receiver_state
+    # Every receiver draw, then every sender draw; with random bases each
+    # pair's basis draw comes just before the receiver measures that pair.
     if randomize_basis:
-        # Each pair's basis draw precedes its measurement draw.
-        bases, receiver_bits = [], []
+        bases, receiver_bits, sender_bits = [], [], []
         for i in sample:
             basis = _BASES[rng.uniform_index(2)]
             bases.append(basis)
             bit, held[i] = measure_qubit(held[i], "second", basis, rng)
             receiver_bits.append(bit)
-    else:
-        bases = ["z"] * len(sample)
-        receiver_bits = measure_column(held, sample, "second", "z", rng)
-    if randomize_basis:
-        sender_bits = []
         for i, basis in zip(sample, bases):
             bit, state[i] = measure_qubit(state[i], "first", basis, rng)
             sender_bits.append(bit)
     else:
+        bases = ["z"] * len(sample)
+        receiver_bits = measure_column(held, sample, "second", "z", rng)
         sender_bits = measure_column(state, sample, "first", "z", rng)
     transcript = ledger.transcript
     if transcript is not None:
@@ -275,13 +254,8 @@ def transmit_second_sequence(
         raise ProtocolOrderError(f"second transmission in phase {ledger.phase.name}")
     if ledger.check1 is not None and not ledger.check1.passed and not continuation:
         raise ProtocolOrderError("second transmission after a failed first check")
-    survivors = len(ledger.live)
-    ledger.advance(Disposition.IN_FLIGHT_2)
-    interference = channel.interpose(2, ledger)
-    received = len(ledger.live)
-    ledger.receipt_2 = received / survivors if survivors else 1.0
-    _log_transmission(ledger, 5, 2, survivors, interference, received)
     ledger.phase = Phase.SENT_2
+    ledger.receipt_2 = _transmit(ledger, channel, 2, 5)
     return ledger
 
 
@@ -293,7 +267,6 @@ def bob_decode(ledger: PairLedger, rng: RandomSource) -> PairLedger:
     decoded = measure_bell_column(ledger.receiver_state, live, rng)
     for i, code in zip(live, decoded):
         outcome[i] = code
-    ledger.advance(Disposition.DECODED)
     if ledger.transcript is not None:
         codes = "".join([CODES[code] for code in decoded])
         ledger.transcript.log(6, ledger.receiver, "decode", {"pairs": len(live), "codes": codes})
@@ -383,21 +356,15 @@ class ProtocolOutcome:
             return None
         return self.receiver_key.bits == self.sender_key.bits
 
-    def decode_joint_counts(self) -> dict[str, dict[str, int]]:
-        """Counts of (prepared code, decoded code) over pairs with outcomes."""
-        return joint_counts(self.ledger.prepared, self.ledger.outcome)
-
 
 def run_protocol(
     config: RunConfig,
     rng: RandomSource,
     sender: str = "alice",
     receiver: str = "bob",
-    trial: int = 0,
     prepared_labels: list[BellState | int] | None = None,
     strategy: AttackStrategy | None = None,
-    transcript_extra: dict | None = None,
-    record_transcript: bool = True,
+    transcript: Transcript | None = _FRESH,
 ) -> ProtocolOutcome:
     """Execute steps 1-7 for one run and report what happened.
 
@@ -409,14 +376,13 @@ def run_protocol(
     statistics) but still aborts at the end with that reason and emits no
     key.
 
-    The run logs its events to ``outcome.transcript`` unless
-    ``record_transcript`` is off; then it records none (the transcript is
-    None) and makes exactly the same draws.
+    The run logs its events to ``transcript``, to a fresh one when none is
+    given; ``outcome.transcript`` is that log. With ``transcript=None`` it
+    records none and makes exactly the same draws.
     """
     strategy = config.attack if strategy is None else strategy
     sender_rng = rng.substream(sender)
     receiver_rng = rng.substream(receiver)
-    transcript = Transcript(trial, extra=transcript_extra) if record_transcript else None
     channel = AdversaryChannel(strategy, rng.substream("eve"))
 
     if prepared_labels is None:
@@ -427,8 +393,8 @@ def run_protocol(
     def abort(reason: str, step: int) -> ProtocolOutcome:
         # Whatever had no terminal fate yet is discarded, so that every pair
         # ends as checked, key, or dropped.
-        if transcript is not None:
-            transcript.log(step, "public", "abort", {"reason": reason})
+        if ledger.transcript is not None:
+            ledger.transcript.log(step, "public", "abort", {"reason": reason})
         ledger.settle(ledger.live, Disposition.DROPPED)
         return ProtocolOutcome(ledger, reason, None, None, channel.eve)
 
@@ -504,24 +470,23 @@ def run_multiparty(
     identified across parties by first-hop pair ordinals announced on the
     classical channel. In a three-party chain hop k draws from the
     ``hop<k>`` substream, tags its events ``{"hop": k}``, and a later hop's
-    abort reason is prefixed ``hop<k>_``. Each hop records its transcript
-    unless ``record_transcript`` is off.
+    abort reason is prefixed ``hop<k>_``. Each hop logs to a fresh
+    ``Transcript(trial)``, or to none when ``record_transcript`` is off.
     """
     names = ("alice", "bob", "clare")[: config.parties]
     chain = config.parties > 2
     hops: list[ProtocolOutcome] = []
     labels = positions = None
     for k, (sender, receiver) in enumerate(zip(names, names[1:]), 1):
+        transcript = Transcript(trial, {"hop": k} if chain else None) if record_transcript else None
         hop = run_protocol(
             config,
             rng.substream(f"hop{k}") if chain else rng,
             sender=sender,
             receiver=receiver,
-            trial=trial,
             prepared_labels=labels,
             strategy=config.attack if config.attacks_hop(k) else AttackStrategy(),
-            transcript_extra={"hop": k} if chain else None,
-            record_transcript=record_transcript,
+            transcript=transcript,
         )
         hops.append(hop)
         if not hop.completed:

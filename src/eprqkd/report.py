@@ -17,31 +17,23 @@ from pathlib import Path
 
 from .runner import RunReport, SCHEMA_VERSION, aggregate_rows
 
+# Each hop's check blocks flatten to these (check, field) columns, in order.
+_CHECK_FIELDS = tuple(
+    (check, name)
+    for check in ("check1", "check2")
+    for name in ("sample_size", "mismatches", "error_rate", "passed")
+)
 TABULAR_COLUMNS = [
     "schema_version",
     "trial",
     "abort_reason",
     "receipt_fraction_1",
     "receipt_fraction_2",
-    "check1_sample_size",
-    "check1_mismatches",
-    "check1_error_rate",
-    "check1_passed",
-    "check2_sample_size",
-    "check2_mismatches",
-    "check2_error_rate",
-    "check2_passed",
+    *(f"{check}_{name}" for check, name in _CHECK_FIELDS),
     "key_length",
     "keys_agree",
     "hop2_abort_reason",
-    "hop2_check1_sample_size",
-    "hop2_check1_mismatches",
-    "hop2_check1_error_rate",
-    "hop2_check1_passed",
-    "hop2_check2_sample_size",
-    "hop2_check2_mismatches",
-    "hop2_check2_error_rate",
-    "hop2_check2_passed",
+    *(f"hop2_{check}_{name}" for check, name in _CHECK_FIELDS),
 ]
 
 
@@ -58,9 +50,12 @@ def _cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _flat_check(prefix: str, check: dict | None, flat: dict):
-    for name in ("sample_size", "mismatches", "error_rate", "passed"):
-        flat[f"{prefix}_{name}"] = None if check is None else check[name]
+def _check_cells(hop: dict | None) -> list:
+    """A hop's check fields in column order; None where a hop or check did not run."""
+    return [
+        None if hop is None or hop[check] is None else hop[check][name]
+        for check, name in _CHECK_FIELDS
+    ]
 
 
 def render_tabular(report: RunReport) -> str:
@@ -69,22 +64,20 @@ def render_tabular(report: RunReport) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(TABULAR_COLUMNS)
     for row in report.rows:
-        flat = {
-            "schema_version": report.schema_version,
-            "trial": row["trial"],
-            "abort_reason": row["abort_reason"],
-            "receipt_fraction_1": row["receipt_fraction_1"],
-            "receipt_fraction_2": row["receipt_fraction_2"],
-            "key_length": row["key_length"],
-            "keys_agree": row["keys_agree"],
-            "hop2_abort_reason": row["hop2"]["abort_reason"] if row["hop2"] else None,
-        }
-        _flat_check("check1", row["check1"], flat)
-        _flat_check("check2", row["check2"], flat)
         hop2 = row["hop2"]
-        _flat_check("hop2_check1", hop2["check1"] if hop2 else None, flat)
-        _flat_check("hop2_check2", hop2["check2"] if hop2 else None, flat)
-        writer.writerow([_cell(flat[column]) for column in TABULAR_COLUMNS])
+        cells = [
+            report.schema_version,
+            row["trial"],
+            row["abort_reason"],
+            row["receipt_fraction_1"],
+            row["receipt_fraction_2"],
+            *_check_cells(row),
+            row["key_length"],
+            row["keys_agree"],
+            hop2["abort_reason"] if hop2 else None,
+            *_check_cells(hop2),
+        ]
+        writer.writerow([_cell(value) for value in cells])
     return buffer.getvalue()
 
 
@@ -144,7 +137,7 @@ def verify_report(document: dict) -> list[str]:
         raise ValueError(f"malformed report: aggregate is a {kind}, not an object")
     try:
         recomputed = aggregate_rows(rows)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         reason = f"{type(exc).__name__}: {exc}"
         raise ValueError(f"malformed report: rows do not fit {SCHEMA_VERSION} ({reason})") from None
     # A NaN or an infinity in a row would print as a MISMATCH (NaN never

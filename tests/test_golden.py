@@ -6,15 +6,19 @@ event or report row fails here and has to update the constant on purpose.
 Only transcripts and trial rows are hashed: the aggregate's mutual
 information goes through ``log2`` and may differ in the last bit between
 platforms.
+
+``TABULAR_SHA256`` pins the CSV rendering of the same configs' reports.
 """
 import hashlib
 import json
 
 from eprqkd.adversary import AttackKind, AttackStrategy
 from eprqkd.config import RunConfig
+from eprqkd.report import render_tabular
 from eprqkd.runner import run
 
 GOLDEN_SHA256 = "747dba0cd85829bf5d29d6a1b23d80c5cb3cdb7fb718efeb0c3f1666fd9b6785"
+TABULAR_SHA256 = "aa46fbbf3ad2bdc3edf9c98e19fb68c7c06492287254faa737921d40340336b6"
 
 ATTACKS = [
     AttackStrategy(),
@@ -59,3 +63,10 @@ def corpus_digest() -> str:
 
 def test_golden_digest_pins_every_draw():
     assert corpus_digest() == GOLDEN_SHA256
+
+
+def test_tabular_digest_pins_every_csv_byte():
+    digest = hashlib.sha256()
+    for config in golden_configs():
+        digest.update(render_tabular(run(config)).encode())
+    assert digest.hexdigest() == TABULAR_SHA256

@@ -105,6 +105,21 @@ class TestTransmissions:
         transmit_second_sequence(ledger, clean_channel(), continuation=True)
         assert ledger.phase is Phase.SENT_2
 
+    def test_the_channel_sees_the_pairs_in_flight(self, monkeypatch):
+        channel = clean_channel()
+        interpose, seen = channel.interpose, []
+
+        def spy(transmission, ledger):
+            seen.append((transmission, ledger.stage))
+            return interpose(transmission, ledger)
+
+        monkeypatch.setattr(channel, "interpose", spy)
+        ledger = alice_prepare(20, RandomSource(5, "alice"))
+        transmit_first_sequence(ledger, channel)
+        first_check(ledger, 0.25, 0.02, RandomSource(5, "bob"), min_size=4)
+        transmit_second_sequence(ledger, channel)
+        assert seen == [(1, Disposition.IN_FLIGHT_1), (2, Disposition.IN_FLIGHT_2)]
+
     def test_full_custody_after_second_transmission(self):
         ledger = alice_prepare(20, RandomSource(5, "alice"))
         transmit_first_sequence(ledger, clean_channel())
@@ -220,7 +235,6 @@ class TestExtractKey:
     def synthetic_decoded_ledger(self, labels):
         ledger = prepare_from_labels(labels)
         ledger.outcome = list(ledger.prepared)
-        ledger.advance(Disposition.DECODED)
         ledger.phase = Phase.CHECKED_2
         ledger.check1 = CheckReport("first", (0,), 0, 0.02)
         ledger.check2 = CheckReport("second", (0,), 0, 0.02)
@@ -316,18 +330,25 @@ class TestRunProtocol:
         )
         ledger = alice_prepare(cfg.pairs, rng.substream("alice"))
         assert_counts_match(ledger)
+        assert ledger.stage is Disposition.PREPARED
         transmit_first_sequence(ledger, chan)
         assert_counts_match(ledger)
+        assert ledger.stage is Disposition.IN_FLIGHT_1
         first_check(ledger, cfg.check_fraction_1, cfg.threshold_1, bob)
         assert_counts_match(ledger)
+        assert ledger.stage is Disposition.IN_FLIGHT_1
         transmit_second_sequence(ledger, chan)
         assert_counts_match(ledger)
+        assert ledger.stage is Disposition.IN_FLIGHT_2
         bob_decode(ledger, bob)
         assert_counts_match(ledger)
+        assert ledger.stage is Disposition.DECODED
         second_check(ledger, cfg.check_fraction_2, cfg.threshold_2, bob)
         assert_counts_match(ledger)
+        assert ledger.stage is Disposition.DECODED
         extract_key(ledger)
         assert_counts_match(ledger)
+        assert ledger.stage is Disposition.KEY and not ledger.live
         assert ledger.disposition_counts()["dropped"] > 0
 
     def test_key_indices_are_increasing_and_shared(self):
@@ -454,6 +475,7 @@ class TestRunProtocol:
         outcome = run_protocol(RunConfig(pairs=16, seed=61), RandomSource(61))
         assert outcome.abort_reason == "insufficient_pairs"
         assert outcome.check1.passed and outcome.check2 is None
+        assert outcome.ledger.receipt_2 == 1.0  # nothing sent, nothing missed
         # With 20 the second check takes the last 4 and no key is left.
         outcome = run_protocol(RunConfig(pairs=20, seed=61), RandomSource(61))
         assert outcome.abort_reason == "insufficient_pairs"
@@ -528,7 +550,7 @@ class TestMultiparty:
         cases = ((AttackStrategy(), None), (AttackStrategy(AttackKind.FAKE_EPR), "check1_failed"))
         for attack, reason in cases:
             cfg = config(pairs=200, seed=30, attack=attack)
-            single = run_protocol(cfg, RandomSource(30), trial=2)
+            single = run_protocol(cfg, RandomSource(30), transcript=Transcript(2))
             outcome = run_multiparty(cfg, RandomSource(30), trial=2)
             (hop,) = outcome.hops
             assert hop.transcript.events == single.transcript.events

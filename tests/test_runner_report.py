@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import typing
 
 import pytest
 
@@ -119,6 +121,34 @@ class TestReportFormats:
         assert first[0] == SCHEMA_VERSION
         assert first[1] == "0"
 
+    def test_tabular_columns_are_fixed(self):
+        assert TABULAR_COLUMNS == [
+            "schema_version",
+            "trial",
+            "abort_reason",
+            "receipt_fraction_1",
+            "receipt_fraction_2",
+            "check1_sample_size",
+            "check1_mismatches",
+            "check1_error_rate",
+            "check1_passed",
+            "check2_sample_size",
+            "check2_mismatches",
+            "check2_error_rate",
+            "check2_passed",
+            "key_length",
+            "keys_agree",
+            "hop2_abort_reason",
+            "hop2_check1_sample_size",
+            "hop2_check1_mismatches",
+            "hop2_check1_error_rate",
+            "hop2_check1_passed",
+            "hop2_check2_sample_size",
+            "hop2_check2_mismatches",
+            "hop2_check2_error_rate",
+            "hop2_check2_passed",
+        ]
+
     def test_tabular_multiparty_fills_hop2_columns(self):
         report = self.make_report(parties=3, pairs=200)
         lines = render_tabular(report).strip().split("\n")
@@ -221,6 +251,18 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="destroy_probability"):
             AttackStrategy(kind=AttackKind.OPAQUE, destroy_probability=True)
 
+    @pytest.mark.parametrize("cls", [RunConfig, AttackStrategy], ids=lambda cls: cls.__name__)
+    def test_every_typed_field_rejects_a_wrong_type(self, cls):
+        # The resolved annotations, so that the test still finds the typed
+        # fields if the dataclass stops annotating them as strings.
+        hints = typing.get_type_hints(cls)
+        wrong = {bool: 1, int: 1.5, float: "0.5"}
+        typed = [f.name for f in dataclasses.fields(cls) if hints[f.name] in wrong]
+        assert typed
+        for name in typed:
+            with pytest.raises(ConfigurationError, match=f"^{name} must be"):
+                cls(**{name: wrong[hints[name]]})
+
     @pytest.mark.parametrize(
         "data, key",
         [
@@ -302,6 +344,9 @@ class TestCli:
             lambda doc: doc["trials"][0].update(key_length=float("inf")),
             lambda doc: doc["trials"][0].update(keys_agree=float("nan")),
             lambda doc: doc["trials"][0].update(keys_agree="no"),
+            lambda doc: doc["trials"][0].update(key_length=10**400),
+            lambda doc: doc["trials"][0]["check1"].update(sample_size=10**400),
+            lambda doc: doc["trials"][0].update(receipt_fraction_1=10**400),
         ],
         ids=[
             "row-missing-abort-reason",
@@ -313,6 +358,9 @@ class TestCli:
             "infinite-key-length",
             "nan-keys-agree",
             "string-keys-agree",
+            "over-large-key-length",
+            "over-large-check-sample-size",
+            "over-large-receipt-fraction",
         ],
     )
     def test_verify_malformed_report_is_one_line_error(self, tmp_path, capsys, mangle):
