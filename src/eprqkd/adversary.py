@@ -46,8 +46,10 @@ class AttackKind(Enum):
     OPAQUE = "opaque"
 
 
-# The spellings of ``AttackStrategy.fake_label``: a pair-state name, or
-# "uniform" for a fresh uniform label per pair.
+# The spellings of ``AttackStrategy.kind`` and ``fake_label`` in a config dict:
+# a kind's value; a pair-state name, or "uniform" for a fresh uniform label
+# per pair.
+_ATTACK_KINDS = {kind.value: kind for kind in AttackKind}
 FAKE_LABELS: dict[str, BellState | None] = {
     **{label.name.lower(): label for label in BELL_LABELS},
     "uniform": None,
@@ -89,20 +91,16 @@ class AttackStrategy:
     def from_dict(cls, data: dict) -> "AttackStrategy":
         """Parse the ``to_dict`` form; absent keys take their defaults."""
         require_known_keys("attack", data, cls)
-        kinds = {kind.value: kind for kind in AttackKind}
-        kind, fake = data.get("kind", "none"), data.get("fake_label", "psi1")
-        if not isinstance(kind, str) or kind not in kinds:
-            raise ConfigurationError(f"attack.kind must be one of {sorted(kinds)}, got {kind!r}")
-        if not isinstance(fake, str) or fake not in FAKE_LABELS:
-            raise ConfigurationError(
-                f"attack.fake_label must be one of {sorted(FAKE_LABELS)}, got {fake!r}"
-            )
-        return cls(
-            kind=kinds[kind],
-            fake_label=FAKE_LABELS[fake],
-            destroy_probability=data.get("destroy_probability", 0.0),
-            measure_second_sequence=data.get("measure_second_sequence", False),
-        )
+        known = dict(data)
+        for name, spellings in (("kind", _ATTACK_KINDS), ("fake_label", FAKE_LABELS)):
+            if name in known:
+                value = known[name]
+                if not isinstance(value, str) or value not in spellings:
+                    raise ConfigurationError(
+                        f"attack.{name} must be one of {sorted(spellings)}, got {value!r}"
+                    )
+                known[name] = spellings[value]
+        return cls(**known)
 
 
 @dataclass

@@ -5,6 +5,11 @@
 own trial rows. Attack detection is a simulation result, not a failure:
 ``run`` exits 0 whenever the simulation itself completed.
 
+The ``run`` flags are the config fields: each option's dest is a field of
+``RunConfig`` or ``AttackStrategy``, and its type, default and whether it is
+a switch come from that field. Only ``--out``, ``--format`` and
+``--transcript`` are not config; they say where and how to write the report.
+
 The parsers are built once per process, on the first command, and every
 later ``main`` call reuses them; parsing a command leaves no state in them.
 """
@@ -19,19 +24,51 @@ from pathlib import Path
 
 from .adversary import FAKE_LABELS, AttackKind, AttackStrategy
 from .config import ATTACK_HOPS, PARTIES, RunConfig
-from .errors import ConfigurationError
+from .errors import FIELD_KINDS, ConfigurationError
 from .report import emit_report, emit_transcripts, verify_report
 from .runner import RunReport, run
+
+
+# (flag, config field, help line) of each ``run`` option that sets a field.
+_CONFIG_OPTIONS = (
+    ("--pairs", "pairs", "pairs per trial"),
+    ("--trials", "trials", "independent trials"),
+    ("--seed", "seed", "64-bit root seed"),
+    ("--attack", "kind", "adversary strategy on the quantum channel"),
+    ("--destroy-prob", "destroy_probability",
+     "per-particle destruction probability (opaque attack)"),
+    ("--fake-label", "fake_label", "pair state the fake-EPR attack plants"),
+    ("--eve-measures-second", "measure_second_sequence",
+     "measure-resend variant: also measure the second sequence"),
+    ("--check-fraction-1", "check_fraction_1", None),
+    ("--check-fraction-2", "check_fraction_2", None),
+    ("--threshold-1", "threshold_1", None),
+    ("--threshold-2", "threshold_2", None),
+    ("--loss-tolerance", "loss_tolerance",
+     "tolerated fraction of undelivered particles before aborting"),
+    ("--parties", "parties", None),
+    ("--attack-hop", "attack_hop", "which hop the adversary attacks in a 3-party chain"),
+    ("--min-check-size", "min_check_size", "minimum pairs consumed per eavesdropping check"),
+    ("--continuation-mode", "continuation_mode",
+     "study mode: keep running past a failed first check"),
+    ("--randomize-check-basis", "randomize_check_basis",
+     "extension: draw Z or X per pair in the first check"),
+)
+_CHOICES = {
+    "kind": [kind.value for kind in AttackKind],
+    "fake_label": list(FAKE_LABELS),
+    "parties": PARTIES,
+    "attack_hop": ATTACK_HOPS,
+}
 
 
 @cache
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     """The top-level parser and its ``run`` subparser, which reports the
     errors of a ``run`` command under its own usage line."""
-    # Option defaults come from the config dataclasses; each option's dest is
-    # the config field it sets, so ``_config_from_args`` can collect them.
-    defaults = RunConfig()
-    attack = defaults.attack.to_dict()
+    defaults = RunConfig().to_dict()
+    defaults.update(defaults.pop("attack"))
+    kinds = {f.name: FIELD_KINDS.get(f.type) for f in fields(RunConfig) + fields(AttackStrategy)}
     parser = argparse.ArgumentParser(
         prog="eprqkd",
         description="Simulate a two-step entangled-pair key distribution protocol.",
@@ -39,70 +76,15 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     sub = parser.add_subparsers(dest="command", required=True)
 
     runp = sub.add_parser("run", help="execute trials and write a report")
-    runp.add_argument("--pairs", type=int, default=defaults.pairs, help="pairs per trial")
-    runp.add_argument("--trials", type=int, default=defaults.trials, help="independent trials")
-    runp.add_argument("--seed", type=int, default=defaults.seed, help="64-bit root seed")
-    runp.add_argument(
-        "--attack",
-        dest="kind",
-        choices=[kind.value for kind in AttackKind],
-        default=attack["kind"],
-        help="adversary strategy on the quantum channel",
-    )
-    runp.add_argument(
-        "--destroy-prob",
-        dest="destroy_probability",
-        metavar="DESTROY_PROB",
-        type=float,
-        default=attack["destroy_probability"],
-        help="per-particle destruction probability (opaque attack)",
-    )
-    runp.add_argument(
-        "--fake-label",
-        choices=list(FAKE_LABELS),
-        default=attack["fake_label"],
-        help="pair state the fake-EPR attack plants",
-    )
-    runp.add_argument(
-        "--eve-measures-second",
-        dest="measure_second_sequence",
-        action="store_true",
-        default=attack["measure_second_sequence"],
-        help="measure-resend variant: also measure the second sequence",
-    )
-    for name in ("check_fraction_1", "check_fraction_2", "threshold_1", "threshold_2"):
-        runp.add_argument("--" + name.replace("_", "-"), type=float, default=getattr(defaults, name))
-    runp.add_argument(
-        "--loss-tolerance",
-        type=float,
-        default=defaults.loss_tolerance,
-        help="tolerated fraction of undelivered particles before aborting",
-    )
-    runp.add_argument("--parties", type=int, choices=PARTIES, default=defaults.parties)
-    runp.add_argument(
-        "--attack-hop",
-        choices=ATTACK_HOPS,
-        default=defaults.attack_hop,
-        help="which hop the adversary attacks in a 3-party chain",
-    )
-    runp.add_argument(
-        "--min-check-size",
-        type=int,
-        default=defaults.min_check_size,
-        help="minimum pairs consumed per eavesdropping check",
-    )
-    runp.add_argument(
-        "--continuation-mode",
-        action="store_true",
-        default=defaults.continuation_mode,
-        help="study mode: keep running past a failed first check",
-    )
-    runp.add_argument(
-        "--randomize-check-basis",
-        action="store_true",
-        default=defaults.randomize_check_basis,
-        help="extension: draw Z or X per pair in the first check",
-    )
+    for flag, name, help_line in _CONFIG_OPTIONS:
+        if kinds[name] is bool:
+            how = {"action": "store_true"}
+        else:
+            choices = _CHOICES.get(name)
+            # A value is named after its flag (DESTROY_PROB), not its dest.
+            metavar = None if choices else flag[2:].upper().replace("-", "_")
+            how = {"type": kinds[name], "choices": choices, "metavar": metavar}
+        runp.add_argument(flag, dest=name, default=defaults[name], help=help_line, **how)
     runp.add_argument("--out", type=Path, default=None, help="report output path")
     runp.add_argument("--format", choices=["structured", "tabular"], default="structured")
     runp.add_argument(

@@ -16,8 +16,9 @@ class ProtocolOrderError(RuntimeError):
     acting party does not hold."""
 
 
-# Field annotations are strings under ``from __future__ import annotations``.
-_KINDS = {"bool": bool, "int": int, "float": float}
+# The config field types by annotation, which is a string under ``from
+# __future__ import annotations``; the CLI derives its option types from it too.
+FIELD_KINDS = {"bool": bool, "int": int, "float": float}
 
 
 def require_field_types(obj):
@@ -25,7 +26,7 @@ def require_field_types(obj):
     instance ``obj`` annotated bool, int or float whose value is not one. A
     float field admits ints too; a bool is never taken for a number."""
     for f in fields(obj):
-        kind, value = _KINDS.get(f.type), getattr(obj, f.name)
+        kind, value = FIELD_KINDS.get(f.type), getattr(obj, f.name)
         allowed = (int, float) if kind is float else kind
         if kind and (isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed)):
             raise ConfigurationError(f"{f.name} must be {kind.__name__}, got {value!r}")

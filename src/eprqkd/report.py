@@ -5,7 +5,10 @@ the same bytes, regardless of platform or scheduling. The floats in them are
 plain Python arithmetic, and the mutual-information values come from
 ``math.log2`` in a fixed order (see ``analysis``), so they do not depend on
 the SIMD kernels an array library picks for the host CPU. Field names are
-fixed by the schema version embedded in every report.
+fixed by the schema version embedded in every report. Each CSV column after
+the schema version is a path into a trial row, such as ``("hop2", "check1",
+"sample_size")`` for the column ``hop2_check1_sample_size``; a cell is empty
+where a hop or a check on its path did not run.
 """
 from __future__ import annotations
 
@@ -17,24 +20,25 @@ from pathlib import Path
 
 from .runner import RunReport, SCHEMA_VERSION, aggregate_rows
 
-# Each hop's check blocks flatten to these (check, field) columns, in order.
-_CHECK_FIELDS = tuple(
+# A hop's two check blocks flatten to four cells each.
+_CHECK_PATHS = tuple(
     (check, name)
     for check in ("check1", "check2")
     for name in ("sample_size", "mismatches", "error_rate", "passed")
 )
-TABULAR_COLUMNS = [
-    "schema_version",
-    "trial",
-    "abort_reason",
-    "receipt_fraction_1",
-    "receipt_fraction_2",
-    *(f"{check}_{name}" for check, name in _CHECK_FIELDS),
-    "key_length",
-    "keys_agree",
-    "hop2_abort_reason",
-    *(f"hop2_{check}_{name}" for check, name in _CHECK_FIELDS),
-]
+# The CSV columns after ``schema_version``, as paths into a trial row.
+_ROW_PATHS = (
+    ("trial",),
+    ("abort_reason",),
+    ("receipt_fraction_1",),
+    ("receipt_fraction_2",),
+    *_CHECK_PATHS,
+    ("key_length",),
+    ("keys_agree",),
+    ("hop2", "abort_reason"),
+    *(("hop2", *path) for path in _CHECK_PATHS),
+)
+TABULAR_COLUMNS = ["schema_version", *("_".join(path) for path in _ROW_PATHS)]
 
 
 def render_structured(report: RunReport) -> str:
@@ -42,20 +46,19 @@ def render_structured(report: RunReport) -> str:
     return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _cell(value) -> str:
+def _cell(row: dict, path: tuple) -> str:
+    """The CSV text of the value at ``path`` in ``row``; empty where a hop or
+    a check on the path did not run."""
+    value = row
+    for key in path:
+        if value is None:
+            break
+        value = value[key]
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     return repr(value) if isinstance(value, float) else str(value)
-
-
-def _check_cells(hop: dict | None) -> list:
-    """A hop's check fields in column order; None where a hop or check did not run."""
-    return [
-        None if hop is None or hop[check] is None else hop[check][name]
-        for check, name in _CHECK_FIELDS
-    ]
 
 
 def render_tabular(report: RunReport) -> str:
@@ -64,20 +67,7 @@ def render_tabular(report: RunReport) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(TABULAR_COLUMNS)
     for row in report.rows:
-        hop2 = row["hop2"]
-        cells = [
-            report.schema_version,
-            row["trial"],
-            row["abort_reason"],
-            row["receipt_fraction_1"],
-            row["receipt_fraction_2"],
-            *_check_cells(row),
-            row["key_length"],
-            row["keys_agree"],
-            hop2["abort_reason"] if hop2 else None,
-            *_check_cells(hop2),
-        ]
-        writer.writerow([_cell(value) for value in cells])
+        writer.writerow([SCHEMA_VERSION, *(_cell(row, path) for path in _ROW_PATHS)])
     return buffer.getvalue()
 
 
@@ -124,17 +114,18 @@ def verify_report(document: dict) -> list[str]:
     if not isinstance(document, dict):
         kind = type(document).__name__
         raise ValueError(f"malformed report: top level is a {kind}, not an object")
+    for key, shape, noun in (("trials", list, "a list"), ("aggregate", dict, "an object")):
+        if key in document and not isinstance(document[key], shape):
+            kind = type(document[key]).__name__
+            raise ValueError(f"malformed report: {key} is a {kind}, not {noun}")
     problems = []
     version = document.get("schema_version")
     if version != SCHEMA_VERSION:
         problems.append(f"schema_version: expected {SCHEMA_VERSION!r}, found {version!r}")
     rows = document.get("trials")
-    if not isinstance(rows, list) or not rows:
+    if not rows:
         return problems + ["trials: missing or empty"]
-    embedded = document.get("aggregate") or {}
-    if not isinstance(embedded, dict):
-        kind = type(embedded).__name__
-        raise ValueError(f"malformed report: aggregate is a {kind}, not an object")
+    embedded = document.get("aggregate", {})
     try:
         recomputed = aggregate_rows(rows)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:

@@ -151,13 +151,12 @@ class RunReport:
     config: RunConfig
     rows: list[dict]
     aggregate: dict
-    schema_version: str = SCHEMA_VERSION
     wall_time_s: float = 0.0
     transcripts: list[str] | None = None
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "config": self.config.to_dict(),
             "trials": self.rows,
             "aggregate": self.aggregate,

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import typing
@@ -155,6 +156,23 @@ class TestReportFormats:
         row = dict(zip(TABULAR_COLUMNS, lines[1].split(",")))
         assert row["hop2_check1_sample_size"] != ""
         assert row["hop2_check2_passed"] == "true"
+
+    def test_tabular_row_of_a_trial_whose_checks_never_ran(self):
+        # The opaque attack starves the first transmission, so neither check,
+        # the key nor a second hop ever runs: their cells are empty.
+        strategy = AttackStrategy(kind=AttackKind.OPAQUE, destroy_probability=0.9)
+        report = run(RunConfig(pairs=100, seed=0, attack=strategy, loss_tolerance=0.0))
+        assert report.rows[0]["check1"] is None
+        lines = render_tabular(report).strip().split("\n")
+        row = dict(zip(TABULAR_COLUMNS, lines[1].split(",")))
+        assert row["abort_reason"] == "stall_transmission_1"
+        empty = [
+            "receipt_fraction_2",
+            "keys_agree",
+            *(name for name in TABULAR_COLUMNS if name.startswith(("check", "hop2_"))),
+        ]
+        assert {name: row[name] for name in empty} == dict.fromkeys(empty, "")
+        assert lines[1] == "eprqkd-report/1,0,stall_transmission_1,0.09,,,,,,,,,,0,,,,,,,,,,"
 
     def test_config_echo_reproduces_the_run(self):
         report = self.make_report(attack=AttackStrategy(kind=AttackKind.FAKE_EPR))
@@ -347,6 +365,14 @@ class TestCli:
             lambda doc: doc["trials"][0].update(key_length=10**400),
             lambda doc: doc["trials"][0]["check1"].update(sample_size=10**400),
             lambda doc: doc["trials"][0].update(receipt_fraction_1=10**400),
+            lambda doc: doc.update(aggregate=0),
+            lambda doc: doc.update(aggregate=[]),
+            lambda doc: doc.update(aggregate=""),
+            lambda doc: doc.update(aggregate=False),
+            lambda doc: doc.update(aggregate=None),
+            lambda doc: doc.update(aggregate=5),
+            lambda doc: doc.update(aggregate=[1]),
+            lambda doc: doc.update(trials={"a": 1}),
         ],
         ids=[
             "row-missing-abort-reason",
@@ -361,6 +387,14 @@ class TestCli:
             "over-large-key-length",
             "over-large-check-sample-size",
             "over-large-receipt-fraction",
+            "aggregate-zero",
+            "aggregate-empty-list",
+            "aggregate-empty-string",
+            "aggregate-false",
+            "aggregate-null",
+            "aggregate-int",
+            "aggregate-list",
+            "trials-object",
         ],
     )
     def test_verify_malformed_report_is_one_line_error(self, tmp_path, capsys, mangle):
@@ -398,6 +432,25 @@ class TestCli:
         assert captured.err.startswith("error: could not read report:")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.out + captured.err
+
+    def test_run_flags_are_the_config_fields(self):
+        # Every config field is set by exactly one ``run`` option, whose
+        # default, switch-ness and type follow the field.
+        run_parser = _build_parser()[1]
+        dests = [action.dest for action in run_parser._actions]
+        actions = {action.dest: action for action in run_parser._actions}
+        defaults = RunConfig().to_dict()
+        defaults.update(defaults.pop("attack"))
+        hints = {**typing.get_type_hints(RunConfig), **typing.get_type_hints(AttackStrategy)}
+        for name, default in defaults.items():
+            assert dests.count(name) == 1, name
+            action = actions[name]
+            assert action.default == default, name
+            assert isinstance(action, argparse._StoreTrueAction) == (hints[name] is bool), name
+            if hints[name] in (int, float):
+                args = run_parser.parse_args([action.option_strings[0], str(default)])
+                parsed = getattr(args, name)
+                assert type(parsed) is hints[name] and parsed == default, name
 
     def test_parsers_are_built_once(self):
         first, second = _build_parser(), _build_parser()
