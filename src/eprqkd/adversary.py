@@ -31,7 +31,15 @@ from enum import Enum
 
 from .errors import ConfigurationError, require_field_types, require_known_keys
 from .ledger import Disposition, PairLedger, joint_counts
-from .quantum import BELL_LABELS, CODES, BellState, measure_bell_column, measure_column
+from .quantum import (
+    BELL_LABELS,
+    CODES,
+    QUARTERS,
+    BellState,
+    measure_bell_column,
+    measure_column,
+    top_bytes,
+)
 # Unused here; the benchmark's traced run (bench/workloads.py) wraps these bindings.
 from .quantum import measure_bell_basis, measure_qubit_z  # noqa: F401
 from .rng import RandomSource
@@ -147,8 +155,8 @@ def _fake_epr(channel, transmission, ledger):
     if transmission == 1:
         label = channel.strategy.fake_label
         if label is None:
-            rand = rng._rng.random  # rng.uniform_index(4) per pair
-            fakes = [int(rand() * 4) for _ in live]
+            # rng.uniform_index(4) per pair, which is int(r * 4) of one draw.
+            fakes = top_bytes(rng, len(live)).translate(QUARTERS)
         else:
             fakes = [int(label)] * len(live)
         planted = ledger.planted = [None] * ledger.n_total

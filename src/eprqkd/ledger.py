@@ -136,7 +136,7 @@ class PairLedger:
 
     def __init__(
         self,
-        prepared: list[int],
+        prepared: bytes | list[int],
         sender: str = "alice",
         receiver: str = "bob",
         transcript: Transcript | None = None,
@@ -200,8 +200,7 @@ class PairLedger:
         if len(indices) == len(self.live):  # every live pair settled
             self.live = []
         elif indices:
-            gone = set(indices)
-            self.live = [i for i in self.live if i not in gone]
+            self.live = [i for i in self.live if column[i] is None]
 
     def disposition_counts(self) -> dict[str, int]:
         counts = {d.value: self.disposition.count(d) for d in Disposition}

@@ -38,7 +38,15 @@ from .adversary import AdversaryChannel, AttackStrategy, EveState
 from .config import RunConfig
 from .errors import ConfigurationError, InsufficientPairsError, ProtocolOrderError
 from .ledger import CheckReport, Disposition, KeyMaterial, PairLedger, Phase, Transcript
-from .quantum import BELL_LABELS, CODES, BellState, measure_bell_column, measure_column
+from .quantum import (
+    BELL_LABELS,
+    CODES,
+    QUARTERS,
+    BellState,
+    measure_bell_column,
+    measure_column,
+    top_bytes,
+)
 # The benchmark's traced run (bench/workloads.py) wraps these two bindings.
 from .quantum import measure_bell_basis, measure_qubit  # noqa: F401
 from .rng import RandomSource
@@ -46,6 +54,8 @@ from .rng import RandomSource
 _BASES = ("z", "x")
 # Whether each pair-state code's halves agree in each single-qubit basis.
 _AGREE = {basis: tuple(label.correlated_in(basis) for label in BELL_LABELS) for basis in _BASES}
+# The pair-state codes as bytes, which deleting from a code sequence leaves empty.
+_CODE_BYTES = bytes(BELL_LABELS)
 # The default ``transcript`` of preparation and run_protocol: log to a fresh one.
 _FRESH = object()
 
@@ -60,17 +70,13 @@ def alice_prepare(
     """Prepare N pairs with uniformly random state choices (step 1)."""
     if n < 1:
         raise ConfigurationError(f"cannot prepare {n} pairs")
-    # rng.uniform_index(4), one draw per pair: r * 4 is exact, so each
-    # comparison picks what int(r * 4) would.
-    rand = rng._rng.random
-    codes = [
-        0 if (r := rand()) < 0.25 else 1 if r < 0.5 else 2 if r < 0.75 else 3 for _ in range(n)
-    ]
+    # rng.uniform_index(4) per pair, which is int(r * 4) of one draw.
+    codes = top_bytes(rng, n).translate(QUARTERS)
     return prepare_from_labels(codes, sender, receiver, transcript)
 
 
 def prepare_from_labels(
-    labels: list[BellState | int],
+    labels: bytes | list[BellState | int],
     sender: str = "alice",
     receiver: str = "bob",
     transcript: Transcript | None = _FRESH,
@@ -79,11 +85,20 @@ def prepare_from_labels(
     (re-encoding path).
 
     The ledger logs to ``transcript``, to a fresh one when none is given,
-    and nowhere when it is None.
+    and nowhere when it is None. Anything but a pair state or a code 0-3
+    raises ConfigurationError.
     """
-    if not labels:
+    # bytes() takes each list item through its __index__, rejecting a
+    # non-integer or a negative value, but reads an int as a length and a
+    # buffer (an array, say) as raw bytes, so anything else is listed first.
+    try:
+        codes = bytes(labels if isinstance(labels, (bytes, list)) else list(labels))
+    except (TypeError, ValueError):
+        codes = None
+    if codes is None or codes.translate(None, _CODE_BYTES):  # a byte above 3 is left
+        raise ConfigurationError("preparation labels must be pair states or their codes 0-3")
+    if not codes:
         raise ConfigurationError("cannot prepare an empty pair sequence")
-    codes = list(map(int, labels))
     if transcript is _FRESH:
         transcript = Transcript()
     ledger = PairLedger(codes, sender=sender, receiver=receiver, transcript=transcript)

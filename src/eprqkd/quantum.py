@@ -37,16 +37,27 @@ evaluated once, at import, into three tables:
   exact and ``r < CUM[s][i]`` picks the index ``RandomSource.categorical``
   would pick from the same draw.
 
+Because every probability is a multiple of 1/4, a draw ``r`` decides an
+outcome through ``int(r * 4)`` alone: ``r < k/4`` exactly when
+``int(r * 4) < k``. ``random()`` builds ``r`` from two 32-bit generator
+words, and ``int(r * 4)`` is the top two bits of the first word.
+``top_bytes`` therefore draws a whole step's words in one
+``getrandbits`` call and returns each draw's first-word top byte;
+``QUARTERS`` maps a top byte to ``int(r * 4)``. The generator ends in the
+state the same number of ``random()`` calls leaves it in.
+
 The column kernels (``measure_column``, ``measure_bell_column``) measure a
 list of pairs in one loop: they update a column of state codes in place at
-the given indices, in index order, and return the outcomes. Each reads the
-per-operation rows of the tables and takes one draw per measurement straight
-from the stream's generator, so a step makes exactly the draws, in exactly
-the order, that one call per pair would. A measurement takes its draw even
-when the outcome is certain. The scalar kernels (``measure_qubit``,
-``measure_qubit_z``, ``measure_bell_basis``) read the same rows for one pair,
-take one draw the same way and return (outcome, post state); the
-probability queries are one lookup each.
+the given indices, in index order, and return the outcomes. Each takes one
+block of draws per call, one draw per measurement, and reads its outcome from
+a table indexed by state code and ``int(r * 4)`` that is derived from the
+three tables above, so a step makes exactly the draws, in exactly the order,
+that one call per pair would. A measurement takes its draw even when the
+outcome is certain. The scalar kernels (``measure_qubit``,
+``measure_qubit_z``, ``measure_bell_basis``) read ``P0``, ``POST`` and
+``CUM`` for one pair, take one ``random()`` draw and return (outcome, post
+state); they are the one-draw references the column kernels are tested
+against. The probability queries are one lookup each.
 """
 from __future__ import annotations
 
@@ -172,9 +183,29 @@ POST = tuple(
 )
 _BELL_PROBS = tuple(_closed_overlaps(s) for s in range(N_STATES))
 CUM = tuple(tuple(accumulate(probs)) for probs in _BELL_PROBS)
-# The column kernels' rows: P0 and POST of one operation, by state code.
-_P0_BY_OP = tuple(zip(*P0))
-_POST_BY_OP = tuple(zip(*POST))
+# int(r * 4) of the draw r whose first word has the given top byte.
+QUARTERS = bytes(h >> 6 for h in range(256))
+
+
+def _quarter_outcome(s: int, op: int, q: int) -> tuple[int, int]:
+    """(outcome bit, post state) of operation ``op`` on state ``s`` for a
+    draw r with int(r * 4) == q: r < P0 exactly when q < 4 * P0, since
+    4 * P0 is an integer."""
+    bit = 0 if q < 4 * P0[s][op] else 1
+    return bit, POST[s][op][bit]
+
+
+# The column kernels' rows, by operation (single-qubit only), state code and
+# quarter q: each operation's (outcome bit, post state), and the pair-basis
+# outcome, the first index whose running sum exceeds r.
+_OUTCOME_BY_OP = tuple(
+    tuple(tuple(_quarter_outcome(s, op, q) for q in range(4)) for s in range(N_STATES))
+    for op in range(len(_OP_ARGS))
+)
+_BELL_OUTCOME = tuple(
+    tuple(next((i for i, c in enumerate(CUM[s][:3]) if q < 4 * c), 3) for q in range(4))
+    for s in range(N_STATES)
+)
 
 
 # -- kernels -------------------------------------------------------------------
@@ -210,41 +241,44 @@ def qubit_z_probabilities(state: int, which: str) -> tuple[float, float]:
     return qubit_probabilities(state, which, "z")
 
 
+def top_bytes(rng: RandomSource, n: int) -> bytes:
+    """The top byte of each of the next n draws' first generator word.
+
+    Makes the draws n ``random()`` calls would, in one call; the byte of
+    each draw ``r`` maps to ``int(r * 4)`` through ``QUARTERS``.
+    ``getrandbits`` fills its result from the least significant word up, so
+    draw i's first word is bytes 8i to 8i + 3 of the little-endian result.
+    """
+    return rng._rng.getrandbits(64 * n).to_bytes(8 * n, "little")[3::8]
+
+
 def measure_column(
-    column: list[int], indices, which: str, basis: str, rng: RandomSource
+    column: list[int], indices: list[int], which: str, basis: str, rng: RandomSource
 ) -> list[int]:
     """Measure one qubit of each listed pair in "z" or "x", in index order.
 
     Updates ``column`` in place to the post states and returns the outcome
     bits, one draw per pair.
     """
-    op = _op(which, basis)
-    p0, post = _P0_BY_OP[op], _POST_BY_OP[op]
-    rand = rng._rng.random
+    outcomes = _OUTCOME_BY_OP[_op(which, basis)]
     bits = []
     append = bits.append
-    for i in indices:
-        state = column[i]
-        bit = 0 if rand() < p0[state] else 1
-        column[i] = post[state][bit]
+    for i, q in zip(indices, top_bytes(rng, len(indices)).translate(QUARTERS)):
+        bit, column[i] = outcomes[column[i]][q]
         append(bit)
     return bits
 
 
-def measure_bell_column(column: list[int], indices, rng: RandomSource) -> list[int]:
+def measure_bell_column(column: list[int], indices: list[int], rng: RandomSource) -> list[int]:
     """Measure each listed pair onto the four pair states, in index order.
 
     Updates ``column`` in place to the outcomes, which are the measured
     labels' codes, and returns them, one draw per pair.
     """
-    rand = rng._rng.random
     outcomes = []
     append = outcomes.append
-    for i in indices:
-        r = rand()
-        c0, c1, c2, _ = CUM[column[i]]
-        outcome = 0 if r < c0 else 1 if r < c1 else 2 if r < c2 else 3
-        column[i] = outcome
+    for i, q in zip(indices, top_bytes(rng, len(indices)).translate(QUARTERS)):
+        column[i] = outcome = _BELL_OUTCOME[column[i]][q]
         append(outcome)
     return outcomes
 
@@ -252,8 +286,8 @@ def measure_bell_column(column: list[int], indices, rng: RandomSource) -> list[i
 def measure_qubit(state: int, which: str, basis: str, rng: RandomSource) -> tuple[int, int]:
     """Measure one qubit in "z" or "x"; returns (outcome bit, post state)."""
     op = _op(which, basis)
-    outcome = 0 if rng._rng.random() < _P0_BY_OP[op][state] else 1
-    return outcome, _POST_BY_OP[op][state][outcome]
+    outcome = 0 if rng._rng.random() < P0[state][op] else 1
+    return outcome, POST[state][op][outcome]
 
 
 def measure_qubit_z(state: int, which: str, rng: RandomSource) -> tuple[int, int]:

@@ -9,10 +9,16 @@ in any order.
 A stream is seeded on its first draw, not when it is created: a root that
 only hands out substreams, or an adversary stream on a clean channel, never
 pays for seeding a generator. Seeding later changes no draw, because a
-stream's generator depends only on its (seed, stream) name. Hot loops (the
-column kernels in ``quantum``, preparation, the attacks) bind
-``rng._rng.random`` once and call it per pair; that is the same draw
-``random()`` makes.
+stream's generator depends only on its (seed, stream) name.
+
+A step that draws once per pair reads the generator directly.
+``quantum.top_bytes`` takes n draws in one ``getrandbits`` call and keeps the
+top byte of each draw's first 32-bit word, which decides every outcome of
+probability 0, 1/4, 1/2 or 1 exactly as the draw's ``random()`` value would;
+preparation, the column kernels and the fake-EPR adversary's uniform labels
+draw that way. The samplers below, the opaque attack's losses (of arbitrary
+probability) and the scalar kernels call ``random()`` once per draw. Either
+way the generator ends in the same state.
 """
 from __future__ import annotations
 

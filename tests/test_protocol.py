@@ -70,6 +70,13 @@ class TestPrepare:
         ledger = prepare_from_labels(labels)
         assert [rec.prepared for rec in ledger.records] == labels
 
+    @pytest.mark.parametrize("bad", [-1, 3.7, "1", 4, 5, None])
+    def test_labels_that_are_not_pair_states_rejected(self, bad):
+        # Each of these once ran, completed with a key, or raised IndexError
+        # or TypeError from deep inside the run.
+        with pytest.raises(ConfigurationError):
+            run_protocol(config(pairs=40), RandomSource(0), prepared_labels=[bad] * 40)
+
 
 class TestTransmissions:
     def test_first_transmission_moves_custody(self):

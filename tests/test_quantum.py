@@ -7,12 +7,15 @@ from hypothesis import given, strategies as st
 import amplitude_oracle as oracle
 from amplitude_oracle import ORACLE_BELL, S, TwoQubitState, amplitudes_of
 from eprqkd.quantum import (
+    _BELL_OUTCOME,
+    _OUTCOME_BY_OP,
     BELL_LABELS,
     CUM,
     N_STATES,
     P0,
     POST,
     PRODUCTS,
+    QUARTERS,
     BellState,
     basis_state,
     bell_overlap_probabilities,
@@ -25,6 +28,7 @@ from eprqkd.quantum import (
     product_state,
     qubit_probabilities,
     qubit_z_probabilities,
+    top_bytes,
 )
 from eprqkd.rng import RandomSource, three_sigma
 
@@ -61,6 +65,17 @@ class ScriptedSource(RandomSource):
     def random(self) -> float:
         self.draws += 1
         return self.r
+
+    def getrandbits(self, k: int) -> int:
+        """k / 64 draws through random(), each packed as the two 32-bit words
+        the Mersenne Twister would have produced for it, first word least
+        significant."""
+        words = 0
+        for n in range(k // 64):
+            x = int(self.random() * 2**53)
+            pair = (x >> 26) << 5 | ((x & (2**26 - 1)) << 6) << 32
+            words |= pair << (64 * n)
+        return words
 
 
 class TestBellStates:
@@ -433,6 +448,38 @@ def test_measure_bell_column_matches_scalar_loop(column_and_indices, seed):
     assert outcomes == expected_outcomes
     assert rng._rng.getstate() == ref_rng._rng.getstate()
     assert rng._rng.getstate() == _one_draw_each(seed, "bell-column", len(indices))
+
+
+# The column kernels decide each measurement from the top byte of its draw's
+# first word, which fixes int(r * 4) of the draw r that random() would return.
+
+
+@given(st.integers(0, 2**64 - 1), st.text(max_size=8), st.integers(0, 300))
+def test_top_bytes_match_random_draws(seed, stream, n):
+    rng, ref_rng = RandomSource(seed, stream), RandomSource(seed, stream)
+    tops = top_bytes(rng, n)
+    draws = [ref_rng.random() for _ in range(n)]
+    assert rng._rng.getstate() == ref_rng._rng.getstate()
+    assert len(tops) == n
+    for h, r in zip(tops, draws):
+        assert QUARTERS[h] == h >> 6 == int(r * 4)
+        assert (h < 128) == (r < 0.5)
+
+
+def test_outcome_tables_agree_with_probabilities():
+    # r < p is decided by int(r * 4) only when 4 * p is an integer.
+    for s in REACHABLE:
+        for p in (*P0[s], *CUM[s]):
+            assert (4 * p).is_integer()
+    for q in range(4):
+        r = q / 4  # the smallest draw of this quarter; every draw in it decides alike
+        for s in REACHABLE:
+            for op in range(4):
+                bit = 0 if r < P0[s][op] else 1
+                assert _OUTCOME_BY_OP[op][s][q] == (bit, POST[s][op][bit])
+                assert POST[s][op][bit] is not None
+            c0, c1, c2, _ = CUM[s]
+            assert _BELL_OUTCOME[s][q] == (0 if r < c0 else 1 if r < c1 else 2 if r < c2 else 3)
 
 
 # Arbitrary superpositions lie outside the reachable set; these properties
