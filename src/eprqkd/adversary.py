@@ -3,8 +3,9 @@
 The adversary acts only on particles while they are in flight and only on
 information she can physically obtain: her own measurement outcomes and her
 own random draws. She never reads the sender's secret preparation choices.
-Everything she learns is recorded in :class:`EveState`, so a run can be
-scored afterwards without giving the attack code oracle access.
+What she learns is recorded in :class:`EveState` as her guess per pair, in
+one alphabet, so a run can be scored afterwards without giving the attack
+code oracle access.
 
 Strategies:
 
@@ -113,14 +114,17 @@ class AttackStrategy:
 
 @dataclass
 class EveState:
-    """Everything the adversary has learned, as columns by pair index with
-    None where she learned nothing: the pair-state code each of her Bell
-    measurements found, and her Z bit on each half. A column stays empty
-    until she first records into it."""
+    """What the adversary has learned: her guess per pair, in one alphabet.
 
-    inferred_key: list[int | None] = field(default_factory=list)
-    z_first: list[int | None] = field(default_factory=list)
-    z_second: list[int | None] = field(default_factory=list)
+    ``guesses`` holds, by pair index, an index into ``alphabet``, or None
+    where she has no guess; it stays empty until she first measures.
+    ``alphabet`` is ``CODES`` when a guess names both bits of a pair's code
+    (her Bell measurement, or her Z bits on both halves as ``2·first +
+    second``) and the two bit names when it is her one Z bit.
+    """
+
+    guesses: list[int | None] = field(default_factory=list)
+    alphabet: tuple[str, ...] = CODES
 
 
 # One function per attack kind. Each acts on the ledger's live pairs, which
@@ -136,15 +140,22 @@ def _identity(channel, transmission, ledger):
 def _measure_resend(channel, transmission, ledger):
     if transmission == 2 and not channel.strategy.measure_second_sequence:
         return None
-    bits = [None] * ledger.n_total
-    if transmission == 1:
-        which, channel.eve.z_second = "second", bits
-    else:
-        which, channel.eve.z_first = "first", bits
-    live = ledger.live
+    eve, live = channel.eve, ledger.live
+    which = "second" if transmission == 1 else "first"
     measured = measure_column(ledger.state, live, which, "z", channel.rng)
-    for i, bit in zip(live, measured):
-        bits[i] = bit
+    if transmission == 1 or not eve.guesses:
+        eve.guesses, eve.alphabet = [None] * ledger.n_total, _BITS
+        for i, bit in zip(live, measured):
+            eve.guesses[i] = bit
+    elif live:
+        # Every pair still in flight was Z-measured on its other half at
+        # transmission 1; her two bits name a guess like a key code. With no
+        # pair left in flight her one-bit guesses stand, and so do the bits
+        # of a second sequence she alone measured.
+        first_bits = eve.guesses
+        eve.guesses, eve.alphabet = [None] * ledger.n_total, CODES
+        for i, bit in zip(live, measured):
+            eve.guesses[i] = 2 * bit + first_bits[i]
     if ledger.transcript is None:
         return None
     return {"measured": len(measured), "outcomes": "".join([_BITS[bit] for bit in measured])}
@@ -166,10 +177,10 @@ def _fake_epr(channel, transmission, ledger):
             return None
         codes = "".join([CODES[code] for code in fakes])
         return {"captured": len(live), "planted": len(live), "fake_codes": codes}
-    inferred = channel.eve.inferred_key = [None] * ledger.n_total
+    guesses = channel.eve.guesses = [None] * ledger.n_total
     found = measure_bell_column(ledger.state, live, rng)
     for i, code in zip(live, found):
-        inferred[i] = code
+        guesses[i] = code
     if ledger.transcript is None:
         return None
     codes = "".join([CODES[code] for code in found])
@@ -223,22 +234,7 @@ class AdversaryChannel:
 
 
 def eve_guess_counts(eve: EveState, ledger: PairLedger) -> dict[str, dict[str, int]]:
-    """Joint counts {sender's code: {Eve's guess: n}} over pairs Eve scored.
-
-    The guess alphabet depends on what the attack produced: full 2-bit codes
-    for fake-EPR Bell measurements, the concatenated Z bits otherwise. The
-    ledger supplies only the true codes being guessed at; the attack never
-    saw them. An empty result means Eve recorded nothing.
-    """
-    prepared, first, second = ledger.prepared, eve.z_first, eve.z_second
-    if eve.inferred_key:
-        return joint_counts(prepared, eve.inferred_key)
-    if not first or not second:
-        return joint_counts(prepared, first or second, _BITS)
-    # Pairs measured on both halves are her real guesses, named by the two
-    # bits like a key code; partially measured ones carry strictly less and
-    # are not scored alongside.
-    both = [None if a is None or b is None else 2 * a + b for a, b in zip(first, second)]
-    if any(guess is not None for guess in both):
-        return joint_counts(prepared, both)
-    return joint_counts(prepared, [a if b is None else b for a, b in zip(first, second)], _BITS)
+    """Joint counts {sender's code: {Eve's guess: n}} over the pairs she
+    guessed. The ledger supplies only the true codes being guessed at; the
+    attack never saw them. An empty result means Eve recorded nothing."""
+    return joint_counts(ledger.prepared, eve.guesses, eve.alphabet)

@@ -514,5 +514,5 @@ def run_multiparty(
 
     keys = [sender_key_material(hops[0].ledger, positions)]
     keys += [KeyMaterial(hop.sender_key.bits, positions) for hop in hops[1:]]
-    keys.append(hops[-1].receiver_key)
+    keys.append(KeyMaterial(hops[-1].receiver_key.bits, positions))
     return TrialOutcome(hops, None, keys)

@@ -105,16 +105,20 @@ def _has_non_finite(block: dict) -> bool:
 
 
 def verify_report(document: dict) -> list[str]:
-    """Recompute the aggregate block from the trial rows and diff it.
+    """Recompute the aggregate block from the trial rows and diff it, and
+    check that the echoed config ran as many trials as there are rows.
 
     Returns a list of human-readable discrepancies; an empty list means the
-    embedded aggregate matches its own rows exactly. Raises ValueError
+    embedded aggregate matches its own rows exactly and the config's trial
+    count is the number of rows. Raises ValueError
     ("malformed report: ...") when the document is not shaped like a report.
     """
     if not isinstance(document, dict):
         kind = type(document).__name__
         raise ValueError(f"malformed report: top level is a {kind}, not an object")
-    for key, shape, noun in (("trials", list, "a list"), ("aggregate", dict, "an object")):
+    for key, shape, noun in (
+        ("config", dict, "an object"), ("trials", list, "a list"), ("aggregate", dict, "an object")
+    ):
         if key in document and not isinstance(document[key], shape):
             kind = type(document[key]).__name__
             raise ValueError(f"malformed report: {key} is a {kind}, not {noun}")
@@ -125,6 +129,9 @@ def verify_report(document: dict) -> list[str]:
     rows = document.get("trials")
     if not rows:
         return problems + ["trials: missing or empty"]
+    trials = document.get("config", {}).get("trials")
+    if type(trials) is not int or trials != len(rows):
+        problems.append(f"config.trials: stored {trials!r}, counted {len(rows)}")
     embedded = document.get("aggregate", {})
     try:
         recomputed = aggregate_rows(rows)

@@ -11,9 +11,16 @@ from eprqkd.analysis import JointDistribution, mutual_information
 from eprqkd.config import RunConfig
 from eprqkd.errors import ConfigurationError
 from eprqkd.ledger import Disposition
-from eprqkd.protocol import alice_prepare, run_protocol, transmit_first_sequence
+from eprqkd.protocol import (
+    alice_prepare,
+    first_check,
+    run_protocol,
+    transmit_first_sequence,
+    transmit_second_sequence,
+)
 from eprqkd.quantum import (
     BELL_LABELS,
+    CODES,
     PRODUCTS,
     BellState,
     basis_state,
@@ -83,10 +90,10 @@ class TestMeasureResend:
         }
         for rec in ledger.records:
             assert rec.carrier in products[rec.prepared.correlated]
-            assert PRODUCTS[rec.carrier - len(BELL_LABELS)][1] == ("z", chan.eve.z_second[rec.index])
-        assert None not in chan.eve.z_second and len(chan.eve.z_second) == 500
-        assert chan.eve.z_first == []
-        bits = chan.eve.z_second
+            assert PRODUCTS[rec.carrier - len(BELL_LABELS)][1] == ("z", chan.eve.guesses[rec.index])
+        assert None not in chan.eve.guesses and len(chan.eve.guesses) == 500
+        assert chan.eve.alphabet == ("0", "1")
+        bits = chan.eve.guesses
         assert abs(sum(bits) / 500 - 0.5) < three_sigma(0.5, 500)
 
     def test_parity_class_exactly_preserved(self):
@@ -171,10 +178,10 @@ class TestFakeEpr:
         eve = outcome.eve
         decoded = [rec for rec in outcome.ledger.records if rec.outcome is not None]
         assert len(decoded) > 0
-        inferred = [i for i, code in enumerate(eve.inferred_key) if code is not None]
+        inferred = [i for i, code in enumerate(eve.guesses) if code is not None]
         assert inferred == [rec.index for rec in decoded]
         for rec in decoded:
-            assert eve.inferred_key[rec.index] == rec.prepared
+            assert eve.guesses[rec.index] == rec.prepared
 
 
 class TestOpaque:
@@ -243,7 +250,35 @@ class TestEveInformation:
         outcome = self.run_with(AttackKind.FAKE_EPR, pairs=400)
         counts = eve_guess_counts(outcome.eve, outcome.ledger)
         total = sum(n for row in counts.values() for n in row.values())
-        assert total == len(outcome.eve.inferred_key) - outcome.eve.inferred_key.count(None)
+        assert total == len(outcome.eve.guesses) - outcome.eve.guesses.count(None)
+
+    def test_single_bits_stand_when_check_one_consumes_every_pair(self):
+        # Five pairs are all sampled by the first check, so none is in flight
+        # when Eve measures the second sequence: her first-sequence Z bits
+        # stay her guesses, scored one bit each.
+        attack = AttackStrategy(kind=AttackKind.MEASURE_RESEND, measure_second_sequence=True)
+        report = run(RunConfig(pairs=5, trials=1, seed=1, attack=attack))
+        assert report.rows[0]["check1"]["sample_size"] == 5
+        assert report.rows[0]["ae_counts"] == {
+            "01": {"1": 1, "0": 1},
+            "11": {"0": 2},
+            "00": {"1": 1},
+        }
+
+    def test_second_sequence_measured_alone_scores_single_bits(self):
+        # The first sequence went through a clean channel, so Eve holds only
+        # her Z bits of the second: each is a one-bit guess.
+        ledger = sent_ledger(40, seed=4)
+        first_check(ledger, 0.25, 0.02, RandomSource(4, "check"))
+        chan = channel(AttackKind.MEASURE_RESEND, seed=4, measure_second_sequence=True)
+        transmit_second_sequence(ledger, chan)
+        live = [rec.index for rec in with_disposition(ledger, Disposition.IN_FLIGHT_2)]
+        assert chan.eve.alphabet == ("0", "1")
+        assert [i for i, bit in enumerate(chan.eve.guesses) if bit is not None] == live
+        counts = eve_guess_counts(chan.eve, ledger)
+        assert set(counts) <= set(CODES)
+        assert {guess for row in counts.values() for guess in row} <= {"0", "1"}
+        assert sum(n for row in counts.values() for n in row.values()) == len(live)
 
 
 class TestReplay:
@@ -256,5 +291,5 @@ class TestReplay:
             return run_protocol(config, RandomSource(21)).eve
 
         first = run_once()
-        assert first.inferred_key
+        assert first.guesses
         assert first == run_once()

@@ -219,6 +219,17 @@ class TestDecodeAndSecondCheck:
         with pytest.raises(ProtocolOrderError):
             second_check(ledger, 0.25, 0.02, RandomSource(13))
 
+    def test_first_check_requires_first_transmission(self):
+        ledger = alice_prepare(10, RandomSource(13))
+        with pytest.raises(ProtocolOrderError):
+            first_check(ledger, 0.25, 0.02, RandomSource(13))
+
+    def test_decode_requires_second_transmission(self):
+        ledger = alice_prepare(10, RandomSource(13))
+        transmit_first_sequence(ledger, clean_channel())
+        with pytest.raises(ProtocolOrderError):
+            bob_decode(ledger, RandomSource(13))
+
     def test_measure_resend_second_check_rate(self):
         chan = AdversaryChannel(
             AttackStrategy(kind=AttackKind.MEASURE_RESEND), RandomSource(14, "eve")
@@ -578,8 +589,12 @@ class TestMultiparty:
         outcome = run_multiparty(cfg, RandomSource(32))
         hop2_key_pairs = len(outcome.hops[1].receiver_key.source_indices)
         assert len(outcome.keys[-1].bits) == 2 * hop2_key_pairs
-        # Alice's and Bob's positions refer to first-hop ordinals.
-        assert outcome.keys[0].source_indices == outcome.keys[1].source_indices
+        # Every party's positions refer to first-hop ordinals.
+        assert (
+            outcome.keys[0].source_indices
+            == outcome.keys[1].source_indices
+            == outcome.keys[2].source_indices
+        )
         hop1_key = set(outcome.hops[0].receiver_key.source_indices)
         assert set(outcome.keys[0].source_indices) <= hop1_key
 

@@ -227,6 +227,28 @@ class TestVerifyReport:
         doc["schema_version"] = "something-else"
         assert any("schema_version" in p for p in verify_report(doc))
 
+    @pytest.mark.parametrize(
+        "mangle, stored",
+        [
+            (lambda doc: doc.pop("config"), "None"),
+            (lambda doc: doc["config"].update(trials=3), "3"),
+            (lambda doc: doc["config"].update(trials=2.0), "2.0"),
+        ],
+        ids=["config-missing", "config-trials-wrong", "config-trials-float"],
+    )
+    def test_config_trials_must_count_the_rows(self, mangle, stored):
+        report = run(RunConfig(pairs=100, trials=2, seed=49))
+        doc = json.loads(render_structured(report))
+        mangle(doc)
+        assert verify_report(doc) == [f"config.trials: stored {stored}, counted 2"]
+
+    def test_config_not_an_object_is_malformed(self):
+        report = run(RunConfig(pairs=100, trials=1, seed=49))
+        doc = json.loads(render_structured(report))
+        doc["config"] = []
+        with pytest.raises(ValueError, match="^malformed report: config is a list, not an object$"):
+            verify_report(doc)
+
 
 class TestConfig:
     def test_validation(self):
@@ -250,6 +272,8 @@ class TestConfig:
             RunConfig(attack_hop="3")
         with pytest.raises(ConfigurationError, match="attack_hop"):
             RunConfig(parties=2, attack_hop="2")
+        with pytest.raises(ConfigurationError, match="min_check_size"):
+            RunConfig(min_check_size=0)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -373,6 +397,8 @@ class TestCli:
             lambda doc: doc.update(aggregate=5),
             lambda doc: doc.update(aggregate=[1]),
             lambda doc: doc.update(trials={"a": 1}),
+            lambda doc: doc.update(config=[]),
+            lambda doc: doc.update(config=None),
         ],
         ids=[
             "row-missing-abort-reason",
@@ -395,6 +421,8 @@ class TestCli:
             "aggregate-int",
             "aggregate-list",
             "trials-object",
+            "config-list",
+            "config-null",
         ],
     )
     def test_verify_malformed_report_is_one_line_error(self, tmp_path, capsys, mangle):
@@ -409,6 +437,27 @@ class TestCli:
         assert captured.err.startswith("error: malformed report")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize(
+        "mangle, line",
+        [
+            (lambda doc: doc.pop("config"), "MISMATCH config.trials: stored None, counted 1"),
+            (lambda doc: doc["config"].update(trials=2), "MISMATCH config.trials: stored 2, counted 1"),
+            (lambda doc: doc.update(trials=[]), "MISMATCH trials: missing or empty"),
+        ],
+        ids=["config-missing", "config-trials-wrong", "trials-empty"],
+    )
+    def test_verify_mismatch_is_one_line(self, tmp_path, capsys, mangle, line):
+        out = tmp_path / "report.json"
+        main(["run", "--pairs", "80", "--seed", "3", "--out", str(out)])
+        doc = json.loads(out.read_text())
+        mangle(doc)
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == line + "\n"
+        assert captured.err == ""
 
     def test_verify_undecodable_file_is_one_line_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
