@@ -35,9 +35,11 @@ from .ledger import Disposition, PairLedger, joint_counts
 from .quantum import (
     BELL_LABELS,
     CODES,
+    KEYS,
+    OPS,
+    PAIR_BASIS,
     QUARTERS,
     BellState,
-    measure_bell_column,
     measure_column,
     top_bytes,
 )
@@ -142,7 +144,8 @@ def _measure_resend(channel, transmission, ledger):
         return None
     eve, live = channel.eve, ledger.live
     which = "second" if transmission == 1 else "first"
-    measured = measure_column(ledger.state, live, which, "z", channel.rng)
+    keys = top_bytes(channel.rng, len(live)).translate(KEYS[OPS[which]["z"]])
+    measured = measure_column(ledger.state, live, keys)
     if transmission == 1 or not eve.guesses:
         eve.guesses, eve.alphabet = [None] * ledger.n_total, _BITS
         for i, bit in zip(live, measured):
@@ -178,7 +181,8 @@ def _fake_epr(channel, transmission, ledger):
         codes = "".join([CODES[code] for code in fakes])
         return {"captured": len(live), "planted": len(live), "fake_codes": codes}
     guesses = channel.eve.guesses = [None] * ledger.n_total
-    found = measure_bell_column(ledger.state, live, rng)
+    keys = top_bytes(rng, len(live)).translate(KEYS[PAIR_BASIS])
+    found = measure_column(ledger.state, live, keys)
     for i, code in zip(live, found):
         guesses[i] = code
     if ledger.transcript is None:

@@ -153,14 +153,16 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
     report = run(config, collect_transcripts=args.transcript)
     _print_summary(report)
     if args.out is not None:
+        what = "report"
         try:
             path = emit_report(report, args.out, args.format)
             print(f"  report written to {path}")
             if args.transcript:
+                what = "transcripts"
                 tpath = emit_transcripts(report, args.out.with_suffix(".transcript.jsonl"))
                 print(f"  transcripts written to {tpath}")
         except OSError as exc:
-            print(f"error: could not write report: {exc}", file=sys.stderr)
+            print(f"error: could not write {what}: {exc}", file=sys.stderr)
             return 1
     return 0
 

@@ -41,13 +41,15 @@ from .ledger import CheckReport, Disposition, KeyMaterial, PairLedger, Phase, Tr
 from .quantum import (
     BELL_LABELS,
     CODES,
+    KEYS,
+    OPS,
+    PAIR_BASIS,
     QUARTERS,
     BellState,
-    measure_bell_column,
     measure_column,
     top_bytes,
 )
-# The benchmark's traced run (bench/workloads.py) wraps these two bindings.
+# Unused here; the benchmark's traced run (bench/workloads.py) wraps these bindings.
 from .quantum import measure_bell_basis, measure_qubit  # noqa: F401
 from .rng import RandomSource
 
@@ -56,6 +58,9 @@ _BASES = ("z", "x")
 _AGREE = {basis: tuple(label.correlated_in(basis) for label in BELL_LABELS) for basis in _BASES}
 # The pair-state codes as bytes, which deleting from a code sequence leaves empty.
 _CODE_BYTES = bytes(BELL_LABELS)
+# By basis, the keys of the receiver's and the sender's first-check measurements.
+_RECEIVER_KEYS = {basis: KEYS[OPS["second"][basis]] for basis in _BASES}
+_SENDER_KEYS = {basis: KEYS[OPS["first"][basis]] for basis in _BASES}
 # The default ``transcript`` of preparation and run_protocol: log to a fresh one.
 _FRESH = object()
 
@@ -194,23 +199,20 @@ def first_check(
         raise ProtocolOrderError(f"first check in phase {ledger.phase.name}")
     sample = _draw_sample(ledger.live, fraction, min_size, rng)
 
-    state, held = ledger.state, ledger.receiver_state
     # Every receiver draw, then every sender draw; with random bases each
-    # pair's basis draw comes just before the receiver measures that pair.
+    # pair's basis draw comes just before the receiver's draw for that pair.
+    k = len(sample)
     if randomize_basis:
-        bases, receiver_bits, sender_bits = [], [], []
-        for i in sample:
-            basis = _BASES[rng.uniform_index(2)]
-            bases.append(basis)
-            bit, held[i] = measure_qubit(held[i], "second", basis, rng)
-            receiver_bits.append(bit)
-        for i, basis in zip(sample, bases):
-            bit, state[i] = measure_qubit(state[i], "first", basis, rng)
-            sender_bits.append(bit)
+        drawn = top_bytes(rng, 2 * k)
+        bases = [_BASES[h >> 7] for h in drawn[0::2]]  # int(r * 2) of each basis draw
+        receiver_keys = bytes(_RECEIVER_KEYS[b][h] for b, h in zip(bases, drawn[1::2]))
+        sender_keys = bytes(_SENDER_KEYS[b][h] for b, h in zip(bases, top_bytes(rng, k)))
     else:
-        bases = ["z"] * len(sample)
-        receiver_bits = measure_column(held, sample, "second", "z", rng)
-        sender_bits = measure_column(state, sample, "first", "z", rng)
+        bases = ["z"] * k
+        receiver_keys = top_bytes(rng, k).translate(_RECEIVER_KEYS["z"])
+        sender_keys = top_bytes(rng, k).translate(_SENDER_KEYS["z"])
+    receiver_bits = measure_column(ledger.receiver_state, sample, receiver_keys)
+    sender_bits = measure_column(ledger.state, sample, sender_keys)
     transcript = ledger.transcript
     if transcript is not None:
         transcript.log(
@@ -279,7 +281,8 @@ def bob_decode(ledger: PairLedger, rng: RandomSource) -> PairLedger:
     if ledger.phase is not Phase.SENT_2:
         raise ProtocolOrderError(f"decode in phase {ledger.phase.name}")
     live, outcome = ledger.live, ledger.outcome
-    decoded = measure_bell_column(ledger.receiver_state, live, rng)
+    keys = top_bytes(rng, len(live)).translate(KEYS[PAIR_BASIS])
+    decoded = measure_column(ledger.receiver_state, live, keys)
     for i, code in zip(live, decoded):
         outcome[i] = code
     if ledger.transcript is not None:

@@ -39,25 +39,32 @@ evaluated once, at import, into three tables:
 
 Because every probability is a multiple of 1/4, a draw ``r`` decides an
 outcome through ``int(r * 4)`` alone: ``r < k/4`` exactly when
-``int(r * 4) < k``. ``random()`` builds ``r`` from two 32-bit generator
-words, and ``int(r * 4)`` is the top two bits of the first word.
-``top_bytes`` therefore draws a whole step's words in one
-``getrandbits`` call and returns each draw's first-word top byte;
-``QUARTERS`` maps a top byte to ``int(r * 4)``. The generator ends in the
-state the same number of ``random()`` calls leaves it in.
+``int(r * 4) < k``. So the three tables are read once more, at import, into
+the one table every measurement reads: ``MEASURE[s][op << 2 | q]`` is the
+(outcome, post state) of operation ``op`` on state ``s`` for a draw with
+``int(r * 4) == q``. Operations 0-3 are the single-qubit ones, as numbered
+in ``OPS``; operation ``PAIR_BASIS`` (4) is the pair-state measurement,
+whose outcome and post state are both the measured label's code.
 
-The column kernels (``measure_column``, ``measure_bell_column``) measure a
-list of pairs in one loop: they update a column of state codes in place at
-the given indices, in index order, and return the outcomes. Each takes one
-block of draws per call, one draw per measurement, and reads its outcome from
-a table indexed by state code and ``int(r * 4)`` that is derived from the
-three tables above, so a step makes exactly the draws, in exactly the order,
-that one call per pair would. A measurement takes its draw even when the
-outcome is certain. The scalar kernels (``measure_qubit``,
-``measure_qubit_z``, ``measure_bell_basis``) read ``P0``, ``POST`` and
-``CUM`` for one pair, take one ``random()`` draw and return (outcome, post
-state); they are the one-draw references the column kernels are tested
-against. The probability queries are one lookup each.
+``random()`` builds ``r`` from two 32-bit generator words, and
+``int(r * 4)`` is the top two bits of the first word. ``top_bytes``
+therefore draws a whole step's words in one ``getrandbits`` call and
+returns each draw's first-word top byte; ``QUARTERS`` maps a top byte to
+``int(r * 4)``, and ``KEYS[op]`` maps it to the key ``op << 2 | int(r * 4)``.
+The generator ends in the state the same number of ``random()`` calls
+leaves it in.
+
+The one column kernel, ``measure_column``, measures a list of pairs by one
+key byte each: it updates a column of state codes in place at the given
+indices, in index order, and returns the outcomes. A step with a fixed
+operation takes its keys from one ``top_bytes(...).translate(KEYS[op])``
+call, one draw per measurement, so it makes exactly the draws, in exactly
+the order, that one call per pair would. A measurement takes its draw even
+when the outcome is certain. The scalar kernels (``measure_qubit``,
+``measure_qubit_z``, ``measure_bell_basis``) take one ``random()`` draw
+and return the ``MEASURE`` entry at its ``int(r * 4)``; they are the
+one-draw references the column kernel is tested against. The probability
+queries are one lookup each.
 """
 from __future__ import annotations
 
@@ -67,7 +74,6 @@ from itertools import accumulate
 from .rng import RandomSource
 
 _BASES = ("z", "x")
-_HALVES = {"first": 0, "second": 1}
 
 
 class BellState(IntEnum):
@@ -116,7 +122,7 @@ PRODUCTS = tuple(
 )
 N_STATES = len(BELL_LABELS) + len(PRODUCTS)
 # Single-qubit operation index by qubit and basis.
-_OPS = {"first": {"z": 0, "x": 1}, "second": {"z": 2, "x": 3}}
+OPS = {"first": {"z": 0, "x": 1}, "second": {"z": 2, "x": 3}}
 
 
 def product_state(first: tuple[str, int], second: tuple[str, int]) -> int:
@@ -168,7 +174,7 @@ def _closed_overlaps(code: int) -> tuple[float, ...]:
     return tuple(0.5 if label.correlated_in(basis) == agree else 0.0 for label in BELL_LABELS)
 
 
-_OP_ARGS = [(_HALVES[which], basis) for which, ops in _OPS.items() for basis in ops]
+_OP_ARGS = [(half, basis) for half, ops in enumerate(OPS.values()) for basis in ops]
 P0 = tuple(tuple(_closed_p0(s, *args) for args in _OP_ARGS) for s in range(N_STATES))
 # An outcome of probability zero has no post state: its entry is None.
 POST = tuple(
@@ -185,27 +191,26 @@ _BELL_PROBS = tuple(_closed_overlaps(s) for s in range(N_STATES))
 CUM = tuple(tuple(accumulate(probs)) for probs in _BELL_PROBS)
 # int(r * 4) of the draw r whose first word has the given top byte.
 QUARTERS = bytes(h >> 6 for h in range(256))
+# The pair-basis measurement, after the four single-qubit operations.
+PAIR_BASIS = len(_OP_ARGS)
 
 
-def _quarter_outcome(s: int, op: int, q: int) -> tuple[int, int]:
-    """(outcome bit, post state) of operation ``op`` on state ``s`` for a
-    draw r with int(r * 4) == q: r < P0 exactly when q < 4 * P0, since
-    4 * P0 is an integer."""
-    bit = 0 if q < 4 * P0[s][op] else 1
-    return bit, POST[s][op][bit]
+def _outcome(s: int, op: int, q: int) -> tuple[int, int]:
+    """(outcome, post state) of operation ``op`` on state ``s`` for a draw
+    r with int(r * 4) == q: the outcome is the first whose running sum of
+    probabilities exceeds r, which is where q < 4 * sum, since 4 * sum is an
+    integer. A pair-basis measurement leaves the measured label's state."""
+    sums, posts = (CUM[s], range(4)) if op == PAIR_BASIS else ((P0[s][op], 1.0), POST[s][op])
+    outcome = next(i for i, c in enumerate(sums) if q < 4 * c)
+    return outcome, posts[outcome]
 
 
-# The column kernels' rows, by operation (single-qubit only), state code and
-# quarter q: each operation's (outcome bit, post state), and the pair-basis
-# outcome, the first index whose running sum exceeds r.
-_OUTCOME_BY_OP = tuple(
-    tuple(tuple(_quarter_outcome(s, op, q) for q in range(4)) for s in range(N_STATES))
-    for op in range(len(_OP_ARGS))
-)
-_BELL_OUTCOME = tuple(
-    tuple(next((i for i, c in enumerate(CUM[s][:3]) if q < 4 * c), 3) for q in range(4))
+MEASURE = tuple(
+    tuple(_outcome(s, op, q) for op in range(PAIR_BASIS + 1) for q in range(4))
     for s in range(N_STATES)
 )
+# By operation, the key of the draw whose first word has the given top byte.
+KEYS = tuple(bytes(op << 2 | q for q in QUARTERS) for op in range(PAIR_BASIS + 1))
 
 
 # -- kernels -------------------------------------------------------------------
@@ -213,7 +218,7 @@ _BELL_OUTCOME = tuple(
 
 def _op(which: str, basis: str) -> int:
     try:
-        return _OPS[which][basis]
+        return OPS[which][basis]
     except (KeyError, TypeError):
         raise ValueError(
             f"expected a 'z' or 'x' measurement of the 'first' or 'second' qubit,"
@@ -252,42 +257,24 @@ def top_bytes(rng: RandomSource, n: int) -> bytes:
     return rng._rng.getrandbits(64 * n).to_bytes(8 * n, "little")[3::8]
 
 
-def measure_column(
-    column: list[int], indices: list[int], which: str, basis: str, rng: RandomSource
-) -> list[int]:
-    """Measure one qubit of each listed pair in "z" or "x", in index order.
+def measure_column(column: list[int], indices: list[int], keys: bytes) -> list[int]:
+    """Measure each listed pair by its key byte ``op << 2 | int(r * 4)``,
+    in index order.
 
-    Updates ``column`` in place to the post states and returns the outcome
-    bits, one draw per pair.
-    """
-    outcomes = _OUTCOME_BY_OP[_op(which, basis)]
-    bits = []
-    append = bits.append
-    for i, q in zip(indices, top_bytes(rng, len(indices)).translate(QUARTERS)):
-        bit, column[i] = outcomes[column[i]][q]
-        append(bit)
-    return bits
-
-
-def measure_bell_column(column: list[int], indices: list[int], rng: RandomSource) -> list[int]:
-    """Measure each listed pair onto the four pair states, in index order.
-
-    Updates ``column`` in place to the outcomes, which are the measured
-    labels' codes, and returns them, one draw per pair.
+    Updates ``column`` in place to the post states and returns the
+    outcomes: a bit for a single-qubit operation, the measured label's code
+    for ``PAIR_BASIS``.
     """
     outcomes = []
-    append = outcomes.append
-    for i, q in zip(indices, top_bytes(rng, len(indices)).translate(QUARTERS)):
-        column[i] = outcome = _BELL_OUTCOME[column[i]][q]
-        append(outcome)
+    for i, key in zip(indices, keys):
+        outcome, column[i] = MEASURE[column[i]][key]
+        outcomes.append(outcome)
     return outcomes
 
 
 def measure_qubit(state: int, which: str, basis: str, rng: RandomSource) -> tuple[int, int]:
     """Measure one qubit in "z" or "x"; returns (outcome bit, post state)."""
-    op = _op(which, basis)
-    outcome = 0 if rng._rng.random() < P0[state][op] else 1
-    return outcome, POST[state][op][outcome]
+    return MEASURE[state][_op(which, basis) << 2 | int(rng._rng.random() * 4)]
 
 
 def measure_qubit_z(state: int, which: str, rng: RandomSource) -> tuple[int, int]:
@@ -305,7 +292,5 @@ def measure_bell_basis(state: int, rng: RandomSource) -> tuple[BellState, int]:
 
     Returns the sampled label and the post state, which is that label's code.
     """
-    r = rng._rng.random()
-    c0, c1, c2, _ = CUM[state]
-    outcome = 0 if r < c0 else 1 if r < c1 else 2 if r < c2 else 3
-    return BELL_LABELS[outcome], outcome
+    code, post = MEASURE[state][PAIR_BASIS << 2 | int(rng._rng.random() * 4)]
+    return BELL_LABELS[code], post

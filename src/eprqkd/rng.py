@@ -11,14 +11,15 @@ only hands out substreams, or an adversary stream on a clean channel, never
 pays for seeding a generator. Seeding later changes no draw, because a
 stream's generator depends only on its (seed, stream) name.
 
-A step that draws once per pair reads the generator directly.
+A step that draws once or twice per pair reads the generator directly.
 ``quantum.top_bytes`` takes n draws in one ``getrandbits`` call and keeps the
 top byte of each draw's first 32-bit word, which decides every outcome of
-probability 0, 1/4, 1/2 or 1 exactly as the draw's ``random()`` value would;
-preparation, the column kernels and the fake-EPR adversary's uniform labels
-draw that way. The samplers below, the opaque attack's losses (of arbitrary
-probability) and the scalar kernels call ``random()`` once per draw. Either
-way the generator ends in the same state.
+probability 0, 1/4, 1/2 or 1, and every Z-or-X basis choice, exactly as the
+draw's ``random()`` value would; preparation, every column measurement,
+the randomized check bases and the fake-EPR adversary's uniform labels draw
+that way. Only the samplers below (check samples), the opaque attack's
+losses (of arbitrary probability) and the scalar kernels call ``random()``
+once per draw. Either way the generator ends in the same state.
 """
 from __future__ import annotations
 

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from eprqkd.adversary import AdversaryChannel, AttackKind, AttackStrategy
 from eprqkd.config import RunConfig
@@ -659,6 +659,43 @@ def assert_hop_finished(hop):
     assert (hop.abort_reason is None) == (key_length > 0)
 
 
+# Two-party measure-resend runs on hop 1 with min_check_size=1 whose small
+# checks pass by chance, and the key bits each completes with. An attack that
+# alters a delivered pair's state can go unseen by a small check; the keys
+# then disagree, which is what the checks' sizes trade against.
+UNSEEN_ATTACKS = [
+    ({"pairs": 62, "check_fraction_2": 0.0625, "seed": 0}, 86),
+    ({"pairs": 76, "check_fraction_1": 0.6875, "check_fraction_2": 0.125, "seed": 1}, 40),
+]
+
+
+@pytest.mark.parametrize("fields, key_bits", UNSEEN_ATTACKS)
+def test_unseen_attack_completes_with_disagreeing_keys(fields, key_bits):
+    attack = AttackStrategy(kind=AttackKind.MEASURE_RESEND)
+    cfg = RunConfig(attack=attack, min_check_size=1, attack_hop="1", **fields)
+    outcome = run_multiparty(cfg, RandomSource(cfg.seed))
+    assert outcome.completed
+    assert outcome.keys_agree is False
+    assert [len(key.bits) for key in outcome.keys] == [key_bits, key_bits]
+
+
+# The property's other arguments for UNSEEN_ATTACKS: their fixed fields and
+# RunConfig's defaults.
+UNSEEN_ARGUMENTS = {
+    "kind": AttackKind.MEASURE_RESEND,
+    "fake_label": BellState.PSI1,
+    "destroy_probability": 0.0,
+    "measure_second_sequence": False,
+    "check_fraction_1": 0.25,
+    "min_check_size": 1,
+    "loss_tolerance": 0.0,
+    "continuation_mode": False,
+    "randomize_check_basis": False,
+    "parties": 2,
+    "attack_hop": "1",
+}
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     kind=st.sampled_from(list(AttackKind)),
@@ -676,6 +713,8 @@ def assert_hop_finished(hop):
     attack_hop=st.sampled_from(["1", "2", "both"]),
     seed=st.integers(0, 2**64 - 1),
 )
+@example(**{**UNSEEN_ARGUMENTS, **UNSEEN_ATTACKS[0][0]})
+@example(**{**UNSEEN_ARGUMENTS, **UNSEEN_ATTACKS[1][0]})
 def test_every_valid_config_finishes_every_trial(
     kind, fake_label, destroy_probability, measure_second_sequence, seed, **fields
 ):
@@ -693,4 +732,10 @@ def test_every_valid_config_finishes_every_trial(
     assert (outcome.abort_reason is None) == (outcome.keys is not None)
     if outcome.keys is not None:
         assert len(outcome.hops) == len(outcome.keys) - 1 == cfg.parties - 1
-        assert len({key.bits for key in outcome.keys}) == 1
+        assert len({len(key.bits) for key in outcome.keys}) == 1
+        assert len({key.source_indices for key in outcome.keys}) == 1
+        # Only an attack that leaves every delivered pair's state alone
+        # guarantees agreement; another can pass small checks by chance
+        # (UNSEEN_ATTACKS).
+        if kind in (AttackKind.NONE, AttackKind.OPAQUE):
+            assert outcome.keys_agree

@@ -7,12 +7,14 @@ from hypothesis import given, strategies as st
 import amplitude_oracle as oracle
 from amplitude_oracle import ORACLE_BELL, S, TwoQubitState, amplitudes_of
 from eprqkd.quantum import (
-    _BELL_OUTCOME,
-    _OUTCOME_BY_OP,
     BELL_LABELS,
     CUM,
+    KEYS,
+    MEASURE,
     N_STATES,
+    OPS,
     P0,
+    PAIR_BASIS,
     POST,
     PRODUCTS,
     QUARTERS,
@@ -21,7 +23,6 @@ from eprqkd.quantum import (
     bell_overlap_probabilities,
     make_bell_state,
     measure_bell_basis,
-    measure_bell_column,
     measure_column,
     measure_qubit,
     measure_qubit_z,
@@ -398,14 +399,21 @@ def test_closed_form_matches_amplitude_oracle(state, operation):
         assert abs(oracle.fidelity(amplitudes_of(post), ref_post) - 1.0) < 1e-12
 
 
-# A column kernel over an index list makes the same draws, in the same order,
-# as one scalar call per index: same post states, same outcomes, and the
-# generator left in the same state. Indices may repeat; a repeat measures the
-# already updated state, as the next scalar call would.
+# The column kernel over an index list, keyed by one draw each, makes the
+# same draws, in the same order, as one scalar call per index: same post
+# states, same outcomes, and the generator left in the same state. Each index
+# has its own operation, any of the five. Indices may repeat; a repeat
+# measures the already updated state, as the next scalar call would.
 
-columns_and_indices = st.lists(st.integers(0, N_STATES - 1), min_size=1, max_size=30).flatmap(
+columns_and_measurements = st.lists(
+    st.integers(0, N_STATES - 1), min_size=1, max_size=30
+).flatmap(
     lambda column: st.tuples(
-        st.just(column), st.lists(st.integers(0, len(column) - 1), max_size=40)
+        st.just(column),
+        st.lists(
+            st.tuples(st.integers(0, len(column) - 1), st.integers(0, PAIR_BASIS)),
+            max_size=40,
+        ),
     )
 )
 
@@ -418,39 +426,53 @@ def _one_draw_each(seed, stream, n):
     return rng._rng.getstate()
 
 
-@given(columns_and_indices, st.sampled_from(OPERATIONS[:4]), st.integers(0, 2**32))
-def test_measure_column_matches_scalar_loop(column_and_indices, operation, seed):
-    (column, indices), (which, basis) = column_and_indices, operation
+def _scalar(state, op, rng):
+    """(outcome, post state) of operation ``op`` through a scalar kernel."""
+    if op == PAIR_BASIS:
+        label, post = measure_bell_basis(state, rng)
+        return int(label), post
+    which, basis = OPERATIONS[op]
+    return measure_qubit(state, which, basis, rng)
+
+
+@given(columns_and_measurements, st.integers(0, 2**32))
+def test_measure_column_matches_scalar_loop(column_and_measurements, seed):
+    column, measurements = column_and_measurements
+    indices = [i for i, _ in measurements]
     rng, ref_rng = RandomSource(seed, "column"), RandomSource(seed, "column")
+    tops = top_bytes(rng, len(measurements))
+    keys = bytes(KEYS[op][h] for (_, op), h in zip(measurements, tops))
     measured = list(column)
-    bits = measure_column(measured, indices, which, basis, rng)
-    expected, expected_bits = list(column), []
-    for i in indices:
-        bit, expected[i] = measure_qubit(expected[i], which, basis, ref_rng)
-        expected_bits.append(bit)
+    outcomes = measure_column(measured, indices, keys)
+    expected, expected_outcomes = list(column), []
+    for i, op in measurements:
+        outcome, expected[i] = _scalar(expected[i], op, ref_rng)
+        expected_outcomes.append(outcome)
     assert measured == expected
-    assert bits == expected_bits
+    assert outcomes == expected_outcomes
     assert rng._rng.getstate() == ref_rng._rng.getstate()
-    assert rng._rng.getstate() == _one_draw_each(seed, "column", len(indices))
+    assert rng._rng.getstate() == _one_draw_each(seed, "column", len(measurements))
 
 
-@given(columns_and_indices, st.integers(0, 2**32))
-def test_measure_bell_column_matches_scalar_loop(column_and_indices, seed):
-    column, indices = column_and_indices
+@given(columns_and_measurements, st.integers(0, 2**32))
+def test_measure_bell_column_matches_scalar_loop(column_and_measurements, seed):
+    column, measurements = column_and_measurements
+    indices = [i for i, _ in measurements]
     rng, ref_rng = RandomSource(seed, "bell-column"), RandomSource(seed, "bell-column")
+    keys = bytes(KEYS[PAIR_BASIS][h] for h in top_bytes(rng, len(indices)))
     measured = list(column)
-    outcomes = measure_bell_column(measured, indices, rng)
+    outcomes = measure_column(measured, indices, keys)
     expected, expected_outcomes = list(column), []
     for i in indices:
         label, expected[i] = measure_bell_basis(expected[i], ref_rng)
-        expected_outcomes.append(label)
+        expected_outcomes.append(int(label))
     assert measured == expected
     assert outcomes == expected_outcomes
     assert rng._rng.getstate() == ref_rng._rng.getstate()
     assert rng._rng.getstate() == _one_draw_each(seed, "bell-column", len(indices))
 
 
-# The column kernels decide each measurement from the top byte of its draw's
+# The column kernel decides each measurement from the top byte of its draw's
 # first word, which fixes int(r * 4) of the draw r that random() would return.
 
 
@@ -476,10 +498,14 @@ def test_outcome_tables_agree_with_probabilities():
         for s in REACHABLE:
             for op in range(4):
                 bit = 0 if r < P0[s][op] else 1
-                assert _OUTCOME_BY_OP[op][s][q] == (bit, POST[s][op][bit])
+                assert MEASURE[s][op << 2 | q] == (bit, POST[s][op][bit])
                 assert POST[s][op][bit] is not None
             c0, c1, c2, _ = CUM[s]
-            assert _BELL_OUTCOME[s][q] == (0 if r < c0 else 1 if r < c1 else 2 if r < c2 else 3)
+            code = 0 if r < c0 else 1 if r < c1 else 2 if r < c2 else 3
+            assert MEASURE[s][PAIR_BASIS << 2 | q] == (code, code)
+    assert [OPS[which][basis] for which, basis in OPERATIONS[:4]] == list(range(PAIR_BASIS))
+    for op in range(PAIR_BASIS + 1):
+        assert KEYS[op] == bytes(op << 2 | QUARTERS[h] for h in range(256))
 
 
 # Arbitrary superpositions lie outside the reachable set; these properties

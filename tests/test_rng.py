@@ -3,7 +3,7 @@ import random
 import pytest
 
 from eprqkd.errors import ConfigurationError
-from eprqkd.quantum import measure_column
+from eprqkd.quantum import KEYS, OPS, measure_column, top_bytes
 from eprqkd.rng import MAX_SEED, RandomSource, three_sigma
 from test_quantum import ScriptedSource
 
@@ -68,6 +68,16 @@ def test_categorical_degenerate_distributions():
     rng = RandomSource(6)
     assert all(rng.categorical((1.0, 0.0, 0.0, 0.0)) == 0 for _ in range(50))
     assert all(rng.categorical((0.0, 0.0, 0.0, 1.0)) == 3 for _ in range(50))
+    # A draw at or above the float sum of the probabilities misses every
+    # running sum and takes the last outcome of nonzero probability.
+    tenths = (0.1,) * 10
+    assert sum(tenths) == 0.9999999999999999
+    assert ScriptedSource(0.9999999999999999).categorical(tenths) == 9
+    assert ScriptedSource(0.9999999999999999).categorical((*tenths, 0.0)) == 9
+    # 0.9 + 0.05 rounds up to 0.9500000000000001, so 0.95 falls inside outcome 1.
+    assert ScriptedSource(0.95).categorical([0.9, 0.05, 0.0]) == 1
+    with pytest.raises(ValueError):
+        ScriptedSource(0.5).categorical((0.0, 0.0))
 
 
 def test_categorical_frequencies():
@@ -142,11 +152,12 @@ class TestLazySeeding:
 
     def test_scripted_override_still_draws_through_random(self):
         # ScriptedSource sets _rng = self, so every sampler and the column
-        # kernels draw through its own random() instead of a generator.
+        # kernel's keys (``top_bytes``) draw through its own random(), not a generator.
         scripted = ScriptedSource(0.25)
         assert scripted.uniform_index(4) == 1
         assert scripted.bernoulli(0.5)
         assert scripted.sample_without_replacement([10, 11, 12, 13], 2) == [11, 10]
-        assert measure_column([0, 0, 0], [0, 2], "first", "z", scripted) == [0, 0]
+        keys = top_bytes(scripted, 2).translate(KEYS[OPS["first"]["z"]])
+        assert measure_column([0, 0, 0], [0, 2], keys) == [0, 0]
         assert scripted.draws == 6
         assert vars(scripted)["_rng"] is scripted

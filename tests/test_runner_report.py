@@ -375,6 +375,22 @@ class TestCli:
         assert main(["verify", str(tmp_path / "nope.json")]) == 1
 
     @pytest.mark.parametrize(
+        "out, transcript, what",
+        [("missing/r.json", False, "report"), ("r.json", True, "transcripts")],
+        ids=["report-in-missing-dir", "transcripts-onto-a-dir"],
+    )
+    def test_failed_write_names_the_file(self, tmp_path, capsys, out, transcript, what):
+        (tmp_path / "r.transcript.jsonl").mkdir()
+        argv = ["run", "--pairs", "20", "--out", str(tmp_path / out)]
+        assert main(argv + ["--transcript"] * transcript) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: could not write {what}: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        # The report is written before the transcripts.
+        assert (tmp_path / out).exists() == transcript
+
+    @pytest.mark.parametrize(
         "mangle",
         [
             lambda doc: doc["trials"][0].pop("abort_reason"),
