@@ -32,17 +32,7 @@ from enum import Enum
 
 from .errors import ConfigurationError, require_field_types, require_known_keys
 from .ledger import Disposition, PairLedger, joint_counts
-from .quantum import (
-    BELL_LABELS,
-    CODES,
-    KEYS,
-    OPS,
-    PAIR_BASIS,
-    QUARTERS,
-    BellState,
-    measure_column,
-    top_bytes,
-)
+from .quantum import BELL_LABELS, CODES, KEYS, OPS, PAIR_BASIS, BellState, measure_column
 # Unused here; the benchmark's traced run (bench/workloads.py) wraps these bindings.
 from .quantum import measure_bell_basis, measure_qubit_z  # noqa: F401
 from .rng import RandomSource
@@ -144,21 +134,18 @@ def _measure_resend(channel, transmission, ledger):
         return None
     eve, live = channel.eve, ledger.live
     which = "second" if transmission == 1 else "first"
-    keys = top_bytes(channel.rng, len(live)).translate(KEYS[OPS[which]["z"]])
+    keys = channel.rng.quarters(len(live)).translate(KEYS[OPS[which]["z"]])
     measured = measure_column(ledger.state, live, keys)
     if transmission == 1 or not eve.guesses:
-        eve.guesses, eve.alphabet = [None] * ledger.n_total, _BITS
-        for i, bit in zip(live, measured):
-            eve.guesses[i] = bit
+        eve.guesses, eve.alphabet = ledger.spread(measured), _BITS
     elif live:
         # Every pair still in flight was Z-measured on its other half at
         # transmission 1; her two bits name a guess like a key code. With no
         # pair left in flight her one-bit guesses stand, and so do the bits
         # of a second sequence she alone measured.
-        first_bits = eve.guesses
-        eve.guesses, eve.alphabet = [None] * ledger.n_total, CODES
-        for i, bit in zip(live, measured):
-            eve.guesses[i] = 2 * bit + first_bits[i]
+        first = eve.guesses
+        guesses = [2 * bit + first[i] for i, bit in zip(live, measured)]
+        eve.guesses, eve.alphabet = ledger.spread(guesses), CODES
     if ledger.transcript is None:
         return None
     return {"measured": len(measured), "outcomes": "".join([_BITS[bit] for bit in measured])}
@@ -170,21 +157,17 @@ def _fake_epr(channel, transmission, ledger):
         label = channel.strategy.fake_label
         if label is None:
             # rng.uniform_index(4) per pair, which is int(r * 4) of one draw.
-            fakes = top_bytes(rng, len(live)).translate(QUARTERS)
+            fakes = rng.quarters(len(live))
         else:
             fakes = [int(label)] * len(live)
-        planted = ledger.planted = [None] * ledger.n_total
-        for i, code in zip(live, fakes):
-            planted[i] = code
+        ledger.planted = ledger.spread(fakes)
         if ledger.transcript is None:
             return None
         codes = "".join([CODES[code] for code in fakes])
         return {"captured": len(live), "planted": len(live), "fake_codes": codes}
-    guesses = channel.eve.guesses = [None] * ledger.n_total
-    keys = top_bytes(rng, len(live)).translate(KEYS[PAIR_BASIS])
+    keys = rng.quarters(len(live)).translate(KEYS[PAIR_BASIS])
     found = measure_column(ledger.state, live, keys)
-    for i, code in zip(live, found):
-        guesses[i] = code
+    channel.eve.guesses = ledger.spread(found)
     if ledger.transcript is None:
         return None
     codes = "".join([CODES[code] for code in found])
@@ -192,7 +175,7 @@ def _fake_epr(channel, transmission, ledger):
 
 
 def _opaque(channel, transmission, ledger):
-    rand, p = channel.rng._rng.random, channel.strategy.destroy_probability
+    rand, p = channel.rng.random, channel.strategy.destroy_probability
     in_flight = len(ledger.live)
     destroyed = [i for i in ledger.live if rand() < p]  # rng.bernoulli(p) per pair
     ledger.settle(destroyed, Disposition.DROPPED)

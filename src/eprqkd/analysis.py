@@ -102,9 +102,6 @@ class JointDistribution:
     def marginal_y(self) -> tuple[float, ...]:
         return tuple(_total(column) for column in zip(*self.p))
 
-    def transposed(self) -> "JointDistribution":
-        return JointDistribution(self.outcomes_y, self.outcomes_x, tuple(zip(*self.p)))
-
 
 def conditional_entropy(joint: JointDistribution) -> float:
     """H(X|Y): expected entropy of X once Y is known, in bits."""

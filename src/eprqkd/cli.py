@@ -152,18 +152,22 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
         parser.error(str(exc))
     report = run(config, collect_transcripts=args.transcript)
     _print_summary(report)
-    if args.out is not None:
+    if args.out is None:
+        return 0
+    # The report is written last, so a run whose transcripts could not be
+    # written leaves no report behind.
+    what, tpath = "transcripts", None
+    try:
+        if args.transcript:
+            tpath = emit_transcripts(report, args.out.with_suffix(".transcript.jsonl"))
         what = "report"
-        try:
-            path = emit_report(report, args.out, args.format)
-            print(f"  report written to {path}")
-            if args.transcript:
-                what = "transcripts"
-                tpath = emit_transcripts(report, args.out.with_suffix(".transcript.jsonl"))
-                print(f"  transcripts written to {tpath}")
-        except OSError as exc:
-            print(f"error: could not write {what}: {exc}", file=sys.stderr)
-            return 1
+        path = emit_report(report, args.out, args.format)
+    except OSError as exc:
+        print(f"error: could not write {what}: {exc}", file=sys.stderr)
+        return 1
+    print(f"  report written to {path}")
+    if tpath is not None:
+        print(f"  transcripts written to {tpath}")
     return 0
 
 

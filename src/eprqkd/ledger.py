@@ -8,7 +8,9 @@ result and the disposition (consumed by a check, contributing to the key,
 or lost in transit). Protocol steps and the adversary loop over index lists
 (the ledger's ``live`` pairs, or a check's sample) and never build an object
 per pair; ``PairLedger.records`` assembles read-only ``PairRecord`` views
-only when something reads it.
+only when something reads it. A column that a step fills at the live pairs
+(the decode results, the planted pairs, the adversary's guesses) is built
+whole by ``PairLedger.spread``.
 
 The run's progress is one ledger field, ``phase``. The pairs still live all
 stand at the same stage, so their shared disposition, ``stage``, follows
@@ -190,6 +192,14 @@ class PairLedger:
             )
             for i in range(self.n_total)
         )
+
+    def spread(self, values) -> list:
+        """A full-length column holding ``values`` at the live pairs, in
+        order, and None at every other pair."""
+        column = [None] * self.n_total
+        for i, value in zip(self.live, values):
+            column[i] = value
+        return column
 
     def settle(self, indices: list[int], disposition: Disposition):
         """Give the listed live pairs, each at most once, a terminal

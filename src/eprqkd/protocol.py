@@ -38,17 +38,7 @@ from .adversary import AdversaryChannel, AttackStrategy, EveState
 from .config import RunConfig
 from .errors import ConfigurationError, InsufficientPairsError, ProtocolOrderError
 from .ledger import CheckReport, Disposition, KeyMaterial, PairLedger, Phase, Transcript
-from .quantum import (
-    BELL_LABELS,
-    CODES,
-    KEYS,
-    OPS,
-    PAIR_BASIS,
-    QUARTERS,
-    BellState,
-    measure_column,
-    top_bytes,
-)
+from .quantum import BELL_LABELS, CODES, KEYS, OPS, PAIR_BASIS, BellState, measure_column
 # Unused here; the benchmark's traced run (bench/workloads.py) wraps these bindings.
 from .quantum import measure_bell_basis, measure_qubit  # noqa: F401
 from .rng import RandomSource
@@ -76,8 +66,7 @@ def alice_prepare(
     if n < 1:
         raise ConfigurationError(f"cannot prepare {n} pairs")
     # rng.uniform_index(4) per pair, which is int(r * 4) of one draw.
-    codes = top_bytes(rng, n).translate(QUARTERS)
-    return prepare_from_labels(codes, sender, receiver, transcript)
+    return prepare_from_labels(rng.quarters(n), sender, receiver, transcript)
 
 
 def prepare_from_labels(
@@ -203,14 +192,14 @@ def first_check(
     # pair's basis draw comes just before the receiver's draw for that pair.
     k = len(sample)
     if randomize_basis:
-        drawn = top_bytes(rng, 2 * k)
-        bases = [_BASES[h >> 7] for h in drawn[0::2]]  # int(r * 2) of each basis draw
-        receiver_keys = bytes(_RECEIVER_KEYS[b][h] for b, h in zip(bases, drawn[1::2]))
-        sender_keys = bytes(_SENDER_KEYS[b][h] for b, h in zip(bases, top_bytes(rng, k)))
+        drawn = rng.quarters(2 * k)
+        bases = [_BASES[q >> 1] for q in drawn[0::2]]  # int(r * 2) of each basis draw
+        receiver_keys = bytes(_RECEIVER_KEYS[b][q] for b, q in zip(bases, drawn[1::2]))
+        sender_keys = bytes(_SENDER_KEYS[b][q] for b, q in zip(bases, rng.quarters(k)))
     else:
         bases = ["z"] * k
-        receiver_keys = top_bytes(rng, k).translate(_RECEIVER_KEYS["z"])
-        sender_keys = top_bytes(rng, k).translate(_SENDER_KEYS["z"])
+        receiver_keys = rng.quarters(k).translate(_RECEIVER_KEYS["z"])
+        sender_keys = rng.quarters(k).translate(_SENDER_KEYS["z"])
     receiver_bits = measure_column(ledger.receiver_state, sample, receiver_keys)
     sender_bits = measure_column(ledger.state, sample, sender_keys)
     transcript = ledger.transcript
@@ -280,11 +269,10 @@ def bob_decode(ledger: PairLedger, rng: RandomSource) -> PairLedger:
     """Pair-state measurement of every surviving pair, in order (step 6)."""
     if ledger.phase is not Phase.SENT_2:
         raise ProtocolOrderError(f"decode in phase {ledger.phase.name}")
-    live, outcome = ledger.live, ledger.outcome
-    keys = top_bytes(rng, len(live)).translate(KEYS[PAIR_BASIS])
+    live = ledger.live
+    keys = rng.quarters(len(live)).translate(KEYS[PAIR_BASIS])
     decoded = measure_column(ledger.receiver_state, live, keys)
-    for i, code in zip(live, decoded):
-        outcome[i] = code
+    ledger.outcome = ledger.spread(decoded)
     if ledger.transcript is not None:
         codes = "".join([CODES[code] for code in decoded])
         ledger.transcript.log(6, ledger.receiver, "decode", {"pairs": len(live), "codes": codes})

@@ -46,25 +46,19 @@ the one table every measurement reads: ``MEASURE[s][op << 2 | q]`` is the
 in ``OPS``; operation ``PAIR_BASIS`` (4) is the pair-state measurement,
 whose outcome and post state are both the measured label's code.
 
-``random()`` builds ``r`` from two 32-bit generator words, and
-``int(r * 4)`` is the top two bits of the first word. ``top_bytes``
-therefore draws a whole step's words in one ``getrandbits`` call and
-returns each draw's first-word top byte; ``QUARTERS`` maps a top byte to
-``int(r * 4)``, and ``KEYS[op]`` maps it to the key ``op << 2 | int(r * 4)``.
-The generator ends in the state the same number of ``random()`` calls
-leaves it in.
-
 The one column kernel, ``measure_column``, measures a list of pairs by one
 key byte each: it updates a column of state codes in place at the given
-indices, in index order, and returns the outcomes. A step with a fixed
-operation takes its keys from one ``top_bytes(...).translate(KEYS[op])``
-call, one draw per measurement, so it makes exactly the draws, in exactly
-the order, that one call per pair would. A measurement takes its draw even
-when the outcome is certain. The scalar kernels (``measure_qubit``,
-``measure_qubit_z``, ``measure_bell_basis``) take one ``random()`` draw
-and return the ``MEASURE`` entry at its ``int(r * 4)``; they are the
-one-draw references the column kernel is tested against. The probability
-queries are one lookup each.
+indices, in index order, and returns the outcomes. ``KEYS[op]`` maps a
+draw's quarter ``int(r * 4)`` to the key ``op << 2 | int(r * 4)``, so a
+step with a fixed operation takes its keys from one
+``rng.quarters(n).translate(KEYS[op])`` call, one draw per measurement, and
+makes exactly the draws, in exactly the order, that one call per pair
+would. A measurement takes its draw even when the outcome is certain.
+The scalar kernels (``measure_qubit``, ``measure_qubit_z``,
+``measure_bell_basis``) take one ``random()`` draw and return the
+``MEASURE`` entry at its ``int(r * 4)``; they are the one-draw references
+the column kernel is tested against. The probability queries are one
+lookup each.
 """
 from __future__ import annotations
 
@@ -189,8 +183,6 @@ POST = tuple(
 )
 _BELL_PROBS = tuple(_closed_overlaps(s) for s in range(N_STATES))
 CUM = tuple(tuple(accumulate(probs)) for probs in _BELL_PROBS)
-# int(r * 4) of the draw r whose first word has the given top byte.
-QUARTERS = bytes(h >> 6 for h in range(256))
 # The pair-basis measurement, after the four single-qubit operations.
 PAIR_BASIS = len(_OP_ARGS)
 
@@ -209,8 +201,9 @@ MEASURE = tuple(
     tuple(_outcome(s, op, q) for op in range(PAIR_BASIS + 1) for q in range(4))
     for s in range(N_STATES)
 )
-# By operation, the key of the draw whose first word has the given top byte.
-KEYS = tuple(bytes(op << 2 | q for q in QUARTERS) for op in range(PAIR_BASIS + 1))
+# By operation, a translate table from a draw's quarter int(r * 4) to its
+# key; only entries 0-3 are read.
+KEYS = tuple(bytes(op << 2 | q % 4 for q in range(256)) for op in range(PAIR_BASIS + 1))
 
 
 # -- kernels -------------------------------------------------------------------
@@ -246,17 +239,6 @@ def qubit_z_probabilities(state: int, which: str) -> tuple[float, float]:
     return qubit_probabilities(state, which, "z")
 
 
-def top_bytes(rng: RandomSource, n: int) -> bytes:
-    """The top byte of each of the next n draws' first generator word.
-
-    Makes the draws n ``random()`` calls would, in one call; the byte of
-    each draw ``r`` maps to ``int(r * 4)`` through ``QUARTERS``.
-    ``getrandbits`` fills its result from the least significant word up, so
-    draw i's first word is bytes 8i to 8i + 3 of the little-endian result.
-    """
-    return rng._rng.getrandbits(64 * n).to_bytes(8 * n, "little")[3::8]
-
-
 def measure_column(column: list[int], indices: list[int], keys: bytes) -> list[int]:
     """Measure each listed pair by its key byte ``op << 2 | int(r * 4)``,
     in index order.
@@ -274,7 +256,7 @@ def measure_column(column: list[int], indices: list[int], keys: bytes) -> list[i
 
 def measure_qubit(state: int, which: str, basis: str, rng: RandomSource) -> tuple[int, int]:
     """Measure one qubit in "z" or "x"; returns (outcome bit, post state)."""
-    return MEASURE[state][_op(which, basis) << 2 | int(rng._rng.random() * 4)]
+    return MEASURE[state][_op(which, basis) << 2 | int(rng.random() * 4)]
 
 
 def measure_qubit_z(state: int, which: str, rng: RandomSource) -> tuple[int, int]:
@@ -292,5 +274,5 @@ def measure_bell_basis(state: int, rng: RandomSource) -> tuple[BellState, int]:
 
     Returns the sampled label and the post state, which is that label's code.
     """
-    code, post = MEASURE[state][PAIR_BASIS << 2 | int(rng._rng.random() * 4)]
+    code, post = MEASURE[state][PAIR_BASIS << 2 | int(rng.random() * 4)]
     return BELL_LABELS[code], post

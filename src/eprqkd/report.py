@@ -88,7 +88,8 @@ def emit_transcripts(report: RunReport, path: str | Path) -> Path:
     if report.transcripts is None:
         raise ValueError("this report was produced without transcripts")
     path = Path(path)
-    path.write_text("".join(report.transcripts))
+    with path.open("w") as handle:
+        handle.writelines(report.transcripts)
     return path
 
 

@@ -11,15 +11,17 @@ only hands out substreams, or an adversary stream on a clean channel, never
 pays for seeding a generator. Seeding later changes no draw, because a
 stream's generator depends only on its (seed, stream) name.
 
-A step that draws once or twice per pair reads the generator directly.
-``quantum.top_bytes`` takes n draws in one ``getrandbits`` call and keeps the
-top byte of each draw's first 32-bit word, which decides every outcome of
-probability 0, 1/4, 1/2 or 1, and every Z-or-X basis choice, exactly as the
-draw's ``random()`` value would; preparation, every column measurement,
-the randomized check bases and the fake-EPR adversary's uniform labels draw
-that way. Only the samplers below (check samples), the opaque attack's
-losses (of arbitrary probability) and the scalar kernels call ``random()``
-once per draw. Either way the generator ends in the same state.
+A step that draws once or twice per pair reads a block of draws at once.
+``RandomSource.quarters`` takes n draws in one ``getrandbits`` call and
+returns ``int(r * 4)`` of each draw ``r``, read from the top two bits of the
+draw's first 32-bit word. That quarter decides every outcome of probability
+0, 1/4, 1/2 or 1, and its top bit decides every Z-or-X basis choice, exactly
+as the draw's ``random()`` value would. Preparation, every column
+measurement, the randomized check bases and the fake-EPR adversary's
+uniform labels draw that way. Only the samplers below (check samples), the
+opaque attack's losses (of arbitrary probability) and the scalar kernels
+call ``random()`` once per draw. Either way the generator ends in the same
+state.
 """
 from __future__ import annotations
 
@@ -30,6 +32,8 @@ from functools import cached_property
 from .errors import ConfigurationError
 
 MAX_SEED = 2**64 - 1
+# int(r * 4) of the draw r whose first generator word has the given top byte.
+_QUARTERS = bytes(h >> 6 for h in range(256))
 
 
 class RandomSource:
@@ -61,6 +65,18 @@ class RandomSource:
     def random(self) -> float:
         """Uniform float in [0, 1)."""
         return self._rng.random()
+
+    def quarters(self, n: int) -> bytes:
+        """``int(r * 4)`` of each of the next n draws r, in one call.
+
+        Makes the draws n ``random()`` calls would. ``random()`` builds r
+        from two 32-bit words, and ``int(r * 4)`` is the top two bits of the
+        first. ``getrandbits`` fills its result from the least significant
+        word up, so draw i's first word is bytes 8i to 8i + 3 of the
+        little-endian result.
+        """
+        words = self._rng.getrandbits(64 * n).to_bytes(8 * n, "little")
+        return words[3::8].translate(_QUARTERS)
 
     def bernoulli(self, p: float) -> bool:
         return self._rng.random() < p

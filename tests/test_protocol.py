@@ -168,6 +168,13 @@ class TestFirstCheck:
         report = first_check(ledger, 0.5, 0.02, RandomSource(7, "bob"), min_size=4)
         checked = {rec.index for rec in with_disposition(ledger, Disposition.CHECKED_1)}
         assert checked == set(report.sample_indices)
+        # A column built by spread holds its values at the live pairs, in
+        # order, and nothing at a checked pair.
+        values = [f"v{j}" for j in range(len(ledger.live))]
+        column = ledger.spread(values)
+        assert len(column) == ledger.n_total
+        assert [column[i] for i in ledger.live] == values
+        assert all(column[i] is None for i in checked)
         transmit_second_sequence(ledger, clean_channel())
         in_flight = {rec.index for rec in with_disposition(ledger, Disposition.IN_FLIGHT_2)}
         assert in_flight.isdisjoint(checked)

@@ -17,7 +17,6 @@ from eprqkd.quantum import (
     PAIR_BASIS,
     POST,
     PRODUCTS,
-    QUARTERS,
     BellState,
     basis_state,
     bell_overlap_probabilities,
@@ -29,7 +28,6 @@ from eprqkd.quantum import (
     product_state,
     qubit_probabilities,
     qubit_z_probabilities,
-    top_bytes,
 )
 from eprqkd.rng import RandomSource, three_sigma
 
@@ -440,8 +438,8 @@ def test_measure_column_matches_scalar_loop(column_and_measurements, seed):
     column, measurements = column_and_measurements
     indices = [i for i, _ in measurements]
     rng, ref_rng = RandomSource(seed, "column"), RandomSource(seed, "column")
-    tops = top_bytes(rng, len(measurements))
-    keys = bytes(KEYS[op][h] for (_, op), h in zip(measurements, tops))
+    quarters = rng.quarters(len(measurements))
+    keys = bytes(KEYS[op][q] for (_, op), q in zip(measurements, quarters))
     measured = list(column)
     outcomes = measure_column(measured, indices, keys)
     expected, expected_outcomes = list(column), []
@@ -459,7 +457,7 @@ def test_measure_bell_column_matches_scalar_loop(column_and_measurements, seed):
     column, measurements = column_and_measurements
     indices = [i for i, _ in measurements]
     rng, ref_rng = RandomSource(seed, "bell-column"), RandomSource(seed, "bell-column")
-    keys = bytes(KEYS[PAIR_BASIS][h] for h in top_bytes(rng, len(indices)))
+    keys = rng.quarters(len(indices)).translate(KEYS[PAIR_BASIS])
     measured = list(column)
     outcomes = measure_column(measured, indices, keys)
     expected, expected_outcomes = list(column), []
@@ -470,22 +468,6 @@ def test_measure_bell_column_matches_scalar_loop(column_and_measurements, seed):
     assert outcomes == expected_outcomes
     assert rng._rng.getstate() == ref_rng._rng.getstate()
     assert rng._rng.getstate() == _one_draw_each(seed, "bell-column", len(indices))
-
-
-# The column kernel decides each measurement from the top byte of its draw's
-# first word, which fixes int(r * 4) of the draw r that random() would return.
-
-
-@given(st.integers(0, 2**64 - 1), st.text(max_size=8), st.integers(0, 300))
-def test_top_bytes_match_random_draws(seed, stream, n):
-    rng, ref_rng = RandomSource(seed, stream), RandomSource(seed, stream)
-    tops = top_bytes(rng, n)
-    draws = [ref_rng.random() for _ in range(n)]
-    assert rng._rng.getstate() == ref_rng._rng.getstate()
-    assert len(tops) == n
-    for h, r in zip(tops, draws):
-        assert QUARTERS[h] == h >> 6 == int(r * 4)
-        assert (h < 128) == (r < 0.5)
 
 
 def test_outcome_tables_agree_with_probabilities():
@@ -505,7 +487,8 @@ def test_outcome_tables_agree_with_probabilities():
             assert MEASURE[s][PAIR_BASIS << 2 | q] == (code, code)
     assert [OPS[which][basis] for which, basis in OPERATIONS[:4]] == list(range(PAIR_BASIS))
     for op in range(PAIR_BASIS + 1):
-        assert KEYS[op] == bytes(op << 2 | QUARTERS[h] for h in range(256))
+        for q in range(4):
+            assert KEYS[op][q] == op << 2 | q
 
 
 # Arbitrary superpositions lie outside the reachable set; these properties

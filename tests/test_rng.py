@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from eprqkd.errors import ConfigurationError
-from eprqkd.quantum import KEYS, OPS, measure_column, top_bytes
+from eprqkd.quantum import KEYS, OPS, measure_column
 from eprqkd.rng import MAX_SEED, RandomSource, three_sigma
 from test_quantum import ScriptedSource
 
@@ -48,6 +49,23 @@ def test_seed_out_of_range_rejected(seed):
 def test_seed_boundaries_accepted():
     RandomSource(0)
     RandomSource(MAX_SEED)
+
+
+# A block draw decides each outcome from the top two bits of its draw's first
+# word, which fix int(r * 4) of the draw r that random() would return; the
+# top bit of that quarter is a basis draw's int(r * 2).
+
+
+@given(st.integers(0, 2**64 - 1), st.text(max_size=8), st.integers(0, 300))
+@example(0, "x", 0)
+@example(0, "x", 1)
+def test_quarters_match_random_draws(seed, stream, n):
+    rng, ref_rng = RandomSource(seed, stream), RandomSource(seed, stream)
+    quarters = rng.quarters(n)
+    draws = [ref_rng.random() for _ in range(n)]
+    assert rng._rng.getstate() == ref_rng._rng.getstate()
+    assert list(quarters) == [int(r * 4) for r in draws]
+    assert [q >> 1 for q in quarters] == [int(r * 2) for r in draws]
 
 
 def test_bernoulli_degenerate():
@@ -152,12 +170,12 @@ class TestLazySeeding:
 
     def test_scripted_override_still_draws_through_random(self):
         # ScriptedSource sets _rng = self, so every sampler and the column
-        # kernel's keys (``top_bytes``) draw through its own random(), not a generator.
+        # kernel's keys (``quarters``) draw through its own random(), not a generator.
         scripted = ScriptedSource(0.25)
         assert scripted.uniform_index(4) == 1
         assert scripted.bernoulli(0.5)
         assert scripted.sample_without_replacement([10, 11, 12, 13], 2) == [11, 10]
-        keys = top_bytes(scripted, 2).translate(KEYS[OPS["first"]["z"]])
+        keys = scripted.quarters(2).translate(KEYS[OPS["first"]["z"]])
         assert measure_column([0, 0, 0], [0, 2], keys) == [0, 0]
         assert scripted.draws == 6
         assert vars(scripted)["_rng"] is scripted
