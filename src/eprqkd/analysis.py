@@ -14,8 +14,8 @@ the order is part of the report bytes. It is kept because it is the order
 the package has always used for tables of up to 4 × 4, so existing reports
 still verify; and since ``math.log2`` is libm's, the floats do not depend on
 which SIMD kernels an array library dispatches to on the host CPU.
-``_total`` spells the sum out because ``builtins.sum`` rounds floats
-differently from Python 3.12 on.
+``total`` spells the sum out because ``builtins.sum`` rounds floats
+differently from Python 3.12 on; the runner's means sum through it too.
 """
 from __future__ import annotations
 
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 PROB_TOL = 1e-9
 
 
-def _total(values) -> float:
+def total(values) -> float:
+    """The float sum of ``values``, added left to right from 0.0."""
     acc = 0.0
     for value in values:
         acc += value
@@ -43,9 +44,9 @@ def _entropy(p) -> float:
 def _validate_probabilities(p: tuple[float, ...]):
     if not all(math.isfinite(value) and value >= -1e-12 for value in p):
         raise ValueError(f"probabilities must be finite and nonnegative, got {p!r}")
-    total = _total(p)
-    if abs(total - 1.0) > PROB_TOL:
-        raise ValueError(f"probabilities must sum to 1, got {total!r}")
+    summed = total(p)
+    if abs(summed - 1.0) > PROB_TOL:
+        raise ValueError(f"probabilities must sum to 1, got {summed!r}")
 
 
 def shannon_entropy(probabilities) -> float:
@@ -91,16 +92,16 @@ class JointDistribution:
         cells = [[counts[x].get(y, 0) for y in ys] for x in xs]
         if any(type(n) is not int or n < 0 for row in cells for n in row):
             raise ValueError(f"counts must be nonnegative ints, got {cells!r}")
-        total = sum(map(sum, cells))
-        if total <= 0:
+        count = sum(map(sum, cells))
+        if count <= 0:
             raise ValueError("counts sum to zero")
-        return cls(xs, ys, tuple(tuple(n / total for n in row) for row in cells))
+        return cls(xs, ys, tuple(tuple(n / count for n in row) for row in cells))
 
     def marginal_x(self) -> tuple[float, ...]:
-        return tuple(_total(row) for row in self.p)
+        return tuple(total(row) for row in self.p)
 
     def marginal_y(self) -> tuple[float, ...]:
-        return tuple(_total(column) for column in zip(*self.p))
+        return tuple(total(column) for column in zip(*self.p))
 
 
 def conditional_entropy(joint: JointDistribution) -> float:

@@ -21,7 +21,10 @@ aborts the run, which is what defeats an adversary who selectively destroys
 particles. Each operation below enforces its place in the order and raises
 ProtocolOrderError when called early or late. Every operation logs its
 public events to the ledger's transcript, and logs nothing, building no
-payload, when the ledger keeps none (``ledger.transcript is None``).
+payload, when the ledger keeps none (``ledger.transcript is None``). A step
+that depends on a setting (a check's fraction, threshold and minimum size,
+the check basis, continuation) reads it from the ``RunConfig`` it is
+handed, the one place each setting is stated.
 
 ``run_protocol`` is one such run, a hop, logging to the transcript it is
 handed. ``run_multiparty`` runs a trial as a chain of hops, alice -> bob
@@ -32,7 +35,7 @@ or none when ``runner.run``'s caller collects no transcripts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .adversary import AdversaryChannel, AttackStrategy, EveState
 from .config import RunConfig
@@ -164,15 +167,10 @@ def _publish_check(
     return report
 
 
-def first_check(
-    ledger: PairLedger,
-    fraction: float,
-    threshold: float,
-    rng: RandomSource,
-    min_size: int = 16,
-    randomize_basis: bool = False,
-) -> CheckReport:
-    """Correlation test on a random subset of delivered pairs (steps 3-4).
+def first_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> CheckReport:
+    """Correlation test on a random subset of delivered pairs (steps 3-4),
+    under the config's ``check_fraction_1``, ``threshold_1``,
+    ``min_check_size`` and ``randomize_check_basis``.
 
     The receiver measures his particle of each sampled pair, announces the
     pair ordinals (and bases), the sender measures hers the same way, and
@@ -180,18 +178,18 @@ def first_check(
     equal/opposite relation contradicts the prepared state's. Sampled pairs
     are consumed and never reach the second transmission.
 
-    With ``randomize_basis`` (an extension) the receiver draws Z or X per
-    pair instead of always measuring Z; the honest correlation is
+    With ``randomize_check_basis`` (an extension) the receiver draws Z or X
+    per pair instead of always measuring Z; the honest correlation is
     deterministic either way.
     """
     if ledger.phase is not Phase.SENT_1:
         raise ProtocolOrderError(f"first check in phase {ledger.phase.name}")
-    sample = _draw_sample(ledger.live, fraction, min_size, rng)
+    sample = _draw_sample(ledger.live, config.check_fraction_1, config.min_check_size, rng)
 
     # Every receiver draw, then every sender draw; with random bases each
     # pair's basis draw comes just before the receiver's draw for that pair.
     k = len(sample)
-    if randomize_basis:
+    if config.randomize_check_basis:
         drawn = rng.quarters(2 * k)
         bases = [_BASES[q >> 1] for q in drawn[0::2]]  # int(r * 2) of each basis draw
         receiver_keys = bytes(_RECEIVER_KEYS[b][q] for b, q in zip(bases, drawn[1::2]))
@@ -236,7 +234,7 @@ def first_check(
         check_id="first",
         sample_indices=tuple(sample),
         mismatches=mismatches,
-        threshold=threshold,
+        threshold=config.threshold_1,
         bases=tuple(bases),
     )
     ledger.check1 = report
@@ -245,20 +243,19 @@ def first_check(
 
 
 def transmit_second_sequence(
-    ledger: PairLedger,
-    channel: AdversaryChannel,
-    continuation: bool = False,
+    ledger: PairLedger, channel: AdversaryChannel, config: RunConfig
 ) -> PairLedger:
     """Send the surviving pairs' first halves through the channel (step 5).
 
     The receiver then holds every pair still in flight whole: the genuine
     pair, or the planted one where the adversary substituted it. Refuses
-    to run after a failed first check unless ``continuation`` is set (a
-    study mode that lets the doomed run be observed to the end).
+    to run after a failed first check unless the config's
+    ``continuation_mode`` is set (a study mode that lets the doomed run be
+    observed to the end).
     """
     if ledger.phase is not Phase.CHECKED_1:
         raise ProtocolOrderError(f"second transmission in phase {ledger.phase.name}")
-    if ledger.check1 is not None and not ledger.check1.passed and not continuation:
+    if ledger.check1 is not None and not ledger.check1.passed and not config.continuation_mode:
         raise ProtocolOrderError("second transmission after a failed first check")
     ledger.phase = Phase.SENT_2
     ledger.receipt_2 = _transmit(ledger, channel, 2, 5)
@@ -280,24 +277,20 @@ def bob_decode(ledger: PairLedger, rng: RandomSource) -> PairLedger:
     return ledger
 
 
-def second_check(
-    ledger: PairLedger,
-    fraction: float,
-    threshold: float,
-    rng: RandomSource,
-    min_size: int = 16,
-) -> CheckReport:
+def second_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> CheckReport:
     """Compare a random subset of decode results against the preparation
-    choices (step 7). Compared pairs are excluded from the key."""
+    choices (step 7), under the config's ``check_fraction_2``,
+    ``threshold_2`` and ``min_check_size``. Compared pairs are excluded
+    from the key."""
     if ledger.phase is not Phase.DECODED:
         raise ProtocolOrderError(f"second check in phase {ledger.phase.name}")
-    sample = _draw_sample(ledger.live, fraction, min_size, rng)
+    sample = _draw_sample(ledger.live, config.check_fraction_2, config.min_check_size, rng)
     outcome, prepared = ledger.outcome, ledger.prepared
     report = CheckReport(
         check_id="second",
         sample_indices=tuple(sample),
         mismatches=sum(outcome[i] != prepared[i] for i in sample),
-        threshold=threshold,
+        threshold=config.threshold_2,
     )
     ledger.check2 = report
     ledger.phase = Phase.CHECKED_2
@@ -369,10 +362,10 @@ def run_protocol(
     sender: str = "alice",
     receiver: str = "bob",
     prepared_labels: list[BellState | int] | None = None,
-    strategy: AttackStrategy | None = None,
     transcript: Transcript | None = _FRESH,
 ) -> ProtocolOutcome:
-    """Execute steps 1-7 for one run and report what happened.
+    """Execute steps 1-7 for one run, under ``config`` and against its
+    ``config.attack``, and report what happened.
 
     Every failure mode is an abort with a reason, never an exception:
     a failed check, a transmission whose delivered fraction fell below
@@ -386,10 +379,9 @@ def run_protocol(
     given; ``outcome.transcript`` is that log. With ``transcript=None`` it
     records none and makes exactly the same draws.
     """
-    strategy = config.attack if strategy is None else strategy
     sender_rng = rng.substream(sender)
     receiver_rng = rng.substream(receiver)
-    channel = AdversaryChannel(strategy, rng.substream("eve"))
+    channel = AdversaryChannel(config.attack, rng.substream("eve"))
 
     if prepared_labels is None:
         ledger = alice_prepare(config.pairs, sender_rng, sender, receiver, transcript)
@@ -408,32 +400,19 @@ def run_protocol(
     if ledger.receipt_1 < 1.0 - config.loss_tolerance:
         return abort("stall_transmission_1", 2)
     try:
-        check1 = first_check(
-            ledger,
-            config.check_fraction_1,
-            config.threshold_1,
-            receiver_rng,
-            min_size=config.min_check_size,
-            randomize_basis=config.randomize_check_basis,
-        )
+        check1 = first_check(ledger, config, receiver_rng)
     except InsufficientPairsError:
         return abort("insufficient_pairs", 3)
     failed = None if check1.passed else "check1_failed"
     if failed and not config.continuation_mode:
         return abort(failed, 4)
 
-    transmit_second_sequence(ledger, channel, config.continuation_mode)
+    transmit_second_sequence(ledger, channel, config)
     if ledger.receipt_2 < 1.0 - config.loss_tolerance:
         return abort(failed or "stall_transmission_2", 5)
     bob_decode(ledger, receiver_rng)
     try:
-        check2 = second_check(
-            ledger,
-            config.check_fraction_2,
-            config.threshold_2,
-            receiver_rng,
-            min_size=config.min_check_size,
-        )
+        check2 = second_check(ledger, config, receiver_rng)
     except InsufficientPairsError:
         return abort(failed or "insufficient_pairs", 7)
     if not check2.passed:
@@ -477,7 +456,9 @@ def run_multiparty(
     classical channel. In a three-party chain hop k draws from the
     ``hop<k>`` substream, tags its events ``{"hop": k}``, and a later hop's
     abort reason is prefixed ``hop<k>_``. Each hop logs to a fresh
-    ``Transcript(trial)``, or to none when ``record_transcript`` is off.
+    ``Transcript(trial)``, or to none when ``record_transcript`` is off. A
+    hop the adversary does not sit on (see ``attack_hop``) runs under a
+    copy of the config with no attack.
     """
     names = ("alice", "bob", "clare")[: config.parties]
     chain = config.parties > 2
@@ -486,12 +467,11 @@ def run_multiparty(
     for k, (sender, receiver) in enumerate(zip(names, names[1:]), 1):
         transcript = Transcript(trial, {"hop": k} if chain else None) if record_transcript else None
         hop = run_protocol(
-            config,
+            config if config.attacks_hop(k) else replace(config, attack=AttackStrategy()),
             rng.substream(f"hop{k}") if chain else rng,
             sender=sender,
             receiver=receiver,
             prepared_labels=labels,
-            strategy=config.attack if config.attacks_hop(k) else AttackStrategy(),
             transcript=transcript,
         )
         hops.append(hop)

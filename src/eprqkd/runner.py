@@ -12,7 +12,10 @@ across root seeds: seed 0's trial 1 is seed 1's trial 0, and in general
 schema 2 is to seed each trial from its own named substream instead; that
 changes every draw, so it waits for the schema bump. Aggregation is a
 deterministic fold in trial order, which makes reports byte-stable however
-trials might be scheduled.
+trials might be scheduled. Every float mean adds its values left to right
+from 0.0 (``analysis.total``), never through ``builtins.sum``, whose float
+rounding changed in Python 3.12, so a report's bytes do not depend on the
+interpreter that wrote it.
 """
 from __future__ import annotations
 
@@ -82,7 +85,7 @@ def _pooled_rate(rows: list[dict], key: str) -> dict | None:
 
 
 def _mean(values: list[float]) -> float | None:
-    return sum(values) / len(values) if values else None
+    return analysis.total(values) / len(values) if values else None
 
 
 def aggregate_rows(rows: list[dict]) -> dict:

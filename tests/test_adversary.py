@@ -269,9 +269,9 @@ class TestEveInformation:
         # The first sequence went through a clean channel, so Eve holds only
         # her Z bits of the second: each is a one-bit guess.
         ledger = sent_ledger(40, seed=4)
-        first_check(ledger, 0.25, 0.02, RandomSource(4, "check"))
+        first_check(ledger, RunConfig(), RandomSource(4, "check"))
         chan = channel(AttackKind.MEASURE_RESEND, seed=4, measure_second_sequence=True)
-        transmit_second_sequence(ledger, chan)
+        transmit_second_sequence(ledger, chan, RunConfig())
         live = [rec.index for rec in with_disposition(ledger, Disposition.IN_FLIGHT_2)]
         assert chan.eve.alphabet == ("0", "1")
         assert [i for i, bit in enumerate(chan.eve.guesses) if bit is not None] == live

@@ -97,7 +97,7 @@ class TestTransmissions:
         ledger = alice_prepare(10, RandomSource(4))
         transmit_first_sequence(ledger, clean_channel())
         with pytest.raises(ProtocolOrderError):
-            transmit_second_sequence(ledger, clean_channel())
+            transmit_second_sequence(ledger, clean_channel(), RunConfig())
 
     def test_second_transmission_refuses_failed_check(self):
         ledger = alice_prepare(10, RandomSource(4))
@@ -107,9 +107,9 @@ class TestTransmissions:
         ledger.phase = Phase.CHECKED_1
         ledger.settle([0], Disposition.CHECKED_1)
         with pytest.raises(ProtocolOrderError):
-            transmit_second_sequence(ledger, clean_channel())
+            transmit_second_sequence(ledger, clean_channel(), RunConfig())
         # Study mode is allowed through.
-        transmit_second_sequence(ledger, clean_channel(), continuation=True)
+        transmit_second_sequence(ledger, clean_channel(), RunConfig(continuation_mode=True))
         assert ledger.phase is Phase.SENT_2
 
     def test_the_channel_sees_the_pairs_in_flight(self, monkeypatch):
@@ -123,15 +123,15 @@ class TestTransmissions:
         monkeypatch.setattr(channel, "interpose", spy)
         ledger = alice_prepare(20, RandomSource(5, "alice"))
         transmit_first_sequence(ledger, channel)
-        first_check(ledger, 0.25, 0.02, RandomSource(5, "bob"), min_size=4)
-        transmit_second_sequence(ledger, channel)
+        first_check(ledger, RunConfig(min_check_size=4), RandomSource(5, "bob"))
+        transmit_second_sequence(ledger, channel, RunConfig())
         assert seen == [(1, Disposition.IN_FLIGHT_1), (2, Disposition.IN_FLIGHT_2)]
 
     def test_full_custody_after_second_transmission(self):
         ledger = alice_prepare(20, RandomSource(5, "alice"))
         transmit_first_sequence(ledger, clean_channel())
-        report = first_check(ledger, 0.25, 0.02, RandomSource(5, "bob"), min_size=4)
-        transmit_second_sequence(ledger, clean_channel())
+        report = first_check(ledger, RunConfig(min_check_size=4), RandomSource(5, "bob"))
+        transmit_second_sequence(ledger, clean_channel(), RunConfig())
         in_flight = with_disposition(ledger, Disposition.IN_FLIGHT_2)
         assert len(in_flight) == 20 - report.sample_size
         assert ledger.receipt_2 == 1.0
@@ -146,7 +146,7 @@ class TestFirstCheck:
             for n in (40, 200):
                 ledger = alice_prepare(n, RandomSource(seed, "alice"))
                 transmit_first_sequence(ledger, clean_channel())
-                report = first_check(ledger, 0.25, 0.02, RandomSource(seed, "bob"))
+                report = first_check(ledger, RunConfig(), RandomSource(seed, "bob"))
                 assert report.mismatches == 0
                 assert report.error_rate == 0.0
                 assert report.passed
@@ -154,18 +154,19 @@ class TestFirstCheck:
     def test_sample_size_honors_fraction_and_minimum(self):
         ledger = alice_prepare(64, RandomSource(6, "alice"))
         transmit_first_sequence(ledger, clean_channel())
-        report = first_check(ledger, 0.25, 0.02, RandomSource(6, "bob"), min_size=16)
+        report = first_check(ledger, RunConfig(min_check_size=16), RandomSource(6, "bob"))
         assert report.sample_size == 16
 
         ledger = alice_prepare(8, RandomSource(6, "alice"))
         transmit_first_sequence(ledger, clean_channel())
-        report = first_check(ledger, 0.25, 0.02, RandomSource(6, "bob"), min_size=16)
+        report = first_check(ledger, RunConfig(min_check_size=16), RandomSource(6, "bob"))
         assert report.sample_size == 8  # capped at what exists
 
     def test_checked_pairs_are_consumed(self):
         ledger = alice_prepare(40, RandomSource(7, "alice"))
         transmit_first_sequence(ledger, clean_channel())
-        report = first_check(ledger, 0.5, 0.02, RandomSource(7, "bob"), min_size=4)
+        cfg = RunConfig(check_fraction_1=0.5, min_check_size=4)
+        report = first_check(ledger, cfg, RandomSource(7, "bob"))
         checked = {rec.index for rec in with_disposition(ledger, Disposition.CHECKED_1)}
         assert checked == set(report.sample_indices)
         # A column built by spread holds its values at the live pairs, in
@@ -175,7 +176,7 @@ class TestFirstCheck:
         assert len(column) == ledger.n_total
         assert [column[i] for i in ledger.live] == values
         assert all(column[i] is None for i in checked)
-        transmit_second_sequence(ledger, clean_channel())
+        transmit_second_sequence(ledger, clean_channel(), RunConfig())
         in_flight = {rec.index for rec in with_disposition(ledger, Disposition.IN_FLIGHT_2)}
         assert in_flight.isdisjoint(checked)
 
@@ -187,7 +188,7 @@ class TestFirstCheck:
         ledger = alice_prepare(10, RandomSource(8, "alice"))
         transmit_first_sequence(ledger, chan)
         with pytest.raises(ConfigurationError):
-            first_check(ledger, 0.25, 0.02, RandomSource(8, "bob"))
+            first_check(ledger, RunConfig(), RandomSource(8, "bob"))
 
     def test_fake_epr_mismatch_rate(self):
         chan = AdversaryChannel(
@@ -195,7 +196,7 @@ class TestFirstCheck:
         )
         ledger = alice_prepare(4000, RandomSource(9, "alice"))
         transmit_first_sequence(ledger, chan)
-        report = first_check(ledger, 0.25, 0.02, RandomSource(9, "bob"))
+        report = first_check(ledger, RunConfig(), RandomSource(9, "bob"))
         assert report.sample_size == 1000
         assert abs(report.error_rate - 0.5) < 0.05
         assert not report.passed
@@ -205,8 +206,8 @@ class TestDecodeAndSecondCheck:
     def run_to_decode(self, n=60, seed=10, chan_seed=10):
         ledger = alice_prepare(n, RandomSource(seed, "alice"))
         transmit_first_sequence(ledger, clean_channel(chan_seed))
-        first_check(ledger, 0.25, 0.02, RandomSource(seed, "bob"), min_size=4)
-        transmit_second_sequence(ledger, clean_channel(chan_seed))
+        first_check(ledger, RunConfig(min_check_size=4), RandomSource(seed, "bob"))
+        transmit_second_sequence(ledger, clean_channel(chan_seed), RunConfig())
         bob_decode(ledger, RandomSource(seed, "bob-decode"))
         return ledger
 
@@ -217,19 +218,19 @@ class TestDecodeAndSecondCheck:
 
     def test_second_check_clean(self):
         ledger = self.run_to_decode()
-        report = second_check(ledger, 0.25, 0.02, RandomSource(12, "bob"), min_size=4)
+        report = second_check(ledger, RunConfig(min_check_size=4), RandomSource(12, "bob"))
         assert report.error_rate == 0.0
         assert report.passed
 
     def test_second_check_requires_decode(self):
         ledger = alice_prepare(10, RandomSource(13))
         with pytest.raises(ProtocolOrderError):
-            second_check(ledger, 0.25, 0.02, RandomSource(13))
+            second_check(ledger, RunConfig(), RandomSource(13))
 
     def test_first_check_requires_first_transmission(self):
         ledger = alice_prepare(10, RandomSource(13))
         with pytest.raises(ProtocolOrderError):
-            first_check(ledger, 0.25, 0.02, RandomSource(13))
+            first_check(ledger, RunConfig(), RandomSource(13))
 
     def test_decode_requires_second_transmission(self):
         ledger = alice_prepare(10, RandomSource(13))
@@ -243,11 +244,11 @@ class TestDecodeAndSecondCheck:
         )
         ledger = alice_prepare(6000, RandomSource(14, "alice"))
         transmit_first_sequence(ledger, chan)
-        report1 = first_check(ledger, 0.25, 0.02, RandomSource(14, "bob"))
+        report1 = first_check(ledger, RunConfig(), RandomSource(14, "bob"))
         assert report1.error_rate == 0.0  # invisible to the first check
-        transmit_second_sequence(ledger, chan)
+        transmit_second_sequence(ledger, chan, RunConfig())
         bob_decode(ledger, RandomSource(14, "bob-decode"))
-        report2 = second_check(ledger, 0.25, 0.02, RandomSource(14, "bob2"))
+        report2 = second_check(ledger, RunConfig(), RandomSource(14, "bob2"))
         assert abs(report2.error_rate - 0.5) < 0.05
         assert not report2.passed
         # Mismatches never leave the prepared state's parity class.
@@ -359,16 +360,16 @@ class TestRunProtocol:
         transmit_first_sequence(ledger, chan)
         assert_counts_match(ledger)
         assert ledger.stage is Disposition.IN_FLIGHT_1
-        first_check(ledger, cfg.check_fraction_1, cfg.threshold_1, bob)
+        first_check(ledger, cfg, bob)
         assert_counts_match(ledger)
         assert ledger.stage is Disposition.IN_FLIGHT_1
-        transmit_second_sequence(ledger, chan)
+        transmit_second_sequence(ledger, chan, cfg)
         assert_counts_match(ledger)
         assert ledger.stage is Disposition.IN_FLIGHT_2
         bob_decode(ledger, bob)
         assert_counts_match(ledger)
         assert ledger.stage is Disposition.DECODED
-        second_check(ledger, cfg.check_fraction_2, cfg.threshold_2, bob)
+        second_check(ledger, cfg, bob)
         assert_counts_match(ledger)
         assert ledger.stage is Disposition.DECODED
         extract_key(ledger)
@@ -402,10 +403,10 @@ class TestRunProtocol:
         channel = AdversaryChannel(cfg.attack, rng.substream("eve"))
         ledger = alice_prepare(cfg.pairs, rng.substream("alice"))
         transmit_first_sequence(ledger, channel)
-        first_check(ledger, cfg.check_fraction_1, cfg.threshold_1, bob)
-        transmit_second_sequence(ledger, channel)
+        first_check(ledger, cfg, bob)
+        transmit_second_sequence(ledger, channel, cfg)
         bob_decode(ledger, bob)
-        report = second_check(ledger, cfg.check_fraction_2, cfg.threshold_2, bob)
+        report = second_check(ledger, cfg, bob)
         assert report.passed == (kind is AttackKind.NONE)  # measure-resend fails here
         expected = outcome.transcript.events
         if report.passed:
@@ -483,12 +484,12 @@ class TestRunProtocol:
         # second transmission: delivery succeeds, then everything vanishes.
         ledger = alice_prepare(30, RandomSource(60, "alice"))
         transmit_first_sequence(ledger, clean_channel())
-        report = first_check(ledger, 0.25, 0.02, RandomSource(60, "bob"), min_size=4)
+        report = first_check(ledger, RunConfig(min_check_size=4), RandomSource(60, "bob"))
         destroyer = AdversaryChannel(
             AttackStrategy(kind=AttackKind.OPAQUE, destroy_probability=1.0),
             RandomSource(60, "eve"),
         )
-        transmit_second_sequence(ledger, destroyer)
+        transmit_second_sequence(ledger, destroyer, RunConfig())
         assert ledger.receipt_2 == 0.0
         dropped = with_disposition(ledger, Disposition.DROPPED)
         assert len(dropped) == 30 - report.sample_size

@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 
 import pytest
@@ -87,9 +89,11 @@ def test_categorical_degenerate_distributions():
     assert all(rng.categorical((1.0, 0.0, 0.0, 0.0)) == 0 for _ in range(50))
     assert all(rng.categorical((0.0, 0.0, 0.0, 1.0)) == 3 for _ in range(50))
     # A draw at or above the float sum of the probabilities misses every
-    # running sum and takes the last outcome of nonzero probability.
+    # running sum and takes the last outcome of nonzero probability. The sum
+    # is categorical's own, added left to right from 0.0: builtins.sum
+    # rounds it to 1.0 from Python 3.12 on.
     tenths = (0.1,) * 10
-    assert sum(tenths) == 0.9999999999999999
+    assert functools.reduce(operator.add, tenths, 0.0) == 0.9999999999999999
     assert ScriptedSource(0.9999999999999999).categorical(tenths) == 9
     assert ScriptedSource(0.9999999999999999).categorical((*tenths, 0.0)) == 9
     # 0.9 + 0.05 rounds up to 0.9500000000000001, so 0.95 falls inside outcome 1.

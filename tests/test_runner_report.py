@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import typing
 
@@ -45,6 +46,15 @@ class TestRunner:
             )
         )
         assert aggregate_rows(report.rows) == report.aggregate
+
+    def test_means_add_left_to_right(self):
+        # Ten 0.1s added left to right from 0.0 make 0.9999999999999999;
+        # builtins.sum rounds them to 1.0 from Python 3.12 on, which would
+        # make the report's bytes depend on the interpreter.
+        rows = run(RunConfig(pairs=40, trials=10, seed=42)).rows
+        for row in rows:
+            row["receipt_fraction_1"] = 0.1
+        assert aggregate_rows(rows)["mean_receipt_fraction_1"] == 0.09999999999999999
 
     def test_detection_rates(self):
         report = run(
@@ -370,6 +380,19 @@ class TestCli:
         doc["aggregate"]["completed"] = 0
         out.write_text(json.dumps(doc))
         assert main(["verify", str(out)]) == 1
+
+    def test_opaque_report_bytes_are_pinned(self, tmp_path):
+        # Its mean_receipt_fraction_2 is a float sum that builtins.sum rounds
+        # differently from Python 3.12 on; these are its bytes on every
+        # interpreter.
+        out = tmp_path / "r.json"
+        argv = ["run", "--pairs", "97", "--trials", "10", "--seed", "11",
+                "--loss-tolerance", "0.9", "--attack", "opaque", "--destroy-prob", "0.3"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "98f343493e0a74745749f9eb69232b3b0cfb877dd4313cfeeeaa094a0fc71060"
+        )
+        assert main(["verify", str(out)]) == 0
 
     def test_verify_missing_file(self, tmp_path):
         assert main(["verify", str(tmp_path / "nope.json")]) == 1
