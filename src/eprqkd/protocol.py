@@ -30,7 +30,9 @@ handed, the one place each setting is stated.
 handed. ``run_multiparty`` runs a trial as a chain of hops, alice -> bob
 for two parties and on to clare for three, where the relay re-encodes his
 raw key into the next hop's pairs; it hands each hop its own transcript,
-or none when ``runner.run``'s caller collects no transcripts.
+or none when ``runner.run``'s caller collects no transcripts. It is the
+one entry point of a trial: ``run_multiparty(config, t)`` derives trial
+t's streams and runs it.
 """
 from __future__ import annotations
 
@@ -426,9 +428,10 @@ def run_protocol(
 
 @dataclass
 class TrialOutcome:
-    """One trial: the hops of the chain that ran, in order, and every
-    party's key (sender first) when the last hop completed."""
+    """One trial: its index, the hops of the chain that ran, in order, and
+    every party's key (sender first) when the last hop completed."""
 
+    trial: int
     hops: list[ProtocolOutcome]
     abort_reason: str | None
     keys: list[KeyMaterial] | None
@@ -445,9 +448,10 @@ class TrialOutcome:
 
 
 def run_multiparty(
-    config: RunConfig, rng: RandomSource, trial: int = 0, record_transcript: bool = True
+    config: RunConfig, trial: int = 0, record_transcript: bool = True
 ) -> TrialOutcome:
-    """Distribute one common key along the chain alice -> bob (-> clare).
+    """Run trial ``trial`` of ``config``: distribute one common key along
+    the chain alice -> bob (-> clare).
 
     Each hop runs the full protocol. A relay re-encodes his raw key (his
     decode results at the kept pairs) into fresh pairs and runs the next
@@ -456,10 +460,19 @@ def run_multiparty(
     classical channel. In a three-party chain hop k draws from the
     ``hop<k>`` substream, tags its events ``{"hop": k}``, and a later hop's
     abort reason is prefixed ``hop<k>_``. Each hop logs to a fresh
-    ``Transcript(trial)``, or to none when ``record_transcript`` is off. A
-    hop the adversary does not sit on (see ``attack_hop``) runs under a
-    copy of the config with no attack.
+    ``Transcript(trial)``, or to none when ``record_transcript`` is off;
+    recording makes no draw. A hop the adversary does not sit on (see
+    ``attack_hop``) runs under a copy of the config with no attack.
+
+    Trial t draws from the root seed XOR t. Within one batch the trials are
+    independent and any trial can be reproduced alone, but the streams
+    collide across root seeds: seed 0's trial 1 is seed 1's trial 0, and in
+    general (seed a, trial t) equals (seed b, trial u) whenever
+    a ^ t == b ^ u. Report schema 2 is to seed each trial from its own
+    named substream instead; that changes every draw, so it waits for the
+    schema bump.
     """
+    rng = RandomSource(config.seed ^ trial)
     names = ("alice", "bob", "clare")[: config.parties]
     chain = config.parties > 2
     hops: list[ProtocolOutcome] = []
@@ -477,7 +490,7 @@ def run_multiparty(
         hops.append(hop)
         if not hop.completed:
             reason = hop.abort_reason if k == 1 else f"hop{k}_{hop.abort_reason}"
-            return TrialOutcome(hops, reason, None)
+            return TrialOutcome(trial, hops, reason, None)
         kept = hop.receiver_key.source_indices
         labels = [hop.ledger.outcome[i] for i in kept]
         # The kept ordinals, mapped back to first-hop pairs.
@@ -486,4 +499,4 @@ def run_multiparty(
     keys = [sender_key_material(hops[0].ledger, positions)]
     keys += [KeyMaterial(hop.sender_key.bits, positions) for hop in hops[1:]]
     keys.append(KeyMaterial(hops[-1].receiver_key.bits, positions))
-    return TrialOutcome(hops, None, keys)
+    return TrialOutcome(trial, hops, None, keys)

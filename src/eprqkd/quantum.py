@@ -26,34 +26,29 @@ in Z or X leaves a product of that basis's eigenstates; measuring one qubit
 of a product changes only that qubit; and a pair-state measurement leaves
 the measured pair state. So every outcome distribution is exact and takes
 one of the values 0, 1/4, 1/2 or 1. The closed-form rules below are
-evaluated once, at import, into three tables:
+evaluated once, at import, into the tables:
 
 * ``P0[s][op]``, the probability of outcome 0 of single-qubit operation
   ``op`` (0-3: Z or X on the first half, then Z or X on the second);
-* ``POST[s][op][outcome]``, the code the pair is left in (None for an
-  outcome of probability zero);
-* ``CUM[s]``, the running sums of the pair-basis probabilities in
-  ``BELL_LABELS`` order. Every entry is a dyadic rational, so the sums are
-  exact and ``r < CUM[s][i]`` picks the index ``RandomSource.categorical``
-  would pick from the same draw.
-
-Because every probability is a multiple of 1/4, a draw ``r`` decides an
-outcome through ``int(r * 4)`` alone: ``r < k/4`` exactly when
-``int(r * 4) < k``. So the three tables are read once more, at import, into
-the one table every measurement reads: ``MEASURE[s][op << 2 | q]`` is the
-(outcome, post state) of operation ``op`` on state ``s`` for a draw with
-``int(r * 4) == q``. Operations 0-3 are the single-qubit ones, as numbered
-in ``OPS``; operation ``PAIR_BASIS`` (4) is the pair-state measurement,
-whose outcome and post state are both the measured label's code.
+* the pair-basis probabilities of each state, in ``BELL_LABELS`` order,
+  which ``bell_overlap_probabilities`` returns;
+* ``MEASURE[s][op << 2 | q]``, the one table every measurement reads: the
+  (outcome, post state) of operation ``op`` on state ``s`` for a draw r with
+  ``int(r * 4) == q``. Operations 0-3 are the single-qubit ones, as
+  numbered in ``OPS``; operation ``PAIR_BASIS`` (4) is the pair-state
+  measurement, whose outcome and post state are both the measured label's
+  code. The outcome is the first whose running sum of probabilities
+  exceeds r, the index ``RandomSource.categorical`` would pick from the
+  same draw. Every probability is a multiple of 1/4, so ``r < p`` exactly
+  when ``q < 4 * p``, and the quarter q alone decides the outcome;
+* ``KEYS[op]``, which maps a draw's quarter q to the key ``op << 2 | q``.
 
 The one column kernel, ``measure_column``, measures a list of pairs by one
 key byte each: it updates a column of state codes in place at the given
-indices, in index order, and returns the outcomes. ``KEYS[op]`` maps a
-draw's quarter ``int(r * 4)`` to the key ``op << 2 | int(r * 4)``, so a
-step with a fixed operation takes its keys from one
-``rng.quarters(n).translate(KEYS[op])`` call, one draw per measurement, and
-makes exactly the draws, in exactly the order, that one call per pair
-would. A measurement takes its draw even when the outcome is certain.
+indices, in index order, and returns the outcomes. A step with a fixed
+operation takes its keys from one ``rng.quarters(n).translate(KEYS[op])``
+call, one draw per measurement, and makes exactly the draws, in exactly the
+order, that one call per pair would. A measurement takes its draw even when the outcome is certain.
 The scalar kernels (``measure_qubit``, ``measure_qubit_z``,
 ``measure_bell_basis``) take one ``random()`` draw and return the
 ``MEASURE`` entry at its ``int(r * 4)``; they are the one-draw references
@@ -170,19 +165,7 @@ def _closed_overlaps(code: int) -> tuple[float, ...]:
 
 _OP_ARGS = [(half, basis) for half, ops in enumerate(OPS.values()) for basis in ops]
 P0 = tuple(tuple(_closed_p0(s, *args) for args in _OP_ARGS) for s in range(N_STATES))
-# An outcome of probability zero has no post state: its entry is None.
-POST = tuple(
-    tuple(
-        tuple(
-            _closed_post(s, *args, outcome) if p > 0.0 else None
-            for outcome, p in enumerate((p0, 1.0 - p0))
-        )
-        for args, p0 in zip(_OP_ARGS, P0[s])
-    )
-    for s in range(N_STATES)
-)
 _BELL_PROBS = tuple(_closed_overlaps(s) for s in range(N_STATES))
-CUM = tuple(tuple(accumulate(probs)) for probs in _BELL_PROBS)
 # The pair-basis measurement, after the four single-qubit operations.
 PAIR_BASIS = len(_OP_ARGS)
 
@@ -192,9 +175,11 @@ def _outcome(s: int, op: int, q: int) -> tuple[int, int]:
     r with int(r * 4) == q: the outcome is the first whose running sum of
     probabilities exceeds r, which is where q < 4 * sum, since 4 * sum is an
     integer. A pair-basis measurement leaves the measured label's state."""
-    sums, posts = (CUM[s], range(4)) if op == PAIR_BASIS else ((P0[s][op], 1.0), POST[s][op])
-    outcome = next(i for i, c in enumerate(sums) if q < 4 * c)
-    return outcome, posts[outcome]
+    if op == PAIR_BASIS:
+        code = next(i for i, c in enumerate(accumulate(_BELL_PROBS[s])) if q < 4 * c)
+        return code, code
+    bit = 0 if q < 4 * P0[s][op] else 1
+    return bit, _closed_post(s, *_OP_ARGS[op], bit)
 
 
 MEASURE = tuple(

@@ -3,19 +3,15 @@
 Every trial, two-party or three-party, is one ``run_multiparty`` chain of
 hops; its row reads the first hop and, when it ran, the second. A trial
 records its transcript only when the caller collects transcripts; the rows
-are the same either way, since recording makes no draw.
+are the same either way, since recording makes no draw. ``run_multiparty``
+derives each trial's streams from the config and the trial index; its
+docstring gives the seeding rule.
 
-Trial t draws from the root seed XOR t. Within one batch the trials are
-independent and any trial can be reproduced alone, but the streams collide
-across root seeds: seed 0's trial 1 is seed 1's trial 0, and in general
-(seed a, trial t) equals (seed b, trial u) whenever a ^ t == b ^ u. Report
-schema 2 is to seed each trial from its own named substream instead; that
-changes every draw, so it waits for the schema bump. Aggregation is a
-deterministic fold in trial order, which makes reports byte-stable however
-trials might be scheduled. Every float mean adds its values left to right
-from 0.0 (``analysis.total``), never through ``builtins.sum``, whose float
-rounding changed in Python 3.12, so a report's bytes do not depend on the
-interpreter that wrote it.
+Aggregation is a deterministic fold in trial order, which makes reports
+byte-stable however trials might be scheduled. Every float mean adds its
+values left to right from 0.0 (``analysis.total``), never through
+``builtins.sum``, whose float rounding changed in Python 3.12, so a report's
+bytes do not depend on the interpreter that wrote it.
 """
 from __future__ import annotations
 
@@ -30,7 +26,6 @@ from .ledger import joint_counts
 from .protocol import ProtocolOutcome, TrialOutcome, run_multiparty
 # The benchmark's traced run (bench/workloads.py) wraps this binding.
 from .protocol import run_protocol  # noqa: F401
-from .rng import RandomSource
 
 SCHEMA_VERSION = "eprqkd-report/1"
 
@@ -48,10 +43,10 @@ def _hop_row(outcome: ProtocolOutcome) -> dict:
     }
 
 
-def trial_row(trial: int, outcome: TrialOutcome) -> dict:
+def trial_row(outcome: TrialOutcome) -> dict:
     """Flatten one trial's outcome into the serializable report row."""
     first = outcome.hops[0]
-    row = {"trial": trial, "keys_agree": outcome.keys_agree}
+    row = {"trial": outcome.trial, "keys_agree": outcome.keys_agree}
     row.update(_hop_row(first))
     # The overall reason (hop-prefixed when the second hop failed), not the
     # first hop's view of it.
@@ -98,8 +93,7 @@ def aggregate_rows(rows: list[dict]) -> dict:
     detected = [
         r
         for r in rows
-        if r["abort_reason"] is not None
-        and any(r["abort_reason"].endswith(reason) for reason in _DETECTION_REASONS)
+        if r["abort_reason"] is not None and r["abort_reason"].endswith(_DETECTION_REASONS)
     ]
     ab_pool: dict = {}
     ae_pool: dict = {}
@@ -176,13 +170,8 @@ def run(config: RunConfig, collect_transcripts: bool = False) -> RunReport:
     rows = []
     transcripts: list[str] | None = [] if collect_transcripts else None
     for trial in range(config.trials):
-        outcome = run_multiparty(
-            config,
-            RandomSource(config.seed ^ trial),
-            trial=trial,
-            record_transcript=collect_transcripts,
-        )
-        rows.append(trial_row(trial, outcome))
+        outcome = run_multiparty(config, trial, record_transcript=collect_transcripts)
+        rows.append(trial_row(outcome))
         if transcripts is not None:
             transcripts.append("".join([hop.transcript.to_jsonl() for hop in outcome.hops]))
     return RunReport(

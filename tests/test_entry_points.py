@@ -43,9 +43,15 @@ def test_every_exported_name_resolves():
         assert getattr(eprqkd, name) is not None, name
 
 
-def test_cli_import_loads_only_the_stdlib():
+def _src_env():
+    """The environment with the package source first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_import_loads_only_the_stdlib():
+    env = _src_env()
     probe = (
         "import sys; before = set(sys.modules); import eprqkd.cli; "
         "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}; "
@@ -55,3 +61,15 @@ def test_cli_import_loads_only_the_stdlib():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout == "[]\n"
+
+
+def test_cli_module_runs_as_a_script(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-m", "eprqkd.cli", "run", "--pairs", "20", "--trials", "1"],
+        env=_src_env(),
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("eprqkd: 1 trial(s) x 20 pairs")

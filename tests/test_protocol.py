@@ -328,6 +328,13 @@ class TestRunProtocol:
         assert outcome.keys_agree
         assert outcome.receiver_key.bits == outcome.sender_key.bits
 
+    def test_aborted_run_has_no_key_agreement(self):
+        cfg = config(pairs=200, seed=20, attack=AttackStrategy(kind=AttackKind.FAKE_EPR))
+        outcome = run_protocol(cfg, RandomSource(20))
+        assert outcome.abort_reason == "check1_failed"
+        assert outcome.receiver_key is outcome.sender_key is None
+        assert outcome.keys_agree is None
+
     def test_conservation_and_exclusivity(self):
         outcome = run_protocol(config(pairs=500, seed=21), RandomSource(21))
         counts = outcome.ledger.disposition_counts()
@@ -576,8 +583,8 @@ class TestMultiparty:
         cases = ((AttackStrategy(), None), (AttackStrategy(AttackKind.FAKE_EPR), "check1_failed"))
         for attack, reason in cases:
             cfg = config(pairs=200, seed=30, attack=attack)
-            single = run_protocol(cfg, RandomSource(30), transcript=Transcript(2))
-            outcome = run_multiparty(cfg, RandomSource(30), trial=2)
+            single = run_protocol(cfg, RandomSource(30 ^ 2), transcript=Transcript(2))
+            outcome = run_multiparty(cfg, 2)
             (hop,) = outcome.hops
             assert hop.transcript.events == single.transcript.events
             assert outcome.abort_reason == single.abort_reason == reason
@@ -586,7 +593,7 @@ class TestMultiparty:
 
     def test_clean_chain_shares_one_key(self):
         cfg = config(pairs=300, seed=31, parties=3)
-        outcome = run_multiparty(cfg, RandomSource(31))
+        outcome = run_multiparty(cfg)
         assert outcome.completed
         assert outcome.keys_agree
         assert outcome.keys[0].bits == outcome.keys[1].bits == outcome.keys[-1].bits
@@ -594,7 +601,7 @@ class TestMultiparty:
 
     def test_key_accounting_against_ledgers(self):
         cfg = RunConfig(pairs=100, seed=32, parties=3)
-        outcome = run_multiparty(cfg, RandomSource(32))
+        outcome = run_multiparty(cfg)
         hop2_key_pairs = len(outcome.hops[1].receiver_key.source_indices)
         assert len(outcome.keys[-1].bits) == 2 * hop2_key_pairs
         # Every party's positions refer to first-hop ordinals.
@@ -608,7 +615,7 @@ class TestMultiparty:
 
     def test_relay_prepares_its_own_key_bits(self):
         cfg = config(pairs=300, seed=33, parties=3)
-        outcome = run_multiparty(cfg, RandomSource(33))
+        outcome = run_multiparty(cfg)
         relayed = "".join(rec.prepared.code for rec in outcome.hops[1].ledger.records)
         assert relayed == outcome.hops[0].receiver_key.bits
 
@@ -620,7 +627,7 @@ class TestMultiparty:
             attack=AttackStrategy(kind=AttackKind.MEASURE_RESEND),
             attack_hop="2",
         )
-        outcome = run_multiparty(cfg, RandomSource(34))
+        outcome = run_multiparty(cfg)
         assert outcome.hops[0].completed
         assert outcome.abort_reason == "hop2_check2_failed"
         assert outcome.keys is None
@@ -633,21 +640,21 @@ class TestMultiparty:
             attack=AttackStrategy(kind=AttackKind.MEASURE_RESEND),
             attack_hop="1",
         )
-        outcome = run_multiparty(cfg, RandomSource(35))
+        outcome = run_multiparty(cfg)
         assert outcome.abort_reason == "check2_failed"
         assert len(outcome.hops) == 1
 
     def test_second_hop_shortfall_is_prefixed(self):
         # 40 pairs leave 8 key pairs to relay; the relay's first check
         # consumes all 8.
-        outcome = run_multiparty(RunConfig(pairs=40, seed=37, parties=3), RandomSource(37))
+        outcome = run_multiparty(RunConfig(pairs=40, seed=37, parties=3))
         assert outcome.hops[0].completed
         assert outcome.abort_reason == "hop2_insufficient_pairs"
         assert outcome.keys is None
 
     def test_transcript_tags_hops(self):
         cfg = config(pairs=200, seed=36, parties=3)
-        outcome = run_multiparty(cfg, RandomSource(36))
+        outcome = run_multiparty(cfg)
         events = [event for hop in outcome.hops for event in hop.transcript.events]
         hops = {event["payload"].get("hop") for event in events}
         assert hops == {1, 2}
@@ -681,7 +688,7 @@ UNSEEN_ATTACKS = [
 def test_unseen_attack_completes_with_disagreeing_keys(fields, key_bits):
     attack = AttackStrategy(kind=AttackKind.MEASURE_RESEND)
     cfg = RunConfig(attack=attack, min_check_size=1, attack_hop="1", **fields)
-    outcome = run_multiparty(cfg, RandomSource(cfg.seed))
+    outcome = run_multiparty(cfg)
     assert outcome.completed
     assert outcome.keys_agree is False
     assert [len(key.bits) for key in outcome.keys] == [key_bits, key_bits]
@@ -730,7 +737,7 @@ def test_every_valid_config_finishes_every_trial(
     assume(not (fields["parties"] == 2 and fields["attack_hop"] == "2"))
     attack = AttackStrategy(kind, fake_label, destroy_probability, measure_second_sequence)
     cfg = RunConfig(seed=seed, attack=attack, **fields)
-    outcome = run_multiparty(cfg, RandomSource(seed))
+    outcome = run_multiparty(cfg)
     assert 1 <= len(outcome.hops) <= cfg.parties - 1
     assert outcome.hops[0].ledger.n_total == cfg.pairs
     for k, hop in enumerate(outcome.hops):

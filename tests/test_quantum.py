@@ -8,14 +8,12 @@ import amplitude_oracle as oracle
 from amplitude_oracle import ORACLE_BELL, S, TwoQubitState, amplitudes_of
 from eprqkd.quantum import (
     BELL_LABELS,
-    CUM,
     KEYS,
     MEASURE,
     N_STATES,
     OPS,
     P0,
     PAIR_BASIS,
-    POST,
     PRODUCTS,
     BellState,
     basis_state,
@@ -369,19 +367,22 @@ def _id(value):
 @pytest.mark.parametrize("state", REACHABLE, ids=_id)
 def test_closed_form_matches_amplitude_oracle(state, operation):
     # The table entries for this (state, operation) against the oracle's
-    # exact distribution; together the 100 cases pin every entry of P0,
-    # POST (None exactly where an outcome is impossible) and CUM.
+    # exact distribution; together the 100 cases pin every entry of P0, the
+    # running sums of the pair-basis probabilities, and which outcomes the
+    # MEASURE row reaches (exactly those of nonzero weight).
     amps = amplitudes_of(state)
+    op = OPERATIONS.index(operation)
     if operation == "bell":
         overlaps = oracle.bell_overlaps(amps)
         expected = list(accumulate(overlaps[label] for label in BELL_LABELS))
-        assert CUM[state] == pytest.approx(expected, abs=1e-12)
+        sums = list(accumulate(bell_overlap_probabilities(state).values()))
+        assert sums == pytest.approx(expected, abs=1e-12)
+        possible = {int(label) for label, p in overlaps.items() if p > 1e-12}
     else:
-        op = OPERATIONS.index(operation)
         p0, p1 = oracle.qubit_probabilities(amps, *operation)
         assert abs(P0[state][op] - p0) < 1e-12
-        for outcome, p in enumerate((p0, p1)):
-            assert (POST[state][op][outcome] is None) == (p < 1e-12)
+        possible = {outcome for outcome, p in enumerate((p0, p1)) if p > 1e-12}
+    assert {MEASURE[state][op << 2 | q][0] for q in range(4)} == possible
     # Every outcome probability takes a value in {0, 1/4, 1/2, 1}, so draws
     # at the midpoints of eighths reach every outcome of nonzero weight.
     for k in range(8):
@@ -472,17 +473,20 @@ def test_measure_bell_column_matches_scalar_loop(column_and_measurements, seed):
 
 def test_outcome_tables_agree_with_probabilities():
     # r < p is decided by int(r * 4) only when 4 * p is an integer.
+    cums = [list(accumulate(bell_overlap_probabilities(s).values())) for s in REACHABLE]
     for s in REACHABLE:
-        for p in (*P0[s], *CUM[s]):
+        for p in (*P0[s], *cums[s]):
             assert (4 * p).is_integer()
     for q in range(4):
         r = q / 4  # the smallest draw of this quarter; every draw in it decides alike
         for s in REACHABLE:
             for op in range(4):
                 bit = 0 if r < P0[s][op] else 1
-                assert MEASURE[s][op << 2 | q] == (bit, POST[s][op][bit])
-                assert POST[s][op][bit] is not None
-            c0, c1, c2, _ = CUM[s]
+                outcome, post = MEASURE[s][op << 2 | q]
+                assert outcome == bit
+                # The post state repeats the outcome with certainty.
+                assert P0[post][op] == 1.0 - bit
+            c0, c1, c2, _ = cums[s]
             code = 0 if r < c0 else 1 if r < c1 else 2 if r < c2 else 3
             assert MEASURE[s][PAIR_BASIS << 2 | q] == (code, code)
     assert [OPS[which][basis] for which, basis in OPERATIONS[:4]] == list(range(PAIR_BASIS))

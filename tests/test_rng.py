@@ -29,6 +29,10 @@ def test_different_seeds_diverge():
     assert a != b
 
 
+def test_repr_names_seed_and_stream():
+    assert repr(RandomSource(9).substream("alice")) == "RandomSource(seed=9, stream='root/alice')"
+
+
 def test_substream_is_deterministic_and_independent():
     root = RandomSource(9)
     child = root.substream("alice")

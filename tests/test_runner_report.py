@@ -5,11 +5,13 @@ import json
 import typing
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from eprqkd.adversary import FAKE_LABELS, AttackKind, AttackStrategy
 from eprqkd.cli import _build_parser, main
 from eprqkd.config import RunConfig
 from eprqkd.errors import ConfigurationError
+from eprqkd.protocol import run_multiparty
 from eprqkd.report import (
     TABULAR_COLUMNS,
     emit_report,
@@ -18,7 +20,19 @@ from eprqkd.report import (
     render_tabular,
     verify_report,
 )
-from eprqkd.runner import SCHEMA_VERSION, aggregate_rows, run
+from eprqkd.runner import SCHEMA_VERSION, aggregate_rows, run, trial_row
+
+
+# Every attack variant: a clean channel, measure-resend of the first sequence
+# and of both, fake-EPR with a fixed and with uniform labels, and opaque.
+ATTACK_VARIANTS = [
+    AttackStrategy(),
+    AttackStrategy(kind=AttackKind.MEASURE_RESEND),
+    AttackStrategy(kind=AttackKind.MEASURE_RESEND, measure_second_sequence=True),
+    AttackStrategy(kind=AttackKind.FAKE_EPR),
+    AttackStrategy(kind=AttackKind.FAKE_EPR, fake_label=None),
+    AttackStrategy(kind=AttackKind.OPAQUE, destroy_probability=0.3),
+]
 
 
 class TestRunner:
@@ -90,6 +104,37 @@ class TestRunner:
         one = run(RunConfig(pairs=100, trials=1, seed=44))
         assert many.rows[0]["check1"] == one.rows[0]["check1"]
         assert many.rows[0]["key_length"] == one.rows[0]["key_length"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        attack=st.sampled_from(ATTACK_VARIANTS),
+        parties=st.sampled_from([2, 3]),
+        attack_hop=st.sampled_from(["1", "2", "both"]),
+        pairs=st.integers(20, 80),
+        trials=st.integers(1, 5),
+        bounds=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_a_trial_run_alone_matches_its_batch(
+        self, attack, parties, attack_hop, pairs, trials, bounds, seed
+    ):
+        # run_multiparty(config, t) is the whole of trial t: rows and
+        # transcripts of any slice of trials equal the batch's slice.
+        assume(not (parties == 2 and attack_hop == "2"))
+        a, b = sorted(min(bound, trials) for bound in bounds)
+        cfg = RunConfig(
+            pairs=pairs,
+            trials=trials,
+            seed=seed,
+            attack=attack,
+            parties=parties,
+            attack_hop=attack_hop,
+        )
+        report = run(cfg, True)
+        alone = [run_multiparty(cfg, t, True) for t in range(a, b)]
+        assert [trial_row(outcome) for outcome in alone] == report.rows[a:b]
+        transcripts = ["".join([hop.transcript.to_jsonl() for hop in o.hops]) for o in alone]
+        assert transcripts == report.transcripts[a:b]
 
     def test_multiparty_rows_carry_hop2(self):
         report = run(RunConfig(pairs=200, trials=2, seed=45, parties=3))
@@ -367,6 +412,16 @@ class TestCli:
         out = tmp_path / "r.json"
         assert main(["run", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["config"] == RunConfig().to_dict()
+
+    def test_run_without_out_prints_the_summary_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--pairs", "40", "--trials", "2"]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.startswith("eprqkd: 2 trial(s) x 40 pairs")
+        assert "written" not in stdout
+        assert list(tmp_path.iterdir()) == []
 
     def test_run_then_verify(self, tmp_path):
         out = tmp_path / "report.json"
