@@ -16,6 +16,14 @@ still verify; and since ``math.log2`` is libm's, the floats do not depend on
 which SIMD kernels an array library dispatches to on the host CPU.
 ``total`` spells the sum out because ``builtins.sum`` rounds floats
 differently from Python 3.12 on; the runner's means sum through it too.
+
+``mutual_information`` is one flat pass over the joint's rows in that
+order: H(X) from the row marginals, then H(X|Y) column by column. It makes
+the same float operations as ``shannon_entropy(joint.marginal_x()) -
+conditional_entropy(joint)``, which stay as its reference, but checks no
+marginal again: a joint's cells are validated once, when it is built.
+``JointDistribution.from_counts`` validates the integer counts and divides
+them by their total, so it skips the float checks of the constructor.
 """
 from __future__ import annotations
 
@@ -89,13 +97,21 @@ class JointDistribution:
         ys = tuple(sorted({y for row in counts.values() for y in row}))
         if not xs or not ys:
             raise ValueError("cannot build a joint distribution from empty counts")
-        cells = [[counts[x].get(y, 0) for y in ys] for x in xs]
-        if any(type(n) is not int or n < 0 for row in cells for n in row):
-            raise ValueError(f"counts must be nonnegative ints, got {cells!r}")
-        count = sum(map(sum, cells))
+        cells = [[row.get(y, 0) for y in ys] for row in map(counts.__getitem__, xs)]
+        count = 0
+        for row in cells:
+            for n in row:
+                if type(n) is not int or n < 0:
+                    raise ValueError(f"counts must be nonnegative ints, got {n!r}")
+                count += n
         if count <= 0:
             raise ValueError("counts sum to zero")
-        return cls(xs, ys, tuple(tuple(n / count for n in row) for row in cells))
+        # Nonnegative ints over their positive total are finite, nonnegative
+        # and sum to 1 within rounding: __post_init__ would find nothing.
+        rows = tuple([tuple([n / count for n in row]) for row in cells])
+        joint = object.__new__(cls)
+        vars(joint).update(outcomes_x=xs, outcomes_y=ys, p=rows)
+        return joint
 
     def marginal_x(self) -> tuple[float, ...]:
         return tuple(total(row) for row in self.p)
@@ -115,8 +131,28 @@ def conditional_entropy(joint: JointDistribution) -> float:
 
 def mutual_information(joint: JointDistribution) -> float:
     """I(X:Y) = H(X) - H(X|Y), clamped at zero against rounding noise."""
-    value = shannon_entropy(joint.marginal_x()) - conditional_entropy(joint)
-    return max(0.0, value)
+    log2 = math.log2
+    acc = 0.0
+    for row in joint.p:
+        p_x = 0.0
+        for value in row:
+            p_x += value
+        if p_x > 0.0:
+            acc += p_x * log2(p_x)
+    h_x = -acc
+    h_x_given_y = 0.0
+    for column in zip(*joint.p):
+        p_y = 0.0
+        for value in column:
+            p_y += value
+        if p_y > 0.0:
+            acc = 0.0
+            for value in column:
+                q = value / p_y
+                if q > 0.0:
+                    acc += q * log2(q)
+            h_x_given_y += p_y * -acc
+    return max(0.0, h_x - h_x_given_y)
 
 
 @dataclass(frozen=True)

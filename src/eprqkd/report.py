@@ -1,14 +1,18 @@
 """Report serialization: structured JSON, flat CSV, and self-verification.
 
 Both renderings are byte-stable: the same report content always produces
-the same bytes, regardless of platform or scheduling. The floats in them are
-plain Python arithmetic, and the mutual-information values come from
-``math.log2`` in a fixed order (see ``analysis``), so they do not depend on
-the SIMD kernels an array library picks for the host CPU. Field names are
-fixed by the schema version embedded in every report. Each CSV column after
-the schema version is a path into a trial row, such as ``("hop2", "check1",
-"sample_size")`` for the column ``hop2_check1_sample_size``; a cell is empty
-where a hop or a check on its path did not run.
+the same bytes, however trials are scheduled. The floats in them are plain
+Python arithmetic, the same on every platform, except the two
+mutual-information values: they come from ``math.log2`` in a fixed order
+(see ``analysis``), so they do not depend on the SIMD kernels an array
+library picks for the host CPU, but ``math.log2`` is the platform libm's,
+and a libm that rounds a logarithm differently changes their last bit.
+
+Field names are fixed by the schema version embedded in every report. Each
+CSV column after the schema version is a path into a trial row, such as
+``("hop2", "check1", "sample_size")`` for the column
+``hop2_check1_sample_size``; a cell is empty where a hop or a check on its
+path did not run.
 """
 from __future__ import annotations
 

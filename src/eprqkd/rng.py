@@ -82,11 +82,14 @@ class RandomSource:
         return self._rng.random() < p
 
     def uniform_index(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
+        """Uniform integer in [0, n).
+
+        ``int(r * n) < n`` for every draw r (at most 1 - 2**-53) and every
+        n < 2**53, so this and ``sample_without_replacement`` need no clamp.
+        """
         if n <= 0:
             raise ConfigurationError(f"uniform_index needs n >= 1, got {n}")
-        i = int(self._rng.random() * n)
-        return i if i < n else n - 1
+        return int(self._rng.random() * n)
 
     def categorical(self, probabilities) -> int:
         """Index sampled according to a probability vector summing to 1."""
@@ -114,7 +117,6 @@ class RandomSource:
         picked = []
         for remaining in range(len(pool), len(pool) - k, -1):
             j = int(rand() * remaining)
-            j = j if j < remaining else remaining - 1
             picked.append(pool[j])
             pool[j] = pool[remaining - 1]
         return picked

@@ -62,6 +62,9 @@ def _merge_counts(pooled: dict, counts: dict):
     for x, row in counts.items():
         target = pooled.setdefault(x, {})
         for y, n in row.items():
+            # Checked per row: a pooled sum would turn a bool count into an int.
+            if type(n) is not int or n < 0:
+                raise ValueError(f"counts must be nonnegative ints, got {n!r}")
             target[y] = target.get(y, 0) + n
 
 

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eprqkd.analysis import (
     BB84_ACCOUNTING,
@@ -304,3 +304,38 @@ def test_marginal_entropy_consistency(joint):
     assert h_x - conditional_entropy(joint) == pytest.approx(
         h_y - conditional_entropy(transposed(joint)), abs=1e-9
     )
+
+
+def reference_mutual_information(joint: JointDistribution) -> float:
+    """I(X:Y) through the validated entropies, in the order reports use."""
+    return max(0.0, shannon_entropy(joint.marginal_x()) - conditional_entropy(joint))
+
+
+@st.composite
+def count_tables(draw):
+    """{x: {y: count}} tallies over 1-4 x 1-4 labels, with zero cells,
+    labels missing from some rows and counts up to 10**6."""
+    labels = st.sampled_from(("00", "01", "10", "11"))
+    xs = draw(st.lists(labels, min_size=1, max_size=4, unique=True))
+    ys = draw(st.lists(labels, min_size=1, max_size=4, unique=True))
+    counts = {
+        x: draw(st.dictionaries(st.sampled_from(ys), st.integers(0, 10**6))) for x in xs
+    }
+    if not any(n for row in counts.values() for n in row.values()):
+        counts[xs[0]][ys[0]] = 1
+    return counts
+
+
+@settings(max_examples=300)
+@given(st.one_of(count_tables().map(JointDistribution.from_counts), joints()))
+@example(JointDistribution.from_counts({"00": {"00": 10, "01": 6}, "01": {"01": 56}}))
+@example(JointDistribution.from_counts({"00": {"00": 1}}))
+@example(JointDistribution.from_counts({"00": {"00": 0, "01": 3}, "11": {"00": 0}}))
+def test_mutual_information_is_the_reference_float(joint):
+    assert mutual_information(joint) == reference_mutual_information(joint)
+
+
+@given(count_tables())
+def test_from_counts_equals_the_validating_constructor(counts):
+    joint = JointDistribution.from_counts(counts)
+    assert joint == JointDistribution(joint.outcomes_x, joint.outcomes_y, joint.p)

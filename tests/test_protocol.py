@@ -140,6 +140,18 @@ class TestTransmissions:
             assert rec.fake_carrier is None
 
 
+class TestCheckThreshold:
+    @pytest.mark.parametrize(
+        "mismatches, size, threshold",
+        [(1, 4, 0.25), (0, 4, 0.0), (2, 100, 0.02), (4, 4, 1.0)],
+    )
+    def test_error_rate_equal_to_the_threshold_passes(self, mismatches, size, threshold):
+        report = CheckReport("first", tuple(range(size)), mismatches, threshold)
+        assert report.error_rate == threshold
+        assert report.passed
+        assert report.to_dict()["passed"] is True
+
+
 class TestFirstCheck:
     def test_clean_run_has_zero_errors(self):
         for seed in (1, 2, 3):

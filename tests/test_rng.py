@@ -88,6 +88,20 @@ def test_uniform_index_bounds():
         rng.uniform_index(0)
 
 
+def test_scaled_draw_stays_below_its_bound():
+    # uniform_index and sample_without_replacement return int(r * n) with no
+    # clamp. random() returns k / 2**53 for some k < 2**53; the largest such
+    # draw scales every n < 2**53 to below n, and float rounding is
+    # monotone, so every smaller draw does too.
+    r = (2**53 - 1) / 2**53
+    assert r == 1.0 - 2.0**-53
+    assert all(int(r * n) < n for n in range(1, 2_000_001))
+    powers = (2**k + d for k in range(1, 54) for d in (-1, 0, 1))
+    assert all(int(r * n) < n for n in powers if n < 2**53)
+    rng = random.Random(53)
+    assert all(int(r * n) < n for n in (rng.randrange(1, 2**53) for _ in range(100_000)))
+
+
 def test_categorical_degenerate_distributions():
     rng = RandomSource(6)
     assert all(rng.categorical((1.0, 0.0, 0.0, 0.0)) == 0 for _ in range(50))

@@ -34,6 +34,33 @@ ATTACK_VARIANTS = [
     AttackStrategy(kind=AttackKind.OPAQUE, destroy_probability=0.3),
 ]
 
+# The aggregate blocks of aggregate_configs(), less the two mutual-information
+# fields, which go through the platform's log2 (as in tests/test_golden.py).
+AGGREGATE_SHA256 = "fbc53b2cdc070ce5b23441052bf48668d8d91f561a34eaa8574065b3abbc4e49"
+MI_FIELDS = ("mutual_information_ab", "mutual_information_ae")
+
+
+def aggregate_configs():
+    """Clean, measure-resend, fake-EPR, an opaque stall (no trial completes),
+    three parties and the randomized check basis."""
+    measure_resend = AttackStrategy(kind=AttackKind.MEASURE_RESEND)
+    opaque = AttackStrategy(kind=AttackKind.OPAQUE, destroy_probability=0.3)
+    yield RunConfig(pairs=200, trials=3, seed=21)
+    yield RunConfig(pairs=200, trials=3, seed=22, attack=measure_resend)
+    yield RunConfig(pairs=64, trials=20, seed=23, attack=AttackStrategy(kind=AttackKind.FAKE_EPR))
+    yield RunConfig(pairs=200, trials=3, seed=43, attack=opaque)
+    yield RunConfig(pairs=200, trials=3, seed=24, parties=3)
+    yield RunConfig(pairs=200, trials=3, seed=25, attack=measure_resend, randomize_check_basis=True)
+
+
+def test_aggregate_digest_pins_every_field_but_mutual_information():
+    digest = hashlib.sha256()
+    for config in aggregate_configs():
+        aggregate = run(config).aggregate
+        block = {key: value for key, value in aggregate.items() if key not in MI_FIELDS}
+        digest.update(json.dumps(block, sort_keys=True).encode())
+    assert digest.hexdigest() == AGGREGATE_SHA256
+
 
 class TestRunner:
     def test_clean_aggregate(self):
@@ -96,6 +123,15 @@ class TestRunner:
         assert report.aggregate["detection_rate"] == 0.0
         assert report.aggregate["check1"] is None
         assert report.aggregate["mutual_information_ab"] is None
+        # No trial completed, so there is no key to measure or compare.
+        assert report.aggregate["key_agreement_rate"] is None
+        assert report.aggregate["mean_key_length"] is None
+
+    def test_zero_thresholds_pass_a_clean_channel(self):
+        # A clean check finds error rate 0.0, which passes a threshold of 0.0.
+        report = run(RunConfig(pairs=200, trials=4, seed=45, threshold_1=0.0, threshold_2=0.0))
+        assert report.aggregate["completed"] == 4
+        assert report.aggregate["key_agreement_rate"] == 1.0
 
     def test_trials_are_independent_of_order(self):
         # Trial t depends only on (seed, t): a one-trial run at seed^0
@@ -493,6 +529,11 @@ class TestCli:
             lambda doc: doc.update(trials={"a": 1}),
             lambda doc: doc.update(config=[]),
             lambda doc: doc.update(config=None),
+            lambda doc: doc["trials"][0]["ab_counts"]["00"].update({"00": True}),
+            lambda doc: doc["trials"][0]["ab_counts"]["00"].update({"00": -1}),
+            lambda doc: doc["trials"][0]["ab_counts"]["00"].update({"00": 1.5}),
+            lambda doc: doc["trials"][0]["ab_counts"].update({"00": [12]}),
+            lambda doc: doc["trials"][0].update(ae_counts=[]),
         ],
         ids=[
             "row-missing-abort-reason",
@@ -517,6 +558,11 @@ class TestCli:
             "trials-object",
             "config-list",
             "config-null",
+            "bool-count",
+            "negative-count",
+            "fractional-count",
+            "ab-counts-row-list",
+            "ae-counts-list",
         ],
     )
     def test_verify_malformed_report_is_one_line_error(self, tmp_path, capsys, mangle):
