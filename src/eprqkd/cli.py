@@ -3,7 +3,9 @@
 ``eprqkd run`` executes a batch of simulated runs and writes a report;
 ``eprqkd verify`` re-derives a structured report's aggregate block from its
 own trial rows. Attack detection is a simulation result, not a failure:
-``run`` exits 0 whenever the simulation itself completed.
+``run`` exits 0 whenever the simulation itself completed. A run or a
+rendering that runs out of memory is one ``error:`` line and exit 1, and
+leaves no report behind.
 
 The ``run`` flags are the config fields: each option's dest is a field of
 ``RunConfig`` or ``AttackStrategy``, and its type, default and whether it is
@@ -150,7 +152,11 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
         config = _config_from_args(args)
     except ConfigurationError as exc:
         parser.error(str(exc))
-    report = run(config, collect_transcripts=args.transcript)
+    try:
+        report = run(config, collect_transcripts=args.transcript)
+    except MemoryError:
+        print(f"error: out of memory running {config.pairs} pairs per trial", file=sys.stderr)
+        return 1
     _print_summary(report)
     if args.out is None:
         return 0
@@ -162,8 +168,8 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
             tpath = emit_transcripts(report, args.out.with_suffix(".transcript.jsonl"))
         what = "report"
         path = emit_report(report, args.out, args.format)
-    except OSError as exc:
-        print(f"error: could not write {what}: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        print(f"error: could not write {what}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     print(f"  report written to {path}")
     if tpath is not None:

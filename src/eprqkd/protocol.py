@@ -19,20 +19,21 @@ One run proceeds in strict order:
 A transmission whose delivered fraction falls below 1 - loss_tolerance
 aborts the run, which is what defeats an adversary who selectively destroys
 particles. Each operation below enforces its place in the order and raises
-ProtocolOrderError when called early or late. Every operation logs its
-public events to the ledger's transcript, and logs nothing, building no
-payload, when the ledger keeps none (``ledger.transcript is None``). A step
+ProtocolOrderError when called early or late. A run records a transcript
+exactly when its caller hands one in (or, through ``runner.run`` and
+``run_multiparty``, asks with ``collect_transcripts=True``). Every
+operation logs its public events to the ledger's transcript, and logs
+nothing, building no payload, when the ledger keeps none (the default,
+``ledger.transcript is None``); recording makes no draw. A step
 that depends on a setting (a check's fraction, threshold and minimum size,
 the check basis, continuation) reads it from the ``RunConfig`` it is
 handed, the one place each setting is stated.
 
-``run_protocol`` is one such run, a hop, logging to the transcript it is
-handed. ``run_multiparty`` runs a trial as a chain of hops, alice -> bob
-for two parties and on to clare for three, where the relay re-encodes his
-raw key into the next hop's pairs; it hands each hop its own transcript,
-or none when ``runner.run``'s caller collects no transcripts. It is the
-one entry point of a trial: ``run_multiparty(config, t)`` derives trial
-t's streams and runs it.
+``run_protocol`` is one such run, a hop. ``run_multiparty`` runs a trial
+as a chain of hops, alice -> bob for two parties and on to clare for
+three, where the relay re-encodes his raw key into the next hop's pairs.
+It is the one entry point of a trial: ``run_multiparty(config, t)``
+derives trial t's streams and runs it.
 """
 from __future__ import annotations
 
@@ -56,8 +57,6 @@ _CODE_BYTES = bytes(BELL_LABELS)
 # By basis, the keys of the receiver's and the sender's first-check measurements.
 _RECEIVER_KEYS = {basis: KEYS[OPS["second"][basis]] for basis in _BASES}
 _SENDER_KEYS = {basis: KEYS[OPS["first"][basis]] for basis in _BASES}
-# The default ``transcript`` of preparation and run_protocol: log to a fresh one.
-_FRESH = object()
 
 
 def alice_prepare(
@@ -65,7 +64,7 @@ def alice_prepare(
     rng: RandomSource,
     sender: str = "alice",
     receiver: str = "bob",
-    transcript: Transcript | None = _FRESH,
+    transcript: Transcript | None = None,
 ) -> PairLedger:
     """Prepare N pairs with uniformly random state choices (step 1)."""
     if n < 1:
@@ -78,14 +77,13 @@ def prepare_from_labels(
     labels: bytes | list[BellState | int],
     sender: str = "alice",
     receiver: str = "bob",
-    transcript: Transcript | None = _FRESH,
+    transcript: Transcript | None = None,
 ) -> PairLedger:
     """Prepare pairs in the given states (labels or their codes), in order
     (re-encoding path).
 
-    The ledger logs to ``transcript``, to a fresh one when none is given,
-    and nowhere when it is None. Anything but a pair state or a code 0-3
-    raises ConfigurationError.
+    The ledger logs to ``transcript``, and nowhere when it is None.
+    Anything but a pair state or a code 0-3 raises ConfigurationError.
     """
     # bytes() takes each list item through its __index__, rejecting a
     # non-integer or a negative value, but reads an int as a length and a
@@ -98,8 +96,6 @@ def prepare_from_labels(
         raise ConfigurationError("preparation labels must be pair states or their codes 0-3")
     if not codes:
         raise ConfigurationError("cannot prepare an empty pair sequence")
-    if transcript is _FRESH:
-        transcript = Transcript()
     ledger = PairLedger(codes, sender=sender, receiver=receiver, transcript=transcript)
     if transcript is not None:
         transcript.log(
@@ -336,10 +332,6 @@ class ProtocolOutcome:
     eve: EveState
 
     @property
-    def transcript(self) -> Transcript | None:
-        return self.ledger.transcript
-
-    @property
     def check1(self) -> CheckReport | None:
         return self.ledger.check1
 
@@ -364,7 +356,7 @@ def run_protocol(
     sender: str = "alice",
     receiver: str = "bob",
     prepared_labels: list[BellState | int] | None = None,
-    transcript: Transcript | None = _FRESH,
+    transcript: Transcript | None = None,
 ) -> ProtocolOutcome:
     """Execute steps 1-7 for one run, under ``config`` and against its
     ``config.attack``, and report what happened.
@@ -377,9 +369,8 @@ def run_protocol(
     statistics) but still aborts at the end with that reason and emits no
     key.
 
-    The run logs its events to ``transcript``, to a fresh one when none is
-    given; ``outcome.transcript`` is that log. With ``transcript=None`` it
-    records none and makes exactly the same draws.
+    The run logs its events to ``transcript``, and records none when it is
+    None; the draws are the same either way.
     """
     sender_rng = rng.substream(sender)
     receiver_rng = rng.substream(receiver)
@@ -448,7 +439,7 @@ class TrialOutcome:
 
 
 def run_multiparty(
-    config: RunConfig, trial: int = 0, record_transcript: bool = True
+    config: RunConfig, trial: int = 0, collect_transcripts: bool = False
 ) -> TrialOutcome:
     """Run trial ``trial`` of ``config``: distribute one common key along
     the chain alice -> bob (-> clare).
@@ -459,9 +450,9 @@ def run_multiparty(
     identified across parties by first-hop pair ordinals announced on the
     classical channel. In a three-party chain hop k draws from the
     ``hop<k>`` substream, tags its events ``{"hop": k}``, and a later hop's
-    abort reason is prefixed ``hop<k>_``. Each hop logs to a fresh
-    ``Transcript(trial)``, or to none when ``record_transcript`` is off;
-    recording makes no draw. A hop the adversary does not sit on (see
+    abort reason is prefixed ``hop<k>_``. With ``collect_transcripts`` each
+    hop logs to its own ``Transcript(trial)``, its ``ledger.transcript``;
+    without it no hop records one. A hop the adversary does not sit on (see
     ``attack_hop``) runs under a copy of the config with no attack.
 
     Trial t draws from the root seed XOR t. Within one batch the trials are
@@ -478,7 +469,8 @@ def run_multiparty(
     hops: list[ProtocolOutcome] = []
     labels = positions = None
     for k, (sender, receiver) in enumerate(zip(names, names[1:]), 1):
-        transcript = Transcript(trial, {"hop": k} if chain else None) if record_transcript else None
+        tags = {"hop": k} if chain else None
+        transcript = Transcript(trial, tags) if collect_transcripts else None
         hop = run_protocol(
             config if config.attacks_hop(k) else replace(config, attack=AttackStrategy()),
             rng.substream(f"hop{k}") if chain else rng,

@@ -58,21 +58,42 @@ def trial_row(outcome: TrialOutcome) -> dict:
     return row
 
 
-def _merge_counts(pooled: dict, counts: dict):
-    for x, row in counts.items():
-        target = pooled.setdefault(x, {})
-        for y, n in row.items():
-            # Checked per row: a pooled sum would turn a bool count into an int.
-            if type(n) is not int or n < 0:
-                raise ValueError(f"counts must be nonnegative ints, got {n!r}")
-            target[y] = target.get(y, 0) + n
+def _merge_counts(tables: list[dict]) -> dict:
+    """The count tables added cell by cell, in order."""
+    pooled: dict = {}
+    for counts in tables:
+        for x, row in counts.items():
+            target = pooled.setdefault(x, {})
+            for y, n in row.items():
+                # Checked per row: a pooled sum would turn a bool count into an int.
+                if type(n) is not int or n < 0:
+                    raise ValueError(f"counts must be nonnegative ints, got {n!r}")
+                target[y] = target.get(y, 0) + n
+    return pooled
+
+
+def _checked(values: list, kind: type, high: float = math.inf) -> list:
+    """``values``, each an exact ``kind`` (a bool is no int) in [0, high];
+    a NaN is in no range."""
+    for value in values:
+        if type(value) is not kind or not 0 <= value <= high:
+            raise ValueError(f"a row holds {value!r:.40}, not a {kind.__name__} in [0, {high}]")
+    return values
 
 
 def _pooled_rate(rows: list[dict], key: str) -> dict | None:
-    samples = sum(r[key]["sample_size"] for r in rows if r[key] is not None)
+    # Checked inline rather than through ``_checked``: on many small trials
+    # this loop is a large share of a verify.
+    samples = mismatches = 0
+    for r in rows:
+        if (check := r[key]) is not None:
+            n, m = check["sample_size"], check["mismatches"]
+            if type(n) is not int or type(m) is not int or n < 0 or m < 0:
+                raise ValueError(f"{key} holds {n!r:.40} and {m!r:.40}, not two ints >= 0")
+            samples += n
+            mismatches += m
     if samples == 0:
         return None
-    mismatches = sum(r[key]["mismatches"] for r in rows if r[key] is not None)
     rate = mismatches / samples
     return {
         "samples": samples,
@@ -83,14 +104,25 @@ def _pooled_rate(rows: list[dict], key: str) -> dict | None:
 
 
 def _mean(values: list[float]) -> float | None:
-    return analysis.total(values) / len(values) if values else None
+    mean = analysis.total(values) / len(values) if values else None
+    if mean is not None and not math.isfinite(mean):
+        raise ValueError(f"a mean of the rows is {mean!r}")
+    return mean
+
+
+def _fractions(rows: list[dict], key: str) -> list[float]:
+    return _checked([value for r in rows if (value := r[key]) is not None], float, 1.0)
 
 
 def aggregate_rows(rows: list[dict]) -> dict:
     """Fold per-trial rows into the aggregate block, in row order.
 
     Pure function of the rows, so a report's aggregate can be re-derived
-    and audited from its own trial records.
+    and audited from its own trial records. Every number it reads must have
+    its exact type, or it raises ValueError: check sample sizes and
+    mismatches, completed rows' key lengths and every outcome count are ints
+    >= 0, receipt fractions floats in [0, 1], and completed rows'
+    ``keys_agree`` bools.
     """
     completed = [r for r in rows if r["abort_reason"] is None]
     detected = [
@@ -98,11 +130,8 @@ def aggregate_rows(rows: list[dict]) -> dict:
         for r in rows
         if r["abort_reason"] is not None and r["abort_reason"].endswith(_DETECTION_REASONS)
     ]
-    ab_pool: dict = {}
-    ae_pool: dict = {}
-    for r in rows:
-        _merge_counts(ab_pool, r["ab_counts"])
-        _merge_counts(ae_pool, r["ae_counts"])
+    ab_pool = _merge_counts([r["ab_counts"] for r in rows])
+    ae_pool = _merge_counts([r["ae_counts"] for r in rows])
     i_ab = (
         analysis.mutual_information(analysis.JointDistribution.from_counts(ab_pool))
         if ab_pool
@@ -113,11 +142,9 @@ def aggregate_rows(rows: list[dict]) -> dict:
         if ae_pool
         else 0.0
     )
-    agreeing = 0
-    for r in completed:
-        if type(r["keys_agree"]) is not bool:  # a completed trial's keys agree or not
-            raise TypeError(f"keys_agree is {r['keys_agree']!r}, not a bool")
-        agreeing += r["keys_agree"]
+    # A completed trial's keys agree or not.
+    agreeing = sum(_checked([r["keys_agree"] for r in completed], bool))
+    key_lengths = _checked([r["key_length"] for r in completed], int)
     return {
         "trials": len(rows),
         "completed": len(completed),
@@ -125,17 +152,13 @@ def aggregate_rows(rows: list[dict]) -> dict:
         "detection_rate": len(detected) / len(rows),
         "check1": _pooled_rate(rows, "check1"),
         "check2": _pooled_rate(rows, "check2"),
-        "mean_key_length": _mean([float(r["key_length"]) for r in completed]),
+        "mean_key_length": _mean(list(map(float, key_lengths))),
         "key_agreement_rate": agreeing / len(completed) if completed else None,
         "mutual_information_ab": i_ab,
         "mutual_information_ae": i_ae,
         "efficiency": analysis.efficiency(analysis.TWO_STEP_ACCOUNTING),
-        "mean_receipt_fraction_1": _mean(
-            [r["receipt_fraction_1"] for r in rows if r["receipt_fraction_1"] is not None]
-        ),
-        "mean_receipt_fraction_2": _mean(
-            [r["receipt_fraction_2"] for r in rows if r["receipt_fraction_2"] is not None]
-        ),
+        "mean_receipt_fraction_1": _mean(_fractions(rows, "receipt_fraction_1")),
+        "mean_receipt_fraction_2": _mean(_fractions(rows, "receipt_fraction_2")),
     }
 
 
@@ -173,10 +196,10 @@ def run(config: RunConfig, collect_transcripts: bool = False) -> RunReport:
     rows = []
     transcripts: list[str] | None = [] if collect_transcripts else None
     for trial in range(config.trials):
-        outcome = run_multiparty(config, trial, record_transcript=collect_transcripts)
+        outcome = run_multiparty(config, trial, collect_transcripts)
         rows.append(trial_row(outcome))
         if transcripts is not None:
-            transcripts.append("".join([hop.transcript.to_jsonl() for hop in outcome.hops]))
+            transcripts.append("".join([hop.ledger.transcript.to_jsonl() for hop in outcome.hops]))
     return RunReport(
         config=config,
         rows=rows,

@@ -415,19 +415,19 @@ class TestRunProtocol:
         # The ledger owns the transcript, so the seven steps called directly
         # on run_protocol's substreams log the same events it does.
         cfg = config(pairs=120, seed=25, attack=AttackStrategy(kind=kind))
-        outcome = run_protocol(cfg, RandomSource(25))
+        outcome = run_protocol(cfg, RandomSource(25), transcript=Transcript())
 
         rng = RandomSource(25)
         bob = rng.substream("bob")
         channel = AdversaryChannel(cfg.attack, rng.substream("eve"))
-        ledger = alice_prepare(cfg.pairs, rng.substream("alice"))
+        ledger = alice_prepare(cfg.pairs, rng.substream("alice"), transcript=Transcript())
         transmit_first_sequence(ledger, channel)
         first_check(ledger, cfg, bob)
         transmit_second_sequence(ledger, channel, cfg)
         bob_decode(ledger, bob)
         report = second_check(ledger, cfg, bob)
         assert report.passed == (kind is AttackKind.NONE)  # measure-resend fails here
-        expected = outcome.transcript.events
+        expected = outcome.ledger.transcript.events
         if report.passed:
             extract_key(ledger)
         else:
@@ -438,11 +438,34 @@ class TestRunProtocol:
 
     def test_transcript_replays_bit_for_bit(self):
         cfg = config(pairs=200, seed=24, attack=AttackStrategy(kind=AttackKind.MEASURE_RESEND))
-        a = run_protocol(cfg, RandomSource(24)).transcript.to_jsonl()
-        b = run_protocol(cfg, RandomSource(24)).transcript.to_jsonl()
+
+        def jsonl(seed):
+            transcript = Transcript()
+            run_protocol(cfg, RandomSource(seed), transcript=transcript)
+            return transcript.to_jsonl()
+
+        a = jsonl(24)
+        b = jsonl(24)
         assert a == b
-        c = run_protocol(cfg, RandomSource(25)).transcript.to_jsonl()
+        c = jsonl(25)
         assert a != c
+
+    def test_nothing_records_a_transcript_unless_asked(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("logged to a transcript nobody asked for")
+
+        monkeypatch.setattr(Transcript, "log", refuse)
+        ledger = alice_prepare(10, RandomSource(4))
+        assert ledger.transcript is None
+        assert prepare_from_labels([BellState.PSI1]).transcript is None
+        for kind in AttackKind:
+            attack = AttackStrategy(kind=kind)
+            outcome = run_protocol(config(pairs=200, seed=38, attack=attack), RandomSource(38))
+            assert outcome.ledger.transcript is None
+            for parties in (2, 3):
+                cfg = config(pairs=200, seed=38, attack=attack, parties=parties)
+                outcome = run_multiparty(cfg, 1)
+                assert all(hop.ledger.transcript is None for hop in outcome.hops)
 
     def test_jsonl_matches_per_event_dumps(self):
         transcript = Transcript(trial=3, extra={"hop": 2, "relay": "b\u00f6b"})
@@ -596,9 +619,9 @@ class TestMultiparty:
         for attack, reason in cases:
             cfg = config(pairs=200, seed=30, attack=attack)
             single = run_protocol(cfg, RandomSource(30 ^ 2), transcript=Transcript(2))
-            outcome = run_multiparty(cfg, 2)
+            outcome = run_multiparty(cfg, 2, collect_transcripts=True)
             (hop,) = outcome.hops
-            assert hop.transcript.events == single.transcript.events
+            assert hop.ledger.transcript.events == single.ledger.transcript.events
             assert outcome.abort_reason == single.abort_reason == reason
             keys = [single.sender_key, single.receiver_key] if reason is None else None
             assert outcome.keys == keys
@@ -666,8 +689,8 @@ class TestMultiparty:
 
     def test_transcript_tags_hops(self):
         cfg = config(pairs=200, seed=36, parties=3)
-        outcome = run_multiparty(cfg)
-        events = [event for hop in outcome.hops for event in hop.transcript.events]
+        outcome = run_multiparty(cfg, collect_transcripts=True)
+        events = [event for hop in outcome.hops for event in hop.ledger.transcript.events]
         hops = {event["payload"].get("hop") for event in events}
         assert hops == {1, 2}
         actors = {event["actor"] for event in events}

@@ -169,7 +169,9 @@ class TestRunner:
         report = run(cfg, True)
         alone = [run_multiparty(cfg, t, True) for t in range(a, b)]
         assert [trial_row(outcome) for outcome in alone] == report.rows[a:b]
-        transcripts = ["".join([hop.transcript.to_jsonl() for hop in o.hops]) for o in alone]
+        transcripts = [
+            "".join([hop.ledger.transcript.to_jsonl() for hop in o.hops]) for o in alone
+        ]
         assert transcripts == report.transcripts[a:b]
 
     def test_multiparty_rows_carry_hop2(self):
@@ -504,6 +506,24 @@ class TestCli:
         # The report is written last, so a failed write leaves none.
         assert not (tmp_path / out).exists()
 
+    @pytest.mark.parametrize("transcript", [False, True], ids=["report", "with-transcripts"])
+    @pytest.mark.parametrize("where", ["run", "emit_report"])
+    def test_out_of_memory_is_one_line_error(
+        self, tmp_path, capsys, monkeypatch, where, transcript
+    ):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(f"eprqkd.cli.{where}", exhausted)
+        out = tmp_path / "r.json"
+        argv = ["run", "--pairs", "20", "--out", str(out)]
+        assert main(argv + ["--transcript"] * transcript) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "out of memory" in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "mangle",
         [
@@ -518,6 +538,8 @@ class TestCli:
             lambda doc: doc["trials"][0].update(keys_agree="no"),
             lambda doc: doc["trials"][0].update(key_length=10**400),
             lambda doc: doc["trials"][0]["check1"].update(sample_size=10**400),
+            # Each key length fits a float, but their sum does not.
+            lambda doc: doc.update(trials=[dict(doc["trials"][0], key_length=10**308)] * 2),
             lambda doc: doc["trials"][0].update(receipt_fraction_1=10**400),
             lambda doc: doc.update(aggregate=0),
             lambda doc: doc.update(aggregate=[]),
@@ -534,6 +556,13 @@ class TestCli:
             lambda doc: doc["trials"][0]["ab_counts"]["00"].update({"00": 1.5}),
             lambda doc: doc["trials"][0]["ab_counts"].update({"00": [12]}),
             lambda doc: doc["trials"][0].update(ae_counts=[]),
+            # A number of the wrong type; all but the last equal the row's value.
+            lambda doc: doc["trials"][0]["check1"].update(mismatches=False)
+            or doc["trials"][0]["check2"].update(mismatches=False),
+            lambda doc: doc["trials"][0]["check1"].update(sample_size=20.0),
+            lambda doc: doc["trials"][0].update(receipt_fraction_1=True),
+            lambda doc: doc["trials"][0].update(key_length=88.0),
+            lambda doc: doc["trials"][0]["check1"].update(sample_size=True),
         ],
         ids=[
             "row-missing-abort-reason",
@@ -547,6 +576,7 @@ class TestCli:
             "string-keys-agree",
             "over-large-key-length",
             "over-large-check-sample-size",
+            "key-lengths-overflow-their-mean",
             "over-large-receipt-fraction",
             "aggregate-zero",
             "aggregate-empty-list",
@@ -563,6 +593,11 @@ class TestCli:
             "fractional-count",
             "ab-counts-row-list",
             "ae-counts-list",
+            "bool-check-mismatches",
+            "float-check-sample-size",
+            "bool-receipt-fraction",
+            "float-key-length",
+            "bool-check-sample-size",
         ],
     )
     def test_verify_malformed_report_is_one_line_error(self, tmp_path, capsys, mangle):
