@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ConfigurationError, require_field_types, require_known_keys
-from .ledger import Disposition, PairLedger, joint_counts
+from .ledger import DIGITS, Disposition, PairLedger, code_string, gather, joint_counts
 from .quantum import BELL_LABELS, CODES, KEYS, OPS, PAIR_BASIS, BellState, measure_column
 # Unused here; the benchmark's traced run (bench/workloads.py) wraps these bindings.
 from .quantum import measure_bell_basis, measure_qubit_z  # noqa: F401
@@ -108,14 +108,15 @@ class AttackStrategy:
 class EveState:
     """What the adversary has learned: her guess per pair, in one alphabet.
 
-    ``guesses`` holds, by pair index, an index into ``alphabet``, or None
-    where she has no guess; it stays empty until she first measures.
+    ``guesses`` holds, by pair index, a byte indexing ``alphabet``, or
+    ``ledger.UNSET`` where she has no guess; it stays empty until she first
+    measures.
     ``alphabet`` is ``CODES`` when a guess names both bits of a pair's code
     (her Bell measurement, or her Z bits on both halves as ``2·first +
     second``) and the two bit names when it is her one Z bit.
     """
 
-    guesses: list[int | None] = field(default_factory=list)
+    guesses: bytearray = field(default_factory=bytearray)
     alphabet: tuple[str, ...] = CODES
 
 
@@ -135,20 +136,21 @@ def _measure_resend(channel, transmission, ledger):
     eve, live = channel.eve, ledger.live
     which = "second" if transmission == 1 else "first"
     keys = channel.rng.quarters(len(live)).translate(KEYS[OPS[which]["z"]])
-    measured = measure_column(ledger.state, live, keys)
+    measured, posts = measure_column(gather(ledger.state, live), keys)
+    ledger.spread(posts, ledger.state)
     if transmission == 1 or not eve.guesses:
         eve.guesses, eve.alphabet = ledger.spread(measured), _BITS
     elif live:
         # Every pair still in flight was Z-measured on its other half at
-        # transmission 1; her two bits name a guess like a key code. With no
-        # pair left in flight her one-bit guesses stand, and so do the bits
-        # of a second sequence she alone measured.
-        first = eve.guesses
-        guesses = [2 * bit + first[i] for i, bit in zip(live, measured)]
+        # transmission 1; her two bits name a guess like a key code, this
+        # first-half bit high. With no pair left in flight her one-bit guesses
+        # stand, and so do the bits of a second sequence she alone measured.
+        first = int.from_bytes(gather(eve.guesses, live))
+        guesses = (int.from_bytes(measured) << 1 | first).to_bytes(len(live))
         eve.guesses, eve.alphabet = ledger.spread(guesses), CODES
     if ledger.transcript is None:
         return None
-    return {"measured": len(measured), "outcomes": "".join([_BITS[bit] for bit in measured])}
+    return {"measured": len(measured), "outcomes": measured.translate(DIGITS).decode()}
 
 
 def _fake_epr(channel, transmission, ledger):
@@ -159,19 +161,18 @@ def _fake_epr(channel, transmission, ledger):
             # rng.uniform_index(4) per pair, which is int(r * 4) of one draw.
             fakes = rng.quarters(len(live))
         else:
-            fakes = [int(label)] * len(live)
+            fakes = bytes([label]) * len(live)
         ledger.planted = ledger.spread(fakes)
         if ledger.transcript is None:
             return None
-        codes = "".join([CODES[code] for code in fakes])
-        return {"captured": len(live), "planted": len(live), "fake_codes": codes}
+        return {"captured": len(live), "planted": len(live), "fake_codes": code_string(fakes)}
     keys = rng.quarters(len(live)).translate(KEYS[PAIR_BASIS])
-    found = measure_column(ledger.state, live, keys)
+    # The genuine pairs are consumed here: their post states are not kept.
+    found, _ = measure_column(gather(ledger.state, live), keys)
     channel.eve.guesses = ledger.spread(found)
     if ledger.transcript is None:
         return None
-    codes = "".join([CODES[code] for code in found])
-    return {"captured": len(live), "inferred_codes": codes}
+    return {"captured": len(live), "inferred_codes": code_string(found)}
 
 
 def _opaque(channel, transmission, ledger):

@@ -4,13 +4,21 @@ A trial is described by a ledger of columns, one entry per entangled pair,
 indexed by pair ordinal: the preparation code, the genuine pair's state code
 (``quantum``'s int codes: a pair-state label, or a product of Z/X
 eigenstates once a half was measured), the planted pair's code, the decode
-result and the disposition (consumed by a check, contributing to the key,
-or lost in transit). Protocol steps and the adversary loop over index lists
-(the ledger's ``live`` pairs, or a check's sample) and never build an object
-per pair; ``PairLedger.records`` assembles read-only ``PairRecord`` views
-only when something reads it. A column that a step fills at the live pairs
-(the decode results, the planted pairs, the adversary's guesses) is built
-whole by ``PairLedger.spread``.
+result and the disposition (consumed by a check, contributing to the key, or
+lost in transit). The code columns are byte strings, one byte per pair, and
+``UNSET`` (255, which is no state code) marks a pair with no value: no
+decode result, no planted pair, no adversary guess. A step gathers the bytes
+of the pairs it acts on (``gather``: the ledger's ``live`` pairs, or a
+check's sample), measures them in one ``quantum.measure_column`` call and
+writes back only the post states a later step reads. A measurement that
+consumes its pairs (either check, the decode, or the fake-EPR adversary's
+capture of the genuine pairs) writes back none, so ``state`` keeps each such
+pair's code from before it. No step builds an object per pair;
+``PairLedger.records`` assembles read-only ``PairRecord`` views, with None
+for ``UNSET``, only when something reads it. A column that a step fills at
+the live pairs (the decode results, the planted pairs, the adversary's
+guesses) is built whole by ``PairLedger.spread``, and ``joint_counts``
+counts two such columns against each other as bytes.
 
 The run's progress is one ledger field, ``phase``. The pairs still live all
 stand at the same stage, so their shared disposition, ``stage``, follows
@@ -31,9 +39,9 @@ encode every event through one shared JSON encoder.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import NamedTuple
 
 from .quantum import BELL_LABELS, CODES, BellState
@@ -41,6 +49,34 @@ from .quantum import BELL_LABELS, CODES, BellState
 # What json.dumps(event, sort_keys=True, separators=(",", ":")) would build
 # anew for every event.
 _JSONL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+# The byte a code column holds where a pair has no value. It is no state
+# code, so measuring it raises.
+UNSET = 255
+_UNSET_BYTE = bytes([UNSET])
+# Translate tables from a bit byte to its ASCII digit, for the bit strings a
+# transcript logs, and from a code byte to the digit of its high or low bit.
+DIGITS = b"01".ljust(256, b"?")
+_HIGH, _LOW = (bytes(b"01"[c >> shift & 1] for c in range(256)) for shift in (1, 0))
+# Every byte x << 3 | y of a code x and a y below 4.
+_PAIR_KEYS = bytes(x << 3 | y for x in range(4) for y in range(4))
+
+
+def gather(column, indices: list[int]) -> bytes:
+    """The bytes of ``column`` at ``indices``, distinct pair ordinals in
+    increasing order; as many as the column has are every pair."""
+    if len(indices) == len(column):
+        return bytes(column)
+    if len(indices) > 1:
+        return bytes(itemgetter(*indices)(column))
+    return bytes([column[i] for i in indices])
+
+
+def code_string(codes: bytes) -> str:
+    """The 2-bit key codes of pair-state codes, concatenated: 0, 3 -> "0011"."""
+    text = bytearray(2 * len(codes))
+    text[0::2], text[1::2] = codes.translate(_HIGH), codes.translate(_LOW)
+    return text.decode()
 
 
 class Disposition(Enum):
@@ -129,7 +165,9 @@ class PairLedger:
 
     ``prepared`` holds the preparation codes, ``state`` the genuine pairs'
     codes, ``planted`` the planted pairs' codes (None until the fake-EPR
-    adversary plants any) and ``outcome`` the receiver's decode results.
+    adversary plants any, then ``UNSET`` where she planted none) and
+    ``outcome`` the receiver's decode results (``UNSET`` where there is
+    none), each a byte per pair.
     ``live`` lists, in order, the pairs with no terminal disposition yet;
     each has the disposition ``stage``, set by ``phase``. ``disposition`` holds
     each settled pair's terminal disposition, and None for a live pair.
@@ -145,9 +183,9 @@ class PairLedger:
     ):
         n = len(prepared)
         self.prepared = prepared
-        self.state = list(prepared)
-        self.planted: list[int | None] | None = None
-        self.outcome: list[int | None] = [None] * n
+        self.state = bytearray(prepared)
+        self.planted: bytearray | None = None
+        self.outcome = bytearray(_UNSET_BYTE * n)
         self.disposition: list[Disposition | None] = [None] * n
         self.live = list(range(n))
         self.sender = sender
@@ -171,7 +209,7 @@ class PairLedger:
         return _STAGES[self.phase]
 
     @property
-    def receiver_state(self) -> list[int | None]:
+    def receiver_state(self) -> bytearray:
         """The column the receiver's measurements act on: the planted pairs
         once the adversary substituted them, else the genuine ones."""
         return self.state if self.planted is None else self.planted
@@ -179,7 +217,7 @@ class PairLedger:
     @property
     def records(self) -> tuple[PairRecord, ...]:
         """Every pair as a ``PairRecord``, built afresh on each read."""
-        planted = self.planted or [None] * self.n_total
+        planted = self.planted or _UNSET_BYTE * self.n_total
         stage = self.stage
         return tuple(
             PairRecord(
@@ -187,18 +225,22 @@ class PairLedger:
                 BELL_LABELS[self.prepared[i]],
                 stage if self.disposition[i] is None else self.disposition[i],
                 self.state[i],
-                planted[i],
-                None if self.outcome[i] is None else BELL_LABELS[self.outcome[i]],
+                None if planted[i] == UNSET else planted[i],
+                None if self.outcome[i] == UNSET else BELL_LABELS[self.outcome[i]],
             )
             for i in range(self.n_total)
         )
 
-    def spread(self, values) -> list:
-        """A full-length column holding ``values`` at the live pairs, in
-        order, and None at every other pair."""
-        column = [None] * self.n_total
-        for i, value in zip(self.live, values):
-            column[i] = value
+    def spread(self, values: bytes, column: bytearray | None = None) -> bytearray:
+        """``column``, updated in place, or else a new full-length column of
+        ``UNSET``, holding ``values`` at the live pairs, in order."""
+        if column is None:
+            column = bytearray(_UNSET_BYTE * self.n_total)
+        if len(self.live) == self.n_total:
+            column[:] = values
+        else:
+            for i, value in zip(self.live, values):
+                column[i] = value
         return column
 
     def settle(self, indices: list[int], disposition: Disposition):
@@ -218,16 +260,21 @@ class PairLedger:
         return counts
 
 
-def joint_counts(prepared: list[int], ys: list, y_names=CODES) -> dict[str, dict[str, int]]:
+def joint_counts(prepared: bytes, ys: bytes, y_names=CODES) -> dict[str, dict[str, int]]:
     """Nested counts {key code of prepared[i]: {y_names[ys[i]]: n}} over the
-    pairs whose ys entry is not None, in order of first appearance."""
-    width = len(y_names)
-    keys = [width * x + y for x, y in zip(prepared, ys) if y is not None]
+    pairs whose ys byte is not ``UNSET``, in order of first appearance.
+
+    ``ys`` is as long as ``prepared``, or empty for no pair. Each pair is
+    the byte ``prepared[i] << 3 | ys[i]``, built for every pair at once
+    (``UNSET`` where ``ys[i]`` is), and each of the at most 16 possible
+    bytes is found and counted in one pass.
+    """
     counts: dict[str, dict[str, int]] = {}
-    if keys:
-        for key, n in Counter(keys).items():
-            x, y = divmod(key, width)
-            counts.setdefault(CODES[x], {})[y_names[y]] = n
+    if ys.count(UNSET) == len(ys):
+        return counts
+    pairs = (int.from_bytes(prepared) << 3 | int.from_bytes(ys)).to_bytes(len(ys))
+    for _, key in sorted((pairs.find(key), key) for key in _PAIR_KEYS if key in pairs):
+        counts.setdefault(CODES[key >> 3], {})[y_names[key & 7]] = pairs.count(key)
     return counts
 
 

@@ -43,20 +43,28 @@ from dataclasses import dataclass, replace
 from .adversary import AdversaryChannel, AttackStrategy, EveState
 from .config import RunConfig
 from .errors import ConfigurationError, InsufficientPairsError, ProtocolOrderError
-from .ledger import CheckReport, Disposition, KeyMaterial, PairLedger, Phase, Transcript
-from .quantum import BELL_LABELS, CODES, KEYS, OPS, PAIR_BASIS, BellState, measure_column
+from .ledger import DIGITS, CheckReport, Disposition, KeyMaterial, PairLedger, Phase, Transcript
+from .ledger import code_string, gather
+from .quantum import BELL_LABELS, KEYS, OPS, PAIR_BASIS, BellState, measure_column
 # Unused here; the benchmark's traced run (bench/workloads.py) wraps these bindings.
 from .quantum import measure_bell_basis, measure_qubit  # noqa: F401
 from .rng import RandomSource
 
 _BASES = ("z", "x")
-# Whether each pair-state code's halves agree in each single-qubit basis.
-_AGREE = {basis: tuple(label.correlated_in(basis) for label in BELL_LABELS) for basis in _BASES}
 # The pair-state codes as bytes, which deleting from a code sequence leaves empty.
 _CODE_BYTES = bytes(BELL_LABELS)
-# By basis, the keys of the receiver's and the sender's first-check measurements.
-_RECEIVER_KEYS = {basis: KEYS[OPS["second"][basis]] for basis in _BASES}
-_SENDER_KEYS = {basis: KEYS[OPS["first"][basis]] for basis in _BASES}
+
+# The first check's translate tables, indexed by ``b << 2 | x`` for the
+# quarter b of a pair's basis draw, whose basis is _BASES[b >> 1] (int(r * 2)
+# of the draw), and a byte x in 0-3: for x a quarter, the keys of the
+# receiver's and of the sender's measurements; for x a prepared code, 1 where
+# the halves of that pair state differ in that basis. _LETTERS maps b to its
+# basis letter.
+_CHECK_CASES = [(_BASES[b >> 1], x) for b in range(4) for x in range(4)]
+_RECEIVER_KEYS = bytes(KEYS[OPS["second"][basis]][x] for basis, x in _CHECK_CASES).ljust(256)
+_SENDER_KEYS = bytes(KEYS[OPS["first"][basis]][x] for basis, x in _CHECK_CASES).ljust(256)
+_DIFFER = bytes(not BELL_LABELS[x].correlated_in(basis) for basis, x in _CHECK_CASES).ljust(256)
+_LETTERS = b"zzxx".ljust(256)
 
 
 def alice_prepare(
@@ -102,7 +110,7 @@ def prepare_from_labels(
             1,
             sender,
             "prepare",
-            {"pairs": len(codes), "codes": "".join([CODES[c] for c in codes])},
+            {"pairs": len(codes), "codes": code_string(codes)},
         )
     return ledger
 
@@ -186,55 +194,41 @@ def first_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> Che
 
     # Every receiver draw, then every sender draw; with random bases each
     # pair's basis draw comes just before the receiver's draw for that pair.
+    # Without them every pair's basis quarter is 0, which is Z.
     k = len(sample)
     if config.randomize_check_basis:
         drawn = rng.quarters(2 * k)
-        bases = [_BASES[q >> 1] for q in drawn[0::2]]  # int(r * 2) of each basis draw
-        receiver_keys = bytes(_RECEIVER_KEYS[b][q] for b, q in zip(bases, drawn[1::2]))
-        sender_keys = bytes(_SENDER_KEYS[b][q] for b, q in zip(bases, rng.quarters(k)))
+        basis_q, receiver_q, sender_q = drawn[0::2], drawn[1::2], rng.quarters(k)
     else:
-        bases = ["z"] * k
-        receiver_keys = rng.quarters(k).translate(_RECEIVER_KEYS["z"])
-        sender_keys = rng.quarters(k).translate(_SENDER_KEYS["z"])
-    receiver_bits = measure_column(ledger.receiver_state, sample, receiver_keys)
-    sender_bits = measure_column(ledger.state, sample, sender_keys)
+        basis_q, receiver_q, sender_q = bytes(k), rng.quarters(k), rng.quarters(k)
+    basis_key = int.from_bytes(basis_q) << 2
+
+    def by_basis(column: bytes, table: bytes) -> bytes:
+        return (basis_key | int.from_bytes(column)).to_bytes(k).translate(table)
+
+    # The sampled pairs are consumed: no post state is written back, and
+    # when the receiver measured the genuine pairs the sender measures
+    # their post states.
+    receiver_keys = by_basis(receiver_q, _RECEIVER_KEYS)
+    receiver_bits, states = measure_column(gather(ledger.receiver_state, sample), receiver_keys)
+    states = states if ledger.planted is None else gather(ledger.state, sample)
+    sender_bits, _ = measure_column(states, by_basis(sender_q, _SENDER_KEYS))
+    # A pair mismatches when its bits differ where its prepared state's
+    # halves agree, or agree where they differ: one bit per byte of the xor.
+    differ = int.from_bytes(by_basis(gather(ledger.prepared, sample), _DIFFER))
+    mismatches = (int.from_bytes(receiver_bits) ^ int.from_bytes(sender_bits) ^ differ).bit_count()
+    bases = basis_q.translate(_LETTERS).decode()
     transcript = ledger.transcript
     if transcript is not None:
-        transcript.log(
-            3,
-            ledger.receiver,
-            "measure_check_sample",
-            {
-                "indices": sample,
-                "bases": "".join(bases),
-                "bits": "".join(map(str, receiver_bits)),
-            },
-        )
-        transcript.log(
-            4,
-            ledger.receiver,
-            "notify",
-            {"message": "sequence-1-received", "check_indices": sample},
-        )
-        transcript.log(
-            4,
-            ledger.sender,
-            "measure_partner_sample",
-            {"indices": sample, "bits": "".join(map(str, sender_bits))},
-        )
+        bits = receiver_bits.translate(DIGITS).decode()
+        payload = {"indices": sample, "bases": bases, "bits": bits}
+        transcript.log(3, ledger.receiver, "measure_check_sample", payload)
+        payload = {"message": "sequence-1-received", "check_indices": sample}
+        transcript.log(4, ledger.receiver, "notify", payload)
+        payload = {"indices": sample, "bits": sender_bits.translate(DIGITS).decode()}
+        transcript.log(4, ledger.sender, "measure_partner_sample", payload)
 
-    prepared = ledger.prepared
-    mismatches = sum(
-        (s_bit == r_bit) != _AGREE[basis][prepared[i]]
-        for i, basis, s_bit, r_bit in zip(sample, bases, sender_bits, receiver_bits)
-    )
-    report = CheckReport(
-        check_id="first",
-        sample_indices=tuple(sample),
-        mismatches=mismatches,
-        threshold=config.threshold_1,
-        bases=tuple(bases),
-    )
+    report = CheckReport("first", tuple(sample), mismatches, config.threshold_1, tuple(bases))
     ledger.check1 = report
     ledger.phase = Phase.CHECKED_1
     return _publish_check(ledger, report, sample, Disposition.CHECKED_1, 4)
@@ -266,11 +260,12 @@ def bob_decode(ledger: PairLedger, rng: RandomSource) -> PairLedger:
         raise ProtocolOrderError(f"decode in phase {ledger.phase.name}")
     live = ledger.live
     keys = rng.quarters(len(live)).translate(KEYS[PAIR_BASIS])
-    decoded = measure_column(ledger.receiver_state, live, keys)
+    # The decoded pairs are consumed: their post states are not kept.
+    decoded, _ = measure_column(gather(ledger.receiver_state, live), keys)
     ledger.outcome = ledger.spread(decoded)
     if ledger.transcript is not None:
-        codes = "".join([CODES[code] for code in decoded])
-        ledger.transcript.log(6, ledger.receiver, "decode", {"pairs": len(live), "codes": codes})
+        payload = {"pairs": len(live), "codes": code_string(decoded)}
+        ledger.transcript.log(6, ledger.receiver, "decode", payload)
     ledger.phase = Phase.DECODED
     return ledger
 
@@ -283,13 +278,11 @@ def second_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> Ch
     if ledger.phase is not Phase.DECODED:
         raise ProtocolOrderError(f"second check in phase {ledger.phase.name}")
     sample = _draw_sample(ledger.live, config.check_fraction_2, config.min_check_size, rng)
-    outcome, prepared = ledger.outcome, ledger.prepared
-    report = CheckReport(
-        check_id="second",
-        sample_indices=tuple(sample),
-        mismatches=sum(outcome[i] != prepared[i] for i in sample),
-        threshold=config.threshold_2,
-    )
+    # The xor of the two codes is a zero byte exactly where they match.
+    outcomes, codes = gather(ledger.outcome, sample), gather(ledger.prepared, sample)
+    xor = int.from_bytes(outcomes) ^ int.from_bytes(codes)
+    mismatches = len(sample) - xor.to_bytes(len(sample)).count(0)
+    report = CheckReport("second", tuple(sample), mismatches, config.threshold_2)
     ledger.check2 = report
     ledger.phase = Phase.CHECKED_2
     return _publish_check(ledger, report, sample, Disposition.CHECKED_2, 7)
@@ -301,10 +294,8 @@ def extract_key(ledger: PairLedger) -> KeyMaterial:
         raise ProtocolOrderError(f"key extraction in phase {ledger.phase.name}")
     if not (ledger.check1 and ledger.check1.passed and ledger.check2 and ledger.check2.passed):
         raise ProtocolOrderError("key extraction after a failed check")
-    kept, outcome = ledger.live, ledger.outcome
-    key = KeyMaterial(
-        bits="".join([CODES[outcome[i]] for i in kept]), source_indices=tuple(kept)
-    )
+    kept = ledger.live
+    key = KeyMaterial(code_string(gather(ledger.outcome, kept)), tuple(kept))
     ledger.settle(kept, Disposition.KEY)
     ledger.phase = Phase.DONE
     if ledger.transcript is not None:
@@ -314,11 +305,8 @@ def extract_key(ledger: PairLedger) -> KeyMaterial:
 
 def sender_key_material(ledger: PairLedger, source_indices) -> KeyMaterial:
     """The sender's key: her preparation codes at the kept pair ordinals."""
-    prepared = ledger.prepared
-    return KeyMaterial(
-        bits="".join([CODES[prepared[i]] for i in source_indices]),
-        source_indices=tuple(source_indices),
-    )
+    codes = gather(ledger.prepared, source_indices)
+    return KeyMaterial(code_string(codes), tuple(source_indices))
 
 
 @dataclass
@@ -484,7 +472,7 @@ def run_multiparty(
             reason = hop.abort_reason if k == 1 else f"hop{k}_{hop.abort_reason}"
             return TrialOutcome(trial, hops, reason, None)
         kept = hop.receiver_key.source_indices
-        labels = [hop.ledger.outcome[i] for i in kept]
+        labels = gather(hop.ledger.outcome, kept)
         # The kept ordinals, mapped back to first-hop pairs.
         positions = kept if positions is None else tuple(positions[j] for j in kept)
 

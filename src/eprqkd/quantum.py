@@ -43,13 +43,24 @@ evaluated once, at import, into the tables:
   when ``q < 4 * p``, and the quarter q alone decides the outcome;
 * ``KEYS[op]``, which maps a draw's quarter q to the key ``op << 2 | q``.
 
-The one column kernel, ``measure_column``, measures a list of pairs by one
-key byte each: it updates a column of state codes in place at the given
-indices, in index order, and returns the outcomes. A step with a fixed
-operation takes its keys from one ``rng.quarters(n).translate(KEYS[op])``
-call, one draw per measurement, and makes exactly the draws, in exactly the
-order, that one call per pair would. A measurement takes its draw even when the outcome is certain.
-The scalar kernels (``measure_qubit``, ``measure_qubit_z``,
+The one column kernel, ``measure_column``, is pure: it takes a pair's state
+code and key byte per measurement, as two equal-length byte strings, and
+returns the outcome bytes and the post-state bytes. It has no per-pair
+branch. A single-qubit outcome is decided by the top bit of q alone (every
+``P0`` is 0, 1/2 or 1), so the 20 keys fold into 12 effective ones, and
+``state * 12 + effective key`` names each (state, key) case in one byte
+below 240. The kernel builds those index bytes in one big-int multiply and
+add, which carries no bit across a byte since every code is below 20, and
+reads both results through two 256-byte tables built from ``MEASURE``.
+One call may mix operations. A byte that is no state code or no key raises
+ValueError. The caller gathers the states it measures and writes back only
+the post states it still needs.
+
+A step with a fixed operation takes its keys from one
+``rng.quarters(n).translate(KEYS[op])`` call, one draw per measurement, and
+makes exactly the draws, in exactly the order, that one call per pair
+would. A measurement takes its draw even when the outcome is certain. The
+scalar kernels (``measure_qubit``, ``measure_qubit_z``,
 ``measure_bell_basis``) take one ``random()`` draw and return the
 ``MEASURE`` entry at its ``int(r * 4)``; they are the one-draw references
 the column kernel is tested against. The probability queries are one
@@ -190,6 +201,19 @@ MEASURE = tuple(
 # key; only entries 0-3 are read.
 KEYS = tuple(bytes(op << 2 | q % 4 for q in range(256)) for op in range(PAIR_BASIS + 1))
 
+# The column kernel's tables. A single-qubit operation keeps two effective
+# keys, the top bit of q; the pair-basis measurement keeps all four quarters.
+# The outcome and the post-state tables are indexed by ``state * _WIDTH +
+# effective key``; bytes 240-255 are never read.
+_N_KEYS, _WIDTH = (PAIR_BASIS + 1) * 4, PAIR_BASIS * 2 + 4
+_EFFECTIVE = bytes(k >> 1 if k < PAIR_BASIS << 2 else k - PAIR_BASIS * 2 for k in range(256))
+_CASES = {
+    s * _WIDTH + _EFFECTIVE[k]: MEASURE[s][k] for s in range(N_STATES) for k in range(_N_KEYS)
+}
+_OUTCOMES, _POSTS = (bytes(_CASES.get(i, (0, 0))[part] for i in range(256)) for part in (0, 1))
+# Deleting these from a byte string leaves only what is no state code, or no key.
+_STATE_BYTES, _KEY_BYTES = bytes(range(N_STATES)), bytes(range(_N_KEYS))
+
 
 # -- kernels -------------------------------------------------------------------
 
@@ -224,19 +248,21 @@ def qubit_z_probabilities(state: int, which: str) -> tuple[float, float]:
     return qubit_probabilities(state, which, "z")
 
 
-def measure_column(column: list[int], indices: list[int], keys: bytes) -> list[int]:
-    """Measure each listed pair by its key byte ``op << 2 | int(r * 4)``,
-    in index order.
+def measure_column(states: bytes, keys: bytes) -> tuple[bytes, bytes]:
+    """Measure pair i of ``states`` by key byte i, ``op << 2 | int(r * 4)``.
 
-    Updates ``column`` in place to the post states and returns the
-    outcomes: a bit for a single-qubit operation, the measured label's code
-    for ``PAIR_BASIS``.
+    Returns the outcomes, a bit for a single-qubit operation and the
+    measured label's code for ``PAIR_BASIS``, and the post states, one byte
+    per pair each. Raises ValueError on a byte that is no state code or no
+    key, or on lengths that differ.
     """
-    outcomes = []
-    for i, key in zip(indices, keys):
-        outcome, column[i] = MEASURE[column[i]][key]
-        outcomes.append(outcome)
-    return outcomes
+    n = len(states)
+    if len(keys) != n or states.translate(None, _STATE_BYTES) or keys.translate(None, _KEY_BYTES):
+        raise ValueError("measure_column takes one state code and one key, each below 20, per pair")
+    index = (
+        int.from_bytes(states) * _WIDTH + int.from_bytes(keys.translate(_EFFECTIVE))
+    ).to_bytes(n)
+    return index.translate(_OUTCOMES), index.translate(_POSTS)
 
 
 def measure_qubit(state: int, which: str, basis: str, rng: RandomSource) -> tuple[int, int]:

@@ -10,7 +10,7 @@ from eprqkd.adversary import (
 from eprqkd.analysis import JointDistribution, mutual_information
 from eprqkd.config import RunConfig
 from eprqkd.errors import ConfigurationError
-from eprqkd.ledger import Disposition
+from eprqkd.ledger import UNSET, Disposition
 from eprqkd.protocol import (
     alice_prepare,
     first_check,
@@ -91,7 +91,7 @@ class TestMeasureResend:
         for rec in ledger.records:
             assert rec.carrier in products[rec.prepared.correlated]
             assert PRODUCTS[rec.carrier - len(BELL_LABELS)][1] == ("z", chan.eve.guesses[rec.index])
-        assert None not in chan.eve.guesses and len(chan.eve.guesses) == 500
+        assert UNSET not in chan.eve.guesses and len(chan.eve.guesses) == 500
         assert chan.eve.alphabet == ("0", "1")
         bits = chan.eve.guesses
         assert abs(sum(bits) / 500 - 0.5) < three_sigma(0.5, 500)
@@ -178,7 +178,7 @@ class TestFakeEpr:
         eve = outcome.eve
         decoded = [rec for rec in outcome.ledger.records if rec.outcome is not None]
         assert len(decoded) > 0
-        inferred = [i for i, code in enumerate(eve.guesses) if code is not None]
+        inferred = [i for i, code in enumerate(eve.guesses) if code != UNSET]
         assert inferred == [rec.index for rec in decoded]
         for rec in decoded:
             assert eve.guesses[rec.index] == rec.prepared
@@ -250,7 +250,7 @@ class TestEveInformation:
         outcome = self.run_with(AttackKind.FAKE_EPR, pairs=400)
         counts = eve_guess_counts(outcome.eve, outcome.ledger)
         total = sum(n for row in counts.values() for n in row.values())
-        assert total == len(outcome.eve.guesses) - outcome.eve.guesses.count(None)
+        assert total == len(outcome.eve.guesses) - outcome.eve.guesses.count(UNSET)
 
     def test_single_bits_stand_when_check_one_consumes_every_pair(self):
         # Five pairs are all sampled by the first check, so none is in flight
@@ -274,7 +274,7 @@ class TestEveInformation:
         transmit_second_sequence(ledger, chan, RunConfig())
         live = [rec.index for rec in with_disposition(ledger, Disposition.IN_FLIGHT_2)]
         assert chan.eve.alphabet == ("0", "1")
-        assert [i for i, bit in enumerate(chan.eve.guesses) if bit is not None] == live
+        assert [i for i, bit in enumerate(chan.eve.guesses) if bit != UNSET] == live
         counts = eve_guess_counts(chan.eve, ledger)
         assert set(counts) <= set(CODES)
         assert {guess for row in counts.values() for guess in row} <= {"0", "1"}

@@ -6,7 +6,16 @@ from hypothesis import assume, example, given, settings, strategies as st
 from eprqkd.adversary import AdversaryChannel, AttackKind, AttackStrategy
 from eprqkd.config import RunConfig
 from eprqkd.errors import ConfigurationError, ProtocolOrderError
-from eprqkd.ledger import CheckReport, Disposition, KeyMaterial, PairLedger, Phase, Transcript
+from eprqkd.ledger import (
+    UNSET,
+    CheckReport,
+    Disposition,
+    KeyMaterial,
+    PairLedger,
+    Phase,
+    Transcript,
+    joint_counts,
+)
 from eprqkd.protocol import (
     alice_prepare,
     bob_decode,
@@ -20,7 +29,7 @@ from eprqkd.protocol import (
     transmit_first_sequence,
     transmit_second_sequence,
 )
-from eprqkd.quantum import BELL_LABELS, BellState, make_bell_state
+from eprqkd.quantum import BELL_LABELS, CODES, BellState, make_bell_state
 from eprqkd.rng import RandomSource, three_sigma
 
 
@@ -182,12 +191,12 @@ class TestFirstCheck:
         checked = {rec.index for rec in with_disposition(ledger, Disposition.CHECKED_1)}
         assert checked == set(report.sample_indices)
         # A column built by spread holds its values at the live pairs, in
-        # order, and nothing at a checked pair.
-        values = [f"v{j}" for j in range(len(ledger.live))]
+        # order, and UNSET at a checked pair.
+        values = bytes(j % UNSET for j in range(len(ledger.live)))
         column = ledger.spread(values)
         assert len(column) == ledger.n_total
-        assert [column[i] for i in ledger.live] == values
-        assert all(column[i] is None for i in checked)
+        assert bytes(column[i] for i in ledger.live) == values
+        assert all(column[i] == UNSET for i in checked)
         transmit_second_sequence(ledger, clean_channel(), RunConfig())
         in_flight = {rec.index for rec in with_disposition(ledger, Disposition.IN_FLIGHT_2)}
         assert in_flight.isdisjoint(checked)
@@ -328,6 +337,71 @@ class TestKeyMaterial:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
             KeyMaterial("010", (0,))
+
+
+class TestLedgerColumns:
+    def test_records_map_unset_bytes_to_none(self):
+        ledger = alice_prepare(40, RandomSource(12, "alice"))
+        transmit_first_sequence(ledger, clean_channel())
+        report = first_check(ledger, RunConfig(min_check_size=4), RandomSource(12, "bob"))
+        # No fake-EPR adversary planted anything, and nothing is decoded yet.
+        assert ledger.planted is None
+        assert all(rec.outcome is None and rec.fake_carrier is None for rec in ledger.records)
+        transmit_second_sequence(ledger, clean_channel(), RunConfig())
+        bob_decode(ledger, RandomSource(12, "bob"))
+        checked = set(report.sample_indices)
+        for rec in ledger.records:
+            assert rec.fake_carrier is None
+            if rec.index in checked:
+                assert ledger.outcome[rec.index] == UNSET and rec.outcome is None
+            else:
+                assert rec.outcome is rec.prepared
+
+    def test_records_map_unplanted_pairs_to_none(self):
+        # A planted column set after a check holds UNSET at the checked pairs.
+        ledger = alice_prepare(40, RandomSource(13, "alice"))
+        transmit_first_sequence(ledger, clean_channel())
+        report = first_check(ledger, RunConfig(min_check_size=4), RandomSource(13, "bob"))
+        ledger.planted = ledger.spread(bytes([BellState.PSI2]) * len(ledger.live))
+        checked = set(report.sample_indices)
+        for rec in ledger.records:
+            expected = None if rec.index in checked else BellState.PSI2
+            assert rec.fake_carrier == expected
+
+    @staticmethod
+    def reference_counts(prepared, ys, y_names):
+        """Nested counts over the pairs with a y, as a loop over lists."""
+        counts = {}
+        for x, y in zip(prepared, ys):
+            if y is not None:
+                row = counts.setdefault(CODES[x], {})
+                row[y_names[y]] = row.get(y_names[y], 0) + 1
+        return counts
+
+    @given(
+        st.sampled_from([CODES, ("0", "1")]).flatmap(
+            lambda names: st.tuples(
+                st.just(names),
+                st.lists(
+                    st.tuples(
+                        st.integers(0, 3), st.none() | st.integers(0, len(names) - 1)
+                    ),
+                    max_size=60,
+                ),
+            )
+        )
+    )
+    def test_byte_joint_counts_match_a_list_reference(self, names_and_pairs):
+        names, pairs = names_and_pairs
+        prepared = bytes(x for x, _ in pairs)
+        ys = [y for _, y in pairs]
+        counts = joint_counts(prepared, bytes(UNSET if y is None else y for y in ys), names)
+        expected = self.reference_counts(prepared, ys, names)
+        # Equal, and in the same order of first appearance.
+        assert [(x, list(row.items())) for x, row in counts.items()] == [
+            (x, list(row.items())) for x, row in expected.items()
+        ]
+        assert joint_counts(prepared, b"", names) == {}
 
 
 class TestRunProtocol:

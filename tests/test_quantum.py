@@ -398,22 +398,13 @@ def test_closed_form_matches_amplitude_oracle(state, operation):
         assert abs(oracle.fidelity(amplitudes_of(post), ref_post) - 1.0) < 1e-12
 
 
-# The column kernel over an index list, keyed by one draw each, makes the
-# same draws, in the same order, as one scalar call per index: same post
-# states, same outcomes, and the generator left in the same state. Each index
-# has its own operation, any of the five. Indices may repeat; a repeat
-# measures the already updated state, as the next scalar call would.
+# The column kernel, keyed by one draw per pair, makes the same draws, in the
+# same order, as one scalar call per pair: same outcomes, same post states,
+# and the generator left in the same state. Each pair has its own operation,
+# any of the five, so one call mixes operations.
 
-columns_and_measurements = st.lists(
-    st.integers(0, N_STATES - 1), min_size=1, max_size=30
-).flatmap(
-    lambda column: st.tuples(
-        st.just(column),
-        st.lists(
-            st.tuples(st.integers(0, len(column) - 1), st.integers(0, PAIR_BASIS)),
-            max_size=40,
-        ),
-    )
+states_and_operations = st.lists(
+    st.tuples(st.integers(0, N_STATES - 1), st.integers(0, PAIR_BASIS)), max_size=40
 )
 
 
@@ -434,41 +425,59 @@ def _scalar(state, op, rng):
     return measure_qubit(state, which, basis, rng)
 
 
-@given(columns_and_measurements, st.integers(0, 2**32))
-def test_measure_column_matches_scalar_loop(column_and_measurements, seed):
-    column, measurements = column_and_measurements
-    indices = [i for i, _ in measurements]
+@given(states_and_operations, st.integers(0, 2**32))
+def test_measure_column_matches_scalar_loop(measurements, seed):
     rng, ref_rng = RandomSource(seed, "column"), RandomSource(seed, "column")
     quarters = rng.quarters(len(measurements))
     keys = bytes(KEYS[op][q] for (_, op), q in zip(measurements, quarters))
-    measured = list(column)
-    outcomes = measure_column(measured, indices, keys)
-    expected, expected_outcomes = list(column), []
-    for i, op in measurements:
-        outcome, expected[i] = _scalar(expected[i], op, ref_rng)
-        expected_outcomes.append(outcome)
-    assert measured == expected
-    assert outcomes == expected_outcomes
+    outcomes, posts = measure_column(bytes(s for s, _ in measurements), keys)
+    expected = [_scalar(s, op, ref_rng) for s, op in measurements]
+    assert outcomes == bytes(outcome for outcome, _ in expected)
+    assert posts == bytes(post for _, post in expected)
     assert rng._rng.getstate() == ref_rng._rng.getstate()
     assert rng._rng.getstate() == _one_draw_each(seed, "column", len(measurements))
 
 
-@given(columns_and_measurements, st.integers(0, 2**32))
-def test_measure_bell_column_matches_scalar_loop(column_and_measurements, seed):
-    column, measurements = column_and_measurements
-    indices = [i for i, _ in measurements]
+@given(st.lists(st.integers(0, N_STATES - 1), max_size=40), st.integers(0, 2**32))
+def test_measure_bell_column_matches_scalar_loop(states, seed):
     rng, ref_rng = RandomSource(seed, "bell-column"), RandomSource(seed, "bell-column")
-    keys = rng.quarters(len(indices)).translate(KEYS[PAIR_BASIS])
-    measured = list(column)
-    outcomes = measure_column(measured, indices, keys)
-    expected, expected_outcomes = list(column), []
-    for i in indices:
-        label, expected[i] = measure_bell_basis(expected[i], ref_rng)
-        expected_outcomes.append(int(label))
-    assert measured == expected
-    assert outcomes == expected_outcomes
+    keys = rng.quarters(len(states)).translate(KEYS[PAIR_BASIS])
+    outcomes, posts = measure_column(bytes(states), keys)
+    expected = [measure_bell_basis(s, ref_rng) for s in states]
+    assert outcomes == bytes(int(label) for label, _ in expected)
+    assert posts == bytes(post for _, post in expected)
+    assert outcomes == posts  # a pair-state measurement leaves the measured state
     assert rng._rng.getstate() == ref_rng._rng.getstate()
-    assert rng._rng.getstate() == _one_draw_each(seed, "bell-column", len(indices))
+    assert rng._rng.getstate() == _one_draw_each(seed, "bell-column", len(states))
+
+
+def test_measure_column_matches_every_table_entry():
+    # Every (state, key) case, one call each and all 400 in one call.
+    cases = [(s, k) for s in range(N_STATES) for op in range(PAIR_BASIS + 1) for k in KEYS[op][:4]]
+    assert len(cases) == N_STATES * 20
+    for s, k in cases:
+        outcome, post = MEASURE[s][k]
+        assert measure_column(bytes([s]), bytes([k])) == (bytes([outcome]), bytes([post]))
+    outcomes, posts = measure_column(bytes(s for s, _ in cases), bytes(k for _, k in cases))
+    assert outcomes == bytes(MEASURE[s][k][0] for s, k in cases)
+    assert posts == bytes(MEASURE[s][k][1] for s, k in cases)
+
+
+@pytest.mark.parametrize("bad", [N_STATES, N_STATES + 1, 239, 255])
+def test_measure_column_rejects_a_byte_that_is_no_state(bad):
+    # A state byte of 20 or more would carry into its neighbour's index byte.
+    keys = KEYS[PAIR_BASIS][:3]
+    with pytest.raises(ValueError):
+        measure_column(bytes([0, bad, N_STATES - 1]), keys)
+    with pytest.raises(ValueError):
+        measure_column(bytes([bad]), keys[:1])
+
+
+def test_measure_column_rejects_a_byte_that_is_no_key_and_unequal_lengths():
+    with pytest.raises(ValueError):
+        measure_column(bytes(2), bytes([0, (PAIR_BASIS + 1) * 4]))
+    with pytest.raises(ValueError):
+        measure_column(bytes(2), bytes(3))
 
 
 def test_outcome_tables_agree_with_probabilities():
