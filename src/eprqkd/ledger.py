@@ -35,6 +35,10 @@ The ledger also owns the run's :class:`Transcript`; every protocol step logs
 its public events there. A ledger whose ``transcript`` is None records
 nothing, and the steps then build no event payloads either. Transcripts
 encode every event through one shared JSON encoder.
+
+The read-only records, the ``PairRecord`` views and each check's
+``CheckReport``, are named tuples: one tuple allocation each, and each
+compares equal to a plain tuple of its fields.
 """
 from __future__ import annotations
 
@@ -58,8 +62,9 @@ _UNSET_BYTE = bytes([UNSET])
 # transcript logs, and from a code byte to the digit of its high or low bit.
 DIGITS = b"01".ljust(256, b"?")
 _HIGH, _LOW = (bytes(b"01"[c >> shift & 1] for c in range(256)) for shift in (1, 0))
-# Every byte x << 3 | y of a code x and a y below 4.
-_PAIR_KEYS = bytes(x << 3 | y for x in range(4) for y in range(4))
+# Every byte x << 3 | y of a code x and a y below 4, by y: the first 4m are
+# those with y below m.
+_PAIR_KEYS = bytes(x << 3 | y for y in range(4) for x in range(4))
 
 
 def gather(column, indices: list[int]) -> bytes:
@@ -234,13 +239,15 @@ class PairLedger:
     def spread(self, values: bytes, column: bytearray | None = None) -> bytearray:
         """``column``, updated in place, or else a new full-length column of
         ``UNSET``, holding ``values`` at the live pairs, in order."""
+        if len(self.live) == self.n_total:  # the values are the whole column
+            if column is None:
+                return bytearray(values)
+            column[:] = values
+            return column
         if column is None:
             column = bytearray(_UNSET_BYTE * self.n_total)
-        if len(self.live) == self.n_total:
-            column[:] = values
-        else:
-            for i, value in zip(self.live, values):
-                column[i] = value
+        for i, value in zip(self.live, values):
+            column[i] = value
         return column
 
     def settle(self, indices: list[int], disposition: Disposition):
@@ -266,28 +273,29 @@ def joint_counts(prepared: bytes, ys: bytes, y_names=CODES) -> dict[str, dict[st
 
     ``ys`` is as long as ``prepared``, or empty for no pair. Each pair is
     the byte ``prepared[i] << 3 | ys[i]``, built for every pair at once
-    (``UNSET`` where ``ys[i]`` is), and each of the at most 16 possible
-    bytes is found and counted in one pass.
+    (``UNSET`` where ``ys[i]`` is), and each of the at most
+    ``4 * len(y_names)`` possible bytes is found and counted in one pass.
     """
     counts: dict[str, dict[str, int]] = {}
     if ys.count(UNSET) == len(ys):
         return counts
     pairs = (int.from_bytes(prepared) << 3 | int.from_bytes(ys)).to_bytes(len(ys))
-    for _, key in sorted((pairs.find(key), key) for key in _PAIR_KEYS if key in pairs):
+    keys = _PAIR_KEYS[: 4 * len(y_names)]
+    for _, key in sorted((pairs.find(key), key) for key in keys if key in pairs):
         counts.setdefault(CODES[key >> 3], {})[y_names[key & 7]] = pairs.count(key)
     return counts
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of one eavesdropping check over a published random sample."""
 
     check_id: str  # "first" or "second"
     sample_indices: tuple[int, ...]
     mismatches: int
     threshold: float
-    # Announced measurement basis per sampled pair (first check only).
-    bases: tuple[str, ...] = ()
+    # Announced measurement basis letter per sampled pair, as the transcript
+    # logs them (first check only).
+    bases: str = ""
 
     @property
     def sample_size(self) -> int:
@@ -303,12 +311,13 @@ class CheckReport:
 
     def to_dict(self) -> dict:
         """The published summary, as report rows and transcripts carry it."""
+        rate = self.mismatches / len(self.sample_indices)
         return {
-            "sample_size": self.sample_size,
+            "sample_size": len(self.sample_indices),
             "mismatches": self.mismatches,
-            "error_rate": self.error_rate,
+            "error_rate": rate,
             "threshold": self.threshold,
-            "passed": self.passed,
+            "passed": rate <= self.threshold,
         }
 
 

@@ -29,6 +29,14 @@ that depends on a setting (a check's fraction, threshold and minimum size,
 the check basis, continuation) reads it from the ``RunConfig`` it is
 handed, the one place each setting is stated.
 
+A step that draws per pair takes its draws as one ``RandomSource.quarters``
+block. The first check of k sampled pairs takes 2k: the receiver's k, then
+the sender's k. With random check bases it takes 3k: its first 2k alternate
+a pair's basis draw and the receiver's draw for that pair, and the sender's
+k follow. A block split at any point makes the same draws as the two blocks
+either side of the split, so these layouts are the draws the check once
+made block by block.
+
 ``run_protocol`` is one such run, a hop. ``run_multiparty`` runs a trial
 as a chain of hops, alice -> bob for two parties and on to clare for
 three, where the relay re-encodes his raw key into the next hop's pairs.
@@ -77,8 +85,9 @@ def alice_prepare(
     """Prepare N pairs with uniformly random state choices (step 1)."""
     if n < 1:
         raise ConfigurationError(f"cannot prepare {n} pairs")
-    # rng.uniform_index(4) per pair, which is int(r * 4) of one draw.
-    return prepare_from_labels(rng.quarters(n), sender, receiver, transcript)
+    # rng.uniform_index(4) per pair, which is int(r * 4) of one draw: codes
+    # 0-3 by construction, so they skip prepare_from_labels' checks.
+    return _prepare(rng.quarters(n), sender, receiver, transcript)
 
 
 def prepare_from_labels(
@@ -104,6 +113,13 @@ def prepare_from_labels(
         raise ConfigurationError("preparation labels must be pair states or their codes 0-3")
     if not codes:
         raise ConfigurationError("cannot prepare an empty pair sequence")
+    return _prepare(codes, sender, receiver, transcript)
+
+
+def _prepare(
+    codes: bytes, sender: str, receiver: str, transcript: Transcript | None
+) -> PairLedger:
+    """The ledger of pairs prepared in the states ``codes``, each 0-3."""
     ledger = PairLedger(codes, sender=sender, receiver=receiver, transcript=transcript)
     if transcript is not None:
         transcript.log(
@@ -192,19 +208,25 @@ def first_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> Che
         raise ProtocolOrderError(f"first check in phase {ledger.phase.name}")
     sample = _draw_sample(ledger.live, config.check_fraction_1, config.min_check_size, rng)
 
-    # Every receiver draw, then every sender draw; with random bases each
-    # pair's basis draw comes just before the receiver's draw for that pair.
-    # Without them every pair's basis quarter is 0, which is Z.
+    # One block of draws: the receiver's k, then the sender's k; with random
+    # bases, 2k alternating a pair's basis draw and its receiver draw, then
+    # the sender's k. On the Z basis (basis quarter 0) a table's first four
+    # bytes are its Z entries, so the quarters and codes index them directly.
     k = len(sample)
     if config.randomize_check_basis:
-        drawn = rng.quarters(2 * k)
-        basis_q, receiver_q, sender_q = drawn[0::2], drawn[1::2], rng.quarters(k)
-    else:
-        basis_q, receiver_q, sender_q = bytes(k), rng.quarters(k), rng.quarters(k)
-    basis_key = int.from_bytes(basis_q) << 2
+        drawn = rng.quarters(3 * k)
+        basis_q, receiver_q, sender_q = drawn[0 : 2 * k : 2], drawn[1 : 2 * k : 2], drawn[2 * k :]
+        basis_key = int.from_bytes(basis_q) << 2
+        bases = basis_q.translate(_LETTERS).decode()
 
-    def by_basis(column: bytes, table: bytes) -> bytes:
-        return (basis_key | int.from_bytes(column)).to_bytes(k).translate(table)
+        def by_basis(column: bytes, table: bytes) -> bytes:
+            return (basis_key | int.from_bytes(column)).to_bytes(k).translate(table)
+
+    else:
+        drawn = rng.quarters(2 * k)
+        receiver_q, sender_q = drawn[:k], drawn[k:]
+        bases = "z" * k
+        by_basis = bytes.translate
 
     # The sampled pairs are consumed: no post state is written back, and
     # when the receiver measured the genuine pairs the sender measures
@@ -217,7 +239,6 @@ def first_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> Che
     # halves agree, or agree where they differ: one bit per byte of the xor.
     differ = int.from_bytes(by_basis(gather(ledger.prepared, sample), _DIFFER))
     mismatches = (int.from_bytes(receiver_bits) ^ int.from_bytes(sender_bits) ^ differ).bit_count()
-    bases = basis_q.translate(_LETTERS).decode()
     transcript = ledger.transcript
     if transcript is not None:
         bits = receiver_bits.translate(DIGITS).decode()
@@ -228,7 +249,7 @@ def first_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> Che
         payload = {"indices": sample, "bits": sender_bits.translate(DIGITS).decode()}
         transcript.log(4, ledger.sender, "measure_partner_sample", payload)
 
-    report = CheckReport("first", tuple(sample), mismatches, config.threshold_1, tuple(bases))
+    report = CheckReport("first", tuple(sample), mismatches, config.threshold_1, bases)
     ledger.check1 = report
     ledger.phase = Phase.CHECKED_1
     return _publish_check(ledger, report, sample, Disposition.CHECKED_1, 4)

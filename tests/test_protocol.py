@@ -159,6 +159,23 @@ class TestCheckThreshold:
         assert report.error_rate == threshold
         assert report.passed
         assert report.to_dict()["passed"] is True
+        # Keyword construction gives the same report and the same summary.
+        keyword = CheckReport(
+            check_id="first",
+            sample_indices=tuple(range(size)),
+            mismatches=mismatches,
+            threshold=threshold,
+        )
+        assert keyword == report and keyword.bases == ""
+        assert keyword.to_dict() == {
+            "sample_size": size,
+            "mismatches": mismatches,
+            "error_rate": threshold,
+            "threshold": threshold,
+            "passed": True,
+        }
+        fields = ["sample_size", "mismatches", "error_rate", "threshold", "passed"]
+        assert list(keyword.to_dict()) == fields
 
 
 class TestFirstCheck:
@@ -651,13 +668,22 @@ class TestRunProtocol:
 
 
 class TestRandomizedCheckBasis:
+    @staticmethod
+    def announced_bases(outcome):
+        (event,) = (
+            e for e in outcome.ledger.transcript.events if e["event"] == "measure_check_sample"
+        )
+        return event["payload"]["bases"]
+
     def test_clean_run_still_error_free(self):
         cfg = config(pairs=400, seed=50, randomize_check_basis=True)
-        outcome = run_protocol(cfg, RandomSource(50))
+        outcome = run_protocol(cfg, RandomSource(50), transcript=Transcript())
         assert outcome.completed
         assert outcome.check1.error_rate == 0.0
         assert outcome.keys_agree
         assert set(outcome.check1.bases) == {"z", "x"}
+        # The report holds the announced string itself.
+        assert outcome.check1.bases == self.announced_bases(outcome)
 
     def test_exposes_measure_resend_at_the_first_check(self):
         # Eve's Z collapse randomizes X correlations, so half the X-basis
@@ -683,8 +709,11 @@ class TestRandomizedCheckBasis:
         assert abs(outcome.check1.error_rate - 0.5) < 0.05
 
     def test_default_is_single_basis(self):
-        outcome = run_protocol(config(pairs=100, seed=53), RandomSource(53))
+        cfg = config(pairs=100, seed=53)
+        outcome = run_protocol(cfg, RandomSource(53), transcript=Transcript())
         assert set(outcome.check1.bases) == {"z"}
+        assert outcome.check1.bases == self.announced_bases(outcome)
+        assert outcome.check1.bases == "z" * outcome.check1.sample_size
 
 
 class TestMultiparty:

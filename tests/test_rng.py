@@ -74,6 +74,34 @@ def test_quarters_match_random_draws(seed, stream, n):
     assert [q >> 1 for q in quarters] == [int(r * 2) for r in draws]
 
 
+@given(st.integers(0, 2**64 - 1), st.integers(0, 200), st.integers(0, 200))
+@example(0, 0, 0)
+@example(0, 1, 0)
+def test_one_block_sliced_equals_consecutive_blocks(seed, a, b):
+    # One quarters(a + b) sliced at a is quarters(a) then quarters(b), and
+    # leaves the generator where the two calls do.
+    block, split = RandomSource(seed, "x"), RandomSource(seed, "x")
+    drawn = block.quarters(a + b)
+    assert (drawn[:a], drawn[a:]) == (split.quarters(a), split.quarters(b))
+    assert block._rng.getstate() == split._rng.getstate()
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 200))
+@example(0, 0)
+def test_check_block_layouts_equal_the_separate_draws(seed, k):
+    # The first check's layouts: 2k draws as receiver then sender, and with
+    # random bases 3k draws as interleaved basis and receiver, then sender.
+    block, split = RandomSource(seed, "x"), RandomSource(seed, "x")
+    drawn = block.quarters(2 * k)
+    assert (drawn[:k], drawn[k:]) == (split.quarters(k), split.quarters(k))
+    assert block._rng.getstate() == split._rng.getstate()
+    drawn, interleaved = block.quarters(3 * k), split.quarters(2 * k)
+    assert drawn[0 : 2 * k : 2] == interleaved[0::2]
+    assert drawn[1 : 2 * k : 2] == interleaved[1::2]
+    assert drawn[2 * k :] == split.quarters(k)
+    assert block._rng.getstate() == split._rng.getstate()
+
+
 def test_bernoulli_degenerate():
     rng = RandomSource(4)
     assert not any(rng.bernoulli(0.0) for _ in range(100))
