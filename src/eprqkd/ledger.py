@@ -33,8 +33,11 @@ transmission on unless the pair was ``DROPPED``, and holds the whole pair
 
 The ledger also owns the run's :class:`Transcript`; every protocol step logs
 its public events there. A ledger whose ``transcript`` is None records
-nothing, and the steps then build no event payloads either. Transcripts
-encode every event through one shared JSON encoder.
+nothing, and the steps then build no event payloads either. A transcript
+line is ``json.dumps(event, sort_keys=True, separators=(",", ":"))``:
+``Transcript.to_jsonl`` writes each event's fixed five-key envelope itself
+and encodes only the payload, in one call of a C-level encoder that is
+built once at import, where ``json.dumps`` would build one for every event.
 
 The read-only records, the ``PairRecord`` views and each check's
 ``CheckReport``, are named tuples: one tuple allocation each, and each
@@ -42,17 +45,26 @@ compares equal to a plain tuple of its fields.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
+from json import JSONEncoder
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
 from typing import NamedTuple
 
 from .quantum import BELL_LABELS, CODES, BellState
 
-# What json.dumps(event, sort_keys=True, separators=(",", ":")) would build
-# anew for every event.
-_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# The C encoder that json.dumps(payload, sort_keys=True, separators=(",", ":"))
+# builds anew on every call, built once: json's default hook and string
+# quoting, no indent, the compact separators, sorted keys, no skipped keys and
+# NaN allowed. It is given no circular-reference markers, so it keeps no state
+# between calls; a payload that holds itself raises RecursionError, where
+# json.dumps raises ValueError.
+_encode_payload = c_make_encoder(
+    None, JSONEncoder().default, encode_basestring_ascii, None, ":", ",", True, False, True
+)
+# One event as that json.dumps call writes it: its five keys in sorted order.
+_EVENT_LINE = '{"actor":%s,"event":%s,"payload":%s,"step":%d,"trial":%d}\n'
 
 # The byte a code column holds where a pair has no value. It is no state
 # code, so measuring it raises.
@@ -126,7 +138,9 @@ class Transcript:
     """Ordered event log of a run.
 
     Serializes as one JSON object per line with the fixed field set
-    {trial, step, actor, event, payload}. Two runs with the same
+    {trial, step, actor, event, payload}: ``trial`` and ``step`` are ints,
+    ``actor`` and ``event`` strings, and ``payload`` is the transcript's
+    ``extra`` fields updated with the logged ones. Two runs with the same
     configuration and seed produce byte-identical transcripts.
     """
 
@@ -136,21 +150,33 @@ class Transcript:
         self.events: list[dict] = []
 
     def log(self, step: int, actor: str, event: str, payload: dict | None = None):
-        merged = dict(self.extra)
-        merged.update(payload or {})
         self.events.append(
             {
                 "trial": self.trial,
                 "step": step,
                 "actor": actor,
                 "event": event,
-                "payload": merged,
+                "payload": {**self.extra, **payload} if payload else dict(self.extra),
             }
         )
 
     def to_jsonl(self) -> str:
-        encode = _JSONL_ENCODER.encode
-        return "".join(encode(event) + "\n" for event in self.events)
+        """Each event as ``json.dumps(event, sort_keys=True,
+        separators=(",", ":"))`` writes it, one per line."""
+        quote = encode_basestring_ascii
+        return "".join(
+            [
+                _EVENT_LINE
+                % (
+                    quote(event["actor"]),
+                    quote(event["event"]),
+                    "".join(_encode_payload(event["payload"], 0)),
+                    event["step"],
+                    event["trial"],
+                )
+                for event in self.events
+            ]
+        )
 
 
 class PairRecord(NamedTuple):

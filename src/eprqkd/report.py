@@ -8,6 +8,14 @@ mutual-information values: they come from ``math.log2`` in a fixed order
 library picks for the host CPU, but ``math.log2`` is the platform libm's,
 and a libm that rounds a logarithm differently changes their last bit.
 
+A structured report is ``json.dumps(report.to_dict(), sort_keys=True,
+indent=2)`` plus a newline, byte for byte. ``json.dumps`` leaves its C
+encoder for a pure-Python generator chain whenever it indents, so
+``render_structured`` renders the document itself: a small recursive
+renderer that joins scalars encoded at C level (``json``'s own string
+quoting, ``int.__repr__``, and ``float.__repr__`` with json's spellings of
+NaN and the infinities) into json's indented layout.
+
 Field names are fixed by the schema version embedded in every report. Each
 CSV column after the schema version is a path into a trial row, such as
 ``("hop2", "check1", "sample_size")`` for the column
@@ -18,7 +26,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
+import math
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .runner import RunReport, SCHEMA_VERSION, aggregate_rows
@@ -44,9 +53,55 @@ _ROW_PATHS = (
 TABULAR_COLUMNS = ["schema_version", *("_".join(path) for path in _ROW_PATHS)]
 
 
+def _float(value: float) -> str:
+    """A float as json writes it, NaN and the infinities included."""
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# How json writes a scalar of each exact type.
+_SCALARS = {
+    str: _quote,
+    int: int.__repr__,
+    float: _float,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _render(value, indent: str = "") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, for a value nested
+    under ``indent``; the keys of every dict must be strings, as a report's
+    are. A subclass of a JSON type (an ``IntEnum``, say) renders as its
+    base does, and any other value raises TypeError, as in ``json``."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [_quote(key) + ": " + _render(value[key], inner) for key in sorted(value)]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_render(item, inner) for item in value]
+        brackets = "[]"
+    else:
+        for base in (str, int, float):
+            if isinstance(value, base):
+                return _SCALARS[base](value)
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + brackets[1]
+
+
 def render_structured(report: RunReport) -> str:
     """One JSON document: config echo, per-trial rows, aggregate block."""
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    return _render(report.to_dict()) + "\n"
 
 
 def _cell(row: dict, path: tuple) -> str:

@@ -273,7 +273,7 @@ def first_check(ledger: Ledger, config: RunConfig, rng: RandomSource) -> CheckRe
         for rec, basis, s_bit, r_bit in zip(sample, bases, sender_bits, receiver_bits)
     )
     report = CheckReport(
-        "first", tuple(indices), mismatches, config.threshold_1, bases=tuple(bases)
+        "first", tuple(indices), mismatches, config.threshold_1, bases="".join(bases)
     )
     ledger.check1 = report
     return publish_check(ledger, report, sample, Disposition.CHECKED_1, 4)

@@ -1,7 +1,8 @@
 """The column engine against the per-pair object engine it replaced.
 
 Both engines make the same draws from the same streams, so for every config
-and seed the report rows and transcripts must agree byte for byte. A step
+and seed the report rows and transcripts must agree byte for byte, and each
+hop's check reports must be equal objects. A step
 that visits pairs in another order, or a wrong table entry in
 ``eprqkd.quantum`` that some later outcome depends on, shows up here as a
 differing row or transcript line. A post state nothing reads again (a pair
@@ -17,7 +18,9 @@ import eprqkd.ledger
 import object_engine
 from eprqkd.adversary import AttackKind, AttackStrategy
 from eprqkd.config import RunConfig
+from eprqkd.protocol import run_multiparty
 from eprqkd.quantum import BELL_LABELS
+from eprqkd.rng import RandomSource
 from eprqkd.runner import run
 
 ATTACKS = [
@@ -75,6 +78,29 @@ def engine_grid():
                         continuation_mode=continuation_mode,
                         randomize_check_basis=randomize_check_basis,
                     )
+
+
+def oracle_hops(config: RunConfig, trial: int) -> list:
+    """The object engine's hops of one trial, seeded as ``object_engine.run``
+    seeds them."""
+    rng = RandomSource(config.seed ^ trial)
+    if config.parties == 3:
+        hop1, hop2, *_ = object_engine.run_multiparty(config, rng, trial)
+        return [hop for hop in (hop1, hop2) if hop is not None]
+    return [object_engine.run_protocol(config, rng, trial=trial)]
+
+
+def test_check_reports_match_the_object_engine():
+    # Rows and transcripts hold each report's summary; this compares the
+    # reports themselves: sample, mismatches, threshold and announced bases.
+    for config in engine_grid():
+        for trial in range(config.trials):
+            hops = run_multiparty(config, trial).hops
+            oracle = oracle_hops(config, trial)
+            assert len(hops) == len(oracle)
+            for hop, reference in zip(hops, oracle):
+                assert hop.check1 == reference.ledger.check1
+                assert hop.check2 == reference.ledger.check2
 
 
 def test_rows_do_not_depend_on_collecting_transcripts():

@@ -33,6 +33,25 @@ from eprqkd.quantum import BELL_LABELS, CODES, BellState, make_bell_state
 from eprqkd.rng import RandomSource, three_sigma
 
 
+# An event line ends where the next begins with this; payloads that hold it
+# (in a string, or between dicts keyed "actor" in a list) must not split.
+EVENT_BOUNDARY = '},{"actor":'
+# Payload values: every JSON scalar kind, text that holds the event boundary,
+# lists, dicts, and lists of dicts keyed "actor".
+PAYLOAD_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text()
+    | st.text().map(lambda text: text + EVENT_BOUNDARY + text),
+    lambda children: st.lists(children)
+    | st.dictionaries(st.text(), children)
+    | st.lists(st.fixed_dictionaries({"actor": children}, optional={"": children})),
+    max_leaves=8,
+)
+
+
 def clean_channel(seed=0):
     return AdversaryChannel(AttackStrategy(), RandomSource(seed, "eve"))
 
@@ -558,13 +577,35 @@ class TestRunProtocol:
                 outcome = run_multiparty(cfg, 1)
                 assert all(hop.ledger.transcript is None for hop in outcome.hops)
 
-    def test_jsonl_matches_per_event_dumps(self):
-        transcript = Transcript(trial=3, extra={"hop": 2, "relay": "b\u00f6b"})
-        transcript.log(1, "alice", "prepare", {"note": "caf\u00e9 \u03c8\u207a \u9375"})
-        transcript.log(2, "bob", "check", {"rate": 0.1 + 0.2, "tiny": 5e-324, "big": 1e300})
-        transcript.log(3, "eve", "guess", {"missing": None, "inf": float("inf")})
-        transcript.log(4, "clare", "nest", {"z": {"b": [1, 2.5, None], "a": {"\u00e9": -0.0}}})
-        transcript.log(5, "alice", "done")
+    @settings(max_examples=100, deadline=None)
+    @given(
+        trial=st.integers(0, 2**64),
+        extra=st.dictionaries(st.text(), PAYLOAD_VALUES, max_size=3),
+        events=st.lists(
+            st.tuples(
+                st.integers(0, 9),
+                st.text(),
+                st.text(),
+                st.none() | st.dictionaries(st.text() | st.just("actor"), PAYLOAD_VALUES),
+            ),
+            max_size=4,
+        ),
+    )
+    @example(
+        trial=3,
+        extra={"hop": 2, "relay": "b\u00f6b"},
+        events=[
+            (1, "alice", "prepare", {"note": "caf\u00e9 \u03c8\u207a \u9375"}),
+            (2, "bob", "check", {"rate": 0.1 + 0.2, "tiny": 5e-324, "big": 1e300}),
+            (3, "eve", "guess", {"missing": None, "inf": float("inf")}),
+            (4, "clare", "nest", {"z": {"b": [1, 2.5, None], "a": {"\u00e9": -0.0}}}),
+            (5, "alice", "done", None),
+        ],
+    )
+    def test_jsonl_matches_per_event_dumps(self, trial, extra, events):
+        transcript = Transcript(trial=trial, extra=extra)
+        for step, actor, event, payload in events:
+            transcript.log(step, actor, event, payload)
         expected = "".join(
             json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
             for event in transcript.events

@@ -1,7 +1,9 @@
 import argparse
 import dataclasses
+import enum
 import hashlib
 import json
+import math
 import typing
 
 import pytest
@@ -21,6 +23,7 @@ from eprqkd.report import (
     verify_report,
 )
 from eprqkd.runner import SCHEMA_VERSION, aggregate_rows, run, trial_row
+from test_golden import golden_configs
 
 
 # Every attack variant: a clean channel, measure-resend of the first sequence
@@ -38,6 +41,41 @@ ATTACK_VARIANTS = [
 # fields, which go through the platform's log2 (as in tests/test_golden.py).
 AGGREGATE_SHA256 = "fbc53b2cdc070ce5b23441052bf48668d8d91f561a34eaa8574065b3abbc4e49"
 MI_FIELDS = ("mutual_information_ab", "mutual_information_ae")
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2**70
+
+
+@dataclasses.dataclass
+class Document:
+    """Anything with a ``to_dict``, as ``render_structured`` reads a report."""
+
+    value: object
+
+    def to_dict(self):
+        return self.value
+
+
+# JSON documents with string keys: every scalar kind (an IntEnum among the
+# ints; -0.0, the smallest subnormal, NaN and the infinities among the
+# floats; non-ASCII and lone-surrogate text), lists, tuples and empty
+# containers.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from(list(Level))
+    | st.floats()
+    | st.sampled_from([-0.0, 5e-324, math.nan, math.inf, -math.inf])
+    | st.text()
+    | st.text(st.characters(categories=["Cs", "Lo", "Cc", "Po"])),
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children),
+    max_leaves=20,
+)
 
 
 def aggregate_configs():
@@ -203,6 +241,19 @@ class TestReportFormats:
         a = render_structured(self.make_report())
         b = render_structured(self.make_report())
         assert a == b
+
+    def test_structured_is_the_indented_json_dump(self):
+        # No digest covers the structured bytes; these are json's own.
+        for config in golden_configs():
+            report = run(config)
+            expected = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+            assert render_structured(report) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(value=JSON_VALUES)
+    def test_structured_renders_any_document_as_json_does(self, value):
+        document = Document(value)
+        assert render_structured(document) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
     def test_tabular_is_byte_stable_and_well_formed(self):
         report = self.make_report()
