@@ -7,8 +7,8 @@ Usage (from the repository root):
         --metric METRIC --what TEXT
 
 The change is this working tree and the parent is ``HEAD``.
-Each side runs from its own fresh copy of ``src/``, ``bench/`` and
-``BENCHMARK.json``: the change's copied from the tree, the parent's
+Each side runs from its own fresh copy of ``src/``, ``bench/``, ``tests/``
+and ``BENCHMARK.json``: the change's copied from the tree, the parent's
 extracted with ``git archive``, which leaves nothing behind in ``.git``.
 Both run with PYTHONDONTWRITEBYTECODE=1 and no bytecode cache, because
 ``setup_s`` reads a cache that only one side has as set-up time saved.
@@ -16,16 +16,19 @@ Both run with PYTHONDONTWRITEBYTECODE=1 and no bytecode cache, because
 Each run is ``python3 bench/run.py --workload W --seed S --trace 0`` in a
 subprocess, so ``bench/run.py``'s own ``--seconds`` default sets the run
 length. Round k (of ``PAIRS``) runs every workload at ``SEED`` once per
-side, the parent first for even k and the change first for odd k; the
-claimed workload's pairs at ``HELD_OUT_SEED`` run after all rounds. Last,
-each side makes ``TRACE_RUNS`` traced runs of every workload, and the file
-keeps the median of each per-layer metric, because one traced run is noise.
+side, then times ``ACCEPTANCE_COMMAND`` (the acceptance tests, which must
+pass) once per side, the parent first for even k and the change first for
+odd k; the claimed workload's pairs at ``HELD_OUT_SEED`` run after all
+rounds. Last, each side makes ``TRACE_RUNS`` traced runs of every workload,
+and the file keeps the median of each per-layer metric, because one traced
+run is noise.
 ``bench/run.py`` writes every run's record to the same
 ``.bench_out/result-<workload>-seed<N>-trace<T>.json`` path, which the next
 run with that workload, seed and trace overwrites, so each record is read
 the moment its run ends.
 
-The file's keys are what, machine, sides, claim, summary, runs and trace1.
+The file's keys are what, machine, sides, claim, summary, runs, trace1
+and acceptance_wall_s.
 ``summary[label][metric]`` gives each side's median and quartiles
 (``statistics.quantiles``, n=4, exclusive method), the change/parent ratio
 of the medians, the sorted per-pair ratios, the parent's interquartile
@@ -33,6 +36,9 @@ range, the change's wins (better in its pair; ties count for neither), and
 whether the medians differ in the metric's better direction by more than
 the parent's interquartile range. ``runs[label]`` keeps every pair's
 end-to-end values, ``trace1["<side>/<workload>"]`` the traced medians.
+``acceptance_wall_s`` is no ``BENCHMARK.json`` metric: it gives the
+acceptance tests' wall seconds, every pair's and each side's median and
+quartiles.
 """
 from __future__ import annotations
 
@@ -44,6 +50,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,8 +60,11 @@ SEED = 1
 HELD_OUT_SEED = 314159
 TRACE_RUNS = 5
 SIDES = ("parent", "change")
-# What each side's copy holds: all that bench/run.py reads.
-TREE = ("src", "bench", "BENCHMARK.json")
+# What each side's copy holds: all that bench/run.py and the acceptance tests read.
+TREE = ("src", "bench", "tests", "BENCHMARK.json")
+# The round's last step, which times the acceptance tests, in place of a workload.
+ACCEPTANCE = "acceptance"
+ACCEPTANCE_COMMAND = ("-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_acceptance.py")
 # The fields of a run record's meta that describe the host, and its side's source.
 MACHINE = ("cpu_model", "cpus_usable", "nproc", "numpy", "python")
 SOURCE = ("src_lines", "src_sha256")
@@ -82,7 +92,7 @@ def make_sides(workdir: Path) -> dict[str, Path]:
     ).stdout
     (workdir / "parent").mkdir()
     subprocess.run(["tar", "-x", "-C", str(workdir / "parent")], input=archive, check=True)
-    ignore = shutil.ignore_patterns("__pycache__", ".bench_out")
+    ignore = shutil.ignore_patterns("__pycache__", ".bench_out", ".hypothesis")
     for name in TREE:
         source, target = ROOT / name, workdir / "change" / name
         if source.is_dir():
@@ -113,6 +123,23 @@ def run_bench(root: Path, workload: str, seed: int, trace: int) -> dict:
         "ops": int(header.rsplit("ops=", 1)[1]),
         "record": json.loads(record.read_text()),
     }
+
+
+def time_acceptance(root: Path) -> float:
+    """The wall seconds of one passing run of the acceptance tests in ``root``,
+    against its own ``src/``."""
+    started = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, *ACCEPTANCE_COMMAND],
+        cwd=root,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": "src"},
+    )
+    seconds = time.perf_counter() - started
+    if done.returncode != 0:
+        raise RuntimeError(f"the acceptance tests failed in {root}:\n{done.stdout}{done.stderr}")
+    return seconds
 
 
 def run_values(run: dict) -> dict:
@@ -215,6 +242,19 @@ def trace_summary(traced: list[dict]) -> dict:
     }
 
 
+def acceptance_summary(pairs: list[dict]) -> dict:
+    """The acceptance tests' wall seconds: which side ran first and both
+    sides' times in every pair, and each side's median and quartiles."""
+    summary = {"command": " ".join(("python", *ACCEPTANCE_COMMAND)), "pairs": pairs}
+    for side in SIDES:
+        times = [pair[side] for pair in pairs]
+        summary[side] = {
+            "median": statistics.median(times),
+            "quartiles": statistics.quantiles(times, n=4),
+        }
+    return summary
+
+
 def document(what: str, claim: dict, sides: dict, runs: dict, traces: dict, better: dict) -> dict:
     """The BENCH file: ``runs`` and ``traces`` hold what ``run_bench`` returned."""
     metas = {side: next(iter(runs.values()))[0][side]["record"]["meta"] for side in SIDES}
@@ -263,6 +303,10 @@ def main(argv=None) -> int:
         roots = make_sides(Path(tmp))
 
         def run_one(side, workload, seed, trace=0):
+            if workload == ACCEPTANCE:
+                seconds = time_acceptance(roots[side])
+                print(f"{side} acceptance tests: {seconds:.2f} s", file=sys.stderr)
+                return seconds
             run = run_bench(roots[side], workload, seed, trace)
             correct = run["result"]["correct"]
             print(
@@ -271,7 +315,9 @@ def main(argv=None) -> int:
             )
             return run
 
-        runs = collect(plan(WORKLOADS, args.claim, SEED, HELD_OUT_SEED, PAIRS), run_one)
+        steps = plan((*WORKLOADS, ACCEPTANCE), args.claim, SEED, HELD_OUT_SEED, PAIRS)
+        runs = collect(steps, run_one)
+        acceptance = runs.pop(f"seed{SEED}/{ACCEPTANCE}")
         traced = collect(
             [(w, w, SEED, k) for k in range(TRACE_RUNS) for w in WORKLOADS],
             lambda side, workload, seed: run_one(side, workload, seed, trace=1),
@@ -280,6 +326,7 @@ def main(argv=None) -> int:
             f"{side}/{w}": [pair[side] for pair in traced[w]] for w in WORKLOADS for side in SIDES
         }
     result = document(args.what, claim, sides, runs, traces, better)
+    result["acceptance_wall_s"] = acceptance_summary(acceptance)
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {args.out}")
     return 0

@@ -3,9 +3,9 @@
 The adversary acts only on particles while they are in flight and only on
 information she can physically obtain: her own measurement outcomes and her
 own random draws. She never reads the sender's secret preparation choices.
-What she learns is recorded in :class:`EveState` as her guess per pair, in
-one alphabet, so a run can be scored afterwards without giving the attack
-code oracle access.
+What she learns is recorded in the ledger's ``guesses`` column as her guess
+per pair, in one alphabet (``guess_alphabet``), so a run can be scored
+afterwards without giving the attack code oracle access.
 
 Strategies:
 
@@ -27,7 +27,7 @@ Strategies:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConfigurationError, require_field_types, require_known_keys
@@ -104,22 +104,6 @@ class AttackStrategy:
         return cls(**known)
 
 
-@dataclass
-class EveState:
-    """What the adversary has learned: her guess per pair, in one alphabet.
-
-    ``guesses`` holds, by pair index, a byte indexing ``alphabet``, or
-    ``ledger.UNSET`` where she has no guess; it stays empty until she first
-    measures.
-    ``alphabet`` is ``CODES`` when a guess names both bits of a pair's code
-    (her Bell measurement, or her Z bits on both halves as ``2·first +
-    second``) and the two bit names when it is her one Z bit.
-    """
-
-    guesses: bytearray = field(default_factory=bytearray)
-    alphabet: tuple[str, ...] = CODES
-
-
 # One function per attack kind. Each acts on the ledger's live pairs, which
 # are the ones in flight for the given transmission, and returns its
 # transcript payload, or None when it left the particles alone or the ledger
@@ -133,21 +117,21 @@ def _identity(channel, transmission, ledger):
 def _measure_resend(channel, transmission, ledger):
     if transmission == 2 and not channel.strategy.measure_second_sequence:
         return None
-    eve, live = channel.eve, ledger.live
+    live = ledger.live
     which = "second" if transmission == 1 else "first"
     keys = channel.rng.quarters(len(live)).translate(KEYS[OPS[which]["z"]])
     measured, posts = measure_column(gather(ledger.state, live), keys)
     ledger.spread(posts, ledger.state)
-    if transmission == 1 or not eve.guesses:
-        eve.guesses, eve.alphabet = ledger.spread(measured), _BITS
+    if transmission == 1 or not ledger.guesses:
+        ledger.guesses, ledger.guess_alphabet = ledger.spread(measured), _BITS
     elif live:
         # Every pair still in flight was Z-measured on its other half at
         # transmission 1; her two bits name a guess like a key code, this
         # first-half bit high. With no pair left in flight her one-bit guesses
         # stand, and so do the bits of a second sequence she alone measured.
-        first = int.from_bytes(gather(eve.guesses, live))
+        first = int.from_bytes(gather(ledger.guesses, live))
         guesses = (int.from_bytes(measured) << 1 | first).to_bytes(len(live))
-        eve.guesses, eve.alphabet = ledger.spread(guesses), CODES
+        ledger.guesses, ledger.guess_alphabet = ledger.spread(guesses), CODES
     if ledger.transcript is None:
         return None
     return {"measured": len(measured), "outcomes": measured.translate(DIGITS).decode()}
@@ -169,7 +153,7 @@ def _fake_epr(channel, transmission, ledger):
     keys = rng.quarters(len(live)).translate(KEYS[PAIR_BASIS])
     # The genuine pairs are consumed here: their post states are not kept.
     found, _ = measure_column(gather(ledger.state, live), keys)
-    channel.eve.guesses = ledger.spread(found)
+    ledger.guesses = ledger.spread(found)
     if ledger.transcript is None:
         return None
     return {"captured": len(live), "inferred_codes": code_string(found)}
@@ -198,20 +182,19 @@ _ATTACKS = {
 
 
 class AdversaryChannel:
-    """A channel with a fixed strategy, adversary state, and random stream."""
+    """A channel with a fixed strategy and random stream."""
 
     def __init__(self, strategy: AttackStrategy, rng: RandomSource):
         self.strategy = strategy
-        self.eve = EveState()
         self.rng = rng
 
     def interpose(self, transmission: int, ledger: PairLedger) -> dict | None:
         """Apply the strategy to the particles currently in flight.
 
-        Mutates the ledger (states, planted pairs, dispositions) and the
-        adversary state in place. Returns a transcript payload describing
-        what was done, or None when the particles passed untouched or the
-        ledger records no transcript.
+        Mutates the ledger (states, planted pairs, dispositions, guesses)
+        in place. Returns a transcript payload describing what was done, or
+        None when the particles passed untouched or the ledger records no
+        transcript.
         """
         if transmission not in (1, 2):
             raise ConfigurationError(f"transmission must be 1 or 2, got {transmission}")
@@ -221,8 +204,9 @@ class AdversaryChannel:
         return {"strategy": self.strategy.kind.value, "sequence": transmission, **payload}
 
 
-def eve_guess_counts(eve: EveState, ledger: PairLedger) -> dict[str, dict[str, int]]:
+def eve_guess_counts(ledger: PairLedger) -> dict[str, dict[str, int]]:
     """Joint counts {sender's code: {Eve's guess: n}} over the pairs she
-    guessed. The ledger supplies only the true codes being guessed at; the
-    attack never saw them. An empty result means Eve recorded nothing."""
-    return joint_counts(ledger.prepared, eve.guesses, eve.alphabet)
+    guessed. The ``prepared`` column supplies only the true codes being
+    guessed at; the attack never reads it. An empty result means Eve
+    recorded nothing."""
+    return joint_counts(ledger.prepared, ledger.guesses, ledger.guess_alphabet)

@@ -5,7 +5,7 @@
 own trial rows. Attack detection is a simulation result, not a failure:
 ``run`` exits 0 whenever the simulation itself completed. A run or a
 rendering that runs out of memory is one ``error:`` line and exit 1, and
-leaves no report behind.
+leaves no report behind; so is a ``verify`` that runs out of memory.
 
 The ``run`` flags are the config fields: each option's dest is a field of
 ``RunConfig`` or ``AttackStrategy``, and its type, default and whether it is
@@ -182,13 +182,13 @@ def _verify_command(args) -> int:
         document = json.loads(args.report.read_text())
     # ValueError covers undecodable bytes, bad JSON and over-long integers;
     # RecursionError covers over-deep nesting.
-    except (OSError, ValueError, RecursionError) as exc:
-        print(f"error: could not read report: {exc}", file=sys.stderr)
+    except (OSError, ValueError, RecursionError, MemoryError) as exc:
+        print(f"error: could not read report: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     try:
         problems = verify_report(document)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory verifying the report'}", file=sys.stderr)
         return 1
     if problems:
         for problem in problems:

@@ -4,29 +4,33 @@ A trial is described by a ledger of columns, one entry per entangled pair,
 indexed by pair ordinal: the preparation code, the genuine pair's state code
 (``quantum``'s int codes: a pair-state label, or a product of Z/X
 eigenstates once a half was measured), the planted pair's code, the decode
-result and the disposition (consumed by a check, contributing to the key, or
-lost in transit). The code columns are byte strings, one byte per pair, and
-``UNSET`` (255, which is no state code) marks a pair with no value: no
-decode result, no planted pair, no adversary guess. A step gathers the bytes
-of the pairs it acts on (``gather``: the ledger's ``live`` pairs, or a
-check's sample), measures them in one ``quantum.measure_column`` call and
-writes back only the post states a later step reads. A measurement that
-consumes its pairs (either check, the decode, or the fake-EPR adversary's
-capture of the genuine pairs) writes back none, so ``state`` keeps each such
-pair's code from before it. No step builds an object per pair;
-``PairLedger.records`` assembles read-only ``PairRecord`` views, with None
-for ``UNSET``, only when something reads it. A column that a step fills at
-the live pairs (the decode results, the planted pairs, the adversary's
-guesses) is built whole by ``PairLedger.spread``, and ``joint_counts``
-counts two such columns against each other as bytes.
+result, the adversary's guess and the disposition (consumed by a check,
+contributing to the key, or lost in transit). The code columns are byte
+strings, one byte per pair, and ``UNSET`` (255, which is no state code)
+marks a pair with no value: no decode result, no planted pair, no adversary
+guess. A step gathers the bytes of the pairs it acts on (``gather``: the
+ledger's ``live`` pairs, or a check's sample), measures them in one
+``quantum.measure_column`` call and writes back only the post states a later
+step reads. A measurement that consumes its pairs (either check, the decode,
+or the fake-EPR adversary's capture of the genuine pairs) writes back none,
+so ``state`` keeps each such pair's code from before it. No step builds an
+object per pair; ``PairLedger.records`` assembles read-only ``PairRecord``
+views, with None for ``UNSET``, only when something reads it.
+
+A column that a step fills at the live pairs (the planted pairs, the decode
+results, the adversary's guesses) is empty until that step, which builds it
+whole with ``PairLedger.spread``: ``UNSET`` at every pair no longer live.
+So such a column is either empty or one byte per pair, and ``records`` pads
+an empty one with ``UNSET``. ``joint_counts`` counts two such columns
+against each other as bytes.
 
 The run's progress is one ledger field, ``phase``. The pairs still live all
 stand at the same stage, so their shared disposition, ``stage``, follows
 from the phase, and the disposition column holds only the terminal fates.
 
 The planted column holds the pairs the fake-EPR adversary planted in place
-of the genuine ones; when it is set, the receiver's measurements act on it
-rather than on ``state``. Who holds which particle follows from the
+of the genuine ones; once it is filled, the receiver's measurements act on
+it rather than on ``state``. Who holds which particle follows from the
 disposition: the receiver holds a pair's second half from the first
 transmission on unless the pair was ``DROPPED``, and holds the whole pair
 (planted or genuine) once it is ``IN_FLIGHT_2``.
@@ -34,10 +38,11 @@ transmission on unless the pair was ``DROPPED``, and holds the whole pair
 The ledger also owns the run's :class:`Transcript`; every protocol step logs
 its public events there. A ledger whose ``transcript`` is None records
 nothing, and the steps then build no event payloads either. A transcript
-line is ``json.dumps(event, sort_keys=True, separators=(",", ":"))``:
-``Transcript.to_jsonl`` writes each event's fixed five-key envelope itself
-and encodes only the payload, in one call of a C-level encoder that is
-built once at import, where ``json.dumps`` would build one for every event.
+keeps its rendered lines, each ``json.dumps(event, sort_keys=True,
+separators=(",", ":"))`` of one event: ``Transcript.log`` writes the
+event's fixed five-key envelope itself and encodes only the payload, in one
+call of a C-level encoder that is built once at import, where
+``json.dumps`` would build one for every event.
 
 The read-only records, the ``PairRecord`` views and each check's
 ``CheckReport``, are named tuples: one tuple allocation each, and each
@@ -135,48 +140,29 @@ _STAGES = {
 
 
 class Transcript:
-    """Ordered event log of a run.
+    """Ordered event log of a run, kept as its rendered lines.
 
-    Serializes as one JSON object per line with the fixed field set
-    {trial, step, actor, event, payload}: ``trial`` and ``step`` are ints,
-    ``actor`` and ``event`` strings, and ``payload`` is the transcript's
-    ``extra`` fields updated with the logged ones. Two runs with the same
-    configuration and seed produce byte-identical transcripts.
+    Each line is one JSON object with the fixed field set {trial, step,
+    actor, event, payload}: ``trial`` and ``step`` are ints, ``actor`` and
+    ``event`` strings, and ``payload`` is the transcript's ``extra`` fields
+    updated with the logged ones. Two runs with the same configuration and
+    seed produce byte-identical transcripts.
     """
 
     def __init__(self, trial: int = 0, extra: dict | None = None):
         self.trial = trial
         self.extra = extra or {}
-        self.events: list[dict] = []
+        self.lines: list[str] = []
 
     def log(self, step: int, actor: str, event: str, payload: dict | None = None):
-        self.events.append(
-            {
-                "trial": self.trial,
-                "step": step,
-                "actor": actor,
-                "event": event,
-                "payload": {**self.extra, **payload} if payload else dict(self.extra),
-            }
-        )
+        """Append the event's line, as ``json.dumps(event, sort_keys=True,
+        separators=(",", ":"))`` writes it, plus a newline."""
+        encoded = "".join(_encode_payload({**self.extra, **payload} if payload else self.extra, 0))
+        quote = encode_basestring_ascii
+        self.lines.append(_EVENT_LINE % (quote(actor), quote(event), encoded, step, self.trial))
 
     def to_jsonl(self) -> str:
-        """Each event as ``json.dumps(event, sort_keys=True,
-        separators=(",", ":"))`` writes it, one per line."""
-        quote = encode_basestring_ascii
-        return "".join(
-            [
-                _EVENT_LINE
-                % (
-                    quote(event["actor"]),
-                    quote(event["event"]),
-                    "".join(_encode_payload(event["payload"], 0)),
-                    event["step"],
-                    event["trial"],
-                )
-                for event in self.events
-            ]
-        )
+        return "".join(self.lines)
 
 
 class PairRecord(NamedTuple):
@@ -194,11 +180,15 @@ class PairLedger:
     """One trial's pairs as columns indexed by pair ordinal, plus run-level
     state.
 
-    ``prepared`` holds the preparation codes, ``state`` the genuine pairs'
-    codes, ``planted`` the planted pairs' codes (None until the fake-EPR
-    adversary plants any, then ``UNSET`` where she planted none) and
-    ``outcome`` the receiver's decode results (``UNSET`` where there is
-    none), each a byte per pair.
+    ``prepared`` holds the preparation codes and ``state`` the genuine
+    pairs' codes, each a byte per pair. ``planted`` holds the planted pairs'
+    codes, ``outcome`` the receiver's decode results and ``guesses`` the
+    adversary's guesses, each guess a byte indexing ``guess_alphabet``. Each
+    of these three is empty until the step that fills it, then a byte per
+    pair with ``UNSET`` where it has no value. ``guess_alphabet`` is
+    ``CODES`` when a guess names both bits of a pair's code (her Bell
+    measurement, or her Z bits on both halves as ``2·first + second``) and
+    the two bit names when it is her one Z bit.
     ``live`` lists, in order, the pairs with no terminal disposition yet;
     each has the disposition ``stage``, set by ``phase``. ``disposition`` holds
     each settled pair's terminal disposition, and None for a live pair.
@@ -215,8 +205,8 @@ class PairLedger:
         n = len(prepared)
         self.prepared = prepared
         self.state = bytearray(prepared)
-        self.planted: bytearray | None = None
-        self.outcome = bytearray(_UNSET_BYTE * n)
+        self.planted = self.outcome = self.guesses = b""
+        self.guess_alphabet: tuple[str, ...] = CODES
         self.disposition: list[Disposition | None] = [None] * n
         self.live = list(range(n))
         self.sender = sender
@@ -240,15 +230,16 @@ class PairLedger:
         return _STAGES[self.phase]
 
     @property
-    def receiver_state(self) -> bytearray:
+    def receiver_state(self) -> bytes | bytearray:
         """The column the receiver's measurements act on: the planted pairs
         once the adversary substituted them, else the genuine ones."""
-        return self.state if self.planted is None else self.planted
+        return self.planted or self.state
 
     @property
     def records(self) -> tuple[PairRecord, ...]:
         """Every pair as a ``PairRecord``, built afresh on each read."""
-        planted = self.planted or _UNSET_BYTE * self.n_total
+        unset = _UNSET_BYTE * self.n_total
+        planted, outcome = self.planted or unset, self.outcome or unset
         stage = self.stage
         return tuple(
             PairRecord(
@@ -257,7 +248,7 @@ class PairLedger:
                 stage if self.disposition[i] is None else self.disposition[i],
                 self.state[i],
                 None if planted[i] == UNSET else planted[i],
-                None if self.outcome[i] == UNSET else BELL_LABELS[self.outcome[i]],
+                None if outcome[i] == UNSET else BELL_LABELS[outcome[i]],
             )
             for i in range(self.n_total)
         )

@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .adversary import AdversaryChannel, AttackStrategy, EveState
+from .adversary import AdversaryChannel, AttackStrategy
 from .config import RunConfig
 from .errors import ConfigurationError, InsufficientPairsError, ProtocolOrderError
 from .ledger import DIGITS, CheckReport, Disposition, KeyMaterial, PairLedger, Phase, Transcript
@@ -233,7 +233,7 @@ def first_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> Che
     # their post states.
     receiver_keys = by_basis(receiver_q, _RECEIVER_KEYS)
     receiver_bits, states = measure_column(gather(ledger.receiver_state, sample), receiver_keys)
-    states = states if ledger.planted is None else gather(ledger.state, sample)
+    states = gather(ledger.state, sample) if ledger.planted else states
     sender_bits, _ = measure_column(states, by_basis(sender_q, _SENDER_KEYS))
     # A pair mismatches when its bits differ where its prepared state's
     # halves agree, or agree where they differ: one bit per byte of the xor.
@@ -338,7 +338,6 @@ class ProtocolOutcome:
     abort_reason: str | None
     receiver_key: KeyMaterial | None
     sender_key: KeyMaterial | None
-    eve: EveState
 
     @property
     def check1(self) -> CheckReport | None:
@@ -396,7 +395,7 @@ def run_protocol(
         if ledger.transcript is not None:
             ledger.transcript.log(step, "public", "abort", {"reason": reason})
         ledger.settle(ledger.live, Disposition.DROPPED)
-        return ProtocolOutcome(ledger, reason, None, None, channel.eve)
+        return ProtocolOutcome(ledger, reason, None, None)
 
     transmit_first_sequence(ledger, channel)
     if ledger.receipt_1 < 1.0 - config.loss_tolerance:
@@ -423,7 +422,7 @@ def run_protocol(
         return abort(failed or "insufficient_pairs", 7)
     receiver_key = extract_key(ledger)
     sender_key = sender_key_material(ledger, receiver_key.source_indices)
-    return ProtocolOutcome(ledger, None, receiver_key, sender_key, channel.eve)
+    return ProtocolOutcome(ledger, None, receiver_key, sender_key)
 
 
 @dataclass

@@ -53,7 +53,7 @@ def trial_row(outcome: TrialOutcome) -> dict:
     row["abort_reason"] = outcome.abort_reason
     row["key_length"] = len(outcome.keys[-1].bits) if outcome.keys else 0
     row["ab_counts"] = joint_counts(first.ledger.prepared, first.ledger.outcome)
-    row["ae_counts"] = eve_guess_counts(first.eve, first.ledger)
+    row["ae_counts"] = eve_guess_counts(first.ledger)
     row["hop2"] = _hop_row(outcome.hops[1]) if len(outcome.hops) > 1 else None
     return row
 

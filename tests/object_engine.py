@@ -431,7 +431,7 @@ def run_multiparty(config: RunConfig, rng: RandomSource, trial: int = 0):
         config, rng.substream("hop1"), "alice", "bob", trial,
         strategy=hop_strategy(1), extra={"hop": 1},
     )
-    transcript.events.extend(hop1.ledger.transcript.events)
+    transcript.lines.extend(hop1.ledger.transcript.lines)
     if hop1.abort_reason is not None:
         return hop1, None, hop1.abort_reason, None, None, transcript
     bits = hop1.receiver_key.bits
@@ -440,7 +440,7 @@ def run_multiparty(config: RunConfig, rng: RandomSource, trial: int = 0):
         config, rng.substream("hop2"), "bob", "clare", trial,
         labels=labels, strategy=hop_strategy(2), extra={"hop": 2},
     )
-    transcript.events.extend(hop2.ledger.transcript.events)
+    transcript.lines.extend(hop2.ledger.transcript.lines)
     if hop2.abort_reason is not None:
         return hop1, hop2, f"hop2_{hop2.abort_reason}", None, None, transcript
     positions = [hop1.receiver_key.source_indices[j] for j in hop2.receiver_key.source_indices]

@@ -4,7 +4,6 @@ from eprqkd.adversary import (
     AdversaryChannel,
     AttackKind,
     AttackStrategy,
-    EveState,
     eve_guess_counts,
 )
 from eprqkd.analysis import JointDistribution, mutual_information
@@ -77,7 +76,7 @@ class TestIdentityChannel:
         assert all(rec.disposition is Disposition.IN_FLIGHT_1 for rec in ledger.records)
         assert all(rec.fake_carrier is None for rec in ledger.records)
         assert ledger.receipt_1 == 1.0
-        assert chan.eve == EveState()
+        assert not ledger.guesses and ledger.guess_alphabet == CODES
 
 
 class TestMeasureResend:
@@ -90,10 +89,10 @@ class TestMeasureResend:
         }
         for rec in ledger.records:
             assert rec.carrier in products[rec.prepared.correlated]
-            assert PRODUCTS[rec.carrier - len(BELL_LABELS)][1] == ("z", chan.eve.guesses[rec.index])
-        assert UNSET not in chan.eve.guesses and len(chan.eve.guesses) == 500
-        assert chan.eve.alphabet == ("0", "1")
-        bits = chan.eve.guesses
+            assert PRODUCTS[rec.carrier - len(BELL_LABELS)][1] == ("z", ledger.guesses[rec.index])
+        assert UNSET not in ledger.guesses and len(ledger.guesses) == 500
+        assert ledger.guess_alphabet == ("0", "1")
+        bits = ledger.guesses
         assert abs(sum(bits) / 500 - 0.5) < three_sigma(0.5, 500)
 
     def test_parity_class_exactly_preserved(self):
@@ -134,7 +133,8 @@ class TestFakeEpr:
             assert rec.disposition is Disposition.IN_FLIGHT_1
             assert rec.fake_carrier == make_bell_state(BellState.PSI1)
             assert rec.carrier == make_bell_state(rec.prepared)
-        assert chan.eve == EveState()  # nothing learned until the second sequence
+        # Nothing learned until the second sequence.
+        assert not ledger.guesses and ledger.guess_alphabet == CODES
         assert ledger.receipt_1 == 1.0  # the receiver cannot tell yet
 
     def test_first_check_mismatch_probability_is_exactly_half(self):
@@ -175,13 +175,13 @@ class TestFakeEpr:
             continuation_mode=True,
         )
         outcome = run_protocol(config, RandomSource(5))
-        eve = outcome.eve
+        guesses = outcome.ledger.guesses
         decoded = [rec for rec in outcome.ledger.records if rec.outcome is not None]
         assert len(decoded) > 0
-        inferred = [i for i, code in enumerate(eve.guesses) if code != UNSET]
+        inferred = [i for i, code in enumerate(guesses) if code != UNSET]
         assert inferred == [rec.index for rec in decoded]
         for rec in decoded:
-            assert eve.guesses[rec.index] == rec.prepared
+            assert guesses[rec.index] == rec.prepared
 
 
 class TestOpaque:
@@ -222,12 +222,12 @@ class TestEveInformation:
         return run_protocol(config, RandomSource(seed))
 
     def eve_mi(self, outcome):
-        counts = eve_guess_counts(outcome.eve, outcome.ledger)
+        counts = eve_guess_counts(outcome.ledger)
         return mutual_information(JointDistribution.from_counts(counts))
 
     def test_no_attack_scores_zero_exactly(self):
         outcome = self.run_with(AttackKind.NONE)
-        assert eve_guess_counts(outcome.eve, outcome.ledger) == {}
+        assert eve_guess_counts(outcome.ledger) == {}
         # An empty score pools to exactly zero bits in the aggregate.
         report = run(RunConfig(pairs=400, trials=2, seed=9))
         assert report.aggregate["mutual_information_ae"] == 0.0
@@ -248,9 +248,10 @@ class TestEveInformation:
 
     def test_guess_counts_use_only_scored_pairs(self):
         outcome = self.run_with(AttackKind.FAKE_EPR, pairs=400)
-        counts = eve_guess_counts(outcome.eve, outcome.ledger)
+        counts = eve_guess_counts(outcome.ledger)
         total = sum(n for row in counts.values() for n in row.values())
-        assert total == len(outcome.eve.guesses) - outcome.eve.guesses.count(UNSET)
+        guesses = outcome.ledger.guesses
+        assert total == len(guesses) - guesses.count(UNSET)
 
     def test_single_bits_stand_when_check_one_consumes_every_pair(self):
         # Five pairs are all sampled by the first check, so none is in flight
@@ -273,9 +274,9 @@ class TestEveInformation:
         chan = channel(AttackKind.MEASURE_RESEND, seed=4, measure_second_sequence=True)
         transmit_second_sequence(ledger, chan, RunConfig())
         live = [rec.index for rec in with_disposition(ledger, Disposition.IN_FLIGHT_2)]
-        assert chan.eve.alphabet == ("0", "1")
-        assert [i for i, bit in enumerate(chan.eve.guesses) if bit != UNSET] == live
-        counts = eve_guess_counts(chan.eve, ledger)
+        assert ledger.guess_alphabet == ("0", "1")
+        assert [i for i, bit in enumerate(ledger.guesses) if bit != UNSET] == live
+        counts = eve_guess_counts(ledger)
         assert set(counts) <= set(CODES)
         assert {guess for row in counts.values() for guess in row} <= {"0", "1"}
         assert sum(n for row in counts.values() for n in row.values()) == len(live)
@@ -288,8 +289,9 @@ class TestReplay:
                 pairs=300, seed=21, attack=AttackStrategy(kind=AttackKind.FAKE_EPR),
                 continuation_mode=True,
             )
-            return run_protocol(config, RandomSource(21)).eve
+            ledger = run_protocol(config, RandomSource(21)).ledger
+            return ledger.guesses, ledger.guess_alphabet
 
         first = run_once()
-        assert first.guesses
+        assert first[0]
         assert first == run_once()

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from eprqkd.adversary import AdversaryChannel, AttackKind, AttackStrategy
+from eprqkd.adversary import AdversaryChannel, AttackKind, AttackStrategy, eve_guess_counts
 from eprqkd.config import RunConfig
 from eprqkd.errors import ConfigurationError, ProtocolOrderError
 from eprqkd.ledger import (
@@ -50,6 +50,11 @@ PAYLOAD_VALUES = st.recursive(
     | st.lists(st.fixed_dictionaries({"actor": children}, optional={"": children})),
     max_leaves=8,
 )
+
+
+def logged_events(transcript):
+    """The events a transcript logged, each line parsed back to its dict."""
+    return [json.loads(line) for line in transcript.lines]
 
 
 def clean_channel(seed=0):
@@ -381,7 +386,7 @@ class TestLedgerColumns:
         transmit_first_sequence(ledger, clean_channel())
         report = first_check(ledger, RunConfig(min_check_size=4), RandomSource(12, "bob"))
         # No fake-EPR adversary planted anything, and nothing is decoded yet.
-        assert ledger.planted is None
+        assert not ledger.planted
         assert all(rec.outcome is None and rec.fake_carrier is None for rec in ledger.records)
         transmit_second_sequence(ledger, clean_channel(), RunConfig())
         bob_decode(ledger, RandomSource(12, "bob"))
@@ -537,14 +542,14 @@ class TestRunProtocol:
         bob_decode(ledger, bob)
         report = second_check(ledger, cfg, bob)
         assert report.passed == (kind is AttackKind.NONE)  # measure-resend fails here
-        expected = outcome.ledger.transcript.events
+        expected = logged_events(outcome.ledger.transcript)
         if report.passed:
             extract_key(ledger)
         else:
             # Only run_protocol decides to abort, and says so last.
             assert expected[-1]["event"] == "abort"
             expected = expected[:-1]
-        assert ledger.transcript.events == expected
+        assert logged_events(ledger.transcript) == expected
 
     def test_transcript_replays_bit_for_bit(self):
         cfg = config(pairs=200, seed=24, attack=AttackStrategy(kind=AttackKind.MEASURE_RESEND))
@@ -607,8 +612,19 @@ class TestRunProtocol:
         for step, actor, event, payload in events:
             transcript.log(step, actor, event, payload)
         expected = "".join(
-            json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
-            for event in transcript.events
+            json.dumps(
+                {
+                    "trial": trial,
+                    "step": step,
+                    "actor": actor,
+                    "event": event,
+                    "payload": {**extra, **(payload or {})},
+                },
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+            + "\n"
+            for step, actor, event, payload in events
         )
         assert transcript.to_jsonl() == expected
 
@@ -712,7 +728,9 @@ class TestRandomizedCheckBasis:
     @staticmethod
     def announced_bases(outcome):
         (event,) = (
-            e for e in outcome.ledger.transcript.events if e["event"] == "measure_check_sample"
+            e
+            for e in logged_events(outcome.ledger.transcript)
+            if e["event"] == "measure_check_sample"
         )
         return event["payload"]["bases"]
 
@@ -765,7 +783,7 @@ class TestMultiparty:
             single = run_protocol(cfg, RandomSource(30 ^ 2), transcript=Transcript(2))
             outcome = run_multiparty(cfg, 2, collect_transcripts=True)
             (hop,) = outcome.hops
-            assert hop.ledger.transcript.events == single.ledger.transcript.events
+            assert logged_events(hop.ledger.transcript) == logged_events(single.ledger.transcript)
             assert outcome.abort_reason == single.abort_reason == reason
             keys = [single.sender_key, single.receiver_key] if reason is None else None
             assert outcome.keys == keys
@@ -834,7 +852,7 @@ class TestMultiparty:
     def test_transcript_tags_hops(self):
         cfg = config(pairs=200, seed=36, parties=3)
         outcome = run_multiparty(cfg, collect_transcripts=True)
-        events = [event for hop in outcome.hops for event in hop.ledger.transcript.events]
+        events = [event for hop in outcome.hops for event in logged_events(hop.ledger.transcript)]
         hops = {event["payload"].get("hop") for event in events}
         assert hops == {1, 2}
         actors = {event["actor"] for event in events}
@@ -843,14 +861,21 @@ class TestMultiparty:
 
 def assert_hop_finished(hop):
     """Every pair terminal; two key bits per unchecked, undropped pair; an
-    abort reason exactly when there is no key."""
-    counts = hop.ledger.disposition_counts()
+    abort reason exactly when there is no key; each column a step fills at
+    the live pairs empty or whole, and Eve scored on exactly her guesses."""
+    ledger = hop.ledger
+    counts = ledger.disposition_counts()
     spent = counts["checked-1"] + counts["checked-2"] + counts["dropped"]
-    assert spent + counts["key"] == hop.ledger.n_total
+    assert spent + counts["key"] == ledger.n_total
     key_length = len(hop.receiver_key.bits) if hop.receiver_key else 0
-    assert key_length == 2 * (hop.ledger.n_total - spent)
+    assert key_length == 2 * (ledger.n_total - spent)
     assert (hop.abort_reason is None) == (hop.receiver_key is not None)
     assert (hop.abort_reason is None) == (key_length > 0)
+    for column in (ledger.planted, ledger.outcome, ledger.guesses):
+        assert len(column) in (0, ledger.n_total)
+    assert (ledger.receiver_state is ledger.planted) == bool(ledger.planted)
+    scored = sum(n for row in eve_guess_counts(ledger).values() for n in row.values())
+    assert scored == len(ledger.guesses) - ledger.guesses.count(UNSET)
 
 
 # Two-party measure-resend runs on hop 1 with min_check_size=1 whose small

@@ -3,6 +3,7 @@ summary statistics and the schema of the file it writes, without running
 the benchmark."""
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -153,3 +154,53 @@ def test_each_record_is_read_before_the_next_run_overwrites_it(tmp_path):
     assert [run["record"]["n"] for run in runs] == [1, 2]
     assert [run["ops"] for run in runs] == [1, 2]
     assert runs[1]["result"]["attempted"] == 2
+
+
+def test_each_round_ends_timing_the_acceptance_tests_once_per_side():
+    workloads = (*record_bench.WORKLOADS, record_bench.ACCEPTANCE)
+    steps = record_bench.plan(workloads, "audit", 1, 314159, 4)
+    run_one, calls = canned_runner()
+
+    def timed(side, workload, seed):
+        if workload != record_bench.ACCEPTANCE:
+            return run_one(side, workload, seed)
+        calls.append((side, workload, seed))
+        k = sum(1 for call in calls if call == (side, workload, seed)) - 1
+        return (10.0 if side == "parent" else 9.0) + k  # canned wall seconds
+
+    runs = record_bench.collect(steps, timed)
+    acceptance = runs.pop("seed1/acceptance")
+    assert set(runs) == {f"seed1/{w}" for w in record_bench.WORKLOADS} | {"seed314159/audit"}
+    # Round k times the acceptance tests after its workloads, the parent
+    # first in even rounds.
+    per_round = 2 * len(workloads)
+    for k in range(4):
+        order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
+        round_calls = calls[k * per_round : (k + 1) * per_round]
+        assert [call[0] for call in round_calls[-2:]] == order
+        assert [call[1] for call in round_calls[-2:]] == [record_bench.ACCEPTANCE] * 2
+    assert [pair["first"] for pair in acceptance] == ["parent", "change", "parent", "change"]
+
+    summary = record_bench.acceptance_summary(acceptance)
+    assert json.loads(json.dumps(summary)) == summary  # it is plain JSON
+    assert summary["command"] == "python -m pytest -q -p no:cacheprovider tests/test_acceptance.py"
+    assert summary["parent"] == {"median": 11.5, "quartiles": [10.25, 11.5, 12.75]}
+    assert summary["change"] == {"median": 10.5, "quartiles": [9.25, 10.5, 11.75]}
+    assert [pair["change"] for pair in summary["pairs"]] == [9.0, 10.0, 11.0, 12.0]
+
+
+@pytest.mark.parametrize("returncode", [0, 1])
+def test_acceptance_tests_run_against_the_sides_own_source(tmp_path, monkeypatch, returncode):
+    seen = []
+
+    def canned(args, cwd, env, **kwargs):
+        seen.append((args[1:], cwd, env["PYTHONPATH"], env["PYTHONDONTWRITEBYTECODE"]))
+        return subprocess.CompletedProcess(args, returncode, "canned output", "")
+
+    monkeypatch.setattr(record_bench.subprocess, "run", canned)
+    if returncode:
+        with pytest.raises(RuntimeError, match="canned output"):
+            record_bench.time_acceptance(tmp_path)
+    else:
+        assert record_bench.time_acceptance(tmp_path) >= 0.0
+    assert seen == [(list(record_bench.ACCEPTANCE_COMMAND), tmp_path, "src", "1")]

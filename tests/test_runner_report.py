@@ -575,6 +575,23 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["json.loads", "verify_report"])
+    def test_verify_out_of_memory_is_one_line_error(self, tmp_path, capsys, monkeypatch, where):
+        out = tmp_path / "r.json"
+        assert main(["run", "--pairs", "20", "--out", str(out)]) == 0
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(f"eprqkd.cli.{where}", exhausted)
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "out of memory" in captured.err
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert not captured.out
+
     @pytest.mark.parametrize(
         "mangle",
         [
