@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConfigurationError, require_field_types, require_known_keys
-from .ledger import DIGITS, Disposition, PairLedger, code_string, gather, joint_counts
+from .ledger import DIGITS, Disposition, PairLedger, code_string
 from .quantum import BELL_LABELS, CODES, KEYS, OPS, PAIR_BASIS, BellState, measure_column
 # Unused here; the benchmark's traced run (bench/workloads.py) wraps these bindings.
 from .quantum import measure_bell_basis, measure_qubit_z  # noqa: F401
@@ -120,18 +120,19 @@ def _measure_resend(channel, transmission, ledger):
     live = ledger.live
     which = "second" if transmission == 1 else "first"
     keys = channel.rng.quarters(len(live)).translate(KEYS[OPS[which]["z"]])
-    measured, posts = measure_column(gather(ledger.state, live), keys)
-    ledger.spread(posts, ledger.state)
+    measured, posts = measure_column(ledger.column("state"), keys)
+    ledger.fill("state", posts)
     if transmission == 1 or not ledger.guesses:
-        ledger.guesses, ledger.guess_alphabet = ledger.spread(measured), _BITS
+        ledger.fill("guesses", measured)
+        ledger.guess_alphabet = _BITS
     elif live:
         # Every pair still in flight was Z-measured on its other half at
         # transmission 1; her two bits name a guess like a key code, this
         # first-half bit high. With no pair left in flight her one-bit guesses
         # stand, and so do the bits of a second sequence she alone measured.
-        first = int.from_bytes(gather(ledger.guesses, live))
-        guesses = (int.from_bytes(measured) << 1 | first).to_bytes(len(live))
-        ledger.guesses, ledger.guess_alphabet = ledger.spread(guesses), CODES
+        first = int.from_bytes(ledger.column("guesses"))
+        ledger.fill("guesses", (int.from_bytes(measured) << 1 | first).to_bytes(len(live)))
+        ledger.guess_alphabet = CODES
     if ledger.transcript is None:
         return None
     return {"measured": len(measured), "outcomes": measured.translate(DIGITS).decode()}
@@ -140,20 +141,18 @@ def _measure_resend(channel, transmission, ledger):
 def _fake_epr(channel, transmission, ledger):
     live, rng = ledger.live, channel.rng
     if transmission == 1:
+        # A uniform label is rng.uniform_index(4) per pair, which is int(r * 4)
+        # of one draw.
         label = channel.strategy.fake_label
-        if label is None:
-            # rng.uniform_index(4) per pair, which is int(r * 4) of one draw.
-            fakes = rng.quarters(len(live))
-        else:
-            fakes = bytes([label]) * len(live)
-        ledger.planted = ledger.spread(fakes)
+        fakes = rng.quarters(len(live)) if label is None else bytes([label]) * len(live)
+        ledger.fill("planted", fakes)
         if ledger.transcript is None:
             return None
         return {"captured": len(live), "planted": len(live), "fake_codes": code_string(fakes)}
     keys = rng.quarters(len(live)).translate(KEYS[PAIR_BASIS])
     # The genuine pairs are consumed here: their post states are not kept.
-    found, _ = measure_column(gather(ledger.state, live), keys)
-    ledger.guesses = ledger.spread(found)
+    found, _ = measure_column(ledger.column("state"), keys)
+    ledger.fill("guesses", found)
     if ledger.transcript is None:
         return None
     return {"captured": len(live), "inferred_codes": code_string(found)}
@@ -162,15 +161,14 @@ def _fake_epr(channel, transmission, ledger):
 def _opaque(channel, transmission, ledger):
     rand, p = channel.rng.random, channel.strategy.destroy_probability
     in_flight = len(ledger.live)
-    destroyed = [i for i in ledger.live if rand() < p]  # rng.bernoulli(p) per pair
-    ledger.settle(destroyed, Disposition.DROPPED)
+    # rng.bernoulli(p) per pair, by position in live; settling none would
+    # still cut every column once.
+    lost = [j for j in range(in_flight) if rand() < p]
+    destroyed = ledger.settle(lost, Disposition.DROPPED) if lost else lost
     if ledger.transcript is None:
         return None
-    return {
-        "destroyed": len(destroyed),
-        "forwarded": in_flight - len(destroyed),
-        "destroyed_indices": destroyed,
-    }
+    lost = len(destroyed)
+    return {"destroyed": lost, "forwarded": in_flight - lost, "destroyed_indices": destroyed}
 
 
 _ATTACKS = {
@@ -209,4 +207,4 @@ def eve_guess_counts(ledger: PairLedger) -> dict[str, dict[str, int]]:
     guessed. The ``prepared`` column supplies only the true codes being
     guessed at; the attack never reads it. An empty result means Eve
     recorded nothing."""
-    return joint_counts(ledger.prepared, ledger.guesses, ledger.guess_alphabet)
+    return ledger.counts("guesses", ledger.guess_alphabet)

@@ -1,37 +1,47 @@
 """Bookkeeping types for a protocol run.
 
-A trial is described by a ledger of columns, one entry per entangled pair,
-indexed by pair ordinal: the preparation code, the genuine pair's state code
-(``quantum``'s int codes: a pair-state label, or a product of Z/X
-eigenstates once a half was measured), the planted pair's code, the decode
-result, the adversary's guess and the disposition (consumed by a check,
-contributing to the key, or lost in transit). The code columns are byte
-strings, one byte per pair, and ``UNSET`` (255, which is no state code)
-marks a pair with no value: no decode result, no planted pair, no adversary
-guess. A step gathers the bytes of the pairs it acts on (``gather``: the
-ledger's ``live`` pairs, or a check's sample), measures them in one
-``quantum.measure_column`` call and writes back only the post states a later
-step reads. A measurement that consumes its pairs (either check, the decode,
-or the fake-EPR adversary's capture of the genuine pairs) writes back none,
-so ``state`` keeps each such pair's code from before it. No step builds an
-object per pair; ``PairLedger.records`` assembles read-only ``PairRecord``
-views, with None for ``UNSET``, only when something reads it.
+A trial is described by a ledger of byte columns, one byte per pair: the
+preparation codes, the genuine pairs' state codes (``quantum``'s int codes:
+a pair-state label, or a product of Z/X eigenstates once a half was
+measured), the planted pairs' codes, the decode results and the adversary's
+guesses. ``prepared`` is held by pair ordinal, for the checks and the keys
+that read it so. It, and every other column a later step reads, is held
+compacted to the live pairs (the pairs with no terminal disposition yet) in
+ordinal order: ``PairLedger.column`` reads one, and ``live`` lists the
+ordinals its bytes stand for. So a step that acts on the live pairs (a
+transmission's attack, the decode) measures whole columns in one
+``quantum.measure_column`` call, and a check gathers its sample's bytes by
+position in them. A step writes back, with ``PairLedger.fill``, only the
+post states a later step reads; a measurement that consumes its pairs
+(either check, the decode, or the fake-EPR adversary's capture of the
+genuine pairs) writes back none.
 
-A column that a step fills at the live pairs (the planted pairs, the decode
-results, the adversary's guesses) is empty until that step, which builds it
-whole with ``PairLedger.spread``: ``UNSET`` at every pair no longer live.
-So such a column is either empty or one byte per pair, and ``records`` pads
-an empty one with ``UNSET``. ``joint_counts`` counts two such columns
-against each other as bytes.
+A settle gives some live pairs a terminal disposition (consumed by a check,
+contributing to the key, or lost in transit) and drops them from ``live``
+with C-level byte operations on its keep mask, a byte per live pair that is
+1 where the pair stays: ``itertools.compress`` cuts the ordinal list with
+it, and a column is cut on its first read after the settle, by setting the
+high bit of each kept byte with one big-int OR and deleting the bytes
+without it in one ``translate``, which clears the bit on the rest. Every
+code is below 0x80, so a compact column holds no such byte of its own, and
+a trial that aborts cuts no column. The terminal dispositions are a settle
+log of (ordinals, disposition); a settle of every live pair, at an abort or
+at key extraction, logs ``live`` itself and cuts nothing, so it is O(1).
+No step builds an object per pair: ``PairLedger.records`` rebuilds
+read-only ``PairRecord`` views from the settle log and the fill log, with
+None where a pair has no value, and ``disposition_counts`` reads the settle
+log, only when something reads them. ``PairLedger.counts`` counts a filled
+column against the prepared codes of the pairs it was filled at, as bytes,
+with ``joint_counts``.
 
 The run's progress is one ledger field, ``phase``. The pairs still live all
 stand at the same stage, so their shared disposition, ``stage``, follows
-from the phase, and the disposition column holds only the terminal fates.
+from the phase, and the settle log holds only the terminal fates.
 
 The planted column holds the pairs the fake-EPR adversary planted in place
 of the genuine ones; once it is filled, the receiver's measurements act on
-it rather than on ``state``. Who holds which particle follows from the
-disposition: the receiver holds a pair's second half from the first
+it rather than on the genuine pairs. Who holds which particle follows from
+the disposition: the receiver holds a pair's second half from the first
 transmission on unless the pair was ``DROPPED``, and holds the whole pair
 (planted or genuine) once it is ``IN_FLIGHT_2``.
 
@@ -52,6 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from json import JSONEncoder
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
@@ -71,10 +82,14 @@ _encode_payload = c_make_encoder(
 # One event as that json.dumps call writes it: its five keys in sorted order.
 _EVENT_LINE = '{"actor":%s,"event":%s,"payload":%s,"step":%d,"trial":%d}\n'
 
-# The byte a code column holds where a pair has no value. It is no state
-# code, so measuring it raises.
+# The byte that marks a pair with no value, which joint_counts skips. It is
+# no state code, so measuring it raises.
 UNSET = 255
-_UNSET_BYTE = bytes([UNSET])
+# A settle's keep mask is 1 at each kept position, and shifted left 7 bits
+# it is 0x80 there: a column's cut sets that high bit on the kept bytes,
+# deletes the bytes left without it and clears it on the rest.
+_DROPPED = bytes(range(0x80))
+_KEPT = bytes(c & 0x7F for c in range(256))
 # Translate tables from a bit byte to its ASCII digit, for the bit strings a
 # transcript logs, and from a code byte to the digit of its high or low bit.
 DIGITS = b"01".ljust(256, b"?")
@@ -84,14 +99,14 @@ _HIGH, _LOW = (bytes(b"01"[c >> shift & 1] for c in range(256)) for shift in (1,
 _PAIR_KEYS = bytes(x << 3 | y for y in range(4) for x in range(4))
 
 
-def gather(column, indices: list[int]) -> bytes:
-    """The bytes of ``column`` at ``indices``, distinct pair ordinals in
-    increasing order; as many as the column has are every pair."""
-    if len(indices) == len(column):
-        return bytes(column)
-    if len(indices) > 1:
-        return bytes(itemgetter(*indices)(column))
-    return bytes([column[i] for i in indices])
+def _pick(items, indices) -> tuple:
+    """The items at ``indices``, in that order."""
+    return itemgetter(*indices)(items) if len(indices) > 1 else tuple(items[i] for i in indices)
+
+
+def gather(column, indices) -> bytes:
+    """The bytes of ``column`` at ``indices``, in that order."""
+    return bytes(itemgetter(*indices)(column) if len(indices) > 1 else [column[i] for i in indices])
 
 
 def code_string(codes: bytes) -> str:
@@ -166,7 +181,7 @@ class Transcript:
 
 
 class PairRecord(NamedTuple):
-    """A read-only snapshot of one pair, assembled from the ledger's columns."""
+    """A read-only snapshot of one pair, rebuilt from the ledger's logs."""
 
     index: int
     prepared: BellState
@@ -174,24 +189,33 @@ class PairRecord(NamedTuple):
     carrier: int
     fake_carrier: int | None
     outcome: BellState | None
+    guess: int | None
 
 
 class PairLedger:
-    """One trial's pairs as columns indexed by pair ordinal, plus run-level
-    state.
+    """One trial's pairs as columns compacted to the live pairs, plus
+    run-level state.
 
-    ``prepared`` holds the preparation codes and ``state`` the genuine
-    pairs' codes, each a byte per pair. ``planted`` holds the planted pairs'
-    codes, ``outcome`` the receiver's decode results and ``guesses`` the
-    adversary's guesses, each guess a byte indexing ``guess_alphabet``. Each
-    of these three is empty until the step that fills it, then a byte per
-    pair with ``UNSET`` where it has no value. ``guess_alphabet`` is
-    ``CODES`` when a guess names both bits of a pair's code (her Bell
-    measurement, or her Z bits on both halves as ``2·first + second``) and
-    the two bit names when it is her one Z bit.
-    ``live`` lists, in order, the pairs with no terminal disposition yet;
-    each has the disposition ``stage``, set by ``phase``. ``disposition`` holds
-    each settled pair's terminal disposition, and None for a live pair.
+    ``prepared`` holds the preparation codes by pair ordinal. ``live``
+    lists, in order, the ordinals of the pairs with no terminal disposition
+    yet; each has the disposition ``stage``, set by ``phase``.
+    ``positions`` is ``list(range(len(live)))``, the positions of the live
+    pairs in a compact column, from which a check draws its sample: it is
+    the list ``live`` starts as, and each cut shortens it. It still has its
+    length from before a settle of every live pair, which leaves nothing to
+    sample. ``column(name)`` is a column at the live pairs:
+    ``prepared``, the genuine pairs' ``state``, or one a step filled with
+    ``fill``: ``planted`` (the planted pairs' codes), ``outcome`` (the
+    receiver's decode results) or ``guesses`` (the adversary's guesses, each
+    a byte indexing ``guess_alphabet``). The attribute of each filled column
+    holds it as its last fill left it, one byte per pair live then, and is
+    empty until the step that fills it. ``guess_alphabet`` is ``CODES``
+    when a guess names both bits of a pair's code (her Bell measurement, or
+    her Z bits on both halves as ``2·first + second``) and the two bit
+    names when it is her one Z bit.
+    ``settled`` logs each settle's (ordinals, terminal disposition) and
+    ``fills`` each fill's (column name, cuts taken, prepared codes, codes):
+    the codes stand for the pairs live after that many cuts.
     ``transcript`` is the event log, or None when the run records none.
     """
 
@@ -202,13 +226,17 @@ class PairLedger:
         receiver: str = "bob",
         transcript: Transcript | None = None,
     ):
-        n = len(prepared)
-        self.prepared = prepared
-        self.state = bytearray(prepared)
+        self.prepared = self.state = codes = bytes(prepared)
+        self.live = self.positions = list(range(len(codes)))
         self.planted = self.outcome = self.guesses = b""
         self.guess_alphabet: tuple[str, ...] = CODES
-        self.disposition: list[Disposition | None] = [None] * n
-        self.live = list(range(n))
+        # Each column at the live pairs as (cuts taken, codes); each cut a
+        # column has not taken yet is a later entry of _cuts, a settle's keep
+        # mask.
+        self._views = {"prepared": (0, codes), "state": (0, codes)}
+        self._cuts: list[bytearray] = []
+        self.fills: list[tuple[str, int, bytes, bytes]] = []
+        self.settled: list[tuple[tuple[int, ...] | list[int], Disposition]] = []
         self.sender = sender
         self.receiver = receiver
         self.transcript = transcript
@@ -230,58 +258,85 @@ class PairLedger:
         return _STAGES[self.phase]
 
     @property
-    def receiver_state(self) -> bytes | bytearray:
+    def receiver_state(self) -> bytes:
         """The column the receiver's measurements act on: the planted pairs
         once the adversary substituted them, else the genuine ones."""
-        return self.planted or self.state
+        return self.column("planted" if self.planted else "state")
+
+    def column(self, name: str) -> bytes:
+        """Column ``name`` at the live pairs, in order, once it has taken the
+        cut of each settle since its last read."""
+        gen, codes = self._views[name]
+        if gen < len(self._cuts):
+            for keep in self._cuts[gen:]:
+                codes = int.from_bytes(codes) | int.from_bytes(keep) << 7
+                codes = codes.to_bytes(len(keep)).translate(_KEPT, _DROPPED)
+            self._views[name] = len(self._cuts), codes
+        return codes if self.live else b""
+
+    def fill(self, name: str, codes: bytes):
+        """Set column ``name`` to ``codes``, one byte per live pair, in order."""
+        self.fills.append((name, len(self._cuts), self.column("prepared"), codes))
+        self._views[name] = len(self._cuts), codes
+        setattr(self, name, codes)
+
+    def counts(self, name: str, y_names=CODES) -> dict[str, dict[str, int]]:
+        """``joint_counts`` of the prepared codes against filled column
+        ``name`` at the pairs of its last fill; {} when it was never filled."""
+        fills = getattr(self, name) and [fill for fill in self.fills if fill[0] == name]
+        return joint_counts(*fills[-1][2:], y_names) if fills else {}
+
+    def settle(self, indices: list[int], disposition: Disposition):
+        """Give the live pairs at ``indices``, increasing positions in
+        ``live``, a terminal disposition, and return their ordinals. A list
+        as long as ``live`` settles every live pair and returns ``live``
+        itself, cutting no column."""
+        live = self.live
+        if len(indices) == len(live):
+            ordinals, self.live = live, []
+        else:
+            keep = bytearray(b"\x01" * len(live))
+            for j in indices:
+                keep[j] = 0
+            # Until the first cut, the live pairs' positions are their ordinals.
+            ordinals = tuple(indices) if live is self.positions else _pick(live, indices)
+            self.live = list(compress(live, keep))
+            self._cuts.append(keep)
+            # A new, shorter list: the longer one's memory is freed, not kept.
+            self.positions = self.positions[: len(self.live)]
+        self.settled.append((ordinals, disposition))
+        return ordinals
+
+    def disposition_counts(self) -> dict[str, int]:
+        counts = {d.value: sum(len(o) for o, s in self.settled if s is d) for d in Disposition}
+        counts[self.stage.value] += len(self.live)
+        return counts
 
     @property
     def records(self) -> tuple[PairRecord, ...]:
-        """Every pair as a ``PairRecord``, built afresh on each read."""
-        unset = _UNSET_BYTE * self.n_total
-        planted, outcome = self.planted or unset, self.outcome or unset
-        stage = self.stage
-        return tuple(
-            PairRecord(
-                i,
-                BELL_LABELS[self.prepared[i]],
-                stage if self.disposition[i] is None else self.disposition[i],
-                self.state[i],
-                None if planted[i] == UNSET else planted[i],
-                None if outcome[i] == UNSET else BELL_LABELS[outcome[i]],
-            )
-            for i in range(self.n_total)
-        )
-
-    def spread(self, values: bytes, column: bytearray | None = None) -> bytearray:
-        """``column``, updated in place, or else a new full-length column of
-        ``UNSET``, holding ``values`` at the live pairs, in order."""
-        if len(self.live) == self.n_total:  # the values are the whole column
-            if column is None:
-                return bytearray(values)
-            column[:] = values
-            return column
-        if column is None:
-            column = bytearray(_UNSET_BYTE * self.n_total)
-        for i, value in zip(self.live, values):
-            column[i] = value
-        return column
-
-    def settle(self, indices: list[int], disposition: Disposition):
-        """Give the listed live pairs, each at most once, a terminal
-        disposition."""
-        column = self.disposition
-        for i in indices:
-            column[i] = disposition
-        if len(indices) == len(self.live):  # every live pair settled
-            self.live = []
-        elif indices:
-            self.live = [i for i in self.live if column[i] is None]
-
-    def disposition_counts(self) -> dict[str, int]:
-        counts = {d.value: self.disposition.count(d) for d in Disposition}
-        counts[self.stage.value] += len(self.live)
-        return counts
+        """Every pair as a ``PairRecord``, rebuilt from the settle and fill
+        logs on each read."""
+        n = self.n_total
+        fates = [self.stage] * n
+        for ordinals, disposition in self.settled:
+            for i in ordinals:
+                fates[i] = disposition
+        # A fill of the genuine states updates them; a fill of another column
+        # replaces it, leaving None at every pair the fill did not reach.
+        # A fill after k cuts is at the ordinals live after k cuts.
+        lives = [list(range(n))]
+        for keep in self._cuts:
+            lives.append(list(compress(lives[-1], keep)))
+        none = [None] * n
+        columns = {"state": list(self.prepared), "planted": none, "outcome": none, "guesses": none}
+        for name, gen, _, codes in self.fills:
+            column = columns[name] = columns[name] if name == "state" else [None] * n
+            for i, code in zip(lives[gen], codes):
+                column[i] = code
+        state, planted, outcome, guesses = columns.values()
+        outcome = [code if code is None else BELL_LABELS[code] for code in outcome]
+        labels = [BELL_LABELS[code] for code in self.prepared]
+        return tuple(map(PairRecord, range(n), labels, fates, state, planted, outcome, guesses))
 
 
 def joint_counts(prepared: bytes, ys: bytes, y_names=CODES) -> dict[str, dict[str, int]]:

@@ -73,6 +73,9 @@ _RECEIVER_KEYS = bytes(KEYS[OPS["second"][basis]][x] for basis, x in _CHECK_CASE
 _SENDER_KEYS = bytes(KEYS[OPS["first"][basis]][x] for basis, x in _CHECK_CASES).ljust(256)
 _DIFFER = bytes(not BELL_LABELS[x].correlated_in(basis) for basis, x in _CHECK_CASES).ljust(256)
 _LETTERS = b"zzxx".ljust(256)
+# The code of each pair of key bits read as a hex byte: 0x00, 0x01, 0x10 and
+# 0x11 map to 0-3.
+_HEX_CODES = bytes(b >> 3 | b & 1 for b in range(256))
 
 
 def alice_prepare(
@@ -161,32 +164,17 @@ def _transmit(ledger: PairLedger, channel: AdversaryChannel, sequence: int, step
     return received / sent if sent else 1.0
 
 
-def _draw_sample(
-    candidates: list[int], fraction: float, min_size: int, rng: RandomSource
-) -> list[int]:
-    """A check's random sample of pair indices, in pair order: a ``fraction``
-    of the candidates, and at least ``min_size`` of them when that many
-    exist."""
-    if not candidates:
+def _draw_sample(ledger: PairLedger, fraction: float, min_size: int, rng: RandomSource) -> list:
+    """A check's random sample of the live pairs, as increasing positions in
+    ``live``: a ``fraction`` of them, and at least ``min_size`` when that
+    many exist. It samples ``ledger.positions``, which is as long as
+    ``live``, so its draws, and its picks mapped through ``live``, are those
+    of a sample of ``live`` itself."""
+    m = len(ledger.live)
+    if not m:
         raise InsufficientPairsError("no pairs available to check")
-    size = min(len(candidates), max(min_size, math.ceil(fraction * len(candidates))))
-    return sorted(rng.sample_without_replacement(candidates, size))
-
-
-def _publish_check(
-    ledger: PairLedger,
-    report: CheckReport,
-    sample: list[int],
-    disposition: Disposition,
-    step: int,
-) -> CheckReport:
-    """Consume the sampled pairs and publish the check's summary."""
-    ledger.settle(sample, disposition)
-    if ledger.transcript is not None:
-        ledger.transcript.log(
-            step, "public", "check", {"check": report.check_id, **report.to_dict()}
-        )
-    return report
+    size = min(m, max(min_size, math.ceil(fraction * m)))
+    return sorted(rng.sample_without_replacement(ledger.positions, size))
 
 
 def first_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> CheckReport:
@@ -206,7 +194,7 @@ def first_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> Che
     """
     if ledger.phase is not Phase.SENT_1:
         raise ProtocolOrderError(f"first check in phase {ledger.phase.name}")
-    sample = _draw_sample(ledger.live, config.check_fraction_1, config.min_check_size, rng)
+    sample = _draw_sample(ledger, config.check_fraction_1, config.min_check_size, rng)
 
     # One block of draws: the receiver's k, then the sender's k; with random
     # bases, 2k alternating a pair's basis draw and its receiver draw, then
@@ -233,26 +221,28 @@ def first_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> Che
     # their post states.
     receiver_keys = by_basis(receiver_q, _RECEIVER_KEYS)
     receiver_bits, states = measure_column(gather(ledger.receiver_state, sample), receiver_keys)
-    states = gather(ledger.state, sample) if ledger.planted else states
+    states = gather(ledger.column("state"), sample) if ledger.planted else states
     sender_bits, _ = measure_column(states, by_basis(sender_q, _SENDER_KEYS))
+    # The sampled pairs are settled, and their prepared codes read by ordinal.
     # A pair mismatches when its bits differ where its prepared state's
     # halves agree, or agree where they differ: one bit per byte of the xor.
-    differ = int.from_bytes(by_basis(gather(ledger.prepared, sample), _DIFFER))
+    indices = ledger.settle(sample, Disposition.CHECKED_1)
+    differ = int.from_bytes(by_basis(gather(ledger.prepared, indices), _DIFFER))
     mismatches = (int.from_bytes(receiver_bits) ^ int.from_bytes(sender_bits) ^ differ).bit_count()
+    report = CheckReport("first", tuple(indices), mismatches, config.threshold_1, bases)
     transcript = ledger.transcript
     if transcript is not None:
         bits = receiver_bits.translate(DIGITS).decode()
-        payload = {"indices": sample, "bases": bases, "bits": bits}
+        payload = {"indices": indices, "bases": bases, "bits": bits}
         transcript.log(3, ledger.receiver, "measure_check_sample", payload)
-        payload = {"message": "sequence-1-received", "check_indices": sample}
+        payload = {"message": "sequence-1-received", "check_indices": indices}
         transcript.log(4, ledger.receiver, "notify", payload)
-        payload = {"indices": sample, "bits": sender_bits.translate(DIGITS).decode()}
+        payload = {"indices": indices, "bits": sender_bits.translate(DIGITS).decode()}
         transcript.log(4, ledger.sender, "measure_partner_sample", payload)
-
-    report = CheckReport("first", tuple(sample), mismatches, config.threshold_1, bases)
+        transcript.log(4, "public", "check", {"check": "first", **report.to_dict()})
     ledger.check1 = report
     ledger.phase = Phase.CHECKED_1
-    return _publish_check(ledger, report, sample, Disposition.CHECKED_1, 4)
+    return report
 
 
 def transmit_second_sequence(
@@ -279,13 +269,12 @@ def bob_decode(ledger: PairLedger, rng: RandomSource) -> PairLedger:
     """Pair-state measurement of every surviving pair, in order (step 6)."""
     if ledger.phase is not Phase.SENT_2:
         raise ProtocolOrderError(f"decode in phase {ledger.phase.name}")
-    live = ledger.live
-    keys = rng.quarters(len(live)).translate(KEYS[PAIR_BASIS])
+    keys = rng.quarters(len(ledger.live)).translate(KEYS[PAIR_BASIS])
     # The decoded pairs are consumed: their post states are not kept.
-    decoded, _ = measure_column(gather(ledger.receiver_state, live), keys)
-    ledger.outcome = ledger.spread(decoded)
+    decoded, _ = measure_column(ledger.receiver_state, keys)
+    ledger.fill("outcome", decoded)
     if ledger.transcript is not None:
-        payload = {"pairs": len(live), "codes": code_string(decoded)}
+        payload = {"pairs": len(decoded), "codes": code_string(decoded)}
         ledger.transcript.log(6, ledger.receiver, "decode", payload)
     ledger.phase = Phase.DECODED
     return ledger
@@ -298,15 +287,18 @@ def second_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> Ch
     from the key."""
     if ledger.phase is not Phase.DECODED:
         raise ProtocolOrderError(f"second check in phase {ledger.phase.name}")
-    sample = _draw_sample(ledger.live, config.check_fraction_2, config.min_check_size, rng)
+    sample = _draw_sample(ledger, config.check_fraction_2, config.min_check_size, rng)
     # The xor of the two codes is a zero byte exactly where they match.
-    outcomes, codes = gather(ledger.outcome, sample), gather(ledger.prepared, sample)
-    xor = int.from_bytes(outcomes) ^ int.from_bytes(codes)
+    outcomes = gather(ledger.column("outcome"), sample)
+    indices = tuple(ledger.settle(sample, Disposition.CHECKED_2))
+    xor = int.from_bytes(outcomes) ^ int.from_bytes(gather(ledger.prepared, indices))
     mismatches = len(sample) - xor.to_bytes(len(sample)).count(0)
-    report = CheckReport("second", tuple(sample), mismatches, config.threshold_2)
+    report = CheckReport("second", indices, mismatches, config.threshold_2)
+    if ledger.transcript is not None:
+        ledger.transcript.log(7, "public", "check", {"check": "second", **report.to_dict()})
     ledger.check2 = report
     ledger.phase = Phase.CHECKED_2
-    return _publish_check(ledger, report, sample, Disposition.CHECKED_2, 7)
+    return report
 
 
 def extract_key(ledger: PairLedger) -> KeyMaterial:
@@ -315,9 +307,8 @@ def extract_key(ledger: PairLedger) -> KeyMaterial:
         raise ProtocolOrderError(f"key extraction in phase {ledger.phase.name}")
     if not (ledger.check1 and ledger.check1.passed and ledger.check2 and ledger.check2.passed):
         raise ProtocolOrderError("key extraction after a failed check")
-    kept = ledger.live
-    key = KeyMaterial(code_string(gather(ledger.outcome, kept)), tuple(kept))
-    ledger.settle(kept, Disposition.KEY)
+    key = KeyMaterial(code_string(ledger.column("outcome")), tuple(ledger.live))
+    ledger.settle(ledger.live, Disposition.KEY)
     ledger.phase = Phase.DONE
     if ledger.transcript is not None:
         ledger.transcript.log(7, "public", "commit", {"key_bits": len(key.bits)})
@@ -492,7 +483,8 @@ def run_multiparty(
             reason = hop.abort_reason if k == 1 else f"hop{k}_{hop.abort_reason}"
             return TrialOutcome(trial, hops, reason, None)
         kept = hop.receiver_key.source_indices
-        labels = gather(hop.ledger.outcome, kept)
+        # The relay re-encodes his key: each two bits, read as a hex byte, name a code.
+        labels = bytes.fromhex(hop.receiver_key.bits).translate(_HEX_CODES)
         # The kept ordinals, mapped back to first-hop pairs.
         positions = kept if positions is None else tuple(positions[j] for j in kept)
 

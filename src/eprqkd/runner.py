@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from . import analysis
 from .adversary import eve_guess_counts
 from .config import RunConfig
-from .ledger import joint_counts
 from .protocol import ProtocolOutcome, TrialOutcome, run_multiparty
 # The benchmark's traced run (bench/workloads.py) wraps this binding.
 from .protocol import run_protocol  # noqa: F401
@@ -52,7 +51,7 @@ def trial_row(outcome: TrialOutcome) -> dict:
     # first hop's view of it.
     row["abort_reason"] = outcome.abort_reason
     row["key_length"] = len(outcome.keys[-1].bits) if outcome.keys else 0
-    row["ab_counts"] = joint_counts(first.ledger.prepared, first.ledger.outcome)
+    row["ab_counts"] = first.ledger.counts("outcome")
     row["ae_counts"] = eve_guess_counts(first.ledger)
     row["hop2"] = _hop_row(outcome.hops[1]) if len(outcome.hops) > 1 else None
     return row

@@ -89,7 +89,7 @@ class TestMeasureResend:
         }
         for rec in ledger.records:
             assert rec.carrier in products[rec.prepared.correlated]
-            assert PRODUCTS[rec.carrier - len(BELL_LABELS)][1] == ("z", ledger.guesses[rec.index])
+            assert PRODUCTS[rec.carrier - len(BELL_LABELS)][1] == ("z", rec.guess)
         assert UNSET not in ledger.guesses and len(ledger.guesses) == 500
         assert ledger.guess_alphabet == ("0", "1")
         bits = ledger.guesses
@@ -175,13 +175,13 @@ class TestFakeEpr:
             continuation_mode=True,
         )
         outcome = run_protocol(config, RandomSource(5))
-        guesses = outcome.ledger.guesses
-        decoded = [rec for rec in outcome.ledger.records if rec.outcome is not None]
+        records = outcome.ledger.records
+        decoded = [rec for rec in records if rec.outcome is not None]
         assert len(decoded) > 0
-        inferred = [i for i, code in enumerate(guesses) if code != UNSET]
+        inferred = [rec.index for rec in records if rec.guess is not None]
         assert inferred == [rec.index for rec in decoded]
         for rec in decoded:
-            assert guesses[rec.index] == rec.prepared
+            assert rec.guess == rec.prepared
 
 
 class TestOpaque:
@@ -250,8 +250,8 @@ class TestEveInformation:
         outcome = self.run_with(AttackKind.FAKE_EPR, pairs=400)
         counts = eve_guess_counts(outcome.ledger)
         total = sum(n for row in counts.values() for n in row.values())
-        guesses = outcome.ledger.guesses
-        assert total == len(guesses) - guesses.count(UNSET)
+        guessed = [rec for rec in outcome.ledger.records if rec.guess is not None]
+        assert total == len(guessed) == len(outcome.ledger.guesses)
 
     def test_single_bits_stand_when_check_one_consumes_every_pair(self):
         # Five pairs are all sampled by the first check, so none is in flight
@@ -275,7 +275,7 @@ class TestEveInformation:
         transmit_second_sequence(ledger, chan, RunConfig())
         live = [rec.index for rec in with_disposition(ledger, Disposition.IN_FLIGHT_2)]
         assert ledger.guess_alphabet == ("0", "1")
-        assert [i for i, bit in enumerate(ledger.guesses) if bit != UNSET] == live
+        assert [rec.index for rec in ledger.records if rec.guess is not None] == live
         counts = eve_guess_counts(ledger)
         assert set(counts) <= set(CODES)
         assert {guess for row in counts.values() for guess in row} <= {"0", "1"}

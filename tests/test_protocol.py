@@ -1,4 +1,6 @@
+import hashlib
 import json
+from itertools import product
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -231,13 +233,15 @@ class TestFirstCheck:
         report = first_check(ledger, cfg, RandomSource(7, "bob"))
         checked = {rec.index for rec in with_disposition(ledger, Disposition.CHECKED_1)}
         assert checked == set(report.sample_indices)
-        # A column built by spread holds its values at the live pairs, in
-        # order, and UNSET at a checked pair.
-        values = bytes(j % UNSET for j in range(len(ledger.live)))
-        column = ledger.spread(values)
-        assert len(column) == ledger.n_total
-        assert bytes(column[i] for i in ledger.live) == values
-        assert all(column[i] == UNSET for i in checked)
+        # A column holds a byte per live pair, in order: the prepared codes
+        # at the live ordinals, and a filled column's values, which the
+        # records show at the live pairs and nowhere else.
+        assert ledger.column("prepared") == bytes(ledger.prepared[i] for i in ledger.live)
+        values = bytes(j % 4 for j in range(len(ledger.live)))
+        ledger.fill("outcome", values)
+        outcomes = {rec.index: rec.outcome for rec in ledger.records}
+        assert [outcomes[i] for i in ledger.live] == [BELL_LABELS[v] for v in values]
+        assert all(outcomes[i] is None for i in checked)
         transmit_second_sequence(ledger, clean_channel(), RunConfig())
         in_flight = {rec.index for rec in with_disposition(ledger, Disposition.IN_FLIGHT_2)}
         assert in_flight.isdisjoint(checked)
@@ -322,7 +326,7 @@ class TestDecodeAndSecondCheck:
 class TestExtractKey:
     def synthetic_decoded_ledger(self, labels):
         ledger = prepare_from_labels(labels)
-        ledger.outcome = list(ledger.prepared)
+        ledger.fill("outcome", bytes(ledger.prepared))
         ledger.phase = Phase.CHECKED_2
         ledger.check1 = CheckReport("first", (0,), 0, 0.02)
         ledger.check2 = CheckReport("second", (0,), 0, 0.02)
@@ -394,16 +398,16 @@ class TestLedgerColumns:
         for rec in ledger.records:
             assert rec.fake_carrier is None
             if rec.index in checked:
-                assert ledger.outcome[rec.index] == UNSET and rec.outcome is None
+                assert rec.outcome is None
             else:
                 assert rec.outcome is rec.prepared
 
     def test_records_map_unplanted_pairs_to_none(self):
-        # A planted column set after a check holds UNSET at the checked pairs.
+        # A planted column filled after a check leaves the checked pairs out.
         ledger = alice_prepare(40, RandomSource(13, "alice"))
         transmit_first_sequence(ledger, clean_channel())
         report = first_check(ledger, RunConfig(min_check_size=4), RandomSource(13, "bob"))
-        ledger.planted = ledger.spread(bytes([BellState.PSI2]) * len(ledger.live))
+        ledger.fill("planted", bytes([BellState.PSI2]) * len(ledger.live))
         checked = set(report.sample_indices)
         for rec in ledger.records:
             expected = None if rec.index in checked else BellState.PSI2
@@ -859,23 +863,68 @@ class TestMultiparty:
         assert {"alice", "bob", "clare", "public"} <= actors
 
 
+# The differential grid's attack variants (tests/test_differential.py).
+GRID_ATTACKS = [
+    AttackStrategy(),
+    AttackStrategy(kind=AttackKind.MEASURE_RESEND),
+    AttackStrategy(kind=AttackKind.MEASURE_RESEND, measure_second_sequence=True),
+    AttackStrategy(kind=AttackKind.FAKE_EPR),
+    AttackStrategy(kind=AttackKind.FAKE_EPR, fake_label=None),
+    AttackStrategy(kind=AttackKind.OPAQUE, destroy_probability=0.3),
+]
+# SHA-256 of every hop's records and disposition counts over that grid, at
+# 5, 64 and 300 pairs: a change to how the ledger holds its pairs must leave
+# each pair's fate, carrier, planted pair and decode result as they were.
+RECORDS_SHA256 = "99b47b892bfd0c560d62407ddffdfa945ba83ba272791d2f67fa4d0e1c29a2e2"
+
+
+def hop_records_digest() -> str:
+    digest = hashlib.sha256()
+    grid = product(GRID_ATTACKS, (2, 3), (False, True), (False, True), (5, 64, 300))
+    for attack, parties, continuation_mode, randomize_check_basis, pairs in grid:
+        cfg = RunConfig(
+            pairs=pairs,
+            trials=2,
+            seed=5,
+            attack=attack,
+            parties=parties,
+            min_check_size=4,
+            loss_tolerance=0.5,
+            continuation_mode=continuation_mode,
+            randomize_check_basis=randomize_check_basis,
+        )
+        for trial in range(cfg.trials):
+            for hop in run_multiparty(cfg, trial).hops:
+                ledger = hop.ledger
+                records = [
+                    (r.index, r.prepared, r.disposition.value, r.carrier, r.fake_carrier, r.outcome)
+                    for r in ledger.records
+                ]
+                line = json.dumps([records, ledger.disposition_counts()], sort_keys=True)
+                digest.update(line.encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_hop_records_are_pinned():
+    assert hop_records_digest() == RECORDS_SHA256
+
+
 def assert_hop_finished(hop):
-    """Every pair terminal; two key bits per unchecked, undropped pair; an
-    abort reason exactly when there is no key; each column a step fills at
-    the live pairs empty or whole, and Eve scored on exactly her guesses."""
+    """Every pair settled exactly once in the settle log, whose counts sum
+    to the pairs prepared; two key bits per pair settled as key; an abort
+    reason exactly when there is no key; and Eve scored on exactly her
+    guesses."""
     ledger = hop.ledger
+    settled = [i for ordinals, _ in ledger.settled for i in ordinals]
+    assert sorted(settled) == list(range(ledger.n_total)) and not ledger.live
     counts = ledger.disposition_counts()
-    spent = counts["checked-1"] + counts["checked-2"] + counts["dropped"]
-    assert spent + counts["key"] == ledger.n_total
+    assert sum(counts.values()) == len(settled) == ledger.n_total
     key_length = len(hop.receiver_key.bits) if hop.receiver_key else 0
-    assert key_length == 2 * (ledger.n_total - spent)
+    assert key_length == 2 * counts["key"]
     assert (hop.abort_reason is None) == (hop.receiver_key is not None)
     assert (hop.abort_reason is None) == (key_length > 0)
-    for column in (ledger.planted, ledger.outcome, ledger.guesses):
-        assert len(column) in (0, ledger.n_total)
-    assert (ledger.receiver_state is ledger.planted) == bool(ledger.planted)
     scored = sum(n for row in eve_guess_counts(ledger).values() for n in row.values())
-    assert scored == len(ledger.guesses) - ledger.guesses.count(UNSET)
+    assert scored == len(ledger.guesses)
 
 
 # Two-party measure-resend runs on hop 1 with min_check_size=1 whose small

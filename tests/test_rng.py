@@ -171,6 +171,23 @@ def test_sample_without_replacement_overdraw_rejected():
         RandomSource(8).sample_without_replacement([1, 2], 3)
 
 
+@given(
+    st.integers(0, 2**64 - 1),
+    st.sets(st.integers(0, 10**6), max_size=300).map(sorted),
+    st.data(),
+)
+def test_a_positions_sample_mapped_through_live_is_a_sample_of_live(seed, live, data):
+    # A check samples the positions 0..len(live)-1 of the live pairs and maps
+    # its picks through live: the same sorted ordinals, and the same
+    # generator state after, as sampling live itself.
+    k = data.draw(st.integers(0, len(live)))
+    by_position, by_ordinal = RandomSource(seed), RandomSource(seed)
+    picks = by_position.sample_without_replacement(list(range(len(live))), k)
+    ordinals = by_ordinal.sample_without_replacement(live, k)
+    assert [live[j] for j in sorted(picks)] == sorted(ordinals)
+    assert by_position._rng.getstate() == by_ordinal._rng.getstate()
+
+
 def test_sample_without_replacement_is_unbiased_enough():
     # Every element should appear with frequency k/n across repetitions.
     n, k, reps = 20, 5, 4000
