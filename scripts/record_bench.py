@@ -255,8 +255,11 @@ def acceptance_summary(pairs: list[dict]) -> dict:
     return summary
 
 
-def document(what: str, claim: dict, sides: dict, runs: dict, traces: dict, better: dict) -> dict:
-    """The BENCH file: ``runs`` and ``traces`` hold what ``run_bench`` returned."""
+def document(
+    what: str, claim: dict, sides: dict, runs: dict, traces: dict, acceptance: list, better: dict
+) -> dict:
+    """The BENCH file: ``runs`` and ``traces`` hold what ``run_bench``
+    returned, ``acceptance`` the acceptance tests' pairs of wall seconds."""
     metas = {side: next(iter(runs.values()))[0][side]["record"]["meta"] for side in SIDES}
     machine = {key: metas["change"][key] for key in MACHINE}
     sides = {side: {**sides[side], **{key: metas[side][key] for key in SOURCE}} for side in SIDES}
@@ -275,6 +278,7 @@ def document(what: str, claim: dict, sides: dict, runs: dict, traces: dict, bett
         "summary": {label: summarize(pairs, better) for label, pairs in kept.items()},
         "runs": kept,
         "trace1": {key: trace_summary(traced) for key, traced in traces.items()},
+        "acceptance_wall_s": acceptance_summary(acceptance),
     }
 
 
@@ -325,8 +329,7 @@ def main(argv=None) -> int:
         traces = {
             f"{side}/{w}": [pair[side] for pair in traced[w]] for w in WORKLOADS for side in SIDES
         }
-    result = document(args.what, claim, sides, runs, traces, better)
-    result["acceptance_wall_s"] = acceptance_summary(acceptance)
+    result = document(args.what, claim, sides, runs, traces, acceptance, better)
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {args.out}")
     return 0

@@ -22,9 +22,10 @@ with C-level byte operations on its keep mask, a byte per live pair that is
 1 where the pair stays: ``itertools.compress`` cuts the ordinal list with
 it, and a column is cut on its first read after the settle, by setting the
 high bit of each kept byte with one big-int OR and deleting the bytes
-without it in one ``translate``, which clears the bit on the rest. Every
-code is below 0x80, so a compact column holds no such byte of its own, and
-a trial that aborts cuts no column. The terminal dispositions are a settle
+without it in one ``translate``, which clears the bit on the rest. That cut
+rests on the columns' one contract: a compact column holds one code below
+0x80 per live pair, so no byte of a column has the high bit of its own. A
+trial that aborts cuts no column. The terminal dispositions are a settle
 log of (ordinals, disposition); a settle of every live pair, at an abort or
 at key extraction, logs ``live`` itself and cuts nothing, so it is O(1).
 No step builds an object per pair: ``PairLedger.records`` rebuilds
@@ -82,9 +83,6 @@ _encode_payload = c_make_encoder(
 # One event as that json.dumps call writes it: its five keys in sorted order.
 _EVENT_LINE = '{"actor":%s,"event":%s,"payload":%s,"step":%d,"trial":%d}\n'
 
-# The byte that marks a pair with no value, which joint_counts skips. It is
-# no state code, so measuring it raises.
-UNSET = 255
 # A settle's keep mask is 1 at each kept position, and shifted left 7 bits
 # it is 0x80 there: a column's cut sets that high bit on the kept bytes,
 # deletes the bytes left without it and clears it on the rest.
@@ -340,16 +338,18 @@ class PairLedger:
 
 
 def joint_counts(prepared: bytes, ys: bytes, y_names=CODES) -> dict[str, dict[str, int]]:
-    """Nested counts {key code of prepared[i]: {y_names[ys[i]]: n}} over the
-    pairs whose ys byte is not ``UNSET``, in order of first appearance.
+    """Nested counts {key code of prepared[i]: {y_names[ys[i]]: n}} over
+    every pair, in order of first appearance.
 
-    ``ys`` is as long as ``prepared``, or empty for no pair. Each pair is
-    the byte ``prepared[i] << 3 | ys[i]``, built for every pair at once
-    (``UNSET`` where ``ys[i]`` is), and each of the at most
-    ``4 * len(y_names)`` possible bytes is found and counted in one pass.
+    ``ys`` holds one y per pair, an index into ``y_names``, and is as long as
+    ``prepared`` or empty for no pair: a compact column and the prepared
+    codes of the pairs it was filled at. Each pair is the byte
+    ``prepared[i] << 3 | ys[i]``, built for every pair at once, and each of
+    the at most ``4 * len(y_names)`` possible bytes is found and counted in
+    one pass.
     """
     counts: dict[str, dict[str, int]] = {}
-    if ys.count(UNSET) == len(ys):
+    if not ys:
         return counts
     pairs = (int.from_bytes(prepared) << 3 | int.from_bytes(ys)).to_bytes(len(ys))
     keys = _PAIR_KEYS[: 4 * len(y_names)]

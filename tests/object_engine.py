@@ -11,18 +11,20 @@ equal the package's byte for byte (``test_differential.py``).
 
 Only what ``run_protocol`` and ``run_multiparty`` need is kept: there are no
 phase guards and no API for driving single steps. The value types that did
-not change (``CheckReport``, ``KeyMaterial``, ``Transcript``, the configs)
-come from the package.
+not change (``CheckReport``, ``KeyMaterial``, the configs) come from the
+package. The transcript is its own: each line is written with plain
+``json.dumps``, the byte contract itself, not with the package's encoder.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
 from eprqkd.adversary import AttackKind, AttackStrategy
 from eprqkd.config import RunConfig
 from eprqkd.errors import InsufficientPairsError
-from eprqkd.ledger import CheckReport, Disposition, KeyMaterial, Transcript
+from eprqkd.ledger import CheckReport, Disposition, KeyMaterial
 from eprqkd.quantum import BELL_LABELS, BellState
 from eprqkd.rng import RandomSource
 
@@ -70,6 +72,27 @@ def bell_overlaps(state) -> dict[BellState, float]:
 def measure_bell_basis(state, rng: RandomSource) -> BellState:
     probs = bell_overlaps(state)
     return BELL_LABELS[rng.categorical([probs[label] for label in BELL_LABELS])]
+
+
+# -- transcript ----------------------------------------------------------------
+
+
+class Transcript:
+    """A run's events as JSON lines: the fields trial, step, actor, event and
+    payload, the payload being ``extra`` updated with the logged fields."""
+
+    def __init__(self, trial: int = 0, extra: dict | None = None):
+        self.trial = trial
+        self.extra = extra or {}
+        self.lines: list[str] = []
+
+    def log(self, step: int, actor: str, event: str, payload: dict | None = None):
+        fields = {"trial": self.trial, "step": step, "actor": actor, "event": event}
+        fields["payload"] = {**self.extra, **(payload or {})}
+        self.lines.append(json.dumps(fields, sort_keys=True, separators=(",", ":")) + "\n")
+
+    def to_jsonl(self) -> str:
+        return "".join(self.lines)
 
 
 # -- records -------------------------------------------------------------------

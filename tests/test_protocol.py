@@ -9,7 +9,6 @@ from eprqkd.adversary import AdversaryChannel, AttackKind, AttackStrategy, eve_g
 from eprqkd.config import RunConfig
 from eprqkd.errors import ConfigurationError, ProtocolOrderError
 from eprqkd.ledger import (
-    UNSET,
     CheckReport,
     Disposition,
     KeyMaterial,
@@ -31,7 +30,7 @@ from eprqkd.protocol import (
     transmit_first_sequence,
     transmit_second_sequence,
 )
-from eprqkd.quantum import BELL_LABELS, CODES, BellState, make_bell_state
+from eprqkd.quantum import BELL_LABELS, CODES, N_STATES, BellState, make_bell_state
 from eprqkd.rng import RandomSource, three_sigma
 
 
@@ -440,7 +439,9 @@ class TestLedgerColumns:
         names, pairs = names_and_pairs
         prepared = bytes(x for x, _ in pairs)
         ys = [y for _, y in pairs]
-        counts = joint_counts(prepared, bytes(UNSET if y is None else y for y in ys), names)
+        # A column holds a y for each pair it was filled at, and only those.
+        valued = [(x, y) for x, y in pairs if y is not None]
+        counts = joint_counts(bytes(x for x, _ in valued), bytes(y for _, y in valued), names)
         expected = self.reference_counts(prepared, ys, names)
         # Equal, and in the same order of first appearance.
         assert [(x, list(row.items())) for x, row in counts.items()] == [
@@ -912,8 +913,10 @@ def test_hop_records_are_pinned():
 def assert_hop_finished(hop):
     """Every pair settled exactly once in the settle log, whose counts sum
     to the pairs prepared; two key bits per pair settled as key; an abort
-    reason exactly when there is no key; and Eve scored on exactly her
-    guesses."""
+    reason exactly when there is no key; Eve scored on exactly her
+    guesses; and every fill one code in its column's range (so below 0x80,
+    which a settle's cut of the column relies on) per pair it was filled
+    at."""
     ledger = hop.ledger
     settled = [i for ordinals, _ in ledger.settled for i in ordinals]
     assert sorted(settled) == list(range(ledger.n_total)) and not ledger.live
@@ -925,6 +928,12 @@ def assert_hop_finished(hop):
     assert (hop.abort_reason is None) == (key_length > 0)
     scored = sum(n for row in eve_guess_counts(ledger).values() for n in row.values())
     assert scored == len(ledger.guesses)
+    # The codes each column can hold: a state, a decoded pair or a guess.
+    ranges = {"state": N_STATES, "planted": N_STATES, "outcome": len(CODES)}
+    ranges["guesses"] = len(ledger.guess_alphabet)
+    for name, _, prepared, codes in ledger.fills:
+        assert len(codes) == len(prepared)
+        assert max(codes, default=0) < ranges[name]
 
 
 # Two-party measure-resend runs on hop 1 with min_check_size=1 whose small

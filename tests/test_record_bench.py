@@ -61,6 +61,8 @@ def canned_runner(trace: int = 0):
     def run_one(side, workload, seed):
         calls.append((side, workload, seed))
         k = sum(1 for call in calls if call == (side, workload, seed)) - 1
+        if workload == record_bench.ACCEPTANCE:
+            return (10.0 if side == "parent" else 9.0) + k  # canned wall seconds
         return canned_run(side, workload, seed, trace, k)
 
     return run_one, calls
@@ -83,9 +85,39 @@ def test_pairs_alternate_which_side_runs_first():
     assert len(calls) == 2 * 9
 
 
+# The keys of a committed BENCH file, each level's set (the file's own, and
+# those of its machine, a side, a label's summary, a metric's summary, a
+# kept pair and one side's run in it, and a traced side and workload).
+DOCUMENT_KEYS = {
+    "what", "machine", "sides", "claim", "summary", "runs", "trace1", "acceptance_wall_s"
+}
+MACHINE_KEYS = {"cpu_model", "cpus_usable", "nproc", "numpy", "python"}
+SIDE_KEYS = {"commit", "src_lines", "src_sha256"}
+SUMMARY_KEYS = {*BETTER, "ops", "failed_of_attempted", "all_correct"}
+METRIC_SUMMARY_KEYS = {
+    "better",
+    "parent_median",
+    "change_median",
+    "parent_quartiles",
+    "change_quartiles",
+    "ratio_change_over_parent",
+    "paired_ratios",
+    "parent_iqr",
+    "change_wins",
+    "median_gap_exceeds_parent_iqr",
+}
+PAIR_KEYS = {"first", "parent", "change"}
+RUN_KEYS = {"correct", "ops", "attempted", "failed", *BETTER}
+TRACE_KEYS = {
+    "attempted", "failures", "gate_breaches", "metrics", "missing_wrap_points", "notes", "ops"
+}
+
+
 def test_document_has_the_committed_schema():
-    steps = record_bench.plan(record_bench.WORKLOADS, "audit", 1, 314159, 10)
+    workloads = (*record_bench.WORKLOADS, record_bench.ACCEPTANCE)
+    steps = record_bench.plan(workloads, "audit", 1, 314159, 10)
     runs = record_bench.collect(steps, canned_runner()[0])
+    acceptance = runs.pop("seed1/acceptance")
     traced_one, _ = canned_runner(trace=1)
     traced = record_bench.collect([("audit", "audit", 1, k) for k in range(5)], traced_one)
     traces = {
@@ -93,22 +125,22 @@ def test_document_has_the_committed_schema():
     }
     sides = {"parent": {"commit": "p"}, "change": {"commit": "c"}}
     claim = {"workload": "audit", "metric": "trials_per_s", "rule": "r"}
-    doc = record_bench.document("w", claim, sides, runs, traces, BETTER)
+    doc = record_bench.document("w", claim, sides, runs, traces, acceptance, BETTER)
     doc = json.loads(json.dumps(doc))  # it is plain JSON
 
-    committed = json.loads((ROOT / "BENCH_24.json").read_text())
-    assert doc.keys() == committed.keys()
-    assert doc["machine"].keys() == committed["machine"].keys()
-    assert doc["sides"]["change"].keys() == committed["sides"]["change"].keys()
+    assert doc.keys() == DOCUMENT_KEYS
+    assert doc["machine"].keys() == MACHINE_KEYS
+    assert doc["sides"]["change"].keys() == SIDE_KEYS
     assert doc["sides"]["change"]["src_lines"] == 90
     label = "seed1/audit"
-    assert doc["summary"][label].keys() == committed["summary"][label].keys()
+    assert doc["summary"][label].keys() == SUMMARY_KEYS
     for metric in BETTER:
-        assert doc["summary"][label][metric].keys() == committed["summary"][label][metric].keys()
-    assert doc["runs"][label][0].keys() == committed["runs"][label][0].keys()
-    assert doc["runs"][label][0]["change"].keys() == committed["runs"][label][0]["change"].keys()
+        assert doc["summary"][label][metric].keys() == METRIC_SUMMARY_KEYS
+    assert doc["runs"][label][0].keys() == PAIR_KEYS
+    assert doc["runs"][label][0]["change"].keys() == RUN_KEYS
     assert set(doc["runs"]) == {f"seed1/{w}" for w in record_bench.WORKLOADS} | {"seed314159/audit"}
-    assert set(doc["trace1"]["change/audit"]) >= set(committed["trace1"]["change/audit"])
+    assert set(doc["trace1"]["change/audit"]) >= TRACE_KEYS
+    assert doc["acceptance_wall_s"] == record_bench.acceptance_summary(acceptance)
 
     trials = doc["summary"][label]["trials_per_s"]
     # Parent runs read 100..109 trials/s, the change 10% more in every pair.
@@ -160,15 +192,7 @@ def test_each_round_ends_timing_the_acceptance_tests_once_per_side():
     workloads = (*record_bench.WORKLOADS, record_bench.ACCEPTANCE)
     steps = record_bench.plan(workloads, "audit", 1, 314159, 4)
     run_one, calls = canned_runner()
-
-    def timed(side, workload, seed):
-        if workload != record_bench.ACCEPTANCE:
-            return run_one(side, workload, seed)
-        calls.append((side, workload, seed))
-        k = sum(1 for call in calls if call == (side, workload, seed)) - 1
-        return (10.0 if side == "parent" else 9.0) + k  # canned wall seconds
-
-    runs = record_bench.collect(steps, timed)
+    runs = record_bench.collect(steps, run_one)
     acceptance = runs.pop("seed1/acceptance")
     assert set(runs) == {f"seed1/{w}" for w in record_bench.WORKLOADS} | {"seed314159/audit"}
     # Round k times the acceptance tests after its workloads, the parent

@@ -684,6 +684,27 @@ class TestCli:
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.out + captured.err
 
+    def test_verify_reports_the_first_error_of_the_fold(self, tmp_path, capsys):
+        # Sender/receiver counts that pool to a zero-sum table, and a bool
+        # count in Eve's: the fold pools both tables before it computes
+        # either information, so the bool count is the error reported.
+        out = tmp_path / "report.json"
+        main(["run", "--pairs", "80", "--seed", "3", "--out", str(out)])
+        doc = json.loads(out.read_text())
+        for row in doc["trials"]:
+            row["ab_counts"] = {}
+        doc["trials"][0]["ab_counts"] = {"00": {"00": 0}}
+        doc["trials"][0]["ae_counts"] = {"00": {"0": True}}
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: malformed report: rows do not fit eprqkd-report/1 "
+            "(ValueError: counts must be nonnegative ints, got True)\n"
+        )
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "mangle, line",
         [
