@@ -34,7 +34,12 @@ and acceptance_wall_s.
 of the medians, the sorted per-pair ratios, the parent's interquartile
 range, the change's wins (better in its pair; ties count for neither), and
 whether the medians differ in the metric's better direction by more than
-the parent's interquartile range. ``runs[label]`` keeps every pair's
+the parent's interquartile range. It also gives the metric's ``bound``
+from ``BENCHMARK.json``, ``unresolved`` (the parent's interquartile range
+exceeds bound × the parent's median, so a median cannot resolve the bound,
+and not every change run beats every parent run) and ``regressed`` (the
+change's median is worse than the parent's by more than bound × the
+parent's median). ``runs[label]`` keeps every pair's
 end-to-end values, ``trace1["<side>/<workload>"]`` the traced medians.
 ``acceptance_wall_s`` is no ``BENCHMARK.json`` metric: it gives the
 acceptance tests' wall seconds, every pair's and each side's median and
@@ -174,13 +179,15 @@ def collect(steps: list[tuple], run_one) -> dict[str, list]:
     return runs
 
 
-def summarize_metric(parent: list[float], change: list[float], better: str) -> dict:
+def summarize_metric(parent: list[float], change: list[float], better: str, bound: float) -> dict:
     sign = 1 if better == "higher" else -1
     parent_q = statistics.quantiles(parent, n=4)
     change_q = statistics.quantiles(change, n=4)
     parent_median, change_median = statistics.median(parent), statistics.median(change)
     iqr = parent_q[2] - parent_q[0]
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    # The change's worst run against the parent's best, in the better direction.
+    sweeps = min(sign * c for c in change) > max(sign * p for p in parent)
     return {
         "better": better,
         "parent_median": parent_median,
@@ -192,18 +199,22 @@ def summarize_metric(parent: list[float], change: list[float], better: str) -> d
         "parent_iqr": iqr,
         "change_wins": f"{wins} of {len(parent)}",
         "median_gap_exceeds_parent_iqr": sign * (change_median - parent_median) > iqr,
+        "bound": bound,
+        "unresolved": iqr > bound * parent_median and not sweeps,
+        "regressed": sign * (parent_median - change_median) > bound * parent_median,
     }
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
     """One label's summary: every end-to-end metric, op counts, failures."""
     summary = {
         name: summarize_metric(
             [pair["parent"][name] for pair in pairs],
             [pair["change"][name] for pair in pairs],
-            direction,
+            metric["better"],
+            metric["bound"],
         )
-        for name, direction in better.items()
+        for name, metric in metrics.items()
     }
     summary["ops"] = {}
     summary["failed_of_attempted"] = {}
@@ -256,10 +267,11 @@ def acceptance_summary(pairs: list[dict]) -> dict:
 
 
 def document(
-    what: str, claim: dict, sides: dict, runs: dict, traces: dict, acceptance: list, better: dict
+    what: str, claim: dict, sides: dict, runs: dict, traces: dict, acceptance: list, metrics: dict
 ) -> dict:
     """The BENCH file: ``runs`` and ``traces`` hold what ``run_bench``
-    returned, ``acceptance`` the acceptance tests' pairs of wall seconds."""
+    returned, ``acceptance`` the acceptance tests' pairs of wall seconds,
+    and ``metrics`` the end-to-end metrics of ``BENCHMARK.json`` by name."""
     metas = {side: next(iter(runs.values()))[0][side]["record"]["meta"] for side in SIDES}
     machine = {key: metas["change"][key] for key in MACHINE}
     sides = {side: {**sides[side], **{key: metas[side][key] for key in SOURCE}} for side in SIDES}
@@ -275,7 +287,7 @@ def document(
         "machine": machine,
         "sides": sides,
         "claim": claim,
-        "summary": {label: summarize(pairs, better) for label, pairs in kept.items()},
+        "summary": {label: summarize(pairs, metrics) for label, pairs in kept.items()},
         "runs": kept,
         "trace1": {key: trace_summary(traced) for key, traced in traces.items()},
         "acceptance_wall_s": acceptance_summary(acceptance),
@@ -285,9 +297,9 @@ def document(
 def main(argv=None) -> int:
     args = parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
-    if args.metric not in better:
-        raise SystemExit(f"--metric must be one of {', '.join(better)}")
+    metrics = {metric["name"]: metric for metric in benchmark["end_to_end"]}
+    if args.metric not in metrics:
+        raise SystemExit(f"--metric must be one of {', '.join(metrics)}")
     dirty = git("status", "--porcelain", "--", *TREE).strip()
     head = git("rev-parse", "HEAD").strip()
     sides = {
@@ -329,7 +341,7 @@ def main(argv=None) -> int:
         traces = {
             f"{side}/{w}": [pair[side] for pair in traced[w]] for w in WORKLOADS for side in SIDES
         }
-    result = document(args.what, claim, sides, runs, traces, acceptance, better)
+    result = document(args.what, claim, sides, runs, traces, acceptance, metrics)
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {args.out}")
     return 0

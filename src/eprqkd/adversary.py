@@ -3,9 +3,9 @@
 The adversary acts only on particles while they are in flight and only on
 information she can physically obtain: her own measurement outcomes and her
 own random draws. She never reads the sender's secret preparation choices.
-What she learns is recorded in the ledger's ``guesses`` column as her guess
-per pair, in one alphabet (``guess_alphabet``), so a run can be scored
-afterwards without giving the attack code oracle access.
+What she learns is filled into the ledger's ``guesses`` column as her guess
+per pair, each fill naming the alphabet its guesses index, so a run can be
+scored afterwards without giving the attack code oracle access.
 
 Strategies:
 
@@ -122,17 +122,15 @@ def _measure_resend(channel, transmission, ledger):
     keys = channel.rng.quarters(len(live)).translate(KEYS[OPS[which]["z"]])
     measured, posts = measure_column(ledger.column("state"), keys)
     ledger.fill("state", posts)
-    if transmission == 1 or not ledger.guesses:
-        ledger.fill("guesses", measured)
-        ledger.guess_alphabet = _BITS
+    if transmission == 1 or not ledger.filled("guesses"):
+        ledger.fill("guesses", measured, _BITS)
     elif live:
         # Every pair still in flight was Z-measured on its other half at
         # transmission 1; her two bits name a guess like a key code, this
         # first-half bit high. With no pair left in flight her one-bit guesses
         # stand, and so do the bits of a second sequence she alone measured.
         first = int.from_bytes(ledger.column("guesses"))
-        ledger.fill("guesses", (int.from_bytes(measured) << 1 | first).to_bytes(len(live)))
-        ledger.guess_alphabet = CODES
+        ledger.fill("guesses", (int.from_bytes(measured) << 1 | first).to_bytes(len(live)), CODES)
     if ledger.transcript is None:
         return None
     return {"measured": len(measured), "outcomes": measured.translate(DIGITS).decode()}
@@ -152,7 +150,7 @@ def _fake_epr(channel, transmission, ledger):
     keys = rng.quarters(len(live)).translate(KEYS[PAIR_BASIS])
     # The genuine pairs are consumed here: their post states are not kept.
     found, _ = measure_column(ledger.column("state"), keys)
-    ledger.fill("guesses", found)
+    ledger.fill("guesses", found, CODES)
     if ledger.transcript is None:
         return None
     return {"captured": len(live), "inferred_codes": code_string(found)}
@@ -207,4 +205,4 @@ def eve_guess_counts(ledger: PairLedger) -> dict[str, dict[str, int]]:
     guessed. The ``prepared`` column supplies only the true codes being
     guessed at; the attack never reads it. An empty result means Eve
     recorded nothing."""
-    return ledger.counts("guesses", ledger.guess_alphabet)
+    return ledger.counts("guesses")

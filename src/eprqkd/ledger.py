@@ -11,10 +11,22 @@ ordinal order: ``PairLedger.column`` reads one, and ``live`` lists the
 ordinals its bytes stand for. So a step that acts on the live pairs (a
 transmission's attack, the decode) measures whole columns in one
 ``quantum.measure_column`` call, and a check gathers its sample's bytes by
-position in them. A step writes back, with ``PairLedger.fill``, only the
+position in them.
+
+``PairLedger.fill`` is the only writer of a column. A step fills only the
 post states a later step reads; a measurement that consumes its pairs
 (either check, the decode, or the fake-EPR adversary's capture of the
-genuine pairs) writes back none.
+genuine pairs) writes back none. Each fill is one record of the fill log,
+the plain tuple (name, cuts, prepared codes, codes, names): the column, the
+number of settles cut before it, the prepared codes of the pairs live then,
+one code per such pair, and the alphabet its codes index. That alphabet is
+``CODES`` for the decode results and for the adversary's Bell or two-bit
+guesses, the two bit names for her one-bit guesses, and None for the
+pair-state columns ``state`` and ``planted``. ``PairLedger.filled`` says
+whether a column holds codes yet, and ``PairLedger.counts`` counts the last
+fill of a column against the prepared codes of the pairs it was filled at,
+as bytes, with ``joint_counts``, naming each code through that fill's
+alphabet.
 
 A settle gives some live pairs a terminal disposition (consumed by a check,
 contributing to the key, or lost in transit) and drops them from ``live``
@@ -31,9 +43,7 @@ at key extraction, logs ``live`` itself and cuts nothing, so it is O(1).
 No step builds an object per pair: ``PairLedger.records`` rebuilds
 read-only ``PairRecord`` views from the settle log and the fill log, with
 None where a pair has no value, and ``disposition_counts`` reads the settle
-log, only when something reads them. ``PairLedger.counts`` counts a filled
-column against the prepared codes of the pairs it was filled at, as bytes,
-with ``joint_counts``.
+log, only when something reads them.
 
 The run's progress is one ledger field, ``phase``. The pairs still live all
 stand at the same stage, so their shared disposition, ``stage``, follows
@@ -196,25 +206,12 @@ class PairLedger:
 
     ``prepared`` holds the preparation codes by pair ordinal. ``live``
     lists, in order, the ordinals of the pairs with no terminal disposition
-    yet; each has the disposition ``stage``, set by ``phase``.
-    ``positions`` is ``list(range(len(live)))``, the positions of the live
-    pairs in a compact column, from which a check draws its sample: it is
-    the list ``live`` starts as, and each cut shortens it. It still has its
-    length from before a settle of every live pair, which leaves nothing to
-    sample. ``column(name)`` is a column at the live pairs:
-    ``prepared``, the genuine pairs' ``state``, or one a step filled with
-    ``fill``: ``planted`` (the planted pairs' codes), ``outcome`` (the
-    receiver's decode results) or ``guesses`` (the adversary's guesses, each
-    a byte indexing ``guess_alphabet``). The attribute of each filled column
-    holds it as its last fill left it, one byte per pair live then, and is
-    empty until the step that fills it. ``guess_alphabet`` is ``CODES``
-    when a guess names both bits of a pair's code (her Bell measurement, or
-    her Z bits on both halves as ``2·first + second``) and the two bit
-    names when it is her one Z bit.
-    ``settled`` logs each settle's (ordinals, terminal disposition) and
-    ``fills`` each fill's (column name, cuts taken, prepared codes, codes):
-    the codes stand for the pairs live after that many cuts.
-    ``transcript`` is the event log, or None when the run records none.
+    yet, whose disposition is ``stage``, set by ``phase``. ``positions`` is
+    ``list(range(len(live)))``, from which a check draws its sample; after a
+    settle of every live pair it keeps its old length. ``settled`` logs each
+    settle's (ordinals, terminal disposition) and ``fills`` each fill's
+    record (name, cuts, prepared codes, codes, names). ``transcript`` is the
+    event log, or None when the run records none.
     """
 
     def __init__(
@@ -224,16 +221,14 @@ class PairLedger:
         receiver: str = "bob",
         transcript: Transcript | None = None,
     ):
-        self.prepared = self.state = codes = bytes(prepared)
+        self.prepared = codes = bytes(prepared)
         self.live = self.positions = list(range(len(codes)))
-        self.planted = self.outcome = self.guesses = b""
-        self.guess_alphabet: tuple[str, ...] = CODES
         # Each column at the live pairs as (cuts taken, codes); each cut a
         # column has not taken yet is a later entry of _cuts, a settle's keep
         # mask.
         self._views = {"prepared": (0, codes), "state": (0, codes)}
         self._cuts: list[bytearray] = []
-        self.fills: list[tuple[str, int, bytes, bytes]] = []
+        self.fills: list[tuple[str, int, bytes, bytes, tuple[str, ...] | None]] = []
         self.settled: list[tuple[tuple[int, ...] | list[int], Disposition]] = []
         self.sender = sender
         self.receiver = receiver
@@ -259,7 +254,7 @@ class PairLedger:
     def receiver_state(self) -> bytes:
         """The column the receiver's measurements act on: the planted pairs
         once the adversary substituted them, else the genuine ones."""
-        return self.column("planted" if self.planted else "state")
+        return self.column("planted" if self.filled("planted") else "state")
 
     def column(self, name: str) -> bytes:
         """Column ``name`` at the live pairs, in order, once it has taken the
@@ -272,17 +267,23 @@ class PairLedger:
             self._views[name] = len(self._cuts), codes
         return codes if self.live else b""
 
-    def fill(self, name: str, codes: bytes):
-        """Set column ``name`` to ``codes``, one byte per live pair, in order."""
-        self.fills.append((name, len(self._cuts), self.column("prepared"), codes))
+    def fill(self, name: str, codes: bytes, names: tuple[str, ...] | None = None):
+        """Set column ``name`` to ``codes``, one byte per live pair, in order,
+        each an index into ``names`` (None for a column of pair states)."""
+        self.fills.append((name, len(self._cuts), self.column("prepared"), codes, names))
         self._views[name] = len(self._cuts), codes
-        setattr(self, name, codes)
 
-    def counts(self, name: str, y_names=CODES) -> dict[str, dict[str, int]]:
-        """``joint_counts`` of the prepared codes against filled column
-        ``name`` at the pairs of its last fill; {} when it was never filled."""
-        fills = getattr(self, name) and [fill for fill in self.fills if fill[0] == name]
-        return joint_counts(*fills[-1][2:], y_names) if fills else {}
+    def filled(self, name: str) -> bool:
+        """Whether column ``name`` holds codes: ``prepared`` and ``state``
+        from the start, another once a step filled it."""
+        return name in self._views
+
+    def counts(self, name: str) -> dict[str, dict[str, int]]:
+        """``joint_counts`` of the prepared codes against column ``name`` at
+        the pairs of its last fill, in that fill's alphabet; {} when it was
+        never filled."""
+        fills = [fill for fill in self.fills if fill[0] == name]
+        return joint_counts(*fills[-1][2:]) if fills else {}
 
     def settle(self, indices: list[int], disposition: Disposition):
         """Give the live pairs at ``indices``, increasing positions in
@@ -327,7 +328,7 @@ class PairLedger:
             lives.append(list(compress(lives[-1], keep)))
         none = [None] * n
         columns = {"state": list(self.prepared), "planted": none, "outcome": none, "guesses": none}
-        for name, gen, _, codes in self.fills:
+        for name, gen, _, codes, _ in self.fills:
             column = columns[name] = columns[name] if name == "state" else [None] * n
             for i, code in zip(lives[gen], codes):
                 column[i] = code
@@ -337,7 +338,7 @@ class PairLedger:
         return tuple(map(PairRecord, range(n), labels, fates, state, planted, outcome, guesses))
 
 
-def joint_counts(prepared: bytes, ys: bytes, y_names=CODES) -> dict[str, dict[str, int]]:
+def joint_counts(prepared: bytes, ys: bytes, y_names) -> dict[str, dict[str, int]]:
     """Nested counts {key code of prepared[i]: {y_names[ys[i]]: n}} over
     every pair, in order of first appearance.
 

@@ -53,7 +53,7 @@ from .config import RunConfig
 from .errors import ConfigurationError, InsufficientPairsError, ProtocolOrderError
 from .ledger import DIGITS, CheckReport, Disposition, KeyMaterial, PairLedger, Phase, Transcript
 from .ledger import code_string, gather
-from .quantum import BELL_LABELS, KEYS, OPS, PAIR_BASIS, BellState, measure_column
+from .quantum import BELL_LABELS, CODES, KEYS, OPS, PAIR_BASIS, BellState, measure_column
 # Unused here; the benchmark's traced run (bench/workloads.py) wraps these bindings.
 from .quantum import measure_bell_basis, measure_qubit  # noqa: F401
 from .rng import RandomSource
@@ -221,7 +221,7 @@ def first_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> Che
     # their post states.
     receiver_keys = by_basis(receiver_q, _RECEIVER_KEYS)
     receiver_bits, states = measure_column(gather(ledger.receiver_state, sample), receiver_keys)
-    states = gather(ledger.column("state"), sample) if ledger.planted else states
+    states = gather(ledger.column("state"), sample) if ledger.filled("planted") else states
     sender_bits, _ = measure_column(states, by_basis(sender_q, _SENDER_KEYS))
     # The sampled pairs are settled, and their prepared codes read by ordinal.
     # A pair mismatches when its bits differ where its prepared state's
@@ -272,7 +272,7 @@ def bob_decode(ledger: PairLedger, rng: RandomSource) -> PairLedger:
     keys = rng.quarters(len(ledger.live)).translate(KEYS[PAIR_BASIS])
     # The decoded pairs are consumed: their post states are not kept.
     decoded, _ = measure_column(ledger.receiver_state, keys)
-    ledger.fill("outcome", decoded)
+    ledger.fill("outcome", decoded, CODES)
     if ledger.transcript is not None:
         payload = {"pairs": len(decoded), "codes": code_string(decoded)}
         ledger.transcript.log(6, ledger.receiver, "decode", payload)

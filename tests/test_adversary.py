@@ -39,6 +39,11 @@ def with_disposition(ledger, disposition):
     return [rec for rec in ledger.records if rec.disposition is disposition]
 
 
+def last_guesses(ledger):
+    """The (codes, names) of the last fill of Eve's guesses."""
+    return [fill[3:] for fill in ledger.fills if fill[0] == "guesses"][-1]
+
+
 def sent_ledger(n, seed=0, chan=None):
     ledger = alice_prepare(n, RandomSource(seed, "alice"))
     transmit_first_sequence(ledger, chan or channel())
@@ -76,7 +81,7 @@ class TestIdentityChannel:
         assert all(rec.disposition is Disposition.IN_FLIGHT_1 for rec in ledger.records)
         assert all(rec.fake_carrier is None for rec in ledger.records)
         assert ledger.receipt_1 == 1.0
-        assert not ledger.guesses and ledger.guess_alphabet == CODES
+        assert not ledger.filled("guesses") and eve_guess_counts(ledger) == {}
 
 
 class TestMeasureResend:
@@ -90,9 +95,9 @@ class TestMeasureResend:
         for rec in ledger.records:
             assert rec.carrier in products[rec.prepared.correlated]
             assert PRODUCTS[rec.carrier - len(BELL_LABELS)][1] == ("z", rec.guess)
-        assert set(ledger.guesses) <= {0, 1} and len(ledger.guesses) == 500
-        assert ledger.guess_alphabet == ("0", "1")
-        bits = ledger.guesses
+        bits, names = last_guesses(ledger)
+        assert set(bits) <= {0, 1} and len(bits) == 500
+        assert names == ("0", "1")
         assert abs(sum(bits) / 500 - 0.5) < three_sigma(0.5, 500)
 
     def test_parity_class_exactly_preserved(self):
@@ -134,7 +139,7 @@ class TestFakeEpr:
             assert rec.fake_carrier == make_bell_state(BellState.PSI1)
             assert rec.carrier == make_bell_state(rec.prepared)
         # Nothing learned until the second sequence.
-        assert not ledger.guesses and ledger.guess_alphabet == CODES
+        assert not ledger.filled("guesses") and eve_guess_counts(ledger) == {}
         assert ledger.receipt_1 == 1.0  # the receiver cannot tell yet
 
     def test_first_check_mismatch_probability_is_exactly_half(self):
@@ -251,7 +256,7 @@ class TestEveInformation:
         counts = eve_guess_counts(outcome.ledger)
         total = sum(n for row in counts.values() for n in row.values())
         guessed = [rec for rec in outcome.ledger.records if rec.guess is not None]
-        assert total == len(guessed) == len(outcome.ledger.guesses)
+        assert total == len(guessed) == len(last_guesses(outcome.ledger)[0])
 
     def test_single_bits_stand_when_check_one_consumes_every_pair(self):
         # Five pairs are all sampled by the first check, so none is in flight
@@ -274,7 +279,7 @@ class TestEveInformation:
         chan = channel(AttackKind.MEASURE_RESEND, seed=4, measure_second_sequence=True)
         transmit_second_sequence(ledger, chan, RunConfig())
         live = [rec.index for rec in with_disposition(ledger, Disposition.IN_FLIGHT_2)]
-        assert ledger.guess_alphabet == ("0", "1")
+        assert last_guesses(ledger)[1] == ("0", "1")
         assert [rec.index for rec in ledger.records if rec.guess is not None] == live
         counts = eve_guess_counts(ledger)
         assert set(counts) <= set(CODES)
@@ -290,7 +295,7 @@ class TestReplay:
                 continuation_mode=True,
             )
             ledger = run_protocol(config, RandomSource(21)).ledger
-            return ledger.guesses, ledger.guess_alphabet
+            return last_guesses(ledger)
 
         first = run_once()
         assert first[0]

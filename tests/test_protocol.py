@@ -32,6 +32,7 @@ from eprqkd.protocol import (
 )
 from eprqkd.quantum import BELL_LABELS, CODES, N_STATES, BellState, make_bell_state
 from eprqkd.rng import RandomSource, three_sigma
+from test_differential import engine_grid
 
 
 # An event line ends where the next begins with this; payloads that hold it
@@ -237,7 +238,7 @@ class TestFirstCheck:
         # records show at the live pairs and nowhere else.
         assert ledger.column("prepared") == bytes(ledger.prepared[i] for i in ledger.live)
         values = bytes(j % 4 for j in range(len(ledger.live)))
-        ledger.fill("outcome", values)
+        ledger.fill("outcome", values, CODES)
         outcomes = {rec.index: rec.outcome for rec in ledger.records}
         assert [outcomes[i] for i in ledger.live] == [BELL_LABELS[v] for v in values]
         assert all(outcomes[i] is None for i in checked)
@@ -325,7 +326,7 @@ class TestDecodeAndSecondCheck:
 class TestExtractKey:
     def synthetic_decoded_ledger(self, labels):
         ledger = prepare_from_labels(labels)
-        ledger.fill("outcome", bytes(ledger.prepared))
+        ledger.fill("outcome", bytes(ledger.prepared), CODES)
         ledger.phase = Phase.CHECKED_2
         ledger.check1 = CheckReport("first", (0,), 0, 0.02)
         ledger.check2 = CheckReport("second", (0,), 0, 0.02)
@@ -389,7 +390,7 @@ class TestLedgerColumns:
         transmit_first_sequence(ledger, clean_channel())
         report = first_check(ledger, RunConfig(min_check_size=4), RandomSource(12, "bob"))
         # No fake-EPR adversary planted anything, and nothing is decoded yet.
-        assert not ledger.planted
+        assert not ledger.filled("planted")
         assert all(rec.outcome is None and rec.fake_carrier is None for rec in ledger.records)
         transmit_second_sequence(ledger, clean_channel(), RunConfig())
         bob_decode(ledger, RandomSource(12, "bob"))
@@ -910,13 +911,50 @@ def test_hop_records_are_pinned():
     assert hop_records_digest() == RECORDS_SHA256
 
 
+def last_fill(ledger, name):
+    """The record of the last fill of column ``name``, or None."""
+    return next((fill for fill in reversed(ledger.fills) if fill[0] == name), None)
+
+
+def counts_from_records(ledger, field, names):
+    """Nested counts {prepared code: {names[value]: n}} over the records whose
+    ``field`` holds a value, in order of first appearance."""
+    counts = {}
+    for rec in ledger.records:
+        value = getattr(rec, field)
+        if value is not None:
+            row = counts.setdefault(rec.prepared.code, {})
+            row[names[value]] = row.get(names[value], 0) + 1
+    return counts
+
+
+def test_counts_match_the_records_over_the_differential_grid():
+    # The count tables and the records both read the fill log; each table
+    # must be the records' values counted against the prepared codes and
+    # named through the alphabet of the fill they came from.
+    for config in engine_grid():
+        for trial in range(config.trials):
+            for hop in run_multiparty(config, trial).hops:
+                ledger = hop.ledger
+                tables = (
+                    ("outcome", ledger.counts("outcome"), "outcome"),
+                    ("guesses", eve_guess_counts(ledger), "guess"),
+                )
+                for name, table, field in tables:
+                    fill = last_fill(ledger, name)
+                    expected = counts_from_records(ledger, field, fill[4] if fill else ())
+                    assert [(x, list(row.items())) for x, row in table.items()] == [
+                        (x, list(row.items())) for x, row in expected.items()
+                    ]
+
+
 def assert_hop_finished(hop):
     """Every pair settled exactly once in the settle log, whose counts sum
     to the pairs prepared; two key bits per pair settled as key; an abort
     reason exactly when there is no key; Eve scored on exactly her
-    guesses; and every fill one code in its column's range (so below 0x80,
-    which a settle's cut of the column relies on) per pair it was filled
-    at."""
+    guesses; and every fill one code per pair it was filled at, each an
+    index into its own alphabet or, in a pair-state column, a state code
+    (so below 0x80, which a settle's cut of the column relies on)."""
     ledger = hop.ledger
     settled = [i for ordinals, _ in ledger.settled for i in ordinals]
     assert sorted(settled) == list(range(ledger.n_total)) and not ledger.live
@@ -927,13 +965,13 @@ def assert_hop_finished(hop):
     assert (hop.abort_reason is None) == (hop.receiver_key is not None)
     assert (hop.abort_reason is None) == (key_length > 0)
     scored = sum(n for row in eve_guess_counts(ledger).values() for n in row.values())
-    assert scored == len(ledger.guesses)
-    # The codes each column can hold: a state, a decoded pair or a guess.
-    ranges = {"state": N_STATES, "planted": N_STATES, "outcome": len(CODES)}
-    ranges["guesses"] = len(ledger.guess_alphabet)
-    for name, _, prepared, codes in ledger.fills:
+    guesses = last_fill(ledger, "guesses")
+    assert scored == (len(guesses[3]) if guesses else 0)
+    for name, _, prepared, codes, names in ledger.fills:
         assert len(codes) == len(prepared)
-        assert max(codes, default=0) < ranges[name]
+        # Only the pair-state columns hold codes that name no alphabet.
+        assert (names is None) == (name in ("state", "planted"))
+        assert max(codes, default=0) < (N_STATES if names is None else len(names))
 
 
 # Two-party measure-resend runs on hop 1 with min_check_size=1 whose small

@@ -13,8 +13,8 @@ _spec = importlib.util.spec_from_file_location("record_bench", ROOT / "scripts" 
 record_bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(record_bench)
 
-BETTER = {
-    metric["name"]: metric["better"]
+METRICS = {
+    metric["name"]: metric
     for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 }
 META = {
@@ -93,7 +93,7 @@ DOCUMENT_KEYS = {
 }
 MACHINE_KEYS = {"cpu_model", "cpus_usable", "nproc", "numpy", "python"}
 SIDE_KEYS = {"commit", "src_lines", "src_sha256"}
-SUMMARY_KEYS = {*BETTER, "ops", "failed_of_attempted", "all_correct"}
+SUMMARY_KEYS = {*METRICS, "ops", "failed_of_attempted", "all_correct"}
 METRIC_SUMMARY_KEYS = {
     "better",
     "parent_median",
@@ -105,9 +105,12 @@ METRIC_SUMMARY_KEYS = {
     "parent_iqr",
     "change_wins",
     "median_gap_exceeds_parent_iqr",
+    "bound",
+    "unresolved",
+    "regressed",
 }
 PAIR_KEYS = {"first", "parent", "change"}
-RUN_KEYS = {"correct", "ops", "attempted", "failed", *BETTER}
+RUN_KEYS = {"correct", "ops", "attempted", "failed", *METRICS}
 TRACE_KEYS = {
     "attempted", "failures", "gate_breaches", "metrics", "missing_wrap_points", "notes", "ops"
 }
@@ -125,7 +128,7 @@ def test_document_has_the_committed_schema():
     }
     sides = {"parent": {"commit": "p"}, "change": {"commit": "c"}}
     claim = {"workload": "audit", "metric": "trials_per_s", "rule": "r"}
-    doc = record_bench.document("w", claim, sides, runs, traces, acceptance, BETTER)
+    doc = record_bench.document("w", claim, sides, runs, traces, acceptance, METRICS)
     doc = json.loads(json.dumps(doc))  # it is plain JSON
 
     assert doc.keys() == DOCUMENT_KEYS
@@ -134,7 +137,7 @@ def test_document_has_the_committed_schema():
     assert doc["sides"]["change"]["src_lines"] == 90
     label = "seed1/audit"
     assert doc["summary"][label].keys() == SUMMARY_KEYS
-    for metric in BETTER:
+    for metric in METRICS:
         assert doc["summary"][label][metric].keys() == METRIC_SUMMARY_KEYS
     assert doc["runs"][label][0].keys() == PAIR_KEYS
     assert doc["runs"][label][0]["change"].keys() == RUN_KEYS
@@ -151,11 +154,15 @@ def test_document_has_the_committed_schema():
     assert trials["change_wins"] == "10 of 10"
     assert trials["median_gap_exceeds_parent_iqr"] is True
     assert all(abs(ratio - 1.1) < 1e-12 for ratio in trials["paired_ratios"])
+    # A 5% spread resolves the 0.25 bound, and the change is better.
+    assert trials["bound"] == 0.25
+    assert trials["unresolved"] is False and trials["regressed"] is False
     # Lower is better for peak_rss_mb, and equal values win nothing.
     rss = doc["summary"][label]["peak_rss_mb"]
     assert rss["better"] == "lower"
     assert rss["change_wins"] == "0 of 10"
     assert rss["median_gap_exceeds_parent_iqr"] is False
+    assert rss["unresolved"] is False and rss["regressed"] is False
     assert doc["summary"][label]["ops"]["parent"] == {"median": 14.5, "min": 10, "max": 19}
     assert doc["summary"][label]["failed_of_attempted"]["change"] == "0 of 580"
     assert doc["summary"][label]["all_correct"] is True
@@ -166,6 +173,38 @@ def test_document_has_the_committed_schema():
     assert trace["metrics"]["quantum.measure_s"] is None
     assert trace["missing_wrap_points"] == ["a:b"]
     assert trace["notes"] == [f"run {k}" for k in range(5)]
+
+
+# Ten parent runs 80..116 MB: median 98, quartiles 87 and 109, an IQR of 22%
+# of the median, wider than a 0.10 bound.
+WIDE_PARENT = [80.0 + 4 * k for k in range(10)]
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved_unless_every_run_wins():
+    same = record_bench.summarize_metric(WIDE_PARENT, WIDE_PARENT, "lower", 0.10)
+    assert same["parent_iqr"] == 22.0
+    assert same["unresolved"] is True and same["regressed"] is False
+    # Every change run below every parent run resolves it despite the spread.
+    lower = [value - 40 for value in WIDE_PARENT]
+    swept = record_bench.summarize_metric(WIDE_PARENT, lower, "lower", 0.10)
+    assert swept["unresolved"] is False
+    # One change run that does not beat the parent's best leaves it unresolved.
+    unswept = record_bench.summarize_metric(WIDE_PARENT, [*lower[:-1], 80.0], "lower", 0.10)
+    assert unswept["unresolved"] is True
+    # The same runs resolve a bound wider than their spread.
+    wide_bound = record_bench.summarize_metric(WIDE_PARENT, WIDE_PARENT, "lower", 0.25)
+    assert wide_bound["unresolved"] is False
+
+
+@pytest.mark.parametrize("better", ["higher", "lower"])
+def test_a_median_worse_by_more_than_the_bound_regressed(better):
+    parent = [100.0 + k / 10 for k in range(10)]  # median 100.45, IQR 0.55
+    worse = 0.7 if better == "higher" else 1.3
+    for factor, regressed in ((worse, True), ((1 + worse) / 2, False), (1.0, False)):
+        change = [factor * value for value in parent]
+        summary = record_bench.summarize_metric(parent, change, better, 0.25)
+        assert summary["regressed"] is regressed
+        assert summary["unresolved"] is False
 
 
 def test_each_record_is_read_before_the_next_run_overwrites_it(tmp_path):
