@@ -1,0 +1,57 @@
+#!/usr/bin/env python3
+"""Count the code lines of Python modules: no docstrings, comments or blank lines.
+
+Usage (from the repository root):
+
+    python scripts/code_lines.py src/eprqkd
+
+A line counts when it holds part of a token other than a comment, a line
+break or an indent, and is not part of a module, class or function
+docstring. A directory stands for the ``*.py`` files directly in it.
+"""
+from __future__ import annotations
+
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+_SKIP = {
+    tokenize.COMMENT,
+    tokenize.NL,
+    tokenize.NEWLINE,
+    tokenize.INDENT,
+    tokenize.DEDENT,
+    tokenize.ENDMARKER,
+}
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def module_code_lines(text: str) -> int:
+    """The code lines of one module's source."""
+    tokens = tokenize.generate_tokens(io.StringIO(text).readline)
+    lines = {n for tok in tokens if tok.type not in _SKIP for n in range(tok.start[0], tok.end[0] + 1)}
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, _DOCUMENTED) and ast.get_docstring(node):
+            doc = node.body[0]
+            lines -= set(range(doc.lineno, doc.end_lineno + 1))
+    return len(lines)
+
+
+def code_lines(path: Path) -> int:
+    """The code lines of ``path``, a module or a directory of modules."""
+    paths = sorted(path.glob("*.py")) if path.is_dir() else [path]
+    return sum(module_code_lines(p.read_text()) for p in paths)
+
+
+def main(argv=None) -> int:
+    paths = sys.argv[1:] if argv is None else argv
+    if not paths:
+        raise SystemExit("usage: python scripts/code_lines.py PATH...")
+    print(f"{sum(code_lines(Path(p)) for p in paths)} code lines")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

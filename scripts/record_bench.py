@@ -28,7 +28,11 @@ run with that workload, seed and trace overwrites, so each record is read
 the moment its run ends.
 
 The file's keys are what, machine, sides, claim, summary, runs, trace1
-and acceptance_wall_s.
+and acceptance_wall_s. ``sides[side]`` gives the side's commit, the
+``src_lines`` (all lines) and ``src_sha256`` of its runs' records, and
+``src_code_lines``, the code lines of its ``src/eprqkd`` as
+``scripts/code_lines.py`` counts them (no docstrings, comments or blank
+lines).
 ``summary[label][metric]`` gives each side's median and quartiles
 (``statistics.quantiles``, n=4, exclusive method), the change/parent ratio
 of the medians, the sorted per-pair ratios, the parent's interquartile
@@ -57,6 +61,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+from code_lines import code_lines
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("bulk-resend", "detect", "audit")
@@ -317,6 +323,8 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory() as tmp:
         roots = make_sides(Path(tmp))
+        for side in SIDES:
+            sides[side]["src_code_lines"] = code_lines(roots[side] / "src" / "eprqkd")
 
         def run_one(side, workload, seed, trace=0):
             if workload == ACCEPTANCE:

@@ -46,8 +46,8 @@ None where a pair has no value, and ``disposition_counts`` reads the settle
 log, only when something reads them.
 
 The run's progress is one ledger field, ``phase``. The pairs still live all
-stand at the same stage, so their shared disposition, ``stage``, follows
-from the phase, and the settle log holds only the terminal fates.
+stand at the same stage, the one ``Phase`` names for that phase, so the
+settle log holds only the terminal fates.
 
 The planted column holds the pairs the fake-EPR adversary planted in place
 of the genuine ones; once it is filled, the receiver's measurements act on
@@ -103,8 +103,10 @@ _KEPT = bytes(c & 0x7F for c in range(256))
 DIGITS = b"01".ljust(256, b"?")
 _HIGH, _LOW = (bytes(b"01"[c >> shift & 1] for c in range(256)) for shift in (1, 0))
 # Every byte x << 3 | y of a code x and a y below 4, by y: the first 4m are
-# those with y below m.
+# those with y below m. A y is an index into at most four names; deleting the
+# first m bytes of _Y_CODES from a column leaves its codes not below m.
 _PAIR_KEYS = bytes(x << 3 | y for y in range(4) for x in range(4))
+_Y_CODES = bytes(range(4))
 
 
 def _pick(items, indices) -> tuple:
@@ -114,7 +116,7 @@ def _pick(items, indices) -> tuple:
 
 def gather(column, indices) -> bytes:
     """The bytes of ``column`` at ``indices``, in that order."""
-    return bytes(itemgetter(*indices)(column) if len(indices) > 1 else [column[i] for i in indices])
+    return bytes(_pick(column, indices))
 
 
 def code_string(codes: bytes) -> str:
@@ -138,28 +140,24 @@ class Disposition(Enum):
 
 
 class Phase(Enum):
-    """Progress of the run as a whole; operations enforce this order."""
+    """Progress of the run as a whole; operations enforce this order.
 
-    CREATED = 0
-    SENT_1 = 1
-    CHECKED_1 = 2
-    SENT_2 = 3
-    DECODED = 4
-    CHECKED_2 = 5
-    DONE = 6
+    Each phase carries its ``stage``, the disposition every live pair has
+    in it; its number keeps two phases of one stage distinct. A
+    transmission's phase is set before the channel acts on the pairs; none
+    is live once DONE.
+    """
 
+    CREATED = 0, Disposition.PREPARED
+    SENT_1 = 1, Disposition.IN_FLIGHT_1
+    CHECKED_1 = 2, Disposition.IN_FLIGHT_1
+    SENT_2 = 3, Disposition.IN_FLIGHT_2
+    DECODED = 4, Disposition.DECODED
+    CHECKED_2 = 5, Disposition.DECODED
+    DONE = 6, Disposition.KEY
 
-# The disposition every live pair shares in each phase. A transmission's phase
-# is set before the channel acts on the pairs; none is live once DONE.
-_STAGES = {
-    Phase.CREATED: Disposition.PREPARED,
-    Phase.SENT_1: Disposition.IN_FLIGHT_1,
-    Phase.CHECKED_1: Disposition.IN_FLIGHT_1,
-    Phase.SENT_2: Disposition.IN_FLIGHT_2,
-    Phase.DECODED: Disposition.DECODED,
-    Phase.CHECKED_2: Disposition.DECODED,
-    Phase.DONE: Disposition.KEY,
-}
+    def __init__(self, order: int, stage: Disposition):
+        self.stage = stage
 
 
 class Transcript:
@@ -247,8 +245,8 @@ class PairLedger:
 
     @property
     def stage(self) -> Disposition:
-        """The disposition every live pair has: the one its phase implies."""
-        return _STAGES[self.phase]
+        """The disposition every live pair has: its phase's stage."""
+        return self.phase.stage
 
     @property
     def receiver_state(self) -> bytes:
@@ -347,11 +345,14 @@ def joint_counts(prepared: bytes, ys: bytes, y_names) -> dict[str, dict[str, int
     codes of the pairs it was filled at. Each pair is the byte
     ``prepared[i] << 3 | ys[i]``, built for every pair at once, and each of
     the at most ``4 * len(y_names)`` possible bytes is found and counted in
-    one pass.
+    one pass. A y not below ``len(y_names)``, or not below 4, raises
+    ValueError.
     """
     counts: dict[str, dict[str, int]] = {}
     if not ys:
         return counts
+    if ys.translate(None, _Y_CODES[: len(y_names)]):
+        raise ValueError(f"ys holds a code outside its alphabet of {len(y_names)} names")
     pairs = (int.from_bytes(prepared) << 3 | int.from_bytes(ys)).to_bytes(len(ys))
     keys = _PAIR_KEYS[: 4 * len(y_names)]
     for _, key in sorted((pairs.find(key), key) for key in keys if key in pairs):
@@ -384,13 +385,12 @@ class CheckReport(NamedTuple):
 
     def to_dict(self) -> dict:
         """The published summary, as report rows and transcripts carry it."""
-        rate = self.mismatches / len(self.sample_indices)
         return {
-            "sample_size": len(self.sample_indices),
+            "sample_size": self.sample_size,
             "mismatches": self.mismatches,
-            "error_rate": rate,
+            "error_rate": self.error_rate,
             "threshold": self.threshold,
-            "passed": rate <= self.threshold,
+            "passed": self.passed,
         }
 
 

@@ -53,22 +53,21 @@ from .config import RunConfig
 from .errors import ConfigurationError, InsufficientPairsError, ProtocolOrderError
 from .ledger import DIGITS, CheckReport, Disposition, KeyMaterial, PairLedger, Phase, Transcript
 from .ledger import code_string, gather
-from .quantum import BELL_LABELS, CODES, KEYS, OPS, PAIR_BASIS, BellState, measure_column
+from .quantum import BASES, BELL_LABELS, CODES, KEYS, OPS, PAIR_BASIS, BellState, measure_column
 # Unused here; the benchmark's traced run (bench/workloads.py) wraps these bindings.
 from .quantum import measure_bell_basis, measure_qubit  # noqa: F401
 from .rng import RandomSource
 
-_BASES = ("z", "x")
 # The pair-state codes as bytes, which deleting from a code sequence leaves empty.
 _CODE_BYTES = bytes(BELL_LABELS)
 
 # The first check's translate tables, indexed by ``b << 2 | x`` for the
-# quarter b of a pair's basis draw, whose basis is _BASES[b >> 1] (int(r * 2)
+# quarter b of a pair's basis draw, whose basis is BASES[b >> 1] (int(r * 2)
 # of the draw), and a byte x in 0-3: for x a quarter, the keys of the
 # receiver's and of the sender's measurements; for x a prepared code, 1 where
 # the halves of that pair state differ in that basis. _LETTERS maps b to its
 # basis letter.
-_CHECK_CASES = [(_BASES[b >> 1], x) for b in range(4) for x in range(4)]
+_CHECK_CASES = [(BASES[b >> 1], x) for b in range(4) for x in range(4)]
 _RECEIVER_KEYS = bytes(KEYS[OPS["second"][basis]][x] for basis, x in _CHECK_CASES).ljust(256)
 _SENDER_KEYS = bytes(KEYS[OPS["first"][basis]][x] for basis, x in _CHECK_CASES).ljust(256)
 _DIFFER = bytes(not BELL_LABELS[x].correlated_in(basis) for basis, x in _CHECK_CASES).ljust(256)

@@ -73,7 +73,8 @@ from itertools import accumulate
 
 from .rng import RandomSource
 
-_BASES = ("z", "x")
+# The single-qubit measurement bases, Z then X.
+BASES = ("z", "x")
 
 
 class BellState(IntEnum):
@@ -118,7 +119,7 @@ BELL_LABELS: tuple[BellState, ...] = tuple(BellState)
 # Key code of each pair-state code.
 CODES = ("00", "01", "10", "11")
 PRODUCTS = tuple(
-    ((first, a), (second, b)) for first in _BASES for a in (0, 1) for second in _BASES for b in (0, 1)
+    ((first, a), (second, b)) for first in BASES for a in (0, 1) for second in BASES for b in (0, 1)
 )
 N_STATES = len(BELL_LABELS) + len(PRODUCTS)
 # Single-qubit operation index by qubit and basis.

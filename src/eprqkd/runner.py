@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from . import analysis
 from .adversary import eve_guess_counts
 from .config import RunConfig
-from .protocol import ProtocolOutcome, TrialOutcome, run_multiparty
+from .ledger import PairLedger
+from .protocol import TrialOutcome, run_multiparty
 # The benchmark's traced run (bench/workloads.py) wraps this binding.
 from .protocol import run_protocol  # noqa: F401
 
@@ -31,10 +32,10 @@ SCHEMA_VERSION = "eprqkd-report/1"
 _DETECTION_REASONS = ("check1_failed", "check2_failed")
 
 
-def _hop_row(outcome: ProtocolOutcome) -> dict:
-    ledger = outcome.ledger
+def _hop_row(ledger: PairLedger, abort_reason: str | None) -> dict:
+    """A hop's block of a row: its abort reason, receipts and checks."""
     return {
-        "abort_reason": outcome.abort_reason,
+        "abort_reason": abort_reason,
         "receipt_fraction_1": ledger.receipt_1,
         "receipt_fraction_2": ledger.receipt_2,
         "check1": ledger.check1.to_dict() if ledger.check1 else None,
@@ -43,18 +44,23 @@ def _hop_row(outcome: ProtocolOutcome) -> dict:
 
 
 def trial_row(outcome: TrialOutcome) -> dict:
-    """Flatten one trial's outcome into the serializable report row."""
-    first = outcome.hops[0]
-    row = {"trial": outcome.trial, "keys_agree": outcome.keys_agree}
-    row.update(_hop_row(first))
-    # The overall reason (hop-prefixed when the second hop failed), not the
-    # first hop's view of it.
-    row["abort_reason"] = outcome.abort_reason
-    row["key_length"] = len(outcome.keys[-1].bits) if outcome.keys else 0
-    row["ab_counts"] = first.ledger.counts("outcome")
-    row["ae_counts"] = eve_guess_counts(first.ledger)
-    row["hop2"] = _hop_row(outcome.hops[1]) if len(outcome.hops) > 1 else None
-    return row
+    """Flatten one trial's outcome into the serializable report row.
+
+    Its hop block is the first hop's, under the trial's overall abort reason
+    (hop-prefixed when the second hop failed); ``hop2`` is the second hop's
+    block when that hop ran.
+    """
+    first = outcome.hops[0].ledger
+    second = outcome.hops[1] if len(outcome.hops) > 1 else None
+    return {
+        "trial": outcome.trial,
+        "keys_agree": outcome.keys_agree,
+        **_hop_row(first, outcome.abort_reason),
+        "key_length": len(outcome.keys[-1].bits) if outcome.keys else 0,
+        "ab_counts": first.counts("outcome"),
+        "ae_counts": eve_guess_counts(first),
+        "hop2": _hop_row(second.ledger, second.abort_reason) if second else None,
+    }
 
 
 def _merge_counts(tables: list[dict]) -> dict:

@@ -11,20 +11,24 @@ equal the package's byte for byte (``test_differential.py``).
 
 Only what ``run_protocol`` and ``run_multiparty`` need is kept: there are no
 phase guards and no API for driving single steps. The value types that did
-not change (``CheckReport``, ``KeyMaterial``, the configs) come from the
-package. The transcript is its own: each line is written with plain
-``json.dumps``, the byte contract itself, not with the package's encoder.
+not change (``KeyMaterial``, the configs) come from the package. A check is
+its own ``Check`` tuple, equal to the package's ``CheckReport`` with the same
+fields, and states its own summary and pass rule, so a fault in
+``CheckReport`` shows as a differing row. The transcript is its own: each
+line is written with plain ``json.dumps``, the byte contract itself, not
+with the package's encoder.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from eprqkd.adversary import AttackKind, AttackStrategy
 from eprqkd.config import RunConfig
 from eprqkd.errors import InsufficientPairsError
-from eprqkd.ledger import CheckReport, Disposition, KeyMaterial
+from eprqkd.ledger import Disposition, KeyMaterial
 from eprqkd.quantum import BELL_LABELS, BellState
 from eprqkd.rng import RandomSource
 
@@ -98,6 +102,34 @@ class Transcript:
 # -- records -------------------------------------------------------------------
 
 
+class Check(NamedTuple):
+    """One eavesdropping check: its sample, mismatches, threshold and the
+    bases announced (first check only)."""
+
+    check_id: str
+    sample_indices: tuple[int, ...]
+    mismatches: int
+    threshold: float
+    bases: str = ""
+
+    def summary(self) -> dict:
+        """The published summary: the error rate is the mismatches over the
+        sample size, and the check passes at or under the threshold."""
+        size = len(self.sample_indices)
+        rate = self.mismatches / size
+        return {
+            "sample_size": size,
+            "mismatches": self.mismatches,
+            "error_rate": rate,
+            "threshold": self.threshold,
+            "passed": rate <= self.threshold,
+        }
+
+    @property
+    def passed(self) -> bool:
+        return self.summary()["passed"]
+
+
 @dataclass
 class PairRecord:
     index: int
@@ -114,8 +146,8 @@ class Ledger:
     sender: str
     receiver: str
     transcript: Transcript
-    check1: CheckReport | None = None
-    check2: CheckReport | None = None
+    check1: Check | None = None
+    check2: Check | None = None
     receipt_1: float | None = None
     receipt_2: float | None = None
 
@@ -252,11 +284,11 @@ def draw_sample(candidates, fraction, min_size, rng):
 def publish_check(ledger, report, sample, disposition, step):
     for rec in sample:
         rec.disposition = disposition
-    ledger.transcript.log(step, "public", "check", {"check": report.check_id, **report.to_dict()})
+    ledger.transcript.log(step, "public", "check", {"check": report.check_id, **report.summary()})
     return report
 
 
-def first_check(ledger: Ledger, config: RunConfig, rng: RandomSource) -> CheckReport:
+def first_check(ledger: Ledger, config: RunConfig, rng: RandomSource) -> Check:
     sample = draw_sample(
         ledger.with_disposition(Disposition.IN_FLIGHT_1),
         config.check_fraction_1,
@@ -295,7 +327,7 @@ def first_check(ledger: Ledger, config: RunConfig, rng: RandomSource) -> CheckRe
         (s_bit == r_bit) != rec.prepared.correlated_in(basis)
         for rec, basis, s_bit, r_bit in zip(sample, bases, sender_bits, receiver_bits)
     )
-    report = CheckReport(
+    report = Check(
         "first", tuple(indices), mismatches, config.threshold_1, bases="".join(bases)
     )
     ledger.check1 = report
@@ -334,14 +366,14 @@ def decode(ledger: Ledger, rng: RandomSource):
     )
 
 
-def second_check(ledger: Ledger, config: RunConfig, rng: RandomSource) -> CheckReport:
+def second_check(ledger: Ledger, config: RunConfig, rng: RandomSource) -> Check:
     sample = draw_sample(
         ledger.with_disposition(Disposition.DECODED),
         config.check_fraction_2,
         config.min_check_size,
         rng,
     )
-    report = CheckReport(
+    report = Check(
         "second",
         tuple(rec.index for rec in sample),
         sum(rec.outcome is not rec.prepared for rec in sample),
@@ -491,8 +523,8 @@ def _hop_row(outcome: Outcome) -> dict:
         "abort_reason": outcome.abort_reason,
         "receipt_fraction_1": ledger.receipt_1,
         "receipt_fraction_2": ledger.receipt_2,
-        "check1": ledger.check1.to_dict() if ledger.check1 else None,
-        "check2": ledger.check2.to_dict() if ledger.check2 else None,
+        "check1": ledger.check1.summary() if ledger.check1 else None,
+        "check2": ledger.check2.summary() if ledger.check2 else None,
     }
 
 

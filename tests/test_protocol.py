@@ -15,6 +15,8 @@ from eprqkd.ledger import (
     PairLedger,
     Phase,
     Transcript,
+    _pick,
+    gather,
     joint_counts,
 )
 from eprqkd.protocol import (
@@ -384,6 +386,38 @@ class TestKeyMaterial:
             KeyMaterial("010", (0,))
 
 
+# Every phase in order, with the disposition each live pair has in it: a
+# transmission's phase is set before the channel acts, and none is live once
+# the run is DONE.
+PHASE_STAGES = [
+    (Phase.CREATED, Disposition.PREPARED),
+    (Phase.SENT_1, Disposition.IN_FLIGHT_1),
+    (Phase.CHECKED_1, Disposition.IN_FLIGHT_1),
+    (Phase.SENT_2, Disposition.IN_FLIGHT_2),
+    (Phase.DECODED, Disposition.DECODED),
+    (Phase.CHECKED_2, Disposition.DECODED),
+    (Phase.DONE, Disposition.KEY),
+]
+
+
+def test_each_phase_names_the_stage_of_its_live_pairs():
+    assert [phase for phase, _ in PHASE_STAGES] == list(Phase)
+    ledger = PairLedger(bytes(4))
+    for phase, stage in PHASE_STAGES:
+        ledger.phase = phase
+        assert ledger.stage is stage
+        assert ledger.disposition_counts()[stage.value] == 4
+
+
+@pytest.mark.parametrize("indices", [[], [3], (0, 4, 1), [2, 2]])
+@pytest.mark.parametrize("kind", [bytes, list, tuple])
+def test_gather_and_pick_read_the_items_at_indices_in_order(kind, indices):
+    items = kind(b"\x05\x06\x07\x08\x09")
+    expected = tuple(items[i] for i in indices)
+    assert type(_pick(items, indices)) is tuple and _pick(items, indices) == expected
+    assert gather(items, indices) == bytes(expected)
+
+
 class TestLedgerColumns:
     def test_records_map_unset_bytes_to_none(self):
         ledger = alice_prepare(40, RandomSource(12, "alice"))
@@ -449,6 +483,21 @@ class TestLedgerColumns:
             (x, list(row.items())) for x, row in expected.items()
         ]
         assert joint_counts(prepared, b"", names) == {}
+
+    @pytest.mark.parametrize(
+        "ys, names",
+        [
+            # 9 is no index into four names, and at 8 or more a code reaches
+            # the bits of the prepared code beside it.
+            (bytes([9, 1]), CODES),
+            (bytes([0, 4]), CODES),
+            (bytes([2, 1]), ("0", "1")),
+        ],
+        ids=["9-of-4-names", "4-of-4-names", "2-of-2-names"],
+    )
+    def test_joint_counts_rejects_a_code_outside_its_alphabet(self, ys, names):
+        with pytest.raises(ValueError, match="alphabet"):
+            joint_counts(bytes([0, 1]), ys, names)
 
 
 class TestRunProtocol:
@@ -1030,6 +1079,16 @@ UNSEEN_ARGUMENTS = {
 )
 @example(**{**UNSEEN_ARGUMENTS, **UNSEEN_ATTACKS[0][0]})
 @example(**{**UNSEEN_ARGUMENTS, **UNSEEN_ATTACKS[1][0]})
+# Eve measures both sequences past a failed first check, so her second fill
+# holds two-bit guesses, codes up to 3.
+@example(
+    **{
+        **UNSEEN_ARGUMENTS,
+        **UNSEEN_ATTACKS[0][0],
+        "measure_second_sequence": True,
+        "continuation_mode": True,
+    }
+)
 def test_every_valid_config_finishes_every_trial(
     kind, fake_label, destroy_probability, measure_second_sequence, seed, **fields
 ):

@@ -4,14 +4,25 @@ the benchmark."""
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("record_bench", ROOT / "scripts" / "record_bench.py")
-record_bench = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(record_bench)
+
+
+def load_script(name: str):
+    """Module ``scripts/<name>.py``, registered under ``name`` so that a
+    script importing it, as ``record_bench`` imports ``code_lines``, finds it."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines = load_script("code_lines")
+record_bench = load_script("record_bench")
 
 METRICS = {
     metric["name"]: metric
@@ -92,7 +103,7 @@ DOCUMENT_KEYS = {
     "what", "machine", "sides", "claim", "summary", "runs", "trace1", "acceptance_wall_s"
 }
 MACHINE_KEYS = {"cpu_model", "cpus_usable", "nproc", "numpy", "python"}
-SIDE_KEYS = {"commit", "src_lines", "src_sha256"}
+SIDE_KEYS = {"commit", "src_lines", "src_sha256", "src_code_lines"}
 SUMMARY_KEYS = {*METRICS, "ops", "failed_of_attempted", "all_correct"}
 METRIC_SUMMARY_KEYS = {
     "better",
@@ -126,7 +137,11 @@ def test_document_has_the_committed_schema():
     traces = {
         f"{side}/audit": [pair[side] for pair in traced["audit"]] for side in record_bench.SIDES
     }
-    sides = {"parent": {"commit": "p"}, "change": {"commit": "c"}}
+    # As main() builds them: each side's commit and its src/ code lines.
+    sides = {
+        "parent": {"commit": "p", "src_code_lines": 80},
+        "change": {"commit": "c", "src_code_lines": 70},
+    }
     claim = {"workload": "audit", "metric": "trials_per_s", "rule": "r"}
     doc = record_bench.document("w", claim, sides, runs, traces, acceptance, METRICS)
     doc = json.loads(json.dumps(doc))  # it is plain JSON
@@ -135,6 +150,7 @@ def test_document_has_the_committed_schema():
     assert doc["machine"].keys() == MACHINE_KEYS
     assert doc["sides"]["change"].keys() == SIDE_KEYS
     assert doc["sides"]["change"]["src_lines"] == 90
+    assert doc["sides"]["change"]["src_code_lines"] == 70
     label = "seed1/audit"
     assert doc["summary"][label].keys() == SUMMARY_KEYS
     for metric in METRICS:
@@ -267,3 +283,34 @@ def test_acceptance_tests_run_against_the_sides_own_source(tmp_path, monkeypatch
     else:
         assert record_bench.time_acceptance(tmp_path) >= 0.0
     assert seen == [(list(record_bench.ACCEPTANCE_COMMAND), tmp_path, "src", "1")]
+
+
+# A module of 15 lines, 8 of them code: the import, the decorator, the def
+# line, the two lines of one statement, a string that follows a statement (so
+# no docstring), the return and the class line. Its docstrings, comments and
+# blank lines are not counted.
+CANNED_MODULE = '''"""A module docstring,
+over two lines."""
+import functools  # a trailing comment does not hide the code
+
+
+@functools.cache
+def f(x):
+    """A function docstring."""
+    # a comment line
+    y = (x +
+         1)
+    "a string statement after the first"
+    return y
+class C:
+    """Only a docstring."""
+'''
+
+
+def test_code_lines_skip_docstrings_comments_and_blank_lines(tmp_path):
+    assert code_lines.module_code_lines(CANNED_MODULE) == 8
+    (tmp_path / "a.py").write_text(CANNED_MODULE)
+    (tmp_path / "b.py").write_text("x = 1\n\n# end\n")
+    (tmp_path / "notes.txt").write_text("x = 1\n")
+    assert code_lines.code_lines(tmp_path / "a.py") == 8
+    assert code_lines.code_lines(tmp_path) == 9
