@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, fields
 
 from .adversary import AttackStrategy
 from .errors import ConfigurationError, require_field_types, require_known_keys
-from .rng import MAX_SEED
+from .rng import MAX_BLOCK, MAX_SEED
 
 PARTIES = (2, 3)
 ATTACK_HOPS = ("1", "2", "both")
@@ -43,6 +43,12 @@ class RunConfig:
         require_field_types(self)
         if self.pairs < 1:
             raise ConfigurationError(f"pairs must be >= 1, got {self.pairs}")
+        if self.pairs > MAX_BLOCK:
+            # Preparation draws one quarter per pair in a single block.
+            raise ConfigurationError(
+                f"pairs must be below 2**25 = {MAX_BLOCK + 1}, the most draws one"
+                f" block can take, got {self.pairs}"
+            )
         if self.trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.seed <= MAX_SEED:

@@ -63,7 +63,8 @@ keeps its rendered lines, each ``json.dumps(event, sort_keys=True,
 separators=(",", ":"))`` of one event: ``Transcript.log`` writes the
 event's fixed five-key envelope itself and encodes only the payload, in one
 call of a C-level encoder that is built once at import, where
-``json.dumps`` would build one for every event.
+``json.dumps`` would build one for every event (a Python whose json has no
+C accelerator calls ``json.dumps``).
 
 The read-only records, the ``PairRecord`` views and each check's
 ``CheckReport``, are named tuples: one tuple allocation each, and each
@@ -71,10 +72,11 @@ compares equal to a plain tuple of its fields.
 """
 from __future__ import annotations
 
+import json
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
-from json import JSONEncoder
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
 from typing import NamedTuple
@@ -86,10 +88,17 @@ from .quantum import BELL_LABELS, CODES, BellState
 # quoting, no indent, the compact separators, sorted keys, no skipped keys and
 # NaN allowed. It is given no circular-reference markers, so it keeps no state
 # between calls; a payload that holds itself raises RecursionError, where
-# json.dumps raises ValueError.
-_encode_payload = c_make_encoder(
-    None, JSONEncoder().default, encode_basestring_ascii, None, ":", ",", True, False, True
-)
+# json.dumps raises ValueError. A Python whose json has no C accelerator
+# (no _json module) has no c_make_encoder, and calls json.dumps itself.
+if c_make_encoder is not None:
+    _encode_payload = c_make_encoder(
+        None, json.JSONEncoder().default, encode_basestring_ascii, None, ":", ",", True, False, True
+    )
+else:
+
+    def _encode_payload(payload: dict, _indent_level: int) -> tuple[str]:
+        return (json.dumps(payload, sort_keys=True, separators=(",", ":")),)
+
 # One event as that json.dumps call writes it: its five keys in sorted order.
 _EVENT_LINE = '{"actor":%s,"event":%s,"payload":%s,"step":%d,"trial":%d}\n'
 
@@ -109,14 +118,23 @@ _PAIR_KEYS = bytes(x << 3 | y for y in range(4) for x in range(4))
 _Y_CODES = bytes(range(4))
 
 
-def _pick(items, indices) -> tuple:
+def picker(indices) -> Callable[[Sequence], tuple]:
+    """A function from a sequence to the tuple of its items at ``indices``,
+    in that order: one C-level ``itemgetter`` to read several sequences at
+    the same indices."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda items: tuple(items[i] for i in indices)
+
+
+def pick(items, indices) -> tuple:
     """The items at ``indices``, in that order."""
-    return itemgetter(*indices)(items) if len(indices) > 1 else tuple(items[i] for i in indices)
+    return picker(indices)(items)
 
 
 def gather(column, indices) -> bytes:
     """The bytes of ``column`` at ``indices``, in that order."""
-    return bytes(_pick(column, indices))
+    return bytes(pick(column, indices))
 
 
 def code_string(codes: bytes) -> str:
@@ -280,8 +298,11 @@ class PairLedger:
         """``joint_counts`` of the prepared codes against column ``name`` at
         the pairs of its last fill, in that fill's alphabet; {} when it was
         never filled."""
-        fills = [fill for fill in self.fills if fill[0] == name]
-        return joint_counts(*fills[-1][2:]) if fills else {}
+        if name in self._views:  # else never filled, as both row columns of an early abort
+            for fill in reversed(self.fills):
+                if fill[0] == name:
+                    return joint_counts(*fill[2:])
+        return {}
 
     def settle(self, indices: list[int], disposition: Disposition):
         """Give the live pairs at ``indices``, increasing positions in
@@ -296,7 +317,7 @@ class PairLedger:
             for j in indices:
                 keep[j] = 0
             # Until the first cut, the live pairs' positions are their ordinals.
-            ordinals = tuple(indices) if live is self.positions else _pick(live, indices)
+            ordinals = tuple(indices) if live is self.positions else pick(live, indices)
             self.live = list(compress(live, keep))
             self._cuts.append(keep)
             # A new, shorter list: the longer one's memory is freed, not kept.
@@ -384,13 +405,17 @@ class CheckReport(NamedTuple):
         return self.error_rate <= self.threshold
 
     def to_dict(self) -> dict:
-        """The published summary, as report rows and transcripts carry it."""
+        """The published summary, as report rows and transcripts carry it:
+        ``sample_size``, ``mismatches``, ``error_rate``, ``threshold`` and
+        ``passed``, with the rate computed once."""
+        _, indices, mismatches, threshold, _ = self
+        rate = mismatches / len(indices)
         return {
-            "sample_size": self.sample_size,
-            "mismatches": self.mismatches,
-            "error_rate": self.error_rate,
-            "threshold": self.threshold,
-            "passed": self.passed,
+            "sample_size": len(indices),
+            "mismatches": mismatches,
+            "error_rate": rate,
+            "threshold": threshold,
+            "passed": rate <= threshold,
         }
 
 

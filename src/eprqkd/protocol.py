@@ -47,12 +47,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .adversary import AdversaryChannel, AttackStrategy
 from .config import RunConfig
 from .errors import ConfigurationError, InsufficientPairsError, ProtocolOrderError
 from .ledger import DIGITS, CheckReport, Disposition, KeyMaterial, PairLedger, Phase, Transcript
-from .ledger import code_string, gather
+from .ledger import code_string, gather, pick, picker
 from .quantum import BASES, BELL_LABELS, CODES, KEYS, OPS, PAIR_BASIS, BellState, measure_column
 # Unused here; the benchmark's traced run (bench/workloads.py) wraps these bindings.
 from .quantum import measure_bell_basis, measure_qubit  # noqa: F401
@@ -217,16 +218,18 @@ def first_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> Che
 
     # The sampled pairs are consumed: no post state is written back, and
     # when the receiver measured the genuine pairs the sender measures
-    # their post states.
+    # their post states. One getter reads the sample from each column, all
+    # before the settle cuts the columns.
+    get = picker(sample)
     receiver_keys = by_basis(receiver_q, _RECEIVER_KEYS)
-    receiver_bits, states = measure_column(gather(ledger.receiver_state, sample), receiver_keys)
-    states = gather(ledger.column("state"), sample) if ledger.filled("planted") else states
+    receiver_bits, states = measure_column(bytes(get(ledger.receiver_state)), receiver_keys)
+    states = bytes(get(ledger.column("state"))) if ledger.filled("planted") else states
     sender_bits, _ = measure_column(states, by_basis(sender_q, _SENDER_KEYS))
-    # The sampled pairs are settled, and their prepared codes read by ordinal.
+    prepared = bytes(get(ledger.column("prepared")))
     # A pair mismatches when its bits differ where its prepared state's
     # halves agree, or agree where they differ: one bit per byte of the xor.
     indices = ledger.settle(sample, Disposition.CHECKED_1)
-    differ = int.from_bytes(by_basis(gather(ledger.prepared, indices), _DIFFER))
+    differ = int.from_bytes(by_basis(prepared, _DIFFER))
     mismatches = (int.from_bytes(receiver_bits) ^ int.from_bytes(sender_bits) ^ differ).bit_count()
     report = CheckReport("first", tuple(indices), mismatches, config.threshold_1, bases)
     transcript = ledger.transcript
@@ -288,9 +291,10 @@ def second_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> Ch
         raise ProtocolOrderError(f"second check in phase {ledger.phase.name}")
     sample = _draw_sample(ledger, config.check_fraction_2, config.min_check_size, rng)
     # The xor of the two codes is a zero byte exactly where they match.
-    outcomes = gather(ledger.column("outcome"), sample)
+    get = picker(sample)
+    outcomes, prepared = get(ledger.column("outcome")), get(ledger.column("prepared"))
     indices = tuple(ledger.settle(sample, Disposition.CHECKED_2))
-    xor = int.from_bytes(outcomes) ^ int.from_bytes(gather(ledger.prepared, indices))
+    xor = int.from_bytes(outcomes) ^ int.from_bytes(prepared)
     mismatches = len(sample) - xor.to_bytes(len(sample)).count(0)
     report = CheckReport("second", indices, mismatches, config.threshold_2)
     if ledger.transcript is not None:
@@ -436,6 +440,13 @@ class TrialOutcome:
         return all(key.bits == self.keys[0].bits for key in self.keys)
 
 
+@lru_cache(maxsize=8)
+def _unattacked(config: RunConfig) -> RunConfig:
+    """``config`` with no attack, for a hop the adversary does not sit on:
+    built once per config, not once per trial."""
+    return replace(config, attack=AttackStrategy())
+
+
 def run_multiparty(
     config: RunConfig, trial: int = 0, collect_transcripts: bool = False
 ) -> TrialOutcome:
@@ -470,7 +481,7 @@ def run_multiparty(
         tags = {"hop": k} if chain else None
         transcript = Transcript(trial, tags) if collect_transcripts else None
         hop = run_protocol(
-            config if config.attacks_hop(k) else replace(config, attack=AttackStrategy()),
+            config if config.attacks_hop(k) else _unattacked(config),
             rng.substream(f"hop{k}") if chain else rng,
             sender=sender,
             receiver=receiver,
@@ -485,7 +496,7 @@ def run_multiparty(
         # The relay re-encodes his key: each two bits, read as a hex byte, name a code.
         labels = bytes.fromhex(hop.receiver_key.bits).translate(_HEX_CODES)
         # The kept ordinals, mapped back to first-hop pairs.
-        positions = kept if positions is None else tuple(positions[j] for j in kept)
+        positions = kept if positions is None else pick(positions, kept)
 
     keys = [sender_key_material(hops[0].ledger, positions)]
     keys += [KeyMaterial(hop.sender_key.bits, positions) for hop in hops[1:]]

@@ -9,7 +9,12 @@ in any order.
 A stream is seeded on its first draw, not when it is created: a root that
 only hands out substreams, or an adversary stream on a clean channel, never
 pays for seeding a generator. Seeding later changes no draw, because a
-stream's generator depends only on its (seed, stream) name.
+stream's generator depends only on its (seed, stream) name. The generator is
+the ``_rng`` property: its first read builds ``random.Random`` of that name
+into the instance's ``_gen`` (None, the class default, until then), and a
+subclass may assign ``_rng`` to draw through a source of its own. It is a
+plain property rather than a ``functools.cached_property``, whose first read
+runs Python code under a lock (up to Python 3.11) once for every stream.
 
 A step that draws once or twice per pair reads a block of draws at once.
 ``RandomSource.quarters`` takes n draws in one ``getrandbits`` call and
@@ -27,11 +32,13 @@ from __future__ import annotations
 
 import math
 import random
-from functools import cached_property
 
 from .errors import ConfigurationError
 
 MAX_SEED = 2**64 - 1
+# The most draws one ``quarters`` block can take: ``getrandbits`` takes its bit
+# count as a C int, which 64 bits per draw overflow at 2**25 draws.
+MAX_BLOCK = 2**25 - 1
 # int(r * 4) of the draw r whose first generator word has the given top byte.
 _QUARTERS = bytes(h >> 6 for h in range(256))
 
@@ -43,18 +50,28 @@ class RandomSource:
     from the parent, so creating one substream does not perturb another.
     """
 
+    # The generator, once the first read of _rng built it.
+    _gen: random.Random | None = None
+
     def __init__(self, seed: int, stream: str = "root"):
         if not 0 <= seed <= MAX_SEED:
             raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {seed}")
         self.seed = seed
         self.stream = stream
 
-    @cached_property
+    @property
     def _rng(self) -> random.Random:
         """The generator, built on first use. str seeding hashes the text
         with sha512 (seed version 2), which is stable across processes and
         platforms, unlike built-in hash()."""
-        return random.Random(f"{self.seed}:{self.stream}")
+        gen = self._gen
+        if gen is None:
+            gen = self._gen = random.Random(f"{self.seed}:{self.stream}")
+        return gen
+
+    @_rng.setter
+    def _rng(self, gen: random.Random):
+        self._gen = gen
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, stream={self.stream!r})"

@@ -1,10 +1,16 @@
 import hashlib
+import importlib
 import json
+import json.encoder
+from dataclasses import replace
 from itertools import product
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import eprqkd.ledger
+import eprqkd.protocol
+import object_engine
 from eprqkd.adversary import AdversaryChannel, AttackKind, AttackStrategy, eve_guess_counts
 from eprqkd.config import RunConfig
 from eprqkd.errors import ConfigurationError, ProtocolOrderError
@@ -15,9 +21,10 @@ from eprqkd.ledger import (
     PairLedger,
     Phase,
     Transcript,
-    _pick,
     gather,
     joint_counts,
+    pick,
+    picker,
 )
 from eprqkd.protocol import (
     alice_prepare,
@@ -34,6 +41,7 @@ from eprqkd.protocol import (
 )
 from eprqkd.quantum import BELL_LABELS, CODES, N_STATES, BellState, make_bell_state
 from eprqkd.rng import RandomSource, three_sigma
+from eprqkd.runner import run
 from test_differential import engine_grid
 
 
@@ -204,6 +212,28 @@ class TestCheckThreshold:
         }
         fields = ["sample_size", "mismatches", "error_rate", "threshold", "passed"]
         assert list(keyword.to_dict()) == fields
+
+    @given(
+        st.integers(1, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+        st.none() | st.floats(0.0, 1.0),
+        st.sampled_from(["first", "second"]),
+    )
+    @example((4, 1), None, "first")
+    @example((3, 1), None, "second")
+    def test_summary_is_what_the_properties_read(self, size_and_mismatches, threshold, check_id):
+        size, mismatches = size_and_mismatches
+        # None stands for a threshold exactly at the error rate.
+        threshold = mismatches / size if threshold is None else threshold
+        report = CheckReport(check_id, tuple(range(size)), mismatches, threshold)
+        summary = {
+            "sample_size": report.sample_size,
+            "mismatches": report.mismatches,
+            "error_rate": report.error_rate,
+            "threshold": report.threshold,
+            "passed": report.passed,
+        }
+        assert report.to_dict() == summary
+        assert list(report.to_dict().items()) == list(summary.items())
 
 
 class TestFirstCheck:
@@ -414,8 +444,11 @@ def test_each_phase_names_the_stage_of_its_live_pairs():
 def test_gather_and_pick_read_the_items_at_indices_in_order(kind, indices):
     items = kind(b"\x05\x06\x07\x08\x09")
     expected = tuple(items[i] for i in indices)
-    assert type(_pick(items, indices)) is tuple and _pick(items, indices) == expected
+    assert type(pick(items, indices)) is tuple and pick(items, indices) == expected
     assert gather(items, indices) == bytes(expected)
+    # One picker reads each sequence at the same indices.
+    get = picker(indices)
+    assert get(items) == expected and get(items[::-1]) == pick(items[::-1], indices)
 
 
 class TestLedgerColumns:
@@ -446,6 +479,33 @@ class TestLedgerColumns:
         for rec in ledger.records:
             expected = None if rec.index in checked else BellState.PSI2
             assert rec.fake_carrier == expected
+
+    def test_counts_of_a_never_filled_column_are_empty(self):
+        # A fake-EPR trial that aborts at check 1 fills neither row column.
+        outcome = run_multiparty(config(pairs=64, seed=9, attack=AttackStrategy(AttackKind.FAKE_EPR)))
+        assert outcome.abort_reason == "check1_failed"
+        ledger = outcome.hops[0].ledger
+        for name in ("outcome", "guesses"):
+            assert not ledger.filled(name) and ledger.counts(name) == {}
+        assert PairLedger(bytes(3)).counts("outcome") == {}
+
+    def test_counts_read_the_last_fill_of_a_column(self):
+        ledger = PairLedger(bytes([0, 1, 2, 3]))
+        ledger.fill("guesses", bytes([0, 1, 0, 1]), ("0", "1"))
+        ledger.settle([1], Disposition.CHECKED_1)
+        ledger.fill("guesses", bytes([1, 1, 0]), ("0", "1"))
+        expected = {CODES[0]: {"1": 1}, CODES[2]: {"1": 1}, CODES[3]: {"0": 1}}
+        assert ledger.counts("guesses") == expected
+        # As the last fill's record reads, with the prepared codes it was filled at.
+        last = [fill for fill in ledger.fills if fill[0] == "guesses"][-1]
+        assert ledger.counts("guesses") == joint_counts(*last[2:])
+        # A decode fill counts in the code alphabet, in order of first appearance.
+        ledger.fill("outcome", bytes([0, 3, 3]), CODES)
+        assert list(ledger.counts("outcome").items()) == [
+            (CODES[0], {CODES[0]: 1}),
+            (CODES[2], {CODES[3]: 1}),
+            (CODES[3], {CODES[3]: 1}),
+        ]
 
     @staticmethod
     def reference_counts(prepared, ys, y_names):
@@ -683,6 +743,24 @@ class TestRunProtocol:
         )
         assert transcript.to_jsonl() == expected
 
+    def test_transcripts_without_the_c_encoder_are_the_same_bytes(self, monkeypatch):
+        # Where json has no C accelerator, c_make_encoder is None: the ledger
+        # module must still import, and log each payload through json.dumps.
+        saved = dict(vars(eprqkd.ledger))
+        with monkeypatch.context() as patch:
+            patch.setattr(json.encoder, "c_make_encoder", None)
+            try:
+                importlib.reload(eprqkd.ledger)
+                fallback = eprqkd.ledger._encode_payload
+            finally:
+                vars(eprqkd.ledger).clear()
+                vars(eprqkd.ledger).update(saved)
+        assert fallback is not saved["_encode_payload"]
+        cfg = config(pairs=200, trials=2, seed=40, parties=3)
+        accelerated = run(cfg, collect_transcripts=True).transcripts
+        monkeypatch.setattr(eprqkd.ledger, "_encode_payload", fallback)
+        assert run(cfg, collect_transcripts=True).transcripts == accelerated
+
     def test_measure_resend_aborts_at_second_check(self):
         cfg = config(pairs=400, seed=26, attack=AttackStrategy(kind=AttackKind.MEASURE_RESEND))
         outcome = run_protocol(cfg, RandomSource(26))
@@ -903,6 +981,30 @@ class TestMultiparty:
         assert outcome.hops[0].completed
         assert outcome.abort_reason == "hop2_insufficient_pairs"
         assert outcome.keys is None
+
+    def test_an_unattacked_hop_config_is_built_once_per_config(self, monkeypatch):
+        cfg = RunConfig(
+            pairs=300,
+            trials=5,
+            seed=39,
+            parties=3,
+            attack=AttackStrategy(AttackKind.FAKE_EPR, fake_label=None),
+            attack_hop="2",
+        )
+        calls = []
+
+        def counting_replace(*args, **kwargs):
+            calls.append(args)
+            return replace(*args, **kwargs)
+
+        eprqkd.protocol._unattacked.cache_clear()
+        monkeypatch.setattr(eprqkd.protocol, "replace", counting_replace)
+        report = run(cfg)
+        # Hop 1 of each of the 5 trials runs unattacked, on one config.
+        assert calls == [(cfg,)]
+        assert all(row["hop2"] is not None for row in report.rows)
+        rows, _ = object_engine.run(cfg)
+        assert json.dumps(report.rows, sort_keys=True) == json.dumps(rows, sort_keys=True)
 
     def test_transcript_tags_hops(self):
         cfg = config(pairs=200, seed=36, parties=3)

@@ -219,7 +219,8 @@ class TestLazySeeding:
         root = RandomSource(7)
         child = root.substream("trial").substream("eve")
         assert seeded == []
-        assert "_rng" not in vars(root) and "_rng" not in vars(child)
+        for stream in (root, child):
+            assert "_rng" not in vars(stream) and stream._gen is None
 
     def test_first_draw_seeds_once(self, seeded):
         rng = RandomSource(7, "x")
@@ -227,6 +228,23 @@ class TestLazySeeding:
         rng.uniform_index(4)
         rng.sample_without_replacement(list(range(10)), 3)
         assert seeded == ["7:x"]
+
+    def test_reading_the_generator_of_a_fresh_stream_builds_it(self, seeded):
+        rng = RandomSource(7, "x")
+        gen = rng._rng
+        assert seeded == ["7:x"] and isinstance(gen, random.Random)
+        assert rng._rng is gen and rng._gen is gen
+        assert gen.getstate() == random.Random("7:x").getstate()
+
+    def test_a_subclass_may_assign_the_generator(self, seeded):
+        class Fixed(RandomSource):
+            def __init__(self):
+                super().__init__(0, "fixed")
+                self._rng = random.Random(5)
+
+        fixed, ref = Fixed(), random.Random(5)
+        assert [fixed.random(), fixed.uniform_index(9)] == [ref.random(), int(ref.random() * 9)]
+        assert "0:fixed" not in seeded  # the stream's own generator is never built
 
     def test_draws_equal_a_generator_seeded_by_name(self):
         rng, ref = RandomSource(123, "root/alice"), random.Random("123:root/alice")
@@ -245,4 +263,4 @@ class TestLazySeeding:
         keys = scripted.quarters(2).translate(KEYS[OPS["first"]["z"]])
         assert measure_column(bytes(2), keys)[0] == bytes(2)
         assert scripted.draws == 6
-        assert vars(scripted)["_rng"] is scripted
+        assert scripted._rng is scripted

@@ -419,6 +419,15 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="min_check_size"):
             RunConfig(min_check_size=0)
 
+    def test_pairs_stop_below_the_largest_block_of_draws(self):
+        # Preparation draws every pair in one getrandbits block, whose bit
+        # count is a C int: 64 bits a draw overflow it at 2**25 pairs.
+        assert RunConfig(pairs=2**25 - 1).pairs == 2**25 - 1
+        for pairs in (2**25, 10**23):
+            with pytest.raises(ConfigurationError, match=r"2\*\*25 = 33554432") as exc:
+                RunConfig(pairs=pairs)
+            assert str(pairs) in str(exc.value)
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -798,6 +807,21 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--pairs", "60", "--transcript"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("pairs", ["33554432", "99999999999999999999999"])
+    def test_too_many_pairs_is_one_line_usage_error(self, capsys, monkeypatch, pairs):
+        def refuse(*args, **kwargs):
+            raise AssertionError("started a trial of too many pairs")
+
+        monkeypatch.setattr("eprqkd.cli.run", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--pairs", pairs])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: eprqkd run") and "Traceback" not in err
+        message = "pairs must be below 2**25 = 33554432, the most draws one block can take"
+        errors = [line for line in err.splitlines() if "error" in line]
+        assert errors == [f"eprqkd run: error: {message}, got {pairs}"]
 
     def test_invalid_config_is_usage_error(self, capsys):
         # Reported under the run subcommand's usage line, not the top-level one.
