@@ -22,8 +22,14 @@ order: H(X) from the row marginals, then H(X|Y) column by column. It makes
 the same float operations as ``shannon_entropy(joint.marginal_x()) -
 conditional_entropy(joint)``, which stay as its reference, but checks no
 marginal again: a joint's cells are validated once, when it is built.
-``JointDistribution.from_counts`` validates the integer counts and divides
-them by their total, so it skips the float checks of the constructor.
+
+Count tables reach a joint by one of two paths. ``JointDistribution.from_counts``
+checks that every count is a nonnegative int, for any caller, and then hands
+the table to ``from_checked_counts``. That builder trusts its counts: it
+checks only that the table has a cell and a positive total, then divides
+each count by the total, so neither path runs the constructor's float checks.
+The runner's fold calls it directly, because ``runner._merge_counts`` has
+checked every count while pooling the tables.
 """
 from __future__ import annotations
 
@@ -92,25 +98,42 @@ class JointDistribution:
 
     @classmethod
     def from_counts(cls, counts: dict[str, dict[str, int]]) -> "JointDistribution":
-        """Build the empirical joint from nested {x: {y: count}} tallies."""
-        xs = tuple(sorted(counts))
-        ys = tuple(sorted({y for row in counts.values() for y in row}))
+        """Build the empirical joint from nested {x: {y: count}} tallies,
+        each a nonnegative int."""
+        # Sorted, so the first bad count named is the first in the joint.
+        for x in sorted(counts):
+            row = counts[x]
+            for y in sorted(row):
+                if type(n := row[y]) is not int or n < 0:
+                    raise ValueError(f"counts must be nonnegative ints, got {n!r}")
+        return cls.from_checked_counts(counts)
+
+    @classmethod
+    def from_checked_counts(cls, counts: dict[str, dict[str, int]]) -> "JointDistribution":
+        """``from_counts`` for tallies whose counts are known to be
+        nonnegative ints. Plain loops: a comprehension is a function call
+        per row up to Python 3.11."""
+        xs = sorted(counts)
+        ys = sorted(set().union(*counts.values()))
         if not xs or not ys:
             raise ValueError("cannot build a joint distribution from empty counts")
-        cells = [[row.get(y, 0) for y in ys] for row in map(counts.__getitem__, xs)]
         count = 0
-        for row in cells:
-            for n in row:
-                if type(n) is not int or n < 0:
-                    raise ValueError(f"counts must be nonnegative ints, got {n!r}")
+        for row in counts.values():
+            for n in row.values():
                 count += n
         if count <= 0:
             raise ValueError("counts sum to zero")
         # Nonnegative ints over their positive total are finite, nonnegative
         # and sum to 1 within rounding: __post_init__ would find nothing.
-        rows = tuple([tuple([n / count for n in row]) for row in cells])
+        rows = []
+        for x in xs:
+            row = counts[x]
+            cells = []
+            for y in ys:
+                cells.append(row.get(y, 0) / count)
+            rows.append(tuple(cells))
         joint = object.__new__(cls)
-        vars(joint).update(outcomes_x=xs, outcomes_y=ys, p=rows)
+        vars(joint).update(outcomes_x=tuple(xs), outcomes_y=tuple(ys), p=tuple(rows))
         return joint
 
     def marginal_x(self) -> tuple[float, ...]:

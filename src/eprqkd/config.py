@@ -9,10 +9,13 @@ from dataclasses import dataclass, field, fields
 
 from .adversary import AttackStrategy
 from .errors import ConfigurationError, require_field_types, require_known_keys
-from .rng import MAX_BLOCK, MAX_SEED
+from .rng import MAX_SEED
 
 PARTIES = (2, 3)
 ATTACK_HOPS = ("1", "2", "both")
+# The most pairs a trial takes. A trial holds about 70 bytes per pair, over
+# 2 GB at this bound, until its memory is bounded.
+MAX_PAIRS = 2**25 - 1
 
 
 @dataclass(frozen=True)
@@ -43,11 +46,9 @@ class RunConfig:
         require_field_types(self)
         if self.pairs < 1:
             raise ConfigurationError(f"pairs must be >= 1, got {self.pairs}")
-        if self.pairs > MAX_BLOCK:
-            # Preparation draws one quarter per pair in a single block.
+        if self.pairs > MAX_PAIRS:
             raise ConfigurationError(
-                f"pairs must be below 2**25 = {MAX_BLOCK + 1}, the most draws one"
-                f" block can take, got {self.pairs}"
+                f"pairs must be below 2**25 = {MAX_PAIRS + 1}, got {self.pairs}"
             )
         if self.trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {self.trials}")

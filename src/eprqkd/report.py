@@ -157,7 +157,10 @@ def verify_report(document: dict) -> list[str]:
 
     Returns a list of human-readable discrepancies; an empty list means the
     embedded aggregate matches its own rows exactly and the config's trial
-    count is the number of rows. Raises ValueError
+    count is the number of rows. The two aggregates are compared in one
+    ``==``; only when they differ are they compared key by key, one
+    ``aggregate.<key>`` line per differing key in sorted key order (a key
+    one side lacks reads as None). Raises ValueError
     ("malformed report: ...") when the document is not shaped like a report,
     which includes a row number the aggregate reads that is not of its exact
     type and range (``aggregate_rows``): a ``true`` or a ``20.0`` where a
@@ -188,6 +191,8 @@ def verify_report(document: dict) -> list[str]:
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         reason = f"{type(exc).__name__}: {exc}"
         raise ValueError(f"malformed report: rows do not fit {SCHEMA_VERSION} ({reason})") from None
+    if embedded == recomputed:
+        return problems
     for key in sorted(set(embedded) | set(recomputed)):
         if embedded.get(key) != recomputed.get(key):
             problems.append(

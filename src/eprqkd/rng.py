@@ -17,16 +17,16 @@ plain property rather than a ``functools.cached_property``, whose first read
 runs Python code under a lock (up to Python 3.11) once for every stream.
 
 A step that draws once or twice per pair reads a block of draws at once.
-``RandomSource.quarters`` takes n draws in one ``getrandbits`` call and
-returns ``int(r * 4)`` of each draw ``r``, read from the top two bits of the
-draw's first 32-bit word. That quarter decides every outcome of probability
-0, 1/4, 1/2 or 1, and its top bit decides every Z-or-X basis choice, exactly
-as the draw's ``random()`` value would. Preparation, every column
-measurement, the randomized check bases and the fake-EPR adversary's
-uniform labels draw that way. Only the samplers below (check samples), the
-opaque attack's losses (of arbitrary probability) and the scalar kernels
-call ``random()`` once per draw. Either way the generator ends in the same
-state.
+``RandomSource.quarters`` takes n draws in ``getrandbits`` calls of at most
+``BLOCK_DRAWS`` draws each and returns ``int(r * 4)`` of each draw ``r``, read
+from the top two bits of the draw's first 32-bit word. That quarter decides
+every outcome of probability 0, 1/4, 1/2 or 1, and its top bit decides every
+Z-or-X basis choice, exactly as the draw's ``random()`` value would.
+Preparation, every column measurement, the randomized check bases and the
+fake-EPR adversary's uniform labels draw that way. Only the samplers below
+(check samples), the opaque attack's losses (of arbitrary probability) and
+the scalar kernels call ``random()`` once per draw. Either way the generator
+ends in the same state.
 """
 from __future__ import annotations
 
@@ -36,9 +36,9 @@ import random
 from .errors import ConfigurationError
 
 MAX_SEED = 2**64 - 1
-# The most draws one ``quarters`` block can take: ``getrandbits`` takes its bit
-# count as a C int, which 64 bits per draw overflow at 2**25 draws.
-MAX_BLOCK = 2**25 - 1
+# The most draws one ``getrandbits`` call in ``quarters`` takes. The call takes
+# its bit count as a C int, which 64 bits per draw overflow at 2**25 draws.
+BLOCK_DRAWS = 2**24
 # int(r * 4) of the draw r whose first generator word has the given top byte.
 _QUARTERS = bytes(h >> 6 for h in range(256))
 
@@ -89,11 +89,16 @@ class RandomSource:
         Makes the draws n ``random()`` calls would. ``random()`` builds r
         from two 32-bit words, and ``int(r * 4)`` is the top two bits of the
         first. ``getrandbits`` fills its result from the least significant
-        word up, so draw i's first word is bytes 8i to 8i + 3 of the
-        little-endian result.
+        word up, in generation order, so draw i's first word is bytes 8i to
+        8i + 3 of the little-endian result, and blocks of draws taken one
+        after another join into the draws of one block.
         """
-        words = self._rng.getrandbits(64 * n).to_bytes(8 * n, "little")
-        return words[3::8].translate(_QUARTERS)
+        rng = self._rng
+        firsts = []
+        for start in range(0, n, BLOCK_DRAWS):
+            m = min(BLOCK_DRAWS, n - start)
+            firsts.append(rng.getrandbits(64 * m).to_bytes(8 * m, "little")[3::8])
+        return b"".join(firsts).translate(_QUARTERS)
 
     def bernoulli(self, p: float) -> bool:
         return self._rng.random() < p

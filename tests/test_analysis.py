@@ -337,5 +337,14 @@ def test_mutual_information_is_the_reference_float(joint):
 
 @given(count_tables())
 def test_from_counts_equals_the_validating_constructor(counts):
+    # from_counts checks the counts, then builds through from_checked_counts,
+    # which the runner's fold calls directly on counts it has checked.
     joint = JointDistribution.from_counts(counts)
     assert joint == JointDistribution(joint.outcomes_x, joint.outcomes_y, joint.p)
+    trusted = JointDistribution.from_checked_counts(counts)
+    assert trusted == joint
+    assert mutual_information(trusted).hex() == mutual_information(joint).hex()
+    zeros = {x: dict.fromkeys(row, 0) for x, row in counts.items()}
+    for build in (JointDistribution.from_counts, JointDistribution.from_checked_counts):
+        with pytest.raises(ValueError, match="^counts sum to zero$"):
+            build(zeros)

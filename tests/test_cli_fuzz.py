@@ -1,0 +1,73 @@
+"""A fuzz of ``eprqkd run``'s argv: whatever the options, the command exits 0
+or 2 with no traceback, and every exit 2 prints its error line.
+
+``eprqkd.cli.run`` is replaced by a stub that records the config and returns
+one canned report, so no example runs a trial, however many pairs or trials
+it asks for.
+"""
+import contextlib
+import io
+from dataclasses import fields, replace
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from eprqkd.adversary import AttackStrategy
+from eprqkd.cli import _CHOICES, _CONFIG_OPTIONS, main
+from eprqkd.config import RunConfig
+from eprqkd.runner import run
+
+INTS = ("0", "-1", str(2**25), str(2**63), str(10**23))
+FLOATS = ("nan", "inf", "-inf", "-0.0", "1e-320", repr(1 - 2**-53))
+# Ordinary values, so that some examples make a valid config.
+ORDINARY = ("1", "3", "0.5")
+# Text that no option parser reads as a flag.
+JUNK = st.text(max_size=6).filter(lambda text: not text.startswith("-"))
+SWITCHES = {f.name for f in fields(RunConfig) + fields(AttackStrategy) if f.type == "bool"}
+
+
+@st.composite
+def run_argvs(draw):
+    argv = ["run"]
+    for flag, name, _ in draw(st.lists(st.sampled_from(_CONFIG_OPTIONS), max_size=6)):
+        argv.append(flag)
+        choices = map(str, _CHOICES.get(name, ()))
+        values = st.sampled_from((*INTS, *FLOATS, *ORDINARY, *choices)) | JUNK
+        # Now and then an option lacks its value, or a switch is given one.
+        if (name in SWITCHES) == (draw(st.integers(0, 9)) > 0):
+            continue
+        argv.append(draw(values))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def canned():
+    return run(RunConfig(pairs=20))
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(argv=run_argvs())
+def test_run_argv_exits_0_or_2_with_a_message(monkeypatch, canned, argv):
+    configs = []
+
+    def stub(config, collect_transcripts=False):
+        configs.append(config)
+        return replace(canned, config=config)
+
+    monkeypatch.setattr("eprqkd.cli.run", stub)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    lines = err.getvalue().splitlines()
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert len(configs) == 1 and lines == []
+        assert RunConfig.from_dict(configs[0].to_dict()) == configs[0]
+    else:
+        assert code == 2 and configs == []
+        assert lines and lines[-1].startswith(("eprqkd run: error: ", "eprqkd: error: "))

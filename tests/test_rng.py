@@ -5,9 +5,14 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
+import eprqkd.rng
+from eprqkd.adversary import AttackKind, AttackStrategy
+from eprqkd.config import RunConfig
 from eprqkd.errors import ConfigurationError
+from eprqkd.protocol import run_multiparty
 from eprqkd.quantum import KEYS, OPS, measure_column
 from eprqkd.rng import MAX_SEED, RandomSource, three_sigma
+from eprqkd.runner import trial_row
 from test_quantum import ScriptedSource
 
 
@@ -100,6 +105,31 @@ def test_check_block_layouts_equal_the_separate_draws(seed, k):
     assert drawn[1 : 2 * k : 2] == interleaved[1::2]
     assert drawn[2 * k :] == split.quarters(k)
     assert block._rng.getstate() == split._rng.getstate()
+
+
+def test_quarters_in_small_blocks_are_the_same_draws(monkeypatch):
+    # quarters draws in getrandbits blocks of at most BLOCK_DRAWS draws; with
+    # blocks of 3, every n from 0 to 20 gives the bytes and the generator
+    # state of the unpatched call.
+    whole = [RandomSource(7, "x") for _ in range(21)]
+    expected = [rng.quarters(n) for n, rng in enumerate(whole)]
+    monkeypatch.setattr(eprqkd.rng, "BLOCK_DRAWS", 3)
+    for n in range(21):
+        chunked = RandomSource(7, "x")
+        assert chunked.quarters(n) == expected[n]
+        assert chunked._rng.getstate() == whole[n]._rng.getstate()
+
+
+def test_a_trial_in_small_blocks_is_the_same_trial(monkeypatch):
+    config = RunConfig(
+        pairs=64,
+        seed=5,
+        randomize_check_basis=True,
+        attack=AttackStrategy(kind=AttackKind.MEASURE_RESEND),
+    )
+    expected = trial_row(run_multiparty(config))
+    monkeypatch.setattr(eprqkd.rng, "BLOCK_DRAWS", 3)
+    assert trial_row(run_multiparty(config)) == expected
 
 
 def test_bernoulli_degenerate():

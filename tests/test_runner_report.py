@@ -419,9 +419,8 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="min_check_size"):
             RunConfig(min_check_size=0)
 
-    def test_pairs_stop_below_the_largest_block_of_draws(self):
-        # Preparation draws every pair in one getrandbits block, whose bit
-        # count is a C int: 64 bits a draw overflow it at 2**25 pairs.
+    def test_pairs_stop_below_2_to_the_25(self):
+        # A trial holds about 70 bytes per pair, over 2 GB at this bound.
         assert RunConfig(pairs=2**25 - 1).pairs == 2**25 - 1
         for pairs in (2**25, 10**23):
             with pytest.raises(ConfigurationError, match=r"2\*\*25 = 33554432") as exc:
@@ -526,13 +525,24 @@ class TestCli:
         assert main(["run", "--pairs", "80", "--seed", "3", "--out", str(out)]) == 0
         assert main(["verify", str(out)]) == 0
 
-    def test_verify_catches_tampering(self, tmp_path):
+    def test_verify_catches_tampering(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         main(["run", "--pairs", "80", "--seed", "3", "--out", str(out)])
         doc = json.loads(out.read_text())
         doc["aggregate"]["completed"] = 0
         out.write_text(json.dumps(doc))
         assert main(["verify", str(out)]) == 1
+        # An int field and a nested block: one line each, in sorted key order.
+        doc["aggregate"]["check1"]["mismatches"] += 1
+        check1 = doc["aggregate"]["check1"]
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        recomputed = aggregate_rows(doc["trials"])
+        assert capsys.readouterr().out.splitlines() == [
+            f"MISMATCH aggregate.check1: stored {check1!r}, recomputed {recomputed['check1']!r}",
+            f"MISMATCH aggregate.completed: stored 0, recomputed {recomputed['completed']!r}",
+        ]
 
     def test_opaque_report_bytes_are_pinned(self, tmp_path):
         # Its mean_receipt_fraction_2 is a float sum that builtins.sum rounds
@@ -819,9 +829,8 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: eprqkd run") and "Traceback" not in err
-        message = "pairs must be below 2**25 = 33554432, the most draws one block can take"
         errors = [line for line in err.splitlines() if "error" in line]
-        assert errors == [f"eprqkd run: error: {message}, got {pairs}"]
+        assert errors == [f"eprqkd run: error: pairs must be below 2**25 = 33554432, got {pairs}"]
 
     def test_invalid_config_is_usage_error(self, capsys):
         # Reported under the run subcommand's usage line, not the top-level one.
