@@ -421,16 +421,22 @@ class CheckReport(NamedTuple):
 
 @dataclass(frozen=True)
 class KeyMaterial:
-    """Raw key bits plus the pair ordinals they came from (2 bits each)."""
+    """A party's raw key: one pair-state code 0-3 per key pair, its 2 key
+    bits, and the pair ordinals they came from, in order."""
 
-    bits: str
+    codes: bytes
     source_indices: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.bits) != 2 * len(self.source_indices):
+        if len(self.codes) != len(self.source_indices):
             raise ValueError(
-                f"key of {len(self.bits)} bits does not match "
+                f"key of {len(self.codes)} codes does not match "
                 f"{len(self.source_indices)} source pairs"
             )
-        if self.bits.count("0") + self.bits.count("1") != len(self.bits):
-            raise ValueError("key bits must be 0/1 characters")
+        if self.codes.translate(None, _Y_CODES):
+            raise ValueError("key codes must be 0-3")
+
+    @property
+    def bits(self) -> str:
+        """The key bits, 2 per pair: ``code_string(codes)``."""
+        return code_string(self.codes)

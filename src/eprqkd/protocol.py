@@ -73,9 +73,6 @@ _RECEIVER_KEYS = bytes(KEYS[OPS["second"][basis]][x] for basis, x in _CHECK_CASE
 _SENDER_KEYS = bytes(KEYS[OPS["first"][basis]][x] for basis, x in _CHECK_CASES).ljust(256)
 _DIFFER = bytes(not BELL_LABELS[x].correlated_in(basis) for basis, x in _CHECK_CASES).ljust(256)
 _LETTERS = b"zzxx".ljust(256)
-# The code of each pair of key bits read as a hex byte: 0x00, 0x01, 0x10 and
-# 0x11 map to 0-3.
-_HEX_CODES = bytes(b >> 3 | b & 1 for b in range(256))
 
 
 def alice_prepare(
@@ -310,28 +307,28 @@ def extract_key(ledger: PairLedger) -> KeyMaterial:
         raise ProtocolOrderError(f"key extraction in phase {ledger.phase.name}")
     if not (ledger.check1 and ledger.check1.passed and ledger.check2 and ledger.check2.passed):
         raise ProtocolOrderError("key extraction after a failed check")
-    key = KeyMaterial(code_string(ledger.column("outcome")), tuple(ledger.live))
+    key = KeyMaterial(ledger.column("outcome"), tuple(ledger.live))
     ledger.settle(ledger.live, Disposition.KEY)
     ledger.phase = Phase.DONE
     if ledger.transcript is not None:
-        ledger.transcript.log(7, "public", "commit", {"key_bits": len(key.bits)})
+        ledger.transcript.log(7, "public", "commit", {"key_bits": 2 * len(key.codes)})
     return key
 
 
 def sender_key_material(ledger: PairLedger, source_indices) -> KeyMaterial:
     """The sender's key: her preparation codes at the kept pair ordinals."""
-    codes = gather(ledger.prepared, source_indices)
-    return KeyMaterial(code_string(codes), tuple(source_indices))
+    return KeyMaterial(gather(ledger.prepared, source_indices), tuple(source_indices))
 
 
 @dataclass
 class ProtocolOutcome:
-    """Everything a single run produced, including the final ledger."""
+    """Everything a single run produced, including the final ledger: the
+    receiver's key when the run completed. The sender's key is her prepared
+    codes at that key's ``source_indices`` (``sender_key_material``)."""
 
     ledger: PairLedger
     abort_reason: str | None
     receiver_key: KeyMaterial | None
-    sender_key: KeyMaterial | None
 
     @property
     def check1(self) -> CheckReport | None:
@@ -344,12 +341,6 @@ class ProtocolOutcome:
     @property
     def completed(self) -> bool:
         return self.abort_reason is None
-
-    @property
-    def keys_agree(self) -> bool | None:
-        if self.receiver_key is None or self.sender_key is None:
-            return None
-        return self.receiver_key.bits == self.sender_key.bits
 
 
 def run_protocol(
@@ -389,7 +380,7 @@ def run_protocol(
         if ledger.transcript is not None:
             ledger.transcript.log(step, "public", "abort", {"reason": reason})
         ledger.settle(ledger.live, Disposition.DROPPED)
-        return ProtocolOutcome(ledger, reason, None, None)
+        return ProtocolOutcome(ledger, reason, None)
 
     transmit_first_sequence(ledger, channel)
     if ledger.receipt_1 < 1.0 - config.loss_tolerance:
@@ -414,9 +405,7 @@ def run_protocol(
         return abort(failed or "check2_failed", 7)
     if failed or not ledger.live:  # no pair left for the key
         return abort(failed or "insufficient_pairs", 7)
-    receiver_key = extract_key(ledger)
-    sender_key = sender_key_material(ledger, receiver_key.source_indices)
-    return ProtocolOutcome(ledger, None, receiver_key, sender_key)
+    return ProtocolOutcome(ledger, None, extract_key(ledger))
 
 
 @dataclass
@@ -437,7 +426,7 @@ class TrialOutcome:
     def keys_agree(self) -> bool | None:
         if self.keys is None:
             return None
-        return all(key.bits == self.keys[0].bits for key in self.keys)
+        return all(key.codes == self.keys[0].codes for key in self.keys)
 
 
 @lru_cache(maxsize=8)
@@ -493,12 +482,16 @@ def run_multiparty(
             reason = hop.abort_reason if k == 1 else f"hop{k}_{hop.abort_reason}"
             return TrialOutcome(trial, hops, reason, None)
         kept = hop.receiver_key.source_indices
-        # The relay re-encodes his key: each two bits, read as a hex byte, name a code.
-        labels = bytes.fromhex(hop.receiver_key.bits).translate(_HEX_CODES)
+        # The relay prepares the next hop's pairs in the states his key's codes name.
+        labels = hop.receiver_key.codes
         # The kept ordinals, mapped back to first-hop pairs.
         positions = kept if positions is None else pick(positions, kept)
 
+    # Each key once, at the first-hop ordinals: the first sender's, each
+    # relay's (his prepared codes at his hop's kept pairs), the last receiver's.
     keys = [sender_key_material(hops[0].ledger, positions)]
-    keys += [KeyMaterial(hop.sender_key.bits, positions) for hop in hops[1:]]
-    keys.append(KeyMaterial(hops[-1].receiver_key.bits, positions))
+    for hop in hops[1:]:
+        relayed = gather(hop.ledger.prepared, hop.receiver_key.source_indices)
+        keys.append(KeyMaterial(relayed, positions))
+    keys.append(KeyMaterial(hops[-1].receiver_key.codes, positions))
     return TrialOutcome(trial, hops, None, keys)

@@ -151,6 +151,16 @@ def emit_transcripts(report: RunReport, path: str | Path) -> Path:
     return path
 
 
+class _Missing:
+    """The value of a key one aggregate lacks: equal only to itself."""
+
+    def __repr__(self) -> str:
+        return "<missing>"
+
+
+_MISSING = _Missing()
+
+
 def verify_report(document: dict) -> list[str]:
     """Recompute the aggregate block from the trial rows and diff it, and
     check that the echoed config ran as many trials as there are rows.
@@ -160,11 +170,11 @@ def verify_report(document: dict) -> list[str]:
     count is the number of rows. The two aggregates are compared in one
     ``==``; only when they differ are they compared key by key, one
     ``aggregate.<key>`` line per differing key in sorted key order (a key
-    one side lacks reads as None). Raises ValueError
-    ("malformed report: ...") when the document is not shaped like a report,
-    which includes a row number the aggregate reads that is not of its exact
-    type and range (``aggregate_rows``): a ``true`` or a ``20.0`` where a
-    row holds a count, a NaN or an infinity.
+    one side lacks reads as ``<missing>``, which differs from every value,
+    None too). Raises ValueError ("malformed report: ...") when the document
+    is not shaped like a report, which includes a row number the aggregate
+    reads that is not of its exact type and range (``aggregate_rows``): a
+    ``true`` or a ``20.0`` where a row holds a count, a NaN or an infinity.
     """
     if not isinstance(document, dict):
         kind = type(document).__name__
@@ -194,9 +204,7 @@ def verify_report(document: dict) -> list[str]:
     if embedded == recomputed:
         return problems
     for key in sorted(set(embedded) | set(recomputed)):
-        if embedded.get(key) != recomputed.get(key):
-            problems.append(
-                f"aggregate.{key}: stored {embedded.get(key)!r}, "
-                f"recomputed {recomputed.get(key)!r}"
-            )
+        stored, expected = embedded.get(key, _MISSING), recomputed.get(key, _MISSING)
+        if stored != expected:
+            problems.append(f"aggregate.{key}: stored {stored!r}, recomputed {expected!r}")
     return problems

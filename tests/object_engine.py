@@ -11,12 +11,13 @@ equal the package's byte for byte (``test_differential.py``).
 
 Only what ``run_protocol`` and ``run_multiparty`` need is kept: there are no
 phase guards and no API for driving single steps. The value types that did
-not change (``KeyMaterial``, the configs) come from the package. A check is
-its own ``Check`` tuple, equal to the package's ``CheckReport`` with the same
-fields, and states its own summary and pass rule, so a fault in
-``CheckReport`` shows as a differing row. The transcript is its own: each
-line is written with plain ``json.dumps``, the byte contract itself, not
-with the package's encoder.
+not change (the configs) come from the package. A key is its own ``Key``
+tuple of its bits as a ``"0011"`` string and the pair ordinals they came
+from. A check is its own ``Check`` tuple, equal to the package's
+``CheckReport`` with the same fields, and states its own summary and pass
+rule, so a fault in ``CheckReport`` shows as a differing row. The
+transcript is its own: each line is written with plain ``json.dumps``, the
+byte contract itself, not with the package's encoder.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from typing import NamedTuple
 from eprqkd.adversary import AttackKind, AttackStrategy
 from eprqkd.config import RunConfig
 from eprqkd.errors import InsufficientPairsError
-from eprqkd.ledger import Disposition, KeyMaterial
+from eprqkd.ledger import Disposition
 from eprqkd.quantum import BELL_LABELS, BellState
 from eprqkd.rng import RandomSource
 
@@ -100,6 +101,13 @@ class Transcript:
 
 
 # -- records -------------------------------------------------------------------
+
+
+class Key(NamedTuple):
+    """A party's raw key: 2 bits per key pair, and the pair ordinals."""
+
+    bits: str
+    source_indices: tuple[int, ...]
 
 
 class Check(NamedTuple):
@@ -383,19 +391,19 @@ def second_check(ledger: Ledger, config: RunConfig, rng: RandomSource) -> Check:
     return publish_check(ledger, report, sample, Disposition.CHECKED_2, 7)
 
 
-def extract_key(ledger: Ledger) -> KeyMaterial:
+def extract_key(ledger: Ledger) -> Key:
     kept = ledger.with_disposition(Disposition.DECODED)
     for rec in kept:
         rec.disposition = Disposition.KEY
-    key = KeyMaterial(
+    key = Key(
         "".join(rec.outcome.code for rec in kept), tuple(rec.index for rec in kept)
     )
     ledger.transcript.log(7, "public", "commit", {"key_bits": len(key.bits)})
     return key
 
 
-def sender_key(ledger: Ledger, source_indices) -> KeyMaterial:
-    return KeyMaterial(
+def sender_key(ledger: Ledger, source_indices) -> Key:
+    return Key(
         "".join(ledger.records[i].prepared.code for i in source_indices), tuple(source_indices)
     )
 
@@ -404,8 +412,8 @@ def sender_key(ledger: Ledger, source_indices) -> KeyMaterial:
 class Outcome:
     ledger: Ledger
     abort_reason: str | None
-    receiver_key: KeyMaterial | None
-    sender_key: KeyMaterial | None
+    receiver_key: Key | None
+    sender_key: Key | None
     eve: EveState
 
     @property

@@ -21,6 +21,7 @@ from eprqkd.ledger import (
     PairLedger,
     Phase,
     Transcript,
+    code_string,
     gather,
     joint_counts,
     pick,
@@ -75,6 +76,12 @@ def clean_channel(seed=0):
 
 def config(**kwargs):
     return RunConfig(**{"pairs": 400, "seed": 0, **kwargs})
+
+
+def sender_key(outcome):
+    """The sender's key of a completed run: her prepared codes at the
+    receiver's key pairs."""
+    return sender_key_material(outcome.ledger, outcome.receiver_key.source_indices)
 
 
 def with_disposition(ledger, disposition):
@@ -389,31 +396,31 @@ class TestExtractKey:
             extract_key(ledger)
 
 
-def assert_key_bits_checked_as_per_character(text):
-    """KeyMaterial accepts ``text`` (doubled, to give it whole pairs) exactly
-    when every character is "0" or "1"."""
-    bits = text * 2
-    if any(c not in "01" for c in bits):
-        with pytest.raises(ValueError, match="key bits must be 0/1 characters"):
-            KeyMaterial(bits, tuple(range(len(text))))
-    else:
-        assert KeyMaterial(bits, tuple(range(len(text)))).bits == bits
-
-
 class TestKeyMaterial:
     @pytest.mark.parametrize(
         "text", ["", "0", "10", "0 1", "01\n", "012", "\u0660\u0661", "\uff10\uff11"]
     )
     def test_accepts_only_binary_digits(self, text):
-        assert_key_bits_checked_as_per_character(text)
+        # A key's bits are 2 per pair: ``text`` doubled is the bits of some
+        # key of len(text) pairs exactly when every character is "0" or "1".
+        n = len(text)
+        codes = map(bytes, product(range(4), repeat=n))
+        keys = (KeyMaterial(key_codes, tuple(range(n))) for key_codes in codes)
+        assert (text * 2 in {key.bits for key in keys}) == all(c in "01" for c in text)
 
-    @given(st.text() | st.text(alphabet="01"))
-    def test_check_matches_the_per_character_predicate(self, text):
-        assert_key_bits_checked_as_per_character(text)
+    @given(st.binary() | st.binary().map(lambda data: bytes(b & 3 for b in data)))
+    def test_check_matches_the_per_character_predicate(self, codes):
+        # A key accepts exactly the codes whose every byte is below 4, and
+        # its bits are their code string.
+        if any(b >= 4 for b in codes):
+            with pytest.raises(ValueError, match="key codes must be 0-3"):
+                KeyMaterial(codes, tuple(range(len(codes))))
+        else:
+            assert KeyMaterial(codes, tuple(range(len(codes)))).bits == code_string(codes)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
-            KeyMaterial("010", (0,))
+            KeyMaterial(bytes([0, 1]), (0,))
 
 
 # Every phase in order, with the disposition each live pair has in it: a
@@ -567,15 +574,16 @@ class TestRunProtocol:
         assert outcome.abort_reason is None
         assert outcome.check1.error_rate == 0.0
         assert outcome.check2.error_rate == 0.0
-        assert outcome.keys_agree
-        assert outcome.receiver_key.bits == outcome.sender_key.bits
+        key = sender_key(outcome)
+        assert key.codes == outcome.receiver_key.codes
+        assert outcome.receiver_key.bits == key.bits
 
     def test_aborted_run_has_no_key_agreement(self):
         cfg = config(pairs=200, seed=20, attack=AttackStrategy(kind=AttackKind.FAKE_EPR))
         outcome = run_protocol(cfg, RandomSource(20))
         assert outcome.abort_reason == "check1_failed"
-        assert outcome.receiver_key is outcome.sender_key is None
-        assert outcome.keys_agree is None
+        assert outcome.receiver_key is None
+        assert run_multiparty(cfg).keys_agree is None
 
     def test_conservation_and_exclusivity(self):
         outcome = run_protocol(config(pairs=500, seed=21), RandomSource(21))
@@ -631,7 +639,7 @@ class TestRunProtocol:
         indices = list(outcome.receiver_key.source_indices)
         assert indices == sorted(indices)
         assert len(set(indices)) == len(indices)
-        assert outcome.sender_key.source_indices == outcome.receiver_key.source_indices
+        assert sender_key(outcome).source_indices == outcome.receiver_key.source_indices
 
     def test_key_length_accounts_for_checks(self):
         outcome = run_protocol(config(pairs=400, seed=23), RandomSource(23))
@@ -848,7 +856,7 @@ class TestRunProtocol:
         )
         outcome = run_protocol(cfg, RandomSource(30))
         assert outcome.completed
-        assert outcome.keys_agree
+        assert sender_key(outcome).codes == outcome.receiver_key.codes
         assert abs(outcome.ledger.receipt_1 - 0.7) < three_sigma(0.7, 2000)
         counts = outcome.ledger.disposition_counts()
         total = sum(
@@ -872,7 +880,7 @@ class TestRandomizedCheckBasis:
         outcome = run_protocol(cfg, RandomSource(50), transcript=Transcript())
         assert outcome.completed
         assert outcome.check1.error_rate == 0.0
-        assert outcome.keys_agree
+        assert sender_key(outcome).codes == outcome.receiver_key.codes
         assert set(outcome.check1.bases) == {"z", "x"}
         # The report holds the announced string itself.
         assert outcome.check1.bases == self.announced_bases(outcome)
@@ -918,7 +926,7 @@ class TestMultiparty:
             (hop,) = outcome.hops
             assert logged_events(hop.ledger.transcript) == logged_events(single.ledger.transcript)
             assert outcome.abort_reason == single.abort_reason == reason
-            keys = [single.sender_key, single.receiver_key] if reason is None else None
+            keys = [sender_key(single), single.receiver_key] if reason is None else None
             assert outcome.keys == keys
 
     def test_clean_chain_shares_one_key(self):
@@ -948,6 +956,20 @@ class TestMultiparty:
         outcome = run_multiparty(cfg)
         relayed = "".join(rec.prepared.code for rec in outcome.hops[1].ledger.records)
         assert relayed == outcome.hops[0].receiver_key.bits
+        assert outcome.hops[1].ledger.prepared == outcome.hops[0].receiver_key.codes
+
+    @pytest.mark.parametrize("parties", [2, 3])
+    def test_a_completed_trial_builds_the_sender_key_once(self, parties, monkeypatch):
+        calls = []
+
+        def counted(ledger, source_indices):
+            calls.append(source_indices)
+            return sender_key_material(ledger, source_indices)
+
+        monkeypatch.setattr(eprqkd.protocol, "sender_key_material", counted)
+        outcome = run_multiparty(config(pairs=300, seed=33, parties=parties))
+        assert outcome.completed
+        assert calls == [outcome.keys[0].source_indices]
 
     def test_attack_on_second_hop_is_detected_there(self):
         cfg = config(

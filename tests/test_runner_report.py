@@ -386,6 +386,22 @@ class TestVerifyReport:
         mangle(doc)
         assert verify_report(doc) == [f"config.trials: stored {stored}, counted 2"]
 
+    def test_a_key_one_aggregate_lacks_is_a_mismatch(self):
+        # Every fake-EPR trial aborts at the first check, so these three keys
+        # recompute as None; a missing key must not read as that None, nor a
+        # stray None as a key the recomputed aggregate lacks.
+        cfg = RunConfig(pairs=64, trials=2, seed=49, attack=AttackStrategy(kind=AttackKind.FAKE_EPR))
+        doc = json.loads(render_structured(run(cfg)))
+        for key in ("key_agreement_rate", "mean_key_length", "check2"):
+            del doc["aggregate"][key]
+        doc["aggregate"]["stray"] = None
+        assert verify_report(doc) == [
+            "aggregate.check2: stored <missing>, recomputed None",
+            "aggregate.key_agreement_rate: stored <missing>, recomputed None",
+            "aggregate.mean_key_length: stored <missing>, recomputed None",
+            "aggregate.stray: stored None, recomputed <missing>",
+        ]
+
     def test_config_not_an_object_is_malformed(self):
         report = run(RunConfig(pairs=100, trials=1, seed=49))
         doc = json.loads(render_structured(report))
