@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 PROB_TOL = 1e-9
 
@@ -178,8 +179,7 @@ def mutual_information(joint: JointDistribution) -> float:
     return max(0.0, h_x - h_x_given_y)
 
 
-@dataclass(frozen=True)
-class Bb84Reference:
+class Bb84Reference(NamedTuple):
     """Closed-form BB84 mutual-information values under an intercept-resend
     adversary who measures the same way the receiver does, per transmitted
     qubit and without basis sifting."""

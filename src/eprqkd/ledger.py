@@ -65,10 +65,6 @@ event's fixed five-key envelope itself and encodes only the payload, in one
 call of a C-level encoder that is built once at import, where
 ``json.dumps`` would build one for every event (a Python whose json has no
 C accelerator calls ``json.dumps``).
-
-The read-only records, the ``PairRecord`` views and each check's
-``CheckReport``, are named tuples: one tuple allocation each, and each
-compares equal to a plain tuple of its fields.
 """
 from __future__ import annotations
 
@@ -130,11 +126,6 @@ def picker(indices) -> Callable[[Sequence], tuple]:
 def pick(items, indices) -> tuple:
     """The items at ``indices``, in that order."""
     return picker(indices)(items)
-
-
-def gather(column, indices) -> bytes:
-    """The bytes of ``column`` at ``indices``, in that order."""
-    return bytes(pick(column, indices))
 
 
 def code_string(codes: bytes) -> str:
@@ -258,10 +249,6 @@ class PairLedger:
         self.receipt_2: float | None = None
 
     @property
-    def n_total(self) -> int:
-        return len(self.prepared)
-
-    @property
     def stage(self) -> Disposition:
         """The disposition every live pair has: its phase's stage."""
         return self.phase.stage
@@ -334,7 +321,7 @@ class PairLedger:
     def records(self) -> tuple[PairRecord, ...]:
         """Every pair as a ``PairRecord``, rebuilt from the settle and fill
         logs on each read."""
-        n = self.n_total
+        n = len(self.prepared)
         fates = [self.stage] * n
         for ordinals, disposition in self.settled:
             for i in ordinals:

@@ -46,14 +46,15 @@ derives trial t's streams and runs it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import lru_cache
+from typing import NamedTuple
 
 from .adversary import AdversaryChannel, AttackStrategy
 from .config import RunConfig
 from .errors import ConfigurationError, InsufficientPairsError, ProtocolOrderError
 from .ledger import DIGITS, CheckReport, Disposition, KeyMaterial, PairLedger, Phase, Transcript
-from .ledger import code_string, gather, pick, picker
+from .ledger import code_string, pick, picker
 from .quantum import BASES, BELL_LABELS, CODES, KEYS, OPS, PAIR_BASIS, BellState, measure_column
 # Unused here; the benchmark's traced run (bench/workloads.py) wraps these bindings.
 from .quantum import measure_bell_basis, measure_qubit  # noqa: F401
@@ -317,11 +318,10 @@ def extract_key(ledger: PairLedger) -> KeyMaterial:
 
 def sender_key_material(ledger: PairLedger, source_indices) -> KeyMaterial:
     """The sender's key: her preparation codes at the kept pair ordinals."""
-    return KeyMaterial(gather(ledger.prepared, source_indices), tuple(source_indices))
+    return KeyMaterial(bytes(pick(ledger.prepared, source_indices)), tuple(source_indices))
 
 
-@dataclass
-class ProtocolOutcome:
+class ProtocolOutcome(NamedTuple):
     """Everything a single run produced, including the final ledger: the
     receiver's key when the run completed. The sender's key is her prepared
     codes at that key's ``source_indices`` (``sender_key_material``)."""
@@ -337,10 +337,6 @@ class ProtocolOutcome:
     @property
     def check2(self) -> CheckReport | None:
         return self.ledger.check2
-
-    @property
-    def completed(self) -> bool:
-        return self.abort_reason is None
 
 
 def run_protocol(
@@ -408,8 +404,7 @@ def run_protocol(
     return ProtocolOutcome(ledger, None, extract_key(ledger))
 
 
-@dataclass
-class TrialOutcome:
+class TrialOutcome(NamedTuple):
     """One trial: its index, the hops of the chain that ran, in order, and
     every party's key (sender first) when the last hop completed."""
 
@@ -417,10 +412,6 @@ class TrialOutcome:
     hops: list[ProtocolOutcome]
     abort_reason: str | None
     keys: list[KeyMaterial] | None
-
-    @property
-    def completed(self) -> bool:
-        return self.abort_reason is None
 
     @property
     def keys_agree(self) -> bool | None:
@@ -478,7 +469,7 @@ def run_multiparty(
             transcript=transcript,
         )
         hops.append(hop)
-        if not hop.completed:
+        if hop.abort_reason is not None:
             reason = hop.abort_reason if k == 1 else f"hop{k}_{hop.abort_reason}"
             return TrialOutcome(trial, hops, reason, None)
         kept = hop.receiver_key.source_indices
@@ -491,7 +482,7 @@ def run_multiparty(
     # relay's (his prepared codes at his hop's kept pairs), the last receiver's.
     keys = [sender_key_material(hops[0].ledger, positions)]
     for hop in hops[1:]:
-        relayed = gather(hop.ledger.prepared, hop.receiver_key.source_indices)
+        relayed = bytes(pick(hop.ledger.prepared, hop.receiver_key.source_indices))
         keys.append(KeyMaterial(relayed, positions))
     keys.append(KeyMaterial(hops[-1].receiver_key.codes, positions))
     return TrialOutcome(trial, hops, None, keys)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import analysis
 from .adversary import eve_guess_counts
@@ -166,8 +166,7 @@ def aggregate_rows(rows: list[dict]) -> dict:
     }
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     """Everything one invocation produced.
 
     ``wall_time_s`` is informational and deliberately left out of the

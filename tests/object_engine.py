@@ -15,7 +15,8 @@ not change (the configs) come from the package. A key is its own ``Key``
 tuple of its bits as a ``"0011"`` string and the pair ordinals they came
 from. A check is its own ``Check`` tuple, equal to the package's
 ``CheckReport`` with the same fields, and states its own summary and pass
-rule, so a fault in ``CheckReport`` shows as a differing row. The
+rule, so a fault in ``CheckReport`` shows as a differing row. A check
+with no pairs left raises the oracle's own ``NoPairsLeft``. The
 transcript is its own: each line is written with plain ``json.dumps``, the
 byte contract itself, not with the package's encoder.
 """
@@ -28,7 +29,6 @@ from typing import NamedTuple
 
 from eprqkd.adversary import AttackKind, AttackStrategy
 from eprqkd.config import RunConfig
-from eprqkd.errors import InsufficientPairsError
 from eprqkd.ledger import Disposition
 from eprqkd.quantum import BELL_LABELS, BellState
 from eprqkd.rng import RandomSource
@@ -40,6 +40,12 @@ _TERMINAL = {
     Disposition.KEY,
     Disposition.DROPPED,
 }
+
+
+class NoPairsLeft(Exception):
+    """A check found no pairs to sample: the run aborts with
+    ``insufficient_pairs``."""
+
 
 # -- closed-form pair algebra --------------------------------------------------
 
@@ -284,7 +290,7 @@ def transmit_first_sequence(ledger: Ledger, channel: Channel):
 
 def draw_sample(candidates, fraction, min_size, rng):
     if not candidates:
-        raise InsufficientPairsError("no pairs available to check")
+        raise NoPairsLeft("no pairs available to check")
     size = min(len(candidates), max(min_size, math.ceil(fraction * len(candidates))))
     return sorted(rng.sample_without_replacement(candidates, size), key=lambda rec: rec.index)
 
@@ -445,7 +451,7 @@ def run_protocol(
     else:
         try:
             check1 = first_check(ledger, config, receiver_rng)
-        except InsufficientPairsError:
+        except NoPairsLeft:
             abort = "insufficient_pairs"
             transcript.log(3, "public", "abort", {"reason": abort})
         else:
@@ -463,7 +469,7 @@ def run_protocol(
             decode(ledger, receiver_rng)
             try:
                 check2 = second_check(ledger, config, receiver_rng)
-            except InsufficientPairsError:
+            except NoPairsLeft:
                 abort = abort or "insufficient_pairs"
             else:
                 if not check2.passed:

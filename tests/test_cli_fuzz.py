@@ -7,7 +7,7 @@ it asks for.
 """
 import contextlib
 import io
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -54,7 +54,7 @@ def test_run_argv_exits_0_or_2_with_a_message(monkeypatch, canned, argv):
 
     def stub(config, collect_transcripts=False):
         configs.append(config)
-        return replace(canned, config=config)
+        return canned._replace(config=config)
 
     monkeypatch.setattr("eprqkd.cli.run", stub)
     out, err = io.StringIO(), io.StringIO()

@@ -22,7 +22,6 @@ from eprqkd.ledger import (
     Phase,
     Transcript,
     code_string,
-    gather,
     joint_counts,
     pick,
     picker,
@@ -91,7 +90,7 @@ def with_disposition(ledger, disposition):
 class TestPrepare:
     def test_structure(self):
         ledger = alice_prepare(4, RandomSource(1, "alice"))
-        assert ledger.n_total == 4
+        assert len(ledger.prepared) == 4
         assert [rec.index for rec in ledger.records] == [0, 1, 2, 3]
         assert ledger.phase is Phase.CREATED and ledger.receipt_1 is None
         for rec in ledger.records:
@@ -101,7 +100,7 @@ class TestPrepare:
 
     def test_single_pair(self):
         ledger = alice_prepare(1, RandomSource(2))
-        assert ledger.n_total == 1
+        assert len(ledger.prepared) == 1
         assert ledger.records[0].disposition is Disposition.PREPARED
 
     def test_zero_pairs_rejected(self):
@@ -452,7 +451,8 @@ def test_gather_and_pick_read_the_items_at_indices_in_order(kind, indices):
     items = kind(b"\x05\x06\x07\x08\x09")
     expected = tuple(items[i] for i in indices)
     assert type(pick(items, indices)) is tuple and pick(items, indices) == expected
-    assert gather(items, indices) == bytes(expected)
+    # The key builders read a column's bytes at indices as bytes(pick(...)).
+    assert bytes(pick(items, indices)) == bytes(expected)
     # One picker reads each sequence at the same indices.
     get = picker(indices)
     assert get(items) == expected and get(items[::-1]) == pick(items[::-1], indices)
@@ -570,7 +570,7 @@ class TestLedgerColumns:
 class TestRunProtocol:
     def test_clean_run(self):
         outcome = run_protocol(config(pairs=400, seed=20), RandomSource(20))
-        assert outcome.completed
+        assert outcome.abort_reason is None
         assert outcome.abort_reason is None
         assert outcome.check1.error_rate == 0.0
         assert outcome.check2.error_rate == 0.0
@@ -855,7 +855,7 @@ class TestRunProtocol:
             loss_tolerance=0.5,
         )
         outcome = run_protocol(cfg, RandomSource(30))
-        assert outcome.completed
+        assert outcome.abort_reason is None
         assert sender_key(outcome).codes == outcome.receiver_key.codes
         assert abs(outcome.ledger.receipt_1 - 0.7) < three_sigma(0.7, 2000)
         counts = outcome.ledger.disposition_counts()
@@ -878,7 +878,7 @@ class TestRandomizedCheckBasis:
     def test_clean_run_still_error_free(self):
         cfg = config(pairs=400, seed=50, randomize_check_basis=True)
         outcome = run_protocol(cfg, RandomSource(50), transcript=Transcript())
-        assert outcome.completed
+        assert outcome.abort_reason is None
         assert outcome.check1.error_rate == 0.0
         assert sender_key(outcome).codes == outcome.receiver_key.codes
         assert set(outcome.check1.bases) == {"z", "x"}
@@ -932,7 +932,7 @@ class TestMultiparty:
     def test_clean_chain_shares_one_key(self):
         cfg = config(pairs=300, seed=31, parties=3)
         outcome = run_multiparty(cfg)
-        assert outcome.completed
+        assert outcome.abort_reason is None
         assert outcome.keys_agree
         assert outcome.keys[0].bits == outcome.keys[1].bits == outcome.keys[-1].bits
         assert len(outcome.keys[0].bits) > 0
@@ -968,7 +968,7 @@ class TestMultiparty:
 
         monkeypatch.setattr(eprqkd.protocol, "sender_key_material", counted)
         outcome = run_multiparty(config(pairs=300, seed=33, parties=parties))
-        assert outcome.completed
+        assert outcome.abort_reason is None
         assert calls == [outcome.keys[0].source_indices]
 
     def test_attack_on_second_hop_is_detected_there(self):
@@ -980,7 +980,7 @@ class TestMultiparty:
             attack_hop="2",
         )
         outcome = run_multiparty(cfg)
-        assert outcome.hops[0].completed
+        assert outcome.hops[0].abort_reason is None
         assert outcome.abort_reason == "hop2_check2_failed"
         assert outcome.keys is None
 
@@ -1000,7 +1000,7 @@ class TestMultiparty:
         # 40 pairs leave 8 key pairs to relay; the relay's first check
         # consumes all 8.
         outcome = run_multiparty(RunConfig(pairs=40, seed=37, parties=3))
-        assert outcome.hops[0].completed
+        assert outcome.hops[0].abort_reason is None
         assert outcome.abort_reason == "hop2_insufficient_pairs"
         assert outcome.keys is None
 
@@ -1130,9 +1130,9 @@ def assert_hop_finished(hop):
     (so below 0x80, which a settle's cut of the column relies on)."""
     ledger = hop.ledger
     settled = [i for ordinals, _ in ledger.settled for i in ordinals]
-    assert sorted(settled) == list(range(ledger.n_total)) and not ledger.live
+    assert sorted(settled) == list(range(len(ledger.prepared))) and not ledger.live
     counts = ledger.disposition_counts()
-    assert sum(counts.values()) == len(settled) == ledger.n_total
+    assert sum(counts.values()) == len(settled) == len(ledger.prepared)
     key_length = len(hop.receiver_key.bits) if hop.receiver_key else 0
     assert key_length == 2 * counts["key"]
     assert (hop.abort_reason is None) == (hop.receiver_key is not None)
@@ -1162,7 +1162,7 @@ def test_unseen_attack_completes_with_disagreeing_keys(fields, key_bits):
     attack = AttackStrategy(kind=AttackKind.MEASURE_RESEND)
     cfg = RunConfig(attack=attack, min_check_size=1, attack_hop="1", **fields)
     outcome = run_multiparty(cfg)
-    assert outcome.completed
+    assert outcome.abort_reason is None
     assert outcome.keys_agree is False
     assert [len(key.bits) for key in outcome.keys] == [key_bits, key_bits]
 
@@ -1222,11 +1222,11 @@ def test_every_valid_config_finishes_every_trial(
     cfg = RunConfig(seed=seed, attack=attack, **fields)
     outcome = run_multiparty(cfg)
     assert 1 <= len(outcome.hops) <= cfg.parties - 1
-    assert outcome.hops[0].ledger.n_total == cfg.pairs
+    assert len(outcome.hops[0].ledger.prepared) == cfg.pairs
     for k, hop in enumerate(outcome.hops):
         assert_hop_finished(hop)
         # A later hop runs only after the one before it completed.
-        assert k == 0 or outcome.hops[k - 1].completed
+        assert k == 0 or outcome.hops[k - 1].abort_reason is None
     assert (outcome.abort_reason is None) == (outcome.keys is not None)
     if outcome.keys is not None:
         assert len(outcome.hops) == len(outcome.keys) - 1 == cfg.parties - 1

@@ -294,3 +294,37 @@ class TestLazySeeding:
         assert measure_column(bytes(2), keys)[0] == bytes(2)
         assert scripted.draws == 6
         assert scripted._rng is scripted
+
+    @pytest.mark.parametrize(
+        "fields, reason, streams",
+        [
+            ({"attack": AttackStrategy(AttackKind.FAKE_EPR)}, "check1_failed", ("alice", "bob")),
+            ({}, None, ("alice", "bob")),
+            (
+                {"attack": AttackStrategy(AttackKind.MEASURE_RESEND)},
+                "check2_failed",
+                ("alice", "bob", "eve"),
+            ),
+            (
+                {"attack": AttackStrategy(AttackKind.FAKE_EPR, fake_label=None)},
+                "check1_failed",
+                ("alice", "bob", "eve"),
+            ),
+            (
+                {
+                    "attack": AttackStrategy(AttackKind.OPAQUE, destroy_probability=0.3),
+                    "loss_tolerance": 0.9,
+                },
+                None,
+                ("alice", "bob", "eve"),
+            ),
+            ({"parties": 3, "pairs": 200}, None, ("hop1/alice", "hop1/bob", "hop2/clare")),
+        ],
+        ids=["fake-epr", "clean", "measure-resend", "fake-epr-uniform", "opaque", "three-party"],
+    )
+    def test_a_trial_seeds_only_the_streams_it_draws_from(self, seeded, fields, reason, streams):
+        # A root stream, a relay's sender stream and an adversary stream on a
+        # clean channel are handed out but never drawn from, so never seeded.
+        outcome = run_multiparty(RunConfig(**{"pairs": 64, **fields}), 0)
+        assert outcome.abort_reason == reason
+        assert sorted(seeded) == sorted(f"0:root/{name}" for name in streams)
