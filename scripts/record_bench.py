@@ -32,7 +32,10 @@ and acceptance_wall_s. ``sides[side]`` gives the side's commit, the
 ``src_lines`` (all lines) and ``src_sha256`` of its runs' records, and
 ``src_code_lines``, the code lines of its ``src/eprqkd`` as
 ``scripts/code_lines.py`` counts them (no docstrings, comments or blank
-lines).
+lines), and ``cli_imports``, the sorted names of the modules that a fresh
+interpreter newly loads for ``import eprqkd.cli`` from the side's ``src/``,
+under PYTHONDONTWRITEBYTECODE=1 as its runs are: a count that repeats
+exactly, so it shows where a ``setup_s`` change comes from.
 ``summary[label][metric]`` gives each side's median and quartiles
 (``statistics.quantiles``, n=4, exclusive method), the change/parent ratio
 of the medians, the sorted per-pair ratios, the parent's interquartile
@@ -76,6 +79,11 @@ TREE = ("src", "bench", "tests", "BENCHMARK.json")
 # The round's last step, which times the acceptance tests, in place of a workload.
 ACCEPTANCE = "acceptance"
 ACCEPTANCE_COMMAND = ("-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_acceptance.py")
+# Prints the modules that importing the command line adds, one name a line.
+CLI_IMPORTS = (
+    "import sys; before = set(sys.modules); import eprqkd.cli; "
+    "print(*sorted(set(sys.modules) - before), sep='\\n')"
+)
 # The fields of a run record's meta that describe the host, and its side's source.
 MACHINE = ("cpu_model", "cpus_usable", "nproc", "numpy", "python")
 SOURCE = ("src_lines", "src_sha256")
@@ -151,6 +159,20 @@ def time_acceptance(root: Path) -> float:
     if done.returncode != 0:
         raise RuntimeError(f"the acceptance tests failed in {root}:\n{done.stdout}{done.stderr}")
     return seconds
+
+
+def cli_imports(root: Path) -> list[str]:
+    """The sorted names of the modules that a fresh interpreter newly loads
+    for ``import eprqkd.cli`` from ``root``'s own ``src/``."""
+    done = subprocess.run(
+        [sys.executable, "-c", CLI_IMPORTS],
+        cwd=root,
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": "src"},
+    )
+    return done.stdout.split()
 
 
 def run_values(run: dict) -> dict:
@@ -325,6 +347,7 @@ def main(argv=None) -> int:
         roots = make_sides(Path(tmp))
         for side in SIDES:
             sides[side]["src_code_lines"] = code_lines(roots[side] / "src" / "eprqkd")
+            sides[side]["cli_imports"] = cli_imports(roots[side])
 
         def run_one(side, workload, seed, trace=0):
             if workload == ACCEPTANCE:

@@ -9,13 +9,13 @@ compare it against BB84-style schemes.
 The top level re-exports what a single run needs; everything else is
 imported from its module (``eprqkd.runner.run``, ``eprqkd.analysis``, ...).
 
-Record types follow one rule. A record whose ``__post_init__`` checks its
-input is a frozen dataclass (``RunConfig``, ``AttackStrategy``,
-``KeyMaterial``, ``JointDistribution``, ``EfficiencyInputs``). Any other
-record is a named tuple (``CheckReport``, ``PairRecord``,
-``ProtocolOutcome``, ``TrialOutcome``, ``RunReport``, ``Bb84Reference``):
-one tuple allocation each, with no code generated at import, and each
-compares equal to a plain tuple of its fields.
+Record types follow one rule. A record that checks its input subclasses
+``record.Record`` (``RunConfig``, ``AttackStrategy``, ``KeyMaterial``,
+``JointDistribution``, ``EfficiencyInputs``): its ``check`` runs on every
+construction, ``replace`` included. Any other record is a named tuple
+(``CheckReport``, ``PairRecord``, ``ProtocolOutcome``, ``TrialOutcome``,
+``RunReport``, ``Bb84Reference``): one tuple allocation each, with no code
+generated at import, and each compares equal to a plain tuple of its fields.
 """
 from .adversary import AttackKind, AttackStrategy
 from .config import RunConfig

@@ -27,7 +27,6 @@ Strategies:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConfigurationError, require_field_types, require_known_keys
@@ -35,6 +34,7 @@ from .ledger import DIGITS, Disposition, PairLedger, code_string
 from .quantum import BELL_LABELS, CODES, KEYS, OPS, PAIR_BASIS, BellState, measure_column
 # Unused here; the benchmark's traced run (bench/workloads.py) wraps these bindings.
 from .quantum import measure_bell_basis, measure_qubit_z  # noqa: F401
+from .record import Record
 from .rng import RandomSource
 
 _BITS = ("0", "1")
@@ -57,8 +57,7 @@ FAKE_LABELS: dict[str, BellState | None] = {
 }
 
 
-@dataclass(frozen=True)
-class AttackStrategy:
+class AttackStrategy(Record):
     """Attack selection plus the parameters meaningful for that kind.
 
     ``fake_label`` is the pair state planted by the fake-EPR attack; None
@@ -73,7 +72,7 @@ class AttackStrategy:
     destroy_probability: float = 0.0
     measure_second_sequence: bool = False
 
-    def __post_init__(self):
+    def check(self):
         require_field_types(self)
         if not 0.0 <= self.destroy_probability <= 1.0:
             raise ConfigurationError(

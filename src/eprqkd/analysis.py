@@ -34,8 +34,9 @@ checked every count while pooling the tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
+
+from .record import Record
 
 PROB_TOL = 1e-9
 
@@ -71,8 +72,7 @@ def shannon_entropy(probabilities) -> float:
     return _entropy(p)
 
 
-@dataclass(frozen=True)
-class JointDistribution:
+class JointDistribution(Record):
     """Joint probabilities of two finite-alphabet variables.
 
     ``p[i][j]`` is P(X = outcomes_x[i], Y = outcomes_y[j]); ``p`` is a tuple
@@ -83,7 +83,7 @@ class JointDistribution:
     outcomes_y: tuple[str, ...]
     p: tuple[tuple[float, ...], ...]
 
-    def __post_init__(self):
+    def check(self):
         try:
             rows = tuple(tuple(map(float, row)) for row in self.p)
         except TypeError:
@@ -95,7 +95,7 @@ class JointDistribution:
                 f"({len(self.outcomes_x)}, {len(self.outcomes_y)})"
             )
         _validate_probabilities(tuple(value for row in rows for value in row))
-        object.__setattr__(self, "p", rows)
+        vars(self)["p"] = rows
 
     @classmethod
     def from_counts(cls, counts: dict[str, dict[str, int]]) -> "JointDistribution":
@@ -125,7 +125,7 @@ class JointDistribution:
         if count <= 0:
             raise ValueError("counts sum to zero")
         # Nonnegative ints over their positive total are finite, nonnegative
-        # and sum to 1 within rounding: __post_init__ would find nothing.
+        # and sum to 1 within rounding: check would find nothing.
         rows = []
         for x in xs:
             row = counts[x]
@@ -200,8 +200,7 @@ def reference_bb84() -> Bb84Reference:
     )
 
 
-@dataclass(frozen=True)
-class EfficiencyInputs:
+class EfficiencyInputs(Record):
     """Per-transmission-unit accounting for the efficiency ratio.
 
     Classical bits spent on eavesdropping checks are excluded by
@@ -212,7 +211,7 @@ class EfficiencyInputs:
     qubits_used: float
     classical_bits: float
 
-    def __post_init__(self):
+    def check(self):
         if min(self.secret_bits, self.qubits_used, self.classical_bits) < 0:
             raise ValueError("efficiency inputs must be nonnegative")
         if self.qubits_used + self.classical_bits <= 0:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 from functools import cache
 from pathlib import Path
 
@@ -70,7 +69,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     errors of a ``run`` command under its own usage line."""
     defaults = RunConfig().to_dict()
     defaults.update(defaults.pop("attack"))
-    kinds = {f.name: FIELD_KINDS.get(f.type) for f in fields(RunConfig) + fields(AttackStrategy)}
+    types = {**RunConfig.TYPES, **AttackStrategy.TYPES}
+    kinds = {name: FIELD_KINDS.get(kind) for name, kind in types.items()}
     parser = argparse.ArgumentParser(
         prog="eprqkd",
         description="Simulate a two-step entangled-pair key distribution protocol.",
@@ -103,8 +103,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
 
 
 def _config_from_args(args) -> RunConfig:
-    data = {f.name: getattr(args, f.name) for f in fields(RunConfig) if f.name != "attack"}
-    data["attack"] = {f.name: getattr(args, f.name) for f in fields(AttackStrategy)}
+    data = {name: getattr(args, name) for name in RunConfig.FIELDS if name != "attack"}
+    data["attack"] = {name: getattr(args, name) for name in AttackStrategy.FIELDS}
     return RunConfig.from_dict(data)
 
 

@@ -5,10 +5,9 @@ back in, together with its seed, reproduces the run bit-for-bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-
 from .adversary import AttackStrategy
 from .errors import ConfigurationError, require_field_types, require_known_keys
+from .record import Record
 from .rng import MAX_SEED
 
 PARTIES = (2, 3)
@@ -18,12 +17,11 @@ ATTACK_HOPS = ("1", "2", "both")
 MAX_PAIRS = 2**25 - 1
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     pairs: int = 1000
     trials: int = 1
     seed: int = 0
-    attack: AttackStrategy = field(default_factory=AttackStrategy)
+    attack: AttackStrategy = AttackStrategy()
     check_fraction_1: float = 0.25
     check_fraction_2: float = 0.25
     threshold_1: float = 0.02
@@ -42,7 +40,7 @@ class RunConfig:
     # modeled here at one check or the other.
     randomize_check_basis: bool = False
 
-    def __post_init__(self):
+    def check(self):
         require_field_types(self)
         if self.pairs < 1:
             raise ConfigurationError(f"pairs must be >= 1, got {self.pairs}")
@@ -75,7 +73,7 @@ class RunConfig:
         return self.attack_hop == "both" or self.attack_hop == str(hop)
 
     def to_dict(self) -> dict:
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data = {name: getattr(self, name) for name in self.FIELDS}
         data["attack"] = self.attack.to_dict()
         return data
 

@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
 from json.encoder import c_make_encoder, encode_basestring_ascii
@@ -78,6 +77,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .quantum import BELL_LABELS, CODES, BellState
+from .record import Record
 
 # The C encoder that json.dumps(payload, sort_keys=True, separators=(",", ":"))
 # builds anew on every call, built once: json's default hook and string
@@ -406,15 +406,14 @@ class CheckReport(NamedTuple):
         }
 
 
-@dataclass(frozen=True)
-class KeyMaterial:
+class KeyMaterial(Record):
     """A party's raw key: one pair-state code 0-3 per key pair, its 2 key
     bits, and the pair ordinals they came from, in order."""
 
     codes: bytes
     source_indices: tuple[int, ...]
 
-    def __post_init__(self):
+    def check(self):
         if len(self.codes) != len(self.source_indices):
             raise ValueError(
                 f"key of {len(self.codes)} codes does not match "

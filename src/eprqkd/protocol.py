@@ -46,7 +46,6 @@ derives trial t's streams and runs it.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -424,7 +423,7 @@ class TrialOutcome(NamedTuple):
 def _unattacked(config: RunConfig) -> RunConfig:
     """``config`` with no attack, for a hop the adversary does not sit on:
     built once per config, not once per trial."""
-    return replace(config, attack=AttackStrategy())
+    return config.replace(attack=AttackStrategy())
 
 
 def run_multiparty(

@@ -1,0 +1,51 @@
+"""The base of the records that check their input.
+
+A subclass declares its fields as annotations, in order, gives a default as
+a class attribute, and checks its values in a ``check`` method, which every
+construction runs, ``replace`` included. ``FIELDS`` names the fields in
+order and ``TYPES`` maps each to its annotation (a string under ``from
+__future__ import annotations``). An instance keeps its values in its
+``__dict__``, in field order, and refuses to set or delete one afterwards.
+"""
+
+
+class Record:
+    def __init_subclass__(cls):
+        cls.TYPES = dict(cls.__annotations__)
+        cls.FIELDS = names = tuple(cls.TYPES)
+        cls._TEMPLATE = {name: vars(cls).get(name) for name in names}
+        required = {name for name in names if name not in vars(cls)}
+        # After n positional values: the fields a keyword may name, and those it must.
+        cls._KEYWORDS = [(set(names[n:]), required - set(names[:n])) for n in range(len(names) + 1)]
+
+    def __init__(self, *args, **kwargs):
+        values = vars(self)
+        # Every field given by position is the fast path, which KeyMaterial takes.
+        if kwargs or len(args) != len(self.FIELDS):
+            keywords = self._KEYWORDS[len(args)] if len(args) <= len(self.FIELDS) else None
+            if keywords is None or not keywords[1] <= kwargs.keys() <= keywords[0]:
+                raise TypeError(
+                    f"{type(self).__name__}() needs each of {self.FIELDS} once, unless it has a default"
+                )
+            values.update(self._TEMPLATE, **kwargs)
+        values.update(zip(self.FIELDS, args))
+        self.check()
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied, checked as a new record is."""
+        return type(self)(**{**vars(self), **changes})
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"

@@ -7,7 +7,6 @@ it asks for.
 """
 import contextlib
 import io
-from dataclasses import fields
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -23,7 +22,9 @@ FLOATS = ("nan", "inf", "-inf", "-0.0", "1e-320", repr(1 - 2**-53))
 ORDINARY = ("1", "3", "0.5")
 # Text that no option parser reads as a flag.
 JUNK = st.text(max_size=6).filter(lambda text: not text.startswith("-"))
-SWITCHES = {f.name for f in fields(RunConfig) + fields(AttackStrategy) if f.type == "bool"}
+SWITCHES = {
+    name for name, kind in {**RunConfig.TYPES, **AttackStrategy.TYPES}.items() if kind == "bool"
+}
 
 
 @st.composite

@@ -40,29 +40,22 @@ def assert_engines_agree(config: RunConfig):
     assert report.transcripts == transcripts
 
 
+# A channel that destroys every particle in flight. With all loss tolerated,
+# hop 1 has no pair left for its first check (insufficient_pairs at step 3);
+# with half tolerated, it stalls at the first transmission (step 2).
+DESTROY_ALL = AttackStrategy(kind=AttackKind.OPAQUE, destroy_probability=1.0)
+
+
 def test_every_attack_variant_matches_the_object_engine():
-    for attack in ATTACKS:
-        for parties in (2, 3):
-            for continuation_mode in (False, True):
-                for randomize_check_basis in (False, True):
-                    assert_engines_agree(
-                        RunConfig(
-                            pairs=64,
-                            trials=2,
-                            seed=5,
-                            attack=attack,
-                            parties=parties,
-                            min_check_size=4,
-                            loss_tolerance=0.5,
-                            continuation_mode=continuation_mode,
-                            randomize_check_basis=randomize_check_basis,
-                        )
-                    )
+    for config in engine_grid():
+        assert_engines_agree(config)
 
 
 def engine_grid():
     """The configs of the engine test above: every attack variant, for 2 and
-    3 parties, with continuation and the randomized check basis off and on."""
+    3 parties, with continuation and the randomized check basis off and on;
+    then ``DESTROY_ALL``, for 2 and 3 parties, with all and with half the
+    loss tolerated."""
     for attack in ATTACKS:
         for parties in (2, 3):
             for continuation_mode in (False, True):
@@ -78,6 +71,42 @@ def engine_grid():
                         continuation_mode=continuation_mode,
                         randomize_check_basis=randomize_check_basis,
                     )
+    for parties in (2, 3):
+        for loss_tolerance in (1.0, 0.5):
+            yield RunConfig(
+                pairs=64,
+                trials=2,
+                seed=5,
+                attack=DESTROY_ALL,
+                parties=parties,
+                min_check_size=4,
+                loss_tolerance=loss_tolerance,
+            )
+
+
+# The (hop, reason, step) of every abort event that the grid's transcripts
+# log. A grid edit that stops reaching one of them fails the test below.
+GRID_ABORT_PATHS = {
+    (1, "stall_transmission_1", 2),
+    (1, "insufficient_pairs", 3),
+    (1, "check1_failed", 4),
+    (1, "check1_failed", 7),
+    (1, "check2_failed", 7),
+    (2, "stall_transmission_2", 5),
+    (2, "insufficient_pairs", 7),
+}
+
+
+def test_the_grid_reaches_every_listed_abort_path():
+    reached = set()
+    for config in engine_grid():
+        for transcript in run(config, collect_transcripts=True).transcripts:
+            for event in map(json.loads, transcript.splitlines()):
+                if event["event"] == "abort":
+                    payload = event["payload"]
+                    # A two-party run tags no hop: its one hop is hop 1.
+                    reached.add((payload.get("hop", 1), payload["reason"], event["step"]))
+    assert reached == GRID_ABORT_PATHS
 
 
 def oracle_hops(config: RunConfig, trial: int) -> list:
@@ -154,7 +183,7 @@ def test_run_path_builds_no_pair_records(monkeypatch):
     threshold_1=st.one_of(st.just(0.02), st.floats(0.0, 1.0)),
     threshold_2=st.one_of(st.just(0.02), st.floats(0.0, 1.0)),
     min_check_size=st.integers(1, 24),
-    loss_tolerance=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    loss_tolerance=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
     continuation_mode=st.booleans(),
     randomize_check_basis=st.booleans(),
     parties=st.sampled_from([2, 3]),

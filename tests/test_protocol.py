@@ -2,7 +2,6 @@ import hashlib
 import importlib
 import json
 import json.encoder
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -1015,12 +1014,14 @@ class TestMultiparty:
         )
         calls = []
 
-        def counting_replace(*args, **kwargs):
-            calls.append(args)
-            return replace(*args, **kwargs)
+        replace = RunConfig.replace
+
+        def counting_replace(config, **changes):
+            calls.append((config,))
+            return replace(config, **changes)
 
         eprqkd.protocol._unattacked.cache_clear()
-        monkeypatch.setattr(eprqkd.protocol, "replace", counting_replace)
+        monkeypatch.setattr(RunConfig, "replace", counting_replace)
         report = run(cfg)
         # Hop 1 of each of the 5 trials runs unattacked, on one config.
         assert calls == [(cfg,)]

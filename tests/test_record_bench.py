@@ -103,7 +103,7 @@ DOCUMENT_KEYS = {
     "what", "machine", "sides", "claim", "summary", "runs", "trace1", "acceptance_wall_s"
 }
 MACHINE_KEYS = {"cpu_model", "cpus_usable", "nproc", "numpy", "python"}
-SIDE_KEYS = {"commit", "src_lines", "src_sha256", "src_code_lines"}
+SIDE_KEYS = {"commit", "src_lines", "src_sha256", "src_code_lines", "cli_imports"}
 SUMMARY_KEYS = {*METRICS, "ops", "failed_of_attempted", "all_correct"}
 METRIC_SUMMARY_KEYS = {
     "better",
@@ -137,10 +137,11 @@ def test_document_has_the_committed_schema():
     traces = {
         f"{side}/audit": [pair[side] for pair in traced["audit"]] for side in record_bench.SIDES
     }
-    # As main() builds them: each side's commit and its src/ code lines.
+    # As main() builds them: each side's commit, its src/ code lines and the
+    # modules its command line imports.
     sides = {
-        "parent": {"commit": "p", "src_code_lines": 80},
-        "change": {"commit": "c", "src_code_lines": 70},
+        "parent": {"commit": "p", "src_code_lines": 80, "cli_imports": ["argparse", "eprqkd"]},
+        "change": {"commit": "c", "src_code_lines": 70, "cli_imports": ["eprqkd"]},
     }
     claim = {"workload": "audit", "metric": "trials_per_s", "rule": "r"}
     doc = record_bench.document("w", claim, sides, runs, traces, acceptance, METRICS)
@@ -151,6 +152,7 @@ def test_document_has_the_committed_schema():
     assert doc["sides"]["change"].keys() == SIDE_KEYS
     assert doc["sides"]["change"]["src_lines"] == 90
     assert doc["sides"]["change"]["src_code_lines"] == 70
+    assert doc["sides"]["parent"]["cli_imports"] == ["argparse", "eprqkd"]
     label = "seed1/audit"
     assert doc["summary"][label].keys() == SUMMARY_KEYS
     for metric in METRICS:
@@ -314,3 +316,11 @@ def test_code_lines_skip_docstrings_comments_and_blank_lines(tmp_path):
     (tmp_path / "notes.txt").write_text("x = 1\n")
     assert code_lines.code_lines(tmp_path / "a.py") == 8
     assert code_lines.code_lines(tmp_path) == 9
+
+
+def test_cli_imports_name_every_package_module():
+    # The working tree's own src/, imported in a fresh interpreter.
+    imported = record_bench.cli_imports(ROOT)
+    assert imported == sorted(imported)
+    modules = {f"eprqkd.{path.stem}" for path in (ROOT / "src" / "eprqkd").glob("*.py")}
+    assert modules - {"eprqkd.__init__"} | {"eprqkd"} <= set(imported)

@@ -464,10 +464,10 @@ class TestConfig:
     @pytest.mark.parametrize("cls", [RunConfig, AttackStrategy], ids=lambda cls: cls.__name__)
     def test_every_typed_field_rejects_a_wrong_type(self, cls):
         # The resolved annotations, so that the test still finds the typed
-        # fields if the dataclass stops annotating them as strings.
+        # fields if the record stops annotating them as strings.
         hints = typing.get_type_hints(cls)
         wrong = {bool: 1, int: 1.5, float: "0.5"}
-        typed = [f.name for f in dataclasses.fields(cls) if hints[f.name] in wrong]
+        typed = [name for name in cls.FIELDS if hints[name] in wrong]
         assert typed
         for name in typed:
             with pytest.raises(ConfigurationError, match=f"^{name} must be"):
