@@ -138,8 +138,7 @@ def _measure_resend(channel, transmission, ledger):
 def _fake_epr(channel, transmission, ledger):
     live, rng = ledger.live, channel.rng
     if transmission == 1:
-        # A uniform label is rng.uniform_index(4) per pair, which is int(r * 4)
-        # of one draw.
+        # A uniform label is one 2-bit draw per pair.
         label = channel.strategy.fake_label
         fakes = rng.quarters(len(live)) if label is None else bytes([label]) * len(live)
         ledger.fill("planted", fakes)

@@ -13,7 +13,9 @@ from .rng import MAX_SEED
 PARTIES = (2, 3)
 ATTACK_HOPS = ("1", "2", "both")
 # The most pairs a trial takes. A trial holds about 70 bytes per pair, over
-# 2 GB at this bound, until its memory is bounded.
+# 2 GB at this bound, until its memory is bounded. Its largest draw, a check
+# sample's 8 bits per pair, stays below 2**31 bits, the C int that
+# ``getrandbits`` takes its bit count as.
 MAX_PAIRS = 2**25 - 1
 
 

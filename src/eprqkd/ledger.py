@@ -213,9 +213,7 @@ class PairLedger:
 
     ``prepared`` holds the preparation codes by pair ordinal. ``live``
     lists, in order, the ordinals of the pairs with no terminal disposition
-    yet, whose disposition is ``stage``, set by ``phase``. ``positions`` is
-    ``list(range(len(live)))``, from which a check draws its sample; after a
-    settle of every live pair it keeps its old length. ``settled`` logs each
+    yet, whose disposition is ``stage``, set by ``phase``. ``settled`` logs each
     settle's (ordinals, terminal disposition) and ``fills`` each fill's
     record (name, cuts, prepared codes, codes, names). ``transcript`` is the
     event log, or None when the run records none.
@@ -229,7 +227,7 @@ class PairLedger:
         transcript: Transcript | None = None,
     ):
         self.prepared = codes = bytes(prepared)
-        self.live = self.positions = list(range(len(codes)))
+        self.live = list(range(len(codes)))
         # Each column at the live pairs as (cuts taken, codes); each cut a
         # column has not taken yet is a later entry of _cuts, a settle's keep
         # mask.
@@ -304,11 +302,9 @@ class PairLedger:
             for j in indices:
                 keep[j] = 0
             # Until the first cut, the live pairs' positions are their ordinals.
-            ordinals = tuple(indices) if live is self.positions else pick(live, indices)
+            ordinals = pick(live, indices) if self._cuts else tuple(indices)
             self.live = list(compress(live, keep))
             self._cuts.append(keep)
-            # A new, shorter list: the longer one's memory is freed, not kept.
-            self.positions = self.positions[: len(self.live)]
         self.settled.append((ordinals, disposition))
         return ordinals
 

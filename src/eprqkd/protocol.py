@@ -33,9 +33,8 @@ A step that draws per pair takes its draws as one ``RandomSource.quarters``
 block. The first check of k sampled pairs takes 2k: the receiver's k, then
 the sender's k. With random check bases it takes 3k: its first 2k alternate
 a pair's basis draw and the receiver's draw for that pair, and the sender's
-k follow. A block split at any point makes the same draws as the two blocks
-either side of the split, so these layouts are the draws the check once
-made block by block.
+k follow. The sender and the receiver of a hop draw from one stream, the
+sender's ``pairs`` quarters first; the adversary draws from her own.
 
 ``run_protocol`` is one such run, a hop. ``run_multiparty`` runs a trial
 as a chain of hops, alice -> bob for two parties and on to clare for
@@ -63,8 +62,8 @@ from .rng import RandomSource
 _CODE_BYTES = bytes(BELL_LABELS)
 
 # The first check's translate tables, indexed by ``b << 2 | x`` for the
-# quarter b of a pair's basis draw, whose basis is BASES[b >> 1] (int(r * 2)
-# of the draw), and a byte x in 0-3: for x a quarter, the keys of the
+# quarter b of a pair's basis draw, whose basis is BASES[b >> 1] (the draw's
+# top bit), and a byte x in 0-3: for x a quarter, the keys of the
 # receiver's and of the sender's measurements; for x a prepared code, 1 where
 # the halves of that pair state differ in that basis. _LETTERS maps b to its
 # basis letter.
@@ -85,8 +84,8 @@ def alice_prepare(
     """Prepare N pairs with uniformly random state choices (step 1)."""
     if n < 1:
         raise ConfigurationError(f"cannot prepare {n} pairs")
-    # rng.uniform_index(4) per pair, which is int(r * 4) of one draw: codes
-    # 0-3 by construction, so they skip prepare_from_labels' checks.
+    # One 2-bit draw per pair, a uniform code 0-3 by construction, so the
+    # codes skip prepare_from_labels' checks.
     return _prepare(rng.quarters(n), sender, receiver, transcript)
 
 
@@ -162,16 +161,14 @@ def _transmit(ledger: PairLedger, channel: AdversaryChannel, sequence: int, step
 
 
 def _draw_sample(ledger: PairLedger, fraction: float, min_size: int, rng: RandomSource) -> list:
-    """A check's random sample of the live pairs, as increasing positions in
-    ``live``: a ``fraction`` of them, and at least ``min_size`` when that
-    many exist. It samples ``ledger.positions``, which is as long as
-    ``live``, so its draws, and its picks mapped through ``live``, are those
-    of a sample of ``live`` itself."""
+    """A check's uniformly random sample of the live pairs, as increasing
+    positions in ``live``: a ``fraction`` of them, and at least ``min_size``
+    when that many exist."""
     m = len(ledger.live)
     if not m:
         raise InsufficientPairsError("no pairs available to check")
     size = min(m, max(min_size, math.ceil(fraction * m)))
-    return sorted(rng.sample_without_replacement(ledger.positions, size))
+    return rng.sample_without_replacement(range(m), size)
 
 
 def first_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> CheckReport:
@@ -357,15 +354,14 @@ def run_protocol(
     statistics) but still aborts at the end with that reason and emits no
     key.
 
-    The run logs its events to ``transcript``, and records none when it is
-    None; the draws are the same either way.
+    The sender and the receiver draw from ``rng`` itself, the adversary
+    from its ``eve`` substream. The run logs its events to ``transcript``,
+    and records none when it is None; the draws are the same either way.
     """
-    sender_rng = rng.substream(sender)
-    receiver_rng = rng.substream(receiver)
     channel = AdversaryChannel(config.attack, rng.substream("eve"))
 
     if prepared_labels is None:
-        ledger = alice_prepare(config.pairs, sender_rng, sender, receiver, transcript)
+        ledger = alice_prepare(config.pairs, rng, sender, receiver, transcript)
     else:
         ledger = prepare_from_labels(prepared_labels, sender, receiver, transcript)
 
@@ -381,7 +377,7 @@ def run_protocol(
     if ledger.receipt_1 < 1.0 - config.loss_tolerance:
         return abort("stall_transmission_1", 2)
     try:
-        check1 = first_check(ledger, config, receiver_rng)
+        check1 = first_check(ledger, config, rng)
     except InsufficientPairsError:
         return abort("insufficient_pairs", 3)
     failed = None if check1.passed else "check1_failed"
@@ -391,9 +387,9 @@ def run_protocol(
     transmit_second_sequence(ledger, channel, config)
     if ledger.receipt_2 < 1.0 - config.loss_tolerance:
         return abort(failed or "stall_transmission_2", 5)
-    bob_decode(ledger, receiver_rng)
+    bob_decode(ledger, rng)
     try:
-        check2 = second_check(ledger, config, receiver_rng)
+        check2 = second_check(ledger, config, rng)
     except InsufficientPairsError:
         return abort(failed or "insufficient_pairs", 7)
     if not check2.passed:
@@ -443,15 +439,12 @@ def run_multiparty(
     without it no hop records one. A hop the adversary does not sit on (see
     ``attack_hop``) runs under a copy of the config with no attack.
 
-    Trial t draws from the root seed XOR t. Within one batch the trials are
-    independent and any trial can be reproduced alone, but the streams
-    collide across root seeds: seed 0's trial 1 is seed 1's trial 0, and in
-    general (seed a, trial t) equals (seed b, trial u) whenever
-    a ^ t == b ^ u. Report schema 2 is to seed each trial from its own
-    named substream instead; that changes every draw, so it waits for the
-    schema bump.
+    Trial t draws from the stream ``RandomSource(config.seed,
+    f"trial/{t}")``, named by both the root seed and the trial, so no two
+    (seed, trial) pairs share a stream, and any trial can be reproduced
+    alone.
     """
-    rng = RandomSource(config.seed ^ trial)
+    rng = RandomSource(config.seed, f"trial/{trial}")
     names = ("alice", "bob", "clare")[: config.parties]
     chain = config.parties > 2
     hops: list[ProtocolOutcome] = []

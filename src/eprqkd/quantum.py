@@ -57,14 +57,14 @@ ValueError. The caller gathers the states it measures and writes back only
 the post states it still needs.
 
 A step with a fixed operation takes its keys from one
-``rng.quarters(n).translate(KEYS[op])`` call, one draw per measurement, and
-makes exactly the draws, in exactly the order, that one call per pair
-would. A measurement takes its draw even when the outcome is certain. The
-scalar kernels (``measure_qubit``, ``measure_qubit_z``,
-``measure_bell_basis``) take one ``random()`` draw and return the
-``MEASURE`` entry at its ``int(r * 4)``; they are the one-draw references
-the column kernel is tested against. The probability queries are one
-lookup each.
+``rng.quarters(n).translate(KEYS[op])`` call, one 2-bit draw per
+measurement, in pair order. A measurement takes its draw even when the
+outcome is certain. The scalar kernels (``measure_qubit``,
+``measure_qubit_z``, ``measure_bell_basis``) take one ``random()`` draw and
+return the ``MEASURE`` entry at its ``int(r * 4)``; they are the one-draw
+references the column kernel is tested against: a key's quarter q gives
+what they give for any draw r with ``int(r * 4) == q``. The probability
+queries are one lookup each.
 """
 from __future__ import annotations
 
@@ -198,8 +198,8 @@ MEASURE = tuple(
     tuple(_outcome(s, op, q) for op in range(PAIR_BASIS + 1) for q in range(4))
     for s in range(N_STATES)
 )
-# By operation, a translate table from a draw's quarter int(r * 4) to its
-# key; only entries 0-3 are read.
+# By operation, a translate table from a 2-bit draw q (``RandomSource.quarters``)
+# to its key; only entries 0-3 are read.
 KEYS = tuple(bytes(op << 2 | q % 4 for q in range(256)) for op in range(PAIR_BASIS + 1))
 
 # The column kernel's tables. A single-qubit operation keeps two effective
@@ -250,7 +250,7 @@ def qubit_z_probabilities(state: int, which: str) -> tuple[float, float]:
 
 
 def measure_column(states: bytes, keys: bytes) -> tuple[bytes, bytes]:
-    """Measure pair i of ``states`` by key byte i, ``op << 2 | int(r * 4)``.
+    """Measure pair i of ``states`` by key byte i, ``op << 2 | q`` for a 2-bit draw q.
 
     Returns the outcomes, a bit for a single-qubit operation and the
     measured label's code for ``PAIR_BASIS``, and the post states, one byte

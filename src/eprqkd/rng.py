@@ -2,9 +2,9 @@
 
 Every random draw in a run is traceable to a (seed, stream) pair, so a run
 replays bit-for-bit: the same pair always yields the same draw sequence.
-Parties, the adversary, and individual trials each own a substream, which
-keeps their draws independent of one another and makes trials safe to run
-in any order.
+Each trial owns a stream, and so do the honest parties of each hop (who
+share one) and the adversary, which keeps their draws independent of one
+another and makes trials safe to run in any order.
 
 A stream is seeded on its first draw, not when it is created: a root that
 only hands out substreams, or an adversary stream on a clean channel, never
@@ -17,30 +17,31 @@ plain property rather than a ``functools.cached_property``, whose first read
 runs Python code under a lock (up to Python 3.11) once for every stream.
 
 A step that draws once or twice per pair reads a block of draws at once.
-``RandomSource.quarters`` takes n draws in ``getrandbits`` calls of at most
-``BLOCK_DRAWS`` draws each and returns ``int(r * 4)`` of each draw ``r``, read
-from the top two bits of the draw's first 32-bit word. That quarter decides
-every outcome of probability 0, 1/4, 1/2 or 1, and its top bit decides every
-Z-or-X basis choice, exactly as the draw's ``random()`` value would.
-Preparation, every column measurement, the randomized check bases and the
-fake-EPR adversary's uniform labels draw that way. Only the samplers below
-(check samples), the opaque attack's losses (of arbitrary probability) and
-the scalar kernels call ``random()`` once per draw. Either way the generator
-ends in the same state.
+Every outcome the protocol meets has probability 0, 1/4, 1/2 or 1, so two
+random bits decide it: ``RandomSource.quarters(n)`` returns n such 2-bit
+draws q, each a byte 0-3, from one ``getrandbits`` call, and an outcome of
+probability p happens exactly when ``q < 4 * p``; the top bit of q decides a
+Z-or-X basis choice. Preparation, every column measurement, the randomized
+check bases and the fake-EPR adversary's uniform labels draw that way. A
+``getrandbits`` call consumes whole 32-bit generator words, so two blocks
+drawn one after another are not one block sliced: each step's block is one
+call. A check sample is a byte mask from one ``getrandbits`` call, evened
+out to its size by a few ``random()`` draws (see
+``sample_without_replacement``). Only those, the opaque attack's losses (of
+arbitrary probability) and the scalar kernels call ``random()``.
 """
 from __future__ import annotations
 
 import math
 import random
+from itertools import compress
 
 from .errors import ConfigurationError
 
 MAX_SEED = 2**64 - 1
-# The most draws one ``getrandbits`` call in ``quarters`` takes. The call takes
-# its bit count as a C int, which 64 bits per draw overflow at 2**25 draws.
-BLOCK_DRAWS = 2**24
-# int(r * 4) of the draw r whose first generator word has the given top byte.
-_QUARTERS = bytes(h >> 6 for h in range(256))
+# By field, a translate table from a byte to its 2-bit field: bits 0-1, 2-3,
+# 4-5 and 6-7.
+_FIELDS = tuple(bytes(b >> shift & 3 for b in range(256)) for shift in (0, 2, 4, 6))
 
 
 class RandomSource:
@@ -84,21 +85,18 @@ class RandomSource:
         return self._rng.random()
 
     def quarters(self, n: int) -> bytes:
-        """``int(r * 4)`` of each of the next n draws r, in one call.
+        """The next n 2-bit draws, one byte 0-3 each, in one call.
 
-        Makes the draws n ``random()`` calls would. ``random()`` builds r
-        from two 32-bit words, and ``int(r * 4)`` is the top two bits of the
-        first. ``getrandbits`` fills its result from the least significant
-        word up, in generation order, so draw i's first word is bytes 8i to
-        8i + 3 of the little-endian result, and blocks of draws taken one
-        after another join into the draws of one block.
+        Draw i is bits 2i and 2i + 1 of one ``getrandbits(8 * ceil(n / 4))``
+        integer: field i % 4 of its little-endian byte i // 4. Each of the four
+        fields of every byte is spread to its place by one ``translate``.
         """
-        rng = self._rng
-        firsts = []
-        for start in range(0, n, BLOCK_DRAWS):
-            m = min(BLOCK_DRAWS, n - start)
-            firsts.append(rng.getrandbits(64 * m).to_bytes(8 * m, "little")[3::8])
-        return b"".join(firsts).translate(_QUARTERS)
+        size = -(-n // 4)
+        packed = self._rng.getrandbits(8 * size).to_bytes(size, "little")
+        spread = bytearray(4 * size)
+        for field, table in enumerate(_FIELDS):
+            spread[field::4] = packed.translate(table)
+        return bytes(spread[:n])
 
     def bernoulli(self, p: float) -> bool:
         return self._rng.random() < p
@@ -128,20 +126,36 @@ class RandomSource:
                 return i
         raise ValueError("categorical() needs at least one positive probability")
 
-    def sample_without_replacement(self, population: list, k: int) -> list:
-        """k distinct elements, order-independent (returned in draw order)."""
-        if k > len(population):
-            raise ConfigurationError(
-                f"cannot sample {k} items from a population of {len(population)}"
-            )
-        rand = self._rng.random
-        pool = list(population)
-        picked = []
-        for remaining in range(len(pool), len(pool) - k, -1):
-            j = int(rand() * remaining)
-            picked.append(pool[j])
-            pool[j] = pool[remaining - 1]
-        return picked
+    def sample_without_replacement(self, population, k: int) -> list:
+        """A uniformly random k-subset of ``population``, in population order.
+
+        Each of the m positions is kept where its byte of one
+        ``getrandbits(8 * m)`` call falls below t, 256 * k / m rounded: a
+        mask of m independent draws of one chance, so every s-subset it keeps
+        is equally likely. The s - k surplus is then dropped, or the k - s
+        shortfall added, one position at a time, each a uniform choice among
+        the positions on the side to flip, which leaves a uniform k-subset. A
+        choice draws ``int(r * m)`` until it lands on that side, so it takes
+        no list of the side's positions, which at 10**6 pairs would build
+        hundreds of thousands of ints.
+        """
+        m = len(population)
+        if k > m:
+            raise ConfigurationError(f"cannot sample {k} items from a population of {m}")
+        # t rounds 256 * k / m half up; an empty population (m = k = 0) takes t = 0.
+        t = (512 * k + m) // (2 * m or 1)
+        below = b"\x01" * t + b"\x00" * (256 - t)
+        mask = bytearray(self._rng.getrandbits(8 * m).to_bytes(m, "little").translate(below))
+        surplus = mask.count(1) - k
+        # Each step draws a position uniformly and flips it when it is on the
+        # side in surplus: kept (a trim) or not kept (a top-up).
+        side = int(surplus > 0)
+        while surplus:
+            j = int(self._rng.random() * m)
+            if mask[j] == side:
+                mask[j] = 1 - side
+                surplus += 1 - 2 * side
+        return list(compress(population, mask))
 
 
 def three_sigma(p: float, n: int) -> float:

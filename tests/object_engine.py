@@ -9,6 +9,15 @@ and per-trial columns. It makes the same draws from the same streams in the
 same order, so for any config and seed its report rows and transcripts must
 equal the package's byte for byte (``test_differential.py``).
 
+Its draws are its own: a ``Stream`` is a ``random.Random`` seeded by the
+stream's name, as the package names its streams, and every draw is unpacked
+by a plain scalar loop. A block of n 2-bit draws is one
+``getrandbits(8 * ceil(n / 4))`` call whose bits 2i and 2i + 1 are draw i; a
+check sample is a byte mask of one ``getrandbits(8 * m)`` call, evened out
+to its size by flipping positions drawn as ``int(r * m)``. Each step takes
+one block, as the package's step does: a block consumes whole generator
+words, so the blocks must be the same calls, not only the same draws.
+
 Only what ``run_protocol`` and ``run_multiparty`` need is kept: there are no
 phase guards and no API for driving single steps. The value types that did
 not change (the configs) come from the package. A key is its own ``Key``
@@ -24,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -31,7 +41,6 @@ from eprqkd.adversary import AttackKind, AttackStrategy
 from eprqkd.config import RunConfig
 from eprqkd.ledger import Disposition
 from eprqkd.quantum import BELL_LABELS, BellState
-from eprqkd.rng import RandomSource
 
 _HALVES = {"first": 0, "second": 1}
 _TERMINAL = {
@@ -47,6 +56,43 @@ class NoPairsLeft(Exception):
     ``insufficient_pairs``."""
 
 
+# -- draws ---------------------------------------------------------------------
+
+
+class Stream:
+    """The draws of the stream ``name`` under root ``seed``."""
+
+    def __init__(self, seed: int, name: str):
+        self.seed, self.name = seed, name
+        self.gen = random.Random(f"{seed}:{name}")
+
+    def substream(self, name: str) -> "Stream":
+        return Stream(self.seed, f"{self.name}/{name}")
+
+    def random(self) -> float:
+        return self.gen.random()
+
+    def quarters(self, n: int) -> list[int]:
+        """n 2-bit draws, 0-3 each: draw i is bits 2i and 2i + 1 of the block."""
+        block = self.gen.getrandbits(8 * ((n + 3) // 4))
+        return [block >> 2 * i & 3 for i in range(n)]
+
+    def sample(self, m: int, k: int) -> list[int]:
+        """k of the positions 0..m-1, in increasing order. Position i is kept
+        where byte i of one draw of m bytes (least significant first) is below
+        t = round(256 * k / m); then positions drawn as int(r * m) are dropped
+        while too many are kept, each only if kept, or added while too few
+        are, each only if not kept."""
+        t = (512 * k + m) // (2 * m) if m else 0
+        block = self.gen.getrandbits(8 * m)
+        kept = [block >> 8 * i & 255 < t for i in range(m)]
+        while sum(kept) != k:
+            i = int(self.gen.random() * m)
+            if kept[i] == (sum(kept) > k):
+                kept[i] = not kept[i]
+        return [i for i in range(m) if kept[i]]
+
+
 # -- closed-form pair algebra --------------------------------------------------
 
 
@@ -57,8 +103,10 @@ def qubit_p0(state, which: str, basis: str) -> float:
     return 1.0 if state[half][1] == 0 else 0.0
 
 
-def measure_qubit(state, which: str, basis: str, rng: RandomSource):
-    outcome = 0 if rng.random() < qubit_p0(state, which, basis) else 1
+def measure_qubit(state, which: str, basis: str, q: int):
+    """Measure one qubit by the 2-bit draw q: outcome 0 has chance p0, a
+    multiple of 1/2, so it is the outcome exactly when q < 4 * p0."""
+    outcome = 0 if q < 4 * qubit_p0(state, which, basis) else 1
     half = _HALVES[which]
     if isinstance(state, BellState):
         other = (basis, outcome if state.correlated_in(basis) else 1 - outcome)
@@ -80,9 +128,16 @@ def bell_overlaps(state) -> dict[BellState, float]:
     }
 
 
-def measure_bell_basis(state, rng: RandomSource) -> BellState:
+def measure_bell_basis(state, q: int) -> BellState:
+    """The first label whose running sum of chances, a multiple of 1/4,
+    exceeds q / 4 for the 2-bit draw q."""
     probs = bell_overlaps(state)
-    return BELL_LABELS[rng.categorical([probs[label] for label in BELL_LABELS])]
+    total = 0.0
+    for label in BELL_LABELS:
+        total += probs[label]
+        if q < 4 * total:
+            return label
+    raise AssertionError("the overlaps sum to less than 1")
 
 
 # -- transcript ----------------------------------------------------------------
@@ -179,7 +234,7 @@ class EveState:
 
 
 class Channel:
-    def __init__(self, strategy, rng: RandomSource):
+    def __init__(self, strategy, rng: Stream):
         self.strategy = strategy
         self.eve = EveState()
         self.rng = rng
@@ -206,8 +261,8 @@ class Channel:
         half = 2 if transmission == 1 else 1
         which = "second" if transmission == 1 else "first"
         bits = []
-        for rec in records:
-            bit, rec.carrier = measure_qubit(rec.carrier, which, "z", self.rng)
+        for rec, q in zip(records, self.rng.quarters(len(records))):
+            bit, rec.carrier = measure_qubit(rec.carrier, which, "z", q)
             self.eve.z_bits.setdefault(rec.index, {})[half] = bit
             bits.append(str(bit))
         return {"measured": len(records), "outcomes": "".join(bits)}
@@ -215,10 +270,10 @@ class Channel:
     def _fake_epr(self, transmission, records):
         if transmission == 1:
             planted = []
-            for rec in records:
-                label = self.strategy.fake_label
-                if label is None:
-                    label = BELL_LABELS[self.rng.uniform_index(4)]
+            fixed = self.strategy.fake_label
+            draws = self.rng.quarters(len(records)) if fixed is None else []
+            for i, rec in enumerate(records):
+                label = fixed if fixed is not None else BELL_LABELS[draws[i]]
                 rec.fake_carrier = label
                 planted.append(label.code)
             return {
@@ -227,8 +282,8 @@ class Channel:
                 "fake_codes": "".join(planted),
             }
         inferred = []
-        for rec in records:
-            label = measure_bell_basis(rec.carrier, self.rng)
+        for rec, q in zip(records, self.rng.quarters(len(records))):
+            label = measure_bell_basis(rec.carrier, q)
             rec.carrier = label
             self.eve.inferred_key[rec.index] = label
             inferred.append(label.code)
@@ -237,7 +292,7 @@ class Channel:
     def _opaque(self, records):
         destroyed = []
         for rec in records:
-            if self.rng.bernoulli(self.strategy.destroy_probability):
+            if self.rng.random() < self.strategy.destroy_probability:
                 rec.disposition = Disposition.DROPPED
                 destroyed.append(rec.index)
         return {
@@ -288,11 +343,11 @@ def transmit_first_sequence(ledger: Ledger, channel: Channel):
     )
 
 
-def draw_sample(candidates, fraction, min_size, rng):
+def draw_sample(candidates, fraction, min_size, rng: Stream):
     if not candidates:
         raise NoPairsLeft("no pairs available to check")
     size = min(len(candidates), max(min_size, math.ceil(fraction * len(candidates))))
-    return sorted(rng.sample_without_replacement(candidates, size), key=lambda rec: rec.index)
+    return [candidates[i] for i in rng.sample(len(candidates), size)]
 
 
 def publish_check(ledger, report, sample, disposition, step):
@@ -302,21 +357,30 @@ def publish_check(ledger, report, sample, disposition, step):
     return report
 
 
-def first_check(ledger: Ledger, config: RunConfig, rng: RandomSource) -> Check:
+def first_check(ledger: Ledger, config: RunConfig, rng: Stream) -> Check:
     sample = draw_sample(
         ledger.with_disposition(Disposition.IN_FLIGHT_1),
         config.check_fraction_1,
         config.min_check_size,
         rng,
     )
+    # One block: per pair a basis draw (with random bases) and the
+    # receiver's draw, then the sender's draw per pair.
+    k = len(sample)
+    draws = rng.quarters((3 if config.randomize_check_basis else 2) * k)
+    receiver_draws, sender_draws = draws[: len(draws) - k], draws[len(draws) - k :]
     bases, receiver_bits = [], []
-    for rec in sample:
-        basis = ("z", "x")[rng.uniform_index(2)] if config.randomize_check_basis else "z"
+    for i, rec in enumerate(sample):
+        if config.randomize_check_basis:
+            basis = ("z", "x")[receiver_draws[2 * i] // 2]
+            q = receiver_draws[2 * i + 1]
+        else:
+            basis, q = "z", receiver_draws[i]
         bases.append(basis)
         if rec.fake_carrier is not None:
-            bit, rec.fake_carrier = measure_qubit(rec.fake_carrier, "second", basis, rng)
+            bit, rec.fake_carrier = measure_qubit(rec.fake_carrier, "second", basis, q)
         else:
-            bit, rec.carrier = measure_qubit(rec.carrier, "second", basis, rng)
+            bit, rec.carrier = measure_qubit(rec.carrier, "second", basis, q)
         receiver_bits.append(bit)
     indices = [rec.index for rec in sample]
     log = ledger.transcript.log
@@ -328,8 +392,8 @@ def first_check(ledger: Ledger, config: RunConfig, rng: RandomSource) -> Check:
     )
     log(4, ledger.receiver, "notify", {"message": "sequence-1-received", "check_indices": indices})
     sender_bits = []
-    for rec, basis in zip(sample, bases):
-        bit, rec.carrier = measure_qubit(rec.carrier, "first", basis, rng)
+    for rec, basis, q in zip(sample, bases, sender_draws):
+        bit, rec.carrier = measure_qubit(rec.carrier, "first", basis, q)
         sender_bits.append(bit)
     log(
         4,
@@ -366,13 +430,14 @@ def transmit_second_sequence(ledger: Ledger, channel: Channel):
     )
 
 
-def decode(ledger: Ledger, rng: RandomSource):
+def decode(ledger: Ledger, rng: Stream):
     codes = []
-    for rec in ledger.with_disposition(Disposition.IN_FLIGHT_2):
+    arrived = ledger.with_disposition(Disposition.IN_FLIGHT_2)
+    for rec, q in zip(arrived, rng.quarters(len(arrived))):
         if rec.fake_carrier is not None:
-            rec.outcome = rec.fake_carrier = measure_bell_basis(rec.fake_carrier, rng)
+            rec.outcome = rec.fake_carrier = measure_bell_basis(rec.fake_carrier, q)
         else:
-            rec.outcome = rec.carrier = measure_bell_basis(rec.carrier, rng)
+            rec.outcome = rec.carrier = measure_bell_basis(rec.carrier, q)
         rec.disposition = Disposition.DECODED
         codes.append(rec.outcome.code)
     ledger.transcript.log(
@@ -380,7 +445,7 @@ def decode(ledger: Ledger, rng: RandomSource):
     )
 
 
-def second_check(ledger: Ledger, config: RunConfig, rng: RandomSource) -> Check:
+def second_check(ledger: Ledger, config: RunConfig, rng: Stream) -> Check:
     sample = draw_sample(
         ledger.with_disposition(Disposition.DECODED),
         config.check_fraction_2,
@@ -432,13 +497,12 @@ class Outcome:
 def run_protocol(
     config, rng, sender="alice", receiver="bob", trial=0, labels=None, strategy=None, extra=None
 ) -> Outcome:
+    # The hop's sender and receiver draw from rng itself, the sender first.
     strategy = config.attack if strategy is None else strategy
-    sender_rng = rng.substream(sender)
-    receiver_rng = rng.substream(receiver)
     transcript = Transcript(trial, extra=extra)
     channel = Channel(strategy, rng.substream("eve"))
     if labels is None:
-        labels = [BELL_LABELS[sender_rng.uniform_index(4)] for _ in range(config.pairs)]
+        labels = [BELL_LABELS[q] for q in rng.quarters(config.pairs)]
     ledger = prepare(labels, sender, receiver, transcript)
 
     abort = None
@@ -450,7 +514,7 @@ def run_protocol(
         transcript.log(2, "public", "abort", {"reason": abort})
     else:
         try:
-            check1 = first_check(ledger, config, receiver_rng)
+            check1 = first_check(ledger, config, rng)
         except NoPairsLeft:
             abort = "insufficient_pairs"
             transcript.log(3, "public", "abort", {"reason": abort})
@@ -466,9 +530,9 @@ def run_protocol(
             abort = abort or "stall_transmission_2"
             transcript.log(5, "public", "abort", {"reason": abort})
         else:
-            decode(ledger, receiver_rng)
+            decode(ledger, rng)
             try:
-                check2 = second_check(ledger, config, receiver_rng)
+                check2 = second_check(ledger, config, rng)
             except NoPairsLeft:
                 abort = abort or "insufficient_pairs"
             else:
@@ -489,7 +553,7 @@ def run_protocol(
     return Outcome(ledger, abort, receiver_key, key_of_sender, channel.eve)
 
 
-def run_multiparty(config: RunConfig, rng: RandomSource, trial: int = 0):
+def run_multiparty(config: RunConfig, rng: Stream, trial: int = 0):
     """(hop1, hop2 or None, abort reason, keys_agree, common key, transcript)."""
 
     def hop_strategy(hop):
@@ -546,7 +610,7 @@ def run(config: RunConfig) -> tuple[list[dict], list[str]]:
     """Every trial's report row and transcript, as ``eprqkd.runner.run`` makes them."""
     rows, transcripts = [], []
     for trial in range(config.trials):
-        trial_rng = RandomSource(config.seed ^ trial)
+        trial_rng = Stream(config.seed, f"trial/{trial}")
         if config.parties == 3:
             primary, hop2, abort, agree, key, transcript = run_multiparty(
                 config, trial_rng, trial

@@ -266,9 +266,10 @@ class TestEveInformation:
         report = run(RunConfig(pairs=5, trials=1, seed=1, attack=attack))
         assert report.rows[0]["check1"]["sample_size"] == 5
         assert report.rows[0]["ae_counts"] == {
-            "01": {"1": 1, "0": 1},
+            "00": {"0": 1},
             "11": {"0": 2},
-            "00": {"1": 1},
+            "10": {"1": 1},
+            "01": {"1": 1},
         }
 
     def test_second_sequence_measured_alone_scores_single_bits(self):

@@ -17,8 +17,8 @@ from eprqkd.config import RunConfig
 from eprqkd.report import render_tabular
 from eprqkd.runner import run
 
-GOLDEN_SHA256 = "747dba0cd85829bf5d29d6a1b23d80c5cb3cdb7fb718efeb0c3f1666fd9b6785"
-TABULAR_SHA256 = "aa46fbbf3ad2bdc3edf9c98e19fb68c7c06492287254faa737921d40340336b6"
+GOLDEN_SHA256 = "d988a142cac6e367f8cbd4a48110592dcacc5b3a87291d77a65709b85a6c3cdd"
+TABULAR_SHA256 = "02179c0d53bde0b74fe6df546c50144413804634d6e65749f3bbcc8359990c4a"
 
 ATTACKS = [
     AttackStrategy(),

@@ -64,15 +64,12 @@ class ScriptedSource(RandomSource):
         return self.r
 
     def getrandbits(self, k: int) -> int:
-        """k / 64 draws through random(), each packed as the two 32-bit words
-        the Mersenne Twister would have produced for it, first word least
-        significant."""
-        words = 0
-        for n in range(k // 64):
-            x = int(self.random() * 2**53)
-            pair = (x >> 26) << 5 | ((x & (2**26 - 1)) << 6) << 32
-            words |= pair << (64 * n)
-        return words
+        """k bits from k / 2 draws through random(): each 2-bit field, least
+        significant first, is int(r * 4) of one draw."""
+        bits = 0
+        for n in range(k // 2):
+            bits |= int(self.random() * 4) << (2 * n)
+        return bits
 
 
 class TestBellStates:
@@ -398,26 +395,20 @@ def test_closed_form_matches_amplitude_oracle(state, operation):
         assert abs(oracle.fidelity(amplitudes_of(post), ref_post) - 1.0) < 1e-12
 
 
-# The column kernel, keyed by one draw per pair, makes the same draws, in the
-# same order, as one scalar call per pair: same outcomes, same post states,
-# and the generator left in the same state. Each pair has its own operation,
-# any of the five, so one call mixes operations.
+# The column kernel, keyed by one 2-bit draw per pair, gives what one scalar
+# call per pair gives for a draw r with int(r * 4) equal to that draw: same
+# outcomes and same post states. Each pair has its own operation, any of the
+# five, so one call mixes operations.
 
 states_and_operations = st.lists(
     st.tuples(st.integers(0, N_STATES - 1), st.integers(0, PAIR_BASIS)), max_size=40
 )
 
 
-def _one_draw_each(seed, stream, n):
-    """A stream's generator state after n draws through ``random()``."""
-    rng = RandomSource(seed, stream)
-    for _ in range(n):
-        rng.random()
-    return rng._rng.getstate()
-
-
-def _scalar(state, op, rng):
-    """(outcome, post state) of operation ``op`` through a scalar kernel."""
+def _scalar(state, op, q):
+    """(outcome, post state) of operation ``op`` through a scalar kernel
+    whose one draw r has int(r * 4) == q."""
+    rng = ScriptedSource((q + 0.5) / 4)
     if op == PAIR_BASIS:
         label, post = measure_bell_basis(state, rng)
         return int(label), post
@@ -427,28 +418,22 @@ def _scalar(state, op, rng):
 
 @given(states_and_operations, st.integers(0, 2**32))
 def test_measure_column_matches_scalar_loop(measurements, seed):
-    rng, ref_rng = RandomSource(seed, "column"), RandomSource(seed, "column")
-    quarters = rng.quarters(len(measurements))
+    quarters = RandomSource(seed, "column").quarters(len(measurements))
     keys = bytes(KEYS[op][q] for (_, op), q in zip(measurements, quarters))
     outcomes, posts = measure_column(bytes(s for s, _ in measurements), keys)
-    expected = [_scalar(s, op, ref_rng) for s, op in measurements]
+    expected = [_scalar(s, op, q) for (s, op), q in zip(measurements, quarters)]
     assert outcomes == bytes(outcome for outcome, _ in expected)
     assert posts == bytes(post for _, post in expected)
-    assert rng._rng.getstate() == ref_rng._rng.getstate()
-    assert rng._rng.getstate() == _one_draw_each(seed, "column", len(measurements))
 
 
 @given(st.lists(st.integers(0, N_STATES - 1), max_size=40), st.integers(0, 2**32))
 def test_measure_bell_column_matches_scalar_loop(states, seed):
-    rng, ref_rng = RandomSource(seed, "bell-column"), RandomSource(seed, "bell-column")
-    keys = rng.quarters(len(states)).translate(KEYS[PAIR_BASIS])
-    outcomes, posts = measure_column(bytes(states), keys)
-    expected = [measure_bell_basis(s, ref_rng) for s in states]
-    assert outcomes == bytes(int(label) for label, _ in expected)
+    quarters = RandomSource(seed, "bell-column").quarters(len(states))
+    outcomes, posts = measure_column(bytes(states), quarters.translate(KEYS[PAIR_BASIS]))
+    expected = [_scalar(s, PAIR_BASIS, q) for s, q in zip(states, quarters)]
+    assert outcomes == bytes(outcome for outcome, _ in expected)
     assert posts == bytes(post for _, post in expected)
     assert outcomes == posts  # a pair-state measurement leaves the measured state
-    assert rng._rng.getstate() == ref_rng._rng.getstate()
-    assert rng._rng.getstate() == _one_draw_each(seed, "bell-column", len(states))
 
 
 def test_measure_column_matches_every_table_entry():

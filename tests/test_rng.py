@@ -5,14 +5,12 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-import eprqkd.rng
 from eprqkd.adversary import AttackKind, AttackStrategy
-from eprqkd.config import RunConfig
+from eprqkd.config import MAX_PAIRS, RunConfig
 from eprqkd.errors import ConfigurationError
 from eprqkd.protocol import run_multiparty
 from eprqkd.quantum import KEYS, OPS, measure_column
 from eprqkd.rng import MAX_SEED, RandomSource, three_sigma
-from eprqkd.runner import trial_row
 from test_quantum import ScriptedSource
 
 
@@ -62,74 +60,77 @@ def test_seed_boundaries_accepted():
     RandomSource(MAX_SEED)
 
 
-# A block draw decides each outcome from the top two bits of its draw's first
-# word, which fix int(r * 4) of the draw r that random() would return; the
-# top bit of that quarter is a basis draw's int(r * 2).
+# A block of n 2-bit draws is one getrandbits(8 * ceil(n / 4)) call, whose bits
+# 2i and 2i + 1 are draw i. The call consumes whole 32-bit generator words,
+# ceil(n / 16) of them, so each step's block must be one call.
 
 
 @given(st.integers(0, 2**64 - 1), st.text(max_size=8), st.integers(0, 300))
 @example(0, "x", 0)
 @example(0, "x", 1)
 def test_quarters_match_random_draws(seed, stream, n):
-    rng, ref_rng = RandomSource(seed, stream), RandomSource(seed, stream)
+    rng, ref = RandomSource(seed, stream), random.Random(f"{seed}:{stream}")
     quarters = rng.quarters(n)
-    draws = [ref_rng.random() for _ in range(n)]
-    assert rng._rng.getstate() == ref_rng._rng.getstate()
-    assert list(quarters) == [int(r * 4) for r in draws]
-    assert [q >> 1 for q in quarters] == [int(r * 2) for r in draws]
+    bits = ref.getrandbits(8 * -(-n // 4))
+    assert list(quarters) == [bits >> 2 * i & 3 for i in range(n)]
+    assert rng._rng.getstate() == ref.getstate()
+
+
+def words_after(seed: int, stream: str, words: int) -> tuple:
+    """The generator state of stream (seed, stream) after ``words`` words."""
+    gen = random.Random(f"{seed}:{stream}")
+    for _ in range(words):
+        gen.getrandbits(32)
+    return gen.getstate()
 
 
 @given(st.integers(0, 2**64 - 1), st.integers(0, 200), st.integers(0, 200))
 @example(0, 0, 0)
 @example(0, 1, 0)
+@example(0, 16, 5)
+@example(0, 1, 15)
 def test_one_block_sliced_equals_consecutive_blocks(seed, a, b):
-    # One quarters(a + b) sliced at a is quarters(a) then quarters(b), and
-    # leaves the generator where the two calls do.
+    # quarters(a) then quarters(b) consume ceil(a / 16) + ceil(b / 16) words.
+    # They are quarters(a + b) sliced at a when a is a multiple of 16, and
+    # leave the generator elsewhere whenever they consume more words.
     block, split = RandomSource(seed, "x"), RandomSource(seed, "x")
     drawn = block.quarters(a + b)
-    assert (drawn[:a], drawn[a:]) == (split.quarters(a), split.quarters(b))
-    assert block._rng.getstate() == split._rng.getstate()
+    first, second = split.quarters(a), split.quarters(b)
+    words = -(-a // 16) + -(-b // 16)
+    assert split._rng.getstate() == words_after(seed, "x", words)
+    assert block._rng.getstate() == words_after(seed, "x", -(-(a + b) // 16))
+    if a % 16 == 0:
+        assert (first, second) == (drawn[:a], drawn[a:])
+    if words > -(-(a + b) // 16):
+        assert block._rng.getstate() != split._rng.getstate()
 
 
-@given(st.integers(0, 2**64 - 1), st.integers(0, 200))
-@example(0, 0)
-def test_check_block_layouts_equal_the_separate_draws(seed, k):
-    # The first check's layouts: 2k draws as receiver then sender, and with
-    # random bases 3k draws as interleaved basis and receiver, then sender.
-    block, split = RandomSource(seed, "x"), RandomSource(seed, "x")
-    drawn = block.quarters(2 * k)
-    assert (drawn[:k], drawn[k:]) == (split.quarters(k), split.quarters(k))
-    assert block._rng.getstate() == split._rng.getstate()
-    drawn, interleaved = block.quarters(3 * k), split.quarters(2 * k)
-    assert drawn[0 : 2 * k : 2] == interleaved[0::2]
-    assert drawn[1 : 2 * k : 2] == interleaved[1::2]
-    assert drawn[2 * k :] == split.quarters(k)
-    assert block._rng.getstate() == split._rng.getstate()
+def test_check_block_layouts_equal_the_separate_draws(monkeypatch):
+    # Each step that draws per pair takes one block: the sender's n quarters,
+    # the first check's 2k (3k with random bases) after its sample, the
+    # decode's one per pair. They come one after another from the hop's one
+    # honest stream, so the blocks' sizes fix the draws.
+    blocks = []
+    quarters = RandomSource.quarters
+
+    def recording(self, n):
+        blocks.append((self.stream, n))
+        return quarters(self, n)
+
+    monkeypatch.setattr(RandomSource, "quarters", recording)
+    for randomize_check_basis, per_pair in ((False, 2), (True, 3)):
+        blocks.clear()
+        config = RunConfig(pairs=64, seed=3, randomize_check_basis=randomize_check_basis)
+        k = run_multiparty(config).hops[0].check1.sample_size
+        assert blocks == [("trial/0", 64), ("trial/0", per_pair * k), ("trial/0", 64 - k)]
 
 
-def test_quarters_in_small_blocks_are_the_same_draws(monkeypatch):
-    # quarters draws in getrandbits blocks of at most BLOCK_DRAWS draws; with
-    # blocks of 3, every n from 0 to 20 gives the bytes and the generator
-    # state of the unpatched call.
-    whole = [RandomSource(7, "x") for _ in range(21)]
-    expected = [rng.quarters(n) for n, rng in enumerate(whole)]
-    monkeypatch.setattr(eprqkd.rng, "BLOCK_DRAWS", 3)
-    for n in range(21):
-        chunked = RandomSource(7, "x")
-        assert chunked.quarters(n) == expected[n]
-        assert chunked._rng.getstate() == whole[n]._rng.getstate()
-
-
-def test_a_trial_in_small_blocks_is_the_same_trial(monkeypatch):
-    config = RunConfig(
-        pairs=64,
-        seed=5,
-        randomize_check_basis=True,
-        attack=AttackStrategy(kind=AttackKind.MEASURE_RESEND),
-    )
-    expected = trial_row(run_multiparty(config))
-    monkeypatch.setattr(eprqkd.rng, "BLOCK_DRAWS", 3)
-    assert trial_row(run_multiparty(config)) == expected
+def test_draw_sizes_fit_one_getrandbits_call():
+    # getrandbits takes its bit count as a C int, so one call takes below
+    # 2**31 bits. The largest draw of a trial, a check sample of 8 bits per
+    # pair, fits at the most pairs a trial takes; every block of quarters
+    # (at most 3 per pair, 2 bits each) is smaller.
+    assert 8 * MAX_PAIRS < 2**31
 
 
 def test_bernoulli_degenerate():
@@ -285,30 +286,34 @@ class TestLazySeeding:
 
     def test_scripted_override_still_draws_through_random(self):
         # ScriptedSource sets _rng = self, so every sampler and the column
-        # kernel's keys (``quarters``) draw through its own random(), not a generator.
+        # kernel's keys (``quarters``) draw through its own random(), not a
+        # generator: its getrandbits makes each 2-bit field int(r * 4) of one
+        # draw, so each byte of a sample's mask is 0x55, below the threshold
+        # of 3 of 4 (192), and the one position too many is int(0.25 * 4).
         scripted = ScriptedSource(0.25)
         assert scripted.uniform_index(4) == 1
         assert scripted.bernoulli(0.5)
-        assert scripted.sample_without_replacement([10, 11, 12, 13], 2) == [11, 10]
+        assert scripted.sample_without_replacement([10, 11, 12, 13], 3) == [10, 12, 13]
+        assert scripted.draws == 2 + 16 + 1
         keys = scripted.quarters(2).translate(KEYS[OPS["first"]["z"]])
         assert measure_column(bytes(2), keys)[0] == bytes(2)
-        assert scripted.draws == 6
+        assert scripted.draws == 19 + 4
         assert scripted._rng is scripted
 
     @pytest.mark.parametrize(
         "fields, reason, streams",
         [
-            ({"attack": AttackStrategy(AttackKind.FAKE_EPR)}, "check1_failed", ("alice", "bob")),
-            ({}, None, ("alice", "bob")),
+            ({"attack": AttackStrategy(AttackKind.FAKE_EPR)}, "check1_failed", ("",)),
+            ({}, None, ("",)),
             (
                 {"attack": AttackStrategy(AttackKind.MEASURE_RESEND)},
                 "check2_failed",
-                ("alice", "bob", "eve"),
+                ("", "/eve"),
             ),
             (
                 {"attack": AttackStrategy(AttackKind.FAKE_EPR, fake_label=None)},
                 "check1_failed",
-                ("alice", "bob", "eve"),
+                ("", "/eve"),
             ),
             (
                 {
@@ -316,15 +321,17 @@ class TestLazySeeding:
                     "loss_tolerance": 0.9,
                 },
                 None,
-                ("alice", "bob", "eve"),
+                ("", "/eve"),
             ),
-            ({"parties": 3, "pairs": 200}, None, ("hop1/alice", "hop1/bob", "hop2/clare")),
+            ({"parties": 3, "pairs": 200}, None, ("/hop1", "/hop2")),
         ],
         ids=["fake-epr", "clean", "measure-resend", "fake-epr-uniform", "opaque", "three-party"],
     )
     def test_a_trial_seeds_only_the_streams_it_draws_from(self, seeded, fields, reason, streams):
-        # A root stream, a relay's sender stream and an adversary stream on a
-        # clean channel are handed out but never drawn from, so never seeded.
+        # A hop's sender and receiver draw from one stream, the trial's own in
+        # two parties and its hop<k> substream in three; a three-party trial's
+        # own stream and an adversary stream on a clean channel are handed
+        # out but never drawn from, so never seeded.
         outcome = run_multiparty(RunConfig(**{"pairs": 64, **fields}), 0)
         assert outcome.abort_reason == reason
-        assert sorted(seeded) == sorted(f"0:root/{name}" for name in streams)
+        assert sorted(seeded) == sorted(f"0:trial/0{name}" for name in streams)

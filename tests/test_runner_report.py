@@ -39,7 +39,7 @@ ATTACK_VARIANTS = [
 
 # The aggregate blocks of aggregate_configs(), less the two mutual-information
 # fields, which go through the platform's log2 (as in tests/test_golden.py).
-AGGREGATE_SHA256 = "fbc53b2cdc070ce5b23441052bf48668d8d91f561a34eaa8574065b3abbc4e49"
+AGGREGATE_SHA256 = "224d22c047b5c44e4449b5e145601ad631783e265d97bb847484b9cb88513a1a"
 MI_FIELDS = ("mutual_information_ab", "mutual_information_ae")
 
 
@@ -316,7 +316,7 @@ class TestReportFormats:
             *(name for name in TABULAR_COLUMNS if name.startswith(("check", "hop2_"))),
         ]
         assert {name: row[name] for name in empty} == dict.fromkeys(empty, "")
-        assert lines[1] == "eprqkd-report/1,0,stall_transmission_1,0.09,,,,,,,,,,0,,,,,,,,,,"
+        assert lines[1] == "eprqkd-report/1,0,stall_transmission_1,0.04,,,,,,,,,,0,,,,,,,,,,"
 
     def test_config_echo_reproduces_the_run(self):
         report = self.make_report(attack=AttackStrategy(kind=AttackKind.FAKE_EPR))
@@ -561,7 +561,7 @@ class TestCli:
         ]
 
     def test_opaque_report_bytes_are_pinned(self, tmp_path):
-        # Its mean_receipt_fraction_2 is a float sum that builtins.sum rounds
+        # Its mean_receipt_fraction_1 is a float sum that builtins.sum rounds
         # differently from Python 3.12 on; these are its bytes on every
         # interpreter.
         out = tmp_path / "r.json"
@@ -569,7 +569,7 @@ class TestCli:
                 "--loss-tolerance", "0.9", "--attack", "opaque", "--destroy-prob", "0.3"]
         assert main([*argv, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "98f343493e0a74745749f9eb69232b3b0cfb877dd4313cfeeeaa094a0fc71060"
+            "2ddd6b2b0d26511ca181802edc8e63693e7035bc7b94086e66c7091bc54858f6"
         )
         assert main(["verify", str(out)]) == 0
 
