@@ -157,10 +157,10 @@ def _fake_epr(channel, transmission, ledger):
 def _opaque(channel, transmission, ledger):
     rand, p = channel.rng.random, channel.strategy.destroy_probability
     in_flight = len(ledger.live)
-    # rng.bernoulli(p) per pair, by position in live; settling none would
-    # still cut every column once.
-    lost = [j for j in range(in_flight) if rand() < p]
-    destroyed = ledger.settle(lost, Disposition.DROPPED) if lost else lost
+    # rng.bernoulli(p) per pair, a mask over live; settling none would still
+    # cut every column once.
+    lost = bytes([rand() < p for _ in range(in_flight)])
+    destroyed = ledger.settle(lost, Disposition.DROPPED) if 1 in lost else ()
     if ledger.transcript is None:
         return None
     lost = len(destroyed)

@@ -10,8 +10,8 @@ compacted to the live pairs (the pairs with no terminal disposition yet) in
 ordinal order: ``PairLedger.column`` reads one, and ``live`` lists the
 ordinals its bytes stand for. So a step that acts on the live pairs (a
 transmission's attack, the decode) measures whole columns in one
-``quantum.measure_column`` call, and a check gathers its sample's bytes by
-position in them.
+``quantum.measure_column`` call, and a check gathers its sample's bytes from
+them through the sample's mask.
 
 ``PairLedger.fill`` is the only writer of a column. A step fills only the
 post states a later step reads; a measurement that consumes its pairs
@@ -29,17 +29,20 @@ as bytes, with ``joint_counts``, naming each code through that fill's
 alphabet.
 
 A settle gives some live pairs a terminal disposition (consumed by a check,
-contributing to the key, or lost in transit) and drops them from ``live``
-with C-level byte operations on its keep mask, a byte per live pair that is
-1 where the pair stays: ``itertools.compress`` cuts the ordinal list with
-it, and a column is cut on its first read after the settle, by setting the
-high bit of each kept byte with one big-int OR and deleting the bytes
-without it in one ``translate``, which clears the bit on the rest. That cut
-rests on the columns' one contract: a compact column holds one code below
-0x80 per live pair, so no byte of a column has the high bit of its own. A
-trial that aborts cuts no column. The terminal dispositions are a settle
-log of (ordinals, disposition); a settle of every live pair, at an abort or
-at key extraction, logs ``live`` itself and cuts nothing, so it is O(1).
+contributing to the key, or lost in transit) and drops them from ``live``.
+It takes them as a mask, a byte per live pair that is 1 where the pair is
+taken, as a check's sample or the opaque attack's losses arrive, and works
+with C-level byte operations only: one ``translate`` flips it into the keep
+mask, ``itertools.compress`` splits the ordinal list with the two, and a
+column is cut on its first read after the settle by ``gather`` (one big-int
+OR and one ``translate``) under the keep mask, as a check reads its sample
+from each column under the sample's mask. ``gather`` rests on the columns'
+one contract: a compact column holds one code below 0x80 per live pair, so
+no byte of a column has the high bit of its own. A trial that aborts cuts no
+column. The terminal dispositions are a settle log of (ordinals,
+disposition); a settle of every live pair, at an abort or at key
+extraction, takes None, logs ``live`` itself and cuts nothing, so it is
+O(1).
 No step builds an object per pair: ``PairLedger.records`` rebuilds
 read-only ``PairRecord`` views from the settle log and the fill log, with
 None where a pair has no value, and ``disposition_counts`` reads the settle
@@ -69,7 +72,6 @@ C accelerator calls ``json.dumps``).
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Sequence
 from enum import Enum
 from itertools import compress
 from json.encoder import c_make_encoder, encode_basestring_ascii
@@ -98,11 +100,11 @@ else:
 # One event as that json.dumps call writes it: its five keys in sorted order.
 _EVENT_LINE = '{"actor":%s,"event":%s,"payload":%s,"step":%d,"trial":%d}\n'
 
-# A settle's keep mask is 1 at each kept position, and shifted left 7 bits
-# it is 0x80 there: a column's cut sets that high bit on the kept bytes,
-# deletes the bytes left without it and clears it on the rest.
+# gather's translate: bytes without the high bit are deleted, and it is cleared
+# on the rest. _FLIP turns a settle's mask of taken pairs into its keep mask.
 _DROPPED = bytes(range(0x80))
 _KEPT = bytes(c & 0x7F for c in range(256))
+_FLIP = b"\x01".ljust(256, b"\x00")
 # Translate tables from a bit byte to its ASCII digit, for the bit strings a
 # transcript logs, and from a code byte to the digit of its high or low bit.
 DIGITS = b"01".ljust(256, b"?")
@@ -114,18 +116,21 @@ _PAIR_KEYS = bytes(x << 3 | y for y in range(4) for x in range(4))
 _Y_CODES = bytes(range(4))
 
 
-def picker(indices) -> Callable[[Sequence], tuple]:
-    """A function from a sequence to the tuple of its items at ``indices``,
-    in that order: one C-level ``itemgetter`` to read several sequences at
-    the same indices."""
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    return lambda items: tuple(items[i] for i in indices)
-
-
 def pick(items, indices) -> tuple:
-    """The items at ``indices``, in that order."""
-    return picker(indices)(items)
+    """The items at ``indices``, in that order, read by one C-level
+    ``itemgetter``."""
+    if len(indices) > 1:
+        return itemgetter(*indices)(items)
+    return tuple(items[i] for i in indices)
+
+
+def gather(codes: bytes, mask) -> bytes:
+    """The bytes of ``codes`` where ``mask``, a 0/1 byte per code, is 1, in
+    order: one big-int OR sets the high bit of each such byte, and one
+    ``translate`` deletes the bytes without it and clears it on the rest.
+    Every byte of ``codes`` must be below 0x80."""
+    selected = int.from_bytes(codes) | int.from_bytes(mask) << 7
+    return selected.to_bytes(len(mask)).translate(_KEPT, _DROPPED)
 
 
 def code_string(codes: bytes) -> str:
@@ -232,7 +237,7 @@ class PairLedger:
         # column has not taken yet is a later entry of _cuts, a settle's keep
         # mask.
         self._views = {"prepared": (0, codes), "state": (0, codes)}
-        self._cuts: list[bytearray] = []
+        self._cuts: list[bytes] = []
         self.fills: list[tuple[str, int, bytes, bytes, tuple[str, ...] | None]] = []
         self.settled: list[tuple[tuple[int, ...] | list[int], Disposition]] = []
         self.sender = sender
@@ -263,8 +268,7 @@ class PairLedger:
         gen, codes = self._views[name]
         if gen < len(self._cuts):
             for keep in self._cuts[gen:]:
-                codes = int.from_bytes(codes) | int.from_bytes(keep) << 7
-                codes = codes.to_bytes(len(keep)).translate(_KEPT, _DROPPED)
+                codes = gather(codes, keep)
             self._views[name] = len(self._cuts), codes
         return codes if self.live else b""
 
@@ -289,20 +293,18 @@ class PairLedger:
                     return joint_counts(*fill[2:])
         return {}
 
-    def settle(self, indices: list[int], disposition: Disposition):
-        """Give the live pairs at ``indices``, increasing positions in
-        ``live``, a terminal disposition, and return their ordinals. A list
-        as long as ``live`` settles every live pair and returns ``live``
-        itself, cutting no column."""
+    def settle(self, taken: bytes | None, disposition: Disposition):
+        """Give the live pairs where ``taken``, a 0/1 byte per live pair, is
+        1 a terminal disposition, and return their ordinals, in order. None
+        settles every live pair and returns ``live`` itself, cutting no
+        column."""
         live = self.live
-        if len(indices) == len(live):
+        if taken is None:
             ordinals, self.live = live, []
         else:
-            keep = bytearray(b"\x01" * len(live))
-            for j in indices:
-                keep[j] = 0
-            # Until the first cut, the live pairs' positions are their ordinals.
-            ordinals = pick(live, indices) if self._cuts else tuple(indices)
+            keep = taken.translate(_FLIP)
+            # The ordinals share live's int objects; no position is built.
+            ordinals = tuple(compress(live, taken))
             self.live = list(compress(live, keep))
             self._cuts.append(keep)
         self.settled.append((ordinals, disposition))

@@ -52,7 +52,7 @@ from .adversary import AdversaryChannel, AttackStrategy
 from .config import RunConfig
 from .errors import ConfigurationError, InsufficientPairsError, ProtocolOrderError
 from .ledger import DIGITS, CheckReport, Disposition, KeyMaterial, PairLedger, Phase, Transcript
-from .ledger import code_string, pick, picker
+from .ledger import code_string, gather, pick
 from .quantum import BASES, BELL_LABELS, CODES, KEYS, OPS, PAIR_BASIS, BellState, measure_column
 # Unused here; the benchmark's traced run (bench/workloads.py) wraps these bindings.
 from .quantum import measure_bell_basis, measure_qubit  # noqa: F401
@@ -160,15 +160,16 @@ def _transmit(ledger: PairLedger, channel: AdversaryChannel, sequence: int, step
     return received / sent if sent else 1.0
 
 
-def _draw_sample(ledger: PairLedger, fraction: float, min_size: int, rng: RandomSource) -> list:
-    """A check's uniformly random sample of the live pairs, as increasing
-    positions in ``live``: a ``fraction`` of them, and at least ``min_size``
-    when that many exist."""
+def _draw_sample(
+    ledger: PairLedger, fraction: float, min_size: int, rng: RandomSource
+) -> bytearray:
+    """A check's uniformly random sample of the live pairs, as a mask of a
+    byte per live pair, 1 where the pair is sampled: a ``fraction`` of them,
+    and at least ``min_size`` when that many exist."""
     m = len(ledger.live)
     if not m:
         raise InsufficientPairsError("no pairs available to check")
-    size = min(m, max(min_size, math.ceil(fraction * m)))
-    return rng.sample_without_replacement(range(m), size)
+    return rng.sample_mask(m, min(m, max(min_size, math.ceil(fraction * m))))
 
 
 def first_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> CheckReport:
@@ -194,7 +195,7 @@ def first_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> Che
     # bases, 2k alternating a pair's basis draw and its receiver draw, then
     # the sender's k. On the Z basis (basis quarter 0) a table's first four
     # bytes are its Z entries, so the quarters and codes index them directly.
-    k = len(sample)
+    k = sample.count(1)
     if config.randomize_check_basis:
         drawn = rng.quarters(3 * k)
         basis_q, receiver_q, sender_q = drawn[0 : 2 * k : 2], drawn[1 : 2 * k : 2], drawn[2 * k :]
@@ -212,20 +213,19 @@ def first_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> Che
 
     # The sampled pairs are consumed: no post state is written back, and
     # when the receiver measured the genuine pairs the sender measures
-    # their post states. One getter reads the sample from each column, all
-    # before the settle cuts the columns.
-    get = picker(sample)
+    # their post states. The sample's mask gathers its bytes from each
+    # column, all before the settle cuts the columns.
     receiver_keys = by_basis(receiver_q, _RECEIVER_KEYS)
-    receiver_bits, states = measure_column(bytes(get(ledger.receiver_state)), receiver_keys)
-    states = bytes(get(ledger.column("state"))) if ledger.filled("planted") else states
+    receiver_bits, states = measure_column(gather(ledger.receiver_state, sample), receiver_keys)
+    states = gather(ledger.column("state"), sample) if ledger.filled("planted") else states
     sender_bits, _ = measure_column(states, by_basis(sender_q, _SENDER_KEYS))
-    prepared = bytes(get(ledger.column("prepared")))
+    prepared = gather(ledger.column("prepared"), sample)
     # A pair mismatches when its bits differ where its prepared state's
     # halves agree, or agree where they differ: one bit per byte of the xor.
     indices = ledger.settle(sample, Disposition.CHECKED_1)
     differ = int.from_bytes(by_basis(prepared, _DIFFER))
     mismatches = (int.from_bytes(receiver_bits) ^ int.from_bytes(sender_bits) ^ differ).bit_count()
-    report = CheckReport("first", tuple(indices), mismatches, config.threshold_1, bases)
+    report = CheckReport("first", indices, mismatches, config.threshold_1, bases)
     transcript = ledger.transcript
     if transcript is not None:
         bits = receiver_bits.translate(DIGITS).decode()
@@ -285,11 +285,11 @@ def second_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> Ch
         raise ProtocolOrderError(f"second check in phase {ledger.phase.name}")
     sample = _draw_sample(ledger, config.check_fraction_2, config.min_check_size, rng)
     # The xor of the two codes is a zero byte exactly where they match.
-    get = picker(sample)
-    outcomes, prepared = get(ledger.column("outcome")), get(ledger.column("prepared"))
-    indices = tuple(ledger.settle(sample, Disposition.CHECKED_2))
+    outcomes = gather(ledger.column("outcome"), sample)
+    prepared = gather(ledger.column("prepared"), sample)
+    indices = ledger.settle(sample, Disposition.CHECKED_2)
     xor = int.from_bytes(outcomes) ^ int.from_bytes(prepared)
-    mismatches = len(sample) - xor.to_bytes(len(sample)).count(0)
+    mismatches = len(indices) - xor.to_bytes(len(indices)).count(0)
     report = CheckReport("second", indices, mismatches, config.threshold_2)
     if ledger.transcript is not None:
         ledger.transcript.log(7, "public", "check", {"check": "second", **report.to_dict()})
@@ -305,7 +305,7 @@ def extract_key(ledger: PairLedger) -> KeyMaterial:
     if not (ledger.check1 and ledger.check1.passed and ledger.check2 and ledger.check2.passed):
         raise ProtocolOrderError("key extraction after a failed check")
     key = KeyMaterial(ledger.column("outcome"), tuple(ledger.live))
-    ledger.settle(ledger.live, Disposition.KEY)
+    ledger.settle(None, Disposition.KEY)
     ledger.phase = Phase.DONE
     if ledger.transcript is not None:
         ledger.transcript.log(7, "public", "commit", {"key_bits": 2 * len(key.codes)})
@@ -370,7 +370,7 @@ def run_protocol(
         # ends as checked, key, or dropped.
         if ledger.transcript is not None:
             ledger.transcript.log(step, "public", "abort", {"reason": reason})
-        ledger.settle(ledger.live, Disposition.DROPPED)
+        ledger.settle(None, Disposition.DROPPED)
         return ProtocolOutcome(ledger, reason, None)
 
     transmit_first_sequence(ledger, channel)

@@ -25,9 +25,11 @@ Z-or-X basis choice. Preparation, every column measurement, the randomized
 check bases and the fake-EPR adversary's uniform labels draw that way. A
 ``getrandbits`` call consumes whole 32-bit generator words, so two blocks
 drawn one after another are not one block sliced: each step's block is one
-call. A check sample is a byte mask from one ``getrandbits`` call, evened
-out to its size by a few ``random()`` draws (see
-``sample_without_replacement``). Only those, the opaque attack's losses (of
+call. A check sample is kept as a byte mask over the live pairs, 1 at each
+sampled pair, from one ``getrandbits`` call evened out to its size by a few
+``random()`` draws (``sample_mask``, which says why it is uniform): the
+check reads its columns and settles its pairs through that mask, and no
+list of positions is built. Only those, the opaque attack's losses (of
 arbitrary probability) and the scalar kernels call ``random()``.
 """
 from __future__ import annotations
@@ -105,7 +107,7 @@ class RandomSource:
         """Uniform integer in [0, n).
 
         ``int(r * n) < n`` for every draw r (at most 1 - 2**-53) and every
-        n < 2**53, so this and ``sample_without_replacement`` need no clamp.
+        n < 2**53, so this and ``sample_mask`` need no clamp.
         """
         if n <= 0:
             raise ConfigurationError(f"uniform_index needs n >= 1, got {n}")
@@ -126,20 +128,20 @@ class RandomSource:
                 return i
         raise ValueError("categorical() needs at least one positive probability")
 
-    def sample_without_replacement(self, population, k: int) -> list:
-        """A uniformly random k-subset of ``population``, in population order.
+    def sample_mask(self, m: int, k: int) -> bytearray:
+        """A uniformly random k-subset of m positions, as a mask of m bytes
+        that is 1 at each chosen position and 0 elsewhere.
 
-        Each of the m positions is kept where its byte of one
-        ``getrandbits(8 * m)`` call falls below t, 256 * k / m rounded: a
-        mask of m independent draws of one chance, so every s-subset it keeps
-        is equally likely. The s - k surplus is then dropped, or the k - s
-        shortfall added, one position at a time, each a uniform choice among
-        the positions on the side to flip, which leaves a uniform k-subset. A
-        choice draws ``int(r * m)`` until it lands on that side, so it takes
-        no list of the side's positions, which at 10**6 pairs would build
-        hundreds of thousands of ints.
+        Each position is kept where its byte of one ``getrandbits(8 * m)``
+        call falls below t, 256 * k / m rounded: a mask of m independent
+        draws of one chance, so every s-subset it keeps is equally likely.
+        The s - k surplus is then dropped, or the k - s shortfall added, one
+        position at a time, each a uniform choice among the positions on the
+        side to flip, which leaves a uniform k-subset. A choice draws
+        ``int(r * m)`` until it lands on that side, so it takes no list of
+        the side's positions, which at 10**6 pairs would build hundreds of
+        thousands of ints.
         """
-        m = len(population)
         if k > m:
             raise ConfigurationError(f"cannot sample {k} items from a population of {m}")
         # t rounds 256 * k / m half up; an empty population (m = k = 0) takes t = 0.
@@ -149,13 +151,18 @@ class RandomSource:
         surplus = mask.count(1) - k
         # Each step draws a position uniformly and flips it when it is on the
         # side in surplus: kept (a trim) or not kept (a top-up).
-        side = int(surplus > 0)
+        side, rand = int(surplus > 0), self._rng.random
         while surplus:
-            j = int(self._rng.random() * m)
+            j = int(rand() * m)
             if mask[j] == side:
                 mask[j] = 1 - side
                 surplus += 1 - 2 * side
-        return list(compress(population, mask))
+        return mask
+
+    def sample_without_replacement(self, population, k: int) -> list:
+        """A uniformly random k-subset of ``population``, in population
+        order: the items where ``sample_mask`` is 1."""
+        return list(compress(population, self.sample_mask(len(population), k)))
 
 
 def three_sigma(p: float, n: int) -> float:

@@ -183,6 +183,19 @@ def test_the_element_left_out_of_all_but_one_is_uniform():
     assert g_test(observed, dict.fromkeys(range(m), Fraction(1, m)), trials) >= P_FAIL
 
 
+# A G-test over hundreds of cells does not see one cell held at 0, as by a
+# sampler whose flips can never reach some position. At 30,000 draws a
+# uniform sampler misses a given one of 600 (or 520) positions with chance
+# (1 - 1/600)**30000, about e**-50, so each must be reached at least once:
+# the one position sampled, or the one left out.
+@pytest.mark.parametrize("m, k", [(600, 1), (520, 519)])
+def test_a_sample_of_one_or_all_but_one_reaches_every_position(m, k):
+    rng = RandomSource(9, "exact")
+    odd_one = int(k == 1)
+    reached = {rng.sample_mask(m, k).index(odd_one) for _ in range(30000)}
+    assert reached == set(range(m))
+
+
 def test_every_3_subset_of_8_is_equally_likely():
     rng = RandomSource(8, "exact")
     trials = 5600

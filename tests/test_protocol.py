@@ -21,9 +21,9 @@ from eprqkd.ledger import (
     Phase,
     Transcript,
     code_string,
+    gather,
     joint_counts,
     pick,
-    picker,
 )
 from eprqkd.protocol import (
     alice_prepare,
@@ -155,7 +155,7 @@ class TestTransmissions:
         ledger.check1 = CheckReport("first", (0,), 1, 0.02)
         assert ledger.check1.error_rate == 1.0 and not ledger.check1.passed
         ledger.phase = Phase.CHECKED_1
-        ledger.settle([0], Disposition.CHECKED_1)
+        ledger.settle(b"\x01" + bytes(9), Disposition.CHECKED_1)
         with pytest.raises(ProtocolOrderError):
             transmit_second_sequence(ledger, clean_channel(), RunConfig())
         # Study mode is allowed through.
@@ -452,9 +452,89 @@ def test_gather_and_pick_read_the_items_at_indices_in_order(kind, indices):
     assert type(pick(items, indices)) is tuple and pick(items, indices) == expected
     # The key builders read a column's bytes at indices as bytes(pick(...)).
     assert bytes(pick(items, indices)) == bytes(expected)
-    # One picker reads each sequence at the same indices.
-    get = picker(indices)
-    assert get(items) == expected and get(items[::-1]) == pick(items[::-1], indices)
+    # gather reads a column's bytes at the 1s of a 0/1 mask, in order.
+    mask = bytes(i in indices for i in range(len(items)))
+    assert gather(bytes(items), mask) == bytes(items[i] for i in sorted(set(indices)))
+
+
+def test_gather_keeps_every_code_below_0x80():
+    codes = bytes(range(0x80))
+    assert gather(codes, b"\x01" * 0x80) == codes
+    assert gather(codes, b"\x00\x01" * 0x40) == codes[1::2]
+    assert gather(b"", b"") == b""
+
+
+def loop_settle(live, taken):
+    """A settle as a scalar loop over positions in ``live``: the ordinals at
+    the 1s of ``taken``, and the ordinals left live, both in order."""
+    ordinals, kept = [], []
+    for j in range(len(live)):
+        (ordinals if taken[j] else kept).append(live[j])
+    return ordinals, kept
+
+
+TERMINAL = [Disposition.CHECKED_1, Disposition.CHECKED_2, Disposition.KEY, Disposition.DROPPED]
+
+
+@pytest.mark.parametrize("last", ["mask", "all", None])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_mask_settle_matches_a_positional_loop(last, data):
+    # A ledger takes 0-3 cuts, each after an optional fill of its state and
+    # guess columns and each read or not before the next, then one last
+    # settle: a random mask, every live pair by mask (k = m), or None. Its
+    # ordinals, live pairs, columns and records must be what a loop over
+    # positions, kept per ordinal, gives.
+    codes = st.integers(0, N_STATES - 1)
+    n = data.draw(st.integers(1, 30), label="pairs")
+    prepared = data.draw(st.binary(min_size=n, max_size=n).map(lambda b: bytes(c & 3 for c in b)))
+    ledger = PairLedger(prepared)
+    live, fates = list(range(n)), {}
+    state, guesses = dict(enumerate(prepared)), {}
+
+    def settle(taken, disposition):
+        before = ledger.live
+        ordinals = ledger.settle(taken, disposition)
+        assert ledger.settled[-1] == (ordinals, disposition)
+        if taken is None:
+            # Every live pair: the live list itself, not a copy.
+            expected, kept = list(live), []
+            assert ordinals is before
+        else:
+            expected, kept = loop_settle(live, taken)
+        assert list(ordinals) == expected
+        live[:] = kept
+        fates.update(dict.fromkeys(ordinals, disposition))
+
+    for _ in range(data.draw(st.integers(0, 3), label="cuts")):
+        if data.draw(st.booleans(), label="fill state"):
+            fill = data.draw(st.lists(codes, min_size=len(live), max_size=len(live)))
+            ledger.fill("state", bytes(fill))
+            state.update(zip(live, fill))
+        if data.draw(st.booleans(), label="fill guesses"):
+            fill = data.draw(st.lists(st.integers(0, 1), min_size=len(live), max_size=len(live)))
+            ledger.fill("guesses", bytes(fill), ("0", "1"))
+            guesses = dict(zip(live, fill))
+        taken = data.draw(st.binary(min_size=len(live), max_size=len(live)))
+        settle(bytes(b & 1 for b in taken), data.draw(st.sampled_from(TERMINAL)))
+        if data.draw(st.booleans(), label="read"):
+            assert ledger.column("state") == bytes(state[i] for i in live)
+    if last == "mask":
+        taken = data.draw(st.binary(min_size=len(live), max_size=len(live)))
+        settle(bytearray(b & 1 for b in taken), Disposition.CHECKED_2)
+    else:
+        settle(b"\x01" * len(live) if last else None, Disposition.KEY)
+
+    assert ledger.live == live
+    assert ledger.column("prepared") == bytes(prepared[i] for i in live)
+    assert ledger.column("state") == bytes(state[i] for i in live)
+    if ledger.filled("guesses"):
+        assert ledger.column("guesses") == bytes(guesses[i] for i in live)
+    records = [(r.index, r.prepared, r.disposition, r.carrier, r.guess) for r in ledger.records]
+    assert records == [
+        (i, BELL_LABELS[prepared[i]], fates.get(i, ledger.stage), state[i], guesses.get(i))
+        for i in range(n)
+    ]
 
 
 class TestLedgerColumns:
@@ -498,7 +578,7 @@ class TestLedgerColumns:
     def test_counts_read_the_last_fill_of_a_column(self):
         ledger = PairLedger(bytes([0, 1, 2, 3]))
         ledger.fill("guesses", bytes([0, 1, 0, 1]), ("0", "1"))
-        ledger.settle([1], Disposition.CHECKED_1)
+        ledger.settle(bytes([0, 1, 0, 0]), Disposition.CHECKED_1)
         ledger.fill("guesses", bytes([1, 1, 0]), ("0", "1"))
         expected = {CODES[0]: {"1": 1}, CODES[2]: {"1": 1}, CODES[3]: {"0": 1}}
         assert ledger.counts("guesses") == expected

@@ -208,8 +208,8 @@ def test_sample_without_replacement_overdraw_rejected():
     st.data(),
 )
 def test_a_positions_sample_mapped_through_live_is_a_sample_of_live(seed, live, data):
-    # A check samples the positions 0..len(live)-1 of the live pairs and maps
-    # its picks through live: the same sorted ordinals, and the same
+    # Sampling the positions 0..len(live)-1 of the live pairs and mapping the
+    # picks through live gives the same sorted ordinals, and the same
     # generator state after, as sampling live itself.
     k = data.draw(st.integers(0, len(live)))
     by_position, by_ordinal = RandomSource(seed), RandomSource(seed)
