@@ -741,6 +741,45 @@ class TestCli:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
+        "table, out, err",
+        [
+            (
+                {"00": {}},
+                "",
+                "error: malformed report: rows do not fit eprqkd-report/1 "
+                "(ValueError: cannot build a joint distribution from empty counts)\n",
+            ),
+            (
+                {"00": {"00": 0}},
+                "",
+                "error: malformed report: rows do not fit eprqkd-report/1 "
+                "(ValueError: counts sum to zero)\n",
+            ),
+            (
+                {},
+                "MISMATCH aggregate.mutual_information_ab: "
+                "stored 1.9883943082078948, recomputed None\n",
+                "",
+            ),
+        ],
+        ids=["empty-row", "zero-sum", "empty-table"],
+    )
+    def test_verify_on_an_invalid_pooled_count_table(self, tmp_path, capsys, table, out, err):
+        # A pooled sender/receiver table with no column or no positive count
+        # is malformed; one with no row has no information to recompute.
+        path = tmp_path / "report.json"
+        main(["run", "--pairs", "80", "--seed", "3", "--out", str(path)])
+        doc = json.loads(path.read_text())
+        for row in doc["trials"]:
+            row["ab_counts"] = {}
+        doc["trials"][0]["ab_counts"] = table
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (out, err)
+
+    @pytest.mark.parametrize(
         "mangle, line",
         [
             (lambda doc: doc.pop("config"), "MISMATCH config.trials: stored None, counted 1"),
