@@ -46,10 +46,11 @@ def code_lines(path: Path) -> int:
 
 
 def main(argv=None) -> int:
-    paths = sys.argv[1:] if argv is None else argv
-    if not paths:
+    paths = [Path(p) for p in (sys.argv[1:] if argv is None else argv)]
+    # An option such as --help names no file either.
+    if not paths or not all(path.exists() for path in paths):
         raise SystemExit("usage: python scripts/code_lines.py PATH...")
-    print(f"{sum(code_lines(Path(p)) for p in paths)} code lines")
+    print(f"{sum(map(code_lines, paths))} code lines")
     return 0
 
 

@@ -120,11 +120,11 @@ def _fractions(rows: list[dict], key: str) -> list[float]:
 
 
 def _information(pooled: dict) -> float | None:
-    """The mutual information of a pooled count table; None when it is empty.
-    ``_merge_counts`` has checked its counts, so the joint trusts them."""
+    """The mutual information of a pooled count table, whose counts
+    ``_merge_counts`` has checked; None when it has no row."""
     if not pooled:
         return None
-    return analysis.mutual_information(analysis.JointDistribution.from_checked_counts(pooled))
+    return analysis.mutual_information(pooled)
 
 
 def aggregate_rows(rows: list[dict]) -> dict:

@@ -6,7 +6,7 @@ from eprqkd.adversary import (
     AttackStrategy,
     eve_guess_counts,
 )
-from eprqkd.analysis import JointDistribution, mutual_information
+from eprqkd.analysis import mutual_information
 from eprqkd.config import RunConfig
 from eprqkd.errors import ConfigurationError
 from eprqkd.ledger import Disposition
@@ -227,8 +227,7 @@ class TestEveInformation:
         return run_protocol(config, RandomSource(seed))
 
     def eve_mi(self, outcome):
-        counts = eve_guess_counts(outcome.ledger)
-        return mutual_information(JointDistribution.from_counts(counts))
+        return mutual_information(eve_guess_counts(outcome.ledger))
 
     def test_no_attack_scores_zero_exactly(self):
         outcome = self.run_with(AttackKind.NONE)

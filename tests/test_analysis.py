@@ -8,18 +8,27 @@ from eprqkd.analysis import (
     EPR_ACCOUNTING,
     TWO_STEP_ACCOUNTING,
     EfficiencyInputs,
-    JointDistribution,
-    conditional_entropy,
     efficiency,
     mutual_information,
     reference_bb84,
-    shannon_entropy,
 )
 from eprqkd.ledger import CheckReport
 from eprqkd.runner import aggregate_rows
 
+from information_reference import (
+    JointDistribution,
+    conditional_entropy,
+    from_counts,
+    reference_mutual_information,
+    shannon_entropy,
+)
+
+CODES = ("00", "01", "10", "11")
+
 
 class TestShannonEntropy:
+    """The reference's entropy and its validation."""
+
     def test_uniform_over_four(self):
         assert shannon_entropy([0.25, 0.25, 0.25, 0.25]) == pytest.approx(2.0, abs=1e-12)
 
@@ -48,21 +57,19 @@ class TestShannonEntropy:
             shannon_entropy([1.0, bad])
 
 
-def diagonal_uniform4() -> JointDistribution:
-    codes = ("00", "01", "10", "11")
-    return JointDistribution(
-        codes, codes, [[0.25 if i == j else 0.0 for j in range(4)] for i in range(4)]
-    )
+def diagonal_uniform4() -> dict:
+    return {code: {code: 1} for code in CODES}
 
 
-def independent_uniform4() -> JointDistribution:
-    codes = ("00", "01", "10", "11")
-    return JointDistribution(codes, codes, [[1 / 16] * 4] * 4)
+def independent_uniform4() -> dict:
+    return {x: dict.fromkeys(CODES, 1) for x in CODES}
 
 
 class TestJointDistribution:
+    """The reference's joint, which checks its cells and counts."""
+
     def test_from_counts(self):
-        joint = JointDistribution.from_counts({"a": {"x": 3, "y": 1}, "b": {"y": 4}})
+        joint = from_counts({"a": {"x": 3, "y": 1}, "b": {"y": 4}})
         assert joint.outcomes_x == ("a", "b")
         assert joint.outcomes_y == ("x", "y")
         assert joint.p[0][0] == pytest.approx(3 / 8)
@@ -74,7 +81,7 @@ class TestJointDistribution:
 
     def test_from_counts_empty_rejected(self):
         with pytest.raises(ValueError):
-            JointDistribution.from_counts({})
+            from_counts({})
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -97,19 +104,23 @@ class TestJointDistribution:
     @pytest.mark.parametrize("cell", [float("nan"), 1.0, True, -1, "3", None])
     def test_from_counts_rejects_cells_that_are_not_nonnegative_ints(self, cell):
         with pytest.raises(ValueError, match="nonnegative ints"):
-            JointDistribution.from_counts({"a": {"x": 3, "y": cell}})
+            from_counts({"a": {"x": 3, "y": cell}})
 
     def test_from_counts_zero_total_rejected(self):
         with pytest.raises(ValueError):
-            JointDistribution.from_counts({"a": {"x": 0}})
+            from_counts({"a": {"x": 0}})
 
 
 class TestConditionalEntropy:
+    """The reference's H(X|Y)."""
+
     def test_diagonal_determines_x(self):
-        assert conditional_entropy(diagonal_uniform4()) == pytest.approx(0.0, abs=1e-12)
+        joint = from_counts(diagonal_uniform4())
+        assert conditional_entropy(joint) == pytest.approx(0.0, abs=1e-12)
 
     def test_independent_equals_marginal_entropy(self):
-        assert conditional_entropy(independent_uniform4()) == pytest.approx(2.0, abs=1e-12)
+        joint = from_counts(independent_uniform4())
+        assert conditional_entropy(joint) == pytest.approx(2.0, abs=1e-12)
 
     def test_hand_computed_case(self):
         # p(x=0, y=0) = 1/2, p(x=1, y=0) = 1/4, p(x=1, y=1) = 1/4:
@@ -122,17 +133,18 @@ class TestConditionalEntropy:
         assert conditional_entropy(joint) == pytest.approx(by_hand, abs=1e-12)
 
 
-def bb84_intercept_resend_joints():
+def bb84_intercept_resend_counts():
     """Enumerate BB84 with an intercept-resend adversary, no sifting.
 
     The sender picks a uniform bit and basis; the adversary measures in a
     uniform basis and resends what she saw; the receiver measures in a
     uniform basis. Measuring in the preparation basis reproduces the bit,
     any other basis gives a uniform outcome. Returns the exact joints
-    (sender, receiver) and (sender, adversary).
+    (sender, receiver) and (sender, adversary) as counts out of 64, each
+    outcome's probability times 64.
     """
-    ab: dict[str, dict[str, float]] = {"0": {"0": 0, "1": 0}, "1": {"0": 0, "1": 0}}
-    ae: dict[str, dict[str, float]] = {"0": {"0": 0, "1": 0}, "1": {"0": 0, "1": 0}}
+    ab = {"0": {"0": 0, "1": 0}, "1": {"0": 0, "1": 0}}
+    ae = {"0": {"0": 0, "1": 0}, "1": {"0": 0, "1": 0}}
     for a in (0, 1):
         for basis_a in (0, 1):
             for basis_e in (0, 1):
@@ -143,13 +155,10 @@ def bb84_intercept_resend_joints():
                             {e: 1.0} if basis_b == basis_e else {0: 0.5, 1: 0.5}
                         )
                         for b, p_b in bob_outcomes.items():
-                            w = (1 / 16) * p_e * p_b
-                            ab[str(a)][str(b)] += w
-                            ae[str(a)][str(e)] += w
-    to_joint = lambda d: JointDistribution(
-        ("0", "1"), ("0", "1"), [[d["0"]["0"], d["0"]["1"]], [d["1"]["0"], d["1"]["1"]]]
-    )
-    return to_joint(ab), to_joint(ae)
+                            n = int(64 * (1 / 16) * p_e * p_b)
+                            ab[str(a)][str(b)] += n
+                            ae[str(a)][str(e)] += n
+    return ab, ae
 
 
 class TestMutualInformation:
@@ -160,21 +169,21 @@ class TestMutualInformation:
         assert mutual_information(independent_uniform4()) == pytest.approx(0.0, abs=1e-12)
 
     def test_bb84_enumeration_matches_reference_constants(self):
-        ab, ae = bb84_intercept_resend_joints()
+        ab, ae = bb84_intercept_resend_counts()
         ref = reference_bb84()
         assert mutual_information(ab) == pytest.approx(ref.i_ab_attacked, abs=1e-12)
         assert mutual_information(ae) == pytest.approx(ref.i_ae, abs=1e-12)
         assert mutual_information(ab) == pytest.approx(0.189, abs=0.15)  # sanity scale
 
     def test_bb84_attacked_value(self):
-        ab, _ = bb84_intercept_resend_joints()
+        ab, _ = bb84_intercept_resend_counts()
         assert mutual_information(ab) == pytest.approx(0.046, abs=5e-4)
 
     def test_pooled_table_value_is_exact(self):
         # Report bytes carry this float. A vectorised AVX-512 log2 gives
         # 0.3692250536692661 here; math.log2 gives the same value on any CPU.
-        joint = JointDistribution.from_counts({"00": {"00": 10, "01": 6}, "01": {"01": 56}})
-        assert repr(mutual_information(joint)) == "0.36922505366926617"
+        counts = {"00": {"00": 10, "01": 6}, "01": {"01": 56}}
+        assert repr(mutual_information(counts)) == "0.36922505366926617"
 
 
 class TestReferenceBb84:
@@ -254,68 +263,10 @@ class TestQber:
 
 
 @st.composite
-def joints(draw):
-    nx = draw(st.integers(2, 4))
-    ny = draw(st.integers(2, 4))
-    cells = draw(
-        st.lists(
-            st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-            min_size=nx * ny,
-            max_size=nx * ny,
-        )
-    )
-    if sum(cells) <= 0:
-        cells[0] = 1.0
-    total = sum(cells)
-    matrix = [[cells[i * ny + j] / total for j in range(ny)] for i in range(nx)]
-    xs = tuple(f"x{i}" for i in range(nx))
-    ys = tuple(f"y{j}" for j in range(ny))
-    return JointDistribution(xs, ys, matrix)
-
-
-def transposed(joint: JointDistribution) -> JointDistribution:
-    """The same distribution with X and Y swapped."""
-    return JointDistribution(joint.outcomes_y, joint.outcomes_x, tuple(zip(*joint.p)))
-
-
-@given(joints())
-def test_mutual_information_is_symmetric(joint):
-    assert mutual_information(joint) == pytest.approx(
-        mutual_information(transposed(joint)), abs=1e-9
-    )
-
-
-@given(joints())
-def test_mutual_information_bounds(joint):
-    i = mutual_information(joint)
-    assert i >= 0.0
-    assert i <= shannon_entropy(joint.marginal_x()) + 1e-9
-    assert i <= shannon_entropy(joint.marginal_y()) + 1e-9
-
-
-@given(joints())
-def test_marginal_entropy_consistency(joint):
-    # H computed from the joint's own marginal is the marginal's entropy.
-    h_x = shannon_entropy(joint.marginal_x())
-    h_y = shannon_entropy(joint.marginal_y())
-    assert conditional_entropy(joint) <= h_x + 1e-9
-    assert conditional_entropy(transposed(joint)) <= h_y + 1e-9
-    # I = H(X) - H(X|Y) = H(Y) - H(Y|X), both forms agree.
-    assert h_x - conditional_entropy(joint) == pytest.approx(
-        h_y - conditional_entropy(transposed(joint)), abs=1e-9
-    )
-
-
-def reference_mutual_information(joint: JointDistribution) -> float:
-    """I(X:Y) through the validated entropies, in the order reports use."""
-    return max(0.0, shannon_entropy(joint.marginal_x()) - conditional_entropy(joint))
-
-
-@st.composite
 def count_tables(draw):
     """{x: {y: count}} tallies over 1-4 x 1-4 labels, with zero cells,
     labels missing from some rows and counts up to 10**6."""
-    labels = st.sampled_from(("00", "01", "10", "11"))
+    labels = st.sampled_from(CODES)
     xs = draw(st.lists(labels, min_size=1, max_size=4, unique=True))
     ys = draw(st.lists(labels, min_size=1, max_size=4, unique=True))
     counts = {
@@ -326,25 +277,58 @@ def count_tables(draw):
     return counts
 
 
-@settings(max_examples=300)
-@given(st.one_of(count_tables().map(JointDistribution.from_counts), joints()))
-@example(JointDistribution.from_counts({"00": {"00": 10, "01": 6}, "01": {"01": 56}}))
-@example(JointDistribution.from_counts({"00": {"00": 1}}))
-@example(JointDistribution.from_counts({"00": {"00": 0, "01": 3}, "11": {"00": 0}}))
-def test_mutual_information_is_the_reference_float(joint):
-    assert mutual_information(joint) == reference_mutual_information(joint)
+def transposed(counts: dict) -> dict:
+    """The same tallies with X and Y swapped."""
+    swapped: dict = {}
+    for x, row in counts.items():
+        for y, n in row.items():
+            swapped.setdefault(y, {})[x] = n
+    return swapped
 
 
 @given(count_tables())
-def test_from_counts_equals_the_validating_constructor(counts):
-    # from_counts checks the counts, then builds through from_checked_counts,
-    # which the runner's fold calls directly on counts it has checked.
-    joint = JointDistribution.from_counts(counts)
-    assert joint == JointDistribution(joint.outcomes_x, joint.outcomes_y, joint.p)
-    trusted = JointDistribution.from_checked_counts(counts)
-    assert trusted == joint
-    assert mutual_information(trusted).hex() == mutual_information(joint).hex()
+def test_mutual_information_is_symmetric(counts):
+    assert mutual_information(counts) == pytest.approx(
+        mutual_information(transposed(counts)), abs=1e-9
+    )
+
+
+@given(count_tables())
+def test_mutual_information_bounds(counts):
+    i = mutual_information(counts)
+    joint = from_counts(counts)
+    assert i >= 0.0
+    assert i <= shannon_entropy(joint.marginal_x()) + 1e-9
+    assert i <= shannon_entropy(joint.marginal_y()) + 1e-9
+
+
+@given(count_tables())
+def test_marginal_entropy_consistency(counts):
+    # H computed from the joint's own marginal is the marginal's entropy.
+    joint, swapped = from_counts(counts), from_counts(transposed(counts))
+    h_x = shannon_entropy(joint.marginal_x())
+    h_y = shannon_entropy(joint.marginal_y())
+    assert conditional_entropy(joint) <= h_x + 1e-9
+    assert conditional_entropy(swapped) <= h_y + 1e-9
+    # I = H(X) - H(X|Y) = H(Y) - H(Y|X), both forms agree.
+    assert h_x - conditional_entropy(joint) == pytest.approx(
+        h_y - conditional_entropy(swapped), abs=1e-9
+    )
+
+
+@settings(max_examples=300)
+@given(count_tables())
+@example({"00": {"00": 10, "01": 6}, "01": {"01": 56}})
+@example({"00": {"00": 1}})
+@example({"00": {"00": 0, "01": 3}, "11": {"00": 0}})
+def test_mutual_information_is_the_reference_float(counts):
+    # The engine's one pass makes the reference's float operations, in its
+    # order, and rejects the same tables with the same errors.
+    assert mutual_information(counts).hex() == reference_mutual_information(counts).hex()
     zeros = {x: dict.fromkeys(row, 0) for x, row in counts.items()}
-    for build in (JointDistribution.from_counts, JointDistribution.from_checked_counts):
+    empty_rows = dict.fromkeys(counts, {})
+    for information in (mutual_information, reference_mutual_information):
         with pytest.raises(ValueError, match="^counts sum to zero$"):
-            build(zeros)
+            information(zeros)
+        with pytest.raises(ValueError, match="^cannot build a joint distribution from empty counts$"):
+            information(empty_rows)

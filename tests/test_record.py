@@ -1,4 +1,4 @@
-"""The ``record.Record`` contract, on each of the five records that check
+"""The ``record.Record`` contract, on each of the four records that check
 their input, and the weight of importing the command line."""
 import os
 import pickle
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from eprqkd.adversary import AttackKind, AttackStrategy
-from eprqkd.analysis import EfficiencyInputs, JointDistribution
+from eprqkd.analysis import EfficiencyInputs
 from eprqkd.config import RunConfig
 from eprqkd.errors import ConfigurationError
 from eprqkd.ledger import KeyMaterial
@@ -27,11 +27,6 @@ RECORDS = [
         ConfigurationError,
     ),
     (KeyMaterial(bytes([0, 3, 2]), (1, 4, 6)), {"codes": bytes([0, 4, 2])}, ValueError),
-    (
-        JointDistribution(("0", "1"), ("0", "1"), ((0.5, 0.0), (0.0, 0.5))),
-        {"p": ((0.5, 0.5), (0.5, 0.5))},
-        ValueError,
-    ),
     (EfficiencyInputs(1, 1, 3), {"secret_bits": -1}, ValueError),
 ]
 

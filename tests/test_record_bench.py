@@ -318,6 +318,16 @@ def test_code_lines_skip_docstrings_comments_and_blank_lines(tmp_path):
     assert code_lines.code_lines(tmp_path) == 9
 
 
+@pytest.mark.parametrize("args", [["--help"], ["missing.py"], [".", "missing.py"], []])
+def test_code_lines_print_their_usage_for_a_path_that_is_not_there(tmp_path, args):
+    script = ROOT / "scripts" / "code_lines.py"
+    done = subprocess.run(
+        [sys.executable, str(script), *args], cwd=tmp_path, capture_output=True, text=True
+    )
+    assert done.returncode == 1
+    assert (done.stdout, done.stderr) == ("", "usage: python scripts/code_lines.py PATH...\n")
+
+
 def test_cli_imports_name_every_package_module():
     # The working tree's own src/, imported in a fresh interpreter.
     imported = record_bench.cli_imports(ROOT)
