@@ -332,3 +332,16 @@ def test_mutual_information_is_the_reference_float(counts):
             information(zeros)
         with pytest.raises(ValueError, match="^cannot build a joint distribution from empty counts$"):
             information(empty_rows)
+
+
+@given(count_tables())
+def test_from_counts_equals_the_validating_constructor(counts):
+    # The reference builds its joint from counts through the constructor
+    # that checks every cell, and the engine's float matches that joint's.
+    joint = from_counts(counts)
+    assert joint == JointDistribution(joint.outcomes_x, joint.outcomes_y, joint.p)
+    assert mutual_information(counts).hex() == reference_mutual_information(counts).hex()
+    zeros = {x: dict.fromkeys(row, 0) for x, row in counts.items()}
+    for build in (from_counts, mutual_information):
+        with pytest.raises(ValueError, match="^counts sum to zero$"):
+            build(zeros)
