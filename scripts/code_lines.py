@@ -7,7 +7,8 @@ Usage (from the repository root):
 
 A line counts when it holds part of a token other than a comment, a line
 break or an indent, and is not part of a module, class or function
-docstring. A directory stands for the ``*.py`` files directly in it.
+docstring. A directory stands for the ``*.py`` files directly in it, and
+each of them is printed with its own count before the total.
 """
 from __future__ import annotations
 
@@ -39,10 +40,15 @@ def module_code_lines(text: str) -> int:
     return len(lines)
 
 
+def modules(path: Path) -> list[Path]:
+    """The modules ``path`` stands for: itself, or the ``*.py`` files
+    directly in it, in order."""
+    return sorted(path.glob("*.py")) if path.is_dir() else [path]
+
+
 def code_lines(path: Path) -> int:
     """The code lines of ``path``, a module or a directory of modules."""
-    paths = sorted(path.glob("*.py")) if path.is_dir() else [path]
-    return sum(module_code_lines(p.read_text()) for p in paths)
+    return sum(module_code_lines(p.read_text()) for p in modules(path))
 
 
 def main(argv=None) -> int:
@@ -50,6 +56,9 @@ def main(argv=None) -> int:
     # An option such as --help names no file either.
     if not paths or not all(path.exists() for path in paths):
         raise SystemExit("usage: python scripts/code_lines.py PATH...")
+    for directory in filter(Path.is_dir, paths):
+        for module in modules(directory):
+            print(f"{module_code_lines(module.read_text()):5} {module}")
     print(f"{sum(map(code_lines, paths))} code lines")
     return 0
 

@@ -61,7 +61,10 @@ transmission on unless the pair was ``DROPPED``, and holds the whole pair
 
 The ledger also owns the run's :class:`Transcript`; every protocol step logs
 its public events there. A ledger whose ``transcript`` is None records
-nothing, and the steps then build no event payloads either. A transcript
+nothing, and the steps then build no event payloads either. The ledger
+holds no party names: the transcript names the hop's ``sender`` and
+``receiver``, the actors of their events, since nothing else reads them;
+``PARTIES`` spells the chain's names once, in order. A transcript
 keeps its rendered lines, each ``json.dumps(event, sort_keys=True,
 separators=(",", ":"))`` of one event: ``Transcript.log`` writes the
 event's fixed five-key envelope itself and encodes only the payload, in one
@@ -174,19 +177,33 @@ class Phase(Enum):
         self.stage = stage
 
 
+# The parties of a chain, in order: each hop's sender, then its receiver.
+PARTIES = ("alice", "bob", "clare")
+
+
 class Transcript:
     """Ordered event log of a run, kept as its rendered lines.
 
     Each line is one JSON object with the fixed field set {trial, step,
     actor, event, payload}: ``trial`` and ``step`` are ints, ``actor`` and
     ``event`` strings, and ``payload`` is the transcript's ``extra`` fields
-    updated with the logged ones. Two runs with the same configuration and
-    seed produce byte-identical transcripts.
+    updated with the logged ones. ``sender`` and ``receiver`` name the hop's
+    two parties, the actors of their own steps' events (by default the
+    chain's first hop, alice -> bob). Two runs with the same configuration
+    and seed produce byte-identical transcripts.
     """
 
-    def __init__(self, trial: int = 0, extra: dict | None = None):
+    def __init__(
+        self,
+        trial: int = 0,
+        extra: dict | None = None,
+        sender: str = PARTIES[0],
+        receiver: str = PARTIES[1],
+    ):
         self.trial = trial
         self.extra = extra or {}
+        self.sender = sender
+        self.receiver = receiver
         self.lines: list[str] = []
 
     def log(self, step: int, actor: str, event: str, payload: dict | None = None):
@@ -224,13 +241,7 @@ class PairLedger:
     event log, or None when the run records none.
     """
 
-    def __init__(
-        self,
-        prepared: bytes | list[int],
-        sender: str = "alice",
-        receiver: str = "bob",
-        transcript: Transcript | None = None,
-    ):
+    def __init__(self, prepared: bytes | list[int], transcript: Transcript | None = None):
         self.prepared = codes = bytes(prepared)
         self.live = list(range(len(codes)))
         # Each column at the live pairs as (cuts taken, codes); each cut a
@@ -240,8 +251,6 @@ class PairLedger:
         self._cuts: list[bytes] = []
         self.fills: list[tuple[str, int, bytes, bytes, tuple[str, ...] | None]] = []
         self.settled: list[tuple[tuple[int, ...] | list[int], Disposition]] = []
-        self.sender = sender
-        self.receiver = receiver
         self.transcript = transcript
         self.phase = Phase.CREATED
         self.check1: CheckReport | None = None

@@ -36,11 +36,16 @@ a pair's basis draw and the receiver's draw for that pair, and the sender's
 k follow. The sender and the receiver of a hop draw from one stream, the
 sender's ``pairs`` quarters first; the adversary draws from her own.
 
+No step takes the parties' names: they matter only as the actors of
+logged events, so a hop's ``Transcript`` carries them, and a step logs its
+sender's and receiver's events by the transcript's ``sender`` and
+``receiver``.
+
 ``run_protocol`` is one such run, a hop. ``run_multiparty`` runs a trial
-as a chain of hops, alice -> bob for two parties and on to clare for
-three, where the relay re-encodes his raw key into the next hop's pairs.
-It is the one entry point of a trial: ``run_multiparty(config, t)``
-derives trial t's streams and runs it.
+as a chain of hops along ``ledger.PARTIES``, alice -> bob for two parties
+and on to clare for three, where the relay re-encodes his raw key into the
+next hop's pairs. It is the one entry point of a trial:
+``run_multiparty(config, t)`` derives trial t's streams and runs it.
 """
 from __future__ import annotations
 
@@ -51,8 +56,8 @@ from typing import NamedTuple
 from .adversary import AdversaryChannel, AttackStrategy
 from .config import RunConfig
 from .errors import ConfigurationError, InsufficientPairsError, ProtocolOrderError
-from .ledger import DIGITS, CheckReport, Disposition, KeyMaterial, PairLedger, Phase, Transcript
-from .ledger import code_string, gather, pick
+from .ledger import DIGITS, PARTIES, CheckReport, Disposition, KeyMaterial, PairLedger, Phase
+from .ledger import Transcript, code_string, gather, pick
 from .quantum import BASES, BELL_LABELS, CODES, KEYS, OPS, PAIR_BASIS, BellState, measure_column
 # Unused here; the benchmark's traced run (bench/workloads.py) wraps these bindings.
 from .quantum import measure_bell_basis, measure_qubit  # noqa: F401
@@ -74,26 +79,17 @@ _DIFFER = bytes(not BELL_LABELS[x].correlated_in(basis) for basis, x in _CHECK_C
 _LETTERS = b"zzxx".ljust(256)
 
 
-def alice_prepare(
-    n: int,
-    rng: RandomSource,
-    sender: str = "alice",
-    receiver: str = "bob",
-    transcript: Transcript | None = None,
-) -> PairLedger:
+def alice_prepare(n: int, rng: RandomSource, transcript: Transcript | None = None) -> PairLedger:
     """Prepare N pairs with uniformly random state choices (step 1)."""
     if n < 1:
         raise ConfigurationError(f"cannot prepare {n} pairs")
     # One 2-bit draw per pair, a uniform code 0-3 by construction, so the
     # codes skip prepare_from_labels' checks.
-    return _prepare(rng.quarters(n), sender, receiver, transcript)
+    return _prepare(rng.quarters(n), transcript)
 
 
 def prepare_from_labels(
-    labels: bytes | list[BellState | int],
-    sender: str = "alice",
-    receiver: str = "bob",
-    transcript: Transcript | None = None,
+    labels: bytes | list[BellState | int], transcript: Transcript | None = None
 ) -> PairLedger:
     """Prepare pairs in the given states (labels or their codes), in order
     (re-encoding path).
@@ -112,22 +108,15 @@ def prepare_from_labels(
         raise ConfigurationError("preparation labels must be pair states or their codes 0-3")
     if not codes:
         raise ConfigurationError("cannot prepare an empty pair sequence")
-    return _prepare(codes, sender, receiver, transcript)
+    return _prepare(codes, transcript)
 
 
-def _prepare(
-    codes: bytes, sender: str, receiver: str, transcript: Transcript | None
-) -> PairLedger:
+def _prepare(codes: bytes, transcript: Transcript | None) -> PairLedger:
     """The ledger of pairs prepared in the states ``codes``, each 0-3."""
-    ledger = PairLedger(codes, sender=sender, receiver=receiver, transcript=transcript)
     if transcript is not None:
-        transcript.log(
-            1,
-            sender,
-            "prepare",
-            {"pairs": len(codes), "codes": code_string(codes)},
-        )
-    return ledger
+        payload = {"pairs": len(codes), "codes": code_string(codes)}
+        transcript.log(1, transcript.sender, "prepare", payload)
+    return PairLedger(codes, transcript)
 
 
 def transmit_first_sequence(ledger: PairLedger, channel: AdversaryChannel) -> PairLedger:
@@ -152,11 +141,11 @@ def _transmit(ledger: PairLedger, channel: AdversaryChannel, sequence: int, step
     received = len(ledger.live)
     transcript = ledger.transcript
     if transcript is not None:
-        transcript.log(step, ledger.sender, "send", {"sequence": sequence, "count": sent})
+        transcript.log(step, transcript.sender, "send", {"sequence": sequence, "count": sent})
         if interference:
             transcript.log(step, "eve", "interpose", interference)
         receipt = {"sequence": sequence, "received": received, "expected": sent}
-        transcript.log(step, ledger.receiver, "receive", receipt)
+        transcript.log(step, transcript.receiver, "receive", receipt)
     return received / sent if sent else 1.0
 
 
@@ -230,11 +219,11 @@ def first_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> Che
     if transcript is not None:
         bits = receiver_bits.translate(DIGITS).decode()
         payload = {"indices": indices, "bases": bases, "bits": bits}
-        transcript.log(3, ledger.receiver, "measure_check_sample", payload)
+        transcript.log(3, transcript.receiver, "measure_check_sample", payload)
         payload = {"message": "sequence-1-received", "check_indices": indices}
-        transcript.log(4, ledger.receiver, "notify", payload)
+        transcript.log(4, transcript.receiver, "notify", payload)
         payload = {"indices": indices, "bits": sender_bits.translate(DIGITS).decode()}
-        transcript.log(4, ledger.sender, "measure_partner_sample", payload)
+        transcript.log(4, transcript.sender, "measure_partner_sample", payload)
         transcript.log(4, "public", "check", {"check": "first", **report.to_dict()})
     ledger.check1 = report
     ledger.phase = Phase.CHECKED_1
@@ -269,9 +258,9 @@ def bob_decode(ledger: PairLedger, rng: RandomSource) -> PairLedger:
     # The decoded pairs are consumed: their post states are not kept.
     decoded, _ = measure_column(ledger.receiver_state, keys)
     ledger.fill("outcome", decoded, CODES)
-    if ledger.transcript is not None:
+    if (transcript := ledger.transcript) is not None:
         payload = {"pairs": len(decoded), "codes": code_string(decoded)}
-        ledger.transcript.log(6, ledger.receiver, "decode", payload)
+        transcript.log(6, transcript.receiver, "decode", payload)
     ledger.phase = Phase.DECODED
     return ledger
 
@@ -338,8 +327,6 @@ class ProtocolOutcome(NamedTuple):
 def run_protocol(
     config: RunConfig,
     rng: RandomSource,
-    sender: str = "alice",
-    receiver: str = "bob",
     prepared_labels: list[BellState | int] | None = None,
     transcript: Transcript | None = None,
 ) -> ProtocolOutcome:
@@ -357,13 +344,15 @@ def run_protocol(
     The sender and the receiver draw from ``rng`` itself, the adversary
     from its ``eve`` substream. The run logs its events to ``transcript``,
     and records none when it is None; the draws are the same either way.
+    The transcript's ``sender`` and ``receiver`` are the actors of the
+    parties' events, alice and bob unless it names others.
     """
     channel = AdversaryChannel(config.attack, rng.substream("eve"))
 
     if prepared_labels is None:
-        ledger = alice_prepare(config.pairs, rng, sender, receiver, transcript)
+        ledger = alice_prepare(config.pairs, rng, transcript)
     else:
-        ledger = prepare_from_labels(prepared_labels, sender, receiver, transcript)
+        ledger = prepare_from_labels(prepared_labels, transcript)
 
     def abort(reason: str, step: int) -> ProtocolOutcome:
         # Whatever had no terminal fate yet is discarded, so that every pair
@@ -435,9 +424,11 @@ def run_multiparty(
     classical channel. In a three-party chain hop k draws from the
     ``hop<k>`` substream, tags its events ``{"hop": k}``, and a later hop's
     abort reason is prefixed ``hop<k>_``. With ``collect_transcripts`` each
-    hop logs to its own ``Transcript(trial)``, its ``ledger.transcript``;
-    without it no hop records one. A hop the adversary does not sit on (see
-    ``attack_hop``) runs under a copy of the config with no attack.
+    hop logs to its own ``Transcript``, its ``ledger.transcript``, which
+    names the hop's sender and receiver, the k-th and (k+1)-th of
+    ``ledger.PARTIES``; without it no hop records one. A hop the adversary
+    does not sit on (see ``attack_hop``) runs under a copy of the config
+    with no attack.
 
     Trial t draws from the stream ``RandomSource(config.seed,
     f"trial/{t}")``, named by both the root seed and the trial, so no two
@@ -445,18 +436,16 @@ def run_multiparty(
     alone.
     """
     rng = RandomSource(config.seed, f"trial/{trial}")
-    names = ("alice", "bob", "clare")[: config.parties]
+    names = PARTIES[: config.parties]
     chain = config.parties > 2
     hops: list[ProtocolOutcome] = []
     labels = positions = None
     for k, (sender, receiver) in enumerate(zip(names, names[1:]), 1):
         tags = {"hop": k} if chain else None
-        transcript = Transcript(trial, tags) if collect_transcripts else None
+        transcript = Transcript(trial, tags, sender, receiver) if collect_transcripts else None
         hop = run_protocol(
             config if config.attacks_hop(k) else _unattacked(config),
             rng.substream(f"hop{k}") if chain else rng,
-            sender=sender,
-            receiver=receiver,
             prepared_labels=labels,
             transcript=transcript,
         )

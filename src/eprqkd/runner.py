@@ -119,14 +119,6 @@ def _fractions(rows: list[dict], key: str) -> list[float]:
     return _checked([value for r in rows if (value := r[key]) is not None], float, 1.0)
 
 
-def _information(pooled: dict) -> float | None:
-    """The mutual information of a pooled count table, whose counts
-    ``_merge_counts`` has checked; None when it has no row."""
-    if not pooled:
-        return None
-    return analysis.mutual_information(pooled)
-
-
 def aggregate_rows(rows: list[dict]) -> dict:
     """Fold per-trial rows into the aggregate block, in row order.
 
@@ -145,7 +137,10 @@ def aggregate_rows(rows: list[dict]) -> dict:
     ]
     ab_pool = _merge_counts([r["ab_counts"] for r in rows])
     ae_pool = _merge_counts([r["ae_counts"] for r in rows])
-    i_ab, i_ae = _information(ab_pool), _information(ae_pool)
+    # A pooled table with no row has no information: None between sender and
+    # receiver, 0 bits for Eve. _merge_counts has checked every count.
+    i_ab = analysis.mutual_information(ab_pool) if ab_pool else None
+    i_ae = analysis.mutual_information(ae_pool) if ae_pool else 0.0
     # A completed trial's keys agree or not.
     agreeing = sum(_checked([r["keys_agree"] for r in completed], bool))
     key_lengths = _checked([r["key_length"] for r in completed], int)
@@ -159,7 +154,7 @@ def aggregate_rows(rows: list[dict]) -> dict:
         "mean_key_length": _mean(list(map(float, key_lengths))),
         "key_agreement_rate": agreeing / len(completed) if completed else None,
         "mutual_information_ab": i_ab,
-        "mutual_information_ae": 0.0 if i_ae is None else i_ae,
+        "mutual_information_ae": i_ae,
         "efficiency": analysis.efficiency(analysis.TWO_STEP_ACCOUNTING),
         "mean_receipt_fraction_1": _mean(_fractions(rows, "receipt_fraction_1")),
         "mean_receipt_fraction_2": _mean(_fractions(rows, "receipt_fraction_2")),

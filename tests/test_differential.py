@@ -53,8 +53,9 @@ def test_every_attack_variant_matches_the_object_engine():
 def engine_grid():
     """The configs of the engine test above: every attack variant, for 2 and
     3 parties, with continuation and the randomized check basis off and on;
-    then ``DESTROY_ALL``, for 2 and 3 parties, with all and with half the
-    loss tolerated."""
+    then ``DESTROY_ALL``, for 2 and 3 parties and on hop 2 alone, with all
+    and with half the loss tolerated; then the boundary configs that reach
+    the rest of ``GRID_ABORT_PATHS``."""
     for attack in ATTACKS:
         for parties in (2, 3):
             for continuation_mode in (False, True):
@@ -70,7 +71,7 @@ def engine_grid():
                         continuation_mode=continuation_mode,
                         randomize_check_basis=randomize_check_basis,
                     )
-    for parties in (2, 3):
+    for parties, attack_hop in ((2, "both"), (3, "both"), (3, "2")):
         for loss_tolerance in (1.0, 0.5):
             yield RunConfig(
                 pairs=64,
@@ -80,7 +81,44 @@ def engine_grid():
                 parties=parties,
                 min_check_size=4,
                 loss_tolerance=loss_tolerance,
+                attack_hop=attack_hop,
             )
+    # Hop 2's first check fails, with and without continuation, and its
+    # second check fails under measure-resend, while hop 1 runs clean.
+    for attack, continuation_mode in (
+        (AttackStrategy(kind=AttackKind.FAKE_EPR), False),
+        (AttackStrategy(kind=AttackKind.FAKE_EPR), True),
+        (AttackStrategy(kind=AttackKind.MEASURE_RESEND), False),
+    ):
+        yield RunConfig(
+            pairs=64,
+            trials=2,
+            seed=23,
+            attack=attack,
+            parties=3,
+            min_check_size=4,
+            loss_tolerance=0.5,
+            continuation_mode=continuation_mode,
+            attack_hop="2",
+        )
+    # An opaque channel on hop 1 whose second transmission stalls in a trial
+    # whose first one was delivered, for 2 and 3 parties.
+    for parties, loss_tolerance in ((2, 0.17), (3, 0.3)):
+        yield RunConfig(
+            pairs=64,
+            trials=2,
+            seed=23,
+            attack=AttackStrategy(kind=AttackKind.OPAQUE, destroy_probability=0.2),
+            parties=parties,
+            min_check_size=4,
+            loss_tolerance=loss_tolerance,
+        )
+    # No pair is left for hop 1's key: of 16 pairs the first check takes all
+    # and the second finds none; of 20 the first takes 16 and the second the
+    # 4 left.
+    for parties in (2, 3):
+        for pairs in (16, 20):
+            yield RunConfig(pairs=pairs, trials=2, seed=23, parties=parties)
 
 
 # The (hop, reason, step) of every abort event that the grid's transcripts
@@ -93,7 +131,26 @@ GRID_ABORT_PATHS = {
     (1, "check2_failed", 7),
     (2, "stall_transmission_2", 5),
     (2, "insufficient_pairs", 7),
+    (1, "stall_transmission_2", 5),
+    (1, "insufficient_pairs", 7),
+    (2, "stall_transmission_1", 2),
+    (2, "insufficient_pairs", 3),
+    (2, "check1_failed", 4),
+    (2, "check1_failed", 7),
+    (2, "check2_failed", 7),
 }
+
+# The abort paths of run_protocol that no config reaches. check1_failed at
+# step 5 needs a hop's first check to fail and its second transmission to
+# stall, but a hop's one attack either causes mismatches or destroys
+# particles, never both.
+UNREACHABLE_ABORT_PATHS = {(1, "check1_failed", 5), (2, "check1_failed", 5)}
+
+
+def test_every_abort_path_is_reached_or_unreachable():
+    # run_protocol has 8 (reason, step) abort paths, each open on either hop.
+    assert len(GRID_ABORT_PATHS | UNREACHABLE_ABORT_PATHS) == 2 * 8
+    assert not GRID_ABORT_PATHS & UNREACHABLE_ABORT_PATHS
 
 
 def test_the_grid_reaches_every_listed_abort_path():

@@ -72,6 +72,19 @@ def clean_channel(seed=0):
     return AdversaryChannel(AttackStrategy(), RandomSource(seed, "eve"))
 
 
+# The events of a hop's sender's steps and of its receiver's steps.
+SENDER_EVENTS = {"prepare", "send", "measure_partner_sample"}
+RECEIVER_EVENTS = {"receive", "measure_check_sample", "notify", "decode"}
+
+
+def party_actors(transcript) -> tuple[set[str], set[str]]:
+    """The actors of a transcript's sender events and of its receiver events."""
+    events = logged_events(transcript)
+    sender = {event["actor"] for event in events if event["event"] in SENDER_EVENTS}
+    receiver = {event["actor"] for event in events if event["event"] in RECEIVER_EVENTS}
+    return sender, receiver
+
+
 def config(**kwargs):
     return RunConfig(**{"pairs": 400, "seed": 0, **kwargs})
 
@@ -754,6 +767,17 @@ class TestRunProtocol:
             expected = expected[:-1]
         assert logged_events(ledger.transcript) == expected
 
+    def test_run_protocol_names_the_parties_its_transcript_names(self):
+        # A hop's parties are named on its transcript alone: every event of
+        # a sender's or a receiver's step is by that transcript's names.
+        cfg = config(pairs=120, seed=25, attack=AttackStrategy(kind=AttackKind.MEASURE_RESEND))
+        transcript = Transcript(sender="carol", receiver="dave")
+        run_protocol(cfg, RandomSource(25), transcript=transcript)
+        events = logged_events(transcript)
+        assert {event["event"] for event in events} >= SENDER_EVENTS | RECEIVER_EVENTS
+        assert party_actors(transcript) == ({"carol"}, {"dave"})
+        assert {event["actor"] for event in events} == {"carol", "dave", "eve", "public"}
+
     def test_transcript_replays_bit_for_bit(self):
         cfg = config(pairs=200, seed=24, attack=AttackStrategy(kind=AttackKind.MEASURE_RESEND))
 
@@ -1126,6 +1150,12 @@ class TestMultiparty:
         assert hops == {1, 2}
         actors = {event["actor"] for event in events}
         assert {"alice", "bob", "clare", "public"} <= actors
+
+    def test_each_hop_is_by_its_own_parties(self):
+        cfg = config(pairs=200, seed=36, parties=3)
+        outcome = run_multiparty(cfg, collect_transcripts=True)
+        by_hop = [party_actors(hop.ledger.transcript) for hop in outcome.hops]
+        assert by_hop == [({"alice"}, {"bob"}), ({"bob"}, {"clare"})]
 
 
 # The differential grid's attack variants (tests/test_differential.py).

@@ -318,6 +318,18 @@ def test_code_lines_skip_docstrings_comments_and_blank_lines(tmp_path):
     assert code_lines.code_lines(tmp_path) == 9
 
 
+def test_code_lines_print_each_module_of_a_directory_before_the_total(tmp_path, capsys):
+    (tmp_path / "b.py").write_text(CANNED_MODULE)
+    (tmp_path / "a.py").write_text("x = 1\n\n# end\n")
+    (tmp_path / "notes.txt").write_text("x = 1\n")
+    assert code_lines.main([str(tmp_path), str(tmp_path / "b.py")]) == 0
+    lines = [f"    1 {tmp_path / 'a.py'}", f"    8 {tmp_path / 'b.py'}", "17 code lines"]
+    assert capsys.readouterr().out.splitlines() == lines
+    # A module named alone prints the total only.
+    assert code_lines.main([str(tmp_path / "b.py")]) == 0
+    assert capsys.readouterr().out == "8 code lines\n"
+
+
 @pytest.mark.parametrize("args", [["--help"], ["missing.py"], [".", "missing.py"], []])
 def test_code_lines_print_their_usage_for_a_path_that_is_not_there(tmp_path, args):
     script = ROOT / "scripts" / "code_lines.py"
