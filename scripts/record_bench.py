@@ -25,7 +25,12 @@ run is noise.
 ``bench/run.py`` writes every run's record to the same
 ``.bench_out/result-<workload>-seed<N>-trace<T>.json`` path, which the next
 run with that workload, seed and trace overwrites, so each record is read
-the moment its run ends.
+the moment its run ends. Of an untraced run only its end-to-end values are
+kept as it returns, and of each side's first such run its record's meta:
+a record holds every op's detail samples, and a recorder that kept them
+all would grow through a recording, and its children's ``ru_maxrss``
+(which Linux carries across ``exec``) with it. Traced runs keep their
+records, which ``trace_summary`` reads.
 
 The file's keys are what, machine, sides, claim, summary, runs, trace1
 and acceptance_wall_s. ``sides[side]`` gives the side's commit, the
@@ -188,6 +193,14 @@ def run_values(run: dict) -> dict:
     return values
 
 
+def keep_run(run: dict, side: str, metas: dict) -> dict:
+    """What a recording keeps of an untraced run of ``side`` as it returns:
+    its ``run_values``, and its record's meta in ``metas[side]`` when that
+    holds none yet."""
+    metas.setdefault(side, run["record"]["meta"])
+    return run_values(run)
+
+
 def plan(workloads, claim: str, seed: int, held_out: int, pairs: int) -> list[tuple]:
     """(label, workload, seed, pair) of every untraced pair, in run order."""
     rounds = [(f"seed{seed}/{w}", w, seed, k) for k in range(pairs) for w in workloads]
@@ -295,28 +308,28 @@ def acceptance_summary(pairs: list[dict]) -> dict:
 
 
 def document(
-    what: str, claim: dict, sides: dict, runs: dict, traces: dict, acceptance: list, metrics: dict
+    what: str,
+    claim: dict,
+    sides: dict,
+    runs: dict,
+    metas: dict,
+    traces: dict,
+    acceptance: list,
+    metrics: dict,
 ) -> dict:
-    """The BENCH file: ``runs`` and ``traces`` hold what ``run_bench``
-    returned, ``acceptance`` the acceptance tests' pairs of wall seconds,
-    and ``metrics`` the end-to-end metrics of ``BENCHMARK.json`` by name."""
-    metas = {side: next(iter(runs.values()))[0][side]["record"]["meta"] for side in SIDES}
+    """The BENCH file: ``runs`` and ``metas`` hold what ``keep_run`` kept,
+    ``traces`` what ``run_bench`` returned, ``acceptance`` the acceptance
+    tests' pairs of wall seconds, and ``metrics`` the end-to-end metrics of
+    ``BENCHMARK.json`` by name."""
     machine = {key: metas["change"][key] for key in MACHINE}
     sides = {side: {**sides[side], **{key: metas[side][key] for key in SOURCE}} for side in SIDES}
-    kept = {
-        label: [
-            {"first": pair["first"], **{side: run_values(pair[side]) for side in SIDES}}
-            for pair in pairs
-        ]
-        for label, pairs in runs.items()
-    }
     return {
         "what": what,
         "machine": machine,
         "sides": sides,
         "claim": claim,
-        "summary": {label: summarize(pairs, metrics) for label, pairs in kept.items()},
-        "runs": kept,
+        "summary": {label: summarize(pairs, metrics) for label, pairs in runs.items()},
+        "runs": runs,
         "trace1": {key: trace_summary(traced) for key, traced in traces.items()},
         "acceptance_wall_s": acceptance_summary(acceptance),
     }
@@ -343,6 +356,7 @@ def main(argv=None) -> int:
             f"at held-out seed {HELD_OUT_SEED}"
         ),
     }
+    metas: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as tmp:
         roots = make_sides(Path(tmp))
         for side in SIDES:
@@ -360,7 +374,7 @@ def main(argv=None) -> int:
                 f"{side} {workload} seed {seed} trace {trace}: {run['ops']} ops, correct {correct}",
                 file=sys.stderr,
             )
-            return run
+            return run if trace else keep_run(run, side, metas)
 
         steps = plan((*WORKLOADS, ACCEPTANCE), args.claim, SEED, HELD_OUT_SEED, PAIRS)
         runs = collect(steps, run_one)
@@ -372,7 +386,7 @@ def main(argv=None) -> int:
         traces = {
             f"{side}/{w}": [pair[side] for pair in traced[w]] for w in WORKLOADS for side in SIDES
         }
-    result = document(args.what, claim, sides, runs, traces, acceptance, metrics)
+    result = document(args.what, claim, sides, runs, metas, traces, acceptance, metrics)
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {args.out}")
     return 0

@@ -4,14 +4,15 @@ A trial is described by a ledger of byte columns, one byte per pair: the
 preparation codes, the genuine pairs' state codes (``quantum``'s int codes:
 a pair-state label, or a product of Z/X eigenstates once a half was
 measured), the planted pairs' codes, the decode results and the adversary's
-guesses. ``prepared`` is held by pair ordinal, for the checks and the keys
-that read it so. It, and every other column a later step reads, is held
-compacted to the live pairs (the pairs with no terminal disposition yet) in
-ordinal order: ``PairLedger.column`` reads one, and ``live`` lists the
-ordinals its bytes stand for. So a step that acts on the live pairs (a
-transmission's attack, the decode) measures whole columns in one
-``quantum.measure_column`` call, and a check gathers its sample's bytes from
-them through the sample's mask.
+guesses. ``prepared`` is also held whole, one byte per pair by ordinal, for
+``PairLedger.cut``, which cuts such a column by every settle of some live
+pairs: a sender's key is her prepared codes cut so. It, and every other
+column a later step reads, is held compacted to the live pairs (the pairs
+with no terminal disposition yet) in ordinal order: ``PairLedger.column``
+reads one, and ``live`` lists the ordinals its bytes stand for. So a step
+that acts on the live pairs (a transmission's attack, the decode) measures
+whole columns in one ``quantum.measure_column`` call, and a check gathers
+its sample's bytes from them through the sample's mask.
 
 ``PairLedger.fill`` is the only writer of a column. A step fills only the
 post states a later step reads; a measurement that consumes its pairs
@@ -42,7 +43,9 @@ no byte of a column has the high bit of its own. A trial that aborts cuts no
 column. The terminal dispositions are a settle log of (ordinals,
 disposition); a settle of every live pair, at an abort or at key
 extraction, takes None, logs ``live`` itself and cuts nothing, so it is
-O(1).
+O(1). Pair ordinals stay inside the ledger, in ``live`` and that log, which
+transcripts and ``records`` read: what a step hands its caller is counts
+and codes (a check's sample size and mismatches, a key's codes).
 No step builds an object per pair: ``PairLedger.records`` rebuilds
 read-only ``PairRecord`` views from the settle log and the fill log, with
 None where a pair has no value, and ``disposition_counts`` reads the settle
@@ -78,7 +81,6 @@ import json
 from enum import Enum
 from itertools import compress
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from operator import itemgetter
 from typing import NamedTuple
 
 from .quantum import BELL_LABELS, CODES, BellState
@@ -117,14 +119,6 @@ _HIGH, _LOW = (bytes(b"01"[c >> shift & 1] for c in range(256)) for shift in (1,
 # first m bytes of _Y_CODES from a column leaves its codes not below m.
 _PAIR_KEYS = bytes(x << 3 | y for y in range(4) for x in range(4))
 _Y_CODES = bytes(range(4))
-
-
-def pick(items, indices) -> tuple:
-    """The items at ``indices``, in that order, read by one C-level
-    ``itemgetter``."""
-    if len(indices) > 1:
-        return itemgetter(*indices)(items)
-    return tuple(items[i] for i in indices)
 
 
 def gather(codes: bytes, mask) -> bytes:
@@ -276,10 +270,18 @@ class PairLedger:
         cut of each settle since its last read."""
         gen, codes = self._views[name]
         if gen < len(self._cuts):
-            for keep in self._cuts[gen:]:
-                codes = gather(codes, keep)
+            codes = self.cut(codes, gen)
             self._views[name] = len(self._cuts), codes
         return codes if self.live else b""
+
+    def cut(self, codes: bytes, gen: int = 0) -> bytes:
+        """``codes``, one byte per pair live after the first ``gen`` cuts (by
+        default one per prepared pair), cut by every later settle of some
+        live pairs: the bytes of the pairs live after the last such settle,
+        in order."""
+        for keep in self._cuts[gen:]:
+            codes = gather(codes, keep)
+        return codes
 
     def fill(self, name: str, codes: bytes, names: tuple[str, ...] | None = None):
         """Set column ``name`` to ``codes``, one byte per live pair, in order,
@@ -379,16 +381,12 @@ class CheckReport(NamedTuple):
     """Outcome of one eavesdropping check over a published random sample."""
 
     check_id: str  # "first" or "second"
-    sample_indices: tuple[int, ...]
+    sample_size: int
     mismatches: int
     threshold: float
     # Announced measurement basis letter per sampled pair, as the transcript
     # logs them (first check only).
     bases: str = ""
-
-    @property
-    def sample_size(self) -> int:
-        return len(self.sample_indices)
 
     @property
     def error_rate(self) -> float:
@@ -402,10 +400,10 @@ class CheckReport(NamedTuple):
         """The published summary, as report rows and transcripts carry it:
         ``sample_size``, ``mismatches``, ``error_rate``, ``threshold`` and
         ``passed``, with the rate computed once."""
-        _, indices, mismatches, threshold, _ = self
-        rate = mismatches / len(indices)
+        _, size, mismatches, threshold, _ = self
+        rate = mismatches / size
         return {
-            "sample_size": len(indices),
+            "sample_size": size,
             "mismatches": mismatches,
             "error_rate": rate,
             "threshold": threshold,
@@ -414,18 +412,12 @@ class CheckReport(NamedTuple):
 
 
 class KeyMaterial(Record):
-    """A party's raw key: one pair-state code 0-3 per key pair, its 2 key
-    bits, and the pair ordinals they came from, in order."""
+    """A party's raw key: one pair-state code 0-3 per key pair, in order,
+    and its 2 key bits per pair."""
 
     codes: bytes
-    source_indices: tuple[int, ...]
 
     def check(self):
-        if len(self.codes) != len(self.source_indices):
-            raise ValueError(
-                f"key of {len(self.codes)} codes does not match "
-                f"{len(self.source_indices)} source pairs"
-            )
         if self.codes.translate(None, _Y_CODES):
             raise ValueError("key codes must be 0-3")
 

@@ -57,7 +57,7 @@ from .adversary import AdversaryChannel, AttackStrategy
 from .config import RunConfig
 from .errors import ConfigurationError, InsufficientPairsError, ProtocolOrderError
 from .ledger import DIGITS, PARTIES, CheckReport, Disposition, KeyMaterial, PairLedger, Phase
-from .ledger import Transcript, code_string, gather, pick
+from .ledger import Transcript, code_string, gather
 from .quantum import BASES, BELL_LABELS, CODES, KEYS, OPS, PAIR_BASIS, BellState, measure_column
 # Unused here; the benchmark's traced run (bench/workloads.py) wraps these bindings.
 from .quantum import measure_bell_basis, measure_qubit  # noqa: F401
@@ -214,7 +214,7 @@ def first_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> Che
     indices = ledger.settle(sample, Disposition.CHECKED_1)
     differ = int.from_bytes(by_basis(prepared, _DIFFER))
     mismatches = (int.from_bytes(receiver_bits) ^ int.from_bytes(sender_bits) ^ differ).bit_count()
-    report = CheckReport("first", indices, mismatches, config.threshold_1, bases)
+    report = CheckReport("first", k, mismatches, config.threshold_1, bases)
     transcript = ledger.transcript
     if transcript is not None:
         bits = receiver_bits.translate(DIGITS).decode()
@@ -276,10 +276,10 @@ def second_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> Ch
     # The xor of the two codes is a zero byte exactly where they match.
     outcomes = gather(ledger.column("outcome"), sample)
     prepared = gather(ledger.column("prepared"), sample)
-    indices = ledger.settle(sample, Disposition.CHECKED_2)
+    ledger.settle(sample, Disposition.CHECKED_2)
     xor = int.from_bytes(outcomes) ^ int.from_bytes(prepared)
-    mismatches = len(indices) - xor.to_bytes(len(indices)).count(0)
-    report = CheckReport("second", indices, mismatches, config.threshold_2)
+    mismatches = len(outcomes) - xor.to_bytes(len(outcomes)).count(0)
+    report = CheckReport("second", len(outcomes), mismatches, config.threshold_2)
     if ledger.transcript is not None:
         ledger.transcript.log(7, "public", "check", {"check": "second", **report.to_dict()})
     ledger.check2 = report
@@ -293,7 +293,7 @@ def extract_key(ledger: PairLedger) -> KeyMaterial:
         raise ProtocolOrderError(f"key extraction in phase {ledger.phase.name}")
     if not (ledger.check1 and ledger.check1.passed and ledger.check2 and ledger.check2.passed):
         raise ProtocolOrderError("key extraction after a failed check")
-    key = KeyMaterial(ledger.column("outcome"), tuple(ledger.live))
+    key = KeyMaterial(ledger.column("outcome"))
     ledger.settle(None, Disposition.KEY)
     ledger.phase = Phase.DONE
     if ledger.transcript is not None:
@@ -301,15 +301,17 @@ def extract_key(ledger: PairLedger) -> KeyMaterial:
     return key
 
 
-def sender_key_material(ledger: PairLedger, source_indices) -> KeyMaterial:
-    """The sender's key: her preparation codes at the kept pair ordinals."""
-    return KeyMaterial(bytes(pick(ledger.prepared, source_indices)), tuple(source_indices))
+def sender_key_material(ledger: PairLedger) -> KeyMaterial:
+    """The sender's key of a completed hop: her preparation codes cut by
+    every check of the hop (``PairLedger.cut``), so at its key pairs."""
+    return KeyMaterial(ledger.cut(ledger.prepared))
 
 
 class ProtocolOutcome(NamedTuple):
     """Everything a single run produced, including the final ledger: the
     receiver's key when the run completed. The sender's key is her prepared
-    codes at that key's ``source_indices`` (``sender_key_material``)."""
+    codes at the same pairs, cut out by the ledger
+    (``sender_key_material``)."""
 
     ledger: PairLedger
     abort_reason: str | None
@@ -418,10 +420,11 @@ def run_multiparty(
     the chain alice -> bob (-> clare).
 
     Each hop runs the full protocol. A relay re-encodes his raw key (his
-    decode results at the kept pairs) into fresh pairs and runs the next
-    hop with it. The common key is whatever survives the last hop's checks,
-    identified across parties by first-hop pair ordinals announced on the
-    classical channel. In a three-party chain hop k draws from the
+    decode results at the kept pairs) into fresh pairs, one per key code in
+    order, and runs the next hop with them. The common key is whatever
+    survives the last hop's checks: each party's key codes cut by the
+    checks of every later hop, as that hop's ledger cuts its prepared
+    codes (``PairLedger.cut``). In a three-party chain hop k draws from the
     ``hop<k>`` substream, tags its events ``{"hop": k}``, and a later hop's
     abort reason is prefixed ``hop<k>_``. With ``collect_transcripts`` each
     hop logs to its own ``Transcript``, its ``ledger.transcript``, which
@@ -439,7 +442,7 @@ def run_multiparty(
     names = PARTIES[: config.parties]
     chain = config.parties > 2
     hops: list[ProtocolOutcome] = []
-    labels = positions = None
+    labels = None
     for k, (sender, receiver) in enumerate(zip(names, names[1:]), 1):
         tags = {"hop": k} if chain else None
         transcript = Transcript(trial, tags, sender, receiver) if collect_transcripts else None
@@ -453,17 +456,14 @@ def run_multiparty(
         if hop.abort_reason is not None:
             reason = hop.abort_reason if k == 1 else f"hop{k}_{hop.abort_reason}"
             return TrialOutcome(trial, hops, reason, None)
-        kept = hop.receiver_key.source_indices
         # The relay prepares the next hop's pairs in the states his key's codes name.
         labels = hop.receiver_key.codes
-        # The kept ordinals, mapped back to first-hop pairs.
-        positions = kept if positions is None else pick(positions, kept)
 
-    # Each key once, at the first-hop ordinals: the first sender's, each
-    # relay's (his prepared codes at his hop's kept pairs), the last receiver's.
-    keys = [sender_key_material(hops[0].ledger, positions)]
+    # Each key once: the first hop's two; then at each later hop every key
+    # so far cut by its checks (the relay's becomes his prepared codes at
+    # its key pairs), and its receiver's.
+    keys = [sender_key_material(hops[0].ledger), hops[0].receiver_key]
     for hop in hops[1:]:
-        relayed = bytes(pick(hop.ledger.prepared, hop.receiver_key.source_indices))
-        keys.append(KeyMaterial(relayed, positions))
-    keys.append(KeyMaterial(hops[-1].receiver_key.codes, positions))
+        keys = [KeyMaterial(hop.ledger.cut(key.codes)) for key in keys]
+        keys.append(hop.receiver_key)
     return TrialOutcome(trial, hops, None, keys)

@@ -94,12 +94,6 @@ class BellState(IntEnum):
         """2-bit key code: PSI1..PSI4 -> 00, 01, 10, 11."""
         return CODES[self]
 
-    @classmethod
-    def from_code(cls, code: str) -> "BellState":
-        if len(code) != 2 or any(c not in "01" for c in code):
-            raise ValueError(f"not a 2-bit code: {code!r}")
-        return cls(int(code, 2))
-
     @property
     def correlated(self) -> bool:
         """True when both halves give the same Z outcome (PSI1, PSI2)."""

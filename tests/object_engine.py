@@ -568,7 +568,7 @@ def run_multiparty(config: RunConfig, rng: Stream, trial: int = 0):
     if hop1.abort_reason is not None:
         return hop1, None, hop1.abort_reason, None, None, transcript
     bits = hop1.receiver_key.bits
-    labels = [BellState.from_code(bits[2 * i : 2 * i + 2]) for i in range(len(bits) // 2)]
+    labels = [BELL_LABELS[int(bits[2 * i : 2 * i + 2], 2)] for i in range(len(bits) // 2)]
     hop2 = run_protocol(
         config, rng.substream("hop2"), "bob", "clare", trial,
         labels=labels, strategy=hop_strategy(2), extra={"hop": 2},

@@ -51,8 +51,10 @@ def canned():
 )
 @given(argv=run_argvs())
 # Junk text may hold "\r" or another character that str.splitlines breaks
-# on; stderr's lines end only at "\n".
+# on; stderr's lines end only at "\n". It may hold "\n" too, which the error
+# message echoes.
 @example(argv=["run", "--continuation-mode", "\r0"])
+@example(argv=["run", "--continuation-mode", "\n"])
 def test_run_argv_exits_0_or_2_with_a_message(monkeypatch, canned, argv):
     configs = []
 
@@ -75,4 +77,7 @@ def test_run_argv_exits_0_or_2_with_a_message(monkeypatch, canned, argv):
         assert RunConfig.from_dict(configs[0].to_dict()) == configs[0]
     else:
         assert code == 2 and configs == []
-        assert lines and lines[-1].startswith(("eprqkd run: error: ", "eprqkd: error: "))
+        # The error message ends stderr, from the start of the line where
+        # it begins; an argument it echoes may break it into more lines.
+        start = text.rfind("\n", 0, text.find(": error: ")) + 1
+        assert lines and text[start:].startswith(("eprqkd run: error: ", "eprqkd: error: "))

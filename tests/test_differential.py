@@ -18,6 +18,7 @@ import eprqkd.ledger
 import object_engine
 from eprqkd.adversary import AttackKind, AttackStrategy
 from eprqkd.config import RunConfig
+from eprqkd.ledger import Disposition
 from eprqkd.protocol import run_multiparty
 from eprqkd.quantum import BELL_LABELS
 from eprqkd.runner import run
@@ -175,17 +176,36 @@ def oracle_hops(config: RunConfig, trial: int) -> list:
     return [object_engine.run_protocol(config, rng, trial=trial)]
 
 
+def settled_ordinals(ledger, disposition) -> tuple[int, ...]:
+    """The pair ordinals of the ledger's one settle to ``disposition``, as
+    its settle log holds them: a check's sample for CHECKED_1 or CHECKED_2,
+    and a completed hop's key pairs for KEY."""
+    (ordinals,) = [ordinals for ordinals, fate in ledger.settled if fate is disposition]
+    return tuple(ordinals)
+
+
 def test_check_reports_match_the_object_engine():
     # Rows and transcripts hold each report's summary; this compares the
-    # reports themselves: sample, mismatches, threshold and announced bases.
+    # reports themselves, with the sample's ordinals from the settle log:
+    # sample, size, mismatches, threshold and announced bases.
     for config in engine_grid():
         for trial in range(config.trials):
             hops = run_multiparty(config, trial).hops
             oracle = oracle_hops(config, trial)
             assert len(hops) == len(oracle)
             for hop, reference in zip(hops, oracle):
-                assert hop.check1 == reference.ledger.check1
-                assert hop.check2 == reference.ledger.check2
+                checks = (
+                    (hop.check1, reference.ledger.check1, Disposition.CHECKED_1),
+                    (hop.check2, reference.ledger.check2, Disposition.CHECKED_2),
+                )
+                for report, expected, disposition in checks:
+                    if expected is None:
+                        assert report is None
+                        continue
+                    check_id, size, mismatches, threshold, bases = report
+                    sample = settled_ordinals(hop.ledger, disposition)
+                    assert (check_id, sample, mismatches, threshold, bases) == expected
+                    assert size == len(expected.sample_indices)
 
 
 def test_rows_do_not_depend_on_collecting_transcripts():

@@ -18,9 +18,11 @@ import pytest
 import exact_model
 from eprqkd.adversary import AttackKind, AttackStrategy
 from eprqkd.config import RunConfig
+from eprqkd.ledger import Disposition
 from eprqkd.protocol import run_multiparty
 from eprqkd.rng import RandomSource
 from eprqkd.runner import run
+from test_differential import settled_ordinals
 
 P_FAIL = 1e-6
 
@@ -121,6 +123,11 @@ def test_decoded_codes_follow_the_pair_law(attack):
     assert g_test(observed, law, total) >= P_FAIL
 
 
+def first_check_ordinals(config: RunConfig, t: int) -> tuple[int, ...]:
+    """The pair ordinals of trial t's first-check sample, from its settle log."""
+    return settled_ordinals(run_multiparty(config, t).hops[0].ledger, Disposition.CHECKED_1)
+
+
 @pytest.mark.parametrize(
     "pairs, min_check_size, trials", [(64, 16, 3000), (8, 3, 3000), (5, 2, 3000)]
 )
@@ -131,7 +138,7 @@ def test_each_ordinal_lands_in_check1_with_chance_s1_over_n(pairs, min_check_siz
     k = exact_model.check_size(pairs, config.check_fraction_1, min_check_size)
     observed = Counter()
     for t in range(trials):
-        sample = run_multiparty(config, t).hops[0].check1.sample_indices
+        sample = first_check_ordinals(config, t)
         assert len(sample) == k
         observed.update(sample)
     law = dict.fromkeys(range(pairs), Fraction(1, pairs))
@@ -143,7 +150,7 @@ def test_every_2_subset_of_5_pairs_is_equally_likely():
     config = RunConfig(pairs=5, seed=3141, min_check_size=2)
     trials = 3000
     observed = Counter(
-        tuple(sorted(run_multiparty(config, t).hops[0].check1.sample_indices))
+        tuple(sorted(first_check_ordinals(config, t)))
         for t in range(trials)
     )
     law = dict.fromkeys(combinations(range(5), 2), Fraction(1, 10))

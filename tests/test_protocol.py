@@ -23,7 +23,6 @@ from eprqkd.ledger import (
     code_string,
     gather,
     joint_counts,
-    pick,
 )
 from eprqkd.protocol import (
     alice_prepare,
@@ -41,7 +40,7 @@ from eprqkd.protocol import (
 from eprqkd.quantum import BELL_LABELS, CODES, N_STATES, BellState, make_bell_state
 from eprqkd.rng import RandomSource, three_sigma
 from eprqkd.runner import run
-from test_differential import engine_grid
+from test_differential import ATTACKS, engine_grid, settled_ordinals
 
 
 # An event line ends where the next begins with this; payloads that hold it
@@ -92,11 +91,29 @@ def config(**kwargs):
 def sender_key(outcome):
     """The sender's key of a completed run: her prepared codes at the
     receiver's key pairs."""
-    return sender_key_material(outcome.ledger, outcome.receiver_key.source_indices)
+    return sender_key_material(outcome.ledger)
 
 
 def with_disposition(ledger, disposition):
     return [rec for rec in ledger.records if rec.disposition is disposition]
+
+
+def reference_keys(hops) -> list[bytes]:
+    """Every party's key codes of a completed trial, read from the hops'
+    pair records: with K1 the first hop's KEY ordinals and K2 a chain's
+    second-hop ones, the first sender's key is her prepared codes at K1
+    (at K1[j] for j in K2 in a chain), the relay's is hop 2's prepared
+    codes at K2, and the last receiver's is its decode results at its own
+    KEY ordinals."""
+    records = [hop.ledger.records for hop in hops]
+    key = Disposition.KEY
+    ordinals = [[rec.index for rec in recs if rec.disposition is key] for recs in records]
+    sender = [records[0][i].prepared for i in ordinals[0]]
+    keys = [sender]
+    if len(hops) == 2:
+        keys = [[sender[j] for j in ordinals[1]], [records[1][j].prepared for j in ordinals[1]]]
+    keys.append([records[-1][i].outcome for i in ordinals[-1]])
+    return [bytes(key) for key in keys]
 
 
 class TestPrepare:
@@ -165,7 +182,7 @@ class TestTransmissions:
     def test_second_transmission_refuses_failed_check(self):
         ledger = alice_prepare(10, RandomSource(4))
         transmit_first_sequence(ledger, clean_channel())
-        ledger.check1 = CheckReport("first", (0,), 1, 0.02)
+        ledger.check1 = CheckReport("first", 1, 1, 0.02)
         assert ledger.check1.error_rate == 1.0 and not ledger.check1.passed
         ledger.phase = Phase.CHECKED_1
         ledger.settle(b"\x01" + bytes(9), Disposition.CHECKED_1)
@@ -209,14 +226,14 @@ class TestCheckThreshold:
         [(1, 4, 0.25), (0, 4, 0.0), (2, 100, 0.02), (4, 4, 1.0)],
     )
     def test_error_rate_equal_to_the_threshold_passes(self, mismatches, size, threshold):
-        report = CheckReport("first", tuple(range(size)), mismatches, threshold)
+        report = CheckReport("first", size, mismatches, threshold)
         assert report.error_rate == threshold
         assert report.passed
         assert report.to_dict()["passed"] is True
         # Keyword construction gives the same report and the same summary.
         keyword = CheckReport(
             check_id="first",
-            sample_indices=tuple(range(size)),
+            sample_size=size,
             mismatches=mismatches,
             threshold=threshold,
         )
@@ -242,7 +259,7 @@ class TestCheckThreshold:
         size, mismatches = size_and_mismatches
         # None stands for a threshold exactly at the error rate.
         threshold = mismatches / size if threshold is None else threshold
-        report = CheckReport(check_id, tuple(range(size)), mismatches, threshold)
+        report = CheckReport(check_id, size, mismatches, threshold)
         summary = {
             "sample_size": report.sample_size,
             "mismatches": report.mismatches,
@@ -282,7 +299,8 @@ class TestFirstCheck:
         cfg = RunConfig(check_fraction_1=0.5, min_check_size=4)
         report = first_check(ledger, cfg, RandomSource(7, "bob"))
         checked = {rec.index for rec in with_disposition(ledger, Disposition.CHECKED_1)}
-        assert checked == set(report.sample_indices)
+        assert checked == set(settled_ordinals(ledger, Disposition.CHECKED_1))
+        assert len(checked) == report.sample_size
         # A column holds a byte per live pair, in order: the prepared codes
         # at the live ordinals, and a filled column's values, which the
         # records show at the live pairs and nowhere else.
@@ -378,8 +396,8 @@ class TestExtractKey:
         ledger = prepare_from_labels(labels)
         ledger.fill("outcome", bytes(ledger.prepared), CODES)
         ledger.phase = Phase.CHECKED_2
-        ledger.check1 = CheckReport("first", (0,), 0, 0.02)
-        ledger.check2 = CheckReport("second", (0,), 0, 0.02)
+        ledger.check1 = CheckReport("first", 1, 0, 0.02)
+        ledger.check2 = CheckReport("second", 1, 0, 0.02)
         return ledger
 
     def test_key_is_code_concatenation_in_order(self):
@@ -388,16 +406,16 @@ class TestExtractKey:
         )
         key = extract_key(ledger)
         assert key.bits == "001011"
-        assert key.source_indices == (0, 1, 2)
+        assert ledger.settled == [([0, 1, 2], Disposition.KEY)]
 
     def test_sender_key_matches_prepared_codes(self):
         ledger = self.synthetic_decoded_ledger([BellState.PSI2, BellState.PSI2])
-        key = extract_key(ledger)
-        assert sender_key_material(ledger, key.source_indices).bits == "0101"
+        extract_key(ledger)
+        assert sender_key_material(ledger).bits == "0101"
 
     def test_refuses_failed_checks(self):
         ledger = self.synthetic_decoded_ledger([BellState.PSI1])
-        ledger.check2 = CheckReport("second", (0, 1), 1, 0.02)
+        ledger.check2 = CheckReport("second", 2, 1, 0.02)
         with pytest.raises(ProtocolOrderError):
             extract_key(ledger)
 
@@ -416,7 +434,7 @@ class TestKeyMaterial:
         # key of len(text) pairs exactly when every character is "0" or "1".
         n = len(text)
         codes = map(bytes, product(range(4), repeat=n))
-        keys = (KeyMaterial(key_codes, tuple(range(n))) for key_codes in codes)
+        keys = (KeyMaterial(key_codes) for key_codes in codes)
         assert (text * 2 in {key.bits for key in keys}) == all(c in "01" for c in text)
 
     @given(st.binary() | st.binary().map(lambda data: bytes(b & 3 for b in data)))
@@ -425,13 +443,9 @@ class TestKeyMaterial:
         # its bits are their code string.
         if any(b >= 4 for b in codes):
             with pytest.raises(ValueError, match="key codes must be 0-3"):
-                KeyMaterial(codes, tuple(range(len(codes))))
+                KeyMaterial(codes)
         else:
-            assert KeyMaterial(codes, tuple(range(len(codes)))).bits == code_string(codes)
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError, match="does not match"):
-            KeyMaterial(bytes([0, 1]), (0,))
+            assert KeyMaterial(codes).bits == code_string(codes)
 
 
 # Every phase in order, with the disposition each live pair has in it: a
@@ -461,11 +475,8 @@ def test_each_phase_names_the_stage_of_its_live_pairs():
 @pytest.mark.parametrize("kind", [bytes, list, tuple])
 def test_gather_and_pick_read_the_items_at_indices_in_order(kind, indices):
     items = kind(b"\x05\x06\x07\x08\x09")
-    expected = tuple(items[i] for i in indices)
-    assert type(pick(items, indices)) is tuple and pick(items, indices) == expected
-    # The key builders read a column's bytes at indices as bytes(pick(...)).
-    assert bytes(pick(items, indices)) == bytes(expected)
-    # gather reads a column's bytes at the 1s of a 0/1 mask, in order.
+    # gather reads a column's bytes at the 1s of a 0/1 mask, in order: it
+    # picks the items at the mask's indices, each once, ascending.
     mask = bytes(i in indices for i in range(len(items)))
     assert gather(bytes(items), mask) == bytes(items[i] for i in sorted(set(indices)))
 
@@ -560,7 +571,8 @@ class TestLedgerColumns:
         assert all(rec.outcome is None and rec.fake_carrier is None for rec in ledger.records)
         transmit_second_sequence(ledger, clean_channel(), RunConfig())
         bob_decode(ledger, RandomSource(12, "bob"))
-        checked = set(report.sample_indices)
+        checked = set(settled_ordinals(ledger, Disposition.CHECKED_1))
+        assert len(checked) == report.sample_size
         for rec in ledger.records:
             assert rec.fake_carrier is None
             if rec.index in checked:
@@ -574,7 +586,8 @@ class TestLedgerColumns:
         transmit_first_sequence(ledger, clean_channel())
         report = first_check(ledger, RunConfig(min_check_size=4), RandomSource(13, "bob"))
         ledger.fill("planted", bytes([BellState.PSI2]) * len(ledger.live))
-        checked = set(report.sample_indices)
+        checked = set(settled_ordinals(ledger, Disposition.CHECKED_1))
+        assert len(checked) == report.sample_size
         for rec in ledger.records:
             expected = None if rec.index in checked else BellState.PSI2
             assert rec.fake_carrier == expected
@@ -684,9 +697,10 @@ class TestRunProtocol:
             counts["checked-1"] + counts["checked-2"] + counts["key"] + counts["dropped"]
             == 500
         )
-        key_indices = set(outcome.receiver_key.source_indices)
-        assert key_indices.isdisjoint(outcome.check1.sample_indices)
-        assert key_indices.isdisjoint(outcome.check2.sample_indices)
+        key_indices = {rec.index for rec in with_disposition(outcome.ledger, Disposition.KEY)}
+        assert len(key_indices) == len(outcome.receiver_key.codes)
+        assert key_indices.isdisjoint(settled_ordinals(outcome.ledger, Disposition.CHECKED_1))
+        assert key_indices.isdisjoint(settled_ordinals(outcome.ledger, Disposition.CHECKED_2))
 
     def test_disposition_counts_match_the_records_at_every_step(self):
         # Live pairs share one stage disposition; the counts must still
@@ -728,10 +742,12 @@ class TestRunProtocol:
 
     def test_key_indices_are_increasing_and_shared(self):
         outcome = run_protocol(config(pairs=300, seed=22), RandomSource(22))
-        indices = list(outcome.receiver_key.source_indices)
+        indices = list(settled_ordinals(outcome.ledger, Disposition.KEY))
         assert indices == sorted(indices)
         assert len(set(indices)) == len(indices)
-        assert sender_key(outcome).source_indices == outcome.receiver_key.source_indices
+        # Both keys are read at those pairs.
+        assert len(outcome.receiver_key.codes) == len(indices)
+        assert sender_key(outcome).codes == bytes(outcome.ledger.prepared[i] for i in indices)
 
     def test_key_length_accounts_for_checks(self):
         outcome = run_protocol(config(pairs=400, seed=23), RandomSource(23))
@@ -1052,16 +1068,30 @@ class TestMultiparty:
     def test_key_accounting_against_ledgers(self):
         cfg = RunConfig(pairs=100, seed=32, parties=3)
         outcome = run_multiparty(cfg)
-        hop2_key_pairs = len(outcome.hops[1].receiver_key.source_indices)
+        hop2_key_pairs = outcome.hops[1].ledger.disposition_counts()["key"]
         assert len(outcome.keys[-1].bits) == 2 * hop2_key_pairs
-        # Every party's positions refer to first-hop ordinals.
-        assert (
-            outcome.keys[0].source_indices
-            == outcome.keys[1].source_indices
-            == outcome.keys[2].source_indices
+
+    def test_every_partys_key_is_its_codes_at_the_key_pairs(self):
+        # Each completed trial of the engine grid, and of every attack with
+        # checks that pass any error rate, whose keys disagree: every party's
+        # key must be the codes a reference reads through the hops' records
+        # at the KEY ordinals, which keys_agree cannot see when they differ.
+        lenient = (
+            config(pairs=64, trials=2, seed=23, attack=attack, parties=parties, min_check_size=4,
+                   threshold_1=1.0, threshold_2=1.0)
+            for attack in ATTACKS
+            for parties in (2, 3)
         )
-        hop1_key = set(outcome.hops[0].receiver_key.source_indices)
-        assert set(outcome.keys[0].source_indices) <= hop1_key
+        completed, disagreeing = 0, 0
+        for cfg in [*engine_grid(), *lenient]:
+            for trial in range(cfg.trials):
+                outcome = run_multiparty(cfg, trial)
+                if outcome.keys is None:
+                    continue
+                completed += 1
+                disagreeing += not outcome.keys_agree
+                assert [key.codes for key in outcome.keys] == reference_keys(outcome.hops)
+        assert completed >= 40 and disagreeing >= 10
 
     def test_relay_prepares_its_own_key_bits(self):
         cfg = config(pairs=300, seed=33, parties=3)
@@ -1074,14 +1104,14 @@ class TestMultiparty:
     def test_a_completed_trial_builds_the_sender_key_once(self, parties, monkeypatch):
         calls = []
 
-        def counted(ledger, source_indices):
-            calls.append(source_indices)
-            return sender_key_material(ledger, source_indices)
+        def counted(ledger):
+            calls.append(ledger)
+            return sender_key_material(ledger)
 
         monkeypatch.setattr(eprqkd.protocol, "sender_key_material", counted)
         outcome = run_multiparty(config(pairs=300, seed=33, parties=parties))
         assert outcome.abort_reason is None
-        assert calls == [outcome.keys[0].source_indices]
+        assert calls == [outcome.hops[0].ledger]
 
     def test_attack_on_second_hop_is_detected_there(self):
         cfg = config(
@@ -1352,7 +1382,6 @@ def test_every_valid_config_finishes_every_trial(
     if outcome.keys is not None:
         assert len(outcome.hops) == len(outcome.keys) - 1 == cfg.parties - 1
         assert len({len(key.bits) for key in outcome.keys}) == 1
-        assert len({key.source_indices for key in outcome.keys}) == 1
         # Only an attack that leaves every delivered pair's state alone
         # guarantees agreement; another can pass small checks by chance
         # (UNSEEN_ATTACKS).

@@ -112,17 +112,6 @@ class TestBellStates:
     def test_code_encoding(self):
         assert [label.code for label in BELL_LABELS] == ["00", "01", "10", "11"]
 
-    def test_code_bijection(self):
-        for label in BELL_LABELS:
-            assert BellState.from_code(label.code) is label
-        for code in ("00", "01", "10", "11"):
-            assert BellState.from_code(code).code == code
-
-    def test_bad_code_rejected(self):
-        for bad in ("0", "012", "ab", "2 "):
-            with pytest.raises(ValueError):
-                BellState.from_code(bad)
-
     def test_parity_classes(self):
         assert BellState.PSI1.correlated and BellState.PSI2.correlated
         assert not BellState.PSI3.correlated and not BellState.PSI4.correlated

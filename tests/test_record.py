@@ -26,7 +26,7 @@ RECORDS = [
         {"destroy_probability": 1.5},
         ConfigurationError,
     ),
-    (KeyMaterial(bytes([0, 3, 2]), (1, 4, 6)), {"codes": bytes([0, 4, 2])}, ValueError),
+    (KeyMaterial(bytes([0, 3, 2])), {"codes": bytes([0, 4, 2])}, ValueError),
     (EfficiencyInputs(1, 1, 3), {"secret_bits": -1}, ValueError),
 ]
 

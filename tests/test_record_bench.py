@@ -79,6 +79,20 @@ def canned_runner(trace: int = 0):
     return run_one, calls
 
 
+def keeping_runner(metas: dict):
+    """``canned_runner``'s untraced runs as ``main`` keeps them, through
+    ``keep_run``, which leaves each side's first meta in ``metas``."""
+    run_one, calls = canned_runner()
+
+    def keep(side, workload, seed):
+        run = run_one(side, workload, seed)
+        if workload == record_bench.ACCEPTANCE:
+            return run
+        return record_bench.keep_run(run, side, metas)
+
+    return keep, calls
+
+
 def test_pairs_alternate_which_side_runs_first():
     steps = record_bench.plan(("detect", "audit"), "audit", 1, 314159, 3)
     run_one, calls = canned_runner()
@@ -130,7 +144,8 @@ TRACE_KEYS = {
 def test_document_has_the_committed_schema():
     workloads = (*record_bench.WORKLOADS, record_bench.ACCEPTANCE)
     steps = record_bench.plan(workloads, "audit", 1, 314159, 10)
-    runs = record_bench.collect(steps, canned_runner()[0])
+    metas = {}
+    runs = record_bench.collect(steps, keeping_runner(metas)[0])
     acceptance = runs.pop("seed1/acceptance")
     traced_one, _ = canned_runner(trace=1)
     traced = record_bench.collect([("audit", "audit", 1, k) for k in range(5)], traced_one)
@@ -144,7 +159,7 @@ def test_document_has_the_committed_schema():
         "change": {"commit": "c", "src_code_lines": 70, "cli_imports": ["eprqkd"]},
     }
     claim = {"workload": "audit", "metric": "trials_per_s", "rule": "r"}
-    doc = record_bench.document("w", claim, sides, runs, traces, acceptance, METRICS)
+    doc = record_bench.document("w", claim, sides, runs, metas, traces, acceptance, METRICS)
     doc = json.loads(json.dumps(doc))  # it is plain JSON
 
     assert doc.keys() == DOCUMENT_KEYS
@@ -191,6 +206,26 @@ def test_document_has_the_committed_schema():
     assert trace["metrics"]["quantum.measure_s"] is None
     assert trace["missing_wrap_points"] == ["a:b"]
     assert trace["notes"] == [f"run {k}" for k in range(5)]
+
+
+def test_an_untraced_run_is_kept_as_its_values_alone():
+    # A recording keeps no untraced record, whose per-op detail would grow
+    # the recorder run by run: only each run's values, and one meta a side.
+    metas = {}
+    run_one, calls = keeping_runner(metas)
+    steps = record_bench.plan(record_bench.WORKLOADS, "audit", 1, 314159, 3)
+    runs = record_bench.collect(steps, run_one)
+    for pairs in runs.values():
+        for pair in pairs:
+            assert pair.keys() == PAIR_KEYS
+            assert pair["parent"].keys() == pair["change"].keys() == RUN_KEYS
+    k = 2  # the third pair of detect at seed 1
+    expected = record_bench.run_values(canned_run("change", "detect", 1, 0, k))
+    assert runs["seed1/detect"][k]["change"] == expected
+    first = calls[0][1]
+    assert metas == {
+        side: canned_run(side, first, 1, 0, 0)["record"]["meta"] for side in record_bench.SIDES
+    }
 
 
 # Ten parent runs 80..116 MB: median 98, quartiles 87 and 109, an IQR of 22%
