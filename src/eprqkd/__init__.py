@@ -10,12 +10,13 @@ The top level re-exports what a single run needs; everything else is
 imported from its module (``eprqkd.runner.run``, ``eprqkd.analysis``, ...).
 
 Record types follow one rule. A record that checks its input subclasses
-``record.Record`` (``RunConfig``, ``AttackStrategy``, ``KeyMaterial``,
-``EfficiencyInputs``): its ``check`` runs on every construction,
-``replace`` included. Any other record is a named tuple
-(``CheckReport``, ``PairRecord``, ``ProtocolOutcome``, ``TrialOutcome``,
-``RunReport``, ``Bb84Reference``): one tuple allocation each, with no code
-generated at import, and each compares equal to a plain tuple of its fields.
+``record.Record`` (``RunConfig``, ``AttackStrategy``, ``EfficiencyInputs``):
+its ``check`` runs on every construction, ``replace`` included. Any other
+record is a named tuple (``CheckReport``, ``PairRecord``,
+``ProtocolOutcome``, ``TrialOutcome``, ``RunReport``, ``Bb84Reference``):
+one tuple allocation each, with no code generated at import, and each
+compares equal to a plain tuple of its fields. A key is no record: it is
+the ``bytes`` of its pair codes, one 0-3 per key pair.
 """
 from .adversary import AttackKind, AttackStrategy
 from .config import RunConfig

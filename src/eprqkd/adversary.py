@@ -74,6 +74,10 @@ class AttackStrategy(Record):
 
     def check(self):
         require_field_types(self)
+        if not isinstance(self.kind, AttackKind):
+            raise ConfigurationError(f"kind must be an AttackKind, got {self.kind!r}")
+        if not isinstance(self.fake_label, (BellState, type(None))):
+            raise ConfigurationError(f"fake_label must be a BellState or None: {self.fake_label!r}")
         if not 0.0 <= self.destroy_probability <= 1.0:
             raise ConfigurationError(
                 f"destroy_probability must be in [0, 1], got {self.destroy_probability}"

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .errors import require_field_types
 from .record import Record
 
 
@@ -113,8 +114,9 @@ class EfficiencyInputs(Record):
     classical_bits: float
 
     def check(self):
-        if min(self.secret_bits, self.qubits_used, self.classical_bits) < 0:
-            raise ValueError("efficiency inputs must be nonnegative")
+        require_field_types(self)
+        if not all(0 <= value < math.inf for value in vars(self).values()):
+            raise ValueError("efficiency inputs must be finite and nonnegative")
         if self.qubits_used + self.classical_bits <= 0:
             raise ValueError("qubits_used + classical_bits must be positive")
 

@@ -44,6 +44,8 @@ class RunConfig(Record):
 
     def check(self):
         require_field_types(self)
+        if not isinstance(self.attack, AttackStrategy):
+            raise ConfigurationError(f"attack must be an AttackStrategy, got {self.attack!r}")
         if self.pairs < 1:
             raise ConfigurationError(f"pairs must be >= 1, got {self.pairs}")
         if self.pairs > MAX_PAIRS:

@@ -45,7 +45,8 @@ disposition); a settle of every live pair, at an abort or at key
 extraction, takes None, logs ``live`` itself and cuts nothing, so it is
 O(1). Pair ordinals stay inside the ledger, in ``live`` and that log, which
 transcripts and ``records`` read: what a step hands its caller is counts
-and codes (a check's sample size and mismatches, a key's codes).
+and codes (a check's sample size and mismatches; a key, the bytes of its
+pair codes as ``column`` and ``cut`` return them).
 No step builds an object per pair: ``PairLedger.records`` rebuilds
 read-only ``PairRecord`` views from the settle log and the fill log, with
 None where a pair has no value, and ``disposition_counts`` reads the settle
@@ -84,7 +85,6 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import NamedTuple
 
 from .quantum import BELL_LABELS, CODES, BellState
-from .record import Record
 
 # The C encoder that json.dumps(payload, sort_keys=True, separators=(",", ":"))
 # builds anew on every call, built once: json's default hook and string
@@ -410,18 +410,3 @@ class CheckReport(NamedTuple):
             "passed": rate <= threshold,
         }
 
-
-class KeyMaterial(Record):
-    """A party's raw key: one pair-state code 0-3 per key pair, in order,
-    and its 2 key bits per pair."""
-
-    codes: bytes
-
-    def check(self):
-        if self.codes.translate(None, _Y_CODES):
-            raise ValueError("key codes must be 0-3")
-
-    @property
-    def bits(self) -> str:
-        """The key bits, 2 per pair: ``code_string(codes)``."""
-        return code_string(self.codes)

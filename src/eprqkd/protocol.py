@@ -56,7 +56,7 @@ from typing import NamedTuple
 from .adversary import AdversaryChannel, AttackStrategy
 from .config import RunConfig
 from .errors import ConfigurationError, InsufficientPairsError, ProtocolOrderError
-from .ledger import DIGITS, PARTIES, CheckReport, Disposition, KeyMaterial, PairLedger, Phase
+from .ledger import DIGITS, PARTIES, CheckReport, Disposition, PairLedger, Phase
 from .ledger import Transcript, code_string, gather
 from .quantum import BASES, BELL_LABELS, CODES, KEYS, OPS, PAIR_BASIS, BellState, measure_column
 # Unused here; the benchmark's traced run (bench/workloads.py) wraps these bindings.
@@ -287,35 +287,37 @@ def second_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> Ch
     return report
 
 
-def extract_key(ledger: PairLedger) -> KeyMaterial:
-    """Take the unchecked decode results as the receiver's raw key (step 7)."""
+def extract_key(ledger: PairLedger) -> bytes:
+    """Take the unchecked decode results as the receiver's raw key (step 7):
+    the bytes of their pair codes, one 0-3 per key pair, in order."""
     if ledger.phase is not Phase.CHECKED_2:
         raise ProtocolOrderError(f"key extraction in phase {ledger.phase.name}")
     if not (ledger.check1 and ledger.check1.passed and ledger.check2 and ledger.check2.passed):
         raise ProtocolOrderError("key extraction after a failed check")
-    key = KeyMaterial(ledger.column("outcome"))
+    key = ledger.column("outcome")
     ledger.settle(None, Disposition.KEY)
     ledger.phase = Phase.DONE
     if ledger.transcript is not None:
-        ledger.transcript.log(7, "public", "commit", {"key_bits": 2 * len(key.codes)})
+        ledger.transcript.log(7, "public", "commit", {"key_bits": 2 * len(key)})
     return key
 
 
-def sender_key_material(ledger: PairLedger) -> KeyMaterial:
+def sender_key_material(ledger: PairLedger) -> bytes:
     """The sender's key of a completed hop: her preparation codes cut by
-    every check of the hop (``PairLedger.cut``), so at its key pairs."""
-    return KeyMaterial(ledger.cut(ledger.prepared))
+    every check of the hop (``PairLedger.cut``), so at its key pairs, one
+    byte 0-3 per key pair."""
+    return ledger.cut(ledger.prepared)
 
 
 class ProtocolOutcome(NamedTuple):
     """Everything a single run produced, including the final ledger: the
-    receiver's key when the run completed. The sender's key is her prepared
-    codes at the same pairs, cut out by the ledger
-    (``sender_key_material``)."""
+    receiver's key when the run completed, the bytes of its pair codes
+    (``extract_key``). The sender's key is her prepared codes at the same
+    pairs, cut out by the ledger (``sender_key_material``)."""
 
     ledger: PairLedger
     abort_reason: str | None
-    receiver_key: KeyMaterial | None
+    receiver_key: bytes | None
 
     @property
     def check1(self) -> CheckReport | None:
@@ -329,7 +331,7 @@ class ProtocolOutcome(NamedTuple):
 def run_protocol(
     config: RunConfig,
     rng: RandomSource,
-    prepared_labels: list[BellState | int] | None = None,
+    prepared_labels: bytes | list[BellState | int] | None = None,
     transcript: Transcript | None = None,
 ) -> ProtocolOutcome:
     """Execute steps 1-7 for one run, under ``config`` and against its
@@ -392,18 +394,19 @@ def run_protocol(
 
 class TrialOutcome(NamedTuple):
     """One trial: its index, the hops of the chain that ran, in order, and
-    every party's key (sender first) when the last hop completed."""
+    every party's key (sender first) when the last hop completed, each the
+    bytes of its pair codes."""
 
     trial: int
     hops: list[ProtocolOutcome]
     abort_reason: str | None
-    keys: list[KeyMaterial] | None
+    keys: list[bytes] | None
 
     @property
     def keys_agree(self) -> bool | None:
         if self.keys is None:
             return None
-        return all(key.codes == self.keys[0].codes for key in self.keys)
+        return all(key == self.keys[0] for key in self.keys)
 
 
 @lru_cache(maxsize=8)
@@ -457,13 +460,13 @@ def run_multiparty(
             reason = hop.abort_reason if k == 1 else f"hop{k}_{hop.abort_reason}"
             return TrialOutcome(trial, hops, reason, None)
         # The relay prepares the next hop's pairs in the states his key's codes name.
-        labels = hop.receiver_key.codes
+        labels = hop.receiver_key
 
     # Each key once: the first hop's two; then at each later hop every key
     # so far cut by its checks (the relay's becomes his prepared codes at
     # its key pairs), and its receiver's.
     keys = [sender_key_material(hops[0].ledger), hops[0].receiver_key]
     for hop in hops[1:]:
-        keys = [KeyMaterial(hop.ledger.cut(key.codes)) for key in keys]
+        keys = [hop.ledger.cut(key) for key in keys]
         keys.append(hop.receiver_key)
     return TrialOutcome(trial, hops, None, keys)

@@ -78,8 +78,8 @@ BASES = ("z", "x")
 
 
 class BellState(IntEnum):
-    """The four pair states; each is its own state code and carries a
-    fixed 2-bit key code."""
+    """The four pair states; each is its own state code, and
+    ``CODES[label]`` is its fixed 2-bit key code."""
 
     PSI1 = 0
     PSI2 = 1
@@ -88,11 +88,6 @@ class BellState(IntEnum):
 
     # Printed by name (BellState.PSI1), as a plain Enum member is.
     __str__ = Enum.__str__
-
-    @property
-    def code(self) -> str:
-        """2-bit key code: PSI1..PSI4 -> 00, 01, 10, 11."""
-        return CODES[self]
 
     @property
     def correlated(self) -> bool:

@@ -19,15 +19,13 @@ class Record:
         cls._KEYWORDS = [(set(names[n:]), required - set(names[:n])) for n in range(len(names) + 1)]
 
     def __init__(self, *args, **kwargs):
+        keywords = self._KEYWORDS[len(args)] if len(args) <= len(self.FIELDS) else None
+        if keywords is None or not keywords[1] <= kwargs.keys() <= keywords[0]:
+            raise TypeError(
+                f"{type(self).__name__}() needs each of {self.FIELDS} once, unless it has a default"
+            )
         values = vars(self)
-        # Every field given by position is the fast path, which KeyMaterial takes.
-        if kwargs or len(args) != len(self.FIELDS):
-            keywords = self._KEYWORDS[len(args)] if len(args) <= len(self.FIELDS) else None
-            if keywords is None or not keywords[1] <= kwargs.keys() <= keywords[0]:
-                raise TypeError(
-                    f"{type(self).__name__}() needs each of {self.FIELDS} once, unless it has a default"
-                )
-            values.update(self._TEMPLATE, **kwargs)
+        values.update(self._TEMPLATE, **kwargs)
         values.update(zip(self.FIELDS, args))
         self.check()
 

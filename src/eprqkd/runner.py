@@ -56,7 +56,7 @@ def trial_row(outcome: TrialOutcome) -> dict:
         "trial": outcome.trial,
         "keys_agree": outcome.keys_agree,
         **_hop_row(first, outcome.abort_reason),
-        "key_length": 2 * len(outcome.keys[-1].codes) if outcome.keys else 0,
+        "key_length": 2 * len(outcome.keys[-1]) if outcome.keys else 0,
         "ab_counts": first.counts("outcome"),
         "ae_counts": eve_guess_counts(first),
         "hop2": _hop_row(second.ledger, second.abort_reason) if second else None,

@@ -20,9 +20,11 @@ words, so the blocks must be the same calls, not only the same draws.
 
 Only what ``run_protocol`` and ``run_multiparty`` need is kept: there are no
 phase guards and no API for driving single steps. The value types that did
-not change (the configs) come from the package. A key is its own ``Key``
-tuple of its bits as a ``"0011"`` string and the pair ordinals they came
-from. A check is its own ``Check`` tuple, equal to the package's
+not change (the configs) come from the package. A pair state's 2-bit key
+code is read from the oracle's own ``KEY_CODES`` table, by the label's name,
+so a fault in ``quantum.CODES`` shows as a differing row or transcript. A
+key is its own ``Key`` tuple of its bits as a ``"0011"`` string and the
+pair ordinals they came from. A check is its own ``Check`` tuple, equal to the package's
 ``CheckReport`` with the same fields, and states its own summary and pass
 rule, so a fault in ``CheckReport`` shows as a differing row. A check
 with no pairs left raises the oracle's own ``NoPairsLeft``. The
@@ -43,6 +45,8 @@ from eprqkd.ledger import Disposition
 from eprqkd.quantum import BELL_LABELS, BellState
 
 _HALVES = {"first": 0, "second": 1}
+# The 2-bit key code of each pair state, by the label's name.
+KEY_CODES = {"PSI1": "00", "PSI2": "01", "PSI3": "10", "PSI4": "11"}
 _TERMINAL = {
     Disposition.CHECKED_1,
     Disposition.CHECKED_2,
@@ -275,7 +279,7 @@ class Channel:
             for i, rec in enumerate(records):
                 label = fixed if fixed is not None else BELL_LABELS[draws[i]]
                 rec.fake_carrier = label
-                planted.append(label.code)
+                planted.append(KEY_CODES[label.name])
             return {
                 "captured": len(records),
                 "planted": len(records),
@@ -286,7 +290,7 @@ class Channel:
             label = measure_bell_basis(rec.carrier, q)
             rec.carrier = label
             self.eve.inferred_key[rec.index] = label
-            inferred.append(label.code)
+            inferred.append(KEY_CODES[label.name])
         return {"captured": len(records), "inferred_codes": "".join(inferred)}
 
     def _opaque(self, records):
@@ -304,14 +308,14 @@ class Channel:
 
 def eve_guess_counts(eve: EveState, ledger: Ledger) -> dict[str, dict[str, int]]:
     if eve.inferred_key:
-        guesses = {i: label.code for i, label in eve.inferred_key.items()}
+        guesses = {i: KEY_CODES[label.name] for i, label in eve.inferred_key.items()}
     else:
         guesses = {i: f"{h[1]}{h[2]}" for i, h in eve.z_bits.items() if 1 in h and 2 in h}
         if not guesses:
             guesses = {i: str(h.get(2, h.get(1))) for i, h in eve.z_bits.items()}
     counts: dict[str, dict[str, int]] = {}
     for index, guess in sorted(guesses.items()):
-        row = counts.setdefault(ledger.records[index].prepared.code, {})
+        row = counts.setdefault(KEY_CODES[ledger.records[index].prepared.name], {})
         row[guess] = row.get(guess, 0) + 1
     return counts
 
@@ -322,9 +326,8 @@ def eve_guess_counts(eve: EveState, ledger: Ledger) -> dict[str, dict[str, int]]
 def prepare(labels: list[BellState], sender: str, receiver: str, transcript: Transcript):
     records = [PairRecord(i, label, label) for i, label in enumerate(labels)]
     ledger = Ledger(records, sender, receiver, transcript)
-    transcript.log(
-        1, sender, "prepare", {"pairs": len(records), "codes": "".join(l.code for l in labels)}
-    )
+    codes = "".join(KEY_CODES[label.name] for label in labels)
+    transcript.log(1, sender, "prepare", {"pairs": len(records), "codes": codes})
     return ledger
 
 
@@ -439,7 +442,7 @@ def decode(ledger: Ledger, rng: Stream):
         else:
             rec.outcome = rec.carrier = measure_bell_basis(rec.carrier, q)
         rec.disposition = Disposition.DECODED
-        codes.append(rec.outcome.code)
+        codes.append(KEY_CODES[rec.outcome.name])
     ledger.transcript.log(
         6, ledger.receiver, "decode", {"pairs": len(codes), "codes": "".join(codes)}
     )
@@ -467,16 +470,15 @@ def extract_key(ledger: Ledger) -> Key:
     for rec in kept:
         rec.disposition = Disposition.KEY
     key = Key(
-        "".join(rec.outcome.code for rec in kept), tuple(rec.index for rec in kept)
+        "".join(KEY_CODES[rec.outcome.name] for rec in kept), tuple(rec.index for rec in kept)
     )
     ledger.transcript.log(7, "public", "commit", {"key_bits": len(key.bits)})
     return key
 
 
 def sender_key(ledger: Ledger, source_indices) -> Key:
-    return Key(
-        "".join(ledger.records[i].prepared.code for i in source_indices), tuple(source_indices)
-    )
+    bits = "".join(KEY_CODES[ledger.records[i].prepared.name] for i in source_indices)
+    return Key(bits, tuple(source_indices))
 
 
 @dataclass
@@ -590,8 +592,8 @@ def decode_joint_counts(ledger: Ledger) -> dict[str, dict[str, int]]:
     for rec in ledger.records:
         if rec.outcome is None:
             continue
-        row = counts.setdefault(rec.prepared.code, {})
-        row[rec.outcome.code] = row.get(rec.outcome.code, 0) + 1
+        row = counts.setdefault(KEY_CODES[rec.prepared.name], {})
+        row[KEY_CODES[rec.outcome.name]] = row.get(KEY_CODES[rec.outcome.name], 0) + 1
     return counts
 
 

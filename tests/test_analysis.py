@@ -12,6 +12,7 @@ from eprqkd.analysis import (
     mutual_information,
     reference_bb84,
 )
+from eprqkd.errors import ConfigurationError
 from eprqkd.ledger import CheckReport
 from eprqkd.runner import aggregate_rows
 
@@ -218,6 +219,20 @@ class TestEfficiency:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             EfficiencyInputs(-1, 1, 0)
+
+    @pytest.mark.parametrize(
+        "value, error, message",
+        [
+            (True, ConfigurationError, "^secret_bits must be float"),
+            ("x", ConfigurationError, "^secret_bits must be float"),
+            (math.nan, ValueError, "finite and nonnegative"),
+            (math.inf, ValueError, "finite and nonnegative"),
+        ],
+        ids=["bool", "str", "nan", "inf"],
+    )
+    def test_a_value_that_is_no_finite_number_rejected(self, value, error, message):
+        with pytest.raises(error, match=message):
+            EfficiencyInputs(value, 1, 1)
 
 
 def _check(mismatches, size):

@@ -16,7 +16,6 @@ from eprqkd.errors import ConfigurationError, ProtocolOrderError
 from eprqkd.ledger import (
     CheckReport,
     Disposition,
-    KeyMaterial,
     PairLedger,
     Phase,
     Transcript,
@@ -405,13 +404,13 @@ class TestExtractKey:
             [BellState.PSI1, BellState.PSI3, BellState.PSI4]
         )
         key = extract_key(ledger)
-        assert key.bits == "001011"
+        assert code_string(key) == "001011"
         assert ledger.settled == [([0, 1, 2], Disposition.KEY)]
 
     def test_sender_key_matches_prepared_codes(self):
         ledger = self.synthetic_decoded_ledger([BellState.PSI2, BellState.PSI2])
         extract_key(ledger)
-        assert sender_key_material(ledger).bits == "0101"
+        assert code_string(sender_key_material(ledger)) == "0101"
 
     def test_refuses_failed_checks(self):
         ledger = self.synthetic_decoded_ledger([BellState.PSI1])
@@ -426,6 +425,9 @@ class TestExtractKey:
 
 
 class TestKeyMaterial:
+    """A key is the bytes of its pair codes, one 0-3 per key pair, and
+    ``code_string`` spells its bits."""
+
     @pytest.mark.parametrize(
         "text", ["", "0", "10", "0 1", "01\n", "012", "\u0660\u0661", "\uff10\uff11"]
     )
@@ -433,19 +435,8 @@ class TestKeyMaterial:
         # A key's bits are 2 per pair: ``text`` doubled is the bits of some
         # key of len(text) pairs exactly when every character is "0" or "1".
         n = len(text)
-        codes = map(bytes, product(range(4), repeat=n))
-        keys = (KeyMaterial(key_codes) for key_codes in codes)
-        assert (text * 2 in {key.bits for key in keys}) == all(c in "01" for c in text)
-
-    @given(st.binary() | st.binary().map(lambda data: bytes(b & 3 for b in data)))
-    def test_check_matches_the_per_character_predicate(self, codes):
-        # A key accepts exactly the codes whose every byte is below 4, and
-        # its bits are their code string.
-        if any(b >= 4 for b in codes):
-            with pytest.raises(ValueError, match="key codes must be 0-3"):
-                KeyMaterial(codes)
-        else:
-            assert KeyMaterial(codes).bits == code_string(codes)
+        keys = map(bytes, product(range(4), repeat=n))
+        assert (text * 2 in {code_string(key) for key in keys}) == all(c in "01" for c in text)
 
 
 # Every phase in order, with the disposition each live pair has in it: a
@@ -680,8 +671,8 @@ class TestRunProtocol:
         assert outcome.check1.error_rate == 0.0
         assert outcome.check2.error_rate == 0.0
         key = sender_key(outcome)
-        assert key.codes == outcome.receiver_key.codes
-        assert outcome.receiver_key.bits == key.bits
+        assert key == outcome.receiver_key
+        assert code_string(outcome.receiver_key) == code_string(key)
 
     def test_aborted_run_has_no_key_agreement(self):
         cfg = config(pairs=200, seed=20, attack=AttackStrategy(kind=AttackKind.FAKE_EPR))
@@ -698,7 +689,7 @@ class TestRunProtocol:
             == 500
         )
         key_indices = {rec.index for rec in with_disposition(outcome.ledger, Disposition.KEY)}
-        assert len(key_indices) == len(outcome.receiver_key.codes)
+        assert len(key_indices) == len(outcome.receiver_key)
         assert key_indices.isdisjoint(settled_ordinals(outcome.ledger, Disposition.CHECKED_1))
         assert key_indices.isdisjoint(settled_ordinals(outcome.ledger, Disposition.CHECKED_2))
 
@@ -746,13 +737,13 @@ class TestRunProtocol:
         assert indices == sorted(indices)
         assert len(set(indices)) == len(indices)
         # Both keys are read at those pairs.
-        assert len(outcome.receiver_key.codes) == len(indices)
-        assert sender_key(outcome).codes == bytes(outcome.ledger.prepared[i] for i in indices)
+        assert len(outcome.receiver_key) == len(indices)
+        assert sender_key(outcome) == bytes(outcome.ledger.prepared[i] for i in indices)
 
     def test_key_length_accounts_for_checks(self):
         outcome = run_protocol(config(pairs=400, seed=23), RandomSource(23))
         surviving = 400 - outcome.check1.sample_size - outcome.check2.sample_size
-        assert len(outcome.receiver_key.bits) == 2 * surviving
+        assert len(code_string(outcome.receiver_key)) == 2 * surviving
 
     @pytest.mark.parametrize(
         "kind", [AttackKind.NONE, AttackKind.MEASURE_RESEND], ids=lambda kind: kind.value
@@ -976,7 +967,7 @@ class TestRunProtocol:
         )
         outcome = run_protocol(cfg, RandomSource(30))
         assert outcome.abort_reason is None
-        assert sender_key(outcome).codes == outcome.receiver_key.codes
+        assert sender_key(outcome) == outcome.receiver_key
         assert abs(outcome.ledger.receipt_1 - 0.7) < three_sigma(0.7, 2000)
         counts = outcome.ledger.disposition_counts()
         total = sum(
@@ -1000,7 +991,7 @@ class TestRandomizedCheckBasis:
         outcome = run_protocol(cfg, RandomSource(50), transcript=Transcript())
         assert outcome.abort_reason is None
         assert outcome.check1.error_rate == 0.0
-        assert sender_key(outcome).codes == outcome.receiver_key.codes
+        assert sender_key(outcome) == outcome.receiver_key
         assert set(outcome.check1.bases) == {"z", "x"}
         # The report holds the announced string itself.
         assert outcome.check1.bases == self.announced_bases(outcome)
@@ -1062,14 +1053,15 @@ class TestMultiparty:
         outcome = run_multiparty(cfg)
         assert outcome.abort_reason is None
         assert outcome.keys_agree
-        assert outcome.keys[0].bits == outcome.keys[1].bits == outcome.keys[-1].bits
-        assert len(outcome.keys[0].bits) > 0
+        bits = [code_string(key) for key in outcome.keys]
+        assert bits[0] == bits[1] == bits[-1]
+        assert len(bits[0]) > 0
 
     def test_key_accounting_against_ledgers(self):
         cfg = RunConfig(pairs=100, seed=32, parties=3)
         outcome = run_multiparty(cfg)
         hop2_key_pairs = outcome.hops[1].ledger.disposition_counts()["key"]
-        assert len(outcome.keys[-1].bits) == 2 * hop2_key_pairs
+        assert len(code_string(outcome.keys[-1])) == 2 * hop2_key_pairs
 
     def test_every_partys_key_is_its_codes_at_the_key_pairs(self):
         # Each completed trial of the engine grid, and of every attack with
@@ -1090,15 +1082,15 @@ class TestMultiparty:
                     continue
                 completed += 1
                 disagreeing += not outcome.keys_agree
-                assert [key.codes for key in outcome.keys] == reference_keys(outcome.hops)
+                assert outcome.keys == reference_keys(outcome.hops)
         assert completed >= 40 and disagreeing >= 10
 
     def test_relay_prepares_its_own_key_bits(self):
         cfg = config(pairs=300, seed=33, parties=3)
         outcome = run_multiparty(cfg)
-        relayed = "".join(rec.prepared.code for rec in outcome.hops[1].ledger.records)
-        assert relayed == outcome.hops[0].receiver_key.bits
-        assert outcome.hops[1].ledger.prepared == outcome.hops[0].receiver_key.codes
+        relayed = "".join(CODES[rec.prepared] for rec in outcome.hops[1].ledger.records)
+        assert relayed == code_string(outcome.hops[0].receiver_key)
+        assert outcome.hops[1].ledger.prepared == outcome.hops[0].receiver_key
 
     @pytest.mark.parametrize("parties", [2, 3])
     def test_a_completed_trial_builds_the_sender_key_once(self, parties, monkeypatch):
@@ -1246,7 +1238,7 @@ def counts_from_records(ledger, field, names):
     for rec in ledger.records:
         value = getattr(rec, field)
         if value is not None:
-            row = counts.setdefault(rec.prepared.code, {})
+            row = counts.setdefault(CODES[rec.prepared], {})
             row[names[value]] = row.get(names[value], 0) + 1
     return counts
 
@@ -1283,7 +1275,7 @@ def assert_hop_finished(hop):
     assert sorted(settled) == list(range(len(ledger.prepared))) and not ledger.live
     counts = ledger.disposition_counts()
     assert sum(counts.values()) == len(settled) == len(ledger.prepared)
-    key_length = len(hop.receiver_key.bits) if hop.receiver_key else 0
+    key_length = len(code_string(hop.receiver_key)) if hop.receiver_key is not None else 0
     assert key_length == 2 * counts["key"]
     assert (hop.abort_reason is None) == (hop.receiver_key is not None)
     assert (hop.abort_reason is None) == (key_length > 0)
@@ -1315,7 +1307,7 @@ def test_unseen_attack_completes_with_disagreeing_keys(fields, key_bits):
     outcome = run_multiparty(cfg)
     assert outcome.abort_reason is None
     assert outcome.keys_agree is False
-    assert [len(key.bits) for key in outcome.keys] == [key_bits, key_bits]
+    assert [len(code_string(key)) for key in outcome.keys] == [key_bits, key_bits]
 
 
 # The property's other arguments for UNSEEN_ATTACKS: their fixed fields and
@@ -1381,7 +1373,7 @@ def test_every_valid_config_finishes_every_trial(
     assert (outcome.abort_reason is None) == (outcome.keys is not None)
     if outcome.keys is not None:
         assert len(outcome.hops) == len(outcome.keys) - 1 == cfg.parties - 1
-        assert len({len(key.bits) for key in outcome.keys}) == 1
+        assert len({len(code_string(key)) for key in outcome.keys}) == 1
         # Only an attack that leaves every delivered pair's state alone
         # guarantees agreement; another can pass small checks by chance
         # (UNSEEN_ATTACKS).

@@ -8,6 +8,7 @@ import amplitude_oracle as oracle
 from amplitude_oracle import ORACLE_BELL, S, TwoQubitState, amplitudes_of
 from eprqkd.quantum import (
     BELL_LABELS,
+    CODES,
     KEYS,
     MEASURE,
     N_STATES,
@@ -110,7 +111,7 @@ class TestBellStates:
                 assert abs(ip - (1.0 if a is b else 0.0)) < 1e-12
 
     def test_code_encoding(self):
-        assert [label.code for label in BELL_LABELS] == ["00", "01", "10", "11"]
+        assert [CODES[label] for label in BELL_LABELS] == ["00", "01", "10", "11"]
 
     def test_parity_classes(self):
         assert BellState.PSI1.correlated and BellState.PSI2.correlated

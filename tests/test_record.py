@@ -13,7 +13,6 @@ from eprqkd.adversary import AttackKind, AttackStrategy
 from eprqkd.analysis import EfficiencyInputs
 from eprqkd.config import RunConfig
 from eprqkd.errors import ConfigurationError
-from eprqkd.ledger import KeyMaterial
 from eprqkd.quantum import BellState
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -26,7 +25,6 @@ RECORDS = [
         {"destroy_probability": 1.5},
         ConfigurationError,
     ),
-    (KeyMaterial(bytes([0, 3, 2])), {"codes": bytes([0, 4, 2])}, ValueError),
     (EfficiencyInputs(1, 1, 3), {"secret_bits": -1}, ValueError),
 ]
 

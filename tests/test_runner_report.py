@@ -461,6 +461,30 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="destroy_probability"):
             AttackStrategy(kind=AttackKind.OPAQUE, destroy_probability=True)
 
+    @pytest.mark.parametrize(
+        "fields, field",
+        [
+            ({"kind": "fake-epr"}, "kind"),
+            ({"kind": AttackKind.FAKE_EPR, "fake_label": 7}, "fake_label"),
+            ({"kind": AttackKind.FAKE_EPR, "fake_label": 2}, "fake_label"),
+            ({"kind": AttackKind.FAKE_EPR, "fake_label": 25}, "fake_label"),
+        ],
+        ids=[
+            "kind-a-string",
+            "fake_label-a-product-state",
+            "fake_label-an-int-code",
+            "fake_label-no-state",
+        ],
+    )
+    def test_attack_fields_of_the_wrong_kind_rejected(self, fields, field):
+        # Rejected at construction, not inside a run or in to_dict after it.
+        with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+            AttackStrategy(**fields)
+
+    def test_attack_not_an_attack_strategy_rejected(self):
+        with pytest.raises(ConfigurationError, match="^attack must be an AttackStrategy"):
+            RunConfig(attack="x")
+
     @pytest.mark.parametrize("cls", [RunConfig, AttackStrategy], ids=lambda cls: cls.__name__)
     def test_every_typed_field_rejects_a_wrong_type(self, cls):
         # The resolved annotations, so that the test still finds the typed
