@@ -32,8 +32,17 @@ all would grow through a recording, and its children's ``ru_maxrss``
 (which Linux carries across ``exec``) with it. Traced runs keep their
 records, which ``trace_summary`` reads.
 
-The file's keys are what, machine, sides, claim, summary, runs, trace1
-and acceptance_wall_s. ``sides[side]`` gives the side's commit, the
+Then comes the ``scale`` series: ``eprqkd run --attack measure-resend
+--pairs N --trials 1`` at each N of ``SCALE_SIZES``, ``PAIRS`` alternating
+pairs of runs a size, each in a child interpreter that calls
+``eprqkd.cli.main`` from the side's ``src/`` and then reads its own peak
+RSS (``VmHWM`` in ``/proc/self/status``, which no ``exec`` carries over).
+A size is skipped, and recorded as skipped, when ten times the largest
+peak of the size before it exceeds the host's ``MemAvailable``, or when
+that size was skipped.
+
+The file's keys are what, machine, sides, claim, summary, runs, trace1,
+acceptance_wall_s and scale. ``sides[side]`` gives the side's commit, the
 ``src_lines`` (all lines) and ``src_sha256`` of its runs' records, and
 ``src_code_lines``, the code lines of its ``src/eprqkd`` as
 ``scripts/code_lines.py`` counts them (no docstrings, comments or blank
@@ -55,7 +64,10 @@ parent's median). ``runs[label]`` keeps every pair's
 end-to-end values, ``trace1["<side>/<workload>"]`` the traced medians.
 ``acceptance_wall_s`` is no ``BENCHMARK.json`` metric: it gives the
 acceptance tests' wall seconds, every pair's and each side's median and
-quartiles.
+quartiles. ``scale["<N>"]`` gives that size's pairs of runs, each run
+``cli.main``'s wall seconds and the child's peak MB, and each side's
+median, quartiles and interquartile range of both; a skipped size holds
+only why it was skipped.
 """
 from __future__ import annotations
 
@@ -88,6 +100,17 @@ ACCEPTANCE_COMMAND = ("-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/tes
 CLI_IMPORTS = (
     "import sys; before = set(sys.modules); import eprqkd.cli; "
     "print(*sorted(set(sys.modules) - before), sep='\\n')"
+)
+# The scale series' sizes, in pairs, smallest first, and the command line each runs.
+SCALE_SIZES = (10**6, 10**7)
+SCALE_ARGS = ("run", "--attack", "measure-resend", "--trials", "1", "--pairs")
+# Runs cli.main on its arguments, then prints its wall seconds and the
+# interpreter's own peak RSS in MB as the last line of standard error.
+SCALE_CHILD = (
+    "import sys, time; from eprqkd.cli import main; started = time.perf_counter(); "
+    "status = main(sys.argv[1:]); seconds = time.perf_counter() - started; "
+    "peak = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:')); "
+    "print(seconds, int(peak.split()[1]) / 1024, file=sys.stderr); sys.exit(status)"
 )
 # The fields of a run record's meta that describe the host, and its side's source.
 MACHINE = ("cpu_model", "cpus_usable", "nproc", "numpy", "python")
@@ -164,6 +187,32 @@ def time_acceptance(root: Path) -> float:
     if done.returncode != 0:
         raise RuntimeError(f"the acceptance tests failed in {root}:\n{done.stdout}{done.stderr}")
     return seconds
+
+
+def run_scale(root: Path, pairs: int) -> dict:
+    """One ``eprqkd run`` of a ``pairs``-pair measure-resend trial in a
+    child interpreter, against ``root``'s own ``src/``: ``cli.main``'s wall
+    seconds and the child's peak RSS in MB."""
+    with tempfile.TemporaryDirectory() as tmp:
+        done = subprocess.run(
+            [sys.executable, "-c", SCALE_CHILD, *SCALE_ARGS, str(pairs), "--out",
+             str(Path(tmp) / "scale.json")],
+            cwd=root,
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": "src"},
+        )
+    if done.returncode != 0:
+        raise RuntimeError(f"the {pairs}-pair run failed in {root}:\n{done.stdout}{done.stderr}")
+    seconds, peak = done.stderr.splitlines()[-1].split()
+    return {"wall_s": float(seconds), "peak_mb": float(peak)}
+
+
+def mem_available_mb() -> float:
+    """The host's ``MemAvailable``, in MB."""
+    with open("/proc/meminfo") as meminfo:
+        line = next(line for line in meminfo if line.startswith("MemAvailable:"))
+    return int(line.split()[1]) / 1024
 
 
 def cli_imports(root: Path) -> list[str]:
@@ -294,17 +343,56 @@ def trace_summary(traced: list[dict]) -> dict:
     }
 
 
+def spread(values: list[float]) -> dict:
+    """The median and quartiles of ``values``."""
+    return {"median": statistics.median(values), "quartiles": statistics.quantiles(values, n=4)}
+
+
 def acceptance_summary(pairs: list[dict]) -> dict:
     """The acceptance tests' wall seconds: which side ran first and both
     sides' times in every pair, and each side's median and quartiles."""
     summary = {"command": " ".join(("python", *ACCEPTANCE_COMMAND)), "pairs": pairs}
     for side in SIDES:
-        times = [pair[side] for pair in pairs]
-        summary[side] = {
-            "median": statistics.median(times),
-            "quartiles": statistics.quantiles(times, n=4),
-        }
+        summary[side] = spread([pair[side] for pair in pairs])
     return summary
+
+
+def scale_summary(pairs: list[dict]) -> dict:
+    """One size of the scale series: its pairs of runs, and each side's
+    median, quartiles and interquartile range of wall seconds and peak MB."""
+    summary = {"pairs": pairs}
+    for side in SIDES:
+        summary[side] = {}
+        for name in ("wall_s", "peak_mb"):
+            values = spread([pair[side][name] for pair in pairs])
+            values["iqr"] = values["quartiles"][2] - values["quartiles"][0]
+            summary[side][name] = values
+    return summary
+
+
+def scale_series(run_one, sizes, pairs: int, available) -> dict:
+    """The scale series by size: ``scale_summary`` of ``pairs`` alternating
+    pairs of ``run_one(side, size, None)``, or why the size was skipped.
+    ``available()`` gives the host's free memory in MB as the size starts."""
+    series: dict[str, dict] = {}
+    peak = 0.0  # the largest peak of the size before, None once one is skipped
+    for size in sizes:
+        label = str(size)
+        if peak is None:
+            series[label] = {"skipped": "the size before it was skipped"}
+            continue
+        free = available()
+        if 10 * peak > free:
+            series[label] = {
+                "skipped": f"ten times the size before's peak, {peak:.1f} MB, exceeds "
+                f"MemAvailable, {free:.1f} MB"
+            }
+            peak = None
+            continue
+        runs = collect([(label, size, None, k) for k in range(pairs)], run_one)[label]
+        series[label] = scale_summary(runs)
+        peak = max(pair[side]["peak_mb"] for pair in runs for side in SIDES)
+    return series
 
 
 def document(
@@ -316,11 +404,12 @@ def document(
     traces: dict,
     acceptance: list,
     metrics: dict,
+    scale: dict,
 ) -> dict:
     """The BENCH file: ``runs`` and ``metas`` hold what ``keep_run`` kept,
     ``traces`` what ``run_bench`` returned, ``acceptance`` the acceptance
-    tests' pairs of wall seconds, and ``metrics`` the end-to-end metrics of
-    ``BENCHMARK.json`` by name."""
+    tests' pairs of wall seconds, ``metrics`` the end-to-end metrics of
+    ``BENCHMARK.json`` by name, and ``scale`` what ``scale_series`` gave."""
     machine = {key: metas["change"][key] for key in MACHINE}
     sides = {side: {**sides[side], **{key: metas[side][key] for key in SOURCE}} for side in SIDES}
     return {
@@ -332,6 +421,7 @@ def document(
         "runs": runs,
         "trace1": {key: trace_summary(traced) for key, traced in traces.items()},
         "acceptance_wall_s": acceptance_summary(acceptance),
+        "scale": scale,
     }
 
 
@@ -386,7 +476,15 @@ def main(argv=None) -> int:
         traces = {
             f"{side}/{w}": [pair[side] for pair in traced[w]] for w in WORKLOADS for side in SIDES
         }
-    result = document(args.what, claim, sides, runs, metas, traces, acceptance, metrics)
+
+        def run_size(side, size, _seed):
+            run = run_scale(roots[side], size)
+            print(f"{side} scale {size} pairs: {run['wall_s']:.2f} s, {run['peak_mb']:.1f} MB",
+                  file=sys.stderr)
+            return run
+
+        scale = scale_series(run_size, SCALE_SIZES, PAIRS, mem_available_mb)
+    result = document(args.what, claim, sides, runs, metas, traces, acceptance, metrics, scale)
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {args.out}")
     return 0

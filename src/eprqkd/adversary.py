@@ -28,6 +28,7 @@ Strategies:
 from __future__ import annotations
 
 from enum import Enum
+from itertools import compress
 
 from .errors import ConfigurationError, require_field_types, require_known_keys
 from .ledger import DIGITS, Disposition, PairLedger, code_string
@@ -164,7 +165,10 @@ def _opaque(channel, transmission, ledger):
     # rng.bernoulli(p) per pair, a mask over live; settling none would still
     # cut every column once.
     lost = bytes([rand() < p for _ in range(in_flight)])
-    destroyed = ledger.settle(lost, Disposition.DROPPED) if 1 in lost else ()
+    # Only a transcript reads the lost pairs' ordinals, taken before the settle.
+    destroyed = () if ledger.transcript is None else tuple(compress(ledger.live, lost))
+    if 1 in lost:
+        ledger.settle(lost, Disposition.DROPPED)
     if ledger.transcript is None:
         return None
     lost = len(destroyed)

@@ -40,17 +40,20 @@ OR and one ``translate``) under the keep mask, as a check reads its sample
 from each column under the sample's mask. ``gather`` rests on the columns'
 one contract: a compact column holds one code below 0x80 per live pair, so
 no byte of a column has the high bit of its own. A trial that aborts cuts no
-column. The terminal dispositions are a settle log of (ordinals,
-disposition); a settle of every live pair, at an abort or at key
-extraction, takes None, logs ``live`` itself and cuts nothing, so it is
-O(1). Pair ordinals stay inside the ledger, in ``live`` and that log, which
-transcripts and ``records`` read: what a step hands its caller is counts
-and codes (a check's sample size and mismatches; a key, the bytes of its
-pair codes as ``column`` and ``cut`` return them).
+column. The terminal dispositions are a settle log of one fixed-size entry
+per settle, (cuts before it, disposition), and a settle builds no ordinal:
+a partial settle's pairs are the zeros of its keep mask, the next cut, and a
+settle of every live pair, at an abort or at key extraction, takes None,
+cuts nothing and is O(1). Pair ordinals stay inside the ledger, in ``live``
+and in what ``PairLedger.ordinals`` rebuilds from the cuts on demand, which
+``records``, ``disposition_counts`` and the tests read; a step that logs
+ordinals to a transcript takes them from ``live`` and the mask before it
+settles, and only when there is a transcript. What a step hands its caller
+is counts and codes (a check's sample size and mismatches; a key, the bytes
+of its pair codes as ``column`` and ``cut`` return them).
 No step builds an object per pair: ``PairLedger.records`` rebuilds
 read-only ``PairRecord`` views from the settle log and the fill log, with
-None where a pair has no value, and ``disposition_counts`` reads the settle
-log, only when something reads them.
+None where a pair has no value, only when something reads them.
 
 The run's progress is one ledger field, ``phase``. The pairs still live all
 stand at the same stage, the one ``Phase`` names for that phase, so the
@@ -230,9 +233,10 @@ class PairLedger:
     ``prepared`` holds the preparation codes by pair ordinal. ``live``
     lists, in order, the ordinals of the pairs with no terminal disposition
     yet, whose disposition is ``stage``, set by ``phase``. ``settled`` logs each
-    settle's (ordinals, terminal disposition) and ``fills`` each fill's
-    record (name, cuts, prepared codes, codes, names). ``transcript`` is the
-    event log, or None when the run records none.
+    settle's (cuts before it, terminal disposition), whose ordinals
+    ``ordinals`` rebuilds, and ``fills`` each fill's record (name, cuts,
+    prepared codes, codes, names). ``transcript`` is the event log, or None
+    when the run records none.
     """
 
     def __init__(self, prepared: bytes | list[int], transcript: Transcript | None = None):
@@ -244,7 +248,7 @@ class PairLedger:
         self._views = {"prepared": (0, codes), "state": (0, codes)}
         self._cuts: list[bytes] = []
         self.fills: list[tuple[str, int, bytes, bytes, tuple[str, ...] | None]] = []
-        self.settled: list[tuple[tuple[int, ...] | list[int], Disposition]] = []
+        self.settled: list[tuple[int, Disposition]] = []
         self.transcript = transcript
         self.phase = Phase.CREATED
         self.check1: CheckReport | None = None
@@ -306,23 +310,39 @@ class PairLedger:
 
     def settle(self, taken: bytes | None, disposition: Disposition):
         """Give the live pairs where ``taken``, a 0/1 byte per live pair, is
-        1 a terminal disposition, and return their ordinals, in order. None
-        settles every live pair and returns ``live`` itself, cutting no
-        column."""
-        live = self.live
+        1 a terminal disposition: its keep mask becomes the next cut. None
+        settles every live pair and cuts no column. Either logs (cuts before
+        it, disposition) and builds no ordinal."""
+        self.settled.append((len(self._cuts), disposition))
         if taken is None:
-            ordinals, self.live = live, []
+            self.live = []
         else:
             keep = taken.translate(_FLIP)
-            # The ordinals share live's int objects; no position is built.
-            ordinals = tuple(compress(live, taken))
-            self.live = list(compress(live, keep))
+            self.live = list(compress(self.live, keep))
             self._cuts.append(keep)
-        self.settled.append((ordinals, disposition))
-        return ordinals
+
+    def ordinals(self) -> tuple[list[list[int]], list[tuple[list[int], Disposition]]]:
+        """The pair ordinals the logs stand for, rebuilt on each call by
+        chaining ``compress`` over ``range(n)`` through the cuts: the
+        ordinals live after each number of cuts, in order, and each settle's
+        (ordinals, disposition), in log order. A settle took a cut exactly
+        when the cut count grew by the next settle (or by now): its pairs
+        are then the zeros of that keep mask, else every pair live then."""
+        lives = [list(range(len(self.prepared)))]
+        for keep in self._cuts:
+            lives.append(list(compress(lives[-1], keep)))
+        settles = []
+        ends = [gen for gen, _ in self.settled[1:]] + [len(self._cuts)]
+        for (gen, disposition), end in zip(self.settled, ends):
+            taken = lives[gen]
+            if end > gen:  # it took cut gen: its pairs are the zeros of that keep mask
+                taken = list(compress(taken, self._cuts[gen].translate(_FLIP)))
+            settles.append((taken, disposition))
+        return lives, settles
 
     def disposition_counts(self) -> dict[str, int]:
-        counts = {d.value: sum(len(o) for o, s in self.settled if s is d) for d in Disposition}
+        settles = self.ordinals()[1]
+        counts = {d.value: sum(len(o) for o, s in settles if s is d) for d in Disposition}
         counts[self.stage.value] += len(self.live)
         return counts
 
@@ -331,16 +351,14 @@ class PairLedger:
         """Every pair as a ``PairRecord``, rebuilt from the settle and fill
         logs on each read."""
         n = len(self.prepared)
+        lives, settles = self.ordinals()
         fates = [self.stage] * n
-        for ordinals, disposition in self.settled:
+        for ordinals, disposition in settles:
             for i in ordinals:
                 fates[i] = disposition
         # A fill of the genuine states updates them; a fill of another column
         # replaces it, leaving None at every pair the fill did not reach.
         # A fill after k cuts is at the ordinals live after k cuts.
-        lives = [list(range(n))]
-        for keep in self._cuts:
-            lives.append(list(compress(lives[-1], keep)))
         none = [None] * n
         columns = {"state": list(self.prepared), "planted": none, "outcome": none, "guesses": none}
         for name, gen, _, codes, _ in self.fills:

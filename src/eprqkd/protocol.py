@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import compress
 from typing import NamedTuple
 
 from .adversary import AdversaryChannel, AttackStrategy
@@ -209,13 +210,15 @@ def first_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> Che
     states = gather(ledger.column("state"), sample) if ledger.filled("planted") else states
     sender_bits, _ = measure_column(states, by_basis(sender_q, _SENDER_KEYS))
     prepared = gather(ledger.column("prepared"), sample)
+    # Only a transcript reads the sample's ordinals, taken before the settle.
+    transcript = ledger.transcript
+    indices = None if transcript is None else tuple(compress(ledger.live, sample))
+    ledger.settle(sample, Disposition.CHECKED_1)
     # A pair mismatches when its bits differ where its prepared state's
     # halves agree, or agree where they differ: one bit per byte of the xor.
-    indices = ledger.settle(sample, Disposition.CHECKED_1)
     differ = int.from_bytes(by_basis(prepared, _DIFFER))
     mismatches = (int.from_bytes(receiver_bits) ^ int.from_bytes(sender_bits) ^ differ).bit_count()
     report = CheckReport("first", k, mismatches, config.threshold_1, bases)
-    transcript = ledger.transcript
     if transcript is not None:
         bits = receiver_bits.translate(DIGITS).decode()
         payload = {"indices": indices, "bases": bases, "bits": bits}

@@ -178,9 +178,10 @@ def oracle_hops(config: RunConfig, trial: int) -> list:
 
 def settled_ordinals(ledger, disposition) -> tuple[int, ...]:
     """The pair ordinals of the ledger's one settle to ``disposition``, as
-    its settle log holds them: a check's sample for CHECKED_1 or CHECKED_2,
-    and a completed hop's key pairs for KEY."""
-    (ordinals,) = [ordinals for ordinals, fate in ledger.settled if fate is disposition]
+    ``PairLedger.ordinals`` rebuilds them from its settle log: a check's
+    sample for CHECKED_1 or CHECKED_2, and a completed hop's key pairs for
+    KEY."""
+    (ordinals,) = [ordinals for ordinals, fate in ledger.ordinals()[1] if fate is disposition]
     return tuple(ordinals)
 
 

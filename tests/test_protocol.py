@@ -405,7 +405,8 @@ class TestExtractKey:
         )
         key = extract_key(ledger)
         assert code_string(key) == "001011"
-        assert ledger.settled == [([0, 1, 2], Disposition.KEY)]
+        assert ledger.settled == [(0, Disposition.KEY)]
+        assert ledger.ordinals()[1] == [([0, 1, 2], Disposition.KEY)]
 
     def test_sender_key_matches_prepared_codes(self):
         ledger = self.synthetic_decoded_ledger([BellState.PSI2, BellState.PSI2])
@@ -497,29 +498,37 @@ TERMINAL = [Disposition.CHECKED_1, Disposition.CHECKED_2, Disposition.KEY, Dispo
 def test_a_mask_settle_matches_a_positional_loop(last, data):
     # A ledger takes 0-3 cuts, each after an optional fill of its state and
     # guess columns and each read or not before the next, then one last
-    # settle: a random mask, every live pair by mask (k = m), or None. Its
-    # ordinals, live pairs, columns and records must be what a loop over
-    # positions, kept per ordinal, gives.
+    # settle: a random mask, every live pair by mask (k = m), or None. After
+    # every settle, its log entry, every settle's rebuilt ordinals, the live
+    # pairs, the disposition counts and the records must be what a loop over
+    # positions, kept per ordinal, gives; at the end, so must the columns.
     codes = st.integers(0, N_STATES - 1)
     n = data.draw(st.integers(1, 30), label="pairs")
     prepared = data.draw(st.binary(min_size=n, max_size=n).map(lambda b: bytes(c & 3 for c in b)))
     ledger = PairLedger(prepared)
-    live, fates = list(range(n)), {}
+    live, fates, settles = list(range(n)), {}, []
     state, guesses = dict(enumerate(prepared)), {}
 
     def settle(taken, disposition):
-        before = ledger.live
-        ordinals = ledger.settle(taken, disposition)
-        assert ledger.settled[-1] == (ordinals, disposition)
-        if taken is None:
-            # Every live pair: the live list itself, not a copy.
-            expected, kept = list(live), []
-            assert ordinals is before
-        else:
-            expected, kept = loop_settle(live, taken)
-        assert list(ordinals) == expected
+        cuts = sum(1 for _, _, mask in settles if mask is not None)
+        ledger.settle(taken, disposition)
+        # One fixed-size entry: the cuts before the settle and its disposition.
+        assert ledger.settled[-1] == (cuts, disposition)
+        expected, kept = (list(live), []) if taken is None else loop_settle(live, taken)
         live[:] = kept
-        fates.update(dict.fromkeys(ordinals, disposition))
+        fates.update(dict.fromkeys(expected, disposition))
+        settles.append((expected, disposition, taken))
+        assert ledger.ordinals()[1] == [(ordinals, fate) for ordinals, fate, _ in settles]
+        assert ledger.live == live
+        counts = dict.fromkeys((d.value for d in Disposition), 0)
+        for i in range(n):
+            counts[fates.get(i, ledger.stage).value] += 1
+        assert ledger.disposition_counts() == counts
+        records = [(r.index, r.prepared, r.disposition, r.carrier, r.guess) for r in ledger.records]
+        assert records == [
+            (i, BELL_LABELS[prepared[i]], fates.get(i, ledger.stage), state[i], guesses.get(i))
+            for i in range(n)
+        ]
 
     for _ in range(data.draw(st.integers(0, 3), label="cuts")):
         if data.draw(st.booleans(), label="fill state"):
@@ -540,16 +549,10 @@ def test_a_mask_settle_matches_a_positional_loop(last, data):
     else:
         settle(b"\x01" * len(live) if last else None, Disposition.KEY)
 
-    assert ledger.live == live
     assert ledger.column("prepared") == bytes(prepared[i] for i in live)
     assert ledger.column("state") == bytes(state[i] for i in live)
     if ledger.filled("guesses"):
         assert ledger.column("guesses") == bytes(guesses[i] for i in live)
-    records = [(r.index, r.prepared, r.disposition, r.carrier, r.guess) for r in ledger.records]
-    assert records == [
-        (i, BELL_LABELS[prepared[i]], fates.get(i, ledger.stage), state[i], guesses.get(i))
-        for i in range(n)
-    ]
 
 
 class TestLedgerColumns:
@@ -1267,11 +1270,16 @@ def assert_hop_finished(hop):
     """Every pair settled exactly once in the settle log, whose counts sum
     to the pairs prepared; two key bits per pair settled as key; an abort
     reason exactly when there is no key; Eve scored on exactly her
-    guesses; and every fill one code per pair it was filled at, each an
+    guesses; every fill one code per pair it was filled at, each an
     index into its own alphabet or, in a pair-state column, a state code
-    (so below 0x80, which a settle's cut of the column relies on)."""
+    (so below 0x80, which a settle's cut of the column relies on); and, when
+    the hop kept a transcript, every ordinal it logs the ordinals of the
+    settle it names: each of the first check's three sample lists its
+    CHECKED_1 settle's, and each non-empty list of an opaque channel's losses
+    its DROPPED settle's, in order, ahead of at most an abort's."""
     ledger = hop.ledger
-    settled = [i for ordinals, _ in ledger.settled for i in ordinals]
+    _, settles = ledger.ordinals()
+    settled = [i for ordinals, _ in settles for i in ordinals]
     assert sorted(settled) == list(range(len(ledger.prepared))) and not ledger.live
     counts = ledger.disposition_counts()
     assert sum(counts.values()) == len(settled) == len(ledger.prepared)
@@ -1287,6 +1295,15 @@ def assert_hop_finished(hop):
         # Only the pair-state columns hold codes that name no alphabet.
         assert (names is None) == (name in ("state", "planted"))
         assert max(codes, default=0) < (N_STATES if names is None else len(names))
+    if ledger.transcript is not None:
+        payloads = [json.loads(line)["payload"] for line in ledger.transcript.lines]
+        samples = [p[key] for p in payloads for key in ("indices", "check_indices") if key in p]
+        checked = [ordinals for ordinals, fate in settles if fate is Disposition.CHECKED_1]
+        assert samples == 3 * checked
+        losses = [p["destroyed_indices"] for p in payloads if p.get("destroyed_indices")]
+        dropped = [ordinals for ordinals, fate in settles if fate is Disposition.DROPPED]
+        assert losses == dropped[: len(losses)]
+        assert len(dropped) <= len(losses) + (hop.abort_reason is not None)
 
 
 # Two-party measure-resend runs on hop 1 with min_check_size=1 whose small
@@ -1310,9 +1327,10 @@ def test_unseen_attack_completes_with_disagreeing_keys(fields, key_bits):
     assert [len(code_string(key)) for key in outcome.keys] == [key_bits, key_bits]
 
 
-# The property's other arguments for UNSEEN_ATTACKS: their fixed fields and
-# RunConfig's defaults.
+# The property's other arguments for UNSEEN_ATTACKS: their fixed fields,
+# RunConfig's defaults, and no transcript.
 UNSEEN_ARGUMENTS = {
+    "transcripts": False,
     "kind": AttackKind.MEASURE_RESEND,
     "fake_label": BellState.PSI1,
     "destroy_probability": 0.0,
@@ -1343,6 +1361,7 @@ UNSEEN_ARGUMENTS = {
     parties=st.sampled_from([2, 3]),
     attack_hop=st.sampled_from(["1", "2", "both"]),
     seed=st.integers(0, 2**64 - 1),
+    transcripts=st.booleans(),
 )
 @example(**{**UNSEEN_ARGUMENTS, **UNSEEN_ATTACKS[0][0]})
 @example(**{**UNSEEN_ARGUMENTS, **UNSEEN_ATTACKS[1][0]})
@@ -1354,16 +1373,19 @@ UNSEEN_ARGUMENTS = {
         **UNSEEN_ATTACKS[0][0],
         "measure_second_sequence": True,
         "continuation_mode": True,
+        "transcripts": True,
     }
 )
 def test_every_valid_config_finishes_every_trial(
-    kind, fake_label, destroy_probability, measure_second_sequence, seed, **fields
+    kind, fake_label, destroy_probability, measure_second_sequence, seed, transcripts, **fields
 ):
     # A two-party run has no second hop to attack; RunConfig rejects it.
     assume(not (fields["parties"] == 2 and fields["attack_hop"] == "2"))
     attack = AttackStrategy(kind, fake_label, destroy_probability, measure_second_sequence)
     cfg = RunConfig(seed=seed, attack=attack, **fields)
-    outcome = run_multiparty(cfg)
+    # A transcript makes no draw, so half the examples keep one for
+    # assert_hop_finished to read.
+    outcome = run_multiparty(cfg, collect_transcripts=transcripts)
     assert 1 <= len(outcome.hops) <= cfg.parties - 1
     assert len(outcome.hops[0].ledger.prepared) == cfg.pairs
     for k, hop in enumerate(outcome.hops):

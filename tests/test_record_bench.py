@@ -114,7 +114,7 @@ def test_pairs_alternate_which_side_runs_first():
 # those of its machine, a side, a label's summary, a metric's summary, a
 # kept pair and one side's run in it, and a traced side and workload).
 DOCUMENT_KEYS = {
-    "what", "machine", "sides", "claim", "summary", "runs", "trace1", "acceptance_wall_s"
+    "what", "machine", "sides", "claim", "summary", "runs", "trace1", "acceptance_wall_s", "scale"
 }
 MACHINE_KEYS = {"cpu_model", "cpus_usable", "nproc", "numpy", "python"}
 SIDE_KEYS = {"commit", "src_lines", "src_sha256", "src_code_lines", "cli_imports"}
@@ -159,7 +159,10 @@ def test_document_has_the_committed_schema():
         "change": {"commit": "c", "src_code_lines": 70, "cli_imports": ["eprqkd"]},
     }
     claim = {"workload": "audit", "metric": "trials_per_s", "rule": "r"}
-    doc = record_bench.document("w", claim, sides, runs, metas, traces, acceptance, METRICS)
+    scale = record_bench.scale_series(canned_scale()[0], (10, 100), 4, lambda: 1e9)
+    doc = record_bench.document(
+        "w", claim, sides, runs, metas, traces, acceptance, METRICS, scale
+    )
     doc = json.loads(json.dumps(doc))  # it is plain JSON
 
     assert doc.keys() == DOCUMENT_KEYS
@@ -177,6 +180,7 @@ def test_document_has_the_committed_schema():
     assert set(doc["runs"]) == {f"seed1/{w}" for w in record_bench.WORKLOADS} | {"seed314159/audit"}
     assert set(doc["trace1"]["change/audit"]) >= TRACE_KEYS
     assert doc["acceptance_wall_s"] == record_bench.acceptance_summary(acceptance)
+    assert doc["scale"] == scale and set(scale) == {"10", "100"}
 
     trials = doc["summary"][label]["trials_per_s"]
     # Parent runs read 100..109 trials/s, the change 10% more in every pair.
@@ -320,6 +324,93 @@ def test_acceptance_tests_run_against_the_sides_own_source(tmp_path, monkeypatch
     else:
         assert record_bench.time_acceptance(tmp_path) >= 0.0
     assert seen == [(list(record_bench.ACCEPTANCE_COMMAND), tmp_path, "src", "1")]
+
+
+def canned_scale():
+    """A stand-in for ``run_scale``: run k of a side at ``size`` pairs takes
+    size / 10**6 + k / 100 s (the change 0.8 of it) and peaks at
+    size / 10**5 + k MB (the change 1 MB lower)."""
+    calls = []
+
+    def run_one(side, size, seed):
+        calls.append((side, size))
+        k = calls.count((side, size)) - 1
+        change = side == "change"
+        return {
+            "wall_s": (0.8 if change else 1.0) * (size / 10**6 + k / 100),
+            "peak_mb": size / 10**5 + k - change,
+        }
+
+    return run_one, calls
+
+
+def test_the_scale_series_alternates_and_summarizes_each_size():
+    run_one, calls = canned_scale()
+    series = record_bench.scale_series(run_one, (10**6, 10**7), 4, lambda: 10**6)
+    assert json.loads(json.dumps(series)) == series  # it is plain JSON
+    assert list(series) == ["1000000", "10000000"]
+    # Every pair of the smaller size runs first, the parent first in even pairs.
+    order = ["parent", "change", "change", "parent"] * 2
+    assert calls == [(side, 10**6) for side in order] + [(side, 10**7) for side in order]
+    assert [pair["first"] for pair in series["1000000"]["pairs"]] == [
+        "parent", "change", "parent", "change"
+    ]
+    big = series["10000000"]
+    assert big.keys() == {"pairs", "parent", "change"}
+    # Peaks 100..103 MB: median 101.5, quartiles 100.25 and 102.75.
+    assert big["parent"]["peak_mb"] == {
+        "median": 101.5, "quartiles": [100.25, 101.5, 102.75], "iqr": 2.5
+    }
+    assert big["change"]["peak_mb"]["median"] == 100.5
+    assert big["parent"]["wall_s"]["median"] == pytest.approx(10.015)
+    assert big["change"]["wall_s"]["median"] == pytest.approx(0.8 * 10.015)
+    assert big["parent"]["wall_s"]["iqr"] == pytest.approx(0.025)
+    assert big["pairs"][1]["change"] == {"wall_s": 0.8 * 10.01, "peak_mb": 100.0}
+
+
+def test_a_size_ten_times_past_free_memory_is_skipped_with_every_later_one():
+    # The 10**6 runs peak at up to 13 MB, so 10**7 would need about 130 MB.
+    run_one, calls = canned_scale()
+    free = iter([1000.0, 129.0])
+    series = record_bench.scale_series(run_one, (10**6, 10**7, 10**8), 4, lambda: next(free))
+    assert {size for _, size in calls} == {10**6}
+    assert series["1000000"]["parent"]["peak_mb"]["median"] == 11.5
+    assert series["10000000"] == {
+        "skipped": "ten times the size before's peak, 13.0 MB, exceeds MemAvailable, 129.0 MB"
+    }
+    assert series["100000000"] == {"skipped": "the size before it was skipped"}
+    # With room for it, the next size runs.
+    roomy = record_bench.scale_series(canned_scale()[0], (10**6, 10**7), 4, lambda: 130.0)
+    assert "skipped" not in roomy["10000000"]
+
+
+def test_a_scale_run_reads_the_childs_last_line_against_its_own_source(tmp_path, monkeypatch):
+    seen = []
+
+    def canned(args, cwd, env, **kwargs):
+        seen.append((args[1:3], args[3:-1], cwd, env["PYTHONPATH"], env["PYTHONDONTWRITEBYTECODE"]))
+        return subprocess.CompletedProcess(args, 0, "summary\n", "a warning\n0.25 71.5\n")
+
+    monkeypatch.setattr(record_bench.subprocess, "run", canned)
+    assert record_bench.run_scale(tmp_path, 10**6) == {"wall_s": 0.25, "peak_mb": 71.5}
+    command = [*record_bench.SCALE_ARGS, "1000000", "--out"]
+    assert seen == [(["-c", record_bench.SCALE_CHILD], command, tmp_path, "src", "1")]
+
+
+def test_the_scale_child_runs_the_command_line_and_reads_its_peak(tmp_path):
+    # The child itself, on a 20-pair run of this checkout's source.
+    done = subprocess.run(
+        [sys.executable, "-c", record_bench.SCALE_CHILD, *record_bench.SCALE_ARGS, "20",
+         "--out", str(tmp_path / "r.json")],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert done.returncode == 0, done.stderr
+    seconds, peak = map(float, done.stderr.splitlines()[-1].split())
+    assert 0 < seconds < 60 and 1 < peak < 1000
+    assert json.loads((tmp_path / "r.json").read_text())["config"]["pairs"] == 20
 
 
 # A module of 15 lines, 8 of them code: the import, the decorator, the def
