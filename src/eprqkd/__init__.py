@@ -11,7 +11,8 @@ imported from its module (``eprqkd.runner.run``, ``eprqkd.analysis``, ...).
 
 Record types follow one rule. A record that checks its input subclasses
 ``record.Record`` (``RunConfig``, ``AttackStrategy``, ``EfficiencyInputs``):
-its ``check`` runs on every construction, ``replace`` included. Any other
+the type check of its bool, int and float fields, then its ``check``, run on
+every construction, ``replace`` included. Any other
 record is a named tuple (``CheckReport``, ``PairRecord``,
 ``ProtocolOutcome``, ``TrialOutcome``, ``RunReport``, ``Bb84Reference``):
 one tuple allocation each, with no code generated at import, and each

@@ -28,14 +28,13 @@ Strategies:
 from __future__ import annotations
 
 from enum import Enum
-from itertools import compress
 
-from .errors import ConfigurationError, require_field_types, require_known_keys
+from .errors import ConfigurationError
 from .ledger import DIGITS, Disposition, PairLedger, code_string
 from .quantum import BELL_LABELS, CODES, KEYS, OPS, PAIR_BASIS, BellState, measure_column
 # Unused here; the benchmark's traced run (bench/workloads.py) wraps these bindings.
 from .quantum import measure_bell_basis, measure_qubit_z  # noqa: F401
-from .record import Record
+from .record import Record, require_known_keys
 from .rng import RandomSource
 
 _BITS = ("0", "1")
@@ -74,7 +73,6 @@ class AttackStrategy(Record):
     measure_second_sequence: bool = False
 
     def check(self):
-        require_field_types(self)
         if not isinstance(self.kind, AttackKind):
             raise ConfigurationError(f"kind must be an AttackKind, got {self.kind!r}")
         if not isinstance(self.fake_label, (BellState, type(None))):
@@ -123,7 +121,7 @@ def _measure_resend(channel, transmission, ledger):
         return None
     live = ledger.live
     which = "second" if transmission == 1 else "first"
-    keys = channel.rng.quarters(len(live)).translate(KEYS[OPS[which]["z"]])
+    keys = channel.rng.quarters(live).translate(KEYS[OPS[which]["z"]])
     measured, posts = measure_column(ledger.column("state"), keys)
     ledger.fill("state", posts)
     if transmission == 1 or not ledger.filled("guesses"):
@@ -134,7 +132,7 @@ def _measure_resend(channel, transmission, ledger):
         # first-half bit high. With no pair left in flight her one-bit guesses
         # stand, and so do the bits of a second sequence she alone measured.
         first = int.from_bytes(ledger.column("guesses"))
-        ledger.fill("guesses", (int.from_bytes(measured) << 1 | first).to_bytes(len(live)), CODES)
+        ledger.fill("guesses", (int.from_bytes(measured) << 1 | first).to_bytes(live), CODES)
     if ledger.transcript is None:
         return None
     return {"measured": len(measured), "outcomes": measured.translate(DIGITS).decode()}
@@ -145,34 +143,31 @@ def _fake_epr(channel, transmission, ledger):
     if transmission == 1:
         # A uniform label is one 2-bit draw per pair.
         label = channel.strategy.fake_label
-        fakes = rng.quarters(len(live)) if label is None else bytes([label]) * len(live)
+        fakes = rng.quarters(live) if label is None else bytes([label]) * live
         ledger.fill("planted", fakes)
         if ledger.transcript is None:
             return None
-        return {"captured": len(live), "planted": len(live), "fake_codes": code_string(fakes)}
-    keys = rng.quarters(len(live)).translate(KEYS[PAIR_BASIS])
+        return {"captured": live, "planted": live, "fake_codes": code_string(fakes)}
+    keys = rng.quarters(live).translate(KEYS[PAIR_BASIS])
     # The genuine pairs are consumed here: their post states are not kept.
     found, _ = measure_column(ledger.column("state"), keys)
     ledger.fill("guesses", found, CODES)
     if ledger.transcript is None:
         return None
-    return {"captured": len(live), "inferred_codes": code_string(found)}
+    return {"captured": live, "inferred_codes": code_string(found)}
 
 
 def _opaque(channel, transmission, ledger):
     rand, p = channel.rng.random, channel.strategy.destroy_probability
-    in_flight = len(ledger.live)
-    # rng.bernoulli(p) per pair, a mask over live; settling none would still
-    # cut every column once.
-    lost = bytes([rand() < p for _ in range(in_flight)])
-    # Only a transcript reads the lost pairs' ordinals, taken before the settle.
-    destroyed = () if ledger.transcript is None else tuple(compress(ledger.live, lost))
-    if 1 in lost:
-        ledger.settle(lost, Disposition.DROPPED)
+    # rng.bernoulli(p) per pair, a mask over the live pairs; settling none
+    # would still cut every column once.
+    lost = bytes([rand() < p for _ in range(ledger.live)])
+    # Only a transcript reads the lost pairs' ordinals, which the settle
+    # returns; the pairs left live are the ones forwarded.
+    destroyed = ledger.settle(lost, Disposition.DROPPED) if 1 in lost else ()
     if ledger.transcript is None:
         return None
-    lost = len(destroyed)
-    return {"destroyed": lost, "forwarded": in_flight - lost, "destroyed_indices": destroyed}
+    return {"destroyed": len(destroyed), "forwarded": ledger.live, "destroyed_indices": destroyed}
 
 
 _ATTACKS = {

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import require_field_types
 from .record import Record
 
 
@@ -114,7 +113,6 @@ class EfficiencyInputs(Record):
     classical_bits: float
 
     def check(self):
-        require_field_types(self)
         if not all(0 <= value < math.inf for value in vars(self).values()):
             raise ValueError("efficiency inputs must be finite and nonnegative")
         if self.qubits_used + self.classical_bits <= 0:

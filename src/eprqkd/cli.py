@@ -5,7 +5,8 @@
 own trial rows. Attack detection is a simulation result, not a failure:
 ``run`` exits 0 whenever the simulation itself completed. A run or a
 rendering that runs out of memory is one ``error:`` line and exit 1, and
-leaves no report behind; so is a ``verify`` that runs out of memory.
+leaves no report behind; so is a ``verify`` that runs out of memory. A
+command whose stdout the reader closed exits 1, with no traceback.
 
 The ``run`` flags are the config fields: each option's dest is a field of
 ``RunConfig`` or ``AttackStrategy``, and its type, default and whether it is
@@ -19,13 +20,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from pathlib import Path
 
 from .adversary import FAKE_LABELS, AttackKind, AttackStrategy
 from .config import ATTACK_HOPS, PARTIES, RunConfig
-from .errors import FIELD_KINDS, ConfigurationError
+from .errors import ConfigurationError
+from .record import FIELD_KINDS
 from .report import emit_report, emit_transcripts, verify_report
 from .runner import RunReport, run
 
@@ -201,9 +204,18 @@ def _verify_command(args) -> int:
 def main(argv=None) -> int:
     parser, run_parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return _run_command(args, run_parser)
-    return _verify_command(args)
+    try:
+        code = _run_command(args, run_parser) if args.command == "run" else _verify_command(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``eprqkd run | head -1``). As the Python
+        # docs advise, stdout then points at devnull, so the interpreter's
+        # flush at exit neither fails nor prints ``Exception ignored``.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

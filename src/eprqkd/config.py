@@ -6,8 +6,8 @@ back in, together with its seed, reproduces the run bit-for-bit.
 from __future__ import annotations
 
 from .adversary import AttackStrategy
-from .errors import ConfigurationError, require_field_types, require_known_keys
-from .record import Record
+from .errors import ConfigurationError
+from .record import Record, require_known_keys
 from .rng import MAX_SEED
 
 PARTIES = (2, 3)
@@ -43,7 +43,6 @@ class RunConfig(Record):
     randomize_check_basis: bool = False
 
     def check(self):
-        require_field_types(self)
         if not isinstance(self.attack, AttackStrategy):
             raise ConfigurationError(f"attack must be an AttackStrategy, got {self.attack!r}")
         if self.pairs < 1:

@@ -9,7 +9,7 @@ guesses. ``prepared`` is also held whole, one byte per pair by ordinal, for
 pairs: a sender's key is her prepared codes cut so. It, and every other
 column a later step reads, is held compacted to the live pairs (the pairs
 with no terminal disposition yet) in ordinal order: ``PairLedger.column``
-reads one, and ``live`` lists the ordinals its bytes stand for. So a step
+reads one, and ``live`` counts its bytes, one per live pair. So a step
 that acts on the live pairs (a transmission's attack, the decode) measures
 whole columns in one ``quantum.measure_column`` call, and a check gathers
 its sample's bytes from them through the sample's mask.
@@ -30,27 +30,29 @@ as bytes, with ``joint_counts``, naming each code through that fill's
 alphabet.
 
 A settle gives some live pairs a terminal disposition (consumed by a check,
-contributing to the key, or lost in transit) and drops them from ``live``.
-It takes them as a mask, a byte per live pair that is 1 where the pair is
-taken, as a check's sample or the opaque attack's losses arrive, and works
-with C-level byte operations only: one ``translate`` flips it into the keep
-mask, ``itertools.compress`` splits the ordinal list with the two, and a
-column is cut on its first read after the settle by ``gather`` (one big-int
-OR and one ``translate``) under the keep mask, as a check reads its sample
-from each column under the sample's mask. ``gather`` rests on the columns'
-one contract: a compact column holds one code below 0x80 per live pair, so
-no byte of a column has the high bit of its own. A trial that aborts cuts no
-column. The terminal dispositions are a settle log of one fixed-size entry
-per settle, (cuts before it, disposition), and a settle builds no ordinal:
+contributing to the key, or lost in transit) and drops them from the live
+pairs. It takes them as a mask, a byte per live pair that is 1 where the
+pair is taken, as a check's sample or the opaque attack's losses arrive, and
+works with C-level byte operations only: one ``translate`` flips it into the
+keep mask, ``itertools.compress`` cuts the ledger's private list of live
+ordinals with it (and, when the ledger keeps a transcript, picks the taken
+pairs' ordinals with the mask itself), and a column is cut on its first read
+after the settle by ``gather`` (one big-int OR and one ``translate``) under
+the keep mask, as a check reads its sample from each column under the
+sample's mask. ``gather`` rests on the columns' one contract: a compact
+column holds one code below 0x80 per live pair, so no byte of a column has
+the high bit of its own. A trial that aborts cuts no column. The terminal dispositions are a settle log of one fixed-size entry
+per settle, (cuts before it, disposition), and the log holds no ordinal:
 a partial settle's pairs are the zeros of its keep mask, the next cut, and a
 settle of every live pair, at an abort or at key extraction, takes None,
-cuts nothing and is O(1). Pair ordinals stay inside the ledger, in ``live``
-and in what ``PairLedger.ordinals`` rebuilds from the cuts on demand, which
-``records``, ``disposition_counts`` and the tests read; a step that logs
-ordinals to a transcript takes them from ``live`` and the mask before it
-settles, and only when there is a transcript. What a step hands its caller
-is counts and codes (a check's sample size and mismatches; a key, the bytes
-of its pair codes as ``column`` and ``cut`` return them).
+cuts nothing and is O(1). Pair ordinals stay inside the ledger, in its
+private live list and in what ``PairLedger.ordinals`` rebuilds from the cuts
+on demand, which ``records``, ``disposition_counts`` and the tests read; a
+partial settle returns the ordinals of the pairs it took when the ledger
+keeps a transcript, which is what a step logs, and None when it keeps none.
+What a step hands its caller is counts and codes (a check's sample size and
+mismatches; a key, the bytes of its pair codes as ``column`` and ``cut``
+return them).
 No step builds an object per pair: ``PairLedger.records`` rebuilds
 read-only ``PairRecord`` views from the settle log and the fill log, with
 None where a pair has no value, only when something reads them.
@@ -231,17 +233,18 @@ class PairLedger:
     run-level state.
 
     ``prepared`` holds the preparation codes by pair ordinal. ``live``
-    lists, in order, the ordinals of the pairs with no terminal disposition
-    yet, whose disposition is ``stage``, set by ``phase``. ``settled`` logs each
-    settle's (cuts before it, terminal disposition), whose ordinals
-    ``ordinals`` rebuilds, and ``fills`` each fill's record (name, cuts,
-    prepared codes, codes, names). ``transcript`` is the event log, or None
-    when the run records none.
+    counts the pairs with no terminal disposition yet, whose disposition is
+    ``stage``, set by ``phase``; only the ledger holds their ordinals.
+    ``settled`` logs each settle's (cuts before it, terminal disposition),
+    whose ordinals ``ordinals`` rebuilds, and ``fills`` each fill's record
+    (name, cuts, prepared codes, codes, names). ``transcript`` is the event
+    log, or None when the run records none.
     """
 
     def __init__(self, prepared: bytes | list[int], transcript: Transcript | None = None):
         self.prepared = codes = bytes(prepared)
-        self.live = list(range(len(codes)))
+        self.live = len(codes)
+        self._live_ordinals = list(range(len(codes)))
         # Each column at the live pairs as (cuts taken, codes); each cut a
         # column has not taken yet is a later entry of _cuts, a settle's keep
         # mask.
@@ -308,18 +311,21 @@ class PairLedger:
                     return joint_counts(*fill[2:])
         return {}
 
-    def settle(self, taken: bytes | None, disposition: Disposition):
+    def settle(self, taken: bytes | None, disposition: Disposition) -> tuple[int, ...] | None:
         """Give the live pairs where ``taken``, a 0/1 byte per live pair, is
-        1 a terminal disposition: its keep mask becomes the next cut. None
-        settles every live pair and cuts no column. Either logs (cuts before
-        it, disposition) and builds no ordinal."""
+        1 a terminal disposition: its keep mask becomes the next cut, and the
+        taken pairs' ordinals are returned, for a transcript to log, when the
+        ledger keeps one (else None). None settles every live pair, cuts no
+        column and returns None. Either logs (cuts before it, disposition)."""
         self.settled.append((len(self._cuts), disposition))
         if taken is None:
-            self.live = []
-        else:
-            keep = taken.translate(_FLIP)
-            self.live = list(compress(self.live, keep))
-            self._cuts.append(keep)
+            self.live, self._live_ordinals = 0, []
+            return None
+        ordinals, keep = self._live_ordinals, taken.translate(_FLIP)
+        self._live_ordinals = list(compress(ordinals, keep))
+        self.live = len(self._live_ordinals)
+        self._cuts.append(keep)
+        return None if self.transcript is None else tuple(compress(ordinals, taken))
 
     def ordinals(self) -> tuple[list[list[int]], list[tuple[list[int], Disposition]]]:
         """The pair ordinals the logs stand for, rebuilt on each call by
@@ -343,7 +349,7 @@ class PairLedger:
     def disposition_counts(self) -> dict[str, int]:
         settles = self.ordinals()[1]
         counts = {d.value: sum(len(o) for o, s in settles if s is d) for d in Disposition}
-        counts[self.stage.value] += len(self.live)
+        counts[self.stage.value] += self.live
         return counts
 
     @property
@@ -396,15 +402,14 @@ def joint_counts(prepared: bytes, ys: bytes, y_names) -> dict[str, dict[str, int
 
 
 class CheckReport(NamedTuple):
-    """Outcome of one eavesdropping check over a published random sample."""
+    """Outcome of one eavesdropping check over a published random sample:
+    what its report row publishes. Which check it is, is the ledger slot
+    that holds it (``check1`` or ``check2``); the bases a first check
+    announced are the transcript's to log."""
 
-    check_id: str  # "first" or "second"
     sample_size: int
     mismatches: int
     threshold: float
-    # Announced measurement basis letter per sampled pair, as the transcript
-    # logs them (first check only).
-    bases: str = ""
 
     @property
     def error_rate(self) -> float:
@@ -418,7 +423,7 @@ class CheckReport(NamedTuple):
         """The published summary, as report rows and transcripts carry it:
         ``sample_size``, ``mismatches``, ``error_rate``, ``threshold`` and
         ``passed``, with the rate computed once."""
-        _, size, mismatches, threshold, _ = self
+        size, mismatches, threshold = self
         rate = mismatches / size
         return {
             "sample_size": size,

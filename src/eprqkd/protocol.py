@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import compress
 from typing import NamedTuple
 
 from .adversary import AdversaryChannel, AttackStrategy
@@ -96,13 +95,17 @@ def prepare_from_labels(
     (re-encoding path).
 
     The ledger logs to ``transcript``, and nowhere when it is None.
-    Anything but a pair state or a code 0-3 raises ConfigurationError.
+    Anything but a pair state or an int code 0-3 (a bool is none) raises
+    ConfigurationError.
     """
     # bytes() takes each list item through its __index__, rejecting a
     # non-integer or a negative value, but reads an int as a length and a
-    # buffer (an array, say) as raw bytes, so anything else is listed first.
+    # buffer (an array, say) as raw bytes, so anything but bytes (the relay's
+    # key codes, taken as they are) is listed first; and it reads a bool as
+    # 0 or 1, which is no label.
     try:
-        codes = bytes(labels if isinstance(labels, (bytes, list)) else list(labels))
+        items = labels if isinstance(labels, bytes) else list(labels)
+        codes = bytes(items) if items is labels or bool not in map(type, items) else None
     except (TypeError, ValueError):
         codes = None
     if codes is None or codes.translate(None, _CODE_BYTES):  # a byte above 3 is left
@@ -137,9 +140,9 @@ def _transmit(ledger: PairLedger, channel: AdversaryChannel, sequence: int, step
     """Pass the live pairs' particles of ``sequence`` through the channel,
     log the send, the adversary's interference if any, and the receipt, and
     return the fraction received (1.0 when nothing was sent)."""
-    sent = len(ledger.live)
+    sent = ledger.live
     interference = channel.interpose(sequence, ledger)
-    received = len(ledger.live)
+    received = ledger.live
     transcript = ledger.transcript
     if transcript is not None:
         transcript.log(step, transcript.sender, "send", {"sequence": sequence, "count": sent})
@@ -156,7 +159,7 @@ def _draw_sample(
     """A check's uniformly random sample of the live pairs, as a mask of a
     byte per live pair, 1 where the pair is sampled: a ``fraction`` of them,
     and at least ``min_size`` when that many exist."""
-    m = len(ledger.live)
+    m = ledger.live
     if not m:
         raise InsufficientPairsError("no pairs available to check")
     return rng.sample_mask(m, min(m, max(min_size, math.ceil(fraction * m))))
@@ -210,16 +213,14 @@ def first_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> Che
     states = gather(ledger.column("state"), sample) if ledger.filled("planted") else states
     sender_bits, _ = measure_column(states, by_basis(sender_q, _SENDER_KEYS))
     prepared = gather(ledger.column("prepared"), sample)
-    # Only a transcript reads the sample's ordinals, taken before the settle.
-    transcript = ledger.transcript
-    indices = None if transcript is None else tuple(compress(ledger.live, sample))
-    ledger.settle(sample, Disposition.CHECKED_1)
+    # Only a transcript reads the sample's ordinals, which the settle returns.
+    indices = ledger.settle(sample, Disposition.CHECKED_1)
     # A pair mismatches when its bits differ where its prepared state's
     # halves agree, or agree where they differ: one bit per byte of the xor.
     differ = int.from_bytes(by_basis(prepared, _DIFFER))
     mismatches = (int.from_bytes(receiver_bits) ^ int.from_bytes(sender_bits) ^ differ).bit_count()
-    report = CheckReport("first", k, mismatches, config.threshold_1, bases)
-    if transcript is not None:
+    report = CheckReport(k, mismatches, config.threshold_1)
+    if (transcript := ledger.transcript) is not None:
         bits = receiver_bits.translate(DIGITS).decode()
         payload = {"indices": indices, "bases": bases, "bits": bits}
         transcript.log(3, transcript.receiver, "measure_check_sample", payload)
@@ -257,7 +258,7 @@ def bob_decode(ledger: PairLedger, rng: RandomSource) -> PairLedger:
     """Pair-state measurement of every surviving pair, in order (step 6)."""
     if ledger.phase is not Phase.SENT_2:
         raise ProtocolOrderError(f"decode in phase {ledger.phase.name}")
-    keys = rng.quarters(len(ledger.live)).translate(KEYS[PAIR_BASIS])
+    keys = rng.quarters(ledger.live).translate(KEYS[PAIR_BASIS])
     # The decoded pairs are consumed: their post states are not kept.
     decoded, _ = measure_column(ledger.receiver_state, keys)
     ledger.fill("outcome", decoded, CODES)
@@ -282,7 +283,7 @@ def second_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> Ch
     ledger.settle(sample, Disposition.CHECKED_2)
     xor = int.from_bytes(outcomes) ^ int.from_bytes(prepared)
     mismatches = len(outcomes) - xor.to_bytes(len(outcomes)).count(0)
-    report = CheckReport("second", len(outcomes), mismatches, config.threshold_2)
+    report = CheckReport(len(outcomes), mismatches, config.threshold_2)
     if ledger.transcript is not None:
         ledger.transcript.log(7, "public", "check", {"check": "second", **report.to_dict()})
     ledger.check2 = report

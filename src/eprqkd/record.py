@@ -1,18 +1,36 @@
 """The base of the records that check their input.
 
 A subclass declares its fields as annotations, in order, gives a default as
-a class attribute, and checks its values in a ``check`` method, which every
-construction runs, ``replace`` included. ``FIELDS`` names the fields in
-order and ``TYPES`` maps each to its annotation (a string under ``from
-__future__ import annotations``). An instance keeps its values in its
-``__dict__``, in field order, and refuses to set or delete one afterwards.
+a class attribute, and checks its values in a ``check`` method. Every
+construction, ``replace`` included, first checks the type of each field
+annotated bool, int or float, in field order, and then runs ``check``.
+``FIELDS`` names the fields in order and ``TYPES`` maps each to its
+annotation (a string under ``from __future__ import annotations``). An
+instance keeps its values in its ``__dict__``, in field order, and refuses
+to set or delete one afterwards.
 """
+from .errors import ConfigurationError
+
+# The field types a record checks, by annotation; the CLI derives its option
+# types from it too.
+FIELD_KINDS = {"bool": bool, "int": int, "float": float}
+
+
+def require_known_keys(name: str, data, cls: type):
+    """Raise ConfigurationError unless the ``name`` mapping ``data`` has only ``cls.FIELDS``."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{name} must be a mapping, got {data!r}")
+    unknown = sorted(data.keys() - cls.TYPES.keys())
+    if unknown:
+        raise ConfigurationError(f"unknown {name} key {unknown[0]!r}")
 
 
 class Record:
     def __init_subclass__(cls):
         cls.TYPES = dict(cls.__annotations__)
         cls.FIELDS = names = tuple(cls.TYPES)
+        # Each field whose annotation is bool, int or float, with that kind.
+        cls._KINDS = [(n, FIELD_KINDS[t]) for n, t in cls.TYPES.items() if t in FIELD_KINDS]
         cls._TEMPLATE = {name: vars(cls).get(name) for name in names}
         required = {name for name in names if name not in vars(cls)}
         # After n positional values: the fields a keyword may name, and those it must.
@@ -27,6 +45,12 @@ class Record:
         values = vars(self)
         values.update(self._TEMPLATE, **kwargs)
         values.update(zip(self.FIELDS, args))
+        # A float field admits ints too; a bool is never taken for a number.
+        for name, kind in self._KINDS:
+            value = values[name]
+            allowed = (int, float) if kind is float else kind
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+                raise ConfigurationError(f"{name} must be {kind.__name__}, got {value!r}")
         self.check()
 
     def replace(self, **changes):

@@ -57,8 +57,11 @@ class RandomSource:
     _gen: random.Random | None = None
 
     def __init__(self, seed: int, stream: str = "root"):
-        if not 0 <= seed <= MAX_SEED:
-            raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        # An exact int: the stream name spells the seed, so 1.0, True or an
+        # int subclass with a str of its own (an IntEnum) would name another
+        # stream than the int it equals.
+        if type(seed) is not int or not 0 <= seed <= MAX_SEED:
+            raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
         self.seed = seed
         self.stream = stream
 

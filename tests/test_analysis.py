@@ -236,7 +236,7 @@ class TestEfficiency:
 
 
 def _check(mismatches, size):
-    return CheckReport("first", size, mismatches, 0.02).to_dict()
+    return CheckReport(size, mismatches, 0.02).to_dict()
 
 
 def _row(check1=None, check2=None):

@@ -149,7 +149,7 @@ class TestPrepare:
         ledger = prepare_from_labels(labels)
         assert [rec.prepared for rec in ledger.records] == labels
 
-    @pytest.mark.parametrize("bad", [-1, 3.7, "1", 4, 5, None])
+    @pytest.mark.parametrize("bad", [-1, 3.7, "1", 4, 5, None, True])
     def test_labels_that_are_not_pair_states_rejected(self, bad):
         # Each of these once ran, completed with a key, or raised IndexError
         # or TypeError from deep inside the run.
@@ -181,7 +181,7 @@ class TestTransmissions:
     def test_second_transmission_refuses_failed_check(self):
         ledger = alice_prepare(10, RandomSource(4))
         transmit_first_sequence(ledger, clean_channel())
-        ledger.check1 = CheckReport("first", 1, 1, 0.02)
+        ledger.check1 = CheckReport(1, 1, 0.02)
         assert ledger.check1.error_rate == 1.0 and not ledger.check1.passed
         ledger.phase = Phase.CHECKED_1
         ledger.settle(b"\x01" + bytes(9), Disposition.CHECKED_1)
@@ -225,18 +225,14 @@ class TestCheckThreshold:
         [(1, 4, 0.25), (0, 4, 0.0), (2, 100, 0.02), (4, 4, 1.0)],
     )
     def test_error_rate_equal_to_the_threshold_passes(self, mismatches, size, threshold):
-        report = CheckReport("first", size, mismatches, threshold)
+        report = CheckReport(size, mismatches, threshold)
+        assert report._fields == ("sample_size", "mismatches", "threshold")
         assert report.error_rate == threshold
         assert report.passed
         assert report.to_dict()["passed"] is True
         # Keyword construction gives the same report and the same summary.
-        keyword = CheckReport(
-            check_id="first",
-            sample_size=size,
-            mismatches=mismatches,
-            threshold=threshold,
-        )
-        assert keyword == report and keyword.bases == ""
+        keyword = CheckReport(sample_size=size, mismatches=mismatches, threshold=threshold)
+        assert keyword == report
         assert keyword.to_dict() == {
             "sample_size": size,
             "mismatches": mismatches,
@@ -250,15 +246,14 @@ class TestCheckThreshold:
     @given(
         st.integers(1, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
         st.none() | st.floats(0.0, 1.0),
-        st.sampled_from(["first", "second"]),
     )
-    @example((4, 1), None, "first")
-    @example((3, 1), None, "second")
-    def test_summary_is_what_the_properties_read(self, size_and_mismatches, threshold, check_id):
+    @example((4, 1), None)
+    @example((3, 1), None)
+    def test_summary_is_what_the_properties_read(self, size_and_mismatches, threshold):
         size, mismatches = size_and_mismatches
         # None stands for a threshold exactly at the error rate.
         threshold = mismatches / size if threshold is None else threshold
-        report = CheckReport(check_id, size, mismatches, threshold)
+        report = CheckReport(size, mismatches, threshold)
         summary = {
             "sample_size": report.sample_size,
             "mismatches": report.mismatches,
@@ -303,11 +298,13 @@ class TestFirstCheck:
         # A column holds a byte per live pair, in order: the prepared codes
         # at the live ordinals, and a filled column's values, which the
         # records show at the live pairs and nowhere else.
-        assert ledger.column("prepared") == bytes(ledger.prepared[i] for i in ledger.live)
-        values = bytes(j % 4 for j in range(len(ledger.live)))
+        live = ledger.ordinals()[0][-1]
+        assert ledger.live == len(live) == 40 - len(checked)
+        assert ledger.column("prepared") == bytes(ledger.prepared[i] for i in live)
+        values = bytes(j % 4 for j in range(ledger.live))
         ledger.fill("outcome", values, CODES)
         outcomes = {rec.index: rec.outcome for rec in ledger.records}
-        assert [outcomes[i] for i in ledger.live] == [BELL_LABELS[v] for v in values]
+        assert [outcomes[i] for i in live] == [BELL_LABELS[v] for v in values]
         assert all(outcomes[i] is None for i in checked)
         transmit_second_sequence(ledger, clean_channel(), RunConfig())
         in_flight = {rec.index for rec in with_disposition(ledger, Disposition.IN_FLIGHT_2)}
@@ -395,8 +392,8 @@ class TestExtractKey:
         ledger = prepare_from_labels(labels)
         ledger.fill("outcome", bytes(ledger.prepared), CODES)
         ledger.phase = Phase.CHECKED_2
-        ledger.check1 = CheckReport("first", 1, 0, 0.02)
-        ledger.check2 = CheckReport("second", 1, 0, 0.02)
+        ledger.check1 = CheckReport(1, 0, 0.02)
+        ledger.check2 = CheckReport(1, 0, 0.02)
         return ledger
 
     def test_key_is_code_concatenation_in_order(self):
@@ -415,7 +412,7 @@ class TestExtractKey:
 
     def test_refuses_failed_checks(self):
         ledger = self.synthetic_decoded_ledger([BellState.PSI1])
-        ledger.check2 = CheckReport("second", 2, 1, 0.02)
+        ledger.check2 = CheckReport(2, 1, 0.02)
         with pytest.raises(ProtocolOrderError):
             extract_key(ledger)
 
@@ -496,30 +493,37 @@ TERMINAL = [Disposition.CHECKED_1, Disposition.CHECKED_2, Disposition.KEY, Dispo
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_a_mask_settle_matches_a_positional_loop(last, data):
-    # A ledger takes 0-3 cuts, each after an optional fill of its state and
-    # guess columns and each read or not before the next, then one last
-    # settle: a random mask, every live pair by mask (k = m), or None. After
-    # every settle, its log entry, every settle's rebuilt ordinals, the live
-    # pairs, the disposition counts and the records must be what a loop over
+    # A ledger, with or without a transcript, takes 0-3 cuts, each after an
+    # optional fill of its state and guess columns and each read or not
+    # before the next, then one last settle: a random mask, every live pair
+    # by mask (k = m), or None. After every settle, what it returns, its log
+    # entry, every settle's rebuilt ordinals, the live count and ordinals,
+    # the disposition counts and the records must be what a loop over
     # positions, kept per ordinal, gives; at the end, so must the columns.
     codes = st.integers(0, N_STATES - 1)
     n = data.draw(st.integers(1, 30), label="pairs")
     prepared = data.draw(st.binary(min_size=n, max_size=n).map(lambda b: bytes(c & 3 for c in b)))
-    ledger = PairLedger(prepared)
+    transcript = Transcript() if data.draw(st.booleans(), label="transcript") else None
+    ledger = PairLedger(prepared, transcript)
     live, fates, settles = list(range(n)), {}, []
     state, guesses = dict(enumerate(prepared)), {}
 
     def settle(taken, disposition):
         cuts = sum(1 for _, _, mask in settles if mask is not None)
-        ledger.settle(taken, disposition)
+        returned = ledger.settle(taken, disposition)
         # One fixed-size entry: the cuts before the settle and its disposition.
         assert ledger.settled[-1] == (cuts, disposition)
         expected, kept = (list(live), []) if taken is None else loop_settle(live, taken)
+        # A partial settle returns its pairs' ordinals for a transcript to
+        # log; a whole settle, or a ledger that keeps no transcript, None.
+        assert returned == (None if taken is None or transcript is None else tuple(expected))
         live[:] = kept
         fates.update(dict.fromkeys(expected, disposition))
         settles.append((expected, disposition, taken))
         assert ledger.ordinals()[1] == [(ordinals, fate) for ordinals, fate, _ in settles]
-        assert ledger.live == live
+        assert ledger.live == len(live)
+        if taken is not None:  # a whole settle cuts nothing
+            assert ledger.ordinals()[0][-1] == live
         counts = dict.fromkeys((d.value for d in Disposition), 0)
         for i in range(n):
             counts[fates.get(i, ledger.stage).value] += 1
@@ -579,7 +583,7 @@ class TestLedgerColumns:
         ledger = alice_prepare(40, RandomSource(13, "alice"))
         transmit_first_sequence(ledger, clean_channel())
         report = first_check(ledger, RunConfig(min_check_size=4), RandomSource(13, "bob"))
-        ledger.fill("planted", bytes([BellState.PSI2]) * len(ledger.live))
+        ledger.fill("planted", bytes([BellState.PSI2]) * ledger.live)
         checked = set(settled_ordinals(ledger, Disposition.CHECKED_1))
         assert len(checked) == report.sample_size
         for rec in ledger.records:
@@ -995,9 +999,8 @@ class TestRandomizedCheckBasis:
         assert outcome.abort_reason is None
         assert outcome.check1.error_rate == 0.0
         assert sender_key(outcome) == outcome.receiver_key
-        assert set(outcome.check1.bases) == {"z", "x"}
-        # The report holds the announced string itself.
-        assert outcome.check1.bases == self.announced_bases(outcome)
+        bases = self.announced_bases(outcome)
+        assert set(bases) == {"z", "x"} and len(bases) == outcome.check1.sample_size
 
     def test_exposes_measure_resend_at_the_first_check(self):
         # Eve's Z collapse randomizes X correlations, so half the X-basis
@@ -1025,9 +1028,7 @@ class TestRandomizedCheckBasis:
     def test_default_is_single_basis(self):
         cfg = config(pairs=100, seed=53)
         outcome = run_protocol(cfg, RandomSource(53), transcript=Transcript())
-        assert set(outcome.check1.bases) == {"z"}
-        assert outcome.check1.bases == self.announced_bases(outcome)
-        assert outcome.check1.bases == "z" * outcome.check1.sample_size
+        assert self.announced_bases(outcome) == "z" * outcome.check1.sample_size
 
 
 class TestMultiparty:

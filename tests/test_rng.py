@@ -49,7 +49,7 @@ def test_substream_is_deterministic_and_independent():
     assert r1.random() == r2.random()
 
 
-@pytest.mark.parametrize("seed", [-1, MAX_SEED + 1])
+@pytest.mark.parametrize("seed", [-1, MAX_SEED + 1, True, 1.0, 1.5, "1", None])
 def test_seed_out_of_range_rejected(seed):
     with pytest.raises(ConfigurationError):
         RandomSource(seed)

@@ -4,7 +4,11 @@ import enum
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -41,6 +45,7 @@ ATTACK_VARIANTS = [
 # fields, which go through the platform's log2 (as in tests/test_golden.py).
 AGGREGATE_SHA256 = "224d22c047b5c44e4449b5e145601ad631783e265d97bb847484b9cb88513a1a"
 MI_FIELDS = ("mutual_information_ab", "mutual_information_ae")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class Level(enum.IntEnum):
@@ -599,6 +604,30 @@ class TestCli:
 
     def test_verify_missing_file(self, tmp_path):
         assert main(["verify", str(tmp_path / "nope.json")]) == 1
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_a_closed_stdout_exits_one_without_a_traceback(self, tmp_path, command):
+        out = tmp_path / "r.json"
+        assert main(["run", "--pairs", "20", "--trials", "1", "--out", str(out)]) == 0
+        argv = ["run", "--pairs", "20", "--trials", "1"] if command == "run" else ["verify", str(out)]
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        # The pipe's read end is closed before the child starts, so its
+        # first write to stdout fails.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "eprqkd.cli", *argv],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": path},
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
 
     @pytest.mark.parametrize(
         "out, transcript, what",
