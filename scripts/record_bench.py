@@ -39,7 +39,10 @@ pairs of runs a size, each in a child interpreter that calls
 RSS (``VmHWM`` in ``/proc/self/status``, which no ``exec`` carries over).
 A size is skipped, and recorded as skipped, when ten times the largest
 peak of the size before it exceeds the host's ``MemAvailable``, or when
-that size was skipped.
+that size was skipped. Its detect sizes follow, alternating the same way:
+``eprqkd run --attack fake-epr --pairs 64 --trials N`` at N =
+``DETECT_TRIALS``, then ``eprqkd verify`` of the report each side's last
+such run wrote.
 
 The file's keys are what, machine, sides, claim, summary, runs, trace1,
 acceptance_wall_s and scale. ``sides[side]`` gives the side's commit, the
@@ -67,7 +70,8 @@ acceptance tests' wall seconds, every pair's and each side's median and
 quartiles. ``scale["<N>"]`` gives that size's pairs of runs, each run
 ``cli.main``'s wall seconds and the child's peak MB, and each side's
 median, quartiles and interquartile range of both; a skipped size holds
-only why it was skipped.
+only why it was skipped. ``scale["detect-run-<N>"]`` and
+``scale["detect-verify-<N>"]`` give the detect sizes the same way.
 """
 from __future__ import annotations
 
@@ -104,6 +108,10 @@ CLI_IMPORTS = (
 # The scale series' sizes, in pairs, smallest first, and the command line each runs.
 SCALE_SIZES = (10**6, 10**7)
 SCALE_ARGS = ("run", "--attack", "measure-resend", "--trials", "1", "--pairs")
+# Its detect sizes: DETECT_TRIALS trials of 64 fake-EPR pairs, then a verify
+# of that report; the command line of the run, less its trial count and --out.
+DETECT_TRIALS = 10**5
+DETECT_ARGS = ("run", "--attack", "fake-epr", "--pairs", "64", "--trials")
 # Runs cli.main on its arguments, then prints its wall seconds and the
 # interpreter's own peak RSS in MB as the last line of standard error.
 SCALE_CHILD = (
@@ -189,23 +197,35 @@ def time_acceptance(root: Path) -> float:
     return seconds
 
 
-def run_scale(root: Path, pairs: int) -> dict:
-    """One ``eprqkd run`` of a ``pairs``-pair measure-resend trial in a
-    child interpreter, against ``root``'s own ``src/``: ``cli.main``'s wall
-    seconds and the child's peak RSS in MB."""
-    with tempfile.TemporaryDirectory() as tmp:
-        done = subprocess.run(
-            [sys.executable, "-c", SCALE_CHILD, *SCALE_ARGS, str(pairs), "--out",
-             str(Path(tmp) / "scale.json")],
-            cwd=root,
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": "src"},
-        )
+def run_child(root: Path, argv: list[str]) -> dict:
+    """``cli.main(argv)`` in a child interpreter, against ``root``'s own
+    ``src/``: its wall seconds and the child's peak RSS in MB."""
+    done = subprocess.run(
+        [sys.executable, "-c", SCALE_CHILD, *argv],
+        cwd=root,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": "src"},
+    )
     if done.returncode != 0:
-        raise RuntimeError(f"the {pairs}-pair run failed in {root}:\n{done.stdout}{done.stderr}")
+        raise RuntimeError(f"eprqkd {' '.join(argv)} failed in {root}:\n{done.stdout}{done.stderr}")
     seconds, peak = done.stderr.splitlines()[-1].split()
     return {"wall_s": float(seconds), "peak_mb": float(peak)}
+
+
+def run_scale(root: Path, pairs: int) -> dict:
+    """``run_child`` of one ``pairs``-pair measure-resend trial."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return run_child(root, [*SCALE_ARGS, str(pairs), "--out", str(Path(tmp) / "scale.json")])
+
+
+def run_detect(root: Path, trials: int, step: str, out: Path) -> dict:
+    """``run_child`` of step "run", ``trials`` detect trials writing their
+    report into ``out``, or of step "verify" of that report."""
+    report = out / f"detect-{trials}.json"
+    if step == "run":
+        return run_child(root, [*DETECT_ARGS, str(trials), "--out", str(report)])
+    return run_child(root, ["verify", str(report)])
 
 
 def mem_available_mb() -> float:
@@ -395,6 +415,18 @@ def scale_series(run_one, sizes, pairs: int, available) -> dict:
     return series
 
 
+def detect_series(run_one, trials: int, pairs: int) -> dict:
+    """The scale series' detect sizes: ``scale_summary`` of ``pairs``
+    alternating pairs of ``run_one(side, "run", trials)``, then of
+    ``run_one(side, "verify", trials)``, under ``detect-<step>-<trials>``."""
+    series = {}
+    for step in ("run", "verify"):
+        label = f"detect-{step}-{trials}"
+        steps = [(label, step, trials, k) for k in range(pairs)]
+        series[label] = scale_summary(collect(steps, run_one)[label])
+    return series
+
+
 def document(
     what: str,
     claim: dict,
@@ -484,6 +516,14 @@ def main(argv=None) -> int:
             return run
 
         scale = scale_series(run_size, SCALE_SIZES, PAIRS, mem_available_mb)
+
+        def run_trials(side, step, trials):
+            run = run_detect(roots[side], trials, step, roots[side])
+            print(f"{side} detect {step} of {trials} trials: {run['wall_s']:.2f} s, "
+                  f"{run['peak_mb']:.1f} MB", file=sys.stderr)
+            return run
+
+        scale.update(detect_series(run_trials, DETECT_TRIALS, PAIRS))
     result = document(args.what, claim, sides, runs, metas, traces, acceptance, metrics, scale)
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {args.out}")

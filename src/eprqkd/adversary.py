@@ -30,7 +30,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .errors import ConfigurationError
-from .ledger import DIGITS, Disposition, PairLedger, code_string
+from .ledger import DIGITS, Batch, Disposition, PairLedger, as_given, code_string, parts, per_trial
 from .quantum import BELL_LABELS, CODES, KEYS, OPS, PAIR_BASIS, BellState, measure_column
 # Unused here; the benchmark's traced run (bench/workloads.py) wraps these bindings.
 from .quantum import measure_bell_basis, measure_qubit_z  # noqa: F401
@@ -106,68 +106,86 @@ class AttackStrategy(Record):
         return cls(**known)
 
 
-# One function per attack kind. Each acts on the ledger's live pairs, which
-# are the ones in flight for the given transmission, and returns its
-# transcript payload, or None when it left the particles alone or the ledger
+# One function per attack kind. Each acts on the batch's live pairs, which
+# are the ones in flight for the given transmission, drawing each trial's
+# draws from that trial's stream of ``rngs``, and returns each trial's
+# transcript payload, or None when it left the particles alone or the batch
 # records no transcript.
 
 
-def _identity(channel, transmission, ledger):
+def _identity(channel, transmission, batch, rngs):
     return None
 
 
-def _measure_resend(channel, transmission, ledger):
+def _measure_resend(channel, transmission, batch, rngs):
     if transmission == 2 and not channel.strategy.measure_second_sequence:
         return None
-    live = ledger.live
     which = "second" if transmission == 1 else "first"
-    keys = channel.rng.quarters(live).translate(KEYS[OPS[which]["z"]])
-    measured, posts = measure_column(ledger.column("state"), keys)
-    ledger.fill("state", posts)
-    if transmission == 1 or not ledger.filled("guesses"):
-        ledger.fill("guesses", measured, _BITS)
-    elif live:
+    keys = RandomSource.quarters_of(rngs, batch.sizes).translate(KEYS[OPS[which]["z"]])
+    measured, posts = measure_column(batch.column("state"), keys)
+    batch.fill("state", posts)
+    if transmission == 1 or not batch.filled("guesses"):
+        batch.fill("guesses", measured, _BITS)
+    else:
         # Every pair still in flight was Z-measured on its other half at
         # transmission 1; her two bits name a guess like a key code, this
-        # first-half bit high. With no pair left in flight her one-bit guesses
-        # stand, and so do the bits of a second sequence she alone measured.
-        first = int.from_bytes(ledger.column("guesses"))
-        ledger.fill("guesses", (int.from_bytes(measured) << 1 | first).to_bytes(live), CODES)
-    if ledger.transcript is None:
+        # first-half bit high. A trial with no pair left in flight takes no
+        # fill, so its one-bit guesses stand, and so do the bits of a second
+        # sequence she alone measured.
+        first = int.from_bytes(batch.column("guesses"))
+        guesses = (int.from_bytes(measured) << 1 | first).to_bytes(len(measured))
+        batch.fill("guesses", guesses, CODES, stand=True)
+    if batch.transcript is None:
         return None
-    return {"measured": len(measured), "outcomes": measured.translate(DIGITS).decode()}
+    outcomes = parts(measured.translate(DIGITS), batch.sizes)
+    return [{"measured": len(bits), "outcomes": bits.decode()} for bits in outcomes]
 
 
-def _fake_epr(channel, transmission, ledger):
-    live, rng = ledger.live, channel.rng
+def _fake_epr(channel, transmission, batch, rngs):
     if transmission == 1:
         # A uniform label is one 2-bit draw per pair.
         label = channel.strategy.fake_label
-        fakes = rng.quarters(live) if label is None else bytes([label]) * live
-        ledger.fill("planted", fakes)
-        if ledger.transcript is None:
+        if label is None:
+            fakes = RandomSource.quarters_of(rngs, batch.sizes)
+        else:
+            fakes = bytes([label]) * batch.live
+        batch.fill("planted", fakes)
+        if batch.transcript is None:
             return None
-        return {"captured": live, "planted": live, "fake_codes": code_string(fakes)}
-    keys = rng.quarters(live).translate(KEYS[PAIR_BASIS])
+        return [
+            {"captured": len(codes), "planted": len(codes), "fake_codes": code_string(codes)}
+            for codes in parts(fakes, batch.sizes)
+        ]
+    keys = RandomSource.quarters_of(rngs, batch.sizes).translate(KEYS[PAIR_BASIS])
     # The genuine pairs are consumed here: their post states are not kept.
-    found, _ = measure_column(ledger.column("state"), keys)
-    ledger.fill("guesses", found, CODES)
-    if ledger.transcript is None:
+    found, _ = measure_column(batch.column("state"), keys)
+    batch.fill("guesses", found, CODES)
+    if batch.transcript is None:
         return None
-    return {"captured": live, "inferred_codes": code_string(found)}
+    return [
+        {"captured": len(codes), "inferred_codes": code_string(codes)}
+        for codes in parts(found, batch.sizes)
+    ]
 
 
-def _opaque(channel, transmission, ledger):
-    rand, p = channel.rng.random, channel.strategy.destroy_probability
+def _opaque(channel, transmission, batch, rngs):
+    p = channel.strategy.destroy_probability
     # rng.bernoulli(p) per pair, a mask over the live pairs; settling none
     # would still cut every column once.
-    lost = bytes([rand() < p for _ in range(ledger.live)])
+    randoms, sizes = [rng.random for rng in rngs], batch.sizes
+    lost = b"".join([bytes([rand() < p for _ in range(n)]) for rand, n in zip(randoms, sizes)])
     # Only a transcript reads the lost pairs' ordinals, which the settle
     # returns; the pairs left live are the ones forwarded.
-    destroyed = ledger.settle(lost, Disposition.DROPPED) if 1 in lost else ()
-    if ledger.transcript is None:
+    if 1 in lost:
+        destroyed = per_trial(batch, batch.settle(lost, Disposition.DROPPED))
+    else:
+        destroyed = [()] * len(batch.sizes)
+    if batch.transcript is None:
         return None
-    return {"destroyed": len(destroyed), "forwarded": ledger.live, "destroyed_indices": destroyed}
+    return [
+        {"destroyed": len(indices), "forwarded": n, "destroyed_indices": indices}
+        for indices, n in zip(destroyed, batch.sizes)
+    ]
 
 
 _ATTACKS = {
@@ -179,26 +197,30 @@ _ATTACKS = {
 
 
 class AdversaryChannel:
-    """A channel with a fixed strategy and random stream."""
+    """A channel with a fixed strategy and random stream: one stream, or a
+    list of them, one for each trial of the batches it acts on."""
 
-    def __init__(self, strategy: AttackStrategy, rng: RandomSource):
+    def __init__(self, strategy: AttackStrategy, rng: RandomSource | list[RandomSource]):
         self.strategy = strategy
         self.rng = rng
 
-    def interpose(self, transmission: int, ledger: PairLedger) -> dict | None:
-        """Apply the strategy to the particles currently in flight.
+    def interpose(self, transmission: int, ledger: PairLedger | Batch) -> dict | None:
+        """Apply the strategy to the particles currently in flight, in a
+        ledger or in each trial of a batch.
 
         Mutates the ledger (states, planted pairs, dispositions, guesses)
-        in place. Returns a transcript payload describing what was done, or
-        None when the particles passed untouched or the ledger records no
-        transcript.
+        in place. Returns a transcript payload describing what was done (a
+        batch, a list of each trial's), or None when the particles passed
+        untouched or the ledger records no transcript.
         """
         if transmission not in (1, 2):
             raise ConfigurationError(f"transmission must be 1 or 2, got {transmission}")
-        payload = _ATTACKS[self.strategy.kind](self, transmission, ledger)
-        if payload is None:
+        rngs = self.rng if isinstance(self.rng, list) else [self.rng]
+        payloads = _ATTACKS[self.strategy.kind](self, transmission, ledger, rngs)
+        if payloads is None:
             return None
-        return {"strategy": self.strategy.kind.value, "sequence": transmission, **payload}
+        head = {"strategy": self.strategy.kind.value, "sequence": transmission}
+        return as_given(ledger, [{**head, **payload} for payload in payloads])
 
 
 def eve_guess_counts(ledger: PairLedger) -> dict[str, dict[str, int]]:

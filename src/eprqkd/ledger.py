@@ -14,7 +14,8 @@ that acts on the live pairs (a transmission's attack, the decode) measures
 whole columns in one ``quantum.measure_column`` call, and a check gathers
 its sample's bytes from them through the sample's mask.
 
-``PairLedger.fill`` is the only writer of a column. A step fills only the
+``PairLedger.fill`` is the only writer of a trial's column (a batch's fill
+fills each of its trials). A step fills only the
 post states a later step reads; a measurement that consumes its pairs
 (either check, the decode, or the fake-EPR adversary's capture of the
 genuine pairs) writes back none. Each fill is one record of the fill log,
@@ -41,7 +42,8 @@ after the settle by ``gather`` (one big-int OR and one ``translate``) under
 the keep mask, as a check reads its sample from each column under the
 sample's mask. ``gather`` rests on the columns' one contract: a compact
 column holds one code below 0x80 per live pair, so no byte of a column has
-the high bit of its own. A trial that aborts cuts no column. The terminal dispositions are a settle log of one fixed-size entry
+the high bit of its own. A trial that aborts cuts no column of its own.
+The terminal dispositions are a settle log of one fixed-size entry
 per settle, (cuts before it, disposition), and the log holds no ordinal:
 a partial settle's pairs are the zeros of its keep mask, the next cut, and a
 settle of every live pair, at an abort or at key extraction, takes None,
@@ -56,6 +58,13 @@ return them).
 No step builds an object per pair: ``PairLedger.records`` rebuilds
 read-only ``PairRecord`` views from the settle log and the fill log, with
 None where a pair has no value, only when something reads them.
+
+Trials that take each step together form a ``Batch``: their ledgers, and
+each column at the live pairs of all of them, joined in trial order, so a
+step measures, gathers and cuts once for all of them. A batch fills and
+settles each trial's ledger with that trial's part, and a trial that aborts
+leaves the batch, whose columns then lose its bytes by one more cut. A lone
+ledger is the batch of one.
 
 The run's progress is one ledger field, ``phase``. The pairs still live all
 stand at the same stage, the one ``Phase`` names for that phase, so the
@@ -85,7 +94,7 @@ from __future__ import annotations
 
 import json
 from enum import Enum
-from itertools import compress
+from itertools import accumulate, compress
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import NamedTuple
 
@@ -115,6 +124,8 @@ _EVENT_LINE = '{"actor":%s,"event":%s,"payload":%s,"step":%d,"trial":%d}\n'
 _DROPPED = bytes(range(0x80))
 _KEPT = bytes(c & 0x7F for c in range(256))
 _FLIP = b"\x01".ljust(256, b"\x00")
+# A trial's byte of a batch's keep mask, by whether the trial stays.
+_KEPT_TRIAL = (b"\x00", b"\x01")
 # Translate tables from a bit byte to its ASCII digit, for the bit strings a
 # transcript logs, and from a code byte to the digit of its high or low bit.
 DIGITS = b"01".ljust(256, b"?")
@@ -124,6 +135,8 @@ _HIGH, _LOW = (bytes(b"01"[c >> shift & 1] for c in range(256)) for shift in (1,
 # first m bytes of _Y_CODES from a column leaves its codes not below m.
 _PAIR_KEYS = bytes(x << 3 | y for y in range(4) for x in range(4))
 _Y_CODES = bytes(range(4))
+# Every byte value, in order: slice c, c + 1 is the one byte c.
+_BYTES = bytes(range(256))
 
 
 def gather(codes: bytes, mask) -> bytes:
@@ -228,38 +241,12 @@ class PairRecord(NamedTuple):
     guess: int | None
 
 
-class PairLedger:
-    """One trial's pairs as columns compacted to the live pairs, plus
-    run-level state.
-
-    ``prepared`` holds the preparation codes by pair ordinal. ``live``
-    counts the pairs with no terminal disposition yet, whose disposition is
-    ``stage``, set by ``phase``; only the ledger holds their ordinals.
-    ``settled`` logs each settle's (cuts before it, terminal disposition),
-    whose ordinals ``ordinals`` rebuilds, and ``fills`` each fill's record
-    (name, cuts, prepared codes, codes, names). ``transcript`` is the event
-    log, or None when the run records none.
-    """
-
-    def __init__(self, prepared: bytes | list[int], transcript: Transcript | None = None):
-        self.prepared = codes = bytes(prepared)
-        self.live = len(codes)
-        self._live_ordinals = list(range(len(codes)))
-        # Each column at the live pairs as (cuts taken, codes); each cut a
-        # column has not taken yet is a later entry of _cuts, a settle's keep
-        # mask.
-        self._views = {"prepared": (0, codes), "state": (0, codes)}
-        self._cuts: list[bytes] = []
-        self.fills: list[tuple[str, int, bytes, bytes, tuple[str, ...] | None]] = []
-        self.settled: list[tuple[int, Disposition]] = []
-        self.transcript = transcript
-        self.phase = Phase.CREATED
-        self.check1: CheckReport | None = None
-        self.check2: CheckReport | None = None
-        # Fraction of transmitted particles the receiver actually got, per
-        # transmission; None until that transmission happened.
-        self.receipt_1: float | None = None
-        self.receipt_2: float | None = None
+class _Columns:
+    """Byte columns compacted to the live pairs, each cut on its first read
+    after a settle: ``_views`` holds each column as (cuts taken, codes), and
+    each cut a column has not taken yet is a later entry of ``_cuts``, a
+    settle's keep mask. ``live`` counts the live pairs, and ``phase`` says
+    where they stand."""
 
     @property
     def stage(self) -> Disposition:
@@ -290,16 +277,72 @@ class PairLedger:
             codes = gather(codes, keep)
         return codes
 
-    def fill(self, name: str, codes: bytes, names: tuple[str, ...] | None = None):
-        """Set column ``name`` to ``codes``, one byte per live pair, in order,
-        each an index into ``names`` (None for a column of pair states)."""
-        self.fills.append((name, len(self._cuts), self.column("prepared"), codes, names))
-        self._views[name] = len(self._cuts), codes
-
     def filled(self, name: str) -> bool:
         """Whether column ``name`` holds codes: ``prepared`` and ``state``
         from the start, another once a step filled it."""
         return name in self._views
+
+
+class PairLedger(_Columns):
+    """One trial's pairs as columns compacted to the live pairs, plus
+    run-level state.
+
+    ``prepared`` holds the preparation codes by pair ordinal. ``live``
+    counts the pairs with no terminal disposition yet, whose disposition is
+    ``stage``, set by ``phase``; only the ledger holds their ordinals.
+    ``settled`` logs each settle's (cuts before it, terminal disposition),
+    whose ordinals ``ordinals`` rebuilds, and ``fills`` each fill's record
+    (name, cuts, prepared codes, codes, names). ``transcript`` is the event
+    log, or None when the run records none.
+    """
+
+    def __init__(self, prepared: bytes | list[int], transcript: Transcript | None = None):
+        self.prepared = codes = bytes(prepared)
+        self.live = len(codes)
+        # The batch of one's live counts (see ``Batch``), kept with ``live``.
+        self.sizes = [self.live]
+        # The live pairs' ordinals: a range until the first partial settle
+        # lists the ones it keeps.
+        self._live_ordinals: range | list[int] = range(len(codes))
+        # Each column at the live pairs as (cuts taken, codes); each cut a
+        # column has not taken yet is a later entry of _cuts, a settle's keep
+        # mask.
+        self._views = {"prepared": (0, codes), "state": (0, codes)}
+        self._cuts: list[bytes] = []
+        self.fills: list[tuple[str, int, bytes, bytes, tuple[str, ...] | None]] = []
+        self.settled: list[tuple[int, Disposition]] = []
+        self.transcript = transcript
+        self.phase = Phase.CREATED
+        self.check1: CheckReport | None = None
+        self.check2: CheckReport | None = None
+        # Fraction of transmitted particles the receiver actually got, per
+        # transmission; None until that transmission happened.
+        self.receipt_1: float | None = None
+        self.receipt_2: float | None = None
+
+    def fill(
+        self,
+        name: str,
+        codes: bytes,
+        names: tuple[str, ...] | None = None,
+        prepared: bytes | None = None,
+        stand: bool = False,
+    ):
+        """Set column ``name`` to ``codes``, one byte per live pair, in order,
+        each an index into ``names`` (None for a column of pair states).
+        ``prepared``, the live pairs' prepared codes, is read from the
+        ledger unless given, as a batch gives each trial its part. With
+        ``stand``, a ledger with no live pair takes no fill, and the
+        column's last codes stand."""
+        if self.live or not stand:
+            prepared = self.column("prepared") if prepared is None else prepared
+            self.fills.append((name, len(self._cuts), prepared, codes, names))
+            self._views[name] = len(self._cuts), codes
+
+    @property
+    def ledgers(self) -> tuple["PairLedger"]:
+        """The ledger is the batch of one (see ``Batch``): its one trial."""
+        return (self,)
 
     def counts(self, name: str) -> dict[str, dict[str, int]]:
         """``joint_counts`` of the prepared codes against column ``name`` at
@@ -319,11 +362,12 @@ class PairLedger:
         column and returns None. Either logs (cuts before it, disposition)."""
         self.settled.append((len(self._cuts), disposition))
         if taken is None:
-            self.live, self._live_ordinals = 0, []
+            self.live, self.sizes, self._live_ordinals = 0, [0], []
             return None
         ordinals, keep = self._live_ordinals, taken.translate(_FLIP)
         self._live_ordinals = list(compress(ordinals, keep))
         self.live = len(self._live_ordinals)
+        self.sizes = [self.live]
         self._cuts.append(keep)
         return None if self.transcript is None else tuple(compress(ordinals, taken))
 
@@ -377,6 +421,108 @@ class PairLedger:
         return tuple(map(PairRecord, range(n), labels, fates, state, planted, outcome, guesses))
 
 
+def parts(data: bytes, sizes: list[int]) -> list[bytes]:
+    """``data`` cut into consecutive parts of ``sizes``: each trial's bytes
+    of a batch's column, or of anything laid out as one."""
+    if len(sizes) == 1:
+        return [data]
+    ends = list(accumulate(sizes))
+    return [data[end - n : end] for n, end in zip(sizes, ends)]
+
+
+class Batch(_Columns):
+    """Trials that take each protocol step together: their ledgers, in
+    trial order, and each column at the live pairs of all of them, joined
+    in that order.
+
+    ``sizes`` counts each trial's live pairs, so a trial's bytes of a column
+    follow those of the trials before it (``parts``). A step measures,
+    gathers and cuts a batch's columns once for all its trials, and fills
+    and settles through the batch, which fills and settles each trial's
+    ledger with that trial's part, so a ledger reads the same after a step
+    whatever batch it took the step in. A lone ``PairLedger`` is the batch
+    of one: it has the same ``ledgers``, ``sizes``, columns, ``fill`` and
+    ``settle``, and what a step returns or logs per trial it gives a lone
+    ledger alone (``per_trial``). Each trial logs to its own transcript;
+    the trials of a batch all keep one, or none does.
+    """
+
+    def __init__(self, ledgers: list[PairLedger], codes: bytes):
+        """The batch of ``ledgers``, just prepared, whose prepared codes
+        joined are ``codes``."""
+        self.ledgers = ledgers
+        self.sizes = [ledger.live for ledger in ledgers]
+        self.live = len(codes)
+        self._views = {"prepared": (0, codes), "state": (0, codes)}
+        self._cuts: list[bytes] = []
+        # Not None when the trials keep transcripts (all do, or none).
+        self.transcript = ledgers[0].transcript
+
+    @property
+    def phase(self) -> Phase:
+        """The phase every trial of the batch stands in."""
+        return self.ledgers[0].phase
+
+    @phase.setter
+    def phase(self, phase: Phase):
+        for ledger in self.ledgers:
+            ledger.phase = phase
+
+    def fill(
+        self, name: str, codes: bytes, names: tuple[str, ...] | None = None, stand: bool = False
+    ):
+        """``PairLedger.fill`` of each trial with its part of ``codes``."""
+        prepared = parts(self.column("prepared"), self.sizes)
+        for ledger, part, at in zip(self.ledgers, parts(codes, self.sizes), prepared):
+            ledger.fill(name, part, names, at, stand)
+        self._views[name] = len(self._cuts), codes
+
+    def settle(self, taken: bytes | None, disposition: Disposition) -> list | None:
+        """``PairLedger.settle`` of each trial with its part of ``taken``, a
+        0/1 byte per live pair, whose keep mask becomes the batch's next cut;
+        returns what each trial's settle returned, and () for a trial none
+        of whose pairs is taken, which logs no settle. None settles every
+        live pair, and returns None."""
+        returned = None
+        if taken is None:
+            for ledger in self.ledgers:
+                ledger.settle(None, disposition)
+        else:
+            keeps, returned = [], []
+            for ledger, part in zip(self.ledgers, parts(taken, self.sizes)):
+                if 1 in part:
+                    returned.append(ledger.settle(part, disposition))
+                    keeps.append(ledger._cuts[-1])
+                else:
+                    returned.append(())
+                    keeps.append(part.translate(_FLIP))
+            self._cuts.append(b"".join(keeps))
+        self.sizes = [ledger.live for ledger in self.ledgers]
+        self.live = sum(self.sizes)
+        return returned
+
+    def keep(self, kept: list[bool]):
+        """Keep only the trials where ``kept`` is true, in order: the others
+        leave the batch (by an abort), and their bytes the next cut."""
+        if not all(kept):
+            self._cuts.append(b"".join([_KEPT_TRIAL[k] * n for k, n in zip(kept, self.sizes)]))
+            self.ledgers = list(compress(self.ledgers, kept))
+            self.sizes = list(compress(self.sizes, kept))
+            self.live = sum(self.sizes)
+
+
+def per_trial(batch: PairLedger | Batch, value) -> list:
+    """``value``, a step's result for each trial of ``batch``, as a list:
+    a lone ledger's, which is its one trial's, as the list of it."""
+    return value if isinstance(batch, Batch) else [value]
+
+
+def as_given(batch: PairLedger | Batch, values: list):
+    """``values``, one per trial of ``batch``, as a step hands them back:
+    the list for a batch, the one value for a lone ledger."""
+    return values if isinstance(batch, Batch) else values[0]
+
+
 def joint_counts(prepared: bytes, ys: bytes, y_names) -> dict[str, dict[str, int]]:
     """Nested counts {key code of prepared[i]: {y_names[ys[i]]: n}} over
     every pair, in order of first appearance.
@@ -384,10 +530,10 @@ def joint_counts(prepared: bytes, ys: bytes, y_names) -> dict[str, dict[str, int
     ``ys`` holds one y per pair, an index into ``y_names``, and is as long as
     ``prepared`` or empty for no pair: a compact column and the prepared
     codes of the pairs it was filled at. Each pair is the byte
-    ``prepared[i] << 3 | ys[i]``, built for every pair at once, and each of
-    the at most ``4 * len(y_names)`` possible bytes is found and counted in
-    one pass. A y not below ``len(y_names)``, or not below 4, raises
-    ValueError.
+    ``prepared[i] << 3 | ys[i]``, built for every pair at once; each of
+    the at most ``4 * len(y_names)`` possible bytes is found in one pass,
+    and counted by deleting it from what is left. A y not below
+    ``len(y_names)``, or not below 4, raises ValueError.
     """
     counts: dict[str, dict[str, int]] = {}
     if not ys:
@@ -396,8 +542,14 @@ def joint_counts(prepared: bytes, ys: bytes, y_names) -> dict[str, dict[str, int
         raise ValueError(f"ys holds a code outside its alphabet of {len(y_names)} names")
     pairs = (int.from_bytes(prepared) << 3 | int.from_bytes(ys)).to_bytes(len(ys))
     keys = _PAIR_KEYS[: 4 * len(y_names)]
-    for _, key in sorted((pairs.find(key), key) for key in keys if key in pairs):
-        counts.setdefault(CODES[key >> 3], {})[y_names[key & 7]] = pairs.count(key)
+    present = sorted((pairs.find(key), key) for key in keys if key in pairs)
+    # A key's count is how many bytes deleting it takes from what deleting
+    # the keys before it left; the last key's is all that is left.
+    rest, last = pairs, present[-1][1]
+    for _, key in present:
+        left = rest.translate(None, _BYTES[key : key + 1]) if key != last else b""
+        counts.setdefault(CODES[key >> 3], {})[y_names[key & 7]] = len(rest) - len(left)
+        rest = left
     return counts
 
 
@@ -417,7 +569,7 @@ class CheckReport(NamedTuple):
 
     @property
     def passed(self) -> bool:
-        return self.error_rate <= self.threshold
+        return self.mismatches / self.sample_size <= self.threshold
 
     def to_dict(self) -> dict:
         """The published summary, as report rows and transcripts carry it:

@@ -46,18 +46,29 @@ as a chain of hops along ``ledger.PARTIES``, alice -> bob for two parties
 and on to clare for three, where the relay re-encodes his raw key into the
 next hop's pairs. It is the one entry point of a trial:
 ``run_multiparty(config, t)`` derives trial t's streams and runs it.
+
+Every step acts on a batch of trials (``ledger.Batch``) at once: each
+trial makes its own draws from its own streams, in the order above, and
+the byte work after the draws (the measurements, gathers, check counts
+and settle cuts) runs once over the batch's joined columns. A step handed
+one ledger and its stream acts on the batch of one and returns what that
+trial's step returns; handed a batch and a list of its trials' streams, it
+returns the batch, or a list with one item per trial. ``run_multiparty``
+of a range of trials runs them as one batch, and a trial that aborts
+leaves its batch.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import compress
 from typing import NamedTuple
 
 from .adversary import AdversaryChannel, AttackStrategy
 from .config import RunConfig
 from .errors import ConfigurationError, InsufficientPairsError, ProtocolOrderError
-from .ledger import DIGITS, PARTIES, CheckReport, Disposition, PairLedger, Phase
-from .ledger import Transcript, code_string, gather
+from .ledger import DIGITS, PARTIES, Batch, CheckReport, Disposition, PairLedger, Phase
+from .ledger import Transcript, as_given, code_string, gather, parts, per_trial
 from .quantum import BASES, BELL_LABELS, CODES, KEYS, OPS, PAIR_BASIS, BellState, measure_column
 # Unused here; the benchmark's traced run (bench/workloads.py) wraps these bindings.
 from .quantum import measure_bell_basis, measure_qubit  # noqa: F401
@@ -80,12 +91,18 @@ _LETTERS = b"zzxx".ljust(256)
 
 
 def alice_prepare(n: int, rng: RandomSource, transcript: Transcript | None = None) -> PairLedger:
-    """Prepare N pairs with uniformly random state choices (step 1)."""
+    """Prepare N pairs with uniformly random state choices (step 1).
+
+    Handed a list of streams, it prepares a batch: N pairs for each, one
+    trial per stream, each logging to its item of the list ``transcript``
+    (or to none)."""
     if n < 1:
         raise ConfigurationError(f"cannot prepare {n} pairs")
     # One 2-bit draw per pair, a uniform code 0-3 by construction, so the
     # codes skip prepare_from_labels' checks.
-    return _prepare(rng.quarters(n), transcript)
+    if not isinstance(rng, list):
+        return _prepare(rng.quarters(n), [n], [transcript])
+    return _prepare(RandomSource.quarters_of(rng, [n] * len(rng)), [n] * len(rng), transcript)
 
 
 def prepare_from_labels(
@@ -96,31 +113,40 @@ def prepare_from_labels(
 
     The ledger logs to ``transcript``, and nowhere when it is None.
     Anything but a pair state or an int code 0-3 (a bool is none) raises
-    ConfigurationError.
+    ConfigurationError. A list of byte strings, each one trial's codes (a
+    relay's keys), prepares a batch, each trial logging to its item of the
+    list ``transcript`` (or to none).
     """
+    batch = isinstance(labels, list) and bool(labels) and type(labels[0]) is bytes
     # bytes() takes each list item through its __index__, rejecting a
     # non-integer or a negative value, but reads an int as a length and a
     # buffer (an array, say) as raw bytes, so anything but bytes (the relay's
     # key codes, taken as they are) is listed first; and it reads a bool as
-    # 0 or 1, which is no label.
+    # 0 or 1, which is no label. A batch's codes are joined, and an item
+    # that is no bytes fails the join.
     try:
-        items = labels if isinstance(labels, bytes) else list(labels)
-        codes = bytes(items) if items is labels or bool not in map(type, items) else None
+        items = b"".join(labels) if batch else labels if isinstance(labels, bytes) else list(labels)
+        codes = bytes(items) if type(items) is bytes or bool not in map(type, items) else None
     except (TypeError, ValueError):
         codes = None
     if codes is None or codes.translate(None, _CODE_BYTES):  # a byte above 3 is left
         raise ConfigurationError("preparation labels must be pair states or their codes 0-3")
-    if not codes:
+    sizes = list(map(len, labels)) if batch else [len(codes)]
+    if 0 in sizes:
         raise ConfigurationError("cannot prepare an empty pair sequence")
-    return _prepare(codes, transcript)
+    return _prepare(codes, sizes, transcript if batch else [transcript])
 
 
-def _prepare(codes: bytes, transcript: Transcript | None) -> PairLedger:
-    """The ledger of pairs prepared in the states ``codes``, each 0-3."""
-    if transcript is not None:
-        payload = {"pairs": len(codes), "codes": code_string(codes)}
-        transcript.log(1, transcript.sender, "prepare", payload)
-    return PairLedger(codes, transcript)
+def _prepare(codes: bytes, sizes: list[int], transcripts: list | None) -> PairLedger | Batch:
+    """The batch of one ledger per trial, prepared in that trial's part of
+    ``codes``, each 0-3, and logging to that trial's transcript: a lone
+    ledger for one trial."""
+    ledgers = list(map(PairLedger, parts(codes, sizes), transcripts or [None] * len(sizes)))
+    for ledger in ledgers:
+        if (transcript := ledger.transcript) is not None:
+            payload = {"pairs": ledger.live, "codes": code_string(ledger.prepared)}
+            transcript.log(1, transcript.sender, "prepare", payload)
+    return ledgers[0] if len(ledgers) == 1 else Batch(ledgers, codes)
 
 
 def transmit_first_sequence(ledger: PairLedger, channel: AdversaryChannel) -> PairLedger:
@@ -132,37 +158,62 @@ def transmit_first_sequence(ledger: PairLedger, channel: AdversaryChannel) -> Pa
     if ledger.phase is not Phase.CREATED:
         raise ProtocolOrderError(f"first transmission in phase {ledger.phase.name}")
     ledger.phase = Phase.SENT_1
-    ledger.receipt_1 = _transmit(ledger, channel, 1, 2)
+    _transmit(ledger, channel, 1, 2)
     return ledger
 
 
-def _transmit(ledger: PairLedger, channel: AdversaryChannel, sequence: int, step: int) -> float:
+def _transmit(batch: Batch, channel: AdversaryChannel, sequence: int, step: int):
     """Pass the live pairs' particles of ``sequence`` through the channel,
     log the send, the adversary's interference if any, and the receipt, and
-    return the fraction received (1.0 when nothing was sent)."""
-    sent = ledger.live
-    interference = channel.interpose(sequence, ledger)
-    received = ledger.live
-    transcript = ledger.transcript
-    if transcript is not None:
-        transcript.log(step, transcript.sender, "send", {"sequence": sequence, "count": sent})
-        if interference:
-            transcript.log(step, "eve", "interpose", interference)
-        receipt = {"sequence": sequence, "received": received, "expected": sent}
-        transcript.log(step, transcript.receiver, "receive", receipt)
-    return received / sent if sent else 1.0
+    set each trial's ``receipt_<sequence>``, the fraction received (1.0 when
+    nothing was sent)."""
+    sent = batch.sizes
+    interference = channel.interpose(sequence, batch)
+    received = batch.sizes
+    slot = f"receipt_{sequence}"
+    for trial, count, got in zip(batch.ledgers, sent, received):
+        setattr(trial, slot, got / count if count else 1.0)
+    if batch.transcript is not None:
+        payloads = per_trial(batch, interference) if interference else [None] * len(sent)
+        for trial, count, got, payload in zip(batch.ledgers, sent, received, payloads):
+            transcript = trial.transcript
+            transcript.log(step, transcript.sender, "send", {"sequence": sequence, "count": count})
+            if payload:
+                transcript.log(step, "eve", "interpose", payload)
+            receipt = {"sequence": sequence, "received": got, "expected": count}
+            transcript.log(step, transcript.receiver, "receive", receipt)
 
 
 def _draw_sample(
-    ledger: PairLedger, fraction: float, min_size: int, rng: RandomSource
-) -> bytearray:
-    """A check's uniformly random sample of the live pairs, as a mask of a
-    byte per live pair, 1 where the pair is sampled: a ``fraction`` of them,
-    and at least ``min_size`` when that many exist."""
-    m = ledger.live
-    if not m:
-        raise InsufficientPairsError("no pairs available to check")
-    return rng.sample_mask(m, min(m, max(min_size, math.ceil(fraction * m))))
+    batch: Batch, fraction: float, min_size: int, rngs: list[RandomSource]
+) -> tuple[bytes, list[int]]:
+    """A check's uniformly random sample of each trial's live pairs, as a
+    mask of a byte per live pair, 1 where the pair is sampled: a
+    ``fraction`` of them, and at least ``min_size`` when that many exist;
+    and each trial's sample size."""
+    masks, sizes = [], []
+    for m, rng in zip(batch.sizes, rngs, strict=True):
+        if not m:
+            raise InsufficientPairsError("no pairs available to check")
+        k = min(m, max(min_size, math.ceil(fraction * m)))
+        masks.append(rng.sample_mask(m, k))
+        sizes.append(k)
+    return masks[0] if len(masks) == 1 else b"".join(masks), sizes
+
+
+def _reports(
+    batch: Batch, differs: bytes, sizes: list[int], threshold: float, slot: str
+) -> list[CheckReport]:
+    """Each trial's report of a check that sampled its ``sizes`` pairs, whose
+    mismatches are the 1 bytes of its part of ``differs``, set as the
+    trial's ``slot`` (``check1`` or ``check2``)."""
+    reports, start = [], 0
+    for trial, n in zip(batch.ledgers, sizes):
+        report = CheckReport(n, differs.count(1, start, start + n), threshold)
+        setattr(trial, slot, report)
+        reports.append(report)
+        start += n
+    return reports
 
 
 def first_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> CheckReport:
@@ -180,28 +231,37 @@ def first_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> Che
     per pair instead of always measuring Z; the honest correlation is
     deterministic either way.
     """
-    if ledger.phase is not Phase.SENT_1:
-        raise ProtocolOrderError(f"first check in phase {ledger.phase.name}")
-    sample = _draw_sample(ledger, config.check_fraction_1, config.min_check_size, rng)
+    batch, rngs = ledger, rng if isinstance(rng, list) else [rng]
+    if batch.phase is not Phase.SENT_1:
+        raise ProtocolOrderError(f"first check in phase {batch.phase.name}")
+    sample, sizes = _draw_sample(batch, config.check_fraction_1, config.min_check_size, rngs)
 
-    # One block of draws: the receiver's k, then the sender's k; with random
-    # bases, 2k alternating a pair's basis draw and its receiver draw, then
-    # the sender's k. On the Z basis (basis quarter 0) a table's first four
-    # bytes are its Z entries, so the quarters and codes index them directly.
-    k = sample.count(1)
-    if config.randomize_check_basis:
-        drawn = rng.quarters(3 * k)
-        basis_q, receiver_q, sender_q = drawn[0 : 2 * k : 2], drawn[1 : 2 * k : 2], drawn[2 * k :]
+    # One block of draws per trial: the receiver's k, then the sender's k;
+    # with random bases, 2k alternating a pair's basis draw and its receiver
+    # draw, then the sender's k. On the Z basis (basis quarter 0) a table's
+    # first four bytes are its Z entries, so the quarters and codes index
+    # them directly.
+    k = sum(sizes)
+    per_pair = 3 if config.randomize_check_basis else 2
+    drawn = RandomSource.quarters_of(rngs, [per_pair * n for n in sizes])
+    basis, receiver, sender, start = [], [], [], 0
+    for n in sizes:
+        if per_pair == 3:
+            basis.append(drawn[start : start + 2 * n : 2])
+            receiver.append(drawn[start + 1 : start + 2 * n : 2])
+        else:
+            receiver.append(drawn[start : start + n])
+        start += per_pair * n
+        sender.append(drawn[start - n : start])
+    receiver_q, sender_q = b"".join(receiver), b"".join(sender)
+    if basis:
+        basis_q = b"".join(basis)
         basis_key = int.from_bytes(basis_q) << 2
-        bases = basis_q.translate(_LETTERS).decode()
 
         def by_basis(column: bytes, table: bytes) -> bytes:
             return (basis_key | int.from_bytes(column)).to_bytes(k).translate(table)
 
     else:
-        drawn = rng.quarters(2 * k)
-        receiver_q, sender_q = drawn[:k], drawn[k:]
-        bases = "z" * k
         by_basis = bytes.translate
 
     # The sampled pairs are consumed: no post state is written back, and
@@ -209,29 +269,37 @@ def first_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> Che
     # their post states. The sample's mask gathers its bytes from each
     # column, all before the settle cuts the columns.
     receiver_keys = by_basis(receiver_q, _RECEIVER_KEYS)
-    receiver_bits, states = measure_column(gather(ledger.receiver_state, sample), receiver_keys)
-    states = gather(ledger.column("state"), sample) if ledger.filled("planted") else states
+    receiver_bits, states = measure_column(gather(batch.receiver_state, sample), receiver_keys)
+    states = gather(batch.column("state"), sample) if batch.filled("planted") else states
     sender_bits, _ = measure_column(states, by_basis(sender_q, _SENDER_KEYS))
-    prepared = gather(ledger.column("prepared"), sample)
+    prepared = gather(batch.column("prepared"), sample)
     # Only a transcript reads the sample's ordinals, which the settle returns.
-    indices = ledger.settle(sample, Disposition.CHECKED_1)
+    indices = batch.settle(sample, Disposition.CHECKED_1)
     # A pair mismatches when its bits differ where its prepared state's
-    # halves agree, or agree where they differ: one bit per byte of the xor.
+    # halves agree, or agree where they differ: a 1 byte of the xor.
     differ = int.from_bytes(by_basis(prepared, _DIFFER))
-    mismatches = (int.from_bytes(receiver_bits) ^ int.from_bytes(sender_bits) ^ differ).bit_count()
-    report = CheckReport(k, mismatches, config.threshold_1)
-    if (transcript := ledger.transcript) is not None:
-        bits = receiver_bits.translate(DIGITS).decode()
-        payload = {"indices": indices, "bases": bases, "bits": bits}
-        transcript.log(3, transcript.receiver, "measure_check_sample", payload)
-        payload = {"message": "sequence-1-received", "check_indices": indices}
-        transcript.log(4, transcript.receiver, "notify", payload)
-        payload = {"indices": indices, "bits": sender_bits.translate(DIGITS).decode()}
-        transcript.log(4, transcript.sender, "measure_partner_sample", payload)
-        transcript.log(4, "public", "check", {"check": "first", **report.to_dict()})
-    ledger.check1 = report
-    ledger.phase = Phase.CHECKED_1
-    return report
+    xor = int.from_bytes(receiver_bits) ^ int.from_bytes(sender_bits) ^ differ
+    reports = _reports(batch, xor.to_bytes(k), sizes, config.threshold_1, "check1")
+    if batch.transcript is not None:
+        logged = zip(
+            batch.ledgers,
+            per_trial(batch, indices),
+            parts(basis_q.translate(_LETTERS) if basis else b"z" * k, sizes),
+            parts(receiver_bits.translate(DIGITS), sizes),
+            parts(sender_bits.translate(DIGITS), sizes),
+            reports,
+        )
+        for trial, indices, bases, bits, partner_bits, report in logged:
+            transcript = trial.transcript
+            payload = {"indices": indices, "bases": bases.decode(), "bits": bits.decode()}
+            transcript.log(3, transcript.receiver, "measure_check_sample", payload)
+            payload = {"message": "sequence-1-received", "check_indices": indices}
+            transcript.log(4, transcript.receiver, "notify", payload)
+            payload = {"indices": indices, "bits": partner_bits.decode()}
+            transcript.log(4, transcript.sender, "measure_partner_sample", payload)
+            transcript.log(4, "public", "check", {"check": "first", **report.to_dict()})
+    batch.phase = Phase.CHECKED_1
+    return as_given(ledger, reports)
 
 
 def transmit_second_sequence(
@@ -247,25 +315,29 @@ def transmit_second_sequence(
     """
     if ledger.phase is not Phase.CHECKED_1:
         raise ProtocolOrderError(f"second transmission in phase {ledger.phase.name}")
-    if ledger.check1 is not None and not ledger.check1.passed and not config.continuation_mode:
-        raise ProtocolOrderError("second transmission after a failed first check")
+    if not config.continuation_mode:
+        for trial in ledger.ledgers:
+            if trial.check1 is not None and not trial.check1.passed:
+                raise ProtocolOrderError("second transmission after a failed first check")
     ledger.phase = Phase.SENT_2
-    ledger.receipt_2 = _transmit(ledger, channel, 2, 5)
+    _transmit(ledger, channel, 2, 5)
     return ledger
 
 
 def bob_decode(ledger: PairLedger, rng: RandomSource) -> PairLedger:
     """Pair-state measurement of every surviving pair, in order (step 6)."""
-    if ledger.phase is not Phase.SENT_2:
-        raise ProtocolOrderError(f"decode in phase {ledger.phase.name}")
-    keys = rng.quarters(ledger.live).translate(KEYS[PAIR_BASIS])
+    batch, rngs = ledger, rng if isinstance(rng, list) else [rng]
+    if batch.phase is not Phase.SENT_2:
+        raise ProtocolOrderError(f"decode in phase {batch.phase.name}")
+    keys = RandomSource.quarters_of(rngs, batch.sizes).translate(KEYS[PAIR_BASIS])
     # The decoded pairs are consumed: their post states are not kept.
-    decoded, _ = measure_column(ledger.receiver_state, keys)
-    ledger.fill("outcome", decoded, CODES)
-    if (transcript := ledger.transcript) is not None:
-        payload = {"pairs": len(decoded), "codes": code_string(decoded)}
-        transcript.log(6, transcript.receiver, "decode", payload)
-    ledger.phase = Phase.DECODED
+    decoded, _ = measure_column(batch.receiver_state, keys)
+    batch.fill("outcome", decoded, CODES)
+    if batch.transcript is not None:
+        for trial, codes in zip(batch.ledgers, parts(decoded, batch.sizes)):
+            payload = {"pairs": len(codes), "codes": code_string(codes)}
+            trial.transcript.log(6, trial.transcript.receiver, "decode", payload)
+    batch.phase = Phase.DECODED
     return ledger
 
 
@@ -274,21 +346,26 @@ def second_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> Ch
     choices (step 7), under the config's ``check_fraction_2``,
     ``threshold_2`` and ``min_check_size``. Compared pairs are excluded
     from the key."""
-    if ledger.phase is not Phase.DECODED:
-        raise ProtocolOrderError(f"second check in phase {ledger.phase.name}")
-    sample = _draw_sample(ledger, config.check_fraction_2, config.min_check_size, rng)
-    # The xor of the two codes is a zero byte exactly where they match.
-    outcomes = gather(ledger.column("outcome"), sample)
-    prepared = gather(ledger.column("prepared"), sample)
-    ledger.settle(sample, Disposition.CHECKED_2)
-    xor = int.from_bytes(outcomes) ^ int.from_bytes(prepared)
-    mismatches = len(outcomes) - xor.to_bytes(len(outcomes)).count(0)
-    report = CheckReport(len(outcomes), mismatches, config.threshold_2)
-    if ledger.transcript is not None:
-        ledger.transcript.log(7, "public", "check", {"check": "second", **report.to_dict()})
-    ledger.check2 = report
-    ledger.phase = Phase.CHECKED_2
-    return report
+    batch, rngs = ledger, rng if isinstance(rng, list) else [rng]
+    if batch.phase is not Phase.DECODED:
+        raise ProtocolOrderError(f"second check in phase {batch.phase.name}")
+    sample, sizes = _draw_sample(batch, config.check_fraction_2, config.min_check_size, rngs)
+    # The xor of the two codes is a zero byte exactly where they match; the
+    # translate makes each other byte a 1.
+    outcomes = gather(batch.column("outcome"), sample)
+    prepared = gather(batch.column("prepared"), sample)
+    batch.settle(sample, Disposition.CHECKED_2)
+    xor = (int.from_bytes(outcomes) ^ int.from_bytes(prepared)).to_bytes(len(outcomes))
+    reports = _reports(batch, xor.translate(_NONZERO), sizes, config.threshold_2, "check2")
+    if batch.transcript is not None:
+        for trial, report in zip(batch.ledgers, reports):
+            trial.transcript.log(7, "public", "check", {"check": "second", **report.to_dict()})
+    batch.phase = Phase.CHECKED_2
+    return as_given(ledger, reports)
+
+
+# A translate table from a byte to 1 when it is nonzero, else 0.
+_NONZERO = bytes(min(b, 1) for b in range(256))
 
 
 def extract_key(ledger: PairLedger) -> bytes:
@@ -296,14 +373,16 @@ def extract_key(ledger: PairLedger) -> bytes:
     the bytes of their pair codes, one 0-3 per key pair, in order."""
     if ledger.phase is not Phase.CHECKED_2:
         raise ProtocolOrderError(f"key extraction in phase {ledger.phase.name}")
-    if not (ledger.check1 and ledger.check1.passed and ledger.check2 and ledger.check2.passed):
-        raise ProtocolOrderError("key extraction after a failed check")
-    key = ledger.column("outcome")
+    for trial in ledger.ledgers:
+        if not (trial.check1 and trial.check1.passed and trial.check2 and trial.check2.passed):
+            raise ProtocolOrderError("key extraction after a failed check")
+    keys = parts(ledger.column("outcome"), ledger.sizes)
     ledger.settle(None, Disposition.KEY)
     ledger.phase = Phase.DONE
     if ledger.transcript is not None:
-        ledger.transcript.log(7, "public", "commit", {"key_bits": 2 * len(key)})
-    return key
+        for trial, key in zip(ledger.ledgers, keys):
+            trial.transcript.log(7, "public", "commit", {"key_bits": 2 * len(key)})
+    return as_given(ledger, keys)
 
 
 def sender_key_material(ledger: PairLedger) -> bytes:
@@ -354,46 +433,85 @@ def run_protocol(
     and records none when it is None; the draws are the same either way.
     The transcript's ``sender`` and ``receiver`` are the actors of the
     parties' events, alice and bob unless it names others.
+
+    Handed a list of streams, it runs a batch, one trial per stream, with
+    ``prepared_labels`` a list of each trial's codes (or None) and
+    ``transcript`` a list of transcripts (or None), and returns the list of
+    their outcomes, in order. A trial that aborts leaves the batch.
     """
-    channel = AdversaryChannel(config.attack, rng.substream("eve"))
-
     if prepared_labels is None:
-        ledger = alice_prepare(config.pairs, rng, transcript)
+        batch = alice_prepare(config.pairs, rng, transcript)
     else:
-        ledger = prepare_from_labels(prepared_labels, transcript)
+        batch = prepare_from_labels(prepared_labels, transcript)
+    lone = not isinstance(rng, list)
+    rng = [rng] if lone else rng
+    outcomes: list = [None] * len(rng)
+    lanes_ = list(range(len(rng)))  # each trial of the batch, by its place in rng
+    channel = AdversaryChannel(config.attack, [stream.substream("eve") for stream in rng])
 
-    def abort(reason: str, step: int) -> ProtocolOutcome:
-        # Whatever had no terminal fate yet is discarded, so that every pair
-        # ends as checked, key, or dropped.
-        if ledger.transcript is not None:
-            ledger.transcript.log(step, "public", "abort", {"reason": reason})
-        ledger.settle(None, Disposition.DROPPED)
-        return ProtocolOutcome(ledger, reason, None)
+    def go_on(step: int) -> bool:
+        """End each trial of the batch that ``_ending`` ends at ``step``,
+        which then leaves the batch with its streams; True while a trial is
+        left. Whatever had no terminal fate yet is discarded, so that every
+        pair ends as checked, key, or dropped."""
+        nonlocal lanes_, rng
+        ends = [_ending(t, n, step, floor) for t, n in zip(batch.ledgers, batch.sizes)]
+        if not any(ends):
+            return True
+        for lane, ledger, reason in zip(lanes_, batch.ledgers, ends):
+            if reason is not None:
+                if ledger.transcript is not None:
+                    ledger.transcript.log(step, "public", "abort", {"reason": reason})
+                ledger.settle(None, Disposition.DROPPED)
+                outcomes[lane] = ProtocolOutcome(ledger, reason, None)
+        kept = [reason is None for reason in ends]
+        lanes_, rng, channel.rng = (list(compress(x, kept)) for x in (lanes_, rng, channel.rng))
+        if lanes_:
+            batch.keep(kept)
+        return bool(lanes_)
 
-    transmit_first_sequence(ledger, channel)
-    if ledger.receipt_1 < 1.0 - config.loss_tolerance:
-        return abort("stall_transmission_1", 2)
-    try:
-        check1 = first_check(ledger, config, rng)
-    except InsufficientPairsError:
-        return abort("insufficient_pairs", 3)
-    failed = None if check1.passed else "check1_failed"
-    if failed and not config.continuation_mode:
-        return abort(failed, 4)
+    floor = 1.0 - config.loss_tolerance
+    transmit_first_sequence(batch, channel)
+    going = go_on(2) and go_on(3)
+    if going:
+        first_check(batch, config, rng)
+        going = config.continuation_mode or go_on(4)
+    if going:
+        transmit_second_sequence(batch, channel, config)
+        going = go_on(5)
+    if going:
+        bob_decode(batch, rng)
+        going = go_on(7)
+    if going:
+        second_check(batch, config, rng)
+        going = go_on(7)
+    if going:
+        for lane, trial, key in zip(lanes_, batch.ledgers, per_trial(batch, extract_key(batch))):
+            outcomes[lane] = ProtocolOutcome(trial, None, key)
+    return outcomes[0] if lone else outcomes
 
-    transmit_second_sequence(ledger, channel, config)
-    if ledger.receipt_2 < 1.0 - config.loss_tolerance:
-        return abort(failed or "stall_transmission_2", 5)
-    bob_decode(ledger, rng)
-    try:
-        check2 = second_check(ledger, config, rng)
-    except InsufficientPairsError:
-        return abort(failed or "insufficient_pairs", 7)
-    if not check2.passed:
-        return abort(failed or "check2_failed", 7)
-    if failed or not ledger.live:  # no pair left for the key
-        return abort(failed or "insufficient_pairs", 7)
-    return ProtocolOutcome(ledger, None, extract_key(ledger))
+
+def _ending(ledger: PairLedger, live: int, step: int, floor: float) -> str | None:
+    """Why a trial with ``live`` live pairs ends at ``step``, or None when it
+    goes on: a transmission that delivered less than ``floor`` (steps 2 and
+    5), no pair left for a check (3, and 7 before the second check) or for
+    the key (7 after it), or a failed check (4 and 7). With
+    ``continuation_mode`` a trial goes on past a failed first check, which
+    is then the reason it ends with."""
+    failed = None if ledger.check1 is None or ledger.check1.passed else "check1_failed"
+    if step == 2:
+        return None if ledger.receipt_1 >= floor else "stall_transmission_1"
+    if step == 3:
+        return None if live else "insufficient_pairs"
+    if step == 4:
+        return failed
+    if step == 5:
+        return None if ledger.receipt_2 >= floor else failed or "stall_transmission_2"
+    if ledger.check2 is None:
+        return None if live else failed or "insufficient_pairs"
+    if ledger.check2.passed:
+        return failed or (None if live else "insufficient_pairs")
+    return failed or "check2_failed"
 
 
 class TrialOutcome(NamedTuple):
@@ -444,33 +562,53 @@ def run_multiparty(
     f"trial/{t}")``, named by both the root seed and the trial, so no two
     (seed, trial) pairs share a stream, and any trial can be reproduced
     alone.
+
+    Handed a range of trials, it runs them as one batch and returns the
+    list of their outcomes, in order; each is what that trial gives alone,
+    its transcripts included.
     """
-    rng = RandomSource(config.seed, f"trial/{trial}")
+    if not isinstance(trial, range):
+        return run_multiparty(config, range(trial, trial + 1), collect_transcripts)[0]
+    trials = trial
+    rngs = [RandomSource(config.seed, f"trial/{t}") for t in trials]
     names = PARTIES[: config.parties]
     chain = config.parties > 2
-    hops: list[ProtocolOutcome] = []
-    labels = None
+    hops: list[list[ProtocolOutcome]] = [[] for _ in trials]
+    results: list = [None] * len(trials)
+    going, labels = list(range(len(trials))), None
     for k, (sender, receiver) in enumerate(zip(names, names[1:]), 1):
         tags = {"hop": k} if chain else None
-        transcript = Transcript(trial, tags, sender, receiver) if collect_transcripts else None
-        hop = run_protocol(
+        transcripts = None
+        if collect_transcripts:
+            transcripts = [Transcript(trials[i], tags, sender, receiver) for i in going]
+        outcomes = run_protocol(
             config if config.attacks_hop(k) else _unattacked(config),
-            rng.substream(f"hop{k}") if chain else rng,
+            [rngs[i].substream(f"hop{k}") if chain else rngs[i] for i in going],
             prepared_labels=labels,
-            transcript=transcript,
+            transcript=transcripts,
         )
-        hops.append(hop)
-        if hop.abort_reason is not None:
-            reason = hop.abort_reason if k == 1 else f"hop{k}_{hop.abort_reason}"
-            return TrialOutcome(trial, hops, reason, None)
         # The relay prepares the next hop's pairs in the states his key's codes name.
-        labels = hop.receiver_key
+        labels, completed = [], []
+        for i, hop in zip(going, outcomes):
+            hops[i].append(hop)
+            if hop.abort_reason is None:
+                labels.append(hop.receiver_key)
+                completed.append(i)
+            else:
+                reason = hop.abort_reason if k == 1 else f"hop{k}_{hop.abort_reason}"
+                results[i] = TrialOutcome(trials[i], hops[i], reason, None)
+        going = completed
+        if not going:
+            return results
 
     # Each key once: the first hop's two; then at each later hop every key
     # so far cut by its checks (the relay's becomes his prepared codes at
     # its key pairs), and its receiver's.
-    keys = [sender_key_material(hops[0].ledger), hops[0].receiver_key]
-    for hop in hops[1:]:
-        keys = [hop.ledger.cut(key) for key in keys]
-        keys.append(hop.receiver_key)
-    return TrialOutcome(trial, hops, None, keys)
+    for i in going:
+        first, *later = hops[i]
+        keys = [sender_key_material(first.ledger), first.receiver_key]
+        for hop in later:
+            keys = [hop.ledger.cut(key) for key in keys]
+            keys.append(hop.receiver_key)
+        results[i] = TrialOutcome(trials[i], hops[i], None, keys)
+    return results

@@ -2,8 +2,9 @@
 
 A subclass declares its fields as annotations, in order, gives a default as
 a class attribute, and checks its values in a ``check`` method. Every
-construction, ``replace`` included, first checks the type of each field
-annotated bool, int or float, in field order, and then runs ``check``.
+construction, ``replace`` included, first checks the exact type of each
+field annotated bool, int or float, in field order (a float field stores an
+int it holds exactly as that float), and then runs ``check``.
 ``FIELDS`` names the fields in order and ``TYPES`` maps each to its
 annotation (a string under ``from __future__ import annotations``). An
 instance keeps its values in its ``__dict__``, in field order, and refuses
@@ -14,6 +15,8 @@ from .errors import ConfigurationError
 # The field types a record checks, by annotation; the CLI derives its option
 # types from it too.
 FIELD_KINDS = {"bool": bool, "int": int, "float": float}
+# The largest int every int of whose magnitude a float holds exactly.
+_EXACT = 2**53
 
 
 def require_known_keys(name: str, data, cls: type):
@@ -45,11 +48,16 @@ class Record:
         values = vars(self)
         values.update(self._TEMPLATE, **kwargs)
         values.update(zip(self.FIELDS, args))
-        # A float field admits ints too; a bool is never taken for a number.
+        # Each value is of its field's exact kind: no subclass (a bool is no
+        # int, an IntEnum member no int), since a subclass may spell itself
+        # otherwise. A float field stores an int that a float holds exactly
+        # as that float, so equal configs write equal bytes; another int is
+        # left to its check's range.
         for name, kind in self._KINDS:
             value = values[name]
-            allowed = (int, float) if kind is float else kind
-            if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+            if kind is float and type(value) is int and -_EXACT <= value <= _EXACT:
+                values[name] = value = float(value)
+            if type(value) is not kind and not (kind is float and type(value) is int):
                 raise ConfigurationError(f"{name} must be {kind.__name__}, got {value!r}")
         self.check()
 

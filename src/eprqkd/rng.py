@@ -19,7 +19,9 @@ runs Python code under a lock (up to Python 3.11) once for every stream.
 A step that draws once or twice per pair reads a block of draws at once.
 Every outcome the protocol meets has probability 0, 1/4, 1/2 or 1, so two
 random bits decide it: ``RandomSource.quarters(n)`` returns n such 2-bit
-draws q, each a byte 0-3, from one ``getrandbits`` call, and an outcome of
+draws q, each a byte 0-3, from one ``getrandbits`` call
+(``RandomSource.quarters_of`` takes a batch of streams' blocks, each from
+its own call, and spreads them together), and an outcome of
 probability p happens exactly when ``q < 4 * p``; the top bit of q decides a
 Z-or-X basis choice. Preparation, every column measurement, the randomized
 check bases and the fake-EPR adversary's uniform labels draw that way. A
@@ -90,18 +92,39 @@ class RandomSource:
         return self._rng.random()
 
     def quarters(self, n: int) -> bytes:
-        """The next n 2-bit draws, one byte 0-3 each, in one call.
+        """The next n 2-bit draws, one byte 0-3 each, in one call: this
+        stream's block of ``quarters_of``."""
+        return RandomSource.quarters_of([self], [n])
 
-        Draw i is bits 2i and 2i + 1 of one ``getrandbits(8 * ceil(n / 4))``
-        integer: field i % 4 of its little-endian byte i // 4. Each of the four
-        fields of every byte is spread to its place by one ``translate``.
-        """
+    def _packed(self, n: int) -> bytes:
+        """The packed bytes of the next n 2-bit draws: one ``getrandbits``
+        integer of 8 * ceil(n / 4) bits, little-endian."""
         size = -(-n // 4)
-        packed = self._rng.getrandbits(8 * size).to_bytes(size, "little")
-        spread = bytearray(4 * size)
+        return self._rng.getrandbits(8 * size).to_bytes(size, "little")
+
+    @staticmethod
+    def quarters_of(sources: list["RandomSource"], counts: list[int]) -> bytes:
+        """Each source's next n 2-bit draws, for its n in ``counts``, one
+        byte 0-3 each, joined in order: a batch of trials' blocks.
+
+        Draw i of a source is bits 2i and 2i + 1 of its one
+        ``getrandbits(8 * ceil(n / 4))`` integer (``_packed``): field i % 4
+        of its little-endian byte i // 4. The sources' packed bytes are
+        joined and each of the four fields of every byte is spread to its
+        place by one ``translate``; then each source's block is cut at its
+        own n.
+        """
+        packed = b"".join(map(RandomSource._packed, sources, counts))
+        spread = bytearray(4 * len(packed))
         for field, table in enumerate(_FIELDS):
             spread[field::4] = packed.translate(table)
-        return bytes(spread[:n])
+        if len(spread) == sum(counts):  # every n is a multiple of 4: nothing to cut
+            return bytes(spread)
+        blocks, start = [], 0
+        for n in counts:
+            blocks.append(spread[start : start + n])
+            start += -(-n // 4) * 4
+        return b"".join(blocks)
 
     def bernoulli(self, p: float) -> bool:
         return self._rng.random() < p

@@ -1,7 +1,9 @@
 """Monte-Carlo orchestration: many independent runs, one report.
 
 Every trial, two-party or three-party, is one ``run_multiparty`` chain of
-hops; its row reads the first hop and, when it ran, the second. A trial
+hops; its row reads the first hop and, when it ran, the second. ``run``
+hands ``run_multiparty`` its trials in batches of at most ``BATCH_PAIRS``
+pairs, whose rows are what each trial gives alone. A trial
 records its transcript only when the caller collects transcripts; the rows
 are the same either way, since recording makes no draw. ``run_multiparty``
 derives each trial's streams from the config and the trial index; its
@@ -28,6 +30,11 @@ from .protocol import TrialOutcome, run_multiparty
 from .protocol import run_protocol  # noqa: F401
 
 SCHEMA_VERSION = "eprqkd-report/1"
+
+# The most pairs a batch of trials prepares, which bounds the memory a run
+# holds at once beyond its rows: each trial's ledger and the batch's joined
+# columns, a few bytes per pair, until the batch's rows are built.
+BATCH_PAIRS = 2**16
 
 _DETECTION_REASONS = ("check1_failed", "check2_failed")
 
@@ -193,11 +200,15 @@ def run(config: RunConfig, collect_transcripts: bool = False) -> RunReport:
     started = time.perf_counter()
     rows = []
     transcripts: list[str] | None = [] if collect_transcripts else None
-    for trial in range(config.trials):
-        outcome = run_multiparty(config, trial, collect_transcripts)
-        rows.append(trial_row(outcome))
-        if transcripts is not None:
-            transcripts.append("".join([hop.ledger.transcript.to_jsonl() for hop in outcome.hops]))
+    # Trials run in batches, each a ``run_multiparty`` of a range.
+    size = max(1, BATCH_PAIRS // config.pairs)
+    for start in range(0, config.trials, size):
+        batch = range(start, min(start + size, config.trials))
+        for outcome in run_multiparty(config, batch, collect_transcripts):
+            rows.append(trial_row(outcome))
+            if transcripts is not None:
+                jsonl = [hop.ledger.transcript.to_jsonl() for hop in outcome.hops]
+                transcripts.append("".join(jsonl))
     return RunReport(
         config=config,
         rows=rows,

@@ -413,6 +413,39 @@ def test_the_scale_child_runs_the_command_line_and_reads_its_peak(tmp_path):
     assert json.loads((tmp_path / "r.json").read_text())["config"]["pairs"] == 20
 
 
+def test_the_detect_sizes_alternate_a_run_then_a_verify():
+    calls = []
+
+    def run_one(side, step, trials):
+        calls.append((side, step, trials))
+        k = calls.count((side, step, trials)) - 1
+        return {"wall_s": 1.0 + k + (step == "run"), "peak_mb": 200.0 + k - (side == "change")}
+
+    series = record_bench.detect_series(run_one, 1000, 4)
+    assert list(series) == ["detect-run-1000", "detect-verify-1000"]
+    order = ["parent", "change", "change", "parent"] * 2
+    assert calls == [(side, step, 1000) for step in ("run", "verify") for side in order]
+    verify = series["detect-verify-1000"]
+    assert [pair["first"] for pair in verify["pairs"]] == ["parent", "change"] * 2
+    assert verify["parent"]["peak_mb"]["median"] == 201.5
+    assert verify["change"]["peak_mb"]["median"] == 200.5
+    assert series["detect-run-1000"]["parent"]["wall_s"]["median"] == 3.5
+
+
+def test_a_detect_run_and_its_verify_read_their_children(tmp_path):
+    # The children themselves, on 30 trials of this checkout's source: the
+    # run writes its report where the verify reads it.
+    run = record_bench.run_detect(ROOT, 30, "run", tmp_path)
+    report = json.loads((tmp_path / "detect-30.json").read_text())
+    assert report["config"]["trials"] == 30 and report["config"]["attack"]["kind"] == "fake-epr"
+    verify = record_bench.run_detect(ROOT, 30, "verify", tmp_path)
+    for measured in (run, verify):
+        assert 0 < measured["wall_s"] < 60 and 1 < measured["peak_mb"] < 1000
+    (tmp_path / "detect-30.json").write_text("{}")
+    with pytest.raises(RuntimeError, match="eprqkd verify .* failed"):
+        record_bench.run_detect(ROOT, 30, "verify", tmp_path)
+
+
 # A module of 15 lines, 8 of them code: the import, the decorator, the def
 # line, the two lines of one statement, a string that follows a statement (so
 # no docstring), the return and the class line. Its docstrings, comments and

@@ -109,15 +109,16 @@ def test_check_block_layouts_equal_the_separate_draws(monkeypatch):
     # Each step that draws per pair takes one block: the sender's n quarters,
     # the first check's 2k (3k with random bases) after its sample, the
     # decode's one per pair. They come one after another from the hop's one
-    # honest stream, so the blocks' sizes fix the draws.
+    # honest stream, so the blocks' sizes fix the draws. A batch of trials
+    # takes every trial's block of a step in one ``quarters_of`` call.
     blocks = []
-    quarters = RandomSource.quarters
+    quarters_of = RandomSource.quarters_of
 
-    def recording(self, n):
-        blocks.append((self.stream, n))
-        return quarters(self, n)
+    def recording(sources, counts):
+        blocks.extend((source.stream, n) for source, n in zip(sources, counts))
+        return quarters_of(sources, counts)
 
-    monkeypatch.setattr(RandomSource, "quarters", recording)
+    monkeypatch.setattr(RandomSource, "quarters_of", staticmethod(recording))
     for randomize_check_basis, per_pair in ((False, 2), (True, 3)):
         blocks.clear()
         config = RunConfig(pairs=64, seed=3, randomize_check_basis=randomize_check_basis)
