@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Count the code lines of Python modules: no docstrings, comments or blank lines.
+"""Count the code lines of Python modules (no docstrings, comments or blank
+lines) and their AST nodes.
 
 Usage (from the repository root):
 
@@ -7,8 +8,11 @@ Usage (from the repository root):
 
 A line counts when it holds part of a token other than a comment, a line
 break or an indent, and is not part of a module, class or function
-docstring. A directory stands for the ``*.py`` files directly in it, and
-each of them is printed with its own count before the total.
+docstring. A module's AST nodes are the nodes ``ast.walk`` visits in its
+parse tree, which tracks what compiling it costs (an import without a
+bytecode cache compiles every module it loads). A directory stands for the
+``*.py`` files directly in it, and each of them is printed with its own
+code lines and AST nodes before the totals.
 """
 from __future__ import annotations
 
@@ -40,6 +44,11 @@ def module_code_lines(text: str) -> int:
     return len(lines)
 
 
+def module_ast_nodes(text: str) -> int:
+    """The AST nodes of one module's source."""
+    return sum(1 for _ in ast.walk(ast.parse(text)))
+
+
 def modules(path: Path) -> list[Path]:
     """The modules ``path`` stands for: itself, or the ``*.py`` files
     directly in it, in order."""
@@ -51,6 +60,11 @@ def code_lines(path: Path) -> int:
     return sum(module_code_lines(p.read_text()) for p in modules(path))
 
 
+def ast_nodes(path: Path) -> int:
+    """The AST nodes of ``path``, a module or a directory of modules."""
+    return sum(module_ast_nodes(p.read_text()) for p in modules(path))
+
+
 def main(argv=None) -> int:
     paths = [Path(p) for p in (sys.argv[1:] if argv is None else argv)]
     # An option such as --help names no file either.
@@ -58,8 +72,10 @@ def main(argv=None) -> int:
         raise SystemExit("usage: python scripts/code_lines.py PATH...")
     for directory in filter(Path.is_dir, paths):
         for module in modules(directory):
-            print(f"{module_code_lines(module.read_text()):5} {module}")
+            text = module.read_text()
+            print(f"{module_code_lines(text):5} {module_ast_nodes(text):6} {module}")
     print(f"{sum(map(code_lines, paths))} code lines")
+    print(f"{sum(map(ast_nodes, paths))} AST nodes")
     return 0
 
 

@@ -3,9 +3,11 @@
 The adversary acts only on particles while they are in flight and only on
 information she can physically obtain: her own measurement outcomes and her
 own random draws. She never reads the sender's secret preparation choices.
-What she learns is filled into the ledger's ``guesses`` column as her guess
-per pair, each fill naming the alphabet its guesses index, so a run can be
-scored afterwards without giving the attack code oracle access.
+What she learns is filled into the batch's ``guesses`` column as her guess
+per pair, each fill naming the alphabet its guesses index and logged in
+each trial's ledger, so a run can be scored afterwards without giving the
+attack code oracle access. Each attack draws each trial's draws from that
+trial's stream, the channel's list holding one per trial of the batch.
 
 Strategies:
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .errors import ConfigurationError
-from .ledger import DIGITS, Batch, Disposition, PairLedger, as_given, code_string, parts, per_trial
+from .ledger import DIGITS, Batch, Disposition, PairLedger, code_string, parts
 from .quantum import BELL_LABELS, CODES, KEYS, OPS, PAIR_BASIS, BellState, measure_column
 # Unused here; the benchmark's traced run (bench/workloads.py) wraps these bindings.
 from .quantum import measure_bell_basis, measure_qubit_z  # noqa: F401
@@ -177,7 +179,7 @@ def _opaque(channel, transmission, batch, rngs):
     # Only a transcript reads the lost pairs' ordinals, which the settle
     # returns; the pairs left live are the ones forwarded.
     if 1 in lost:
-        destroyed = per_trial(batch, batch.settle(lost, Disposition.DROPPED))
+        destroyed = batch.settle(lost, Disposition.DROPPED)
     else:
         destroyed = [()] * len(batch.sizes)
     if batch.transcript is None:
@@ -197,30 +199,29 @@ _ATTACKS = {
 
 
 class AdversaryChannel:
-    """A channel with a fixed strategy and random stream: one stream, or a
-    list of them, one for each trial of the batches it acts on."""
+    """A channel with a fixed strategy and a list of random streams, one for
+    each trial of the batches it acts on."""
 
-    def __init__(self, strategy: AttackStrategy, rng: RandomSource | list[RandomSource]):
+    def __init__(self, strategy: AttackStrategy, rngs: list[RandomSource]):
         self.strategy = strategy
-        self.rng = rng
+        self.rngs = rngs
 
-    def interpose(self, transmission: int, ledger: PairLedger | Batch) -> dict | None:
-        """Apply the strategy to the particles currently in flight, in a
-        ledger or in each trial of a batch.
+    def interpose(self, transmission: int, batch: Batch) -> list[dict] | None:
+        """Apply the strategy to the particles currently in flight in each
+        trial of ``batch``, drawing from that trial's stream.
 
-        Mutates the ledger (states, planted pairs, dispositions, guesses)
-        in place. Returns a transcript payload describing what was done (a
-        batch, a list of each trial's), or None when the particles passed
-        untouched or the ledger records no transcript.
+        Mutates the batch (states, planted pairs, dispositions, guesses) in
+        place. Returns each trial's transcript payload describing what was
+        done, or None when the particles passed untouched or the batch
+        records no transcript.
         """
         if transmission not in (1, 2):
             raise ConfigurationError(f"transmission must be 1 or 2, got {transmission}")
-        rngs = self.rng if isinstance(self.rng, list) else [self.rng]
-        payloads = _ATTACKS[self.strategy.kind](self, transmission, ledger, rngs)
+        payloads = _ATTACKS[self.strategy.kind](self, transmission, batch, self.rngs)
         if payloads is None:
             return None
         head = {"strategy": self.strategy.kind.value, "sequence": transmission}
-        return as_given(ledger, [{**head, **payload} for payload in payloads])
+        return [{**head, **payload} for payload in payloads]
 
 
 def eve_guess_counts(ledger: PairLedger) -> dict[str, dict[str, int]]:

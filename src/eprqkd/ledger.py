@@ -1,21 +1,25 @@
 """Bookkeeping types for a protocol run.
 
-A trial is described by a ledger of byte columns, one byte per pair: the
+Every protocol step acts on a ``Batch``: the trials that take the step
+together, each with its ``PairLedger``, and the batch's byte columns, one
+byte per live pair (a pair with no terminal disposition yet) of all its
+trials, joined in trial order and, within a trial, in ordinal order: the
 preparation codes, the genuine pairs' state codes (``quantum``'s int codes:
 a pair-state label, or a product of Z/X eigenstates once a half was
-measured), the planted pairs' codes, the decode results and the adversary's
-guesses. ``prepared`` is also held whole, one byte per pair by ordinal, for
-``PairLedger.cut``, which cuts such a column by every settle of some live
-pairs: a sender's key is her prepared codes cut so. It, and every other
-column a later step reads, is held compacted to the live pairs (the pairs
-with no terminal disposition yet) in ordinal order: ``PairLedger.column``
-reads one, and ``live`` counts its bytes, one per live pair. So a step
-that acts on the live pairs (a transmission's attack, the decode) measures
-whole columns in one ``quantum.measure_column`` call, and a check gathers
-its sample's bytes from them through the sample's mask.
+measured), the planted pairs' codes, the decode results and the
+adversary's guesses. ``Batch.column`` reads one, and ``Batch.sizes``
+counts each trial's bytes of it. So a step that acts on the live pairs (a
+transmission's attack, the decode) measures whole columns in one
+``quantum.measure_column`` call for every trial, and a check gathers its
+sample's bytes from them through the sample's mask. A trial's ledger holds
+no column, only its logs and state. ``PairLedger.cut`` cuts a full-length
+column, such as ``prepared``, the trial's preparation codes by pair
+ordinal, by every settle of some live pairs: a sender's key is her
+prepared codes cut so.
 
-``PairLedger.fill`` is the only writer of a trial's column (a batch's fill
-fills each of its trials). A step fills only the
+``Batch.fill`` is the only writer of a column, and logs each trial's part
+of it in that trial's ledger (``PairLedger.fill`` only appends to the fill
+log). A step fills only the
 post states a later step reads; a measurement that consumes its pairs
 (either check, the decode, or the fake-EPR adversary's capture of the
 genuine pairs) writes back none. Each fill is one record of the fill log,
@@ -24,7 +28,7 @@ number of settles cut before it, the prepared codes of the pairs live then,
 one code per such pair, and the alphabet its codes index. That alphabet is
 ``CODES`` for the decode results and for the adversary's Bell or two-bit
 guesses, the two bit names for her one-bit guesses, and None for the
-pair-state columns ``state`` and ``planted``. ``PairLedger.filled`` says
+pair-state columns ``state`` and ``planted``. ``Batch.filled`` says
 whether a column holds codes yet, and ``PairLedger.counts`` counts the last
 fill of a column against the prepared codes of the pairs it was filled at,
 as bytes, with ``joint_counts``, naming each code through that fill's
@@ -35,7 +39,7 @@ contributing to the key, or lost in transit) and drops them from the live
 pairs. It takes them as a mask, a byte per live pair that is 1 where the
 pair is taken, as a check's sample or the opaque attack's losses arrive, and
 works with C-level byte operations only: one ``translate`` flips it into the
-keep mask, ``itertools.compress`` cuts the ledger's private list of live
+keep mask, ``itertools.compress`` cuts each ledger's private list of live
 ordinals with it (and, when the ledger keeps a transcript, picks the taken
 pairs' ordinals with the mask itself), and a column is cut on its first read
 after the settle by ``gather`` (one big-int OR and one ``translate``) under
@@ -52,19 +56,18 @@ private live list and in what ``PairLedger.ordinals`` rebuilds from the cuts
 on demand, which ``records``, ``disposition_counts`` and the tests read; a
 partial settle returns the ordinals of the pairs it took when the ledger
 keeps a transcript, which is what a step logs, and None when it keeps none.
-What a step hands its caller is counts and codes (a check's sample size and
-mismatches; a key, the bytes of its pair codes as ``column`` and ``cut``
-return them).
+What a step hands its caller is counts and codes, one item per trial (a
+check's sample size and mismatches; a key, the bytes of its pair codes as
+``column`` and ``cut`` return them).
 No step builds an object per pair: ``PairLedger.records`` rebuilds
 read-only ``PairRecord`` views from the settle log and the fill log, with
 None where a pair has no value, only when something reads them.
 
-Trials that take each step together form a ``Batch``: their ledgers, and
-each column at the live pairs of all of them, joined in trial order, so a
-step measures, gathers and cuts once for all of them. A batch fills and
-settles each trial's ledger with that trial's part, and a trial that aborts
-leaves the batch, whose columns then lose its bytes by one more cut. A lone
-ledger is the batch of one.
+A batch settles each trial's ledger with that trial's part of a mask, and
+the keep masks joined are the batch's cut. A trial that aborts leaves the
+batch, whose columns then lose its bytes by one more cut. A batch of one
+trial cuts, fills and settles its one ledger with the batch's own bytes,
+copying no column.
 
 The run's progress is one ledger field, ``phase``. The pairs still live all
 stand at the same stage, the one ``Phase`` names for that phase, so the
@@ -241,73 +244,26 @@ class PairRecord(NamedTuple):
     guess: int | None
 
 
-class _Columns:
-    """Byte columns compacted to the live pairs, each cut on its first read
-    after a settle: ``_views`` holds each column as (cuts taken, codes), and
-    each cut a column has not taken yet is a later entry of ``_cuts``, a
-    settle's keep mask. ``live`` counts the live pairs, and ``phase`` says
-    where they stand."""
-
-    @property
-    def stage(self) -> Disposition:
-        """The disposition every live pair has: its phase's stage."""
-        return self.phase.stage
-
-    @property
-    def receiver_state(self) -> bytes:
-        """The column the receiver's measurements act on: the planted pairs
-        once the adversary substituted them, else the genuine ones."""
-        return self.column("planted" if self.filled("planted") else "state")
-
-    def column(self, name: str) -> bytes:
-        """Column ``name`` at the live pairs, in order, once it has taken the
-        cut of each settle since its last read."""
-        gen, codes = self._views[name]
-        if gen < len(self._cuts):
-            codes = self.cut(codes, gen)
-            self._views[name] = len(self._cuts), codes
-        return codes if self.live else b""
-
-    def cut(self, codes: bytes, gen: int = 0) -> bytes:
-        """``codes``, one byte per pair live after the first ``gen`` cuts (by
-        default one per prepared pair), cut by every later settle of some
-        live pairs: the bytes of the pairs live after the last such settle,
-        in order."""
-        for keep in self._cuts[gen:]:
-            codes = gather(codes, keep)
-        return codes
-
-    def filled(self, name: str) -> bool:
-        """Whether column ``name`` holds codes: ``prepared`` and ``state``
-        from the start, another once a step filled it."""
-        return name in self._views
-
-
-class PairLedger(_Columns):
-    """One trial's pairs as columns compacted to the live pairs, plus
-    run-level state.
+class PairLedger:
+    """One trial's logs and run-level state; the columns a step reads are
+    its batch's (``Batch``).
 
     ``prepared`` holds the preparation codes by pair ordinal. ``live``
     counts the pairs with no terminal disposition yet, whose disposition is
     ``stage``, set by ``phase``; only the ledger holds their ordinals.
     ``settled`` logs each settle's (cuts before it, terminal disposition),
-    whose ordinals ``ordinals`` rebuilds, and ``fills`` each fill's record
-    (name, cuts, prepared codes, codes, names). ``transcript`` is the event
-    log, or None when the run records none.
+    whose ordinals ``ordinals`` rebuilds from ``_cuts``, each partial
+    settle's keep mask; ``fills`` logs each fill's record (name, cuts,
+    prepared codes, codes, names). ``transcript`` is the event log, or None
+    when the run records none.
     """
 
     def __init__(self, prepared: bytes | list[int], transcript: Transcript | None = None):
-        self.prepared = codes = bytes(prepared)
-        self.live = len(codes)
-        # The batch of one's live counts (see ``Batch``), kept with ``live``.
-        self.sizes = [self.live]
+        self.prepared = bytes(prepared)
+        self.live = len(self.prepared)
         # The live pairs' ordinals: a range until the first partial settle
         # lists the ones it keeps.
-        self._live_ordinals: range | list[int] = range(len(codes))
-        # Each column at the live pairs as (cuts taken, codes); each cut a
-        # column has not taken yet is a later entry of _cuts, a settle's keep
-        # mask.
-        self._views = {"prepared": (0, codes), "state": (0, codes)}
+        self._live_ordinals: range | list[int] = range(self.live)
         self._cuts: list[bytes] = []
         self.fills: list[tuple[str, int, bytes, bytes, tuple[str, ...] | None]] = []
         self.settled: list[tuple[int, Disposition]] = []
@@ -320,54 +276,46 @@ class PairLedger(_Columns):
         self.receipt_1: float | None = None
         self.receipt_2: float | None = None
 
-    def fill(
-        self,
-        name: str,
-        codes: bytes,
-        names: tuple[str, ...] | None = None,
-        prepared: bytes | None = None,
-        stand: bool = False,
-    ):
-        """Set column ``name`` to ``codes``, one byte per live pair, in order,
-        each an index into ``names`` (None for a column of pair states).
-        ``prepared``, the live pairs' prepared codes, is read from the
-        ledger unless given, as a batch gives each trial its part. With
-        ``stand``, a ledger with no live pair takes no fill, and the
-        column's last codes stand."""
-        if self.live or not stand:
-            prepared = self.column("prepared") if prepared is None else prepared
-            self.fills.append((name, len(self._cuts), prepared, codes, names))
-            self._views[name] = len(self._cuts), codes
-
     @property
-    def ledgers(self) -> tuple["PairLedger"]:
-        """The ledger is the batch of one (see ``Batch``): its one trial."""
-        return (self,)
+    def stage(self) -> Disposition:
+        """The disposition every live pair has: its phase's stage."""
+        return self.phase.stage
+
+    def fill(self, name: str, prepared: bytes, codes: bytes, names: tuple[str, ...] | None = None):
+        """Log a fill of column ``name`` with ``codes``, one byte per live
+        pair, in order, each an index into ``names`` (None for a column of
+        pair states); ``prepared`` holds the live pairs' prepared codes."""
+        self.fills.append((name, len(self._cuts), prepared, codes, names))
+
+    def cut(self, codes: bytes) -> bytes:
+        """``codes``, one byte per prepared pair, cut by every settle of
+        some live pairs: the bytes of the live pairs, in order."""
+        for keep in self._cuts:
+            codes = gather(codes, keep)
+        return codes
 
     def counts(self, name: str) -> dict[str, dict[str, int]]:
         """``joint_counts`` of the prepared codes against column ``name`` at
         the pairs of its last fill, in that fill's alphabet; {} when it was
-        never filled."""
-        if name in self._views:  # else never filled, as both row columns of an early abort
-            for fill in reversed(self.fills):
-                if fill[0] == name:
-                    return joint_counts(*fill[2:])
+        never filled, as both row columns of an early abort."""
+        for fill in reversed(self.fills):
+            if fill[0] == name:
+                return joint_counts(*fill[2:])
         return {}
 
     def settle(self, taken: bytes | None, disposition: Disposition) -> tuple[int, ...] | None:
         """Give the live pairs where ``taken``, a 0/1 byte per live pair, is
         1 a terminal disposition: its keep mask becomes the next cut, and the
         taken pairs' ordinals are returned, for a transcript to log, when the
-        ledger keeps one (else None). None settles every live pair, cuts no
-        column and returns None. Either logs (cuts before it, disposition)."""
+        ledger keeps one (else None). None settles every live pair, cuts
+        nothing and returns None. Either logs (cuts before it, disposition)."""
         self.settled.append((len(self._cuts), disposition))
         if taken is None:
-            self.live, self.sizes, self._live_ordinals = 0, [0], []
+            self.live, self._live_ordinals = 0, []
             return None
         ordinals, keep = self._live_ordinals, taken.translate(_FLIP)
         self._live_ordinals = list(compress(ordinals, keep))
         self.live = len(self._live_ordinals)
-        self.sizes = [self.live]
         self._cuts.append(keep)
         return None if self.transcript is None else tuple(compress(ordinals, taken))
 
@@ -430,29 +378,29 @@ def parts(data: bytes, sizes: list[int]) -> list[bytes]:
     return [data[end - n : end] for n, end in zip(sizes, ends)]
 
 
-class Batch(_Columns):
+class Batch:
     """Trials that take each protocol step together: their ledgers, in
     trial order, and each column at the live pairs of all of them, joined
-    in that order.
+    in that order; every step acts on one.
 
     ``sizes`` counts each trial's live pairs, so a trial's bytes of a column
-    follow those of the trials before it (``parts``). A step measures,
-    gathers and cuts a batch's columns once for all its trials, and fills
-    and settles through the batch, which fills and settles each trial's
-    ledger with that trial's part, so a ledger reads the same after a step
-    whatever batch it took the step in. A lone ``PairLedger`` is the batch
-    of one: it has the same ``ledgers``, ``sizes``, columns, ``fill`` and
-    ``settle``, and what a step returns or logs per trial it gives a lone
-    ledger alone (``per_trial``). Each trial logs to its own transcript;
-    the trials of a batch all keep one, or none does.
+    follow those of the trials before it (``parts``), and ``live`` counts
+    them all. ``_views`` holds each column as (cuts taken, codes), each cut
+    a column has not taken yet a later entry of ``_cuts``, a settle's keep
+    mask over the batch, so a column is cut on its first read after a
+    settle. A step measures, gathers and cuts a batch's columns once for
+    all its trials, and fills and settles through the batch, which logs
+    each trial's part in that trial's ledger, so a ledger reads the same
+    after a step whatever batch it took the step in. Each trial logs to its
+    own transcript; the trials of a batch all keep one, or none does.
     """
 
-    def __init__(self, ledgers: list[PairLedger], codes: bytes):
-        """The batch of ``ledgers``, just prepared, whose prepared codes
-        joined are ``codes``."""
+    def __init__(self, ledgers: list[PairLedger]):
+        """The batch of ``ledgers``, just prepared."""
         self.ledgers = ledgers
         self.sizes = [ledger.live for ledger in ledgers]
-        self.live = len(codes)
+        self.live = sum(self.sizes)
+        codes = b"".join([ledger.prepared for ledger in ledgers])
         self._views = {"prepared": (0, codes), "state": (0, codes)}
         self._cuts: list[bytes] = []
         # Not None when the trials keep transcripts (all do, or none).
@@ -468,13 +416,39 @@ class Batch(_Columns):
         for ledger in self.ledgers:
             ledger.phase = phase
 
+    @property
+    def receiver_state(self) -> bytes:
+        """The column the receiver's measurements act on: the planted pairs
+        once the adversary substituted them, else the genuine ones."""
+        return self.column("planted" if self.filled("planted") else "state")
+
+    def column(self, name: str) -> bytes:
+        """Column ``name`` at the live pairs, in order, once it has taken the
+        cut of each settle since its last read."""
+        gen, codes = self._views[name]
+        if gen < len(self._cuts):
+            for keep in self._cuts[gen:]:
+                codes = gather(codes, keep)
+            self._views[name] = len(self._cuts), codes
+        return codes if self.live else b""
+
+    def filled(self, name: str) -> bool:
+        """Whether column ``name`` holds codes: ``prepared`` and ``state``
+        from the start, another once a step filled it."""
+        return name in self._views
+
     def fill(
         self, name: str, codes: bytes, names: tuple[str, ...] | None = None, stand: bool = False
     ):
-        """``PairLedger.fill`` of each trial with its part of ``codes``."""
+        """Set column ``name`` to ``codes``, one byte per live pair, in order,
+        each an index into ``names`` (None for a column of pair states), and
+        log each trial's part in its ledger (``PairLedger.fill``). With
+        ``stand``, a trial with no live pair logs no fill, so its last fill
+        of the column stands."""
         prepared = parts(self.column("prepared"), self.sizes)
-        for ledger, part, at in zip(self.ledgers, parts(codes, self.sizes), prepared):
-            ledger.fill(name, part, names, at, stand)
+        for ledger, at, part in zip(self.ledgers, prepared, parts(codes, self.sizes)):
+            if ledger.live or not stand:
+                ledger.fill(name, at, part, names)
         self._views[name] = len(self._cuts), codes
 
     def settle(self, taken: bytes | None, disposition: Disposition) -> list | None:
@@ -509,18 +483,6 @@ class Batch(_Columns):
             self.ledgers = list(compress(self.ledgers, kept))
             self.sizes = list(compress(self.sizes, kept))
             self.live = sum(self.sizes)
-
-
-def per_trial(batch: PairLedger | Batch, value) -> list:
-    """``value``, a step's result for each trial of ``batch``, as a list:
-    a lone ledger's, which is its one trial's, as the list of it."""
-    return value if isinstance(batch, Batch) else [value]
-
-
-def as_given(batch: PairLedger | Batch, values: list):
-    """``values``, one per trial of ``batch``, as a step hands them back:
-    the list for a batch, the one value for a lone ledger."""
-    return values if isinstance(batch, Batch) else values[0]
 
 
 def joint_counts(prepared: bytes, ys: bytes, y_names) -> dict[str, dict[str, int]]:

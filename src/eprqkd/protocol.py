@@ -29,12 +29,13 @@ that depends on a setting (a check's fraction, threshold and minimum size,
 the check basis, continuation) reads it from the ``RunConfig`` it is
 handed, the one place each setting is stated.
 
-A step that draws per pair takes its draws as one ``RandomSource.quarters``
-block. The first check of k sampled pairs takes 2k: the receiver's k, then
-the sender's k. With random check bases it takes 3k: its first 2k alternate
-a pair's basis draw and the receiver's draw for that pair, and the sender's
-k follow. The sender and the receiver of a hop draw from one stream, the
-sender's ``pairs`` quarters first; the adversary draws from her own.
+A step that draws per pair takes each trial's draws as one block of
+``RandomSource.quarters_of``. The first check of k sampled pairs takes 2k:
+the receiver's k, then the sender's k. With random check bases it takes
+3k: its first 2k alternate a pair's basis draw and the receiver's draw for
+that pair, and the sender's k follow. The sender and the receiver of a hop
+draw from one stream, the sender's ``pairs`` quarters first; the adversary
+draws from her own.
 
 No step takes the parties' names: they matter only as the actors of
 logged events, so a hop's ``Transcript`` carries them, and a step logs its
@@ -47,15 +48,17 @@ and on to clare for three, where the relay re-encodes his raw key into the
 next hop's pairs. It is the one entry point of a trial:
 ``run_multiparty(config, t)`` derives trial t's streams and runs it.
 
-Every step acts on a batch of trials (``ledger.Batch``) at once: each
-trial makes its own draws from its own streams, in the order above, and
-the byte work after the draws (the measurements, gathers, check counts
-and settle cuts) runs once over the batch's joined columns. A step handed
-one ledger and its stream acts on the batch of one and returns what that
-trial's step returns; handed a batch and a list of its trials' streams, it
-returns the batch, or a list with one item per trial. ``run_multiparty``
-of a range of trials runs them as one batch, and a trial that aborts
-leaves its batch.
+Every step has one calling convention: it takes a batch of trials
+(``ledger.Batch``) and a list of their streams, one per trial, in order.
+Each trial makes its own draws from its own stream, in the order above,
+and the byte work after the draws (the measurements, gathers, check counts
+and settle cuts) runs once over the batch's joined columns. The two
+preparations and the transmissions and the decode return the batch; the
+checks and ``extract_key`` return a list with one item per trial. A lone
+trial is a batch of one. ``run_protocol`` and ``run_multiparty`` also take
+a lone trial, which they run as a batch of one; ``run_multiparty`` of a
+range of trials runs them as one batch, and a trial that aborts leaves
+its batch.
 """
 from __future__ import annotations
 
@@ -68,7 +71,7 @@ from .adversary import AdversaryChannel, AttackStrategy
 from .config import RunConfig
 from .errors import ConfigurationError, InsufficientPairsError, ProtocolOrderError
 from .ledger import DIGITS, PARTIES, Batch, CheckReport, Disposition, PairLedger, Phase
-from .ledger import Transcript, as_given, code_string, gather, parts, per_trial
+from .ledger import Transcript, code_string, gather, parts
 from .quantum import BASES, BELL_LABELS, CODES, KEYS, OPS, PAIR_BASIS, BellState, measure_column
 # Unused here; the benchmark's traced run (bench/workloads.py) wraps these bindings.
 from .quantum import measure_bell_basis, measure_qubit  # noqa: F401
@@ -90,76 +93,73 @@ _DIFFER = bytes(not BELL_LABELS[x].correlated_in(basis) for basis, x in _CHECK_C
 _LETTERS = b"zzxx".ljust(256)
 
 
-def alice_prepare(n: int, rng: RandomSource, transcript: Transcript | None = None) -> PairLedger:
-    """Prepare N pairs with uniformly random state choices (step 1).
-
-    Handed a list of streams, it prepares a batch: N pairs for each, one
-    trial per stream, each logging to its item of the list ``transcript``
-    (or to none)."""
+def alice_prepare(
+    n: int, rngs: list[RandomSource], transcripts: list[Transcript | None] | None = None
+) -> Batch:
+    """Prepare N pairs with uniformly random state choices (step 1) for
+    each stream of ``rngs``, a batch of one trial per stream, each logging
+    to its item of ``transcripts`` (or to none)."""
     if n < 1:
         raise ConfigurationError(f"cannot prepare {n} pairs")
     # One 2-bit draw per pair, a uniform code 0-3 by construction, so the
     # codes skip prepare_from_labels' checks.
-    if not isinstance(rng, list):
-        return _prepare(rng.quarters(n), [n], [transcript])
-    return _prepare(RandomSource.quarters_of(rng, [n] * len(rng)), [n] * len(rng), transcript)
+    sizes = [n] * len(rngs)
+    return _prepare(parts(RandomSource.quarters_of(rngs, sizes), sizes), transcripts)
 
 
-def prepare_from_labels(
-    labels: bytes | list[BellState | int], transcript: Transcript | None = None
-) -> PairLedger:
-    """Prepare pairs in the given states (labels or their codes), in order
-    (re-encoding path).
+def prepare_from_labels(labels: list, transcripts: list[Transcript | None] | None = None) -> Batch:
+    """Prepare a batch of one trial per item of ``labels``, each a sequence
+    of pair states (labels or their codes), in order (re-encoding path);
+    each trial logs to its item of ``transcripts`` (or to none).
 
-    The ledger logs to ``transcript``, and nowhere when it is None.
-    Anything but a pair state or an int code 0-3 (a bool is none) raises
-    ConfigurationError. A list of byte strings, each one trial's codes (a
-    relay's keys), prepares a batch, each trial logging to its item of the
-    list ``transcript`` (or to none).
+    An item that is bytes (a relay's key codes) is taken as it is; any other
+    is listed, and refused if it holds a bool, which is no label. Anything
+    but a pair state or an int code 0-3 raises ConfigurationError, and so
+    does an empty sequence.
     """
-    batch = isinstance(labels, list) and bool(labels) and type(labels[0]) is bytes
-    # bytes() takes each list item through its __index__, rejecting a
+    # bytes() takes each listed item through its __index__, rejecting a
     # non-integer or a negative value, but reads an int as a length and a
-    # buffer (an array, say) as raw bytes, so anything but bytes (the relay's
-    # key codes, taken as they are) is listed first; and it reads a bool as
-    # 0 or 1, which is no label. A batch's codes are joined, and an item
-    # that is no bytes fails the join.
+    # buffer (an array, say) as raw bytes, so the sequence is listed first.
+    # A refused item is None, which fails the join.
+    items = []
     try:
-        items = b"".join(labels) if batch else labels if isinstance(labels, bytes) else list(labels)
-        codes = bytes(items) if type(items) is bytes or bool not in map(type, items) else None
+        for item in labels:
+            if type(item) is not bytes:
+                item = list(item)
+                item = None if bool in map(type, item) else bytes(item)
+            items.append(item)
+        codes = b"".join(items)
     except (TypeError, ValueError):
         codes = None
     if codes is None or codes.translate(None, _CODE_BYTES):  # a byte above 3 is left
         raise ConfigurationError("preparation labels must be pair states or their codes 0-3")
-    sizes = list(map(len, labels)) if batch else [len(codes)]
-    if 0 in sizes:
+    if not items or not all(items):
         raise ConfigurationError("cannot prepare an empty pair sequence")
-    return _prepare(codes, sizes, transcript if batch else [transcript])
+    return _prepare(items, transcripts)
 
 
-def _prepare(codes: bytes, sizes: list[int], transcripts: list | None) -> PairLedger | Batch:
-    """The batch of one ledger per trial, prepared in that trial's part of
-    ``codes``, each 0-3, and logging to that trial's transcript: a lone
-    ledger for one trial."""
-    ledgers = list(map(PairLedger, parts(codes, sizes), transcripts or [None] * len(sizes)))
+def _prepare(codes: list[bytes], transcripts: list | None) -> Batch:
+    """The batch of one ledger per trial, prepared in that trial's item of
+    ``codes``, each code 0-3, and logging to that trial's transcript."""
+    ledgers = list(map(PairLedger, codes, transcripts or [None] * len(codes)))
     for ledger in ledgers:
         if (transcript := ledger.transcript) is not None:
             payload = {"pairs": ledger.live, "codes": code_string(ledger.prepared)}
             transcript.log(1, transcript.sender, "prepare", payload)
-    return ledgers[0] if len(ledgers) == 1 else Batch(ledgers, codes)
+    return Batch(ledgers)
 
 
-def transmit_first_sequence(ledger: PairLedger, channel: AdversaryChannel) -> PairLedger:
+def transmit_first_sequence(batch: Batch, channel: AdversaryChannel) -> Batch:
     """Send every pair's second half through the channel (step 2).
 
     The receiver gets a particle, genuine or planted, for every pair the
     channel did not drop.
     """
-    if ledger.phase is not Phase.CREATED:
-        raise ProtocolOrderError(f"first transmission in phase {ledger.phase.name}")
-    ledger.phase = Phase.SENT_1
-    _transmit(ledger, channel, 1, 2)
-    return ledger
+    if batch.phase is not Phase.CREATED:
+        raise ProtocolOrderError(f"first transmission in phase {batch.phase.name}")
+    batch.phase = Phase.SENT_1
+    _transmit(batch, channel, 1, 2)
+    return batch
 
 
 def _transmit(batch: Batch, channel: AdversaryChannel, sequence: int, step: int):
@@ -174,7 +174,7 @@ def _transmit(batch: Batch, channel: AdversaryChannel, sequence: int, step: int)
     for trial, count, got in zip(batch.ledgers, sent, received):
         setattr(trial, slot, got / count if count else 1.0)
     if batch.transcript is not None:
-        payloads = per_trial(batch, interference) if interference else [None] * len(sent)
+        payloads = interference or [None] * len(sent)
         for trial, count, got, payload in zip(batch.ledgers, sent, received, payloads):
             transcript = trial.transcript
             transcript.log(step, transcript.sender, "send", {"sequence": sequence, "count": count})
@@ -198,7 +198,7 @@ def _draw_sample(
         k = min(m, max(min_size, math.ceil(fraction * m)))
         masks.append(rng.sample_mask(m, k))
         sizes.append(k)
-    return masks[0] if len(masks) == 1 else b"".join(masks), sizes
+    return b"".join(masks), sizes
 
 
 def _reports(
@@ -216,7 +216,7 @@ def _reports(
     return reports
 
 
-def first_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> CheckReport:
+def first_check(batch: Batch, config: RunConfig, rngs: list[RandomSource]) -> list[CheckReport]:
     """Correlation test on a random subset of delivered pairs (steps 3-4),
     under the config's ``check_fraction_1``, ``threshold_1``,
     ``min_check_size`` and ``randomize_check_basis``.
@@ -231,7 +231,6 @@ def first_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> Che
     per pair instead of always measuring Z; the honest correlation is
     deterministic either way.
     """
-    batch, rngs = ledger, rng if isinstance(rng, list) else [rng]
     if batch.phase is not Phase.SENT_1:
         raise ProtocolOrderError(f"first check in phase {batch.phase.name}")
     sample, sizes = _draw_sample(batch, config.check_fraction_1, config.min_check_size, rngs)
@@ -283,7 +282,7 @@ def first_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> Che
     if batch.transcript is not None:
         logged = zip(
             batch.ledgers,
-            per_trial(batch, indices),
+            indices,
             parts(basis_q.translate(_LETTERS) if basis else b"z" * k, sizes),
             parts(receiver_bits.translate(DIGITS), sizes),
             parts(sender_bits.translate(DIGITS), sizes),
@@ -299,12 +298,10 @@ def first_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> Che
             transcript.log(4, transcript.sender, "measure_partner_sample", payload)
             transcript.log(4, "public", "check", {"check": "first", **report.to_dict()})
     batch.phase = Phase.CHECKED_1
-    return as_given(ledger, reports)
+    return reports
 
 
-def transmit_second_sequence(
-    ledger: PairLedger, channel: AdversaryChannel, config: RunConfig
-) -> PairLedger:
+def transmit_second_sequence(batch: Batch, channel: AdversaryChannel, config: RunConfig) -> Batch:
     """Send the surviving pairs' first halves through the channel (step 5).
 
     The receiver then holds every pair still in flight whole: the genuine
@@ -313,20 +310,19 @@ def transmit_second_sequence(
     ``continuation_mode`` is set (a study mode that lets the doomed run be
     observed to the end).
     """
-    if ledger.phase is not Phase.CHECKED_1:
-        raise ProtocolOrderError(f"second transmission in phase {ledger.phase.name}")
+    if batch.phase is not Phase.CHECKED_1:
+        raise ProtocolOrderError(f"second transmission in phase {batch.phase.name}")
     if not config.continuation_mode:
-        for trial in ledger.ledgers:
+        for trial in batch.ledgers:
             if trial.check1 is not None and not trial.check1.passed:
                 raise ProtocolOrderError("second transmission after a failed first check")
-    ledger.phase = Phase.SENT_2
-    _transmit(ledger, channel, 2, 5)
-    return ledger
+    batch.phase = Phase.SENT_2
+    _transmit(batch, channel, 2, 5)
+    return batch
 
 
-def bob_decode(ledger: PairLedger, rng: RandomSource) -> PairLedger:
+def bob_decode(batch: Batch, rngs: list[RandomSource]) -> Batch:
     """Pair-state measurement of every surviving pair, in order (step 6)."""
-    batch, rngs = ledger, rng if isinstance(rng, list) else [rng]
     if batch.phase is not Phase.SENT_2:
         raise ProtocolOrderError(f"decode in phase {batch.phase.name}")
     keys = RandomSource.quarters_of(rngs, batch.sizes).translate(KEYS[PAIR_BASIS])
@@ -338,15 +334,14 @@ def bob_decode(ledger: PairLedger, rng: RandomSource) -> PairLedger:
             payload = {"pairs": len(codes), "codes": code_string(codes)}
             trial.transcript.log(6, trial.transcript.receiver, "decode", payload)
     batch.phase = Phase.DECODED
-    return ledger
+    return batch
 
 
-def second_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> CheckReport:
+def second_check(batch: Batch, config: RunConfig, rngs: list[RandomSource]) -> list[CheckReport]:
     """Compare a random subset of decode results against the preparation
     choices (step 7), under the config's ``check_fraction_2``,
     ``threshold_2`` and ``min_check_size``. Compared pairs are excluded
     from the key."""
-    batch, rngs = ledger, rng if isinstance(rng, list) else [rng]
     if batch.phase is not Phase.DECODED:
         raise ProtocolOrderError(f"second check in phase {batch.phase.name}")
     sample, sizes = _draw_sample(batch, config.check_fraction_2, config.min_check_size, rngs)
@@ -361,28 +356,29 @@ def second_check(ledger: PairLedger, config: RunConfig, rng: RandomSource) -> Ch
         for trial, report in zip(batch.ledgers, reports):
             trial.transcript.log(7, "public", "check", {"check": "second", **report.to_dict()})
     batch.phase = Phase.CHECKED_2
-    return as_given(ledger, reports)
+    return reports
 
 
 # A translate table from a byte to 1 when it is nonzero, else 0.
 _NONZERO = bytes(min(b, 1) for b in range(256))
 
 
-def extract_key(ledger: PairLedger) -> bytes:
-    """Take the unchecked decode results as the receiver's raw key (step 7):
-    the bytes of their pair codes, one 0-3 per key pair, in order."""
-    if ledger.phase is not Phase.CHECKED_2:
-        raise ProtocolOrderError(f"key extraction in phase {ledger.phase.name}")
-    for trial in ledger.ledgers:
+def extract_key(batch: Batch) -> list[bytes]:
+    """Take each trial's unchecked decode results as its receiver's raw key
+    (step 7): the bytes of their pair codes, one 0-3 per key pair, in
+    order."""
+    if batch.phase is not Phase.CHECKED_2:
+        raise ProtocolOrderError(f"key extraction in phase {batch.phase.name}")
+    for trial in batch.ledgers:
         if not (trial.check1 and trial.check1.passed and trial.check2 and trial.check2.passed):
             raise ProtocolOrderError("key extraction after a failed check")
-    keys = parts(ledger.column("outcome"), ledger.sizes)
-    ledger.settle(None, Disposition.KEY)
-    ledger.phase = Phase.DONE
-    if ledger.transcript is not None:
-        for trial, key in zip(ledger.ledgers, keys):
+    keys = parts(batch.column("outcome"), batch.sizes)
+    batch.settle(None, Disposition.KEY)
+    batch.phase = Phase.DONE
+    if batch.transcript is not None:
+        for trial, key in zip(batch.ledgers, keys):
             trial.transcript.log(7, "public", "commit", {"key_bits": 2 * len(key)})
-    return as_given(ledger, keys)
+    return keys
 
 
 def sender_key_material(ledger: PairLedger) -> bytes:
@@ -435,16 +431,17 @@ def run_protocol(
     parties' events, alice and bob unless it names others.
 
     Handed a list of streams, it runs a batch, one trial per stream, with
-    ``prepared_labels`` a list of each trial's codes (or None) and
+    ``prepared_labels`` a list of each trial's labels (or None) and
     ``transcript`` a list of transcripts (or None), and returns the list of
     their outcomes, in order. A trial that aborts leaves the batch.
     """
+    if not isinstance(rng, list):
+        labels = None if prepared_labels is None else [prepared_labels]
+        return run_protocol(config, [rng], labels, [transcript])[0]
     if prepared_labels is None:
         batch = alice_prepare(config.pairs, rng, transcript)
     else:
         batch = prepare_from_labels(prepared_labels, transcript)
-    lone = not isinstance(rng, list)
-    rng = [rng] if lone else rng
     outcomes: list = [None] * len(rng)
     lanes_ = list(range(len(rng)))  # each trial of the batch, by its place in rng
     channel = AdversaryChannel(config.attack, [stream.substream("eve") for stream in rng])
@@ -455,7 +452,7 @@ def run_protocol(
         left. Whatever had no terminal fate yet is discarded, so that every
         pair ends as checked, key, or dropped."""
         nonlocal lanes_, rng
-        ends = [_ending(t, n, step, floor) for t, n in zip(batch.ledgers, batch.sizes)]
+        ends = [_ending(trial, step, floor) for trial in batch.ledgers]
         if not any(ends):
             return True
         for lane, ledger, reason in zip(lanes_, batch.ledgers, ends):
@@ -465,7 +462,7 @@ def run_protocol(
                 ledger.settle(None, Disposition.DROPPED)
                 outcomes[lane] = ProtocolOutcome(ledger, reason, None)
         kept = [reason is None for reason in ends]
-        lanes_, rng, channel.rng = (list(compress(x, kept)) for x in (lanes_, rng, channel.rng))
+        lanes_, rng, channel.rngs = (list(compress(x, kept)) for x in (lanes_, rng, channel.rngs))
         if lanes_:
             batch.keep(kept)
         return bool(lanes_)
@@ -486,18 +483,19 @@ def run_protocol(
         second_check(batch, config, rng)
         going = go_on(7)
     if going:
-        for lane, trial, key in zip(lanes_, batch.ledgers, per_trial(batch, extract_key(batch))):
+        for lane, trial, key in zip(lanes_, batch.ledgers, extract_key(batch)):
             outcomes[lane] = ProtocolOutcome(trial, None, key)
-    return outcomes[0] if lone else outcomes
+    return outcomes
 
 
-def _ending(ledger: PairLedger, live: int, step: int, floor: float) -> str | None:
-    """Why a trial with ``live`` live pairs ends at ``step``, or None when it
-    goes on: a transmission that delivered less than ``floor`` (steps 2 and
-    5), no pair left for a check (3, and 7 before the second check) or for
-    the key (7 after it), or a failed check (4 and 7). With
-    ``continuation_mode`` a trial goes on past a failed first check, which
-    is then the reason it ends with."""
+def _ending(ledger: PairLedger, step: int, floor: float) -> str | None:
+    """Why a trial ends at ``step``, or None when it goes on: a transmission
+    that delivered less than ``floor`` (steps 2 and 5), no live pair left
+    for a check (3, and 7 before the second check) or for the key (7 after
+    it), or a failed check (4 and 7). With ``continuation_mode`` a trial
+    goes on past a failed first check, which is then the reason it ends
+    with."""
+    live = ledger.live
     failed = None if ledger.check1 is None or ledger.check1.passed else "check1_failed"
     if step == 2:
         return None if ledger.receipt_1 >= floor else "stall_transmission_1"

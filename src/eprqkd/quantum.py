@@ -57,8 +57,8 @@ ValueError. The caller gathers the states it measures and writes back only
 the post states it still needs.
 
 A step with a fixed operation takes its keys from one
-``rng.quarters(n).translate(KEYS[op])`` call, one 2-bit draw per
-measurement, in pair order. A measurement takes its draw even when the
+``RandomSource.quarters_of(rngs, counts).translate(KEYS[op])`` call, one
+2-bit draw per measurement, in pair order. A measurement takes its draw even when the
 outcome is certain. The scalar kernels (``measure_qubit``,
 ``measure_qubit_z``, ``measure_bell_basis``) take one ``random()`` draw and
 return the ``MEASURE`` entry at its ``int(r * 4)``; they are the one-draw
@@ -187,7 +187,7 @@ MEASURE = tuple(
     tuple(_outcome(s, op, q) for op in range(PAIR_BASIS + 1) for q in range(4))
     for s in range(N_STATES)
 )
-# By operation, a translate table from a 2-bit draw q (``RandomSource.quarters``)
+# By operation, a translate table from a 2-bit draw q (``RandomSource.quarters_of``)
 # to its key; only entries 0-3 are read.
 KEYS = tuple(bytes(op << 2 | q % 4 for q in range(256)) for op in range(PAIR_BASIS + 1))
 

@@ -4,7 +4,8 @@ A subclass declares its fields as annotations, in order, gives a default as
 a class attribute, and checks its values in a ``check`` method. Every
 construction, ``replace`` included, first checks the exact type of each
 field annotated bool, int or float, in field order (a float field stores an
-int it holds exactly as that float), and then runs ``check``.
+int of magnitude at most 2**53 as that float, and refuses any other int), and
+then runs ``check``.
 ``FIELDS`` names the fields in order and ``TYPES`` maps each to its
 annotation (a string under ``from __future__ import annotations``). An
 instance keeps its values in its ``__dict__``, in field order, and refuses
@@ -51,13 +52,13 @@ class Record:
         # Each value is of its field's exact kind: no subclass (a bool is no
         # int, an IntEnum member no int), since a subclass may spell itself
         # otherwise. A float field stores an int that a float holds exactly
-        # as that float, so equal configs write equal bytes; another int is
-        # left to its check's range.
+        # as that float, so equal configs write equal bytes, and refuses
+        # another int, which no float holds.
         for name, kind in self._KINDS:
             value = values[name]
             if kind is float and type(value) is int and -_EXACT <= value <= _EXACT:
                 values[name] = value = float(value)
-            if type(value) is not kind and not (kind is float and type(value) is int):
+            if type(value) is not kind:
                 raise ConfigurationError(f"{name} must be {kind.__name__}, got {value!r}")
         self.check()
 

@@ -18,10 +18,10 @@ runs Python code under a lock (up to Python 3.11) once for every stream.
 
 A step that draws once or twice per pair reads a block of draws at once.
 Every outcome the protocol meets has probability 0, 1/4, 1/2 or 1, so two
-random bits decide it: ``RandomSource.quarters(n)`` returns n such 2-bit
-draws q, each a byte 0-3, from one ``getrandbits`` call
-(``RandomSource.quarters_of`` takes a batch of streams' blocks, each from
-its own call, and spreads them together), and an outcome of
+random bits decide it: ``RandomSource.quarters_of(sources, counts)``
+returns each source's next n such 2-bit draws q, for its n in ``counts``,
+each a byte 0-3: a batch of trials' blocks, each from one ``getrandbits``
+call of its own stream, spread together. An outcome of
 probability p happens exactly when ``q < 4 * p``; the top bit of q decides a
 Z-or-X basis choice. Preparation, every column measurement, the randomized
 check bases and the fake-EPR adversary's uniform labels draw that way. A
@@ -90,11 +90,6 @@ class RandomSource:
     def random(self) -> float:
         """Uniform float in [0, 1)."""
         return self._rng.random()
-
-    def quarters(self, n: int) -> bytes:
-        """The next n 2-bit draws, one byte 0-3 each, in one call: this
-        stream's block of ``quarters_of``."""
-        return RandomSource.quarters_of([self], [n])
 
     def _packed(self, n: int) -> bytes:
         """The packed bytes of the next n 2-bit draws: one ``getrandbits``

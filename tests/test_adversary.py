@@ -32,7 +32,7 @@ from eprqkd.runner import run
 
 
 def channel(kind=AttackKind.NONE, seed=0, **kwargs):
-    return AdversaryChannel(AttackStrategy(kind=kind, **kwargs), RandomSource(seed, "eve"))
+    return AdversaryChannel(AttackStrategy(kind=kind, **kwargs), [RandomSource(seed, "eve")])
 
 
 def with_disposition(ledger, disposition):
@@ -44,10 +44,11 @@ def last_guesses(ledger):
     return [fill[3:] for fill in ledger.fills if fill[0] == "guesses"][-1]
 
 
-def sent_ledger(n, seed=0, chan=None):
-    ledger = alice_prepare(n, RandomSource(seed, "alice"))
-    transmit_first_sequence(ledger, chan or channel())
-    return ledger
+def sent(n, seed=0, chan=None):
+    """A batch of one trial of n pairs after the first transmission, and its ledger."""
+    batch = alice_prepare(n, [RandomSource(seed, "alice")])
+    transmit_first_sequence(batch, chan or channel())
+    return batch, batch.ledgers[0]
 
 
 class TestStrategyValidation:
@@ -67,27 +68,28 @@ class TestStrategyValidation:
             assert AttackStrategy.from_dict(strategy.to_dict()) == strategy
 
     def test_bad_transmission_rejected(self):
-        ledger = alice_prepare(2, RandomSource(0))
+        batch = alice_prepare(2, [RandomSource(0)])
         with pytest.raises(ConfigurationError):
-            channel().interpose(3, ledger)
+            channel().interpose(3, batch)
 
 
 class TestIdentityChannel:
     def test_nothing_changes(self):
         chan = channel()
-        ledger = alice_prepare(5, RandomSource(3, "alice"))
-        transmit_first_sequence(ledger, chan)
+        batch = alice_prepare(5, [RandomSource(3, "alice")])
+        transmit_first_sequence(batch, chan)
+        (ledger,) = batch.ledgers
         assert all(rec.carrier == make_bell_state(rec.prepared) for rec in ledger.records)
         assert all(rec.disposition is Disposition.IN_FLIGHT_1 for rec in ledger.records)
         assert all(rec.fake_carrier is None for rec in ledger.records)
         assert ledger.receipt_1 == 1.0
-        assert not ledger.filled("guesses") and eve_guess_counts(ledger) == {}
+        assert not batch.filled("guesses") and eve_guess_counts(ledger) == {}
 
 
 class TestMeasureResend:
     def test_collapses_to_correlated_products(self):
         chan = channel(AttackKind.MEASURE_RESEND, seed=1)
-        ledger = sent_ledger(500, seed=1, chan=chan)
+        _, ledger = sent(500, seed=1, chan=chan)
         products = {
             True: {basis_state("00"), basis_state("11")},
             False: {basis_state("01"), basis_state("10")},
@@ -104,7 +106,7 @@ class TestMeasureResend:
         # The collapsed carrier has zero overlap outside the prepared
         # state's parity class, for every pair.
         chan = channel(AttackKind.MEASURE_RESEND, seed=2)
-        ledger = sent_ledger(200, seed=2, chan=chan)
+        _, ledger = sent(200, seed=2, chan=chan)
         correlated = {BellState.PSI1, BellState.PSI2}
         for rec in ledger.records:
             probs = bell_overlap_probabilities(rec.carrier)
@@ -114,7 +116,7 @@ class TestMeasureResend:
             assert in_class == pytest.approx(1.0, abs=1e-12)
 
     def test_forwards_to_receiver(self):
-        ledger = sent_ledger(50, chan=channel(AttackKind.MEASURE_RESEND))
+        _, ledger = sent(50, chan=channel(AttackKind.MEASURE_RESEND))
         # The collapsed genuine particle goes on; nothing is planted or lost.
         assert all(rec.disposition is Disposition.IN_FLIGHT_1 for rec in ledger.records)
         assert all(rec.fake_carrier is None for rec in ledger.records)
@@ -131,7 +133,7 @@ class TestMeasureResend:
 class TestFakeEpr:
     def test_substitutes_and_captures(self):
         chan = channel(AttackKind.FAKE_EPR, seed=3)
-        ledger = sent_ledger(20, seed=3, chan=chan)
+        batch, ledger = sent(20, seed=3, chan=chan)
         for rec in ledger.records:
             # The receiver gets the planted half; Eve keeps the genuine one,
             # whose pair state she has not touched yet.
@@ -139,7 +141,7 @@ class TestFakeEpr:
             assert rec.fake_carrier == make_bell_state(BellState.PSI1)
             assert rec.carrier == make_bell_state(rec.prepared)
         # Nothing learned until the second sequence.
-        assert not ledger.filled("guesses") and eve_guess_counts(ledger) == {}
+        assert not batch.filled("guesses") and eve_guess_counts(ledger) == {}
         assert ledger.receipt_1 == 1.0  # the receiver cannot tell yet
 
     def test_first_check_mismatch_probability_is_exactly_half(self):
@@ -192,7 +194,7 @@ class TestFakeEpr:
 class TestOpaque:
     def test_receipt_fraction_tracks_survival_probability(self):
         chan = channel(AttackKind.OPAQUE, seed=6, destroy_probability=0.3)
-        ledger = sent_ledger(10_000, seed=6, chan=chan)
+        _, ledger = sent(10_000, seed=6, chan=chan)
         assert abs(ledger.receipt_1 - 0.7) < three_sigma(0.7, 10_000)
         # Every pair is either destroyed or delivered, and the receipt
         # counts exactly the delivered ones.
@@ -203,14 +205,13 @@ class TestOpaque:
 
     def test_total_destruction(self):
         chan = channel(AttackKind.OPAQUE, seed=7, destroy_probability=1.0)
-        ledger = sent_ledger(100, seed=7, chan=chan)
+        _, ledger = sent(100, seed=7, chan=chan)
         assert ledger.receipt_1 == 0.0
         assert len(with_disposition(ledger, Disposition.DROPPED)) == 100
 
     def test_survivors_untouched(self):
         chan = channel(AttackKind.OPAQUE, seed=8, destroy_probability=0.5)
-        ledger = alice_prepare(200, RandomSource(8, "alice"))
-        transmit_first_sequence(ledger, chan)
+        _, ledger = sent(200, seed=8, chan=chan)
         survivors = [r for r in ledger.records if r.disposition is not Disposition.DROPPED]
         assert survivors
         assert all(rec.carrier == make_bell_state(rec.prepared) for rec in survivors)
@@ -274,10 +275,10 @@ class TestEveInformation:
     def test_second_sequence_measured_alone_scores_single_bits(self):
         # The first sequence went through a clean channel, so Eve holds only
         # her Z bits of the second: each is a one-bit guess.
-        ledger = sent_ledger(40, seed=4)
-        first_check(ledger, RunConfig(), RandomSource(4, "check"))
+        batch, ledger = sent(40, seed=4)
+        first_check(batch, RunConfig(), [RandomSource(4, "check")])
         chan = channel(AttackKind.MEASURE_RESEND, seed=4, measure_second_sequence=True)
-        transmit_second_sequence(ledger, chan, RunConfig())
+        transmit_second_sequence(batch, chan, RunConfig())
         live = [rec.index for rec in with_disposition(ledger, Disposition.IN_FLIGHT_2)]
         assert last_guesses(ledger)[1] == ("0", "1")
         assert [rec.index for rec in ledger.records if rec.guess is not None] == live

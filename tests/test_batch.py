@@ -5,7 +5,9 @@
 and draws, and only the byte work after each draw is shared over the
 batch's joined columns, cut at each trial's own length. So every row and
 every transcript must be what ``run_multiparty(config, t)`` gives for the
-trial alone, however the trials fall into batches.
+trial alone, however the trials fall into batches, and so must every
+party's key and what each hop's ledger reads: its logs, its state and the
+pair records rebuilt from them.
 """
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,11 +63,41 @@ def alone(config: RunConfig, collect_transcripts: bool) -> tuple[list, list | No
     """The rows, and the transcripts when collected, of each trial run by
     itself, as ``runner.run`` would report them."""
     outcomes = [run_multiparty(config, t, collect_transcripts) for t in range(config.trials)]
+    return reported(outcomes, collect_transcripts)
+
+
+def reported(outcomes: list, collect_transcripts: bool) -> tuple[list, list | None]:
+    """The rows, and the transcripts when collected, of ``outcomes``."""
     rows = [trial_row(outcome) for outcome in outcomes]
     if not collect_transcripts:
         return rows, None
     jsonl = ["".join(hop.ledger.transcript.to_jsonl() for hop in o.hops) for o in outcomes]
     return rows, jsonl
+
+
+def ledger_facts(ledger) -> tuple:
+    """What a hop's ledger reads once its hop ended: its settle and fill
+    logs, phase, receipts and check reports, the ordinals and disposition
+    counts rebuilt from its cuts, and its pair records."""
+    return (
+        ledger.settled,
+        ledger.fills,
+        ledger.phase,
+        ledger.receipt_1,
+        ledger.receipt_2,
+        ledger.check1,
+        ledger.check2,
+        ledger.ordinals(),
+        ledger.disposition_counts(),
+        ledger.records,
+    )
+
+
+def trial_facts(outcome) -> tuple:
+    """Every party's key of a trial, and each hop's abort reason, key and
+    ledger facts."""
+    hops = [(hop.abort_reason, hop.receiver_key, ledger_facts(hop.ledger)) for hop in outcome.hops]
+    return outcome.trial, outcome.abort_reason, outcome.keys, hops
 
 
 @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
@@ -80,11 +112,21 @@ def test_a_batch_gives_each_trial_what_it_gives_alone(
     shape, seed, trials, per_batch, collect_transcripts
 ):
     config = RunConfig(seed=seed, trials=trials, **shape)
+    batched = []
+
+    def recording(*args):
+        outcomes = run_multiparty(*args)
+        batched.extend(outcomes)
+        return outcomes
+
     # Batches of per_batch trials; 4-7 trials leave an odd remainder of 2 or 3.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(eprqkd.runner, "BATCH_PAIRS", per_batch * config.pairs)
+        patch.setattr(eprqkd.runner, "run_multiparty", recording)
         report = run(config, collect_transcripts)
-    assert (report.rows, report.transcripts) == alone(config, collect_transcripts)
+    outcomes = [run_multiparty(config, t, collect_transcripts) for t in range(config.trials)]
+    assert (report.rows, report.transcripts) == reported(outcomes, collect_transcripts)
+    assert list(map(trial_facts, batched)) == list(map(trial_facts, outcomes))
 
 
 def test_a_run_of_a_range_is_its_trials_run_alone():

@@ -14,6 +14,7 @@ from eprqkd.adversary import AdversaryChannel, AttackKind, AttackStrategy, eve_g
 from eprqkd.config import RunConfig
 from eprqkd.errors import ConfigurationError, ProtocolOrderError
 from eprqkd.ledger import (
+    Batch,
     CheckReport,
     Disposition,
     PairLedger,
@@ -67,7 +68,19 @@ def logged_events(transcript):
 
 
 def clean_channel(seed=0):
-    return AdversaryChannel(AttackStrategy(), RandomSource(seed, "eve"))
+    return AdversaryChannel(AttackStrategy(), [RandomSource(seed, "eve")])
+
+
+def one_trial(n, rng, transcript=None):
+    """A batch of one trial of n pairs drawn from ``rng``, and its ledger."""
+    batch = alice_prepare(n, [rng], [transcript])
+    return batch, batch.ledgers[0]
+
+
+def from_labels(labels):
+    """A batch of one trial prepared in ``labels``, and its ledger."""
+    batch = prepare_from_labels([labels])
+    return batch, batch.ledgers[0]
 
 
 # The events of a hop's sender's steps and of its receiver's steps.
@@ -117,7 +130,7 @@ def reference_keys(hops) -> list[bytes]:
 
 class TestPrepare:
     def test_structure(self):
-        ledger = alice_prepare(4, RandomSource(1, "alice"))
+        _, ledger = one_trial(4, RandomSource(1, "alice"))
         assert len(ledger.prepared) == 4
         assert [rec.index for rec in ledger.records] == [0, 1, 2, 3]
         assert ledger.phase is Phase.CREATED and ledger.receipt_1 is None
@@ -127,26 +140,26 @@ class TestPrepare:
             assert rec.fake_carrier is None
 
     def test_single_pair(self):
-        ledger = alice_prepare(1, RandomSource(2))
+        _, ledger = one_trial(1, RandomSource(2))
         assert len(ledger.prepared) == 1
         assert ledger.records[0].disposition is Disposition.PREPARED
 
     def test_zero_pairs_rejected(self):
         with pytest.raises(ConfigurationError):
-            alice_prepare(0, RandomSource(0))
+            alice_prepare(0, [RandomSource(0)])
         with pytest.raises(ConfigurationError):
-            prepare_from_labels([])
+            prepare_from_labels([[]])
 
     def test_labels_drawn_uniformly(self):
         n = 100_000
-        ledger = alice_prepare(n, RandomSource(3, "alice"))
+        _, ledger = one_trial(n, RandomSource(3, "alice"))
         for label in BELL_LABELS:
             freq = sum(1 for rec in ledger.records if rec.prepared is label) / n
             assert abs(freq - 0.25) < 0.01  # 3 sigma is about 0.004
 
     def test_prepare_from_labels_preserves_order(self):
         labels = [BellState.PSI4, BellState.PSI1, BellState.PSI3]
-        ledger = prepare_from_labels(labels)
+        _, ledger = from_labels(labels)
         assert [rec.prepared for rec in ledger.records] == labels
 
     @pytest.mark.parametrize("bad", [-1, 3.7, "1", 4, 5, None, True])
@@ -159,58 +172,58 @@ class TestPrepare:
 
 class TestTransmissions:
     def test_first_transmission_moves_custody(self):
-        ledger = alice_prepare(10, RandomSource(4, "alice"))
-        transmit_first_sequence(ledger, clean_channel())
+        batch, ledger = one_trial(10, RandomSource(4, "alice"))
+        transmit_first_sequence(batch, clean_channel())
         assert all(rec.disposition is Disposition.IN_FLIGHT_1 for rec in ledger.records)
         assert all(rec.carrier == make_bell_state(rec.prepared) for rec in ledger.records)
         assert ledger.receipt_1 == 1.0
         assert ledger.phase is Phase.SENT_1
 
     def test_first_transmission_requires_created_phase(self):
-        ledger = alice_prepare(10, RandomSource(4))
-        transmit_first_sequence(ledger, clean_channel())
+        batch, _ = one_trial(10, RandomSource(4))
+        transmit_first_sequence(batch, clean_channel())
         with pytest.raises(ProtocolOrderError):
-            transmit_first_sequence(ledger, clean_channel())
+            transmit_first_sequence(batch, clean_channel())
 
     def test_second_transmission_requires_first_check(self):
-        ledger = alice_prepare(10, RandomSource(4))
-        transmit_first_sequence(ledger, clean_channel())
+        batch, _ = one_trial(10, RandomSource(4))
+        transmit_first_sequence(batch, clean_channel())
         with pytest.raises(ProtocolOrderError):
-            transmit_second_sequence(ledger, clean_channel(), RunConfig())
+            transmit_second_sequence(batch, clean_channel(), RunConfig())
 
     def test_second_transmission_refuses_failed_check(self):
-        ledger = alice_prepare(10, RandomSource(4))
-        transmit_first_sequence(ledger, clean_channel())
+        batch, ledger = one_trial(10, RandomSource(4))
+        transmit_first_sequence(batch, clean_channel())
         ledger.check1 = CheckReport(1, 1, 0.02)
         assert ledger.check1.error_rate == 1.0 and not ledger.check1.passed
         ledger.phase = Phase.CHECKED_1
-        ledger.settle(b"\x01" + bytes(9), Disposition.CHECKED_1)
+        batch.settle(b"\x01" + bytes(9), Disposition.CHECKED_1)
         with pytest.raises(ProtocolOrderError):
-            transmit_second_sequence(ledger, clean_channel(), RunConfig())
+            transmit_second_sequence(batch, clean_channel(), RunConfig())
         # Study mode is allowed through.
-        transmit_second_sequence(ledger, clean_channel(), RunConfig(continuation_mode=True))
+        transmit_second_sequence(batch, clean_channel(), RunConfig(continuation_mode=True))
         assert ledger.phase is Phase.SENT_2
 
     def test_the_channel_sees_the_pairs_in_flight(self, monkeypatch):
         channel = clean_channel()
         interpose, seen = channel.interpose, []
 
-        def spy(transmission, ledger):
-            seen.append((transmission, ledger.stage))
-            return interpose(transmission, ledger)
+        def spy(transmission, batch):
+            seen.append((transmission, batch.ledgers[0].stage))
+            return interpose(transmission, batch)
 
         monkeypatch.setattr(channel, "interpose", spy)
-        ledger = alice_prepare(20, RandomSource(5, "alice"))
-        transmit_first_sequence(ledger, channel)
-        first_check(ledger, RunConfig(min_check_size=4), RandomSource(5, "bob"))
-        transmit_second_sequence(ledger, channel, RunConfig())
+        batch, _ = one_trial(20, RandomSource(5, "alice"))
+        transmit_first_sequence(batch, channel)
+        first_check(batch, RunConfig(min_check_size=4), [RandomSource(5, "bob")])
+        transmit_second_sequence(batch, channel, RunConfig())
         assert seen == [(1, Disposition.IN_FLIGHT_1), (2, Disposition.IN_FLIGHT_2)]
 
     def test_full_custody_after_second_transmission(self):
-        ledger = alice_prepare(20, RandomSource(5, "alice"))
-        transmit_first_sequence(ledger, clean_channel())
-        report = first_check(ledger, RunConfig(min_check_size=4), RandomSource(5, "bob"))
-        transmit_second_sequence(ledger, clean_channel(), RunConfig())
+        batch, ledger = one_trial(20, RandomSource(5, "alice"))
+        transmit_first_sequence(batch, clean_channel())
+        (report,) = first_check(batch, RunConfig(min_check_size=4), [RandomSource(5, "bob")])
+        transmit_second_sequence(batch, clean_channel(), RunConfig())
         in_flight = with_disposition(ledger, Disposition.IN_FLIGHT_2)
         assert len(in_flight) == 20 - report.sample_size
         assert ledger.receipt_2 == 1.0
@@ -269,29 +282,29 @@ class TestFirstCheck:
     def test_clean_run_has_zero_errors(self):
         for seed in (1, 2, 3):
             for n in (40, 200):
-                ledger = alice_prepare(n, RandomSource(seed, "alice"))
-                transmit_first_sequence(ledger, clean_channel())
-                report = first_check(ledger, RunConfig(), RandomSource(seed, "bob"))
+                batch, _ = one_trial(n, RandomSource(seed, "alice"))
+                transmit_first_sequence(batch, clean_channel())
+                (report,) = first_check(batch, RunConfig(), [RandomSource(seed, "bob")])
                 assert report.mismatches == 0
                 assert report.error_rate == 0.0
                 assert report.passed
 
     def test_sample_size_honors_fraction_and_minimum(self):
-        ledger = alice_prepare(64, RandomSource(6, "alice"))
-        transmit_first_sequence(ledger, clean_channel())
-        report = first_check(ledger, RunConfig(min_check_size=16), RandomSource(6, "bob"))
+        batch, _ = one_trial(64, RandomSource(6, "alice"))
+        transmit_first_sequence(batch, clean_channel())
+        (report,) = first_check(batch, RunConfig(min_check_size=16), [RandomSource(6, "bob")])
         assert report.sample_size == 16
 
-        ledger = alice_prepare(8, RandomSource(6, "alice"))
-        transmit_first_sequence(ledger, clean_channel())
-        report = first_check(ledger, RunConfig(min_check_size=16), RandomSource(6, "bob"))
+        batch, _ = one_trial(8, RandomSource(6, "alice"))
+        transmit_first_sequence(batch, clean_channel())
+        (report,) = first_check(batch, RunConfig(min_check_size=16), [RandomSource(6, "bob")])
         assert report.sample_size == 8  # capped at what exists
 
     def test_checked_pairs_are_consumed(self):
-        ledger = alice_prepare(40, RandomSource(7, "alice"))
-        transmit_first_sequence(ledger, clean_channel())
+        batch, ledger = one_trial(40, RandomSource(7, "alice"))
+        transmit_first_sequence(batch, clean_channel())
         cfg = RunConfig(check_fraction_1=0.5, min_check_size=4)
-        report = first_check(ledger, cfg, RandomSource(7, "bob"))
+        (report,) = first_check(batch, cfg, [RandomSource(7, "bob")])
         checked = {rec.index for rec in with_disposition(ledger, Disposition.CHECKED_1)}
         assert checked == set(settled_ordinals(ledger, Disposition.CHECKED_1))
         assert len(checked) == report.sample_size
@@ -300,33 +313,33 @@ class TestFirstCheck:
         # records show at the live pairs and nowhere else.
         live = ledger.ordinals()[0][-1]
         assert ledger.live == len(live) == 40 - len(checked)
-        assert ledger.column("prepared") == bytes(ledger.prepared[i] for i in live)
+        assert batch.column("prepared") == bytes(ledger.prepared[i] for i in live)
         values = bytes(j % 4 for j in range(ledger.live))
-        ledger.fill("outcome", values, CODES)
+        batch.fill("outcome", values, CODES)
         outcomes = {rec.index: rec.outcome for rec in ledger.records}
         assert [outcomes[i] for i in live] == [BELL_LABELS[v] for v in values]
         assert all(outcomes[i] is None for i in checked)
-        transmit_second_sequence(ledger, clean_channel(), RunConfig())
+        transmit_second_sequence(batch, clean_channel(), RunConfig())
         in_flight = {rec.index for rec in with_disposition(ledger, Disposition.IN_FLIGHT_2)}
         assert in_flight.isdisjoint(checked)
 
     def test_no_available_pairs_is_a_configuration_error(self):
         chan = AdversaryChannel(
             AttackStrategy(kind=AttackKind.OPAQUE, destroy_probability=1.0),
-            RandomSource(8, "eve"),
+            [RandomSource(8, "eve")],
         )
-        ledger = alice_prepare(10, RandomSource(8, "alice"))
-        transmit_first_sequence(ledger, chan)
+        batch, _ = one_trial(10, RandomSource(8, "alice"))
+        transmit_first_sequence(batch, chan)
         with pytest.raises(ConfigurationError):
-            first_check(ledger, RunConfig(), RandomSource(8, "bob"))
+            first_check(batch, RunConfig(), [RandomSource(8, "bob")])
 
     def test_fake_epr_mismatch_rate(self):
         chan = AdversaryChannel(
-            AttackStrategy(kind=AttackKind.FAKE_EPR), RandomSource(9, "eve")
+            AttackStrategy(kind=AttackKind.FAKE_EPR), [RandomSource(9, "eve")]
         )
-        ledger = alice_prepare(4000, RandomSource(9, "alice"))
-        transmit_first_sequence(ledger, chan)
-        report = first_check(ledger, RunConfig(), RandomSource(9, "bob"))
+        batch, _ = one_trial(4000, RandomSource(9, "alice"))
+        transmit_first_sequence(batch, chan)
+        (report,) = first_check(batch, RunConfig(), [RandomSource(9, "bob")])
         assert report.sample_size == 1000
         assert abs(report.error_rate - 0.5) < 0.05
         assert not report.passed
@@ -334,51 +347,51 @@ class TestFirstCheck:
 
 class TestDecodeAndSecondCheck:
     def run_to_decode(self, n=60, seed=10, chan_seed=10):
-        ledger = alice_prepare(n, RandomSource(seed, "alice"))
-        transmit_first_sequence(ledger, clean_channel(chan_seed))
-        first_check(ledger, RunConfig(min_check_size=4), RandomSource(seed, "bob"))
-        transmit_second_sequence(ledger, clean_channel(chan_seed), RunConfig())
-        bob_decode(ledger, RandomSource(seed, "bob-decode"))
-        return ledger
+        batch, _ = one_trial(n, RandomSource(seed, "alice"))
+        transmit_first_sequence(batch, clean_channel(chan_seed))
+        first_check(batch, RunConfig(min_check_size=4), [RandomSource(seed, "bob")])
+        transmit_second_sequence(batch, clean_channel(chan_seed), RunConfig())
+        bob_decode(batch, [RandomSource(seed, "bob-decode")])
+        return batch
 
     def test_clean_decode_reproduces_preparation(self):
-        ledger = self.run_to_decode()
+        (ledger,) = self.run_to_decode().ledgers
         for rec in with_disposition(ledger, Disposition.DECODED):
             assert rec.outcome is rec.prepared
 
     def test_second_check_clean(self):
-        ledger = self.run_to_decode()
-        report = second_check(ledger, RunConfig(min_check_size=4), RandomSource(12, "bob"))
+        batch = self.run_to_decode()
+        (report,) = second_check(batch, RunConfig(min_check_size=4), [RandomSource(12, "bob")])
         assert report.error_rate == 0.0
         assert report.passed
 
     def test_second_check_requires_decode(self):
-        ledger = alice_prepare(10, RandomSource(13))
+        batch, _ = one_trial(10, RandomSource(13))
         with pytest.raises(ProtocolOrderError):
-            second_check(ledger, RunConfig(), RandomSource(13))
+            second_check(batch, RunConfig(), [RandomSource(13)])
 
     def test_first_check_requires_first_transmission(self):
-        ledger = alice_prepare(10, RandomSource(13))
+        batch, _ = one_trial(10, RandomSource(13))
         with pytest.raises(ProtocolOrderError):
-            first_check(ledger, RunConfig(), RandomSource(13))
+            first_check(batch, RunConfig(), [RandomSource(13)])
 
     def test_decode_requires_second_transmission(self):
-        ledger = alice_prepare(10, RandomSource(13))
-        transmit_first_sequence(ledger, clean_channel())
+        batch, _ = one_trial(10, RandomSource(13))
+        transmit_first_sequence(batch, clean_channel())
         with pytest.raises(ProtocolOrderError):
-            bob_decode(ledger, RandomSource(13))
+            bob_decode(batch, [RandomSource(13)])
 
     def test_measure_resend_second_check_rate(self):
         chan = AdversaryChannel(
-            AttackStrategy(kind=AttackKind.MEASURE_RESEND), RandomSource(14, "eve")
+            AttackStrategy(kind=AttackKind.MEASURE_RESEND), [RandomSource(14, "eve")]
         )
-        ledger = alice_prepare(6000, RandomSource(14, "alice"))
-        transmit_first_sequence(ledger, chan)
-        report1 = first_check(ledger, RunConfig(), RandomSource(14, "bob"))
+        batch, ledger = one_trial(6000, RandomSource(14, "alice"))
+        transmit_first_sequence(batch, chan)
+        (report1,) = first_check(batch, RunConfig(), [RandomSource(14, "bob")])
         assert report1.error_rate == 0.0  # invisible to the first check
-        transmit_second_sequence(ledger, chan, RunConfig())
-        bob_decode(ledger, RandomSource(14, "bob-decode"))
-        report2 = second_check(ledger, RunConfig(), RandomSource(14, "bob2"))
+        transmit_second_sequence(batch, chan, RunConfig())
+        bob_decode(batch, [RandomSource(14, "bob-decode")])
+        (report2,) = second_check(batch, RunConfig(), [RandomSource(14, "bob2")])
         assert abs(report2.error_rate - 0.5) < 0.05
         assert not report2.passed
         # Mismatches never leave the prepared state's parity class.
@@ -388,38 +401,38 @@ class TestDecodeAndSecondCheck:
 
 
 class TestExtractKey:
-    def synthetic_decoded_ledger(self, labels):
-        ledger = prepare_from_labels(labels)
-        ledger.fill("outcome", bytes(ledger.prepared), CODES)
+    def synthetic_decoded_batch(self, labels):
+        batch, ledger = from_labels(labels)
+        batch.fill("outcome", bytes(ledger.prepared), CODES)
         ledger.phase = Phase.CHECKED_2
         ledger.check1 = CheckReport(1, 0, 0.02)
         ledger.check2 = CheckReport(1, 0, 0.02)
-        return ledger
+        return batch, ledger
 
     def test_key_is_code_concatenation_in_order(self):
-        ledger = self.synthetic_decoded_ledger(
+        batch, ledger = self.synthetic_decoded_batch(
             [BellState.PSI1, BellState.PSI3, BellState.PSI4]
         )
-        key = extract_key(ledger)
+        (key,) = extract_key(batch)
         assert code_string(key) == "001011"
         assert ledger.settled == [(0, Disposition.KEY)]
         assert ledger.ordinals()[1] == [([0, 1, 2], Disposition.KEY)]
 
     def test_sender_key_matches_prepared_codes(self):
-        ledger = self.synthetic_decoded_ledger([BellState.PSI2, BellState.PSI2])
-        extract_key(ledger)
+        batch, ledger = self.synthetic_decoded_batch([BellState.PSI2, BellState.PSI2])
+        extract_key(batch)
         assert code_string(sender_key_material(ledger)) == "0101"
 
     def test_refuses_failed_checks(self):
-        ledger = self.synthetic_decoded_ledger([BellState.PSI1])
+        batch, ledger = self.synthetic_decoded_batch([BellState.PSI1])
         ledger.check2 = CheckReport(2, 1, 0.02)
         with pytest.raises(ProtocolOrderError):
-            extract_key(ledger)
+            extract_key(batch)
 
     def test_refuses_wrong_phase(self):
-        ledger = prepare_from_labels([BellState.PSI1])
+        batch, _ = from_labels([BellState.PSI1])
         with pytest.raises(ProtocolOrderError):
-            extract_key(ledger)
+            extract_key(batch)
 
 
 class TestKeyMaterial:
@@ -499,18 +512,21 @@ def test_a_mask_settle_matches_a_positional_loop(last, data):
     # by mask (k = m), or None. After every settle, what it returns, its log
     # entry, every settle's rebuilt ordinals, the live count and ordinals,
     # the disposition counts and the records must be what a loop over
-    # positions, kept per ordinal, gives; at the end, so must the columns.
+    # positions, kept per ordinal, gives; at the end, so must the columns of
+    # a batch of one that took the same fills and settles.
     codes = st.integers(0, N_STATES - 1)
     n = data.draw(st.integers(1, 30), label="pairs")
     prepared = data.draw(st.binary(min_size=n, max_size=n).map(lambda b: bytes(c & 3 for c in b)))
     transcript = Transcript() if data.draw(st.booleans(), label="transcript") else None
     ledger = PairLedger(prepared, transcript)
+    batch = Batch([PairLedger(prepared)])
     live, fates, settles = list(range(n)), {}, []
     state, guesses = dict(enumerate(prepared)), {}
 
     def settle(taken, disposition):
         cuts = sum(1 for _, _, mask in settles if mask is not None)
         returned = ledger.settle(taken, disposition)
+        batch.settle(taken, disposition)
         # One fixed-size entry: the cuts before the settle and its disposition.
         assert ledger.settled[-1] == (cuts, disposition)
         expected, kept = (list(live), []) if taken is None else loop_settle(live, taken)
@@ -537,38 +553,40 @@ def test_a_mask_settle_matches_a_positional_loop(last, data):
     for _ in range(data.draw(st.integers(0, 3), label="cuts")):
         if data.draw(st.booleans(), label="fill state"):
             fill = data.draw(st.lists(codes, min_size=len(live), max_size=len(live)))
-            ledger.fill("state", bytes(fill))
+            ledger.fill("state", ledger.cut(prepared), bytes(fill))
+            batch.fill("state", bytes(fill))
             state.update(zip(live, fill))
         if data.draw(st.booleans(), label="fill guesses"):
             fill = data.draw(st.lists(st.integers(0, 1), min_size=len(live), max_size=len(live)))
-            ledger.fill("guesses", bytes(fill), ("0", "1"))
+            ledger.fill("guesses", ledger.cut(prepared), bytes(fill), ("0", "1"))
+            batch.fill("guesses", bytes(fill), ("0", "1"))
             guesses = dict(zip(live, fill))
         taken = data.draw(st.binary(min_size=len(live), max_size=len(live)))
         settle(bytes(b & 1 for b in taken), data.draw(st.sampled_from(TERMINAL)))
         if data.draw(st.booleans(), label="read"):
-            assert ledger.column("state") == bytes(state[i] for i in live)
+            assert batch.column("state") == bytes(state[i] for i in live)
     if last == "mask":
         taken = data.draw(st.binary(min_size=len(live), max_size=len(live)))
         settle(bytearray(b & 1 for b in taken), Disposition.CHECKED_2)
     else:
         settle(b"\x01" * len(live) if last else None, Disposition.KEY)
 
-    assert ledger.column("prepared") == bytes(prepared[i] for i in live)
-    assert ledger.column("state") == bytes(state[i] for i in live)
-    if ledger.filled("guesses"):
-        assert ledger.column("guesses") == bytes(guesses[i] for i in live)
+    assert batch.column("prepared") == bytes(prepared[i] for i in live)
+    assert batch.column("state") == bytes(state[i] for i in live)
+    if batch.filled("guesses"):
+        assert batch.column("guesses") == bytes(guesses[i] for i in live)
 
 
 class TestLedgerColumns:
     def test_records_map_unset_bytes_to_none(self):
-        ledger = alice_prepare(40, RandomSource(12, "alice"))
-        transmit_first_sequence(ledger, clean_channel())
-        report = first_check(ledger, RunConfig(min_check_size=4), RandomSource(12, "bob"))
+        batch, ledger = one_trial(40, RandomSource(12, "alice"))
+        transmit_first_sequence(batch, clean_channel())
+        (report,) = first_check(batch, RunConfig(min_check_size=4), [RandomSource(12, "bob")])
         # No fake-EPR adversary planted anything, and nothing is decoded yet.
-        assert not ledger.filled("planted")
+        assert not batch.filled("planted")
         assert all(rec.outcome is None and rec.fake_carrier is None for rec in ledger.records)
-        transmit_second_sequence(ledger, clean_channel(), RunConfig())
-        bob_decode(ledger, RandomSource(12, "bob"))
+        transmit_second_sequence(batch, clean_channel(), RunConfig())
+        bob_decode(batch, [RandomSource(12, "bob")])
         checked = set(settled_ordinals(ledger, Disposition.CHECKED_1))
         assert len(checked) == report.sample_size
         for rec in ledger.records:
@@ -580,10 +598,10 @@ class TestLedgerColumns:
 
     def test_records_map_unplanted_pairs_to_none(self):
         # A planted column filled after a check leaves the checked pairs out.
-        ledger = alice_prepare(40, RandomSource(13, "alice"))
-        transmit_first_sequence(ledger, clean_channel())
-        report = first_check(ledger, RunConfig(min_check_size=4), RandomSource(13, "bob"))
-        ledger.fill("planted", bytes([BellState.PSI2]) * ledger.live)
+        batch, ledger = one_trial(40, RandomSource(13, "alice"))
+        transmit_first_sequence(batch, clean_channel())
+        (report,) = first_check(batch, RunConfig(min_check_size=4), [RandomSource(13, "bob")])
+        batch.fill("planted", bytes([BellState.PSI2]) * ledger.live)
         checked = set(settled_ordinals(ledger, Disposition.CHECKED_1))
         assert len(checked) == report.sample_size
         for rec in ledger.records:
@@ -596,21 +614,22 @@ class TestLedgerColumns:
         assert outcome.abort_reason == "check1_failed"
         ledger = outcome.hops[0].ledger
         for name in ("outcome", "guesses"):
-            assert not ledger.filled(name) and ledger.counts(name) == {}
+            assert name not in {fill[0] for fill in ledger.fills} and ledger.counts(name) == {}
         assert PairLedger(bytes(3)).counts("outcome") == {}
 
     def test_counts_read_the_last_fill_of_a_column(self):
-        ledger = PairLedger(bytes([0, 1, 2, 3]))
-        ledger.fill("guesses", bytes([0, 1, 0, 1]), ("0", "1"))
-        ledger.settle(bytes([0, 1, 0, 0]), Disposition.CHECKED_1)
-        ledger.fill("guesses", bytes([1, 1, 0]), ("0", "1"))
+        batch = Batch([PairLedger(bytes([0, 1, 2, 3]))])
+        (ledger,) = batch.ledgers
+        batch.fill("guesses", bytes([0, 1, 0, 1]), ("0", "1"))
+        batch.settle(bytes([0, 1, 0, 0]), Disposition.CHECKED_1)
+        batch.fill("guesses", bytes([1, 1, 0]), ("0", "1"))
         expected = {CODES[0]: {"1": 1}, CODES[2]: {"1": 1}, CODES[3]: {"0": 1}}
         assert ledger.counts("guesses") == expected
         # As the last fill's record reads, with the prepared codes it was filled at.
         last = [fill for fill in ledger.fills if fill[0] == "guesses"][-1]
         assert ledger.counts("guesses") == joint_counts(*last[2:])
         # A decode fill counts in the code alphabet, in order of first appearance.
-        ledger.fill("outcome", bytes([0, 3, 3]), CODES)
+        batch.fill("outcome", bytes([0, 3, 3]), CODES)
         assert list(ledger.counts("outcome").items()) == [
             (CODES[0], {CODES[0]: 1}),
             (CODES[2], {CODES[3]: 1}),
@@ -713,27 +732,27 @@ class TestRunProtocol:
         rng = RandomSource(38)
         bob = rng.substream("bob")
         chan = AdversaryChannel(
-            AttackStrategy(kind=AttackKind.OPAQUE, destroy_probability=0.1), rng.substream("eve")
+            AttackStrategy(kind=AttackKind.OPAQUE, destroy_probability=0.1), [rng.substream("eve")]
         )
-        ledger = alice_prepare(cfg.pairs, rng.substream("alice"))
+        batch, ledger = one_trial(cfg.pairs, rng.substream("alice"))
         assert_counts_match(ledger)
         assert ledger.stage is Disposition.PREPARED
-        transmit_first_sequence(ledger, chan)
+        transmit_first_sequence(batch, chan)
         assert_counts_match(ledger)
         assert ledger.stage is Disposition.IN_FLIGHT_1
-        first_check(ledger, cfg, bob)
+        first_check(batch, cfg, [bob])
         assert_counts_match(ledger)
         assert ledger.stage is Disposition.IN_FLIGHT_1
-        transmit_second_sequence(ledger, chan, cfg)
+        transmit_second_sequence(batch, chan, cfg)
         assert_counts_match(ledger)
         assert ledger.stage is Disposition.IN_FLIGHT_2
-        bob_decode(ledger, bob)
+        bob_decode(batch, [bob])
         assert_counts_match(ledger)
         assert ledger.stage is Disposition.DECODED
-        second_check(ledger, cfg, bob)
+        second_check(batch, cfg, [bob])
         assert_counts_match(ledger)
         assert ledger.stage is Disposition.DECODED
-        extract_key(ledger)
+        extract_key(batch)
         assert_counts_match(ledger)
         assert ledger.stage is Disposition.KEY and not ledger.live
         assert ledger.disposition_counts()["dropped"] > 0
@@ -764,17 +783,17 @@ class TestRunProtocol:
         outcome = run_protocol(cfg, RandomSource(25), transcript=Transcript())
 
         rng = RandomSource(25)
-        channel = AdversaryChannel(cfg.attack, rng.substream("eve"))
-        ledger = alice_prepare(cfg.pairs, rng, transcript=Transcript())
-        transmit_first_sequence(ledger, channel)
-        first_check(ledger, cfg, rng)
-        transmit_second_sequence(ledger, channel, cfg)
-        bob_decode(ledger, rng)
-        report = second_check(ledger, cfg, rng)
+        channel = AdversaryChannel(cfg.attack, [rng.substream("eve")])
+        batch, ledger = one_trial(cfg.pairs, rng, transcript=Transcript())
+        transmit_first_sequence(batch, channel)
+        first_check(batch, cfg, [rng])
+        transmit_second_sequence(batch, channel, cfg)
+        bob_decode(batch, [rng])
+        (report,) = second_check(batch, cfg, [rng])
         assert report.passed == (kind is AttackKind.NONE)  # measure-resend fails here
         expected = logged_events(outcome.ledger.transcript)
         if report.passed:
-            extract_key(ledger)
+            extract_key(batch)
         else:
             # Only run_protocol decides to abort, and says so last.
             assert expected[-1]["event"] == "abort"
@@ -811,9 +830,9 @@ class TestRunProtocol:
             raise AssertionError("logged to a transcript nobody asked for")
 
         monkeypatch.setattr(Transcript, "log", refuse)
-        ledger = alice_prepare(10, RandomSource(4))
+        _, ledger = one_trial(10, RandomSource(4))
         assert ledger.transcript is None
-        assert prepare_from_labels([BellState.PSI1]).transcript is None
+        assert from_labels([BellState.PSI1])[1].transcript is None
         for kind in AttackKind:
             attack = AttackStrategy(kind=kind)
             outcome = run_protocol(config(pairs=200, seed=38, attack=attack), RandomSource(38))
@@ -931,14 +950,14 @@ class TestRunProtocol:
     def test_opaque_can_stall_the_second_transmission(self):
         # Drive the ops directly with a channel that only bites on the
         # second transmission: delivery succeeds, then everything vanishes.
-        ledger = alice_prepare(30, RandomSource(60, "alice"))
-        transmit_first_sequence(ledger, clean_channel())
-        report = first_check(ledger, RunConfig(min_check_size=4), RandomSource(60, "bob"))
+        batch, ledger = one_trial(30, RandomSource(60, "alice"))
+        transmit_first_sequence(batch, clean_channel())
+        (report,) = first_check(batch, RunConfig(min_check_size=4), [RandomSource(60, "bob")])
         destroyer = AdversaryChannel(
             AttackStrategy(kind=AttackKind.OPAQUE, destroy_probability=1.0),
-            RandomSource(60, "eve"),
+            [RandomSource(60, "eve")],
         )
-        transmit_second_sequence(ledger, destroyer, RunConfig())
+        transmit_second_sequence(batch, destroyer, RunConfig())
         assert ledger.receipt_2 == 0.0
         dropped = with_disposition(ledger, Disposition.DROPPED)
         assert len(dropped) == 30 - report.sample_size

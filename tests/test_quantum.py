@@ -408,7 +408,7 @@ def _scalar(state, op, q):
 
 @given(states_and_operations, st.integers(0, 2**32))
 def test_measure_column_matches_scalar_loop(measurements, seed):
-    quarters = RandomSource(seed, "column").quarters(len(measurements))
+    quarters = RandomSource.quarters_of([RandomSource(seed, "column")], [len(measurements)])
     keys = bytes(KEYS[op][q] for (_, op), q in zip(measurements, quarters))
     outcomes, posts = measure_column(bytes(s for s, _ in measurements), keys)
     expected = [_scalar(s, op, q) for (s, op), q in zip(measurements, quarters)]
@@ -418,7 +418,7 @@ def test_measure_column_matches_scalar_loop(measurements, seed):
 
 @given(st.lists(st.integers(0, N_STATES - 1), max_size=40), st.integers(0, 2**32))
 def test_measure_bell_column_matches_scalar_loop(states, seed):
-    quarters = RandomSource(seed, "bell-column").quarters(len(states))
+    quarters = RandomSource.quarters_of([RandomSource(seed, "bell-column")], [len(states)])
     outcomes, posts = measure_column(bytes(states), quarters.translate(KEYS[PAIR_BASIS]))
     expected = [_scalar(s, PAIR_BASIS, q) for s, q in zip(states, quarters)]
     assert outcomes == bytes(outcome for outcome, _ in expected)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eprqkd.adversary import AttackKind, AttackStrategy
-from eprqkd.analysis import EfficiencyInputs
+from eprqkd.analysis import EfficiencyInputs, efficiency
 from eprqkd.config import RunConfig
 from eprqkd.errors import ConfigurationError
 from eprqkd.quantum import BellState
@@ -161,6 +161,30 @@ def test_an_int_in_a_float_field_is_the_equal_float(field, number):
     configs = [c.replace(pairs=40, trials=2, min_check_size=4) for c in configs]
     first, second = (render_structured(run(c)) for c in configs)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "number",
+    [2**53 + 1, -(2**53) - 1, 2**60, 10**400],
+    ids=["2**53+1", "-2**53-1", "2**60", "10**400"],
+)
+@pytest.mark.parametrize(
+    "field", FLOAT_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name in FLOAT_FIELDS]
+)
+def test_an_int_no_float_holds_is_refused_at_construction(field, number):
+    # An int beyond 2**53 in magnitude has no exact float: refused with the
+    # type message, before the record's check runs, so no record holds an
+    # int in a float field (efficiency() of one overflowed).
+    cls, name = field
+    with pytest.raises(ConfigurationError) as refused:
+        cls(**{**NEEDS[cls], name: number})
+    assert str(refused.value) == f"{name} must be float, got {number!r}"
+
+
+def test_an_int_of_at_most_2_to_53_is_its_float():
+    inputs = EfficiencyInputs(2**53, 1, 0)
+    assert inputs == EfficiencyInputs(2.0**53, 1.0, 0.0)
+    assert efficiency(inputs) == 2.0**53
 
 
 def test_a_config_seeded_by_a_pair_state_is_refused_before_it_runs():

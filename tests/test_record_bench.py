@@ -475,6 +475,11 @@ def test_code_lines_skip_docstrings_comments_and_blank_lines(tmp_path):
     (tmp_path / "notes.txt").write_text("x = 1\n")
     assert code_lines.code_lines(tmp_path / "a.py") == 8
     assert code_lines.code_lines(tmp_path) == 9
+    # Every node ast.walk visits counts, docstrings and contexts included:
+    # x = 1 is Module, Assign, Name, Store and Constant.
+    assert code_lines.module_ast_nodes(CANNED_MODULE) == 30
+    assert code_lines.ast_nodes(tmp_path / "a.py") == 30
+    assert code_lines.ast_nodes(tmp_path) == 35
 
 
 def test_code_lines_print_each_module_of_a_directory_before_the_total(tmp_path, capsys):
@@ -482,11 +487,16 @@ def test_code_lines_print_each_module_of_a_directory_before_the_total(tmp_path, 
     (tmp_path / "a.py").write_text("x = 1\n\n# end\n")
     (tmp_path / "notes.txt").write_text("x = 1\n")
     assert code_lines.main([str(tmp_path), str(tmp_path / "b.py")]) == 0
-    lines = [f"    1 {tmp_path / 'a.py'}", f"    8 {tmp_path / 'b.py'}", "17 code lines"]
+    lines = [
+        f"    1      5 {tmp_path / 'a.py'}",
+        f"    8     30 {tmp_path / 'b.py'}",
+        "17 code lines",
+        "65 AST nodes",
+    ]
     assert capsys.readouterr().out.splitlines() == lines
-    # A module named alone prints the total only.
+    # A module named alone prints the totals only.
     assert code_lines.main([str(tmp_path / "b.py")]) == 0
-    assert capsys.readouterr().out == "8 code lines\n"
+    assert capsys.readouterr().out == "8 code lines\n30 AST nodes\n"
 
 
 @pytest.mark.parametrize("args", [["--help"], ["missing.py"], [".", "missing.py"], []])

@@ -70,7 +70,7 @@ def test_seed_boundaries_accepted():
 @example(0, "x", 1)
 def test_quarters_match_random_draws(seed, stream, n):
     rng, ref = RandomSource(seed, stream), random.Random(f"{seed}:{stream}")
-    quarters = rng.quarters(n)
+    quarters = RandomSource.quarters_of([rng], [n])
     bits = ref.getrandbits(8 * -(-n // 4))
     assert list(quarters) == [bits >> 2 * i & 3 for i in range(n)]
     assert rng._rng.getstate() == ref.getstate()
@@ -90,12 +90,12 @@ def words_after(seed: int, stream: str, words: int) -> tuple:
 @example(0, 16, 5)
 @example(0, 1, 15)
 def test_one_block_sliced_equals_consecutive_blocks(seed, a, b):
-    # quarters(a) then quarters(b) consume ceil(a / 16) + ceil(b / 16) words.
-    # They are quarters(a + b) sliced at a when a is a multiple of 16, and
+    # Blocks of a then b quarters consume ceil(a / 16) + ceil(b / 16) words.
+    # They are a block of a + b sliced at a when a is a multiple of 16, and
     # leave the generator elsewhere whenever they consume more words.
     block, split = RandomSource(seed, "x"), RandomSource(seed, "x")
-    drawn = block.quarters(a + b)
-    first, second = split.quarters(a), split.quarters(b)
+    drawn = RandomSource.quarters_of([block], [a + b])
+    first, second = (RandomSource.quarters_of([split], [n]) for n in (a, b))
     words = -(-a // 16) + -(-b // 16)
     assert split._rng.getstate() == words_after(seed, "x", words)
     assert block._rng.getstate() == words_after(seed, "x", -(-(a + b) // 16))
@@ -287,7 +287,7 @@ class TestLazySeeding:
 
     def test_scripted_override_still_draws_through_random(self):
         # ScriptedSource sets _rng = self, so every sampler and the column
-        # kernel's keys (``quarters``) draw through its own random(), not a
+        # kernel's keys (``quarters_of``) draw through its own random(), not a
         # generator: its getrandbits makes each 2-bit field int(r * 4) of one
         # draw, so each byte of a sample's mask is 0x55, below the threshold
         # of 3 of 4 (192), and the one position too many is int(0.25 * 4).
@@ -296,7 +296,7 @@ class TestLazySeeding:
         assert scripted.bernoulli(0.5)
         assert scripted.sample_without_replacement([10, 11, 12, 13], 3) == [10, 12, 13]
         assert scripted.draws == 2 + 16 + 1
-        keys = scripted.quarters(2).translate(KEYS[OPS["first"]["z"]])
+        keys = RandomSource.quarters_of([scripted], [2]).translate(KEYS[OPS["first"]["z"]])
         assert measure_column(bytes(2), keys)[0] == bytes(2)
         assert scripted.draws == 19 + 4
         assert scripted._rng is scripted
