@@ -39,23 +39,24 @@ contributing to the key, or lost in transit) and drops them from the live
 pairs. It takes them as a mask, a byte per live pair that is 1 where the
 pair is taken, as a check's sample or the opaque attack's losses arrive, and
 works with C-level byte operations only: one ``translate`` flips it into the
-keep mask, ``itertools.compress`` cuts each ledger's private list of live
-ordinals with it (and, when the ledger keeps a transcript, picks the taken
-pairs' ordinals with the mask itself), and a column is cut on its first read
-after the settle by ``gather`` (one big-int OR and one ``translate``) under
-the keep mask, as a check reads its sample from each column under the
-sample's mask. ``gather`` rests on the columns' one contract: a compact
-column holds one code below 0x80 per live pair, so no byte of a column has
-the high bit of its own. A trial that aborts cuts no column of its own.
+keep mask, whose 1 bytes ``bytes.count`` counts as the live pairs left, and
+a column is cut on its first read after the settle by ``gather`` (one
+big-int OR and one ``translate``) under the keep mask, as a check reads its
+sample from each column under the sample's mask. Unless the ledger keeps
+a transcript, a settle builds no object per pair. ``gather`` rests on the
+columns' one contract: a compact column holds one code below 0x80 per live
+pair, so no byte of a column has the high bit of its own. A trial that
+aborts cuts no column of its own.
 The terminal dispositions are a settle log of one fixed-size entry
 per settle, (cuts before it, disposition), and the log holds no ordinal:
 a partial settle's pairs are the zeros of its keep mask, the next cut, and a
 settle of every live pair, at an abort or at key extraction, takes None,
-cuts nothing and is O(1). Pair ordinals stay inside the ledger, in its
-private live list and in what ``PairLedger.ordinals`` rebuilds from the cuts
-on demand, which ``records``, ``disposition_counts`` and the tests read; a
-partial settle returns the ordinals of the pairs it took when the ledger
-keeps a transcript, which is what a step logs, and None when it keeps none.
+cuts nothing and is O(1). No ledger holds a list of pair ordinals: they are
+what ``PairLedger.ordinals`` rebuilds from the cuts on demand, which
+``records``, ``disposition_counts`` and the tests read; a partial settle
+returns the ordinals of the pairs it took, chained lazily through the cuts
+before it, when the ledger keeps a transcript, which is what a step logs,
+and None when it keeps none.
 What a step hands its caller is counts and codes, one item per trial (a
 check's sample size and mismatches; a key, the bytes of its pair codes as
 ``column`` and ``cut`` return them).
@@ -97,6 +98,7 @@ from __future__ import annotations
 
 import json
 from enum import Enum
+from functools import reduce
 from itertools import accumulate, compress
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import NamedTuple
@@ -250,7 +252,7 @@ class PairLedger:
 
     ``prepared`` holds the preparation codes by pair ordinal. ``live``
     counts the pairs with no terminal disposition yet, whose disposition is
-    ``stage``, set by ``phase``; only the ledger holds their ordinals.
+    ``stage``, set by ``phase``; their ordinals are rebuilt on demand.
     ``settled`` logs each settle's (cuts before it, terminal disposition),
     whose ordinals ``ordinals`` rebuilds from ``_cuts``, each partial
     settle's keep mask; ``fills`` logs each fill's record (name, cuts,
@@ -261,9 +263,6 @@ class PairLedger:
     def __init__(self, prepared: bytes | list[int], transcript: Transcript | None = None):
         self.prepared = bytes(prepared)
         self.live = len(self.prepared)
-        # The live pairs' ordinals: a range until the first partial settle
-        # lists the ones it keeps.
-        self._live_ordinals: range | list[int] = range(self.live)
         self._cuts: list[bytes] = []
         self.fills: list[tuple[str, int, bytes, bytes, tuple[str, ...] | None]] = []
         self.settled: list[tuple[int, Disposition]] = []
@@ -290,9 +289,7 @@ class PairLedger:
     def cut(self, codes: bytes) -> bytes:
         """``codes``, one byte per prepared pair, cut by every settle of
         some live pairs: the bytes of the live pairs, in order."""
-        for keep in self._cuts:
-            codes = gather(codes, keep)
-        return codes
+        return reduce(gather, self._cuts, codes)
 
     def counts(self, name: str) -> dict[str, dict[str, int]]:
         """``joint_counts`` of the prepared codes against column ``name`` at
@@ -305,18 +302,21 @@ class PairLedger:
 
     def settle(self, taken: bytes | None, disposition: Disposition) -> tuple[int, ...] | None:
         """Give the live pairs where ``taken``, a 0/1 byte per live pair, is
-        1 a terminal disposition: its keep mask becomes the next cut, and the
-        taken pairs' ordinals are returned, for a transcript to log, when the
-        ledger keeps one (else None). None settles every live pair, cuts
-        nothing and returns None. Either logs (cuts before it, disposition)."""
+        1 a terminal disposition: its keep mask becomes the next cut and
+        counts the pairs left live, and the taken pairs' ordinals, rebuilt
+        through the cuts before it, are returned for a transcript to log
+        when the ledger keeps one (else None). None settles every live
+        pair, cuts nothing and returns None. Either logs (cuts before it,
+        disposition)."""
         self.settled.append((len(self._cuts), disposition))
         if taken is None:
-            self.live, self._live_ordinals = 0, []
+            self.live = 0
             return None
-        ordinals, keep = self._live_ordinals, taken.translate(_FLIP)
-        self._live_ordinals = list(compress(ordinals, keep))
-        self.live = len(self._live_ordinals)
-        self._cuts.append(keep)
+        # The live pairs' ordinals, chained lazily through the cuts so far:
+        # only a transcript reads them, and no list of them is built.
+        ordinals = reduce(compress, self._cuts, range(len(self.prepared)))
+        self._cuts.append(taken.translate(_FLIP))
+        self.live = self._cuts[-1].count(1)
         return None if self.transcript is None else tuple(compress(ordinals, taken))
 
     def ordinals(self) -> tuple[list[list[int]], list[tuple[list[int], Disposition]]]:
@@ -427,8 +427,7 @@ class Batch:
         cut of each settle since its last read."""
         gen, codes = self._views[name]
         if gen < len(self._cuts):
-            for keep in self._cuts[gen:]:
-                codes = gather(codes, keep)
+            codes = reduce(gather, self._cuts[gen:], codes)
             self._views[name] = len(self._cuts), codes
         return codes if self.live else b""
 
@@ -464,12 +463,9 @@ class Batch:
         else:
             keeps, returned = [], []
             for ledger, part in zip(self.ledgers, parts(taken, self.sizes)):
-                if 1 in part:
-                    returned.append(ledger.settle(part, disposition))
-                    keeps.append(ledger._cuts[-1])
-                else:
-                    returned.append(())
-                    keeps.append(part.translate(_FLIP))
+                taking = 1 in part
+                returned.append(ledger.settle(part, disposition) if taking else ())
+                keeps.append(ledger._cuts[-1] if taking else part.translate(_FLIP))
             self._cuts.append(b"".join(keeps))
         self.sizes = [ledger.live for ledger in self.ledgers]
         self.live = sum(self.sizes)

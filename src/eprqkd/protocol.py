@@ -133,14 +133,17 @@ def prepare_from_labels(labels: list, transcripts: list[Transcript | None] | Non
         codes = None
     if codes is None or codes.translate(None, _CODE_BYTES):  # a byte above 3 is left
         raise ConfigurationError("preparation labels must be pair states or their codes 0-3")
-    if not items or not all(items):
+    if not all(items):
         raise ConfigurationError("cannot prepare an empty pair sequence")
     return _prepare(items, transcripts)
 
 
 def _prepare(codes: list[bytes], transcripts: list | None) -> Batch:
     """The batch of one ledger per trial, prepared in that trial's item of
-    ``codes``, each code 0-3, and logging to that trial's transcript."""
+    ``codes``, each code 0-3, and logging to that trial's transcript. A
+    batch of no trial raises ConfigurationError."""
+    if not codes:
+        raise ConfigurationError("cannot prepare a batch of no trials")
     ledgers = list(map(PairLedger, codes, transcripts or [None] * len(codes)))
     for ledger in ledgers:
         if (transcript := ledger.transcript) is not None:

@@ -5,7 +5,9 @@ a class attribute, and checks its values in a ``check`` method. Every
 construction, ``replace`` included, first checks the exact type of each
 field annotated bool, int or float, in field order (a float field stores an
 int of magnitude at most 2**53 as that float, and refuses any other int), and
-then runs ``check``.
+then runs ``check``. An int in any such field with more digits than ``str``
+writes (``sys.get_int_max_str_digits``) is refused first, by its size in
+bits, since no message can spell it.
 ``FIELDS`` names the fields in order and ``TYPES`` maps each to its
 annotation (a string under ``from __future__ import annotations``). An
 instance keeps its values in its ``__dict__``, in field order, and refuses
@@ -56,8 +58,13 @@ class Record:
         # another int, which no float holds.
         for name, kind in self._KINDS:
             value = values[name]
-            if kind is float and type(value) is int and -_EXACT <= value <= _EXACT:
-                values[name] = value = float(value)
+            if type(value) is int:
+                try:
+                    repr(value)
+                except ValueError:  # more digits than str() writes: name its size
+                    raise ConfigurationError(f"{name} is {value.bit_length()} bits long") from None
+                if kind is float and -_EXACT <= value <= _EXACT:
+                    values[name] = value = float(value)
             if type(value) is not kind:
                 raise ConfigurationError(f"{name} must be {kind.__name__}, got {value!r}")
         self.check()

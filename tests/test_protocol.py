@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import json.encoder
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -149,6 +150,16 @@ class TestPrepare:
             alice_prepare(0, [RandomSource(0)])
         with pytest.raises(ConfigurationError):
             prepare_from_labels([[]])
+
+    def test_a_batch_of_no_trials_rejected(self):
+        # Refused before any step reads the batch's first ledger.
+        for prepare in (
+            lambda: alice_prepare(4, []),
+            lambda: prepare_from_labels([]),
+            lambda: run_protocol(RunConfig(), []),
+        ):
+            with pytest.raises(ConfigurationError, match="cannot prepare a batch of no trials"):
+                prepare()
 
     def test_labels_drawn_uniformly(self):
         n = 100_000
@@ -575,6 +586,26 @@ def test_a_mask_settle_matches_a_positional_loop(last, data):
     assert batch.column("state") == bytes(state[i] for i in live)
     if batch.filled("guesses"):
         assert batch.column("guesses") == bytes(guesses[i] for i in live)
+
+
+def test_a_settle_keeps_no_object_per_pair():
+    # A partial settle of a ledger with no transcript keeps its keep mask, a
+    # byte per pair it was handed, and the live count: no list of the live
+    # pairs' ordinals, which would hold about 31 bytes per pair here.
+    n = 200_000
+    ledger = PairLedger(bytes(n))
+    taken = b"\x01\x00\x00\x00" * (n // 4)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        ledger.settle(taken, Disposition.CHECKED_1)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert ledger.live == 3 * n // 4
+    assert kept <= 2 * n
 
 
 class TestLedgerColumns:

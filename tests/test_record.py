@@ -181,6 +181,30 @@ def test_an_int_no_float_holds_is_refused_at_construction(field, number):
     assert str(refused.value) == f"{name} must be float, got {number!r}"
 
 
+@pytest.mark.parametrize("number", [10**5000, -(10**5000)], ids=["10**5000", "-10**5000"])
+@pytest.mark.parametrize(
+    "field", NUMBER_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name, _, _ in NUMBER_FIELDS]
+)
+def test_an_int_too_long_to_write_is_refused_by_its_size(field, number):
+    # An int of more digits than str() writes (4,300 by default) cannot be
+    # spelled in a message: it is refused by its size in bits, before the
+    # type check and the record's check run.
+    cls, name, _, _ = field
+    with pytest.raises(ConfigurationError) as refused:
+        cls(**{**NEEDS[cls], name: number})
+    assert str(refused.value) == f"{name} is 16610 bits long"
+
+
+def test_an_int_that_can_be_written_keeps_its_message():
+    number = 10**4000
+    with pytest.raises(ConfigurationError) as refused:
+        RunConfig(seed=number)
+    assert str(refused.value) == f"seed must be a 64-bit unsigned integer, got {number}"
+    with pytest.raises(ConfigurationError) as refused:
+        RunConfig(pairs=-number)
+    assert str(refused.value) == f"pairs must be >= 1, got {-number}"
+
+
 def test_an_int_of_at_most_2_to_53_is_its_float():
     inputs = EfficiencyInputs(2**53, 1, 0)
     assert inputs == EfficiencyInputs(2.0**53, 1.0, 0.0)
