@@ -131,12 +131,11 @@ def _measure_resend(channel, transmission, batch, rngs):
     else:
         # Every pair still in flight was Z-measured on its other half at
         # transmission 1; her two bits name a guess like a key code, this
-        # first-half bit high. A trial with no pair left in flight takes no
-        # fill, so its one-bit guesses stand, and so do the bits of a second
-        # sequence she alone measured.
+        # first-half bit high. A ledger logs no fill of no pair, so a trial
+        # with no pair left in flight keeps its one-bit guesses.
         first = int.from_bytes(batch.column("guesses"))
         guesses = (int.from_bytes(measured) << 1 | first).to_bytes(len(measured))
-        batch.fill("guesses", guesses, CODES, stand=True)
+        batch.fill("guesses", guesses, CODES)
     if batch.transcript is None:
         return None
     outcomes = parts(measured.translate(DIGITS), batch.sizes)

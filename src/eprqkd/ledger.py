@@ -1,74 +1,63 @@
-"""Bookkeeping types for a protocol run.
+"""Bookkeeping types for a protocol run: the batch every step acts on, each
+trial's ledger of logs, and the run's transcript.
 
-Every protocol step acts on a ``Batch``: the trials that take the step
-together, each with its ``PairLedger``, and the batch's byte columns, one
-byte per live pair (a pair with no terminal disposition yet) of all its
-trials, joined in trial order and, within a trial, in ordinal order: the
-preparation codes, the genuine pairs' state codes (``quantum``'s int codes:
-a pair-state label, or a product of Z/X eigenstates once a half was
-measured), the planted pairs' codes, the decode results and the
-adversary's guesses. ``Batch.column`` reads one, and ``Batch.sizes``
-counts each trial's bytes of it. So a step that acts on the live pairs (a
-transmission's attack, the decode) measures whole columns in one
-``quantum.measure_column`` call for every trial, and a check gathers its
-sample's bytes from them through the sample's mask. A trial's ledger holds
-no column, only its logs and state. ``PairLedger.cut`` cuts a full-length
-column, such as ``prepared``, the trial's preparation codes by pair
-ordinal, by every settle of some live pairs: a sender's key is her
-prepared codes cut so.
-
-``Batch.fill`` is the only writer of a column, and logs each trial's part
-of it in that trial's ledger (``PairLedger.fill`` only appends to the fill
-log). A step fills only the
-post states a later step reads; a measurement that consumes its pairs
-(either check, the decode, or the fake-EPR adversary's capture of the
-genuine pairs) writes back none. Each fill is one record of the fill log,
-the plain tuple (name, cuts, prepared codes, codes, names): the column, the
-number of settles cut before it, the prepared codes of the pairs live then,
-one code per such pair, and the alphabet its codes index. That alphabet is
-``CODES`` for the decode results and for the adversary's Bell or two-bit
-guesses, the two bit names for her one-bit guesses, and None for the
-pair-state columns ``state`` and ``planted``. ``Batch.filled`` says
-whether a column holds codes yet, and ``PairLedger.counts`` counts the last
-fill of a column against the prepared codes of the pairs it was filled at,
-as bytes, with ``joint_counts``, naming each code through that fill's
-alphabet.
+A ``Batch`` holds its trials' ``PairLedger``s, in trial order, and its byte
+columns, one byte per live pair (a pair with no terminal disposition yet)
+of all its trials, joined in trial order and, within a trial, in ordinal
+order: the preparation codes, the genuine pairs' state codes (``quantum``'s
+int codes: a pair-state label, or a product of Z/X eigenstates once a half
+was measured), the planted pairs' codes, the decode results and the
+adversary's guesses. ``Batch.column`` reads one, and ``Batch.sizes`` counts
+each trial's bytes of it. A trial's ledger holds no column, only its settle
+log, its fill log and its state, which read the same whatever batch the
+trial took its steps in.
 
 A settle gives some live pairs a terminal disposition (consumed by a check,
 contributing to the key, or lost in transit) and drops them from the live
-pairs. It takes them as a mask, a byte per live pair that is 1 where the
-pair is taken, as a check's sample or the opaque attack's losses arrive, and
-works with C-level byte operations only: one ``translate`` flips it into the
-keep mask, whose 1 bytes ``bytes.count`` counts as the live pairs left, and
-a column is cut on its first read after the settle by ``gather`` (one
-big-int OR and one ``translate``) under the keep mask, as a check reads its
-sample from each column under the sample's mask. Unless the ledger keeps
-a transcript, a settle builds no object per pair. ``gather`` rests on the
-columns' one contract: a compact column holds one code below 0x80 per live
-pair, so no byte of a column has the high bit of its own. A trial that
-aborts cuts no column of its own.
-The terminal dispositions are a settle log of one fixed-size entry
-per settle, (cuts before it, disposition), and the log holds no ordinal:
-a partial settle's pairs are the zeros of its keep mask, the next cut, and a
-settle of every live pair, at an abort or at key extraction, takes None,
-cuts nothing and is O(1). No ledger holds a list of pair ordinals: they are
-what ``PairLedger.ordinals`` rebuilds from the cuts on demand, which
-``records``, ``disposition_counts`` and the tests read; a partial settle
-returns the ordinals of the pairs it took, chained lazily through the cuts
-before it, when the ledger keeps a transcript, which is what a step logs,
-and None when it keeps none.
-What a step hands its caller is counts and codes, one item per trial (a
-check's sample size and mismatches; a key, the bytes of its pair codes as
-``column`` and ``cut`` return them).
-No step builds an object per pair: ``PairLedger.records`` rebuilds
-read-only ``PairRecord`` views from the settle log and the fill log, with
-None where a pair has no value, only when something reads them.
+pairs. ``Batch.settle`` takes them as a mask, a byte per live pair that is 1
+where the pair is taken, as a check's sample or the opaque attack's losses
+arrive, and flips it once, by one ``translate``, into the keep mask: the
+batch's next cut. Each trial's part of it, where it takes some pair, is that
+trial's entry (keep mask, disposition) of its settle log,
+``PairLedger.settled``; a settle of every live pair, at an abort or at key
+extraction, logs (None, disposition), cuts nothing and is O(1). The settle
+log is the only record of a trial's settles, and holds no ordinal:
+``PairLedger.cut`` cuts a full-length column, such as ``prepared``, by its
+keep masks (a sender's key is her prepared codes cut so);
+``disposition_counts`` counts each mask's zero bytes; ``ordinals`` rebuilds
+the pair ordinals from it on demand, which ``records`` and the tests read;
+and a partial settle returns its pairs' ordinals, chained lazily through the
+masks before it, when the ledger keeps a transcript, which is what a step
+logs, and None when it keeps none. So unless the ledger keeps a transcript,
+a settle builds no object per pair.
 
-A batch settles each trial's ledger with that trial's part of a mask, and
-the keep masks joined are the batch's cut. A trial that aborts leaves the
-batch, whose columns then lose its bytes by one more cut. A batch of one
-trial cuts, fills and settles its one ledger with the batch's own bytes,
-copying no column.
+A batch's column is cut on its first read after a settle by ``gather`` (one
+big-int OR and one ``translate``) under each keep mask since, as a check
+reads its sample from each column under the sample's mask. ``gather`` rests
+on the columns' one contract: a compact column holds one code below 0x80 per
+live pair, so no byte of a column has the high bit of its own. A trial that
+aborts leaves the batch, whose columns then lose its bytes by one more cut,
+and cuts no column of its own. A batch of one trial cuts, fills and settles
+its one ledger with the batch's own bytes, copying no column.
+
+``Batch.fill`` is the only writer of a column, and logs each trial's part of
+it in that trial's fill log, ``PairLedger.fills``, as the plain tuple (name,
+settles, codes, names): the column, the number of settles before it, one
+code per pair live then, and the alphabet its codes index. That alphabet is
+``CODES`` for the decode results and for the adversary's Bell or two-bit
+guesses, the two bit names for her one-bit guesses, and None for the
+pair-state columns ``state`` and ``planted``. A fill of no pair is never
+logged, so a trial with no live pair keeps its last fill of the column. The
+prepared codes of a fill's pairs are ``prepared`` cut by the keep masks
+before it, and ``PairLedger.counts`` counts the last fill of a column
+against them, as bytes, with ``joint_counts``, naming each code through that
+fill's alphabet. A step fills only the post states a later step reads; a
+measurement that consumes its pairs (either check, the decode, or the
+fake-EPR adversary's capture of the genuine pairs) writes back none.
+``Batch.filled`` says whether a column holds codes yet. No step builds an
+object per pair: ``PairLedger.records`` rebuilds read-only ``PairRecord``
+views from the two logs, with None where a pair has no value, only when
+something reads them.
 
 The run's progress is one ledger field, ``phase``. The pairs still live all
 stand at the same stage, the one ``Phase`` names for that phase, so the
@@ -252,20 +241,19 @@ class PairLedger:
 
     ``prepared`` holds the preparation codes by pair ordinal. ``live``
     counts the pairs with no terminal disposition yet, whose disposition is
-    ``stage``, set by ``phase``; their ordinals are rebuilt on demand.
-    ``settled`` logs each settle's (cuts before it, terminal disposition),
-    whose ordinals ``ordinals`` rebuilds from ``_cuts``, each partial
-    settle's keep mask; ``fills`` logs each fill's record (name, cuts,
-    prepared codes, codes, names). ``transcript`` is the event log, or None
-    when the run records none.
+    ``stage``, set by ``phase``. ``settled`` logs each settle's (keep mask,
+    terminal disposition), the mask a 0/1 byte per pair live then that is 0
+    where the settle took the pair, or None where it took every one.
+    ``fills`` logs each fill of some pairs as (name, settles before it,
+    codes, names). ``transcript`` is the event log, or None when the run
+    records none.
     """
 
     def __init__(self, prepared: bytes | list[int], transcript: Transcript | None = None):
         self.prepared = bytes(prepared)
         self.live = len(self.prepared)
-        self._cuts: list[bytes] = []
-        self.fills: list[tuple[str, int, bytes, bytes, tuple[str, ...] | None]] = []
-        self.settled: list[tuple[int, Disposition]] = []
+        self.fills: list[tuple[str, int, bytes, tuple[str, ...] | None]] = []
+        self.settled: list[tuple[bytes | None, Disposition]] = []
         self.transcript = transcript
         self.phase = Phase.CREATED
         self.check1: CheckReport | None = None
@@ -280,67 +268,73 @@ class PairLedger:
         """The disposition every live pair has: its phase's stage."""
         return self.phase.stage
 
-    def fill(self, name: str, prepared: bytes, codes: bytes, names: tuple[str, ...] | None = None):
+    def fill(self, name: str, codes: bytes, names: tuple[str, ...] | None = None):
         """Log a fill of column ``name`` with ``codes``, one byte per live
         pair, in order, each an index into ``names`` (None for a column of
-        pair states); ``prepared`` holds the live pairs' prepared codes."""
-        self.fills.append((name, len(self._cuts), prepared, codes, names))
+        pair states). A fill of no pair is not logged, so the last fill of
+        the column stands."""
+        if codes:
+            self.fills.append((name, len(self.settled), codes, names))
 
-    def cut(self, codes: bytes) -> bytes:
-        """``codes``, one byte per prepared pair, cut by every settle of
-        some live pairs: the bytes of the live pairs, in order."""
-        return reduce(gather, self._cuts, codes)
+    def cut(self, codes: bytes, settles: int | None = None) -> bytes:
+        """``codes``, one byte per prepared pair, cut by the keep mask of
+        each of the first ``settles`` settles (of every settle by default):
+        the bytes of the pairs live after them, in order."""
+        masks = [keep for keep, _ in self.settled[:settles] if keep is not None]
+        return reduce(gather, masks, codes)
 
     def counts(self, name: str) -> dict[str, dict[str, int]]:
         """``joint_counts`` of the prepared codes against column ``name`` at
         the pairs of its last fill, in that fill's alphabet; {} when it was
         never filled, as both row columns of an early abort."""
-        for fill in reversed(self.fills):
-            if fill[0] == name:
-                return joint_counts(*fill[2:])
+        for fill, settles, codes, names in reversed(self.fills):
+            if fill == name:
+                return joint_counts(self.cut(self.prepared, settles), codes, names)
         return {}
 
-    def settle(self, taken: bytes | None, disposition: Disposition) -> tuple[int, ...] | None:
-        """Give the live pairs where ``taken``, a 0/1 byte per live pair, is
-        1 a terminal disposition: its keep mask becomes the next cut and
-        counts the pairs left live, and the taken pairs' ordinals, rebuilt
-        through the cuts before it, are returned for a transcript to log
-        when the ledger keeps one (else None). None settles every live
-        pair, cuts nothing and returns None. Either logs (cuts before it,
-        disposition)."""
-        self.settled.append((len(self._cuts), disposition))
-        if taken is None:
-            self.live = 0
-            return None
-        # The live pairs' ordinals, chained lazily through the cuts so far:
-        # only a transcript reads them, and no list of them is built.
-        ordinals = reduce(compress, self._cuts, range(len(self.prepared)))
-        self._cuts.append(taken.translate(_FLIP))
-        self.live = self._cuts[-1].count(1)
-        return None if self.transcript is None else tuple(compress(ordinals, taken))
+    def settle(self, keep: bytes | None, disposition: Disposition) -> tuple[int, ...] | None:
+        """Give the live pairs where ``keep``, a 0/1 byte per live pair, is 0
+        a terminal disposition: its 1 bytes count the pairs left live, and
+        the taken pairs' ordinals, rebuilt through the keep masks before it,
+        are returned for a transcript to log when the ledger keeps one (else
+        None). None settles every live pair and returns None. Either logs
+        (keep, disposition)."""
+        taken = None
+        if keep is not None and self.transcript is not None:
+            # The live pairs' ordinals, chained lazily through the masks so
+            # far: only a transcript reads them, and no list of them is built.
+            masks = [mask for mask, _ in self.settled]
+            ordinals = reduce(compress, masks, range(len(self.prepared)))
+            taken = tuple(compress(ordinals, keep.translate(_FLIP)))
+        self.settled.append((keep, disposition))
+        self.live = 0 if keep is None else keep.count(1)
+        return taken
 
     def ordinals(self) -> tuple[list[list[int]], list[tuple[list[int], Disposition]]]:
-        """The pair ordinals the logs stand for, rebuilt on each call by
-        chaining ``compress`` over ``range(n)`` through the cuts: the
-        ordinals live after each number of cuts, in order, and each settle's
-        (ordinals, disposition), in log order. A settle took a cut exactly
-        when the cut count grew by the next settle (or by now): its pairs
-        are then the zeros of that keep mask, else every pair live then."""
-        lives = [list(range(len(self.prepared)))]
-        for keep in self._cuts:
-            lives.append(list(compress(lives[-1], keep)))
-        settles = []
-        ends = [gen for gen, _ in self.settled[1:]] + [len(self._cuts)]
-        for (gen, disposition), end in zip(self.settled, ends):
-            taken = lives[gen]
-            if end > gen:  # it took cut gen: its pairs are the zeros of that keep mask
-                taken = list(compress(taken, self._cuts[gen].translate(_FLIP)))
-            settles.append((taken, disposition))
+        """The pair ordinals the settle log stands for, rebuilt on each call
+        by chaining ``compress`` over ``range(n)`` through its keep masks:
+        the ordinals live after each number of settles, in order, and each
+        settle's (ordinals, disposition), in log order. A settle's pairs are
+        the zeros of its keep mask; a settle with none took every pair live
+        then."""
+        lives, settles = [list(range(len(self.prepared)))], []
+        for keep, disposition in self.settled:
+            live = lives[-1]
+            keep = bytes(len(live)) if keep is None else keep
+            lives.append(list(compress(live, keep)))
+            settles.append((list(compress(live, keep.translate(_FLIP))), disposition))
         return lives, settles
 
     def disposition_counts(self) -> dict[str, int]:
-        settles = self.ordinals()[1]
-        counts = {d.value: sum(len(o) for o, s in settles if s is d) for d in Disposition}
+        """How many pairs stand at each disposition: each settle's pairs,
+        the zero bytes of its keep mask (every pair live then, for a settle
+        with none), and the live pairs at their stage."""
+        counts = dict.fromkeys([d.value for d in Disposition], 0)
+        live = len(self.prepared)
+        for keep, disposition in self.settled:
+            taken = live if keep is None else keep.count(0)
+            counts[disposition.value] += taken
+            live -= taken
         counts[self.stage.value] += self.live
         return counts
 
@@ -356,12 +350,12 @@ class PairLedger:
                 fates[i] = disposition
         # A fill of the genuine states updates them; a fill of another column
         # replaces it, leaving None at every pair the fill did not reach.
-        # A fill after k cuts is at the ordinals live after k cuts.
+        # A fill after k settles is at the ordinals live after k settles.
         none = [None] * n
         columns = {"state": list(self.prepared), "planted": none, "outcome": none, "guesses": none}
-        for name, gen, _, codes, _ in self.fills:
+        for name, before, codes, _ in self.fills:
             column = columns[name] = columns[name] if name == "state" else [None] * n
-            for i, code in zip(lives[gen], codes):
+            for i, code in zip(lives[before], codes):
                 column[i] = code
         state, planted, outcome, guesses = columns.values()
         outcome = [code if code is None else BELL_LABELS[code] for code in outcome]
@@ -387,12 +381,13 @@ class Batch:
     follow those of the trials before it (``parts``), and ``live`` counts
     them all. ``_views`` holds each column as (cuts taken, codes), each cut
     a column has not taken yet a later entry of ``_cuts``, a settle's keep
-    mask over the batch, so a column is cut on its first read after a
-    settle. A step measures, gathers and cuts a batch's columns once for
-    all its trials, and fills and settles through the batch, which logs
-    each trial's part in that trial's ledger, so a ledger reads the same
-    after a step whatever batch it took the step in. Each trial logs to its
-    own transcript; the trials of a batch all keep one, or none does.
+    mask over the batch, whose part for each trial that trial's settle log
+    holds, so a column is cut on its first read after a settle. A step
+    measures, gathers and cuts a batch's columns once for all its trials,
+    and fills and settles through the batch, which logs each trial's part
+    in that trial's ledger, so a ledger reads the same after a step
+    whatever batch it took the step in. Each trial logs to its own
+    transcript; the trials of a batch all keep one, or none does.
     """
 
     def __init__(self, ledgers: list[PairLedger]):
@@ -436,37 +431,34 @@ class Batch:
         from the start, another once a step filled it."""
         return name in self._views
 
-    def fill(
-        self, name: str, codes: bytes, names: tuple[str, ...] | None = None, stand: bool = False
-    ):
+    def fill(self, name: str, codes: bytes, names: tuple[str, ...] | None = None):
         """Set column ``name`` to ``codes``, one byte per live pair, in order,
         each an index into ``names`` (None for a column of pair states), and
-        log each trial's part in its ledger (``PairLedger.fill``). With
-        ``stand``, a trial with no live pair logs no fill, so its last fill
-        of the column stands."""
-        prepared = parts(self.column("prepared"), self.sizes)
-        for ledger, at, part in zip(self.ledgers, prepared, parts(codes, self.sizes)):
-            if ledger.live or not stand:
-                ledger.fill(name, at, part, names)
+        log each trial's part in its ledger (``PairLedger.fill``, which logs
+        no fill of no pair)."""
+        for ledger, part in zip(self.ledgers, parts(codes, self.sizes)):
+            ledger.fill(name, part, names)
         self._views[name] = len(self._cuts), codes
 
     def settle(self, taken: bytes | None, disposition: Disposition) -> list | None:
-        """``PairLedger.settle`` of each trial with its part of ``taken``, a
-        0/1 byte per live pair, whose keep mask becomes the batch's next cut;
-        returns what each trial's settle returned, and () for a trial none
-        of whose pairs is taken, which logs no settle. None settles every
-        live pair, and returns None."""
+        """Give the live pairs where ``taken``, a 0/1 byte per live pair, is
+        1 a terminal disposition: its keep mask, flipped once, becomes the
+        batch's next cut, and each trial's part of it that takes some pair
+        is that trial's ``PairLedger.settle``. Returns what each trial's
+        settle returned, and () for a trial none of whose pairs is taken,
+        which logs no settle. None settles every live pair, and returns
+        None."""
         returned = None
         if taken is None:
             for ledger in self.ledgers:
                 ledger.settle(None, disposition)
         else:
-            keeps, returned = [], []
-            for ledger, part in zip(self.ledgers, parts(taken, self.sizes)):
-                taking = 1 in part
-                returned.append(ledger.settle(part, disposition) if taking else ())
-                keeps.append(ledger._cuts[-1] if taking else part.translate(_FLIP))
-            self._cuts.append(b"".join(keeps))
+            keep = taken.translate(_FLIP)
+            self._cuts.append(keep)
+            returned = [
+                ledger.settle(part, disposition) if 0 in part else ()
+                for ledger, part in zip(self.ledgers, parts(keep, self.sizes))
+            ]
         self.sizes = [ledger.live for ledger in self.ledgers]
         self.live = sum(self.sizes)
         return returned

@@ -63,7 +63,6 @@ its batch.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import compress
 from typing import NamedTuple
 
@@ -532,13 +531,6 @@ class TrialOutcome(NamedTuple):
         return all(key == self.keys[0] for key in self.keys)
 
 
-@lru_cache(maxsize=8)
-def _unattacked(config: RunConfig) -> RunConfig:
-    """``config`` with no attack, for a hop the adversary does not sit on:
-    built once per config, not once per trial."""
-    return config.replace(attack=AttackStrategy())
-
-
 def run_multiparty(
     config: RunConfig, trial: int = 0, collect_transcripts: bool = False
 ) -> TrialOutcome:
@@ -583,7 +575,7 @@ def run_multiparty(
         if collect_transcripts:
             transcripts = [Transcript(trials[i], tags, sender, receiver) for i in going]
         outcomes = run_protocol(
-            config if config.attacks_hop(k) else _unattacked(config),
+            config if config.attacks_hop(k) else config.replace(attack=AttackStrategy()),
             [rngs[i].substream(f"hop{k}") if chain else rngs[i] for i in going],
             prepared_labels=labels,
             transcript=transcripts,

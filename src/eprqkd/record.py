@@ -5,9 +5,10 @@ a class attribute, and checks its values in a ``check`` method. Every
 construction, ``replace`` included, first checks the exact type of each
 field annotated bool, int or float, in field order (a float field stores an
 int of magnitude at most 2**53 as that float, and refuses any other int), and
-then runs ``check``. An int in any such field with more digits than ``str``
-writes (``sys.get_int_max_str_digits``) is refused first, by its size in
-bits, since no message can spell it.
+then runs ``check``. A value of any field that ``repr`` cannot write is
+refused before both, since no message can spell it: an int with more digits
+than ``str`` writes (``sys.get_int_max_str_digits``) by its size in bits, a
+value holding one by the limit it exceeds.
 ``FIELDS`` names the fields in order and ``TYPES`` maps each to its
 annotation (a string under ``from __future__ import annotations``). An
 instance keeps its values in its ``__dict__``, in field order, and refuses
@@ -51,6 +52,16 @@ class Record:
         values = vars(self)
         values.update(self._TEMPLATE, **kwargs)
         values.update(zip(self.FIELDS, args))
+        # Every value can be written in a message: an int of more digits
+        # than str() writes, or a value holding one, is refused first, an
+        # int by its size.
+        for name, value in values.items():
+            try:
+                repr(value)
+            except ValueError as error:
+                if isinstance(value, int):
+                    raise ConfigurationError(f"{name} is {value.bit_length()} bits long") from None
+                raise ConfigurationError(f"{name} cannot be written: {error}") from None
         # Each value is of its field's exact kind: no subclass (a bool is no
         # int, an IntEnum member no int), since a subclass may spell itself
         # otherwise. A float field stores an int that a float holds exactly
@@ -58,13 +69,8 @@ class Record:
         # another int, which no float holds.
         for name, kind in self._KINDS:
             value = values[name]
-            if type(value) is int:
-                try:
-                    repr(value)
-                except ValueError:  # more digits than str() writes: name its size
-                    raise ConfigurationError(f"{name} is {value.bit_length()} bits long") from None
-                if kind is float and -_EXACT <= value <= _EXACT:
-                    values[name] = value = float(value)
+            if type(value) is int and kind is float and -_EXACT <= value <= _EXACT:
+                values[name] = value = float(value)
             if type(value) is not kind:
                 raise ConfigurationError(f"{name} must be {kind.__name__}, got {value!r}")
         self.check()

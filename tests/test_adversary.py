@@ -41,7 +41,7 @@ def with_disposition(ledger, disposition):
 
 def last_guesses(ledger):
     """The (codes, names) of the last fill of Eve's guesses."""
-    return [fill[3:] for fill in ledger.fills if fill[0] == "guesses"][-1]
+    return [fill[2:] for fill in ledger.fills if fill[0] == "guesses"][-1]
 
 
 def sent(n, seed=0, chan=None):
@@ -271,6 +271,21 @@ class TestEveInformation:
             "10": {"1": 1},
             "01": {"1": 1},
         }
+
+    def test_a_fill_of_no_pair_leaves_the_last_fill_standing(self):
+        # The same five pairs: Eve's second-sequence fill reaches no pair, so
+        # the ledger logs none, and her one-bit guesses stay the column's
+        # last fill, which the records and the counts read.
+        attack = AttackStrategy(kind=AttackKind.MEASURE_RESEND, measure_second_sequence=True)
+        ledger = run_protocol(RunConfig(pairs=5, seed=1, attack=attack), RandomSource(1)).ledger
+        assert ledger.check1.sample_size == 5 and ledger.receipt_2 is not None
+        guesses = [fill[1:] for fill in ledger.fills if fill[0] == "guesses"]
+        assert [(settles, len(codes), names) for settles, codes, names in guesses] == [
+            (0, 5, ("0", "1"))
+        ]
+        assert all(codes for _, _, codes, _ in ledger.fills)
+        assert [rec.guess for rec in ledger.records] == list(guesses[0][1])
+        assert sum(n for row in eve_guess_counts(ledger).values() for n in row.values()) == 5
 
     def test_second_sequence_measured_alone_scores_single_bits(self):
         # The first sequence went through a clean channel, so Eve holds only

@@ -426,7 +426,7 @@ class TestExtractKey:
         )
         (key,) = extract_key(batch)
         assert code_string(key) == "001011"
-        assert ledger.settled == [(0, Disposition.KEY)]
+        assert ledger.settled == [(None, Disposition.KEY)]
         assert ledger.ordinals()[1] == [([0, 1, 2], Disposition.KEY)]
 
     def test_sender_key_matches_prepared_codes(self):
@@ -535,11 +535,11 @@ def test_a_mask_settle_matches_a_positional_loop(last, data):
     state, guesses = dict(enumerate(prepared)), {}
 
     def settle(taken, disposition):
-        cuts = sum(1 for _, _, mask in settles if mask is not None)
-        returned = ledger.settle(taken, disposition)
+        keep = None if taken is None else bytes(1 - b for b in taken)
+        returned = ledger.settle(keep, disposition)
         batch.settle(taken, disposition)
-        # One fixed-size entry: the cuts before the settle and its disposition.
-        assert ledger.settled[-1] == (cuts, disposition)
+        # One entry: the settle's keep mask and its disposition.
+        assert ledger.settled[-1] == (keep, disposition)
         expected, kept = (list(live), []) if taken is None else loop_settle(live, taken)
         # A partial settle returns its pairs' ordinals for a transcript to
         # log; a whole settle, or a ledger that keeps no transcript, None.
@@ -564,14 +564,15 @@ def test_a_mask_settle_matches_a_positional_loop(last, data):
     for _ in range(data.draw(st.integers(0, 3), label="cuts")):
         if data.draw(st.booleans(), label="fill state"):
             fill = data.draw(st.lists(codes, min_size=len(live), max_size=len(live)))
-            ledger.fill("state", ledger.cut(prepared), bytes(fill))
+            ledger.fill("state", bytes(fill))
             batch.fill("state", bytes(fill))
             state.update(zip(live, fill))
         if data.draw(st.booleans(), label="fill guesses"):
             fill = data.draw(st.lists(st.integers(0, 1), min_size=len(live), max_size=len(live)))
-            ledger.fill("guesses", ledger.cut(prepared), bytes(fill), ("0", "1"))
+            ledger.fill("guesses", bytes(fill), ("0", "1"))
             batch.fill("guesses", bytes(fill), ("0", "1"))
-            guesses = dict(zip(live, fill))
+            # A fill of no pair is not logged: the last one stands.
+            guesses = dict(zip(live, fill)) if live else guesses
         taken = data.draw(st.binary(min_size=len(live), max_size=len(live)))
         settle(bytes(b & 1 for b in taken), data.draw(st.sampled_from(TERMINAL)))
         if data.draw(st.booleans(), label="read"):
@@ -594,18 +595,48 @@ def test_a_settle_keeps_no_object_per_pair():
     # pairs' ordinals, which would hold about 31 bytes per pair here.
     n = 200_000
     ledger = PairLedger(bytes(n))
-    taken = b"\x01\x00\x00\x00" * (n // 4)
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        ledger.settle(taken, Disposition.CHECKED_1)
+        ledger.settle(b"\x00\x01\x01\x01" * (n // 4), Disposition.CHECKED_1)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         if not tracing:
             tracemalloc.stop()
     assert ledger.live == 3 * n // 4
     assert kept <= 2 * n
+
+
+def test_disposition_counts_build_no_object_per_pair():
+    # After two partial settles of a 2*10^5-pair ledger, the counts read the
+    # keep masks' zero bytes: they peak under 4 KB, where a list of the
+    # settled pairs' ordinals would take megabytes, and equal the counts of
+    # the ordinals those masks stand for.
+    n = 200_000
+    ledger = PairLedger(bytes(n))
+    ledger.settle(b"\x00\x01\x01\x01" * (n // 4), Disposition.CHECKED_1)
+    ledger.phase = Phase.SENT_2
+    ledger.settle(b"\x01\x00\x01" * (ledger.live // 3), Disposition.DROPPED)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        counts = ledger.disposition_counts()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 4096
+    lives, settles = ledger.ordinals()
+    expected = dict.fromkeys([d.value for d in Disposition], 0)
+    for ordinals, disposition in settles:
+        expected[disposition.value] += len(ordinals)
+    expected[ledger.stage.value] += len(lives[-1])
+    assert counts == expected
+    settled = (counts["checked-1"], counts["dropped"], counts["in-flight-2"])
+    assert settled == (50_000, 50_000, 100_000)
 
 
 class TestLedgerColumns:
@@ -657,8 +688,9 @@ class TestLedgerColumns:
         expected = {CODES[0]: {"1": 1}, CODES[2]: {"1": 1}, CODES[3]: {"0": 1}}
         assert ledger.counts("guesses") == expected
         # As the last fill's record reads, with the prepared codes it was filled at.
-        last = [fill for fill in ledger.fills if fill[0] == "guesses"][-1]
-        assert ledger.counts("guesses") == joint_counts(*last[2:])
+        _, settles, codes, names = [fill for fill in ledger.fills if fill[0] == "guesses"][-1]
+        prepared = ledger.cut(ledger.prepared, settles)
+        assert ledger.counts("guesses") == joint_counts(prepared, codes, names)
         # A decode fill counts in the code alphabet, in order of first appearance.
         batch.fill("outcome", bytes([0, 3, 3]), CODES)
         assert list(ledger.counts("outcome").items()) == [
@@ -1209,10 +1241,10 @@ class TestMultiparty:
             calls.append((config,))
             return replace(config, **changes)
 
-        eprqkd.protocol._unattacked.cache_clear()
         monkeypatch.setattr(RunConfig, "replace", counting_replace)
         report = run(cfg)
-        # Hop 1 of each of the 5 trials runs unattacked, on one config.
+        # The 5 trials of 300 pairs run as one batch, whose unattacked hop 1
+        # builds its config once.
         assert calls == [(cfg,)]
         assert all(row["hop2"] is not None for row in report.rows)
         rows, _ = object_engine.run(cfg)
@@ -1311,7 +1343,7 @@ def test_counts_match_the_records_over_the_differential_grid():
                 )
                 for name, table, field in tables:
                     fill = last_fill(ledger, name)
-                    expected = counts_from_records(ledger, field, fill[4] if fill else ())
+                    expected = counts_from_records(ledger, field, fill[3] if fill else ())
                     assert [(x, list(row.items())) for x, row in table.items()] == [
                         (x, list(row.items())) for x, row in expected.items()
                     ]
@@ -1340,9 +1372,9 @@ def assert_hop_finished(hop):
     assert (hop.abort_reason is None) == (key_length > 0)
     scored = sum(n for row in eve_guess_counts(ledger).values() for n in row.values())
     guesses = last_fill(ledger, "guesses")
-    assert scored == (len(guesses[3]) if guesses else 0)
-    for name, _, prepared, codes, names in ledger.fills:
-        assert len(codes) == len(prepared)
+    assert scored == (len(guesses[2]) if guesses else 0)
+    for name, before, codes, names in ledger.fills:
+        assert len(codes) == len(ledger.cut(ledger.prepared, before))
         # Only the pair-state columns hold codes that name no alphabet.
         assert (names is None) == (name in ("state", "planted"))
         assert max(codes, default=0) < (N_STATES if names is None else len(names))

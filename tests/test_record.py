@@ -195,6 +195,35 @@ def test_an_int_too_long_to_write_is_refused_by_its_size(field, number):
     assert str(refused.value) == f"{name} is 16610 bits long"
 
 
+OTHER_FIELDS = [
+    (cls, name) for cls in (RunConfig, AttackStrategy) for name in cls.FIELDS
+    if name not in dict(cls._KINDS)
+]
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (10**5000, "is 16610 bits long"),
+        (-(10**5000), "is 16610 bits long"),
+        ([10**5000], "cannot be written: Exceeds the limit"),
+        ({"kind": (1, 10**5000)}, "cannot be written: Exceeds the limit"),
+    ],
+    ids=["10**5000", "-10**5000", "in-a-list", "in-a-dict"],
+)
+@pytest.mark.parametrize(
+    "field", OTHER_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name in OTHER_FIELDS]
+)
+def test_a_value_too_long_to_write_is_refused_in_any_field(field, value, message):
+    # A field that is no bool, int or float still puts its value in its
+    # check's message, so a value repr cannot write is refused before the
+    # check runs: an int by its size, a value holding one by the limit.
+    cls, name = field
+    with pytest.raises(ConfigurationError) as refused:
+        cls(**{name: value})
+    assert str(refused.value).startswith(f"{name} {message}")
+
+
 def test_an_int_that_can_be_written_keeps_its_message():
     number = 10**4000
     with pytest.raises(ConfigurationError) as refused:
