@@ -35,10 +35,18 @@ A batch's column is cut on its first read after a settle by ``gather`` (one
 big-int OR and one ``translate``) under each keep mask since, as a check
 reads its sample from each column under the sample's mask. ``gather`` rests
 on the columns' one contract: a compact column holds one code below 0x80 per
-live pair, so no byte of a column has the high bit of its own. A trial that
-aborts leaves the batch, whose columns then lose its bytes by one more cut,
-and cuts no column of its own. A batch of one trial cuts, fills and settles
-its one ledger with the batch's own bytes, copying no column.
+live pair, so no byte of a column has the high bit of its own. The stacking
+rule: two columns whose codes fit in seven bits together take one
+compaction, not two. ``stack`` sets one column's codes above the other's
+bits, one ``gather`` takes the stacked bytes, and plain ``translate``s
+split them; a check so samples the receiver's states (below 32, bits 0-4)
+with the prepared codes (bits 5-6), or the decode results with the
+prepared codes. A compaction's deleting ``translate`` takes a branch per
+byte, which a fresh mask mispredicts; a plain ``translate`` takes none. A
+trial that aborts leaves the batch, whose columns then lose its bytes by
+one more cut, and cuts no column of its own. A batch of one trial cuts,
+fills and settles its one ledger with the batch's own bytes, copying no
+column.
 
 ``Batch.fill`` is the only writer of a column, and logs each trial's part of
 it in that trial's fill log, ``PairLedger.fills``, as the plain tuple (name,
@@ -51,13 +59,15 @@ logged, so a trial with no live pair keeps its last fill of the column. The
 prepared codes of a fill's pairs are ``prepared`` cut by the keep masks
 before it, and ``PairLedger.counts`` counts the last fill of a column
 against them, as bytes, with ``joint_counts``, naming each code through that
-fill's alphabet. A step fills only the post states a later step reads; a
-measurement that consumes its pairs (either check, the decode, or the
-fake-EPR adversary's capture of the genuine pairs) writes back none.
-``Batch.filled`` says whether a column holds codes yet. No step builds an
-object per pair: ``PairLedger.records`` rebuilds read-only ``PairRecord``
-views from the two logs, with None where a pair has no value, only when
-something reads them.
+fill's alphabet. A cut of the batch's prepared column hands each trial its
+part, so a hop's decode fill is counted against the cut its second check
+made, and ``prepared`` is not cut twice. A step fills only the post states
+a later step reads; a measurement that consumes its pairs (either check,
+the decode, or the fake-EPR adversary's capture of the genuine pairs)
+writes back none. ``Batch.filled`` says whether a column holds codes yet.
+No step builds an object per pair: ``PairLedger.records`` rebuilds
+read-only ``PairRecord`` views from the two logs, with None where a pair
+has no value, only when something reads them.
 
 The run's progress is one ledger field, ``phase``. The pairs still live all
 stand at the same stage, the one ``Phase`` names for that phase, so the
@@ -124,13 +134,27 @@ _KEPT_TRIAL = (b"\x00", b"\x01")
 # transcript logs, and from a code byte to the digit of its high or low bit.
 DIGITS = b"01".ljust(256, b"?")
 _HIGH, _LOW = (bytes(b"01"[c >> shift & 1] for c in range(256)) for shift in (1, 0))
-# Every byte x << 3 | y of a code x and a y below 4, by y: the first 4m are
-# those with y below m. A y is an index into at most four names; deleting the
-# first m bytes of _Y_CODES from a column leaves its codes not below m.
-_PAIR_KEYS = bytes(x << 3 | y for y in range(4) for x in range(4))
+# A y is an index into at most four names; deleting the first m bytes of
+# _Y_CODES from a column leaves its codes not below m.
 _Y_CODES = bytes(range(4))
-# Every byte value, in order: slice c, c + 1 is the one byte c.
-_BYTES = bytes(range(256))
+# joint_counts' bit planes. A pair is the byte x << 3 | y of a code x and a y
+# below 4, its cell. _MASKS[i] keeps bit i of each byte of a slice of _SLICE
+# pairs, the most joint_counts counts at once.
+_SLICE = 1 << 14
+_ONES = int.from_bytes(b"\x01" * _SLICE)
+_MASKS = [_ONES << i for i in range(8)]
+
+
+def _plane(y: int) -> tuple[list[int], bytes]:
+    """The eight cells of the ys y and y + 1, and the translate table that
+    maps the i-th of them to bit i of a byte and every other byte to 0."""
+    table = bytearray(256)
+    table[y:32:8], table[y + 1 : 32 : 8] = b"\x01\x02\x04\x08", b"\x10\x20\x40\x80"
+    return [x << 3 | y + i for i in (0, 1) for x in range(4)], bytes(table)
+
+
+# The cells of y 0 and 1, then of y 2 and 3: m names take the first (m + 1) // 2.
+_PLANES = [_plane(0), _plane(2)]
 
 
 def gather(codes: bytes, mask) -> bytes:
@@ -140,6 +164,13 @@ def gather(codes: bytes, mask) -> bytes:
     Every byte of ``codes`` must be below 0x80."""
     selected = int.from_bytes(codes) | int.from_bytes(mask) << 7
     return selected.to_bytes(len(mask)).translate(_KEPT, _DROPPED)
+
+
+def stack(high: bytes, low: bytes, shift: int) -> bytes:
+    """Each byte of ``high`` shifted ``shift`` bits up, over the byte of
+    ``low`` at its place, which must be below ``1 << shift``: two columns
+    in one, which ``gather`` takes while every stacked byte is below 0x80."""
+    return (int.from_bytes(high) << shift | int.from_bytes(low)).to_bytes(len(low))
 
 
 def code_string(codes: bytes) -> str:
@@ -249,6 +280,11 @@ class PairLedger:
     records none.
     """
 
+    # (k, the prepared codes of the pairs live after k settles), as the
+    # batch last cut its prepared column, which counts reads. The class
+    # holds the value of no k, so building a ledger sets nothing more.
+    _prepared_cut: tuple[int, bytes] = (-1, b"")
+
     def __init__(self, prepared: bytes | list[int], transcript: Transcript | None = None):
         self.prepared = bytes(prepared)
         self.live = len(self.prepared)
@@ -286,10 +322,17 @@ class PairLedger:
     def counts(self, name: str) -> dict[str, dict[str, int]]:
         """``joint_counts`` of the prepared codes against column ``name`` at
         the pairs of its last fill, in that fill's alphabet; {} when it was
-        never filled, as both row columns of an early abort."""
+        never filled, as both row columns of an early abort. The prepared
+        codes of those pairs are the trial's part of the batch's last cut
+        of its prepared column when that cut was of the same settles, as a
+        hop's second check leaves them for its decode fill, and are cut
+        from ``prepared`` anew only otherwise."""
         for fill, settles, codes, names in reversed(self.fills):
             if fill == name:
-                return joint_counts(self.cut(self.prepared, settles), codes, names)
+                cut, prepared = self._prepared_cut
+                if cut != settles:
+                    prepared = self.cut(self.prepared, settles)
+                return joint_counts(prepared, codes, names)
         return {}
 
     def settle(self, keep: bytes | None, disposition: Disposition) -> tuple[int, ...] | None:
@@ -419,11 +462,15 @@ class Batch:
 
     def column(self, name: str) -> bytes:
         """Column ``name`` at the live pairs, in order, once it has taken the
-        cut of each settle since its last read."""
+        cut of each settle since its last read. A cut of ``prepared`` hands
+        each trial its part, which ``PairLedger.counts`` reads."""
         gen, codes = self._views[name]
         if gen < len(self._cuts):
             codes = reduce(gather, self._cuts[gen:], codes)
             self._views[name] = len(self._cuts), codes
+            if name == "prepared":
+                for ledger, part in zip(self.ledgers, parts(codes, self.sizes)):
+                    ledger._prepared_cut = len(ledger.settled), part
         return codes if self.live else b""
 
     def filled(self, name: str) -> bool:
@@ -480,9 +527,13 @@ def joint_counts(prepared: bytes, ys: bytes, y_names) -> dict[str, dict[str, int
     ``ys`` holds one y per pair, an index into ``y_names``, and is as long as
     ``prepared`` or empty for no pair: a compact column and the prepared
     codes of the pairs it was filled at. Each pair is the byte
-    ``prepared[i] << 3 | ys[i]``, built for every pair at once; each of
-    the at most ``4 * len(y_names)`` possible bytes is found in one pass,
-    and counted by deleting it from what is left. A y not below
+    ``prepared[i] << 3 | ys[i]``, built for a slice of at most ``_SLICE``
+    pairs at once, so the work holds a few slices whatever the length.
+    One plain ``translate`` per plane of eight cells (one plane for two
+    names, two for three or four) maps each pair of the slice to its cell's
+    bit of a byte; a cell's count is the ``bit_count`` of that bit, masked
+    in every byte, and its first appearance one ``find`` in the slice it
+    first shows in. No count branches on a pair's byte. A y not below
     ``len(y_names)``, or not below 4, raises ValueError.
     """
     counts: dict[str, dict[str, int]] = {}
@@ -490,16 +541,19 @@ def joint_counts(prepared: bytes, ys: bytes, y_names) -> dict[str, dict[str, int
         return counts
     if ys.translate(None, _Y_CODES[: len(y_names)]):
         raise ValueError(f"ys holds a code outside its alphabet of {len(y_names)} names")
-    pairs = (int.from_bytes(prepared) << 3 | int.from_bytes(ys)).to_bytes(len(ys))
-    keys = _PAIR_KEYS[: 4 * len(y_names)]
-    present = sorted((pairs.find(key), key) for key in keys if key in pairs)
-    # A key's count is how many bytes deleting it takes from what deleting
-    # the keys before it left; the last key's is all that is left.
-    rest, last = pairs, present[-1][1]
-    for _, key in present:
-        left = rest.translate(None, _BYTES[key : key + 1]) if key != last else b""
-        counts.setdefault(CODES[key >> 3], {})[y_names[key & 7]] = len(rest) - len(left)
-        rest = left
+    firsts: dict[int, int] = {}
+    tallies: dict[int, int] = {}
+    for start in range(0, len(ys), _SLICE):
+        pairs = stack(prepared[start : start + _SLICE], ys[start : start + _SLICE], 3)
+        for cells, table in _PLANES[: (len(y_names) + 1) // 2]:
+            plane = int.from_bytes(pairs.translate(table))
+            for cell, mask in zip(cells, _MASKS):
+                if n := (plane & mask).bit_count():
+                    if cell not in firsts:
+                        firsts[cell], tallies[cell] = start + pairs.find(cell), 0
+                    tallies[cell] += n
+    for cell in sorted(firsts, key=firsts.get):
+        counts.setdefault(CODES[cell >> 3], {})[y_names[cell & 7]] = tallies[cell]
     return counts
 
 

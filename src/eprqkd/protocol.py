@@ -70,7 +70,7 @@ from .adversary import AdversaryChannel, AttackStrategy
 from .config import RunConfig
 from .errors import ConfigurationError, InsufficientPairsError, ProtocolOrderError
 from .ledger import DIGITS, PARTIES, Batch, CheckReport, Disposition, PairLedger, Phase
-from .ledger import Transcript, code_string, gather, parts
+from .ledger import Transcript, code_string, gather, parts, stack
 from .quantum import BASES, BELL_LABELS, CODES, KEYS, OPS, PAIR_BASIS, BellState, measure_column
 # Unused here; the benchmark's traced run (bench/workloads.py) wraps these bindings.
 from .quantum import measure_bell_basis, measure_qubit  # noqa: F401
@@ -90,6 +90,10 @@ _RECEIVER_KEYS = bytes(KEYS[OPS["second"][basis]][x] for basis, x in _CHECK_CASE
 _SENDER_KEYS = bytes(KEYS[OPS["first"][basis]][x] for basis, x in _CHECK_CASES).ljust(256)
 _DIFFER = bytes(not BELL_LABELS[x].correlated_in(basis) for basis, x in _CHECK_CASES).ljust(256)
 _LETTERS = b"zzxx".ljust(256)
+# The first check's stacked sample splits into its receiver's state codes, the
+# low five bits, and its prepared codes, the two bits above them.
+_LOW_STATE = bytes(c & 31 for c in range(256))
+_HIGH_CODE = bytes(c >> 5 & 3 for c in range(256))
 
 
 def alice_prepare(
@@ -268,12 +272,14 @@ def first_check(batch: Batch, config: RunConfig, rngs: list[RandomSource]) -> li
     # The sampled pairs are consumed: no post state is written back, and
     # when the receiver measured the genuine pairs the sender measures
     # their post states. The sample's mask gathers its bytes from each
-    # column, all before the settle cuts the columns.
+    # column, all before the settle cuts the columns: the receiver's states
+    # (below 32) and the prepared codes in one, stacked as one byte.
+    sampled = gather(stack(batch.column("prepared"), batch.receiver_state, 5), sample)
+    prepared = sampled.translate(_HIGH_CODE)
     receiver_keys = by_basis(receiver_q, _RECEIVER_KEYS)
-    receiver_bits, states = measure_column(gather(batch.receiver_state, sample), receiver_keys)
+    receiver_bits, states = measure_column(sampled.translate(_LOW_STATE), receiver_keys)
     states = gather(batch.column("state"), sample) if batch.filled("planted") else states
     sender_bits, _ = measure_column(states, by_basis(sender_q, _SENDER_KEYS))
-    prepared = gather(batch.column("prepared"), sample)
     # Only a transcript reads the sample's ordinals, which the settle returns.
     indices = batch.settle(sample, Disposition.CHECKED_1)
     # A pair mismatches when its bits differ where its prepared state's
@@ -347,13 +353,11 @@ def second_check(batch: Batch, config: RunConfig, rngs: list[RandomSource]) -> l
     if batch.phase is not Phase.DECODED:
         raise ProtocolOrderError(f"second check in phase {batch.phase.name}")
     sample, sizes = _draw_sample(batch, config.check_fraction_2, config.min_check_size, rngs)
-    # The xor of the two codes is a zero byte exactly where they match; the
-    # translate makes each other byte a 1.
-    outcomes = gather(batch.column("outcome"), sample)
-    prepared = gather(batch.column("prepared"), sample)
+    # The prepared codes stacked over the outcomes, gathered as one column:
+    # the translate makes a byte 1 where its two codes differ, else 0.
+    sampled = gather(stack(batch.column("prepared"), batch.column("outcome"), 2), sample)
     batch.settle(sample, Disposition.CHECKED_2)
-    xor = (int.from_bytes(outcomes) ^ int.from_bytes(prepared)).to_bytes(len(outcomes))
-    reports = _reports(batch, xor.translate(_NONZERO), sizes, config.threshold_2, "check2")
+    reports = _reports(batch, sampled.translate(_DIFFERENT), sizes, config.threshold_2, "check2")
     if batch.transcript is not None:
         for trial, report in zip(batch.ledgers, reports):
             trial.transcript.log(7, "public", "check", {"check": "second", **report.to_dict()})
@@ -361,8 +365,9 @@ def second_check(batch: Batch, config: RunConfig, rngs: list[RandomSource]) -> l
     return reports
 
 
-# A translate table from a byte to 1 when it is nonzero, else 0.
-_NONZERO = bytes(min(b, 1) for b in range(256))
+# A translate table from a byte c << 2 | o of two codes to 1 where they
+# differ, else 0.
+_DIFFERENT = bytes(b >> 2 != b & 3 for b in range(256))
 
 
 def extract_key(batch: Batch) -> list[bytes]:

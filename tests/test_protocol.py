@@ -2,6 +2,8 @@ import hashlib
 import importlib
 import json
 import json.encoder
+import random
+import sys
 import tracemalloc
 from itertools import product
 
@@ -501,6 +503,47 @@ def test_gather_keeps_every_code_below_0x80():
     assert gather(b"", b"") == b""
 
 
+def counted_compactions(monkeypatch) -> list[int]:
+    """Wrap ``gather``, the one compaction, at every binding of it in the
+    package's modules; the list it returns grows by the mask length of each
+    call."""
+    calls = []
+
+    def counting(codes, mask):
+        calls.append(len(mask))
+        return gather(codes, mask)
+
+    bound = set()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("eprqkd."):
+            for attribute, value in list(vars(module).items()):
+                if value is gather:
+                    monkeypatch.setattr(module, attribute, counting)
+                    bound.add(name)
+    assert {"eprqkd.ledger", "eprqkd.protocol"} <= bound
+    return calls
+
+
+def test_a_measure_resend_trial_makes_at_most_four_compactions(monkeypatch):
+    # One gather per check sample, one cut of the genuine states before the
+    # decode and one of the prepared codes before the second check, which
+    # the row's sender/receiver counts read again without a second cut.
+    calls = counted_compactions(monkeypatch)
+    report = run(config(pairs=2500, seed=1, attack=AttackStrategy(AttackKind.MEASURE_RESEND)))
+    assert report.rows[0]["abort_reason"] == "check2_failed"
+    assert len(calls) <= 4
+
+
+def test_a_fake_epr_batch_makes_at_most_two_compactions(monkeypatch):
+    # 100 trials of 64 pairs: the first check gathers the planted and the
+    # prepared codes in one, and the genuine states, and every trial ends there.
+    calls = counted_compactions(monkeypatch)
+    attack = AttackStrategy(AttackKind.FAKE_EPR)
+    outcomes = run_multiparty(config(pairs=64, trials=100, seed=1, attack=attack), range(100))
+    assert {outcome.abort_reason for outcome in outcomes} == {"check1_failed"}
+    assert len(calls) <= 2
+
+
 def loop_settle(live, taken):
     """A settle as a scalar loop over positions in ``live``: the ordinals at
     the 1s of ``taken``, and the ordinals left live, both in order."""
@@ -735,6 +778,30 @@ class TestLedgerColumns:
             (x, list(row.items())) for x, row in expected.items()
         ]
         assert joint_counts(prepared, b"", names) == {}
+
+    # joint_counts counts its pairs a slice of 2**14 at a time.
+    SLICE = 1 << 14
+
+    @pytest.mark.parametrize("names", [CODES, ("0", "1")], ids=["4-names", "2-names"])
+    @pytest.mark.parametrize("n", [0, 1, SLICE - 1, SLICE, SLICE + 1, 3 * SLICE + 77])
+    def test_joint_counts_of_long_columns_match_a_list_reference(self, n, names):
+        rng = random.Random(f"joint-counts/{n}/{len(names)}")
+        prepared = bytes(rng.randrange(4) for _ in range(n))
+        ys = bytes(rng.randrange(len(names)) for _ in range(n))
+        # Where the pairs span more than one slice, the first holds one cell
+        # only, so every other cell first shows in a later slice.
+        if n > self.SLICE:
+            prepared = bytes(self.SLICE) + prepared[self.SLICE :]
+            ys = bytes(self.SLICE) + ys[self.SLICE :]
+        counts = joint_counts(prepared, ys, names)
+        expected = self.reference_counts(prepared, ys, names)
+        assert [(x, list(row.items())) for x, row in counts.items()] == [
+            (x, list(row.items())) for x, row in expected.items()
+        ]
+        if n:
+            # One y outside the alphabet, in the last pair, is refused.
+            with pytest.raises(ValueError, match="alphabet"):
+                joint_counts(prepared, ys[:-1] + bytes([len(names)]), names)
 
     @pytest.mark.parametrize(
         "ys, names",
