@@ -25,8 +25,13 @@ The kernels and their inputs, n bytes each:
 
 The two draw kernels take a stream, not bytes: a fresh call draws from a
 newly seeded stream, and a repeated call from one stream reset to the same
-state. A stream is seeded before its call is timed. Only the stdlib and the
-package's own ``src/`` are used.
+state. A stream is seeded before its call is timed.
+
+A last row, ``render``, times ``render_transcript`` of the first hop of a
+three-party trial of ``RENDER_PAIRS`` pairs (an audit op's hop) into a new
+transcript, whatever the sizes: a fresh call renders another trial's hop,
+and a repeated call the same hop. The hops run before any call is timed.
+Only the stdlib and the package's own ``src/`` are used.
 """
 from __future__ import annotations
 
@@ -39,12 +44,16 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from eprqkd.ledger import gather, joint_counts  # noqa: E402
+from eprqkd.config import RunConfig  # noqa: E402
+from eprqkd.ledger import Transcript, gather, joint_counts, render_transcript  # noqa: E402
+from eprqkd.protocol import run_multiparty  # noqa: E402
 from eprqkd.quantum import CODES, KEYS, PAIR_BASIS, measure_column  # noqa: E402
 from eprqkd.rng import RandomSource  # noqa: E402
 
 # The seed of every input, so that two runs time the same inputs.
 SEED = 1
+# The pairs of the hop the render row renders.
+RENDER_PAIRS = 256
 # From a random byte: its low two bits, a code 0-3; 1 for a quarter of the bytes.
 _QUARTER = bytes(b & 3 for b in range(256))
 _SAMPLED = bytes(b < 64 for b in range(256))
@@ -106,6 +115,24 @@ def kernel_times(kernel: str, n: int, calls: int) -> tuple[float, float]:
     return statistics.median(fresh), statistics.median(repeated)
 
 
+def _render(hop, attack):
+    """Render ``hop`` into a new transcript, tagged and named as its own."""
+    logged = hop.ledger.transcript
+    transcript = Transcript(logged.trial, logged.extra, logged.sender, logged.receiver)
+    render_transcript(hop.ledger, transcript, attack, hop.abort_reason)
+
+
+def render_times(calls: int) -> tuple[float, float]:
+    """The median microseconds of ``calls`` renderings of the first hop of
+    a ``RENDER_PAIRS``-pair three-party trial: each of another trial, then
+    each of one trial."""
+    config = RunConfig(pairs=RENDER_PAIRS, seed=SEED, parties=3)
+    hops = [outcome.hops[0] for outcome in run_multiparty(config, range(calls + 1), True)]
+    fresh = [_timed(_render, (hop, config.attack)) for hop in hops[:calls]]
+    repeated = [_timed(_render, (hops[-1], config.attack)) for _ in range(calls)]
+    return statistics.median(fresh), statistics.median(repeated)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="64,2500,100000", help="input sizes in bytes, comma-separated")
@@ -117,6 +144,8 @@ def main(argv=None) -> int:
         for n in sizes:
             fresh, repeated = kernel_times(kernel, n, args.calls)
             print(f"{kernel:<16}{n:>8}{fresh:>12.2f}{repeated:>13.2f}")
+    fresh, repeated = render_times(args.calls)
+    print(f"{'render':<16}{RENDER_PAIRS:>8}{fresh:>12.2f}{repeated:>13.2f}")
     return 0
 
 

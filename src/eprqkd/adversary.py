@@ -32,7 +32,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .errors import ConfigurationError
-from .ledger import DIGITS, Batch, Disposition, PairLedger, code_string, parts
+from .ledger import Batch, Disposition, PairLedger
 from .quantum import BELL_LABELS, CODES, KEYS, OPS, PAIR_BASIS, BellState, measure_column
 # Unused here; the benchmark's traced run (bench/workloads.py) wraps these bindings.
 from .quantum import measure_bell_basis, measure_qubit_z  # noqa: F401
@@ -108,20 +108,15 @@ class AttackStrategy(Record):
         return cls(**known)
 
 
-# One function per attack kind. Each acts on the batch's live pairs, which
-# are the ones in flight for the given transmission, drawing each trial's
-# draws from that trial's stream of ``rngs``, and returns each trial's
-# transcript payload, or None when it left the particles alone or the batch
-# records no transcript.
-
-
-def _identity(channel, transmission, batch, rngs):
-    return None
+# One function per attack kind that touches the particles (``none`` leaves
+# them alone). Each acts on the batch's live pairs, which are the ones in
+# flight for the given transmission, drawing each trial's draws from that
+# trial's stream of ``rngs``.
 
 
 def _measure_resend(channel, transmission, batch, rngs):
     if transmission == 2 and not channel.strategy.measure_second_sequence:
-        return None
+        return
     which = "second" if transmission == 1 else "first"
     keys = RandomSource.quarters_of(rngs, batch.sizes).translate(KEYS[OPS[which]["z"]])
     measured, posts = measure_column(batch.column("state"), keys)
@@ -136,10 +131,6 @@ def _measure_resend(channel, transmission, batch, rngs):
         first = int.from_bytes(batch.column("guesses"))
         guesses = (int.from_bytes(measured) << 1 | first).to_bytes(len(measured))
         batch.fill("guesses", guesses, CODES)
-    if batch.transcript is None:
-        return None
-    outcomes = parts(measured.translate(DIGITS), batch.sizes)
-    return [{"measured": len(bits), "outcomes": bits.decode()} for bits in outcomes]
 
 
 def _fake_epr(channel, transmission, batch, rngs):
@@ -151,22 +142,11 @@ def _fake_epr(channel, transmission, batch, rngs):
         else:
             fakes = bytes([label]) * batch.live
         batch.fill("planted", fakes)
-        if batch.transcript is None:
-            return None
-        return [
-            {"captured": len(codes), "planted": len(codes), "fake_codes": code_string(codes)}
-            for codes in parts(fakes, batch.sizes)
-        ]
-    keys = RandomSource.quarters_of(rngs, batch.sizes).translate(KEYS[PAIR_BASIS])
-    # The genuine pairs are consumed here: their post states are not kept.
-    found, _ = measure_column(batch.column("state"), keys)
-    batch.fill("guesses", found, CODES)
-    if batch.transcript is None:
-        return None
-    return [
-        {"captured": len(codes), "inferred_codes": code_string(codes)}
-        for codes in parts(found, batch.sizes)
-    ]
+    else:
+        keys = RandomSource.quarters_of(rngs, batch.sizes).translate(KEYS[PAIR_BASIS])
+        # The genuine pairs are consumed here: their post states are not kept.
+        found, _ = measure_column(batch.column("state"), keys)
+        batch.fill("guesses", found, CODES)
 
 
 def _opaque(channel, transmission, batch, rngs):
@@ -175,22 +155,12 @@ def _opaque(channel, transmission, batch, rngs):
     # would still cut every column once.
     randoms, sizes = [rng.random for rng in rngs], batch.sizes
     lost = b"".join([bytes([rand() < p for _ in range(n)]) for rand, n in zip(randoms, sizes)])
-    # Only a transcript reads the lost pairs' ordinals, which the settle
-    # returns; the pairs left live are the ones forwarded.
+    # The pairs left live are the ones forwarded.
     if 1 in lost:
-        destroyed = batch.settle(lost, Disposition.DROPPED)
-    else:
-        destroyed = [()] * len(batch.sizes)
-    if batch.transcript is None:
-        return None
-    return [
-        {"destroyed": len(indices), "forwarded": n, "destroyed_indices": indices}
-        for indices, n in zip(destroyed, batch.sizes)
-    ]
+        batch.settle(lost, Disposition.DROPPED)
 
 
 _ATTACKS = {
-    AttackKind.NONE: _identity,
     AttackKind.MEASURE_RESEND: _measure_resend,
     AttackKind.FAKE_EPR: _fake_epr,
     AttackKind.OPAQUE: _opaque,
@@ -205,22 +175,17 @@ class AdversaryChannel:
         self.strategy = strategy
         self.rngs = rngs
 
-    def interpose(self, transmission: int, batch: Batch) -> list[dict] | None:
+    def interpose(self, transmission: int, batch: Batch):
         """Apply the strategy to the particles currently in flight in each
         trial of ``batch``, drawing from that trial's stream.
 
         Mutates the batch (states, planted pairs, dispositions, guesses) in
-        place. Returns each trial's transcript payload describing what was
-        done, or None when the particles passed untouched or the batch
-        records no transcript.
+        place, which is all a transcript renders of what was done.
         """
         if transmission not in (1, 2):
             raise ConfigurationError(f"transmission must be 1 or 2, got {transmission}")
-        payloads = _ATTACKS[self.strategy.kind](self, transmission, batch, self.rngs)
-        if payloads is None:
-            return None
-        head = {"strategy": self.strategy.kind.value, "sequence": transmission}
-        return [{**head, **payload} for payload in payloads]
+        if attack := _ATTACKS.get(self.strategy.kind):
+            attack(self, transmission, batch, self.rngs)
 
 
 def eve_guess_counts(ledger: PairLedger) -> dict[str, dict[str, int]]:

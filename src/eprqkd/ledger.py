@@ -24,12 +24,9 @@ extraction, logs (None, disposition), cuts nothing and is O(1). The settle
 log is the only record of a trial's settles, and holds no ordinal:
 ``PairLedger.cut`` cuts a full-length column, such as ``prepared``, by its
 keep masks (a sender's key is her prepared codes cut so);
-``disposition_counts`` counts each mask's zero bytes; ``ordinals`` rebuilds
-the pair ordinals from it on demand, which ``records`` and the tests read;
-and a partial settle returns its pairs' ordinals, chained lazily through the
-masks before it, when the ledger keeps a transcript, which is what a step
-logs, and None when it keeps none. So unless the ledger keeps a transcript,
-a settle builds no object per pair.
+``disposition_counts`` counts each mask's zero bytes; and ``ordinals``
+rebuilds the pair ordinals from it on demand, which ``records`` and the
+tests read. A settle returns nothing and builds no object per pair.
 
 A batch's column is cut on its first read after a settle by ``gather`` (one
 big-int OR and one ``translate``) under each keep mask since, as a check
@@ -80,18 +77,26 @@ the disposition: the receiver holds a pair's second half from the first
 transmission on unless the pair was ``DROPPED``, and holds the whole pair
 (planted or genuine) once it is ``IN_FLIGHT_2``.
 
-The ledger also owns the run's :class:`Transcript`; every protocol step logs
-its public events there. A ledger whose ``transcript`` is None records
-nothing, and the steps then build no event payloads either. The ledger
-holds no party names: the transcript names the hop's ``sender`` and
-``receiver``, the actors of their events, since nothing else reads them;
-``PARTIES`` spells the chain's names once, in order. A transcript
-keeps its rendered lines, each ``json.dumps(event, sort_keys=True,
-separators=(",", ":"))`` of one event: ``Transcript.log`` writes the
-event's fixed five-key envelope itself and encodes only the payload, in one
-call of a C-level encoder that is built once at import, where
-``json.dumps`` would build one for every event (a Python whose json has no
-C accelerator calls ``json.dumps``).
+Besides its two logs a ledger keeps the three facts of a hop that its
+transcript publishes and no log holds: the first check's announced bases
+and both sides' published bits (``published``), each transmission's sent
+and received counts (``transmitted``, from which its ``receipt_<n>`` is
+derived), and the step at which the trial aborted (``abort_step``). The
+first two are kept only in a batch whose trials collect transcripts
+(``Batch.transcribed``): a detect trial takes about 10 us, and slicing
+them per trial would cost several percent of it.
+
+No step logs an event. ``render_transcript`` writes a hop's
+:class:`Transcript` once the hop ended, from its ledger, its attack and its
+abort reason, in the order the steps took their events, each line as
+``json.dumps(event, sort_keys=True, separators=(",", ":"))`` writes it:
+one fixed ``%`` template per event, with its payload keys in sorted order
+and a slot for the hop's ``{"hop": k}`` tag, so it builds no payload dict
+and runs no JSON encoder; ``Transcript.log`` appends one event of any
+payload through that ``json.dumps`` call. The ledger holds no party names: the transcript names
+the hop's ``sender`` and ``receiver``, the actors of their events, since
+nothing else reads them; ``PARTIES`` spells the chain's names once, in
+order.
 """
 from __future__ import annotations
 
@@ -99,29 +104,10 @@ import json
 from enum import Enum
 from functools import reduce
 from itertools import accumulate, compress
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .quantum import BELL_LABELS, CODES, BellState
-
-# The C encoder that json.dumps(payload, sort_keys=True, separators=(",", ":"))
-# builds anew on every call, built once: json's default hook and string
-# quoting, no indent, the compact separators, sorted keys, no skipped keys and
-# NaN allowed. It is given no circular-reference markers, so it keeps no state
-# between calls; a payload that holds itself raises RecursionError, where
-# json.dumps raises ValueError. A Python whose json has no C accelerator
-# (no _json module) has no c_make_encoder, and calls json.dumps itself.
-if c_make_encoder is not None:
-    _encode_payload = c_make_encoder(
-        None, json.JSONEncoder().default, encode_basestring_ascii, None, ":", ",", True, False, True
-    )
-else:
-
-    def _encode_payload(payload: dict, _indent_level: int) -> tuple[str]:
-        return (json.dumps(payload, sort_keys=True, separators=(",", ":")),)
-
-# One event as that json.dumps call writes it: its five keys in sorted order.
-_EVENT_LINE = '{"actor":%s,"event":%s,"payload":%s,"step":%d,"trial":%d}\n'
 
 # gather's translate: bytes without the high bit are deleted, and it is cleared
 # on the rest. _FLIP turns a settle's mask of taken pairs into its keep mask.
@@ -130,10 +116,11 @@ _KEPT = bytes(c & 0x7F for c in range(256))
 _FLIP = b"\x01".ljust(256, b"\x00")
 # A trial's byte of a batch's keep mask, by whether the trial stays.
 _KEPT_TRIAL = (b"\x00", b"\x01")
-# Translate tables from a bit byte to its ASCII digit, for the bit strings a
-# transcript logs, and from a code byte to the digit of its high or low bit.
-DIGITS = b"01".ljust(256, b"?")
+# Translate tables from a byte to the ASCII digit of its bit 1 or bit 0 (of a
+# code, its key bits), and to the letter of the basis named by its bits 2-3
+# (a first check's basis draw, whose top bit picks X over Z).
 _HIGH, _LOW = (bytes(b"01"[c >> shift & 1] for c in range(256)) for shift in (1, 0))
+_BASES = bytes(b"zzxx"[c >> 2 & 3] for c in range(256))
 # A y is an index into at most four names; deleting the first m bytes of
 # _Y_CODES from a column leaves its codes not below m.
 _Y_CODES = bytes(range(4))
@@ -244,14 +231,48 @@ class Transcript:
         self.lines: list[str] = []
 
     def log(self, step: int, actor: str, event: str, payload: dict | None = None):
-        """Append the event's line, as ``json.dumps(event, sort_keys=True,
-        separators=(",", ":"))`` writes it, plus a newline."""
-        encoded = "".join(_encode_payload({**self.extra, **payload} if payload else self.extra, 0))
-        quote = encode_basestring_ascii
-        self.lines.append(_EVENT_LINE % (quote(actor), quote(event), encoded, step, self.trial))
+        """Append the event's line, ``json.dumps(event, sort_keys=True,
+        separators=(",", ":"))`` plus a newline."""
+        fields = {"trial": self.trial, "step": step, "actor": actor, "event": event}
+        fields["payload"] = {**self.extra, **(payload or {})}
+        self.lines.append(json.dumps(fields, sort_keys=True, separators=(",", ":")) + "\n")
 
     def to_jsonl(self) -> str:
         return "".join(self.lines)
+
+
+# Each event's line as ``Transcript.log`` writes it, as a ``%`` template: the
+# payload's keys in sorted order, with a %s for the hop tag ('"hop":k,', or
+# nothing) before the first key that sorts after "hop" (no payload's last key
+# sorts before it), and the trial last.
+(
+    _PREPARE, _SEND, _RECEIVE, _MEASURED, _PLANTED, _CAPTURED, _DESTROYED,
+    _MEASURE_CHECK, _NOTIFY, _PARTNER, _CHECK, _DECODE, _ABORT, _COMMIT,
+) = (
+    '{"actor":%s,"event":"prepare","payload":{"codes":"%s",%s"pairs":%d},"step":1,"trial":%d}\n',
+    '{"actor":%s,"event":"send","payload":{"count":%d,%s"sequence":%d},"step":%d,"trial":%d}\n',
+    '{"actor":%s,"event":"receive","payload":{"expected":%d,%s"received":%d,"sequence":%d},'
+    '"step":%d,"trial":%d}\n',
+    '{"actor":"eve","event":"interpose","payload":{%s"measured":%d,"outcomes":"%s","sequence":%d,'
+    '"strategy":"%s"},"step":%d,"trial":%d}\n',
+    '{"actor":"eve","event":"interpose","payload":{"captured":%d,"fake_codes":"%s",%s"planted":%d,'
+    '"sequence":1,"strategy":"%s"},"step":2,"trial":%d}\n',
+    '{"actor":"eve","event":"interpose","payload":{"captured":%d,%s"inferred_codes":"%s",'
+    '"sequence":2,"strategy":"%s"},"step":5,"trial":%d}\n',
+    '{"actor":"eve","event":"interpose","payload":{"destroyed":%d,"destroyed_indices":%s,'
+    '"forwarded":%d,%s"sequence":%d,"strategy":"%s"},"step":%d,"trial":%d}\n',
+    '{"actor":%s,"event":"measure_check_sample","payload":{"bases":"%s","bits":"%s",'
+    '%s"indices":%s},"step":3,"trial":%d}\n',
+    '{"actor":%s,"event":"notify","payload":{"check_indices":%s,%s"message":"sequence-1-received"},'
+    '"step":4,"trial":%d}\n',
+    '{"actor":%s,"event":"measure_partner_sample","payload":{"bits":"%s",%s"indices":%s},"step":4,'
+    '"trial":%d}\n',
+    '{"actor":"public","event":"check","payload":{"check":"%s","error_rate":%r,%s"mismatches":%d,'
+    '"passed":%s,"sample_size":%d,"threshold":%r},"step":%d,"trial":%d}\n',
+    '{"actor":%s,"event":"decode","payload":{"codes":"%s",%s"pairs":%d},"step":6,"trial":%d}\n',
+    '{"actor":"public","event":"abort","payload":{%s"reason":%s},"step":%d,"trial":%d}\n',
+    '{"actor":"public","event":"commit","payload":{%s"key_bits":%d},"step":7,"trial":%d}\n',
+)
 
 
 class PairRecord(NamedTuple):
@@ -276,28 +297,35 @@ class PairLedger:
     terminal disposition), the mask a 0/1 byte per pair live then that is 0
     where the settle took the pair, or None where it took every one.
     ``fills`` logs each fill of some pairs as (name, settles before it,
-    codes, names). ``transcript`` is the event log, or None when the run
-    records none.
+    codes, names). ``check1`` and ``check2`` hold each check's
+    ``CheckReport``, and ``receipt_1`` and ``receipt_2`` the fraction of
+    each transmission's particles that the receiver got, once it happened.
+
+    ``published`` holds the first check's byte per sampled pair, in order:
+    its basis draw (0-3, 0 when every basis is Z) in bits 2-3, the
+    receiver's published bit in bit 1 and the sender's in bit 0.
+    ``transmitted`` holds each transmission's (sent, received) counts, in
+    order, and ``abort_step`` the step at which the trial aborted.
+    ``transcript`` is the transcript ``render_transcript`` wrote the hop
+    into, or None when the run records none.
     """
 
-    # (k, the prepared codes of the pairs live after k settles), as the
-    # batch last cut its prepared column, which counts reads. The class
-    # holds the value of no k, so building a ledger sets nothing more.
+    # The class holds what only some ledgers set, so building one sets
+    # nothing more: (k, the prepared codes of the pairs live after k
+    # settles), as the batch last cut its prepared column, which counts
+    # reads, for no k; and the facts a transcribed or aborted trial keeps.
     _prepared_cut: tuple[int, bytes] = (-1, b"")
+    published, transmitted = b"", ()
+    abort_step = transcript = None
 
-    def __init__(self, prepared: bytes | list[int], transcript: Transcript | None = None):
+    def __init__(self, prepared: bytes | list[int]):
         self.prepared = bytes(prepared)
         self.live = len(self.prepared)
         self.fills: list[tuple[str, int, bytes, tuple[str, ...] | None]] = []
         self.settled: list[tuple[bytes | None, Disposition]] = []
-        self.transcript = transcript
         self.phase = Phase.CREATED
-        self.check1: CheckReport | None = None
-        self.check2: CheckReport | None = None
-        # Fraction of transmitted particles the receiver actually got, per
-        # transmission; None until that transmission happened.
-        self.receipt_1: float | None = None
-        self.receipt_2: float | None = None
+        # Set by the steps; every trial's row reads them.
+        self.check1 = self.check2 = self.receipt_1 = self.receipt_2 = None
 
     @property
     def stage(self) -> Disposition:
@@ -335,23 +363,12 @@ class PairLedger:
                 return joint_counts(prepared, codes, names)
         return {}
 
-    def settle(self, keep: bytes | None, disposition: Disposition) -> tuple[int, ...] | None:
+    def settle(self, keep: bytes | None, disposition: Disposition):
         """Give the live pairs where ``keep``, a 0/1 byte per live pair, is 0
-        a terminal disposition: its 1 bytes count the pairs left live, and
-        the taken pairs' ordinals, rebuilt through the keep masks before it,
-        are returned for a transcript to log when the ledger keeps one (else
-        None). None settles every live pair and returns None. Either logs
-        (keep, disposition)."""
-        taken = None
-        if keep is not None and self.transcript is not None:
-            # The live pairs' ordinals, chained lazily through the masks so
-            # far: only a transcript reads them, and no list of them is built.
-            masks = [mask for mask, _ in self.settled]
-            ordinals = reduce(compress, masks, range(len(self.prepared)))
-            taken = tuple(compress(ordinals, keep.translate(_FLIP)))
+        a terminal disposition: its 1 bytes count the pairs left live. None
+        settles every live pair. Either logs (keep, disposition)."""
         self.settled.append((keep, disposition))
         self.live = 0 if keep is None else keep.count(1)
-        return taken
 
     def ordinals(self) -> tuple[list[list[int]], list[tuple[list[int], Disposition]]]:
         """The pair ordinals the settle log stands for, rebuilt on each call
@@ -429,9 +446,14 @@ class Batch:
     measures, gathers and cuts a batch's columns once for all its trials,
     and fills and settles through the batch, which logs each trial's part
     in that trial's ledger, so a ledger reads the same after a step
-    whatever batch it took the step in. Each trial logs to its own
-    transcript; the trials of a batch all keep one, or none does.
+    whatever batch it took the step in.
+
+    ``transcribed`` says whether the trials collect transcripts: only then
+    do the steps keep in each ledger the facts that its transcript
+    publishes and no log holds (``published`` and ``transmitted``).
     """
+
+    transcribed = False
 
     def __init__(self, ledgers: list[PairLedger]):
         """The batch of ``ledgers``, just prepared."""
@@ -441,8 +463,6 @@ class Batch:
         codes = b"".join([ledger.prepared for ledger in ledgers])
         self._views = {"prepared": (0, codes), "state": (0, codes)}
         self._cuts: list[bytes] = []
-        # Not None when the trials keep transcripts (all do, or none).
-        self.transcript = ledgers[0].transcript
 
     @property
     def phase(self) -> Phase:
@@ -487,28 +507,23 @@ class Batch:
             ledger.fill(name, part, names)
         self._views[name] = len(self._cuts), codes
 
-    def settle(self, taken: bytes | None, disposition: Disposition) -> list | None:
+    def settle(self, taken: bytes | None, disposition: Disposition):
         """Give the live pairs where ``taken``, a 0/1 byte per live pair, is
         1 a terminal disposition: its keep mask, flipped once, becomes the
         batch's next cut, and each trial's part of it that takes some pair
-        is that trial's ``PairLedger.settle``. Returns what each trial's
-        settle returned, and () for a trial none of whose pairs is taken,
-        which logs no settle. None settles every live pair, and returns
-        None."""
-        returned = None
+        is that trial's ``PairLedger.settle``; a trial none of whose pairs
+        is taken logs no settle. None settles every live pair."""
         if taken is None:
             for ledger in self.ledgers:
                 ledger.settle(None, disposition)
         else:
             keep = taken.translate(_FLIP)
             self._cuts.append(keep)
-            returned = [
-                ledger.settle(part, disposition) if 0 in part else ()
-                for ledger, part in zip(self.ledgers, parts(keep, self.sizes))
-            ]
+            for ledger, part in zip(self.ledgers, parts(keep, self.sizes)):
+                if 0 in part:
+                    ledger.settle(part, disposition)
         self.sizes = [ledger.live for ledger in self.ledgers]
         self.live = sum(self.sizes)
-        return returned
 
     def keep(self, kept: list[bool]):
         """Keep only the trials where ``kept`` is true, in order: the others
@@ -589,3 +604,80 @@ class CheckReport(NamedTuple):
             "passed": rate <= threshold,
         }
 
+
+
+def render_transcript(ledger: PairLedger, transcript: Transcript, attack, reason: str | None):
+    """Append the events of the hop ``ledger`` logged to ``transcript``,
+    which becomes the ledger's ``transcript``: rendered from the ledger once
+    the hop ended, in the order its steps took them, each line as
+    ``Transcript.log`` would write it.
+
+    ``attack`` is the hop's ``AttackStrategy``, and ``reason`` why the hop
+    aborted, or None. The transcript's ``extra`` may hold only the hop tag
+    ``{"hop": k}``. The events reach the settles that took some pairs (a
+    loss, the first check) and the fills they show (the adversary's, the
+    decode's) in log order, so each is read off its log in turn. A list of
+    ordinals is rebuilt from the settle masks and joined once, for every
+    event that carries it.
+    """
+    if transcript.extra.keys() - {"hop"}:
+        raise ValueError("a rendered transcript is tagged by its hop alone")
+    t, n, kind = transcript.trial, len(ledger.prepared), attack.kind.value
+    ledger.transcript = transcript
+    lines = transcript.lines
+    hop = '"hop":%d,' % transcript.extra["hop"] if transcript.extra else ""
+    sender, receiver = map(encode_basestring_ascii, (transcript.sender, transcript.receiver))
+    fills = (codes for name, _, codes, _ in ledger.fills if name != "state")
+
+    def taken():
+        """Each settle's pairs, in log order, as the JSON list of their
+        ordinals: its keep mask's zeros, chained lazily through the masks
+        before it."""
+        masks = []
+        for keep, _ in ledger.settled:
+            ordinals = reduce(compress, masks, range(n))
+            yield "[%s]" % ",".join(map(str, compress(ordinals, keep.translate(_FLIP))))
+            masks.append(keep)
+
+    def check(name: str, report: CheckReport, step: int) -> str:
+        size, mismatches, threshold = report
+        passed = "true" if report.passed else "false"
+        return _CHECK % (name, report.error_rate, hop, mismatches, passed, size, threshold, step, t)
+
+    settles = taken()
+    lines.append(_PREPARE % (sender, code_string(ledger.prepared), hop, n, t))
+    for sequence, step, (sent, got) in zip((1, 2), (2, 5), ledger.transmitted):
+        lines.append(_SEND % (sender, sent, hop, sequence, step, t))
+        # A settle or a fill of no pair is not logged, nor is any fill after a
+        # transmission of none.
+        if kind == "opaque":
+            lost = next(settles) if got < sent else "[]"
+            lines.append(_DESTROYED % (sent - got, lost, got, hop, sequence, kind, step, t))
+        elif kind == "fake-epr" and sequence == 1:
+            lines.append(_PLANTED % (sent, code_string(next(fills)), hop, sent, kind, t))
+        elif kind == "fake-epr":
+            lines.append(_CAPTURED % (sent, hop, code_string(next(fills, b"")), kind, t))
+        elif kind == "measure-resend" and (sequence == 1 or attack.measure_second_sequence):
+            # A first-sequence guess is her bit; a second-sequence one holds it high.
+            outcomes = next(fills, b"").translate(_LOW if sequence == 1 else _HIGH).decode()
+            lines.append(_MEASURED % (hop, sent, outcomes, sequence, kind, step, t))
+        lines.append(_RECEIVE % (receiver, sent, hop, got, sequence, step, t))
+        if sequence == 1 and ledger.check1:
+            sampled, published = next(settles), ledger.published
+            bases, bits = published.translate(_BASES).decode(), published.translate(_HIGH).decode()
+            lines += [
+                _MEASURE_CHECK % (receiver, bases, bits, hop, sampled, t),
+                _NOTIFY % (receiver, sampled, hop, t),
+                _PARTNER % (sender, published.translate(_LOW).decode(), hop, sampled, t),
+                check("first", ledger.check1, 4),
+            ]
+    if ledger.phase in (Phase.DECODED, Phase.CHECKED_2, Phase.DONE):
+        decoded = next(fills, b"")
+        lines.append(_DECODE % (receiver, code_string(decoded), hop, len(decoded), t))
+    if ledger.check2:
+        lines.append(check("second", ledger.check2, 7))
+    if ledger.phase is Phase.DONE:
+        # Every pair the second check left live is a key pair, of 2 bits.
+        lines.append(_COMMIT % (hop, 2 * ledger.settled[-2][0].count(1), t))
+    if reason:
+        lines.append(_ABORT % (hop, encode_basestring_ascii(reason), ledger.abort_step, t))

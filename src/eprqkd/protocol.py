@@ -19,12 +19,12 @@ One run proceeds in strict order:
 A transmission whose delivered fraction falls below 1 - loss_tolerance
 aborts the run, which is what defeats an adversary who selectively destroys
 particles. Each operation below enforces its place in the order and raises
-ProtocolOrderError when called early or late. A run records a transcript
-exactly when its caller hands one in (or, through ``runner.run`` and
-``run_multiparty``, asks with ``collect_transcripts=True``). Every
-operation logs its public events to the ledger's transcript, and logs
-nothing, building no payload, when the ledger keeps none (the default,
-``ledger.transcript is None``); recording makes no draw. A step
+ProtocolOrderError when called early or late. No step logs an event: a run
+records a transcript exactly when its caller hands one in (or, through
+``runner.run`` and ``run_multiparty``, asks with
+``collect_transcripts=True``), and ``run_protocol`` then renders each hop's
+public events into it from the hop's ledger once the hop ended
+(``ledger.render_transcript``), so recording makes no draw. A step
 that depends on a setting (a check's fraction, threshold and minimum size,
 the check basis, continuation) reads it from the ``RunConfig`` it is
 handed, the one place each setting is stated.
@@ -38,8 +38,8 @@ draw from one stream, the sender's ``pairs`` quarters first; the adversary
 draws from her own.
 
 No step takes the parties' names: they matter only as the actors of
-logged events, so a hop's ``Transcript`` carries them, and a step logs its
-sender's and receiver's events by the transcript's ``sender`` and
+logged events, so a hop's ``Transcript`` carries them, and its sender's and
+receiver's events are rendered by the transcript's ``sender`` and
 ``receiver``.
 
 ``run_protocol`` is one such run, a hop. ``run_multiparty`` runs a trial
@@ -69,8 +69,8 @@ from typing import NamedTuple
 from .adversary import AdversaryChannel, AttackStrategy
 from .config import RunConfig
 from .errors import ConfigurationError, InsufficientPairsError, ProtocolOrderError
-from .ledger import DIGITS, PARTIES, Batch, CheckReport, Disposition, PairLedger, Phase
-from .ledger import Transcript, code_string, gather, parts, stack
+from .ledger import PARTIES, Batch, CheckReport, Disposition, PairLedger, Phase, Transcript
+from .ledger import gather, parts, render_transcript, stack
 from .quantum import BASES, BELL_LABELS, CODES, KEYS, OPS, PAIR_BASIS, BellState, measure_column
 # Unused here; the benchmark's traced run (bench/workloads.py) wraps these bindings.
 from .quantum import measure_bell_basis, measure_qubit  # noqa: F401
@@ -83,37 +83,31 @@ _CODE_BYTES = bytes(BELL_LABELS)
 # quarter b of a pair's basis draw, whose basis is BASES[b >> 1] (the draw's
 # top bit), and a byte x in 0-3: for x a quarter, the keys of the
 # receiver's and of the sender's measurements; for x a prepared code, 1 where
-# the halves of that pair state differ in that basis. _LETTERS maps b to its
-# basis letter.
+# the halves of that pair state differ in that basis.
 _CHECK_CASES = [(BASES[b >> 1], x) for b in range(4) for x in range(4)]
 _RECEIVER_KEYS = bytes(KEYS[OPS["second"][basis]][x] for basis, x in _CHECK_CASES).ljust(256)
 _SENDER_KEYS = bytes(KEYS[OPS["first"][basis]][x] for basis, x in _CHECK_CASES).ljust(256)
 _DIFFER = bytes(not BELL_LABELS[x].correlated_in(basis) for basis, x in _CHECK_CASES).ljust(256)
-_LETTERS = b"zzxx".ljust(256)
 # The first check's stacked sample splits into its receiver's state codes, the
 # low five bits, and its prepared codes, the two bits above them.
 _LOW_STATE = bytes(c & 31 for c in range(256))
 _HIGH_CODE = bytes(c >> 5 & 3 for c in range(256))
 
 
-def alice_prepare(
-    n: int, rngs: list[RandomSource], transcripts: list[Transcript | None] | None = None
-) -> Batch:
+def alice_prepare(n: int, rngs: list[RandomSource]) -> Batch:
     """Prepare N pairs with uniformly random state choices (step 1) for
-    each stream of ``rngs``, a batch of one trial per stream, each logging
-    to its item of ``transcripts`` (or to none)."""
+    each stream of ``rngs``, a batch of one trial per stream."""
     if n < 1:
         raise ConfigurationError(f"cannot prepare {n} pairs")
     # One 2-bit draw per pair, a uniform code 0-3 by construction, so the
     # codes skip prepare_from_labels' checks.
     sizes = [n] * len(rngs)
-    return _prepare(parts(RandomSource.quarters_of(rngs, sizes), sizes), transcripts)
+    return _prepare(parts(RandomSource.quarters_of(rngs, sizes), sizes))
 
 
-def prepare_from_labels(labels: list, transcripts: list[Transcript | None] | None = None) -> Batch:
+def prepare_from_labels(labels: list) -> Batch:
     """Prepare a batch of one trial per item of ``labels``, each a sequence
-    of pair states (labels or their codes), in order (re-encoding path);
-    each trial logs to its item of ``transcripts`` (or to none).
+    of pair states (labels or their codes), in order (re-encoding path).
 
     An item that is bytes (a relay's key codes) is taken as it is; any other
     is listed, and refused if it holds a bool, which is no label. Anything
@@ -138,21 +132,16 @@ def prepare_from_labels(labels: list, transcripts: list[Transcript | None] | Non
         raise ConfigurationError("preparation labels must be pair states or their codes 0-3")
     if not all(items):
         raise ConfigurationError("cannot prepare an empty pair sequence")
-    return _prepare(items, transcripts)
+    return _prepare(items)
 
 
-def _prepare(codes: list[bytes], transcripts: list | None) -> Batch:
+def _prepare(codes: list[bytes]) -> Batch:
     """The batch of one ledger per trial, prepared in that trial's item of
-    ``codes``, each code 0-3, and logging to that trial's transcript. A
-    batch of no trial raises ConfigurationError."""
+    ``codes``, each code 0-3. A batch of no trial raises
+    ConfigurationError."""
     if not codes:
         raise ConfigurationError("cannot prepare a batch of no trials")
-    ledgers = list(map(PairLedger, codes, transcripts or [None] * len(codes)))
-    for ledger in ledgers:
-        if (transcript := ledger.transcript) is not None:
-            payload = {"pairs": ledger.live, "codes": code_string(ledger.prepared)}
-            transcript.log(1, transcript.sender, "prepare", payload)
-    return Batch(ledgers)
+    return Batch(list(map(PairLedger, codes)))
 
 
 def transmit_first_sequence(batch: Batch, channel: AdversaryChannel) -> Batch:
@@ -164,30 +153,22 @@ def transmit_first_sequence(batch: Batch, channel: AdversaryChannel) -> Batch:
     if batch.phase is not Phase.CREATED:
         raise ProtocolOrderError(f"first transmission in phase {batch.phase.name}")
     batch.phase = Phase.SENT_1
-    _transmit(batch, channel, 1, 2)
+    _transmit(batch, channel, 1)
     return batch
 
 
-def _transmit(batch: Batch, channel: AdversaryChannel, sequence: int, step: int):
+def _transmit(batch: Batch, channel: AdversaryChannel, sequence: int):
     """Pass the live pairs' particles of ``sequence`` through the channel,
-    log the send, the adversary's interference if any, and the receipt, and
-    set each trial's ``receipt_<sequence>``, the fraction received (1.0 when
-    nothing was sent)."""
-    sent = batch.sizes
-    interference = channel.interpose(sequence, batch)
-    received = batch.sizes
+    and set each trial's ``receipt_<sequence>``, the fraction received (1.0
+    when nothing was sent), from its sent and received counts, which a
+    transcribed trial keeps in its ``transmitted``."""
+    sent, transcribed = batch.sizes, batch.transcribed
+    channel.interpose(sequence, batch)
     slot = f"receipt_{sequence}"
-    for trial, count, got in zip(batch.ledgers, sent, received):
+    for trial, count, got in zip(batch.ledgers, sent, batch.sizes):
         setattr(trial, slot, got / count if count else 1.0)
-    if batch.transcript is not None:
-        payloads = interference or [None] * len(sent)
-        for trial, count, got, payload in zip(batch.ledgers, sent, received, payloads):
-            transcript = trial.transcript
-            transcript.log(step, transcript.sender, "send", {"sequence": sequence, "count": count})
-            if payload:
-                transcript.log(step, "eve", "interpose", payload)
-            receipt = {"sequence": sequence, "received": got, "expected": count}
-            transcript.log(step, transcript.receiver, "receive", receipt)
+        if transcribed:
+            trial.transmitted += ((count, got),)
 
 
 def _draw_sample(
@@ -260,10 +241,9 @@ def first_check(batch: Batch, config: RunConfig, rngs: list[RandomSource]) -> li
         sender.append(drawn[start - n : start])
     receiver_q, sender_q = b"".join(receiver), b"".join(sender)
     if basis:
-        basis_q = b"".join(basis)
-        basis_key = int.from_bytes(basis_q) << 2
+        basis_key = int.from_bytes(b"".join(basis)) << 2
 
-        def by_basis(column: bytes, table: bytes) -> bytes:
+        def by_basis(column: bytes, table: bytes | None) -> bytes:
             return (basis_key | int.from_bytes(column)).to_bytes(k).translate(table)
 
     else:
@@ -280,31 +260,18 @@ def first_check(batch: Batch, config: RunConfig, rngs: list[RandomSource]) -> li
     receiver_bits, states = measure_column(sampled.translate(_LOW_STATE), receiver_keys)
     states = gather(batch.column("state"), sample) if batch.filled("planted") else states
     sender_bits, _ = measure_column(states, by_basis(sender_q, _SENDER_KEYS))
-    # Only a transcript reads the sample's ordinals, which the settle returns.
-    indices = batch.settle(sample, Disposition.CHECKED_1)
+    batch.settle(sample, Disposition.CHECKED_1)
     # A pair mismatches when its bits differ where its prepared state's
     # halves agree, or agree where they differ: a 1 byte of the xor.
     differ = int.from_bytes(by_basis(prepared, _DIFFER))
     xor = int.from_bytes(receiver_bits) ^ int.from_bytes(sender_bits) ^ differ
     reports = _reports(batch, xor.to_bytes(k), sizes, config.threshold_1, "check1")
-    if batch.transcript is not None:
-        logged = zip(
-            batch.ledgers,
-            indices,
-            parts(basis_q.translate(_LETTERS) if basis else b"z" * k, sizes),
-            parts(receiver_bits.translate(DIGITS), sizes),
-            parts(sender_bits.translate(DIGITS), sizes),
-            reports,
-        )
-        for trial, indices, bases, bits, partner_bits, report in logged:
-            transcript = trial.transcript
-            payload = {"indices": indices, "bases": bases.decode(), "bits": bits.decode()}
-            transcript.log(3, transcript.receiver, "measure_check_sample", payload)
-            payload = {"message": "sequence-1-received", "check_indices": indices}
-            transcript.log(4, transcript.receiver, "notify", payload)
-            payload = {"indices": indices, "bits": partner_bits.decode()}
-            transcript.log(4, transcript.sender, "measure_partner_sample", payload)
-            transcript.log(4, "public", "check", {"check": "first", **report.to_dict()})
+    if batch.transcribed:
+        # What the check published, a byte per sampled pair: the basis draw
+        # (by_basis with no table) over the receiver's bit over the sender's.
+        published = by_basis(stack(receiver_bits, sender_bits, 1), None)
+        for trial, part in zip(batch.ledgers, parts(published, sizes)):
+            trial.published = part
     batch.phase = Phase.CHECKED_1
     return reports
 
@@ -325,7 +292,7 @@ def transmit_second_sequence(batch: Batch, channel: AdversaryChannel, config: Ru
             if trial.check1 is not None and not trial.check1.passed:
                 raise ProtocolOrderError("second transmission after a failed first check")
     batch.phase = Phase.SENT_2
-    _transmit(batch, channel, 2, 5)
+    _transmit(batch, channel, 2)
     return batch
 
 
@@ -337,10 +304,6 @@ def bob_decode(batch: Batch, rngs: list[RandomSource]) -> Batch:
     # The decoded pairs are consumed: their post states are not kept.
     decoded, _ = measure_column(batch.receiver_state, keys)
     batch.fill("outcome", decoded, CODES)
-    if batch.transcript is not None:
-        for trial, codes in zip(batch.ledgers, parts(decoded, batch.sizes)):
-            payload = {"pairs": len(codes), "codes": code_string(codes)}
-            trial.transcript.log(6, trial.transcript.receiver, "decode", payload)
     batch.phase = Phase.DECODED
     return batch
 
@@ -358,9 +321,6 @@ def second_check(batch: Batch, config: RunConfig, rngs: list[RandomSource]) -> l
     sampled = gather(stack(batch.column("prepared"), batch.column("outcome"), 2), sample)
     batch.settle(sample, Disposition.CHECKED_2)
     reports = _reports(batch, sampled.translate(_DIFFERENT), sizes, config.threshold_2, "check2")
-    if batch.transcript is not None:
-        for trial, report in zip(batch.ledgers, reports):
-            trial.transcript.log(7, "public", "check", {"check": "second", **report.to_dict()})
     batch.phase = Phase.CHECKED_2
     return reports
 
@@ -382,9 +342,6 @@ def extract_key(batch: Batch) -> list[bytes]:
     keys = parts(batch.column("outcome"), batch.sizes)
     batch.settle(None, Disposition.KEY)
     batch.phase = Phase.DONE
-    if batch.transcript is not None:
-        for trial, key in zip(batch.ledgers, keys):
-            trial.transcript.log(7, "public", "commit", {"key_bits": 2 * len(key)})
     return keys
 
 
@@ -432,10 +389,12 @@ def run_protocol(
     key.
 
     The sender and the receiver draw from ``rng`` itself, the adversary
-    from its ``eve`` substream. The run logs its events to ``transcript``,
-    and records none when it is None; the draws are the same either way.
-    The transcript's ``sender`` and ``receiver`` are the actors of the
-    parties' events, alice and bob unless it names others.
+    from its ``eve`` substream. Once the run ended its events are rendered
+    into ``transcript`` (``ledger.render_transcript``), which becomes the
+    ledger's ``transcript``; it records none when ``transcript`` is None,
+    and the draws are the same either way. The transcript's ``sender`` and
+    ``receiver`` are the actors of the parties' events, alice and bob
+    unless it names others.
 
     Handed a list of streams, it runs a batch, one trial per stream, with
     ``prepared_labels`` a list of each trial's labels (or None) and
@@ -444,11 +403,12 @@ def run_protocol(
     """
     if not isinstance(rng, list):
         labels = None if prepared_labels is None else [prepared_labels]
-        return run_protocol(config, [rng], labels, [transcript])[0]
+        return run_protocol(config, [rng], labels, transcript and [transcript])[0]
     if prepared_labels is None:
-        batch = alice_prepare(config.pairs, rng, transcript)
+        batch = alice_prepare(config.pairs, rng)
     else:
-        batch = prepare_from_labels(prepared_labels, transcript)
+        batch = prepare_from_labels(prepared_labels)
+    batch.transcribed = transcript is not None
     outcomes: list = [None] * len(rng)
     lanes_ = list(range(len(rng)))  # each trial of the batch, by its place in rng
     channel = AdversaryChannel(config.attack, [stream.substream("eve") for stream in rng])
@@ -464,8 +424,7 @@ def run_protocol(
             return True
         for lane, ledger, reason in zip(lanes_, batch.ledgers, ends):
             if reason is not None:
-                if ledger.transcript is not None:
-                    ledger.transcript.log(step, "public", "abort", {"reason": reason})
+                ledger.abort_step = step
                 ledger.settle(None, Disposition.DROPPED)
                 outcomes[lane] = ProtocolOutcome(ledger, reason, None)
         kept = [reason is None for reason in ends]
@@ -492,6 +451,8 @@ def run_protocol(
     if going:
         for lane, trial, key in zip(lanes_, batch.ledgers, extract_key(batch)):
             outcomes[lane] = ProtocolOutcome(trial, None, key)
+    for outcome, log in zip(outcomes, transcript or ()):
+        render_transcript(outcome.ledger, log, config.attack, outcome.abort_reason)
     return outcomes
 
 
@@ -550,8 +511,8 @@ def run_multiparty(
     codes (``PairLedger.cut``). In a three-party chain hop k draws from the
     ``hop<k>`` substream, tags its events ``{"hop": k}``, and a later hop's
     abort reason is prefixed ``hop<k>_``. With ``collect_transcripts`` each
-    hop logs to its own ``Transcript``, its ``ledger.transcript``, which
-    names the hop's sender and receiver, the k-th and (k+1)-th of
+    hop is rendered into its own ``Transcript``, its ``ledger.transcript``,
+    which names the hop's sender and receiver, the k-th and (k+1)-th of
     ``ledger.PARTIES``; without it no hop records one. A hop the adversary
     does not sit on (see ``attack_hop``) runs under a copy of the config
     with no attack.

@@ -1,5 +1,4 @@
 import hashlib
-import importlib
 import json
 import json.encoder
 import random
@@ -10,7 +9,6 @@ from itertools import product
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-import eprqkd.ledger
 import eprqkd.protocol
 import object_engine
 from eprqkd.adversary import AdversaryChannel, AttackKind, AttackStrategy, eve_guess_counts
@@ -26,6 +24,7 @@ from eprqkd.ledger import (
     code_string,
     gather,
     joint_counts,
+    render_transcript,
 )
 from eprqkd.protocol import (
     alice_prepare,
@@ -74,9 +73,9 @@ def clean_channel(seed=0):
     return AdversaryChannel(AttackStrategy(), [RandomSource(seed, "eve")])
 
 
-def one_trial(n, rng, transcript=None):
+def one_trial(n, rng):
     """A batch of one trial of n pairs drawn from ``rng``, and its ledger."""
-    batch = alice_prepare(n, [rng], [transcript])
+    batch = alice_prepare(n, [rng])
     return batch, batch.ledgers[0]
 
 
@@ -560,33 +559,28 @@ TERMINAL = [Disposition.CHECKED_1, Disposition.CHECKED_2, Disposition.KEY, Dispo
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_a_mask_settle_matches_a_positional_loop(last, data):
-    # A ledger, with or without a transcript, takes 0-3 cuts, each after an
-    # optional fill of its state and guess columns and each read or not
-    # before the next, then one last settle: a random mask, every live pair
-    # by mask (k = m), or None. After every settle, what it returns, its log
-    # entry, every settle's rebuilt ordinals, the live count and ordinals,
-    # the disposition counts and the records must be what a loop over
-    # positions, kept per ordinal, gives; at the end, so must the columns of
-    # a batch of one that took the same fills and settles.
+    # A ledger takes 0-3 cuts, each after an optional fill of its state and
+    # guess columns and each read or not before the next, then one last
+    # settle: a random mask, every live pair by mask (k = m), or None. After
+    # every settle, its log entry, every settle's rebuilt ordinals, the live
+    # count and ordinals, the disposition counts and the records must be what
+    # a loop over positions, kept per ordinal, gives; at the end, so must the
+    # columns of a batch of one that took the same fills and settles.
     codes = st.integers(0, N_STATES - 1)
     n = data.draw(st.integers(1, 30), label="pairs")
     prepared = data.draw(st.binary(min_size=n, max_size=n).map(lambda b: bytes(c & 3 for c in b)))
-    transcript = Transcript() if data.draw(st.booleans(), label="transcript") else None
-    ledger = PairLedger(prepared, transcript)
+    ledger = PairLedger(prepared)
     batch = Batch([PairLedger(prepared)])
     live, fates, settles = list(range(n)), {}, []
     state, guesses = dict(enumerate(prepared)), {}
 
     def settle(taken, disposition):
         keep = None if taken is None else bytes(1 - b for b in taken)
-        returned = ledger.settle(keep, disposition)
+        ledger.settle(keep, disposition)
         batch.settle(taken, disposition)
         # One entry: the settle's keep mask and its disposition.
         assert ledger.settled[-1] == (keep, disposition)
         expected, kept = (list(live), []) if taken is None else loop_settle(live, taken)
-        # A partial settle returns its pairs' ordinals for a transcript to
-        # log; a whole settle, or a ledger that keeps no transcript, None.
-        assert returned == (None if taken is None or transcript is None else tuple(expected))
         live[:] = kept
         fates.update(dict.fromkeys(expected, disposition))
         settles.append((expected, disposition, taken))
@@ -905,16 +899,18 @@ class TestRunProtocol:
         "kind", [AttackKind.NONE, AttackKind.MEASURE_RESEND], ids=lambda kind: kind.value
     )
     def test_steps_log_what_run_protocol_logs(self, kind):
-        # The ledger owns the transcript, so the seven steps called directly
-        # on run_protocol's streams log the same events it does: the sender
-        # and the receiver draw from its stream itself, one after the other,
-        # and the adversary from its eve substream.
+        # A transcript is rendered from the hop's ledger, so the seven steps
+        # called directly on run_protocol's streams leave a ledger that
+        # renders the same events it does: the sender and the receiver draw
+        # from its stream itself, one after the other, and the adversary
+        # from its eve substream.
         cfg = config(pairs=120, seed=25, attack=AttackStrategy(kind=kind))
         outcome = run_protocol(cfg, RandomSource(25), transcript=Transcript())
 
         rng = RandomSource(25)
         channel = AdversaryChannel(cfg.attack, [rng.substream("eve")])
-        batch, ledger = one_trial(cfg.pairs, rng, transcript=Transcript())
+        batch, ledger = one_trial(cfg.pairs, rng)
+        batch.transcribed = True  # as run_protocol marks a batch it renders
         transmit_first_sequence(batch, channel)
         first_check(batch, cfg, [rng])
         transmit_second_sequence(batch, channel, cfg)
@@ -928,7 +924,9 @@ class TestRunProtocol:
             # Only run_protocol decides to abort, and says so last.
             assert expected[-1]["event"] == "abort"
             expected = expected[:-1]
-        assert logged_events(ledger.transcript) == expected
+        transcript = Transcript()
+        render_transcript(ledger, transcript, cfg.attack, None)
+        assert logged_events(transcript) == expected
 
     def test_run_protocol_names_the_parties_its_transcript_names(self):
         # A hop's parties are named on its transcript alone: every event of
@@ -940,6 +938,13 @@ class TestRunProtocol:
         assert {event["event"] for event in events} >= SENDER_EVENTS | RECEIVER_EVENTS
         assert party_actors(transcript) == ({"carol"}, {"dave"})
         assert {event["actor"] for event in events} == {"carol", "dave", "eve", "public"}
+
+    def test_a_transcript_tagged_by_more_than_its_hop_is_refused(self):
+        # The renderer's templates hold a slot for the hop tag alone.
+        transcript = Transcript(extra={"hop": 1, "relay": "bob"})
+        with pytest.raises(ValueError, match="tagged by its hop alone"):
+            run_protocol(config(pairs=40, seed=25), RandomSource(25), transcript=transcript)
+        assert transcript.lines == []
 
     def test_transcript_replays_bit_for_bit(self):
         cfg = config(pairs=200, seed=24, attack=AttackStrategy(kind=AttackKind.MEASURE_RESEND))
@@ -960,6 +965,7 @@ class TestRunProtocol:
             raise AssertionError("logged to a transcript nobody asked for")
 
         monkeypatch.setattr(Transcript, "log", refuse)
+        monkeypatch.setattr(eprqkd.protocol, "render_transcript", refuse)
         _, ledger = one_trial(10, RandomSource(4))
         assert ledger.transcript is None
         assert from_labels([BellState.PSI1])[1].transcript is None
@@ -1019,22 +1025,21 @@ class TestRunProtocol:
         assert transcript.to_jsonl() == expected
 
     def test_transcripts_without_the_c_encoder_are_the_same_bytes(self, monkeypatch):
-        # Where json has no C accelerator, c_make_encoder is None: the ledger
-        # module must still import, and log each payload through json.dumps.
-        saved = dict(vars(eprqkd.ledger))
-        with monkeypatch.context() as patch:
-            patch.setattr(json.encoder, "c_make_encoder", None)
-            try:
-                importlib.reload(eprqkd.ledger)
-                fallback = eprqkd.ledger._encode_payload
-            finally:
-                vars(eprqkd.ledger).clear()
-                vars(eprqkd.ledger).update(saved)
-        assert fallback is not saved["_encode_payload"]
+        # Where json has no C accelerator, c_make_encoder is None: a run
+        # renders the same transcripts, which use no JSON encoder, and
+        # Transcript.log writes each of their events as the same line through
+        # json's Python encoder.
         cfg = config(pairs=200, trials=2, seed=40, parties=3)
         accelerated = run(cfg, collect_transcripts=True).transcripts
-        monkeypatch.setattr(eprqkd.ledger, "_encode_payload", fallback)
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
         assert run(cfg, collect_transcripts=True).transcripts == accelerated
+        lines = "".join(accelerated).splitlines(keepends=True)
+        for line in lines:
+            event = json.loads(line)
+            transcript = Transcript(event["trial"])
+            transcript.log(event["step"], event["actor"], event["event"], event["payload"])
+            assert transcript.lines == [line]
+        assert {json.loads(line)["payload"].get("hop") for line in lines} == {1, 2}
 
     def test_measure_resend_aborts_at_second_check(self):
         cfg = config(pairs=400, seed=26, attack=AttackStrategy(kind=AttackKind.MEASURE_RESEND))
